@@ -21,6 +21,12 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds —
+    /// how a caller encodes several records into one allocation.
+    pub fn appending_to(buf: Vec<u8>) -> ByteWriter {
+        ByteWriter { buf }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -13,14 +13,20 @@
 //!
 //! * refused / reset / closed connection → [`Fault::NodeDown`] —
 //!   immediate failover, node marked unhealthy;
-//! * socket read timeout → [`Fault::Timeout`] — charged
-//!   `request_timeout_ms` against the probe's deadline (the connection
-//!   is dropped: a late response would desync the stream);
+//! * socket read timeout → [`Fault::Timeout`] for the request awaited —
+//!   charged `request_timeout_ms` against the probe's deadline (the
+//!   connection is dropped: a late response would desync the stream, so
+//!   whatever else was unanswered on it is `NodeDown`);
 //! * a server [`Frame::Error`] with [`ErrorCode::Internal`] →
-//!   [`Fault::Transient`] — retried with backoff;
+//!   [`Fault::Transient`] for that request — retried with backoff;
 //! * any other server error or protocol violation → a fatal
 //!   [`ClusterError`] (these are bugs or misconfigurations, not faults
 //!   to retry through).
+//!
+//! The scatter is pipelined: the server answers a connection strictly
+//! in order, so each node's share of a join goes out as one burst in
+//! one write and the replies are read back in request order, all on
+//! the calling thread (see "Pipelining" in `docs/PROTOCOL.md`).
 //!
 //! Because the router is shared, the bit-identity contract extends
 //! across the wire: a TCP join's pairs, candidate counts and
@@ -28,8 +34,11 @@
 //! `Cluster::join` and single-node `Catalog::join`.
 
 use crate::error::CatalogdError;
-use crate::pool::{ConnPool, PoolConfig};
-use crate::wire::{encode_probes, ErrorCode, Frame, PROTOCOL_VERSION};
+use crate::pool::{round_trip, ConnPool, PoolConfig};
+use crate::wire::{
+    encode_join_shard, encode_probes, ErrorCode, Frame, WireError, PROTOCOL_VERSION,
+};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use tsj_cluster::{
@@ -223,6 +232,7 @@ impl ClusterClient {
             request_timeout_ms: self.retry.request_timeout_ms,
             clock: &*self.clock,
             conns: (0..self.addrs.len()).map(|_| None).collect(),
+            burst: Vec::new(),
         };
         let mut env = RouterEnv {
             topology: &self.topology,
@@ -306,11 +316,7 @@ impl ClusterClient {
             context: format!("no node {n}"),
         })?;
         let mut stream = self.pool.checkout(addr)?;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(5_000)))
-            .ok();
-        Frame::Metrics.write_to(&mut stream)?;
-        match Frame::read_from(&mut stream)? {
+        match round_trip(&mut stream, &Frame::Metrics, 5_000)? {
             Frame::MetricsResp { text } => {
                 self.pool.checkin(addr, stream, true);
                 Ok(text)
@@ -328,11 +334,7 @@ impl ClusterClient {
             context: format!("no node {n}"),
         })?;
         let mut stream = self.pool.checkout(addr)?;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(5_000)))
-            .ok();
-        Frame::Shutdown.write_to(&mut stream)?;
-        match Frame::read_from(&mut stream)? {
+        match round_trip(&mut stream, &Frame::Shutdown, 5_000)? {
             Frame::ShutdownAck => {
                 self.health[n] = false;
                 self.pool.evict_addr(addr);
@@ -353,15 +355,11 @@ fn hello(
     expect_hash: u64,
 ) -> Result<(u32, NodeFacts), CatalogdError> {
     let mut stream = pool.checkout(addr)?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(5_000)))
-        .ok();
-    Frame::Hello {
+    let hello = Frame::Hello {
         version: PROTOCOL_VERSION,
         snapshot_hash: expect_hash,
-    }
-    .write_to(&mut stream)?;
-    match Frame::read_from(&mut stream)? {
+    };
+    match round_trip(&mut stream, &hello, 5_000)? {
         Frame::HelloAck {
             version,
             snapshot_hash,
@@ -445,15 +443,42 @@ fn assemble_topology(
     Topology::from_assignment(nodes, assignment).map_err(CatalogdError::from)
 }
 
-/// A live connection to one node, with the probe batch registered.
+/// `JoinShard` bytes written to a node before its replies are read.
+/// What has to fit a default socket buffer is the *replies* (several
+/// times the requests' size), which wait unread in ours while another
+/// node's are being read — a receive queue that overflows stalls the
+/// stream for longer than a request timeout. Larger joins go burst by
+/// burst. (The `ProbeBatch` frame is not counted: it goes first, while
+/// the node has nothing to write.)
+const MAX_IN_FLIGHT: usize = 4 * 1024;
+
+/// Read timeout for a `ProbeAck`: registration prepares every probe of
+/// the batch, which is not one request's work.
+const PROBE_ACK_TIMEOUT_MS: u64 = 5_000;
+
+/// A live connection to one node, its probe batch registered or sent.
 #[derive(Debug)]
 struct NodeConn {
-    stream: TcpStream,
+    /// Replies come through the buffer, requests go to the stream.
+    reader: BufReader<TcpStream>,
+    /// The `ProbeAck` is still unread.
+    awaiting_ack: bool,
+    /// When the last burst went out or the last reply came in: where
+    /// the next reply's `latency_ms` starts.
+    last_ms: u64,
+}
+
+impl NodeConn {
+    fn set_read_timeout(&self, ms: u64) {
+        let timeout = Duration::from_millis(ms.max(1));
+        self.reader.get_ref().set_read_timeout(Some(timeout)).ok();
+    }
 }
 
 /// The TCP [`NodeTransport`]: one pooled connection per addressed node,
-/// held for the duration of a join; real faults mapped onto the
-/// router's [`Fault`] vocabulary (see the module docs).
+/// held for the duration of a join and driven from the calling thread —
+/// one burst of requests per node, replies read back in request order;
+/// real faults mapped onto the router's [`Fault`] vocabulary.
 #[derive(Debug)]
 pub struct TcpTransport<'a> {
     pool: &'a ConnPool,
@@ -465,131 +490,149 @@ pub struct TcpTransport<'a> {
     request_timeout_ms: u64,
     clock: &'a dyn Clock,
     conns: Vec<Option<NodeConn>>,
+    /// The burst being assembled, reused from burst to burst.
+    burst: Vec<u8>,
 }
 
 impl Drop for TcpTransport<'_> {
     fn drop(&mut self) {
         for (n, conn) in self.conns.iter_mut().enumerate() {
             if let Some(conn) = conn.take() {
+                let stream = conn.reader.into_inner();
                 // Reset the read timeout before pooling: the next user
                 // sets its own.
-                conn.stream.set_read_timeout(None).ok();
-                self.pool.checkin(self.addrs[n], conn.stream, true);
+                stream.set_read_timeout(None).ok();
+                self.pool.checkin(self.addrs[n], stream, true);
             }
         }
     }
 }
 
-/// What one TCP attempt produced before outcome mapping.
-enum TcpAttempt {
-    Served(ShardResponse, u64),
-    Faulted(Fault),
-    Fatal(ClusterError),
-}
-
-/// Establishes (or reuses) the join's connection to `node`, registering
-/// the probe batch on fresh connections.
-fn ensure_conn(
-    pool: &ConnPool,
-    addr: SocketAddr,
-    batch_frame: &[u8],
-    probe_count: u32,
-    slot: &mut Option<NodeConn>,
-) -> Result<Option<NodeConn>, ClusterError> {
-    if let Some(conn) = slot.take() {
-        return Ok(Some(conn));
-    }
-    let Ok(mut stream) = pool.checkout(addr) else {
-        return Ok(None); // dial failed: the node is down
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_millis(5_000)))
-        .ok();
-    let sent = std::io::Write::write_all(&mut stream, batch_frame);
-    if sent.is_err() {
-        return Ok(None);
-    }
-    match Frame::read_from(&mut stream) {
-        Ok(Frame::ProbeAck { count }) if count == probe_count => Ok(Some(NodeConn { stream })),
-        Ok(Frame::Error { code, message }) => Err(ClusterError::Topology {
-            context: format!("probe batch rejected ({code:?}): {message}"),
-        }),
-        Ok(_) | Err(_) => Ok(None),
-    }
-}
-
-/// One `JoinShard` round-trip on an established connection.
-fn attempt(
-    conn: &mut NodeConn,
-    req: &ShardRequest,
-    tau: u32,
-    timeout_ms: u64,
-    clock: &dyn Clock,
-) -> (TcpAttempt, bool) {
-    let started = clock.now_ms();
-    conn.stream
-        .set_read_timeout(Some(Duration::from_millis(timeout_ms.max(1))))
-        .ok();
-    let frame = Frame::JoinShard {
-        probe: req.probe,
-        shard: req.shard,
-        tau,
-        classes: req.classes.clone(),
-    };
-    if frame.write_to(&mut conn.stream).is_err() {
-        return (TcpAttempt::Faulted(Fault::NodeDown), false);
-    }
-    match Frame::read_from(&mut conn.stream) {
-        Ok(Frame::JoinShardResp {
-            probe,
-            matches,
-            stats,
-        }) => {
-            if probe != req.probe {
-                return (
-                    TcpAttempt::Fatal(ClusterError::Topology {
-                        context: format!("response for probe {probe}, requested {}", req.probe),
-                    }),
-                    false,
-                );
+impl TcpTransport<'_> {
+    /// Writes the next burst of `rest` (indices into `requests`) to
+    /// `node` — [`MAX_IN_FLIGHT`] bytes of `JoinShard` frames, behind
+    /// the probe batch on a fresh connection — and returns how many
+    /// requests it covers. A node that cannot be dialed or written to
+    /// is left without a connection: `gather` reports it `NodeDown`.
+    fn send(&mut self, node: usize, requests: &[ShardRequest], rest: &[usize], tau: u32) -> usize {
+        self.burst.clear();
+        if self.conns[node].is_none() {
+            let Ok(stream) = self.pool.checkout(self.addrs[node]) else {
+                return rest.len(); // none of it can be sent
+            };
+            self.burst.extend_from_slice(&self.batch_frame);
+            self.conns[node] = Some(NodeConn {
+                reader: BufReader::with_capacity(64 * 1024, stream),
+                awaiting_ack: true,
+                last_ms: 0,
+            });
+        }
+        let conn = self.conns[node].as_mut().expect("connected above");
+        let in_flight_from = self.burst.len();
+        let mut taken = 0;
+        for &r in rest {
+            encode_join_shard(&mut self.burst, &requests[r], tau);
+            taken += 1;
+            if self.burst.len() - in_flight_from >= MAX_IN_FLIGHT {
+                break;
             }
-            let latency = clock.now_ms().saturating_sub(started);
-            (
-                TcpAttempt::Served(
-                    ShardResponse {
+        }
+        if conn.reader.get_mut().write_all(&self.burst).is_err() {
+            self.conns[node] = None;
+        } else {
+            conn.last_ms = self.clock.now_ms();
+        }
+        taken
+    }
+
+    /// Reads the replies to the burst `send` just wrote to `node`, in
+    /// request order, into `outcomes[r]`. Replies already read stay
+    /// served; a timeout fails the request awaited and, like a reset,
+    /// drops the connection, which fails every request still unanswered
+    /// on it as [`Fault::NodeDown`]. An `Err` is fatal to the join.
+    fn gather(
+        &mut self,
+        node: usize,
+        requests: &[ShardRequest],
+        burst: &[usize],
+        timeout_ms: u64,
+        outcomes: &mut [Option<AttemptOutcome>],
+    ) -> Result<(), ClusterError> {
+        let fatal = |context: String| Err(ClusterError::Topology { context });
+        let mut unanswered = burst.iter();
+        // `Ok(true)`: every reply read, the connection is still in sync.
+        let kept = 'read: {
+            let Some(conn) = self.conns[node].as_mut() else {
+                break 'read Ok(false);
+            };
+            if conn.awaiting_ack {
+                conn.set_read_timeout(PROBE_ACK_TIMEOUT_MS);
+                match Frame::read_from(&mut conn.reader) {
+                    Ok(Frame::ProbeAck { count }) if count == self.probe_count => {}
+                    Ok(Frame::Error { code, message }) => {
+                        break 'read fatal(format!("probe batch rejected ({code:?}): {message}"));
+                    }
+                    Ok(_) | Err(_) => break 'read Ok(false),
+                }
+                conn.awaiting_ack = false;
+                // Registration is not charged to the first request.
+                conn.last_ms = self.clock.now_ms();
+            }
+            conn.set_read_timeout(timeout_ms);
+            for &r in unanswered.by_ref() {
+                let req = &requests[r];
+                outcomes[r] = Some(match Frame::read_from(&mut conn.reader) {
+                    Ok(Frame::JoinShardResp {
                         probe,
                         matches,
                         stats,
-                    },
-                    latency,
-                ),
-                true,
-            )
+                    }) if probe == req.probe => {
+                        let now = self.clock.now_ms();
+                        let latency_ms = now.saturating_sub(conn.last_ms);
+                        conn.last_ms = now;
+                        AttemptOutcome::Served {
+                            resp: ShardResponse {
+                                probe,
+                                matches,
+                                stats,
+                            },
+                            injected_delay_ms: 0,
+                            latency_ms,
+                        }
+                    }
+                    // This request's reply: the stream stays in sync.
+                    Ok(Frame::Error {
+                        code: ErrorCode::Internal,
+                        ..
+                    }) => AttemptOutcome::Failed(Fault::Transient),
+                    Ok(other) => {
+                        let probe = req.probe;
+                        break 'read fatal(format!(
+                            "expected probe {probe}'s JoinShardResp, got {other:?}"
+                        ));
+                    }
+                    Err(e) => {
+                        // A late response would desync the stream.
+                        let timed_out = matches!(e, WireError::Io { kind, .. }
+                            if matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut));
+                        outcomes[r] = Some(AttemptOutcome::Failed(if timed_out {
+                            Fault::Timeout
+                        } else {
+                            Fault::NodeDown
+                        }));
+                        break 'read Ok(false);
+                    }
+                });
+            }
+            Ok(true)
+        };
+        if !matches!(kept, Ok(true)) {
+            self.conns[node] = None;
+            for &r in unanswered {
+                outcomes[r] = Some(AttemptOutcome::Failed(Fault::NodeDown));
+            }
         }
-        Ok(Frame::Error {
-            code: ErrorCode::Internal,
-            ..
-        }) => (TcpAttempt::Faulted(Fault::Transient), true),
-        Ok(Frame::Error { code, message }) => (
-            TcpAttempt::Fatal(ClusterError::Topology {
-                context: format!("server error ({code:?}): {message}"),
-            }),
-            false,
-        ),
-        Ok(other) => (
-            TcpAttempt::Fatal(ClusterError::Topology {
-                context: format!("expected JoinShardResp, got {other:?}"),
-            }),
-            false,
-        ),
-        Err(crate::wire::WireError::Io { kind, .. })
-            if kind == std::io::ErrorKind::WouldBlock || kind == std::io::ErrorKind::TimedOut =>
-        {
-            // A late response would desync the stream: the connection is
-            // unusable after a timeout.
-            (TcpAttempt::Faulted(Fault::Timeout), false)
-        }
-        Err(_) => (TcpAttempt::Faulted(Fault::NodeDown), false),
+        kept.map(drop)
     }
 }
 
@@ -601,89 +644,39 @@ impl NodeTransport for TcpTransport<'_> {
         tau: u32,
     ) -> Result<Vec<Option<AttemptOutcome>>, ClusterError> {
         let mut outcomes: Vec<Option<AttemptOutcome>> = requests.iter().map(|_| None).collect();
-        let pool = self.pool;
-        let addrs = self.addrs;
-        let batch_frame = &self.batch_frame;
-        let probe_count = self.probe_count;
-        let timeout = self.request_timeout_ms;
-        let clock = self.clock;
-        // Move each addressed node's connection into its worker; they
-        // come back (with the outcomes) when the scope joins.
-        let mut slots: Vec<Option<NodeConn>> = std::mem::take(&mut self.conns);
-        type WorkerOut = (
-            usize,
-            Option<NodeConn>,
-            Result<Vec<(usize, AttemptOutcome)>, ClusterError>,
-        );
-        let gathered: Vec<WorkerOut> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = per_node
-                .iter()
-                .enumerate()
-                .filter(|(_, list)| !list.is_empty())
-                .map(|(n, list)| {
-                    let mut slot = slots[n].take();
-                    scope.spawn(move |_| -> WorkerOut {
-                        let mut out = Vec::with_capacity(list.len());
-                        let mut conn = match ensure_conn(
-                            pool,
-                            addrs[n],
-                            batch_frame,
-                            probe_count,
-                            &mut slot,
-                        ) {
-                            Ok(conn) => conn,
-                            Err(fatal) => return (n, None, Err(fatal)),
-                        };
-                        for &r in list {
-                            let req = &requests[r];
-                            let outcome = match conn.as_mut() {
-                                None => AttemptOutcome::Failed(Fault::NodeDown),
-                                Some(c) => {
-                                    let (result, keep) = attempt(c, req, tau, timeout, clock);
-                                    if !keep {
-                                        conn = None;
-                                    }
-                                    match result {
-                                        TcpAttempt::Served(resp, latency_ms) => {
-                                            AttemptOutcome::Served {
-                                                resp,
-                                                injected_delay_ms: 0,
-                                                latency_ms,
-                                            }
-                                        }
-                                        TcpAttempt::Faulted(fault) => AttemptOutcome::Failed(fault),
-                                        TcpAttempt::Fatal(e) => return (n, conn, Err(e)),
-                                    }
-                                }
-                            };
-                            out.push((r, outcome));
-                        }
-                        (n, conn, Ok(out))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
-        })
-        .expect("scatter scope");
-        for (n, conn, result) in gathered {
-            slots[n] = conn;
-            match result {
-                Ok(list) => {
-                    for (r, outcome) in list {
-                        outcomes[r] = Some(outcome);
-                    }
+        // Per node, how many of its requests are sent. Each round writes
+        // one burst per node, then reads the replies node by node: the
+        // nodes serve side by side while this thread waits on the first.
+        let mut sent = vec![0usize; per_node.len()];
+        loop {
+            let mut bursts = Vec::new();
+            for (n, list) in per_node.iter().enumerate() {
+                if sent[n] < list.len() {
+                    let taken = self.send(n, requests, &list[sent[n]..], tau);
+                    bursts.push((n, &list[sent[n]..][..taken]));
+                    sent[n] += taken;
                 }
-                Err(fatal) => {
-                    self.conns = slots;
+            }
+            if bursts.is_empty() {
+                return Ok(outcomes);
+            }
+            for (n, burst) in bursts {
+                let timeout = self.request_timeout_ms;
+                if let Err(fatal) = self.gather(n, requests, burst, timeout, &mut outcomes) {
+                    // Other nodes' replies are still in flight: none of
+                    // these connections may return to the pool.
+                    self.conns.fill_with(|| None);
                     return Err(fatal);
+                }
+                if self.conns[n].is_none() {
+                    // Gone for this scatter: the unsent fail too.
+                    for &r in &per_node[n][sent[n]..] {
+                        outcomes[r] = Some(AttemptOutcome::Failed(Fault::NodeDown));
+                    }
+                    sent[n] = per_node[n].len();
                 }
             }
         }
-        self.conns = slots;
-        Ok(outcomes)
     }
 
     fn serve(
@@ -698,34 +691,19 @@ impl NodeTransport for TcpTransport<'_> {
             return Ok(AttemptOutcome::DeadlineExceeded);
         }
         let timeout = self.request_timeout_ms.min(deadline_left_ms);
-        let conn = ensure_conn(
-            self.pool,
-            self.addrs[node],
-            &self.batch_frame,
-            self.probe_count,
-            &mut self.conns[node],
-        )?;
-        let Some(mut conn) = conn else {
-            return Ok(AttemptOutcome::Failed(Fault::NodeDown));
-        };
-        let (result, keep) = attempt(&mut conn, req, tau, timeout, self.clock);
-        if keep {
-            self.conns[node] = Some(conn);
-        }
-        match result {
-            TcpAttempt::Served(resp, latency_ms) => Ok(AttemptOutcome::Served {
-                resp,
-                injected_delay_ms: 0,
-                latency_ms,
-            }),
+        // The scatter's helpers, with a burst of one.
+        let (requests, burst) = (std::slice::from_ref(req), [0]);
+        let mut outcome = [None];
+        self.send(node, requests, &burst, tau);
+        self.gather(node, requests, &burst, timeout, &mut outcome)?;
+        match outcome[0].take().expect("gather answers the whole burst") {
             // The socket timeout was capped at the remaining deadline:
             // if the cap was the deadline (not the request timeout), the
             // attempt ran out of *probe* budget, not request budget.
-            TcpAttempt::Faulted(Fault::Timeout) if timeout < self.request_timeout_ms => {
+            AttemptOutcome::Failed(Fault::Timeout) if timeout < self.request_timeout_ms => {
                 Ok(AttemptOutcome::DeadlineExceeded)
             }
-            TcpAttempt::Faulted(fault) => Ok(AttemptOutcome::Failed(fault)),
-            TcpAttempt::Fatal(e) => Err(e),
+            outcome => Ok(outcome),
         }
     }
 }

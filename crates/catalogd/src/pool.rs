@@ -128,13 +128,22 @@ impl ConnPool {
     }
 }
 
-/// One blocking `Health` round-trip on `stream`.
+/// One blocking request/reply turn on `stream`, waiting at most
+/// `timeout_ms` for the reply's bytes.
+pub(crate) fn round_trip(
+    stream: &mut TcpStream,
+    request: &Frame,
+    timeout_ms: u64,
+) -> Result<Frame, CatalogdError> {
+    let timeout = Duration::from_millis(timeout_ms);
+    stream.set_read_timeout(Some(timeout)).ok();
+    request.write_to(stream)?;
+    Ok(Frame::read_from(stream)?)
+}
+
+/// One `Health` round-trip on `stream`.
 fn ping(stream: &mut TcpStream) -> Result<(), CatalogdError> {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(1_000)))
-        .ok();
-    Frame::Health.write_to(stream)?;
-    match Frame::read_from(stream)? {
+    match round_trip(stream, &Frame::Health, 1_000)? {
         Frame::HealthAck { .. } => Ok(()),
         other => Err(CatalogdError::Protocol {
             context: format!("expected HealthAck, got {other:?}"),

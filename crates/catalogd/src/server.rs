@@ -16,13 +16,16 @@
 //! example stop their nodes without `pkill`.
 
 use crate::error::CatalogdError;
-use crate::wire::{decode_probes, ErrorCode, Frame, ProbeBatch, PROTOCOL_VERSION};
+use crate::wire::{
+    decode_probes, holds_frame, ErrorCode, Frame, ProbeBatch, WireError, PROTOCOL_VERSION,
+};
 use partsj::PartSjConfig;
 use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tsj_catalog::format::fnv1a64;
 use tsj_catalog::snapshot::encode_shard_map;
 use tsj_catalog::SnapshotReader;
@@ -64,6 +67,8 @@ impl ServerConfig {
 struct ServerCells {
     connections: Counter,
     frames: Counter,
+    /// Socket writes: frames ÷ flushes is the mean burst depth served.
+    flushes: Counter,
     joins: Counter,
     probe_batches: Counter,
     errors: Counter,
@@ -165,6 +170,7 @@ impl Catalogd {
         let cells = ServerCells {
             connections: registry.counter(&labeled("tsj_catalogd_connections_total", "node", n)),
             frames: registry.counter(&labeled("tsj_catalogd_frames_total", "node", n)),
+            flushes: registry.counter(&labeled("tsj_catalogd_flushes_total", "node", n)),
             joins: registry.counter(&labeled("tsj_catalogd_joins_served_total", "node", n)),
             probe_batches: registry.counter(&labeled(
                 "tsj_catalogd_probe_batches_total",
@@ -287,6 +293,13 @@ impl Drop for RunningServer {
     }
 }
 
+/// A connection's read buffer, and the reply bytes that force a flush.
+const CONN_BUF: usize = 64 * 1024;
+
+/// Longest a reply waits for the rest of its burst: a client's reply
+/// timeout must keep meaning "this request is slow", not "long burst".
+const MAX_HOLD: Duration = Duration::from_millis(1);
+
 /// Per-connection serve state: the registered probe batch and the serve
 /// scratch, plus an interner clone so wire labels remap injectively
 /// onto the snapshot's ids.
@@ -297,12 +310,7 @@ struct ConnState {
     scratch: NodeScratch,
 }
 
-fn handle_conn(
-    state: Arc<NodeState>,
-    mut stream: TcpStream,
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-) {
+fn handle_conn(state: Arc<NodeState>, stream: TcpStream, stop: Arc<AtomicBool>, addr: SocketAddr) {
     state.cells.connections.inc();
     stream.set_nodelay(true).ok();
     let mut conn = ConnState {
@@ -311,49 +319,61 @@ fn handle_conn(
         ctxs: Vec::new(),
         scratch: NodeScratch::default(),
     };
+    // Buffered both ways: a pipelined burst of k requests costs about
+    // one `read` and one `write` instead of 2k + k.
+    let mut reader = BufReader::with_capacity(CONN_BUF, &stream);
+    let mut out: Vec<u8> = Vec::new();
+    let mut held_since = None;
     loop {
-        let frame = match Frame::read_from(&mut stream) {
-            Ok(frame) => frame,
+        let request = Frame::read_from(&mut reader);
+        let shutdown = matches!(request, Ok(Frame::Shutdown));
+        let reply = match request {
+            Ok(frame) => {
+                state.cells.frames.inc();
+                respond(&state, &mut conn, frame)
+            }
             Err(e) if e.desyncs_stream() => break,
-            Err(crate::wire::WireError::UnknownType { tag }) => {
-                state.cells.errors.inc();
-                let _ = Frame::Error {
-                    code: ErrorCode::UnknownFrameType,
-                    message: format!(
-                        "frame type {tag:#04x} is not known to version {PROTOCOL_VERSION}"
-                    ),
-                }
-                .write_to(&mut stream);
-                continue;
-            }
-            Err(e) => {
-                // Checksummed but undecodable payload: framing is still
-                // trustworthy, answer typed and keep serving.
-                state.cells.errors.inc();
-                let _ = Frame::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                }
-                .write_to(&mut stream);
-                continue;
-            }
+            Err(WireError::UnknownType { tag }) => Frame::Error {
+                code: ErrorCode::UnknownFrameType,
+                message: format!(
+                    "frame type {tag:#04x} is not known to version {PROTOCOL_VERSION}"
+                ),
+            },
+            // Checksummed but undecodable payload: framing is still
+            // trustworthy, answer typed and keep serving.
+            Err(e) => Frame::Error {
+                code: ErrorCode::BadRequest,
+                message: e.to_string(),
+            },
         };
-        state.cells.frames.inc();
-        let shutdown = matches!(frame, Frame::Shutdown);
-        let reply = respond(&state, &mut conn, frame);
         if matches!(reply, Frame::Error { .. }) {
             state.cells.errors.inc();
         }
-        if reply.write_to(&mut stream).is_err() {
-            break;
+        reply.encode_into(&mut out);
+        // Flush as soon as the next read could block (no further complete
+        // request is buffered): a lone request is answered at once, a
+        // burst in one write, bounded in bytes and time held.
+        if shutdown
+            || !holds_frame(reader.buffer())
+            || out.len() >= CONN_BUF
+            || held_since.get_or_insert_with(Instant::now).elapsed() >= MAX_HOLD
+        {
+            state.cells.flushes.inc();
+            if (&stream).write_all(&out).is_err() {
+                return;
+            }
+            out.clear();
+            held_since = None;
         }
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             // Unblock the accept loop so the process can exit.
             let _ = TcpStream::connect(addr);
-            break;
+            return;
         }
     }
+    // Requests answered before framing was lost are owed their replies.
+    let _ = (&stream).write_all(&out);
 }
 
 /// Computes the reply to one decoded frame. Pure protocol logic — all
@@ -474,10 +494,18 @@ fn register_probes(
     batch: ProbeBatch,
     replace: bool,
 ) -> Frame {
-    match decode_probes(&batch, &mut conn.interner) {
+    // Novel probe labels pile up in the connection's interner. A
+    // replacing batch drops every tree that could hold their ids: the
+    // one point where it can fall back to the snapshot's labels.
+    let mut fresh = (replace && conn.interner.len() > interner_cap(state.labels.len()))
+        .then(|| state.labels.clone());
+    match decode_probes(&batch, fresh.as_mut().unwrap_or(&mut conn.interner)) {
         Ok(mut trees) => {
             if replace {
                 conn.probes.clear();
+            }
+            if let Some(fresh) = fresh {
+                conn.interner = fresh;
             }
             conn.probes.append(&mut trees);
             // Re-prepare the whole batch so `VerifyData::batch_for_config`
@@ -492,5 +520,132 @@ fn register_probes(
             code: ErrorCode::BadRequest,
             message: e.to_string(),
         },
+    }
+}
+
+/// Labels a connection's interner may hold before it is reset: a
+/// multiple of the snapshot's own, floored for tiny snapshots.
+fn interner_cap(snapshot_labels: usize) -> usize {
+    4 * snapshot_labels.max(256)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::encode_probes;
+    use tsj_catalog::Catalog;
+    use tsj_cluster::plan_requests;
+    use tsj_shard::ShardConfig;
+    use tsj_ted::JoinStats;
+
+    fn counters(stats: &JoinStats) -> (u64, u64, u64, Vec<(&'static str, u64)>) {
+        let mut stages: Vec<_> = stats
+            .stage_counts
+            .iter()
+            .map(|s| (s.stage, s.count))
+            .collect();
+        stages.sort_unstable();
+        (
+            stats.candidates,
+            stats.ted_calls,
+            stats.pairs_examined,
+            stages,
+        )
+    }
+
+    /// ROADMAP 4e: every batch on a pooled connection brings labels no
+    /// batch before it used. The connection's interner must stay bounded
+    /// — and a reset must never change an answer.
+    #[test]
+    fn fresh_labels_forever_leave_the_interner_bounded_and_joins_identical() {
+        const SHARDS: usize = 4;
+        let trees = tsj_datagen::swissprot_like(30, 5);
+        let labels = crate::interner_for(&trees);
+        let config = PartSjConfig::default();
+        let catalog = Catalog::freeze(
+            trees.clone(),
+            labels.clone(),
+            1,
+            &config,
+            &ShardConfig::with_shards(SHARDS),
+        );
+        let server = Catalogd::bind(
+            catalog.to_bytes(),
+            &ServerConfig::new(0, 1, 1),
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let state = &*server.state;
+        let mut conn = ConnState {
+            interner: state.labels.clone(),
+            probes: Vec::new(),
+            ctxs: Vec::new(),
+            scratch: NodeScratch::default(),
+        };
+        let bound = interner_cap(state.labels.len()) + 2;
+        let mut resets = 0;
+
+        for round in 0..10_000usize {
+            // Two catalog trees, one node of each renamed to a label no
+            // batch has used: each still matches its original.
+            let mut client_labels = labels.clone();
+            let probes: Vec<Tree> = (0..2)
+                .map(|k| {
+                    let mut nodes = trees[(round + 7 * k) % trees.len()].flatten();
+                    let renamed = (round + k) % nodes.len();
+                    nodes[renamed].0 = client_labels.intern(&format!("novel-{round}-{k}"));
+                    Tree::from_flattened(&nodes).expect("same shape")
+                })
+                .collect();
+            let reference = catalog
+                .join(&probes, 1, &config, &ShardConfig::default())
+                .expect("reference join");
+            assert!(
+                reference.pairs.len() >= 2,
+                "round {round}: the originals match"
+            );
+
+            let before = conn.interner.len();
+            let batch = encode_probes(&probes, &client_labels).expect("batch");
+            let ack = respond(state, &mut conn, Frame::ProbeBatch(batch));
+            assert_eq!(ack, Frame::ProbeAck { count: 2 });
+            assert!(
+                conn.interner.len() <= bound,
+                "round {round}: {} labels",
+                conn.interner.len()
+            );
+            resets += usize::from(conn.interner.len() < before);
+
+            let mut pairs = Vec::new();
+            let mut folded = JoinStats::default();
+            for req in plan_requests(&probes, 1, catalog.index().shard_map(), SHARDS) {
+                let reply = respond(
+                    state,
+                    &mut conn,
+                    Frame::JoinShard {
+                        probe: req.probe,
+                        shard: req.shard,
+                        tau: 1,
+                        classes: req.classes,
+                    },
+                );
+                let Frame::JoinShardResp { matches, stats, .. } = reply else {
+                    panic!("round {round}: {reply:?}");
+                };
+                pairs.extend(matches.into_iter().map(|i| (i, req.probe)));
+                folded.merge_partial(&stats);
+            }
+            pairs.sort_unstable();
+            assert_eq!(pairs, reference.pairs, "round {round}: pairs");
+            assert_eq!(
+                counters(&folded),
+                counters(&reference.stats),
+                "round {round}"
+            );
+        }
+        assert!(
+            resets > 10,
+            "the bound was reached and enforced: {resets} resets"
+        );
     }
 }

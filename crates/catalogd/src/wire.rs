@@ -28,6 +28,7 @@
 use std::sync::Mutex;
 use tsj_catalog::format::{fnv1a64, ByteReader, ByteWriter};
 use tsj_catalog::CatalogError;
+use tsj_cluster::ShardRequest;
 use tsj_ted::{JoinStats, StageCount};
 use tsj_tree::{Label, LabelInterner, Tree};
 
@@ -384,10 +385,9 @@ fn put_str(w: &mut ByteWriter, s: &str) {
     w.put_bytes(s.as_bytes());
 }
 
-fn get_str(r: &mut ByteReader<'_>, context: &'static str) -> Result<String, WireError> {
+fn get_str<'a>(r: &mut ByteReader<'a>, context: &'static str) -> Result<&'a str, WireError> {
     let len = r.get_count(1, context)?;
-    let bytes = r.get_bytes(len, context)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed {
+    std::str::from_utf8(r.get_bytes(len, context)?).map_err(|_| WireError::Malformed {
         context: "non-UTF-8 string",
     })
 }
@@ -402,6 +402,13 @@ fn put_u32s(w: &mut ByteWriter, vs: &[u32]) {
 fn get_u32s(r: &mut ByteReader<'_>, context: &'static str) -> Result<Vec<u32>, WireError> {
     let count = r.get_count(4, context)?;
     (0..count).map(|_| Ok(r.get_u32(context)?)).collect()
+}
+
+fn put_join_shard(w: &mut ByteWriter, probe: u32, shard: u32, tau: u32, classes: &[u32]) {
+    w.put_u32(probe);
+    w.put_u32(shard);
+    w.put_u32(tau);
+    put_u32s(w, classes);
 }
 
 fn put_probe_batch(w: &mut ByteWriter, batch: &ProbeBatch) {
@@ -422,7 +429,7 @@ fn put_probe_batch(w: &mut ByteWriter, batch: &ProbeBatch) {
 fn get_probe_batch(r: &mut ByteReader<'_>) -> Result<ProbeBatch, WireError> {
     let label_count = r.get_count(4, "probe label table")?;
     let labels = (0..label_count)
-        .map(|_| get_str(r, "probe label"))
+        .map(|_| get_str(r, "probe label").map(str::to_owned))
         .collect::<Result<Vec<_>, _>>()?;
     let tree_count = r.get_count(4, "probe tree count")?;
     let trees = (0..tree_count)
@@ -476,12 +483,9 @@ fn get_stats(r: &mut ByteReader<'_>) -> Result<JoinStats, WireError> {
     };
     let stages = r.get_count(12, "stats stage count")?;
     for _ in 0..stages {
-        let name = get_str(r, "stage name")?;
+        let stage = intern_stage(get_str(r, "stage name")?)?;
         let count = r.get_u64("stage counter")?;
-        stats.stage_counts.push(StageCount {
-            stage: intern_stage(&name)?,
-            count,
-        });
+        stats.stage_counts.push(StageCount { stage, count });
     }
     Ok(stats)
 }
@@ -547,12 +551,7 @@ impl Frame {
                 shard,
                 tau,
                 classes,
-            } => {
-                w.put_u32(*probe);
-                w.put_u32(*shard);
-                w.put_u32(*tau);
-                put_u32s(w, classes);
-            }
+            } => put_join_shard(w, *probe, *shard, *tau, classes),
             Frame::JoinShardResp {
                 probe,
                 matches,
@@ -575,41 +574,38 @@ impl Frame {
         }
     }
 
-    /// Encodes the full frame — length prefix, type, payload, checksum.
+    /// Appends the full frame — length prefix, type, payload, checksum —
+    /// to `out`, so a burst of frames is one buffer and one write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        append_frame(out, self.tag(), |w| self.put_payload(w));
+    }
+
+    /// Encodes the full frame into a buffer of its own.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
-        payload.put_u8(self.tag());
-        self.put_payload(&mut payload);
-        let body = payload.into_bytes();
-        let checksum = fnv1a64(&body);
-        let mut out = ByteWriter::new();
-        out.put_u32(body.len() as u32 + 8);
-        out.put_bytes(&body);
-        out.put_u64(checksum);
-        out.into_bytes()
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decodes one frame from the front of `buf`, returning it and the
     /// number of bytes consumed. Every failure is a typed [`WireError`].
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
         let mut r = ByteReader::new(buf);
-        let len = r.get_u32("frame length").map_err(WireError::from)?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge { len });
-        }
-        if len < ENVELOPE {
-            return Err(WireError::FrameTooShort { len });
-        }
-        let body = r
-            .get_bytes(len as usize - 8, "frame body")
-            .map_err(WireError::from)?;
-        let stored = r.get_u64("frame checksum").map_err(WireError::from)?;
+        let len = check_len(r.get_u32("frame length")?)?;
+        let frame = Frame::decode_checked(r.get_bytes(len, "frame body")?)?;
+        Ok((frame, 4 + len))
+    }
+
+    /// Decodes the `len` bytes behind a length prefix: verifies the
+    /// trailing checksum, then decodes the body it covers.
+    fn decode_checked(framed: &[u8]) -> Result<Frame, WireError> {
+        let (body, stored) = framed.split_at(framed.len() - 8);
+        let stored = u64::from_le_bytes(stored.try_into().expect("split 8 from the end"));
         let actual = fnv1a64(body);
         if stored != actual {
             return Err(WireError::ChecksumMismatch { stored, actual });
         }
-        let frame = Frame::decode_body(body)?;
-        Ok((frame, 4 + len as usize))
+        Frame::decode_body(body)
     }
 
     /// Decodes a checksum-verified frame body (type byte + payload).
@@ -656,7 +652,7 @@ impl Frame {
             },
             tag::METRICS => Frame::Metrics,
             tag::METRICS_RESP => Frame::MetricsResp {
-                text: get_str(&mut r, "metrics text")?,
+                text: get_str(&mut r, "metrics text")?.to_owned(),
             },
             tag::HEALTH => Frame::Health,
             tag::HEALTH_ACK => Frame::HealthAck {
@@ -667,7 +663,7 @@ impl Frame {
             tag::SHUTDOWN_ACK => Frame::ShutdownAck,
             tag::ERROR => Frame::Error {
                 code: ErrorCode::from_u16(r.get_u16("error code")?)?,
-                message: get_str(&mut r, "error message")?,
+                message: get_str(&mut r, "error message")?.to_owned(),
             },
             other => return Err(WireError::UnknownType { tag: other }),
         };
@@ -694,23 +690,22 @@ impl Frame {
     pub fn read_from(stream: &mut impl std::io::Read) -> Result<Frame, WireError> {
         let mut len_bytes = [0u8; 4];
         read_exact(stream, &mut len_bytes, "frame length")?;
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge { len });
-        }
-        if len < ENVELOPE {
-            return Err(WireError::FrameTooShort { len });
-        }
-        let mut body = vec![0u8; len as usize];
-        read_exact(stream, &mut body, "frame body")?;
-        let stored = u64::from_le_bytes(body[len as usize - 8..].try_into().unwrap());
-        let body = &body[..len as usize - 8];
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(WireError::ChecksumMismatch { stored, actual });
-        }
-        Frame::decode_body(body)
+        let mut framed = vec![0u8; check_len(u32::from_le_bytes(len_bytes))?];
+        read_exact(stream, &mut framed, "frame body")?;
+        Frame::decode_checked(&framed)
     }
+}
+
+/// The envelope's bounds on a length prefix, checked before any
+/// allocation.
+fn check_len(len: u32) -> Result<usize, WireError> {
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLarge { len });
+    }
+    if len < ENVELOPE {
+        return Err(WireError::FrameTooShort { len });
+    }
+    Ok(len as usize)
 }
 
 fn read_exact(
@@ -722,6 +717,36 @@ fn read_exact(
         kind: e.kind(),
         context,
     })
+}
+
+/// Appends one frame to `out`: the length prefix is back-patched once
+/// `payload` has run, the checksum covers what it appended.
+fn append_frame(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut ByteWriter)) {
+    let start = out.len();
+    let mut w = ByteWriter::appending_to(std::mem::take(out));
+    w.put_u32(0);
+    w.put_u8(tag);
+    payload(&mut w);
+    *out = w.into_bytes();
+    let checksum = fnv1a64(&out[start + 4..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends the [`Frame::JoinShard`] for `req` to `out` without building
+/// the frame — the same bytes, no `classes` clone.
+pub(crate) fn encode_join_shard(out: &mut Vec<u8>, req: &ShardRequest, tau: u32) {
+    append_frame(out, tag::JOIN_SHARD, |w| {
+        put_join_shard(w, req.probe, req.shard, tau, &req.classes)
+    });
+}
+
+/// Whether `buf` starts with a complete frame, going by its length
+/// prefix (an impossible one is for the reader to reject).
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    buf.first_chunk()
+        .is_some_and(|len| buf.len() - 4 >= u32::from_le_bytes(*len) as usize)
 }
 
 /// Builds the wire [`ProbeBatch`] for `probes`, resolving each label to
@@ -874,6 +899,45 @@ mod tests {
             code: ErrorCode::TauExceedsFrozen,
             message: "tau 9 > frozen 3".into(),
         });
+    }
+
+    #[test]
+    fn a_burst_is_the_frames_back_to_back() {
+        let frames = [
+            Frame::Health,
+            Frame::JoinShard {
+                probe: 1,
+                shard: 3,
+                tau: 2,
+                classes: vec![4, 5, 6],
+            },
+            Frame::ProbeAck { count: 9 },
+        ];
+        let mut burst = vec![0xAB]; // what `out` already holds stays
+        for frame in &frames {
+            frame.encode_into(&mut burst);
+        }
+        let req = ShardRequest {
+            probe: 1,
+            shard: 3,
+            classes: vec![4, 5, 6],
+        };
+        encode_join_shard(&mut burst, &req, 2);
+        let apart: Vec<u8> = frames
+            .iter()
+            .chain([&frames[1]])
+            .flat_map(Frame::encode)
+            .collect();
+        assert_eq!(burst[0], 0xAB);
+        assert_eq!(&burst[1..], &apart[..]);
+
+        // `holds_frame` sees exactly the complete ones.
+        let health = frames[0].encode();
+        assert!(holds_frame(&apart));
+        assert!(holds_frame(&health));
+        assert!(!holds_frame(&health[..health.len() - 1]));
+        assert!(!holds_frame(&health[..3]));
+        assert!(!holds_frame(&[]));
     }
 
     #[test]

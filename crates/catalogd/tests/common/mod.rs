@@ -5,9 +5,14 @@
 #![allow(dead_code)]
 
 use partsj::PartSjConfig;
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use tsj_catalog::Catalog;
 use tsj_catalogd::interner_for;
+use tsj_catalogd::wire::{ErrorCode, Frame};
 use tsj_shard::ShardConfig;
+use tsj_ted::JoinOutcome;
 use tsj_tree::{LabelInterner, Tree};
 
 /// Freezes a deterministic demo catalog: `n` SwissProt-like trees at
@@ -21,15 +26,22 @@ pub fn freeze_demo(
     seed: u64,
 ) -> (Vec<u8>, Vec<Tree>, LabelInterner) {
     let trees = tsj_datagen::swissprot_like(n, seed);
-    let labels = interner_for(&trees);
+    let (snapshot, labels) = freeze_trees(&trees, tau, shards);
+    (snapshot, trees, labels)
+}
+
+/// Freezes `trees` (raw-labeled, as datagen draws them) into snapshot
+/// bytes, with the interner that names their labels.
+pub fn freeze_trees(trees: &[Tree], tau: u32, shards: usize) -> (Vec<u8>, LabelInterner) {
+    let labels = interner_for(trees);
     let catalog = Catalog::freeze(
-        trees.clone(),
+        trees.to_vec(),
         labels.clone(),
         tau,
         &PartSjConfig::default(),
         &ShardConfig::with_shards(shards),
     );
-    (catalog.to_bytes(), trees, labels)
+    (catalog.to_bytes(), labels)
 }
 
 /// A probe batch with real matches against [`freeze_demo`]'s catalog:
@@ -53,4 +65,188 @@ pub fn probe_batch(
     // Intern over probes AND catalog so edited labels resolve too.
     let labels = interner_for(&all);
     (probes, labels)
+}
+
+/// Stage counters as comparable values (stage names on the TCP side are
+/// re-interned `&'static str`s, so compare by string).
+pub fn stages(outcome: &JoinOutcome) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = outcome
+        .stats
+        .stage_counts
+        .iter()
+        .map(|sc| (sc.stage.to_string(), sc.count))
+        .collect();
+    v.sort();
+    v
+}
+
+/// Asserts everything deterministic about two outcomes is identical
+/// (durations are wall-clock and excluded by design).
+pub fn assert_bit_identical(got: &JoinOutcome, want: &JoinOutcome, context: &str) {
+    assert_eq!(got.pairs, want.pairs, "{context}: pairs");
+    assert_eq!(
+        got.stats.candidates, want.stats.candidates,
+        "{context}: candidates"
+    );
+    assert_eq!(
+        got.stats.pairs_examined, want.stats.pairs_examined,
+        "{context}: pairs_examined"
+    );
+    assert_eq!(got.stats.results, want.stats.results, "{context}: results");
+    assert_eq!(
+        got.stats.ted_calls, want.stats.ted_calls,
+        "{context}: ted_calls"
+    );
+    assert_eq!(
+        got.stats.prefilter_skips, want.stats.prefilter_skips,
+        "{context}: prefilter_skips"
+    );
+    assert_eq!(
+        got.stats.early_accepts, want.stats.early_accepts,
+        "{context}: early_accepts"
+    );
+    assert_eq!(stages(got), stages(want), "{context}: stage counters");
+}
+
+/// What a [`Chopper`] does to its node once the armed number of
+/// `JoinShardResp` frames has gone through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Then {
+    /// Sever every connection and refuse later dials: the node died.
+    Sever,
+    /// Forward nothing further but keep the connections open: the node
+    /// hangs, and the client's read times out.
+    Stall,
+    /// Replace the next `JoinShardResp` with `Error { Internal }` and
+    /// carry on: one request fails, the stream stays in sync.
+    FailOne,
+}
+
+/// A loopback relay in front of one node that can make it fail in the
+/// middle of a burst, deterministically: once armed with
+/// [`Chopper::arm`], it forwards exactly that many further
+/// `JoinShardResp` frames and then does what it was armed to — what a
+/// client sees of a node killed, hung or erring part-way through
+/// answering. Until then (and if never armed) it is transparent: bytes
+/// up, frames down, re-encoded by the same codec and so byte-identical.
+pub struct Chopper {
+    shared: Arc<Relay>,
+    accept: Option<std::thread::JoinHandle<()>>,
+}
+
+struct Relay {
+    addr: SocketAddr,
+    /// `(JoinShardResp frames still to forward, what happens then)`.
+    armed: Mutex<(usize, Then)>,
+    /// Every relayed socket, client and node side; `None` once severed.
+    open: Mutex<Option<Vec<TcpStream>>>,
+}
+
+impl Relay {
+    /// The node "dies": every connection is cut and no dial succeeds.
+    fn sever(&self) {
+        let Some(open) = self.open.lock().expect("relay lock").take() else {
+            return;
+        };
+        for stream in open {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let _ = TcpStream::connect(self.addr); // wake `accept`
+    }
+}
+
+impl Chopper {
+    /// Starts relaying to the node at `upstream`.
+    pub fn in_front_of(upstream: SocketAddr) -> Chopper {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let shared = Arc::new(Relay {
+            addr: listener.local_addr().expect("relay address"),
+            armed: Mutex::new((usize::MAX, Then::Sever)),
+            open: Mutex::new(Some(Vec::new())),
+        });
+        let relay = Arc::clone(&shared);
+        let accept = std::thread::spawn(move || {
+            let mut workers = Vec::new();
+            for client in listener.incoming() {
+                let (Ok(client), Ok(node)) = (client, TcpStream::connect(upstream)) else {
+                    continue;
+                };
+                match relay.open.lock().expect("relay lock").as_mut() {
+                    // Severed: dropping the listener refuses later dials.
+                    None => break,
+                    Some(open) => {
+                        open.push(client.try_clone().expect("clone client half"));
+                        open.push(node.try_clone().expect("clone node half"));
+                    }
+                }
+                let relay = Arc::clone(&relay);
+                workers.push(std::thread::spawn(move || relay_conn(client, node, &relay)));
+            }
+            for worker in workers {
+                worker.join().expect("relay thread");
+            }
+        });
+        Chopper {
+            shared,
+            accept: Some(accept),
+        }
+    }
+
+    /// The address clients dial instead of the node's.
+    pub fn addr(&self) -> SocketAddr {
+        self.shared.addr
+    }
+
+    /// Arms the relay: `replies` more `JoinShardResp` frames get
+    /// through, `then` happens to the one after them.
+    pub fn arm(&self, replies: usize, then: Then) {
+        *self.shared.armed.lock().expect("relay lock") = (replies, then);
+    }
+}
+
+impl Drop for Chopper {
+    fn drop(&mut self) {
+        self.shared.sever();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+/// One relayed connection: requests are copied up as bytes on a helper
+/// thread, replies come down frame by frame so they can be counted.
+fn relay_conn(mut client: TcpStream, mut node: TcpStream, relay: &Relay) {
+    let (mut client_up, mut node_up) = (
+        client.try_clone().expect("clone client half"),
+        node.try_clone().expect("clone node half"),
+    );
+    let up = std::thread::spawn(move || {
+        let _ = std::io::copy(&mut client_up, &mut node_up);
+        let _ = node_up.shutdown(Shutdown::Both);
+    });
+    while let Ok(mut frame) = Frame::read_from(&mut node) {
+        if matches!(frame, Frame::JoinShardResp { .. }) {
+            let mut armed = relay.armed.lock().expect("relay lock");
+            match *armed {
+                (0, Then::Sever) => {
+                    relay.sever();
+                    break;
+                }
+                (0, Then::Stall) => continue,
+                (0, Then::FailOne) => {
+                    *armed = (usize::MAX, Then::Sever);
+                    frame = Frame::Error {
+                        code: ErrorCode::Internal,
+                        message: "injected by the relay".into(),
+                    };
+                }
+                (ref mut left, _) => *left = left.saturating_sub(1),
+            }
+        }
+        if client.write_all(&frame.encode()).is_err() {
+            break;
+        }
+    }
+    let _ = client.shutdown(Shutdown::Both);
+    up.join().expect("upstream copy thread");
 }

@@ -3,62 +3,23 @@
 //! cluster and the single-node catalog produce — pairs, candidate
 //! counts, and every filter-stage counter — across node counts,
 //! replication factors and thresholds, including after killing a real
-//! server process at replication 2.
+//! server process at replication 2, and after losing a node part-way
+//! through a pipelined burst.
 
 mod common;
 
+use common::{assert_bit_identical, Then};
 use partsj::PartSjConfig;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use tsj_catalog::Catalog;
 use tsj_catalogd::{Catalogd, ClientConfig, ClusterClient, RunningServer, ServerConfig};
-use tsj_cluster::{Cluster, ClusterConfig};
+use tsj_cluster::{plan_requests, Cluster, ClusterConfig};
 use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
 
 const SHARDS: usize = 8;
 const FROZEN_TAU: u32 = 3;
-
-/// Stage counters as comparable values (stage names on the TCP side are
-/// re-interned `&'static str`s, so compare by string).
-fn stages(outcome: &JoinOutcome) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = outcome
-        .stats
-        .stage_counts
-        .iter()
-        .map(|sc| (sc.stage.to_string(), sc.count))
-        .collect();
-    v.sort();
-    v
-}
-
-/// Asserts everything deterministic about two outcomes is identical
-/// (durations are wall-clock and excluded by design).
-fn assert_bit_identical(got: &JoinOutcome, want: &JoinOutcome, context: &str) {
-    assert_eq!(got.pairs, want.pairs, "{context}: pairs");
-    assert_eq!(
-        got.stats.candidates, want.stats.candidates,
-        "{context}: candidates"
-    );
-    assert_eq!(
-        got.stats.pairs_examined, want.stats.pairs_examined,
-        "{context}: pairs_examined"
-    );
-    assert_eq!(got.stats.results, want.stats.results, "{context}: results");
-    assert_eq!(
-        got.stats.ted_calls, want.stats.ted_calls,
-        "{context}: ted_calls"
-    );
-    assert_eq!(
-        got.stats.prefilter_skips, want.stats.prefilter_skips,
-        "{context}: prefilter_skips"
-    );
-    assert_eq!(
-        got.stats.early_accepts, want.stats.early_accepts,
-        "{context}: early_accepts"
-    );
-    assert_eq!(stages(got), stages(want), "{context}: stage counters");
-}
 
 fn spawn_node_set(snapshot: &[u8], nodes: usize, replication: usize) -> Vec<RunningServer> {
     (0..nodes)
@@ -323,4 +284,178 @@ fn killed_process_at_r1_degrades_then_recovers() {
     restarted.wait().expect("reap restarted");
     child1.wait().expect("reap node 1");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replies node 0 still gets out before something happens to it
+/// mid-burst.
+const SERVED_PREFIX: usize = 7;
+
+/// A 2-node set with a [`common::Chopper`] in front of node 0, a
+/// connected client, and the reference join of a batch that has
+/// already gone through once, healthy and bit-identical.
+struct Chopped {
+    catalog: Catalog,
+    reference: JoinOutcome,
+    probes: Vec<tsj_tree::Tree>,
+    labels: tsj_tree::LabelInterner,
+    client: ClusterClient,
+    /// Requests of the batch that go to node 0 — its burst.
+    burst: usize,
+    chopper: common::Chopper,
+    _servers: Vec<RunningServer>,
+}
+
+fn chopped(replication: usize) -> Chopped {
+    let (snapshot, catalog_trees, _) = common::freeze_demo(120, 2, SHARDS, 2015);
+    let (probes, labels) = common::probe_batch(&catalog_trees, 12, 10, 41);
+    let catalog = Catalog::from_bytes(snapshot.clone()).expect("reference catalog");
+    let reference = catalog
+        .join(
+            &probes,
+            2,
+            &PartSjConfig::default(),
+            &ShardConfig::default(),
+        )
+        .expect("reference join");
+    let servers = spawn_node_set(&snapshot, 2, replication);
+    let chopper = common::Chopper::in_front_of(servers[0].addr());
+    let addrs = [chopper.addr(), servers[1].addr()];
+    let mut client = ClusterClient::connect(&addrs, ClientConfig::default()).expect("connect");
+    let healthy = client.join(&probes, &labels, 2).expect("healthy join");
+    assert!(healthy.is_complete());
+    assert_bit_identical(&healthy.outcome, &reference, "through the relay");
+    let burst = client.metrics()[0].served as usize;
+    assert!(burst > 2 * SERVED_PREFIX);
+    Chopped {
+        catalog,
+        reference,
+        probes,
+        labels,
+        client,
+        burst,
+        chopper,
+        _servers: servers,
+    }
+}
+
+/// A node killed in the middle of a burst at replication 2: the replies
+/// it did send stay served — once — and only the unanswered rest fails
+/// over, so the union is still bit-identical.
+#[test]
+fn node_killed_mid_burst_fails_over_bit_identically() {
+    let mut set = chopped(2);
+    set.chopper.arm(SERVED_PREFIX, Then::Sever);
+    let joined = set
+        .client
+        .join(&set.probes, &set.labels, 2)
+        .expect("failover join");
+    assert!(
+        joined.is_complete(),
+        "R=2 covers what node 0 left unanswered"
+    );
+    assert_bit_identical(&joined.outcome, &set.reference, "node 0 killed mid-burst");
+    assert!(!set.client.is_alive(0), "client observed the death");
+    let node0 = &set.client.metrics()[0];
+    assert_eq!(
+        node0.served as usize,
+        set.burst + SERVED_PREFIX,
+        "the answered prefix stays served by node 0"
+    );
+    assert_eq!(
+        joined.telemetry.failovers as usize,
+        set.burst - SERVED_PREFIX,
+        "every unanswered request failed over, none of the answered"
+    );
+    assert_eq!(
+        joined.telemetry.backoff_ms, 0,
+        "a dead node is not waited on"
+    );
+}
+
+/// A node that hangs in the middle of a burst: the request being
+/// awaited times out (and is retried after backoff), the connection is
+/// dropped, and everything behind it on that connection fails over like
+/// on a dead node.
+#[test]
+fn node_hung_mid_burst_times_out_one_request_and_fails_over_the_rest() {
+    let mut set = chopped(2);
+    set.chopper.arm(SERVED_PREFIX, Then::Stall);
+    let joined = set
+        .client
+        .join(&set.probes, &set.labels, 2)
+        .expect("failover join");
+    assert!(joined.is_complete());
+    assert_bit_identical(&joined.outcome, &set.reference, "node 0 hung mid-burst");
+    assert_eq!(
+        set.client.metrics()[0].served as usize,
+        set.burst + SERVED_PREFIX
+    );
+    assert_eq!(
+        joined.telemetry.failovers as usize,
+        set.burst - SERVED_PREFIX - 1,
+        "all but the timed-out request"
+    );
+    assert!(joined.telemetry.backoff_ms > 0, "the timeout backed off");
+}
+
+/// An `Error { Internal }` in the middle of a burst is one request's
+/// transient fault: its slot, its retry — the replies behind it are
+/// read off the same connection as if nothing had happened.
+#[test]
+fn internal_error_mid_burst_fails_only_its_own_request() {
+    let mut set = chopped(1);
+    set.chopper.arm(SERVED_PREFIX, Then::FailOne);
+    let joined = set
+        .client
+        .join(&set.probes, &set.labels, 2)
+        .expect("retried join");
+    assert!(joined.is_complete());
+    assert_bit_identical(&joined.outcome, &set.reference, "one Internal mid-burst");
+    assert!(set.client.is_alive(0));
+    assert_eq!(
+        (joined.telemetry.retries, joined.telemetry.failovers),
+        (1, 0)
+    );
+    let node0 = &set.client.metrics()[0];
+    assert_eq!(
+        (node0.served as usize, node0.failed_attempts),
+        (2 * set.burst, 1),
+        "the retry went back to node 0 and was served"
+    );
+}
+
+/// A node killed mid-burst at replication 1 degrades, and the report
+/// names exactly the `(probe, class)` pairs of the requests left
+/// unanswered — not the answered prefix, and nothing node 1 served.
+#[test]
+fn node_killed_mid_burst_at_r1_reports_exactly_the_unanswered() {
+    let mut set = chopped(1);
+    // Node 0's burst, in the order it is sent.
+    let requests = plan_requests(&set.probes, 2, set.catalog.index().shard_map(), SHARDS);
+    let burst: Vec<_> = requests
+        .iter()
+        .filter(|req| set.client.topology().replicas(req.shard) == [0])
+        .collect();
+    assert_eq!(burst.len(), set.burst);
+    let mut unanswered: Vec<(u32, u32)> = burst[SERVED_PREFIX..]
+        .iter()
+        .flat_map(|req| req.classes.iter().map(|&class| (req.probe, class)))
+        .collect();
+    unanswered.sort_unstable();
+    unanswered.dedup();
+
+    set.chopper.arm(SERVED_PREFIX, Then::Sever);
+    let joined = set
+        .client
+        .join(&set.probes, &set.labels, 2)
+        .expect("degraded join");
+    let report = joined.degraded.as_ref().expect("typed degradation");
+    assert_eq!(report.unserved, unanswered);
+    assert_eq!(
+        joined.telemetry.served as usize,
+        requests.len() - burst.len() + SERVED_PREFIX
+    );
+    for pair in &joined.outcome.pairs {
+        assert!(set.reference.pairs.contains(pair), "no invented pairs");
+    }
 }
