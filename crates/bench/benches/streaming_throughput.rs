@@ -7,10 +7,8 @@
 //! a fresh join, so `median ns / FEED` is the per-insert cost and
 //! `FEED / median s` the inserts/sec figure:
 //!
-//! * `streaming/insert/tau{1,3}` — the insert-only baseline
-//!   (`partsj::StreamingJoin`, index grows forever);
-//! * `streaming/insert_sharded/tau{1,3}` — the sharded dynamic join
-//!   without eviction (same semantics, dynamic index);
+//! * `streaming/insert_sharded/tau{1,3}` — no eviction: the insert-only
+//!   baseline (the index grows forever);
 //! * `streaming/evict_count/tau{1,3}` — sliding window of
 //!   [`WINDOW`] trees: every insert beyond the window also pays one
 //!   eviction (tombstone + amortized compaction), so the same quotient
@@ -18,7 +16,7 @@
 //! * `streaming/evict_time/tau{1,3}` — the logical-timestamp window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use partsj::{PartSjConfig, StreamingJoin};
+use partsj::PartSjConfig;
 use std::hint::black_box;
 use tsj_datagen::{synthetic, SyntheticParams};
 use tsj_shard::{EvictionPolicy, ShardConfig, ShardedStreamingJoin};
@@ -58,15 +56,6 @@ fn bench_streaming_throughput(c: &mut Criterion) {
     let trees = feed();
     let mut group = c.benchmark_group("streaming");
     for tau in [1u32, 3] {
-        group.bench_with_input(BenchmarkId::new("insert", tau), &tau, |bench, &tau| {
-            bench.iter(|| {
-                let mut join = StreamingJoin::new(tau, PartSjConfig::default());
-                for tree in &trees {
-                    black_box(join.insert(tree));
-                }
-                join.pairs_found()
-            })
-        });
         group.bench_with_input(
             BenchmarkId::new("insert_sharded", tau),
             &tau,

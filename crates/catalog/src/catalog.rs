@@ -4,11 +4,7 @@ use crate::error::CatalogError;
 use crate::snapshot::{
     assemble, encode_labels, encode_shard, encode_shard_map, encode_trees, SnapshotReader,
 };
-use partsj::probe::ProbeCounters;
-use partsj::{
-    LayerId, MatchCache, PartSjConfig, ProbeScratch, ProbeVerify, StampSink, SubgraphIndex,
-    VerifyConfig, VerifyData, VerifyEngine, WindowPolicy,
-};
+use partsj::{PartSjConfig, SubgraphIndex, VerifyData, VerifyEngine, WindowPolicy};
 use std::path::Path;
 use tsj_shard::{
     build_frozen_left, frozen_rs_join, frozen_rs_join_seq, FrozenJoinScratch, FrozenLeft,
@@ -50,43 +46,15 @@ pub struct Catalog {
     left_data: Vec<VerifyData>,
 }
 
-/// Reusable scratch for [`Catalog::query_with_engine`]: the
-/// O(catalog-size) candidate-dedup stamp array, the per-shard match
+/// Reusable scratch for [`Catalog::query_with_engine`] — the same type
+/// as [`FrozenJoinScratch`], under the name point-query callers know:
+/// the O(catalog-size) candidate-dedup stamp array, the per-shard match
 /// caches and the probe buffers. Holding one of these (plus a
 /// [`VerifyEngine`]) across a serving loop's point queries makes each
 /// query allocation-free in the catalog size — dedup is by an
-/// incrementing marker, so the stamp array is never re-cleared.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    stamp: Vec<TreeIdx>,
-    next_marker: TreeIdx,
-    caches: Vec<MatchCache>,
-    shard_scratch: Vec<usize>,
-    layer_scratch: Vec<LayerId>,
-    candidates: Vec<TreeIdx>,
-    probe: ProbeScratch,
-    verify: ProbeVerify,
-}
-
-impl QueryScratch {
-    /// Sizes the buffers for a catalog of `trees` trees and `shards`
-    /// shards, returning this query's dedup marker.
-    fn begin_query(&mut self, trees: usize, shards: usize) -> TreeIdx {
-        if self.stamp.len() != trees || self.next_marker == TreeIdx::MAX {
-            // First use, a different catalog, or marker exhaustion:
-            // start a fresh stamp generation.
-            self.stamp.clear();
-            self.stamp.resize(trees, TreeIdx::MAX);
-            self.next_marker = 0;
-        }
-        if self.caches.len() != shards {
-            self.caches = (0..shards).map(|_| MatchCache::new()).collect();
-        }
-        let marker = self.next_marker;
-        self.next_marker += 1;
-        marker
-    }
-}
+/// incrementing marker, so the stamp array is never re-cleared, and one
+/// scratch may serve catalogs of different size and shard count.
+pub type QueryScratch = FrozenJoinScratch;
 
 impl Catalog {
     /// Partitions and indexes `trees` for threshold `tau`, producing a
@@ -183,6 +151,14 @@ impl Catalog {
         &self.index
     }
 
+    fn frozen(&self) -> FrozenLeft<'_> {
+        FrozenLeft {
+            index: &self.index,
+            small_by_size: &self.small_by_size,
+            left_data: &self.left_data,
+        }
+    }
+
     fn check_tau(&self, query: u32) -> Result<(), CatalogError> {
         if query > self.tau {
             return Err(CatalogError::TauExceedsFrozen {
@@ -213,11 +189,7 @@ impl Catalog {
     ) -> Result<JoinOutcome, CatalogError> {
         self.check_tau(tau)?;
         Ok(frozen_rs_join(
-            &FrozenLeft {
-                index: &self.index,
-                small_by_size: &self.small_by_size,
-                left_data: &self.left_data,
-            },
+            &self.frozen(),
             probes,
             tau,
             config,
@@ -245,11 +217,7 @@ impl Catalog {
     ) -> Result<JoinStats, CatalogError> {
         self.check_tau(tau)?;
         Ok(frozen_rs_join_seq(
-            &FrozenLeft {
-                index: &self.index,
-                small_by_size: &self.small_by_size,
-                left_data: &self.left_data,
-            },
+            &self.frozen(),
             probes,
             tau,
             config,
@@ -259,7 +227,8 @@ impl Catalog {
         ))
     }
 
-    /// Single-probe similarity search, `SearchIndex` semantics: all
+    /// Single-probe similarity search — the query type the paper's
+    /// introduction defines before generalizing to joins: all
     /// catalog trees within `tau` of `probe` as ascending
     /// `(tree index, exact distance)` pairs. Distances are exact — the
     /// engine only short-circuits on provably tight certificates.
@@ -311,52 +280,9 @@ impl Catalog {
         scratch: &mut QueryScratch,
         out: &mut Vec<(TreeIdx, u32)>,
     ) -> Result<(), CatalogError> {
-        let tau = engine.tau();
-        self.check_tau(tau)?;
-        out.clear();
-        let size_q = probe.len() as u32;
-        let (lo, hi) = partsj::window_of(size_q, tau);
-        let marker = scratch.begin_query(self.trees.len(), self.index.shard_count());
-        scratch.candidates.clear();
-        for n in lo..=hi {
-            if let Some(list) = self.small_by_size.get(&n) {
-                for &i in list {
-                    if scratch.stamp[i as usize] != marker {
-                        scratch.stamp[i as usize] = marker;
-                        scratch.candidates.push(i);
-                    }
-                }
-            }
-        }
-        let (binary, posts) = scratch.probe.prepare(probe);
-        let mut counters = ProbeCounters::default();
-        let mut sink = StampSink {
-            stamp: &mut scratch.stamp,
-            marker,
-            candidates: &mut scratch.candidates,
-        };
-        self.index.probe_tree(
-            binary,
-            posts,
-            size_q,
-            lo,
-            hi,
-            config.matching,
-            &mut scratch.caches,
-            &mut scratch.shard_scratch,
-            &mut scratch.layer_scratch,
-            &mut counters,
-            &mut sink,
-        );
-        // Full stage inputs, exactly like the frozen left side's
-        // `VerifyData::batch` — `check_exact` may consult any filter.
-        let data_q = scratch.verify.prepare(probe, &VerifyConfig::ALL);
-        out.extend(scratch.candidates.iter().filter_map(|&i| {
-            engine
-                .check_exact(&self.left_data[i as usize], data_q)
-                .map(|d| (i, d))
-        }));
-        out.sort_unstable();
+        self.check_tau(engine.tau())?;
+        self.frozen()
+            .query_into(probe, config.matching, engine, scratch, out);
         Ok(())
     }
 
@@ -716,5 +642,7 @@ mod tests {
             )
             .unwrap();
         assert!(outcome.pairs.is_empty());
+        let hits = loaded.query(&probe, 1, &PartSjConfig::default()).unwrap();
+        assert!(hits.is_empty());
     }
 }

@@ -4,9 +4,9 @@
 //! per-query-τ contract holds (any `τ_q ≤ τ_frozen` reproduces the
 //! direct join at `τ_q` exactly).
 
-use partsj::{partsj_join_rs, PartSjConfig, WindowPolicy};
+use partsj::{partsj_join_rs, PartSjConfig, VerifyConfig, WindowPolicy};
 use tsj_catalog::{Catalog, CatalogError};
-use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_datagen::{swissprot_like, synthetic, SyntheticParams};
 use tsj_shard::{sharded_rs_join, ShardConfig};
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::Tree;
@@ -129,21 +129,29 @@ fn pooled_probe_and_verify_threads_match_inline() {
             },
         )
         .unwrap();
-    let pooled = catalog
-        .join(
-            &right,
-            tau,
-            &config,
-            &ShardConfig {
-                shards: 4,
-                probe_threads: 3,
-                verify_threads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(pooled.pairs, inline.pairs);
-    assert_eq!(pooled.stats.candidates, inline.stats.candidates);
+    // Probe-heavy, and one prober feeding a verifier pool.
+    for (probe_threads, verify_threads) in [(3, 2), (1, 3)] {
+        let pooled = catalog
+            .join(
+                &right,
+                tau,
+                &config,
+                &ShardConfig {
+                    shards: 4,
+                    probe_threads,
+                    verify_threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let row = format!("pool = {probe_threads}x{verify_threads}");
+        assert_eq!(pooled.pairs, inline.pairs, "{row}");
+        assert_eq!(pooled.stats.candidates, inline.stats.candidates, "{row}");
+        assert_eq!(
+            pooled.stats.stage_counts, inline.stats.stage_counts,
+            "{row}"
+        );
+    }
 }
 
 /// One snapshot, many thresholds: a catalog frozen at `τ_f` answers any
@@ -183,24 +191,43 @@ fn per_query_tau_reproduces_direct_joins() {
     ));
 }
 
+/// Point queries return exactly the brute-force `(tree, distance)`
+/// hits — under every verification-chain configuration: `check_exact`
+/// must never surface an inexact upper-bound certificate. The
+/// swissprot-like side is mother-tree based (many rename-only
+/// near-duplicates), so the shape-accept stage actually fires.
 #[test]
 fn single_probe_query_matches_linear_ted_scan() {
-    let left = collection(40, 18, 77);
-    let probes = collection(8, 18, 78);
-    let config = PartSjConfig::default();
-    let catalog = frozen_round_trip(&left, 3, &config, 2);
-    for tau_q in [0u32, 1, 3] {
-        for probe in &probes {
-            let expected: Vec<(TreeIdx, u32)> = left
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| {
-                    let d = ted(t, probe);
-                    (d <= tau_q).then_some((i as TreeIdx, d))
-                })
-                .collect();
-            let hits = catalog.query(probe, tau_q, &config).unwrap();
-            assert_eq!(hits, expected, "tau_q = {tau_q}");
+    let default = PartSjConfig::default();
+    for (left, probes) in [
+        (collection(40, 18, 77), collection(8, 18, 78)),
+        (swissprot_like(40, 33), swissprot_like(8, 34)),
+    ] {
+        let catalog = frozen_round_trip(&left, 3, &default, 2);
+        for tau_q in 0..=3u32 {
+            // Fresh probes, plus two catalog members (which must at
+            // least find themselves, at distance 0).
+            for probe in probes.iter().chain(&left[..2]) {
+                let expected: Vec<(TreeIdx, u32)> = left
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, t)| {
+                        let d = ted(t, probe);
+                        (d <= tau_q).then_some((i as TreeIdx, d))
+                    })
+                    .collect();
+                for mask in 0u32..16 {
+                    let verify = VerifyConfig {
+                        size: mask & 1 != 0,
+                        shape_accept: mask & 2 != 0,
+                        histogram: mask & 4 != 0,
+                        traversal: mask & 8 != 0,
+                    };
+                    let config = PartSjConfig { verify, ..default };
+                    let hits = catalog.query(probe, tau_q, &config).unwrap();
+                    assert_eq!(hits, expected, "tau_q = {tau_q}, verify = {verify:?}");
+                }
+            }
         }
     }
 }

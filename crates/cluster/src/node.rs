@@ -15,9 +15,9 @@
 //! counters.
 
 use crate::error::ClusterError;
-use partsj::probe::ProbeCounters;
+use partsj::probe::{scan_small_trees, Candidates, ProbeCounters};
 use partsj::{
-    probe_tree_nodes, window_of, LayerId, MatchCache, PartSjConfig, StampSink, SubgraphIndex,
+    probe_tree_nodes, resolve_layers, window_of, LayerId, MatchCache, PartSjConfig, SubgraphIndex,
     VerifyData, VerifyEngine,
 };
 use std::time::Instant;
@@ -95,30 +95,15 @@ impl ProbeCtx {
     }
 }
 
-/// Per-thread serve scratch: the candidate-dedup stamp array (marker
-/// generations, never re-cleared), the per-node match cache and the
-/// probe buffers. One per scatter worker; the router keeps its own for
-/// the sequential retry phase.
+/// Per-thread serve scratch: the candidate collection (generation
+/// stamps, never re-cleared), the per-node match cache and the probe
+/// buffers. One per scatter worker; the router keeps its own for the
+/// sequential retry phase.
 #[derive(Debug, Default)]
 pub struct NodeScratch {
-    stamp: Vec<TreeIdx>,
-    next_marker: TreeIdx,
+    candidates: Candidates,
     cache: MatchCache,
     layers: Vec<LayerId>,
-    candidates: Vec<TreeIdx>,
-}
-
-impl NodeScratch {
-    fn begin(&mut self, trees: usize) -> TreeIdx {
-        if self.stamp.len() != trees || self.next_marker == TreeIdx::MAX {
-            self.stamp.clear();
-            self.stamp.resize(trees, TreeIdx::MAX);
-            self.next_marker = 0;
-        }
-        let marker = self.next_marker;
-        self.next_marker += 1;
-        marker
-    }
 }
 
 /// One cluster node: the subset of shard sections it owns, the side list
@@ -217,33 +202,16 @@ impl Node {
             })?;
         let probe_start = Instant::now();
         let mut stats = JoinStats::default();
-        let marker = scratch.begin(self.left_data.len());
-        scratch.candidates.clear();
-        for &class in &req.classes {
-            if let Some(list) = self.smalls.get(&class) {
-                for &i in list {
-                    if scratch.stamp[i as usize] != marker {
-                        scratch.stamp[i as usize] = marker;
-                        scratch.candidates.push(i);
-                    }
-                }
-            }
-        }
+        scratch.candidates.begin(self.left_data.len());
+        let mut sink = scratch.candidates.sink();
+        scan_small_trees(&self.smalls, req.classes.iter().copied(), &mut sink);
         // The shard's index only holds layers for its own size classes,
         // so resolving the full probe window surfaces exactly the owned
         // populated classes — the same layers `ShardedIndex::probe_tree`
         // would visit for this shard.
         let (lo, hi) = window_of(ctx.size, tau);
-        scratch.layers.clear();
-        scratch
-            .layers
-            .extend((lo..=hi).filter_map(|n| index.layer_id(n)));
+        resolve_layers(index, lo, hi, &mut scratch.layers);
         let mut counters = ProbeCounters::default();
-        let mut sink = StampSink {
-            stamp: &mut scratch.stamp,
-            marker,
-            candidates: &mut scratch.candidates,
-        };
         probe_tree_nodes(
             index,
             &scratch.layers,
@@ -255,14 +223,15 @@ impl Node {
             &mut counters,
             &mut sink,
         );
-        stats.candidates = scratch.candidates.len() as u64;
+        let found = scratch.candidates.as_slice();
+        stats.candidates = found.len() as u64;
         stats.pairs_examined = stats.candidates;
         stats.candidate_time = probe_start.elapsed();
 
         let verify_start = Instant::now();
         let mut verify = VerifyEngine::new(tau, config);
         let mut matches = Vec::new();
-        for &i in &scratch.candidates {
+        for &i in found {
             if verify
                 .check(&self.left_data[i as usize], &ctx.data)
                 .is_some()

@@ -209,12 +209,14 @@ pub struct PartSjConfig {
     pub partitioning: PartitionScheme,
     /// Matching semantics for absent child slots.
     pub matching: MatchSemantics,
-    /// Collections smaller than this run [`crate::partsj_join_parallel`]
-    /// sequentially — thread/channel setup costs more than it saves on
-    /// tiny inputs.
+    /// Probe batches smaller than this are joined inline by the pooled
+    /// joins of `tsj-shard` — thread/channel setup costs more than it
+    /// saves on tiny inputs.
     pub parallel_fallback: usize,
-    /// Candidate pairs per batch sent to the parallel verifier pool.
-    /// Batching amortizes channel synchronization across many pairs.
+    /// Candidate pairs per batch sent to `tsj-shard`'s verifier pool.
+    /// Batching amortizes channel synchronization — and, in R×S joins,
+    /// the probe-side verification inputs a verifier builds once per
+    /// probe per batch — across many pairs.
     pub verify_batch: usize,
     /// Which verification filter stages run before exact TED.
     pub verify: VerifyConfig,

@@ -17,11 +17,13 @@
 //! No offline index is built: the index grows while the join runs, so each
 //! unordered pair is considered exactly once (when its larger tree probes).
 
-use crate::config::{PartSjConfig, WindowPolicy};
+use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::partition::cuts_for;
-use crate::probe::{probe_tree_nodes, resolve_layers, ProbeCounters, ProbeScratch, StampSink};
-use crate::subgraph::build_subgraphs;
+use crate::probe::{
+    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
+    ProbeScratch,
+};
+use crate::subgraph::partition_tree;
 use crate::verify::{VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -64,7 +66,6 @@ pub fn partsj_join_detailed(
     tau: u32,
     config: &PartSjConfig,
 ) -> (JoinOutcome, PartSjDetail) {
-    let delta = 2 * tau as usize + 1;
     let mut stats = JoinStats::default();
     let mut detail = PartSjDetail::default();
     // Observability handles, hoisted out of the probe loop (handle lookup
@@ -90,14 +91,11 @@ pub fn partsj_join_detailed(
 
     let mut index = SubgraphIndex::new(tau, config.window);
     let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    // Pair-dedup stamps: stamp[j] == i means (i, j) is already a candidate
-    // of the current probe i.
-    let mut stamp: Vec<TreeIdx> = vec![TreeIdx::MAX; trees.len()];
     let mut verify = VerifyEngine::new(tau, config);
     let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-    // Scratch buffers reused across trees: candidate list, the resolved
-    // size-layer window, and the per-node match memo.
-    let mut candidates: Vec<TreeIdx> = Vec::new();
+    // Scratch reused across trees: the deduplicated candidate list, the
+    // resolved size-layer window, and the per-node match memo.
+    let mut candidates = Candidates::new();
     let mut layer_window: Vec<LayerId> = Vec::new();
     let mut match_cache = MatchCache::new();
     let mut counters = ProbeCounters::default();
@@ -107,35 +105,22 @@ pub fn partsj_join_detailed(
         let tree = &trees[i as usize];
         let (binary, posts) = probe_scratch.prepare(tree);
         let size_i = binary.len() as u32;
-        let lo = size_i.saturating_sub(tau).max(1);
+        // Ascending size order: nothing larger is indexed yet, so the
+        // window stops at `|T_i|`.
+        let (lo, _) = window_of(size_i, tau);
 
         let cand_start = Instant::now();
-        candidates.clear();
-
+        candidates.begin(trees.len());
+        let mut sink = candidates.sink();
         // Small trees cannot be δ-partitioned: every size-compatible one is
         // a direct candidate.
-        for n in lo..=size_i {
-            if let Some(list) = small_by_size.get(&n) {
-                for &j in list {
-                    if stamp[j as usize] != i {
-                        stamp[j as usize] = i;
-                        candidates.push(j);
-                        detail.small_tree_candidates += 1;
-                    }
-                }
-            }
-        }
+        detail.small_tree_candidates += scan_small_trees(&small_by_size, lo..=size_i, &mut sink);
 
         // Index probes: every node of T_i against every populated size
         // layer of `[lo, size_i]` (resolved once per tree). Positions are
         // general-tree postorder numbers (edit-stable); twig children come
         // from the LC-RS structure.
         resolve_layers(&index, lo, size_i, &mut layer_window);
-        let mut sink = StampSink {
-            stamp: &mut stamp,
-            marker: i,
-            candidates: &mut candidates,
-        };
         probe_tree_nodes(
             &index,
             &layer_window,
@@ -147,19 +132,20 @@ pub fn partsj_join_detailed(
             &mut counters,
             &mut sink,
         );
-        stats.candidates += candidates.len() as u64;
-        stats.pairs_examined += candidates.len() as u64;
+        let found = candidates.as_slice();
+        stats.candidates += found.len() as u64;
+        stats.pairs_examined += found.len() as u64;
         stats.candidate_time += cand_start.elapsed();
         if obs_on {
             fanout_hist.record(layer_window.len() as u64);
-            cand_hist.record(candidates.len() as u64);
+            cand_hist.record(found.len() as u64);
         }
 
         // Verification through the configured filter chain (cheap bounds
         // first, exact TED only for undecided pairs — see
         // [`crate::verify`] for the chain and its cost model).
         let verify_start = Instant::now();
-        for &j in &candidates {
+        for &j in found {
             if verify.check(&data[i as usize], &data[j as usize]).is_some() {
                 pairs.push((j, i));
             }
@@ -168,13 +154,12 @@ pub fn partsj_join_detailed(
 
         // Partition T_i and publish its subgraphs (or side-list it).
         let insert_start = Instant::now();
-        if (size_i as usize) < delta {
-            small_by_size.entry(size_i).or_default().push(i);
-        } else {
-            let cuts = cuts_for(binary, delta, config.partitioning, u64::from(i));
-            let subgraphs = build_subgraphs(binary, posts, &cuts, i);
-            detail.subgraphs_built += subgraphs.len() as u64;
-            index.insert_tree(size_i, subgraphs);
+        match partition_tree(binary, posts, tau, config.partitioning, i) {
+            Some(subgraphs) => {
+                detail.subgraphs_built += subgraphs.len() as u64;
+                index.insert_tree(size_i, subgraphs);
+            }
+            None => small_by_size.entry(size_i).or_default().push(i),
         }
         stats.candidate_time += insert_start.elapsed();
     }
@@ -200,20 +185,10 @@ pub fn partsj_join_detailed(
     (JoinOutcome::new(pairs, stats), detail)
 }
 
-/// Convenience: PartSJ with the literal-paper absolute-postorder window
-/// (incomplete; for the correction ablation only).
-pub fn partsj_join_paper_window(trees: &[Tree], tau: u32) -> JoinOutcome {
-    partsj_join_with(
-        trees,
-        tau,
-        &PartSjConfig::with_window(WindowPolicy::PaperAbsolute),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionScheme;
+    use crate::config::{PartitionScheme, WindowPolicy};
     use tsj_tree::{parse_bracket, LabelInterner};
 
     fn collection(specs: &[&str]) -> Vec<Tree> {
@@ -312,7 +287,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        let paper = partsj_join_paper_window(&trees, 1);
+        let paper = partsj_join_with(
+            &trees,
+            1,
+            &PartSjConfig::with_window(WindowPolicy::PaperAbsolute),
+        );
         assert_eq!(tight.pairs, safe.pairs);
         assert_eq!(tight.pairs, paper.pairs);
     }

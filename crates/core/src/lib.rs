@@ -11,8 +11,13 @@
 //!   (§3.1/§3.4) — [`subgraph`];
 //! * the on-the-fly two-layer (postorder × label-twig) inverted index
 //!   (§3.4) — [`index`];
-//! * the join loop itself (§3.2, Algorithm 1) — [`join`], plus a
-//!   crossbeam-parallel verification variant — [`parallel`].
+//! * the join loop itself (§3.2, Algorithm 1) — [`join`], on top of the
+//!   one probe step every consumer shares — [`probe`] — with the
+//!   bipartite ([`rs_join`]) and top-k ([`topk`]) variants beside it.
+//!
+//! The crate is thread-free: the pooled, sharded, streaming and
+//! point-query forms of the same loop live one crate up, in `tsj-shard`
+//! and `tsj-catalog`.
 //!
 //! ```
 //! use partsj::partsj_join;
@@ -44,12 +49,9 @@
 pub mod config;
 pub mod index;
 pub mod join;
-pub mod parallel;
 pub mod partition;
 pub mod probe;
 pub mod rs_join;
-pub mod search;
-pub mod streaming;
 pub mod subgraph;
 pub mod topk;
 pub mod verify;
@@ -61,21 +63,16 @@ pub use index::{
     BucketDump, ComponentDump, ComponentId, IndexDump, LayerDump, LayerId, MatchCache,
     PostorderLayer, SubgraphHandle, SubgraphIndex, SubgraphMeta, TwigKeys,
 };
-pub use join::{
-    partsj_join, partsj_join_detailed, partsj_join_paper_window, partsj_join_with, PartSjDetail,
-};
-pub use parallel::{default_verify_threads, partsj_join_parallel, partsj_join_parallel_auto};
+pub use join::{partsj_join, partsj_join_detailed, partsj_join_with, PartSjDetail};
 pub use partition::{cuts_for, max_min_size, partitionable, select_cuts, select_random_cuts};
 pub use probe::{
-    probe_tree_nodes, resolve_layers, window_of, CandidateSink, ProbeCounters, ProbeScratch,
-    StampSink,
+    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, CandidateSink, Candidates,
+    ProbeCounters, ProbeScratch, StampSink,
 };
 pub use rs_join::partsj_join_rs;
-pub use search::{SearchIndex, SearchScratch};
-pub use streaming::StreamingJoin;
 pub use subgraph::{
-    build_subgraphs, nodes_match_at, subgraph_matches, subgraph_matches_with, ChildKind, SgNode,
-    Subgraph,
+    build_subgraphs, nodes_match_at, partition_tree, subgraph_matches, subgraph_matches_with,
+    ChildKind, SgNode, Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
 pub use verify::{

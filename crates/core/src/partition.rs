@@ -137,14 +137,14 @@ pub fn select_random_cuts(binary: &BinaryTree, delta: usize, seed: u64) -> Vec<N
 }
 
 /// Selects the `δ − 1` cut nodes of a tree under `scheme` — the one
-/// partitioning entry point shared by every index producer (batch,
-/// parallel, streaming, bipartite, search and the sharded index).
+/// partitioning entry point, reached by every index producer through
+/// [`crate::subgraph::partition_tree`].
 ///
 /// `salt` individualizes the [`PartitionScheme::Random`] seed per tree
-///
-/// [`PartitionScheme::Random`]: crate::config::PartitionScheme::Random
 /// (callers pass the tree's collection index) and is ignored by the
 /// deterministic max-min scheme.
+///
+/// [`PartitionScheme::Random`]: crate::config::PartitionScheme::Random
 pub fn cuts_for(
     binary: &BinaryTree,
     delta: usize,

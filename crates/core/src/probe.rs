@@ -1,26 +1,28 @@
-//! The shared candidate-generation probe loop.
+//! Algorithm 1's probe step, written once.
 //!
-//! Every index consumer — the batch join ([`crate::join`]), the parallel
-//! variant ([`crate::parallel`]), the bipartite join ([`crate::rs_join`]),
-//! the streaming join ([`crate::streaming`]) and similarity search
-//! ([`crate::search`]) — runs the same inner loop of Algorithm 1: walk the
-//! probing tree's LC-RS nodes, compute the up-to-four [`TwigKeys`] once
-//! per node, probe every size layer of the resolved window, and match
-//! surfaced subgraphs at the node. What differs is only *bookkeeping*:
-//! how a consumer deduplicates container trees and where it records
-//! accepted candidates. [`probe_tree_nodes`] owns the loop;
-//! [`CandidateSink`] abstracts the bookkeeping.
+//! Every index consumer — the batch join ([`crate::join`]), the bipartite
+//! join ([`crate::rs_join`]), the top-k join ([`crate::topk`]) and, one
+//! crate up, the sharded, streaming, frozen-catalog and cluster-node
+//! paths — generates candidates the same way: start a fresh dedup
+//! generation ([`Candidates::begin`]), admit the side-listed small trees
+//! of the size window ([`scan_small_trees`]), then walk the probing
+//! tree's LC-RS nodes, compute the up-to-four [`TwigKeys`] once per
+//! node, probe every size layer of the resolved window and match
+//! surfaced subgraphs at the node ([`probe_tree_nodes`]). What differs
+//! between consumers is only the admission rule (processing rank,
+//! liveness), which they express as [`CandidateSink`] adapters around
+//! the [`StampSink`] that [`Candidates::sink`] hands out.
 //!
-//! Centralizing the loop keeps the hoisting discipline of PR 2 (size
+//! Centralizing the step keeps the hoisting discipline of PR 2 (size
 //! layers resolved once per tree, twig keys once per node, match verdicts
-//! memoized per node across layers) in exactly one place — and lets the
-//! sharded index (`tsj-shard`) drive the identical loop against each
-//! shard's private [`SubgraphIndex`].
+//! memoized per node across layers) and the dedup decision in exactly
+//! one place — and lets the sharded index (`tsj-shard`) drive the
+//! identical loop against each shard's private [`SubgraphIndex`].
 
 use crate::config::MatchSemantics;
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
 use tsj_ted::TreeIdx;
-use tsj_tree::{BinaryTree, Label, NodeId, Tree};
+use tsj_tree::{BinaryTree, FxHashMap, Label, NodeId, Tree};
 
 /// Reusable probe-tree preparation: one LC-RS representation and one
 /// general-postorder array, rebuilt in place per probing tree. All
@@ -153,9 +155,9 @@ pub fn probe_tree_nodes<S: CandidateSink>(
 
 /// The ubiquitous sink: a stamp array deduplicates container trees per
 /// probing tree (stamp value = probe marker) and accepted candidates are
-/// pushed to a list. Used by the batch, streaming and bipartite joins;
-/// consumers with extra bookkeeping (batched channel sends, order
-/// filters, liveness checks) wrap their own [`CandidateSink`].
+/// pushed to a list. [`Candidates::sink`] hands one out per probe;
+/// consumers with extra admission rules (order filters, liveness
+/// checks) wrap it in their own [`CandidateSink`].
 #[derive(Debug)]
 pub struct StampSink<'a> {
     /// `stamp[j] == marker` ⇔ tree `j` is already a candidate of the
@@ -180,27 +182,99 @@ impl CandidateSink for StampSink<'_> {
     }
 }
 
+/// The candidate collection of one prober, reused across its probes: a
+/// generation-stamped dedup array over the container trees plus the
+/// current probe's candidate list. Dedup is by an incrementing marker,
+/// so the O(universe) array is never re-cleared between probes — a
+/// serving or join loop holding one of these allocates nothing per probe
+/// once the buffers have grown to their working size.
+#[derive(Debug, Default)]
+pub struct Candidates {
+    /// `stamp[j] == marker` ⇔ tree `j` is a candidate of the current
+    /// probe; `TreeIdx::MAX` is never a marker.
+    stamp: Vec<TreeIdx>,
+    next_marker: TreeIdx,
+    marker: TreeIdx,
+    list: Vec<TreeIdx>,
+}
+
+impl Candidates {
+    /// An empty collection; buffers are grown on first use.
+    pub fn new() -> Candidates {
+        Candidates::default()
+    }
+
+    /// Starts the next probe over container trees `0..universe`: empties
+    /// the candidate list and moves to a fresh marker generation. The
+    /// stamp array only ever *grows* (a streaming universe gains a tree
+    /// per insert; a scratch may move between indexes of different size)
+    /// — markers are never reused, so stamps left by earlier probes stay
+    /// harmless — and is refilled only when the markers run out.
+    pub fn begin(&mut self, universe: usize) {
+        if self.next_marker == TreeIdx::MAX {
+            self.stamp.fill(TreeIdx::MAX);
+            self.next_marker = 0;
+        }
+        if self.stamp.len() < universe {
+            self.stamp.resize(universe, TreeIdx::MAX);
+        }
+        self.marker = self.next_marker;
+        self.next_marker += 1;
+        self.list.clear();
+    }
+
+    /// The current probe's deduplicating sink (wrap it in an adapter for
+    /// extra admission rules).
+    pub fn sink(&mut self) -> StampSink<'_> {
+        StampSink {
+            stamp: &mut self.stamp,
+            marker: self.marker,
+            candidates: &mut self.list,
+        }
+    }
+
+    /// The current probe's candidates, in discovery order.
+    pub fn as_slice(&self) -> &[TreeIdx] {
+        &self.list
+    }
+}
+
+/// The side-list half of the probe step: trees too small to
+/// δ-partition carry no postings (Lemma 2 offers no filter for them),
+/// so every one whose size class is in `classes` goes straight to
+/// `sink`. Returns how many the sink admitted.
+pub fn scan_small_trees<S: CandidateSink>(
+    small_by_size: &FxHashMap<u32, Vec<TreeIdx>>,
+    classes: impl IntoIterator<Item = u32>,
+    sink: &mut S,
+) -> u64 {
+    let mut admitted = 0;
+    for class in classes {
+        for &tree in small_by_size.get(&class).into_iter().flatten() {
+            if sink.admit(tree) {
+                sink.accept(tree);
+                admitted += 1;
+            }
+        }
+    }
+    admitted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{PartSjConfig, WindowPolicy};
-    use crate::partition::cuts_for;
-    use crate::subgraph::build_subgraphs;
+    use crate::subgraph::partition_tree;
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
-    fn probe_candidates(index: &SubgraphIndex, tree: &Tree, lo: u32, hi: u32) -> Vec<TreeIdx> {
+    fn probe_candidates(index: &SubgraphIndex, tree: &Tree, tau: u32) -> Vec<TreeIdx> {
         let binary = BinaryTree::from_tree(tree);
         let posts = tree.postorder_numbers();
+        let (lo, hi) = window_of(tree.len() as u32, tau);
         let mut layers = Vec::new();
         resolve_layers(index, lo, hi, &mut layers);
-        let mut stamp = vec![TreeIdx::MAX; 16];
-        let mut candidates = Vec::new();
-        let mut sink = StampSink {
-            stamp: &mut stamp,
-            marker: 7,
-            candidates: &mut candidates,
-        };
-        let mut cache = MatchCache::new();
+        let mut candidates = Candidates::new();
+        candidates.begin(16);
         let mut counters = ProbeCounters::default();
         probe_tree_nodes(
             index,
@@ -209,13 +283,14 @@ mod tests {
             &posts,
             tree.len() as u32,
             MatchSemantics::Exact,
-            &mut cache,
+            &mut MatchCache::new(),
             &mut counters,
-            &mut sink,
+            &mut candidates.sink(),
         );
         assert!(counters.match_attempts >= counters.matches);
-        candidates.sort_unstable();
-        candidates
+        let mut found = candidates.as_slice().to_vec();
+        found.sort_unstable();
+        found
     }
 
     #[test]
@@ -230,14 +305,12 @@ mod tests {
         {
             let tree = parse_bracket(src, &mut labels).unwrap();
             let binary = BinaryTree::from_tree(&tree);
-            let delta = 2 * tau as usize + 1;
-            let cuts = cuts_for(&binary, delta, config.partitioning, i as u64);
-            let sgs = build_subgraphs(&binary, &tree.postorder_numbers(), &cuts, i as TreeIdx);
-            index.insert_tree(tree.len() as u32, sgs);
+            let posts = tree.postorder_numbers();
+            let sgs = partition_tree(&binary, &posts, tau, config.partitioning, i as TreeIdx);
+            index.insert_tree(tree.len() as u32, sgs.expect("4 nodes ≥ δ = 3"));
         }
         let probe = parse_bracket("{a{b}{c}{d}}", &mut labels).unwrap();
-        let n = probe.len() as u32;
-        let found = probe_candidates(&index, &probe, n.saturating_sub(tau).max(1), n + tau);
+        let found = probe_candidates(&index, &probe, tau);
         // Tree 0 is identical, tree 1 one rename away: both share subgraphs.
         assert!(found.contains(&0));
         assert!(found.contains(&1));
@@ -252,6 +325,41 @@ mod tests {
         let mut labels = LabelInterner::new();
         let index = SubgraphIndex::new(1, WindowPolicy::Safe);
         let probe = parse_bracket("{a{b}}", &mut labels).unwrap();
-        assert!(probe_candidates(&index, &probe, 1, 3).is_empty());
+        assert!(probe_candidates(&index, &probe, 1).is_empty());
+    }
+
+    /// Offers every tree of `trees` twice; dedup must admit each exactly
+    /// once, whatever earlier generations left in the stamps.
+    fn admits_each_once(candidates: &mut Candidates, trees: std::ops::Range<u32>) {
+        let mut smalls: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
+        smalls.insert(1, trees.clone().chain(trees.clone()).collect());
+        let admitted = scan_small_trees(&smalls, [1, 2], &mut candidates.sink());
+        assert_eq!(admitted, trees.len() as u64);
+        assert_eq!(candidates.as_slice(), trees.collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dedup_survives_marker_exhaustion_and_universe_growth() {
+        let mut candidates = Candidates::new();
+        candidates.begin(4);
+        admits_each_once(&mut candidates, 0..4); // every stamp holds marker 0
+        candidates.next_marker = TreeIdx::MAX - 2;
+        // Generations MAX−2 and MAX−1 touch tree 0 only, so trees 1..4
+        // still carry the stale 0 when the markers wrap to 0 and 1: no
+        // tree admitted twice within a probe, none suppressed by a stamp
+        // an earlier generation left behind.
+        for trees in [0..1, 0..1, 0..4, 0..4] {
+            candidates.begin(4);
+            admits_each_once(&mut candidates, trees);
+        }
+        assert_eq!(candidates.next_marker, 2, "wrapped exactly once");
+        // Growing the universe between probes neither refills nor loses
+        // stamps: the next generation simply ignores the old ones.
+        let marker = candidates.marker;
+        candidates.begin(6);
+        assert_eq!(candidates.marker, marker + 1);
+        assert_eq!(candidates.stamp[..4], [marker; 4]);
+        assert_eq!(candidates.stamp[4..], [TreeIdx::MAX; 2]);
+        admits_each_once(&mut candidates, 0..6);
     }
 }

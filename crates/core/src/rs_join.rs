@@ -11,9 +11,11 @@
 
 use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::partition::cuts_for;
-use crate::probe::{probe_tree_nodes, resolve_layers, ProbeCounters, ProbeScratch, StampSink};
-use crate::subgraph::build_subgraphs;
+use crate::probe::{
+    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
+    ProbeScratch,
+};
+use crate::subgraph::partition_tree;
 use crate::verify::{ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -27,7 +29,6 @@ pub fn partsj_join_rs(
     tau: u32,
     config: &PartSjConfig,
 ) -> JoinOutcome {
-    let delta = 2 * tau as usize + 1;
     let mut stats = JoinStats::default();
 
     // Build phase: partition and index every left tree.
@@ -38,23 +39,19 @@ pub fn partsj_join_rs(
     let mut probe_scratch = ProbeScratch::new();
     for (i, tree) in left.iter().enumerate() {
         let size = tree.len() as u32;
-        if (size as usize) < delta {
-            small_by_size.entry(size).or_default().push(i as TreeIdx);
-            continue;
-        }
         let (binary, posts) = probe_scratch.prepare(tree);
-        let cuts = cuts_for(binary, delta, config.partitioning, i as u64);
-        let subgraphs = build_subgraphs(binary, posts, &cuts, i as TreeIdx);
-        index.insert_tree(size, subgraphs);
+        match partition_tree(binary, posts, tau, config.partitioning, i as TreeIdx) {
+            Some(subgraphs) => index.insert_tree(size, subgraphs),
+            None => small_by_size.entry(size).or_default().push(i as TreeIdx),
+        }
     }
     stats.candidate_time += build_start.elapsed();
 
     // Probe phase: each right tree searches the left index.
     let mut verify = VerifyEngine::new(tau, config);
     let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-    let mut stamp: Vec<u32> = vec![u32::MAX; left.len()];
     // Scratch reused across right trees.
-    let mut candidates: Vec<TreeIdx> = Vec::new();
+    let mut candidates = Candidates::new();
     let mut layer_window: Vec<LayerId> = Vec::new();
     let mut match_cache = MatchCache::new();
     let mut counters = ProbeCounters::default();
@@ -62,33 +59,17 @@ pub fn partsj_join_rs(
 
     for (j, tree) in right.iter().enumerate() {
         let probe_start = Instant::now();
-        let marker = j as u32;
-        candidates.clear();
         let size_j = tree.len() as u32;
-        let lo = size_j.saturating_sub(tau).max(1);
-        let hi = size_j + tau;
-
-        for n in lo..=hi {
-            if let Some(list) = small_by_size.get(&n) {
-                for &i in list {
-                    if stamp[i as usize] != marker {
-                        stamp[i as usize] = marker;
-                        candidates.push(i);
-                    }
-                }
-            }
-        }
+        let (lo, hi) = window_of(size_j, tau);
+        candidates.begin(left.len());
+        let mut sink = candidates.sink();
+        scan_small_trees(&small_by_size, lo..=hi, &mut sink);
 
         // The offline index is frozen now: resolve the `2τ + 1` size
         // layers once per right tree.
         resolve_layers(&index, lo, hi, &mut layer_window);
 
         let (binary, posts) = probe_scratch.prepare(tree);
-        let mut sink = StampSink {
-            stamp: &mut stamp,
-            marker,
-            candidates: &mut candidates,
-        };
         probe_tree_nodes(
             &index,
             &layer_window,
@@ -100,13 +81,14 @@ pub fn partsj_join_rs(
             &mut counters,
             &mut sink,
         );
-        stats.candidates += candidates.len() as u64;
-        stats.pairs_examined += candidates.len() as u64;
+        let found = candidates.as_slice();
+        stats.candidates += found.len() as u64;
+        stats.pairs_examined += found.len() as u64;
         stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
         let data_j = probe_verify.prepare(tree, &config.verify);
-        for &i in &candidates {
+        for &i in found {
             if verify.check(&left_data[i as usize], data_j).is_some() {
                 pairs.push((i, j as TreeIdx));
             }

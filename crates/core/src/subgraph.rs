@@ -17,7 +17,8 @@
 //! unconstrained. The weaker [`MatchSemantics::Embedding`] exists for the
 //! matching-semantics ablation.
 
-use crate::config::MatchSemantics;
+use crate::config::{MatchSemantics, PartitionScheme};
+use crate::partition::cuts_for;
 use tsj_tree::{pack_twig, BinaryTree, Label, NodeId, Side};
 
 /// Index of a tree within the joined collection (re-exported convention
@@ -132,6 +133,27 @@ pub fn build_subgraphs(
         });
     }
     subgraphs
+}
+
+/// Algorithm 1's publish rule, shared by every index producer: a tree
+/// with fewer than `δ = 2τ + 1` nodes cannot be δ-partitioned and is
+/// side-listed by its caller (`None`); any other tree is cut under
+/// `scheme` into the δ subgraphs its caller inserts. `general_post` is
+/// as for [`build_subgraphs`]; `tree` also salts
+/// [`PartitionScheme::Random`]'s per-tree seed.
+pub fn partition_tree(
+    binary: &BinaryTree,
+    general_post: &[u32],
+    tau: u32,
+    scheme: PartitionScheme,
+    tree: TreeIdx,
+) -> Option<Vec<Subgraph>> {
+    let delta = 2 * tau as usize + 1;
+    if binary.len() < delta {
+        return None;
+    }
+    let cuts = cuts_for(binary, delta, scheme, u64::from(tree));
+    Some(build_subgraphs(binary, general_post, &cuts, tree))
 }
 
 fn component_child_label(binary: &BinaryTree, node: NodeId, side: Side, kind: ChildKind) -> Label {

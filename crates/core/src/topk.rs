@@ -38,9 +38,11 @@
 
 use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::partition::cuts_for;
-use crate::probe::{probe_tree_nodes, resolve_layers, ProbeCounters, ProbeScratch, StampSink};
-use crate::subgraph::build_subgraphs;
+use crate::probe::{
+    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
+    ProbeScratch,
+};
+use crate::subgraph::partition_tree;
 use crate::verify::{VerifyData, VerifyEngine};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -148,18 +150,16 @@ fn topk_pass(
     config: &PartSjConfig,
     probe_scratch: &mut ProbeScratch,
 ) -> (Vec<TopKPair>, JoinStats) {
-    let delta = 2 * tau_c as usize + 1;
     let mut stats = JoinStats::default();
 
     let mut index = SubgraphIndex::new(tau_c, config.window);
     let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    let mut stamp: Vec<TreeIdx> = vec![TreeIdx::MAX; trees.len()];
     let mut verify = VerifyEngine::new(tau_c, config);
     // Max-heap over full `(distance, i, j)` keys: `peek` is the pair to
     // beat, and comparing whole keys makes tie handling (same distance,
     // smaller indices win) automatic.
     let mut heap: BinaryHeap<(u32, TreeIdx, TreeIdx)> = BinaryHeap::with_capacity(want + 1);
-    let mut candidates: Vec<TreeIdx> = Vec::new();
+    let mut candidates = Candidates::new();
     let mut layer_window: Vec<LayerId> = Vec::new();
     let mut match_cache = MatchCache::new();
     let mut counters = ProbeCounters::default();
@@ -173,29 +173,16 @@ fn topk_pass(
             Some(&(worst, _, _)) if heap.len() == want => worst,
             _ => tau_c,
         };
-        let lo = size_i.saturating_sub(tau_eff).max(1);
+        let (lo, _) = window_of(size_i, tau_eff);
 
         let cand_start = Instant::now();
-        candidates.clear();
-        for m in lo..=size_i {
-            if let Some(list) = small_by_size.get(&m) {
-                for &j in list {
-                    if stamp[j as usize] != i {
-                        stamp[j as usize] = i;
-                        candidates.push(j);
-                    }
-                }
-            }
-        }
+        candidates.begin(trees.len());
+        let mut sink = candidates.sink();
+        scan_small_trees(&small_by_size, lo..=size_i, &mut sink);
         // The index was partitioned at τ_c ≥ τ_eff, so probing the
         // narrowed size window stays complete (the catalog's
         // `τ_q ≤ τ_frozen` argument).
         resolve_layers(&index, lo, size_i, &mut layer_window);
-        let mut sink = StampSink {
-            stamp: &mut stamp,
-            marker: i,
-            candidates: &mut candidates,
-        };
         probe_tree_nodes(
             &index,
             &layer_window,
@@ -207,12 +194,13 @@ fn topk_pass(
             &mut counters,
             &mut sink,
         );
-        stats.candidates += candidates.len() as u64;
-        stats.pairs_examined += candidates.len() as u64;
+        let found = candidates.as_slice();
+        stats.candidates += found.len() as u64;
+        stats.pairs_examined += found.len() as u64;
         stats.candidate_time += cand_start.elapsed();
 
         let verify_start = Instant::now();
-        for &j in &candidates {
+        for &j in found {
             // Re-read the worst key per candidate: the heap may have
             // tightened while this very list was being verified.
             let tau_now = match heap.peek() {
@@ -233,12 +221,9 @@ fn topk_pass(
         stats.verify_time += verify_start.elapsed();
 
         let insert_start = Instant::now();
-        if (size_i as usize) < delta {
-            small_by_size.entry(size_i).or_default().push(i);
-        } else {
-            let cuts = cuts_for(binary, delta, config.partitioning, u64::from(i));
-            let subgraphs = build_subgraphs(binary, posts, &cuts, i);
-            index.insert_tree(size_i, subgraphs);
+        match partition_tree(binary, posts, tau_c, config.partitioning, i) {
+            Some(subgraphs) => index.insert_tree(size_i, subgraphs),
+            None => small_by_size.entry(size_i).or_default().push(i),
         }
         stats.candidate_time += insert_start.elapsed();
     }

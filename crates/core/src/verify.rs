@@ -1,9 +1,9 @@
 //! The unified verification engine: a pluggable chain of cheap bounds in
 //! front of exact TED.
 //!
-//! Every join entry point — sequential, parallel, R×S, streaming and
-//! search in this crate, plus all of `tsj-shard` — verifies candidate
-//! pairs the same way: run cheap distance *bounds* first and fall back to
+//! Every join entry point — sequential, R×S and top-k in this crate,
+//! plus the pooled, streaming and point-query paths of `tsj-shard` and
+//! `tsj-catalog` — verifies candidate pairs the same way: run cheap distance *bounds* first and fall back to
 //! the cubic exact-TED DP only when no bound decides the pair. Before
 //! this module each entry point re-implemented that pipeline inline;
 //! [`VerifyEngine`] owns it once, so a new bound added here speeds up
@@ -507,7 +507,7 @@ impl FilterStage for TraversalFilter {
 /// the per-stage counters — everything one verifier thread needs.
 ///
 /// Entry points create one engine per verifying thread (the sequential
-/// joins own one; the parallel and sharded pools build one per worker)
+/// joins own one; `tsj-shard`'s verify pool builds one per worker)
 /// and fold the counters into the run's [`JoinStats`] at the end with
 /// [`VerifyEngine::fold_into`].
 ///
@@ -699,8 +699,8 @@ impl VerifyEngine {
     /// Like [`VerifyEngine::check`] but the returned distance is always
     /// **exact**: upper-bound stages only short-circuit when their
     /// certificate is provably tight ([`StageVerdict::AcceptExact`]);
-    /// otherwise the pair falls through to the exact TED DP. Similarity
-    /// search and the top-k join use this to report `(tree, distance)`
+    /// otherwise the pair falls through to the exact TED DP. Point
+    /// queries and the top-k join use this to report `(tree, distance)`
     /// hits.
     pub fn check_exact(&mut self, a: &VerifyData, b: &VerifyData) -> Option<u32> {
         let decision = self.decide(a, b, true);

@@ -6,12 +6,8 @@
 //! valid edit script of cost ≤ `τ`; so the chain never changes the
 //! answer, only where candidates die.
 
-use partsj::{
-    partsj_join_parallel, partsj_join_rs, partsj_join_with, PartSjConfig, SearchIndex,
-    StreamingJoin, VerifyConfig, VerifyEngine, WindowPolicy,
-};
+use partsj::{partsj_join_rs, partsj_join_with, PartSjConfig, VerifyConfig, WindowPolicy};
 use tsj_datagen::{swissprot_like, synthetic, SyntheticParams};
-use tsj_ted::{ted, TreeIdx};
 use tsj_tree::Tree;
 
 /// Every subset of the four stages.
@@ -107,29 +103,6 @@ fn full_chain_reduces_ted_calls_on_near_duplicates() {
 }
 
 #[test]
-fn parallel_join_is_sound_for_every_chain_config() {
-    let trees = collection(90, 20, 11);
-    let tau = 2;
-    let reference = partsj_join_with(
-        &trees,
-        tau,
-        &PartSjConfig {
-            verify: VerifyConfig::NONE,
-            ..Default::default()
-        },
-    );
-    for verify in all_verify_configs() {
-        let config = PartSjConfig {
-            verify,
-            parallel_fallback: 0,
-            ..Default::default()
-        };
-        let outcome = partsj_join_parallel(&trees, tau, &config, 3);
-        assert_eq!(outcome.pairs, reference.pairs, "verify = {verify:?}");
-    }
-}
-
-#[test]
 fn rs_join_is_sound_for_every_chain_config() {
     let left = collection(40, 18, 3);
     let right = swissprot_like(40, 4);
@@ -150,61 +123,5 @@ fn rs_join_is_sound_for_every_chain_config() {
         };
         let outcome = partsj_join_rs(&left, &right, tau, &config);
         assert_eq!(outcome.pairs, reference.pairs, "verify = {verify:?}");
-    }
-}
-
-#[test]
-fn streaming_join_is_sound_for_every_chain_config() {
-    let trees = swissprot_like(50, 21);
-    let tau = 1;
-    let collect = |verify: VerifyConfig| -> Vec<(TreeIdx, TreeIdx)> {
-        let config = PartSjConfig {
-            verify,
-            ..Default::default()
-        };
-        let mut stream = StreamingJoin::new(tau, config);
-        let mut pairs = Vec::new();
-        for (i, tree) in trees.iter().enumerate() {
-            for j in stream.insert(tree) {
-                pairs.push((j, i as TreeIdx));
-            }
-        }
-        pairs
-    };
-    let reference = collect(VerifyConfig::NONE);
-    for verify in all_verify_configs() {
-        assert_eq!(collect(verify), reference, "verify = {verify:?}");
-    }
-}
-
-#[test]
-fn search_distances_stay_exact_for_every_chain_config() {
-    // `check_exact` must never surface an inexact upper-bound
-    // certificate: hits are compared against brute-force TED values.
-    let trees = swissprot_like(40, 33);
-    let queries = swissprot_like(8, 34);
-    let tau = 2;
-    for verify in all_verify_configs() {
-        let config = PartSjConfig {
-            verify,
-            ..Default::default()
-        };
-        let index = SearchIndex::build(&trees, tau, config);
-        let mut engine = VerifyEngine::new(tau, &config);
-        for query in &queries {
-            let expected: Vec<(TreeIdx, u32)> = trees
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| {
-                    let d = ted(t, query);
-                    (d <= tau).then_some((i as TreeIdx, d))
-                })
-                .collect();
-            assert_eq!(
-                index.query_with_engine(query, &mut engine),
-                expected,
-                "verify = {verify:?}"
-            );
-        }
     }
 }

@@ -1,22 +1,15 @@
-//! Equivalence tests for the dense subgraph index and the parallel join.
-//!
-//! 1. **Index ≡ linear scan** — probing the flat per-size /
-//!    position-bucket / twig-sorted storage must surface exactly the
-//!    handles a naive scan over every inserted subgraph's registration
-//!    predicate (size match, position within `[pos − ∆′, pos + ∆′]`, twig
-//!    among the probe's keys) selects, for all three window policies and
-//!    τ ∈ {0, 1, 3}.
-//! 2. **Parallel ≡ sequential** — batched bounded-channel verification at
-//!    the machine's default thread count returns the sequential result.
+//! Equivalence test for the dense subgraph index: **index ≡ linear
+//! scan** — probing the flat per-size / position-bucket / twig-sorted
+//! storage must surface exactly the handles a naive scan over every
+//! inserted subgraph's registration predicate (size match, position
+//! within `[pos − ∆′, pos + ∆′]`, twig among the probe's keys) selects,
+//! for all three window policies and τ ∈ {0, 1, 3}.
 
-use partsj::{
-    build_subgraphs, default_verify_threads, max_min_size, partsj_join_parallel, partsj_join_with,
-    select_cuts, PartSjConfig, SubgraphIndex, TwigKeys, WindowPolicy,
-};
+use partsj::{build_subgraphs, max_min_size, select_cuts, SubgraphIndex, TwigKeys, WindowPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
+use tsj_datagen::{grow_tree, ShapeProfile};
 use tsj_tree::{BinaryTree, Label, Tree};
 
 fn random_tree(seed: u64, size: usize, labels: u32, deepen: f64) -> Tree {
@@ -125,34 +118,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    /// Batched parallel verification at the default (machine-sized)
-    /// thread count reproduces the sequential join exactly.
-    #[test]
-    fn parallel_equals_sequential_at_default_threads(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut trees: Vec<Tree> = Vec::new();
-        for i in 0..80 {
-            if i >= 2 && rng.gen_bool(0.5) {
-                let base = rng.gen_range(0..trees.len());
-                let edits = rng.gen_range(0..4usize);
-                let (edited, _) = random_edit_script(&trees[base], edits, &mut rng, 5);
-                trees.push(edited);
-            } else {
-                let size = rng.gen_range(3..20usize);
-                trees.push(random_tree(rng.gen(), size, 5, rng.gen_range(0.0..0.6)));
-            }
-        }
-        let threads = default_verify_threads();
-        for tau in [0u32, 1, 2] {
-            let config = PartSjConfig::default();
-            let seq = partsj_join_with(&trees, tau, &config);
-            let par = partsj_join_parallel(&trees, tau, &config, threads);
-            prop_assert_eq!(&seq.pairs, &par.pairs, "tau {}, threads {}", tau, threads);
-            prop_assert_eq!(seq.stats.candidates, par.stats.candidates);
-            prop_assert_eq!(seq.stats.prefilter_skips, par.stats.prefilter_skips);
         }
     }
 }

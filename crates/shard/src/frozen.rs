@@ -1,15 +1,16 @@
-//! Probing a **frozen** left side: the shared probe + verify driver
+//! Probing a **frozen** left side: the shared probe + verify half
 //! behind [`crate::sharded_rs_join`] and `tsj-catalog`'s
-//! `Catalog::join`.
+//! `Catalog::{join, query}`.
 //!
 //! Once a left collection has been partitioned and loaded into a
 //! [`ShardedIndex`], the remaining work of an R×S join is independent of
 //! *how* the index came to be — built moments ago or deserialized from a
 //! snapshot. [`frozen_rs_join`] owns that second half: right trees probe
-//! the frozen shards (inline, or fanned out over scoped probe workers
-//! feeding the bounded-channel verify pool), candidates are verified
-//! through one [`VerifyEngine`] filter chain per verifier, and the
-//! outcome is a bipartite [`JoinOutcome`].
+//! the frozen shards (inline, or pooled — the crate's one executor
+//! decides), candidates are verified through one [`VerifyEngine`] filter
+//! chain per verifier, and the outcome is a bipartite [`JoinOutcome`].
+//! [`FrozenLeft::query_into`] is the same probe step for a single tree,
+//! reporting exact distances.
 //!
 //! The probe threshold `tau` is a **parameter**, not a property of the
 //! index: postings are registered once with the freeze-time half-width,
@@ -22,20 +23,15 @@
 
 use crate::index::{balanced_map_for, ShardConfig, ShardedIndex};
 use crate::join::build_subgraph_lists;
-use crossbeam::channel;
-use partsj::probe::ProbeCounters;
+use crate::pool::{execute, run_inline, JoinSide};
+use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
 use partsj::subgraph::Subgraph;
 use partsj::{
-    LayerId, MatchCache, PartSjConfig, ProbeScratch, ProbeVerify, StampSink, VerifyData,
-    VerifyEngine,
+    LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, VerifyConfig,
+    VerifyData, VerifyEngine,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
 use tsj_tree::{BinaryTree, FxHashMap, Tree};
-
-/// Right trees claimed per cursor bump.
-const CLAIM_CHUNK: usize = 4;
 
 /// The shared build phase of [`crate::sharded_rs_join`] and
 /// `tsj-catalog`'s freeze: δ-partitions `left` (fanned out over the
@@ -50,11 +46,10 @@ pub fn build_frozen_left(
     config: &PartSjConfig,
     shard_cfg: &ShardConfig,
 ) -> (ShardedIndex, FxHashMap<u32, Vec<TreeIdx>>) {
-    let delta = 2 * tau as usize + 1;
     let probe_threads = shard_cfg.resolved_probe_threads();
     let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
     let posts: Vec<Vec<u32>> = left.iter().map(Tree::postorder_numbers).collect();
-    let mut lists = build_subgraph_lists(left, &binaries, &posts, delta, config, probe_threads);
+    let mut lists = build_subgraph_lists(left, &binaries, &posts, tau, config, probe_threads);
     let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
     let mut items: Vec<(TreeIdx, u32, Vec<Subgraph>)> = Vec::new();
     for (i, list) in lists.iter_mut().enumerate() {
@@ -93,27 +88,151 @@ pub struct FrozenLeft<'a> {
     pub left_data: &'a [VerifyData],
 }
 
-/// Reusable scratch for [`frozen_rs_join_seq`]: the O(left) dedup stamp
-/// array, the per-shard match caches, the probe-tree preparation buffers
-/// and the probe tree's verification inputs. A serving loop holding one
-/// of these (plus a [`VerifyEngine`]) across repeated joins allocates
-/// nothing proportional to the frozen side or the probe trees in steady
-/// state — only the result pairs the caller keeps.
+/// Reusable scratch for probing a [`ShardedIndex`]: the candidate
+/// collection with its O(left) dedup stamps, the per-shard match caches,
+/// the probe-tree preparation buffers and the probe tree's verification
+/// inputs. A serving loop holding one of these (plus a [`VerifyEngine`])
+/// across repeated joins ([`frozen_rs_join_seq`]) or point queries
+/// ([`FrozenLeft::query_into`]; `tsj-catalog` calls the same type
+/// `QueryScratch`) allocates nothing proportional to the frozen side or
+/// the probe trees in steady state — only the results the caller keeps.
+/// One scratch may move freely between frozen sides of different size
+/// and shard count.
 #[derive(Debug, Default)]
 pub struct FrozenJoinScratch {
-    stamp: Vec<TreeIdx>,
-    caches: Vec<MatchCache>,
-    shard_scratch: Vec<usize>,
-    layer_scratch: Vec<LayerId>,
-    candidates: Vec<TreeIdx>,
-    probe: ProbeScratch,
-    probe_verify: ProbeVerify,
+    pub(crate) candidates: Candidates,
+    pub(crate) caches: Vec<MatchCache>,
+    pub(crate) shard_scratch: Vec<usize>,
+    pub(crate) layer_scratch: Vec<LayerId>,
+    pub(crate) probe: ProbeScratch,
+    pub(crate) probe_verify: ProbeVerify,
 }
 
 impl FrozenJoinScratch {
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> FrozenJoinScratch {
         FrozenJoinScratch::default()
+    }
+
+    /// Starts the next probe of `index` over container trees
+    /// `0..universe`: a fresh candidate generation and one match cache
+    /// per shard (component ids are per-shard).
+    pub(crate) fn begin(&mut self, universe: usize, index: &ShardedIndex) {
+        self.candidates.begin(universe);
+        if self.caches.len() != index.shard_count() {
+            self.caches = (0..index.shard_count())
+                .map(|_| MatchCache::new())
+                .collect();
+        }
+    }
+}
+
+impl FrozenLeft<'_> {
+    /// Algorithm 1's probe step against the frozen side: the side-listed
+    /// small trees of `tree`'s size window at `tau`, then every shard
+    /// covering it. Candidates are left in `scratch`; returns how many
+    /// came from the side list.
+    fn probe(
+        &self,
+        tree: &Tree,
+        tau: u32,
+        matching: MatchSemantics,
+        scratch: &mut FrozenJoinScratch,
+        counters: &mut ProbeCounters,
+    ) -> u64 {
+        let size = tree.len() as u32;
+        let (lo, hi) = window_of(size, tau);
+        scratch.begin(self.left_data.len(), self.index);
+        let mut sink = scratch.candidates.sink();
+        let small = scan_small_trees(self.small_by_size, lo..=hi, &mut sink);
+        let (binary, posts) = scratch.probe.prepare(tree);
+        self.index.probe_tree(
+            binary,
+            posts,
+            size,
+            lo,
+            hi,
+            matching,
+            &mut scratch.caches,
+            &mut scratch.shard_scratch,
+            &mut scratch.layer_scratch,
+            counters,
+            &mut sink,
+        );
+        small
+    }
+
+    /// Point query: all left trees within the engine's threshold of
+    /// `probe`, written to `out` (cleared first) as ascending
+    /// `(tree index, exact distance)` — the engine only short-circuits
+    /// on provably tight certificates. The threshold must not exceed the
+    /// one the side was frozen for (callers enforce that), and
+    /// [`FrozenLeft::left_data`] must carry every stage's inputs.
+    /// With a warmed engine and scratch this allocates nothing.
+    pub fn query_into(
+        &self,
+        probe: &Tree,
+        matching: MatchSemantics,
+        engine: &mut VerifyEngine,
+        scratch: &mut FrozenJoinScratch,
+        out: &mut Vec<(TreeIdx, u32)>,
+    ) {
+        out.clear();
+        let mut counters = ProbeCounters::default();
+        self.probe(probe, engine.tau(), matching, scratch, &mut counters);
+        // Full stage inputs, like the left side's — `check_exact` may
+        // consult any filter.
+        let data_q = scratch.probe_verify.prepare(probe, &VerifyConfig::ALL);
+        out.extend(scratch.candidates.as_slice().iter().filter_map(|&i| {
+            engine
+                .check_exact(&self.left_data[i as usize], data_q)
+                .map(|d| (i, d))
+        }));
+        out.sort_unstable();
+    }
+}
+
+/// An R×S join as the crate's executor sees it: probe number `pos` is
+/// `right[pos]`, probing the frozen side with no admission rule beyond
+/// dedup (the index spans exactly the left collection).
+struct RightSide<'a> {
+    left: &'a FrozenLeft<'a>,
+    right: &'a [Tree],
+    tau: u32,
+    config: &'a PartSjConfig,
+}
+
+impl JoinSide for RightSide<'_> {
+    fn probes(&self) -> usize {
+        self.right.len()
+    }
+
+    fn probe(
+        &self,
+        pos: usize,
+        scratch: &mut FrozenJoinScratch,
+        counters: &mut ProbeCounters,
+    ) -> u64 {
+        let matching = self.config.matching;
+        self.left
+            .probe(&self.right[pos], self.tau, matching, scratch, counters)
+    }
+
+    fn verify(
+        &self,
+        pos: usize,
+        candidates: impl Iterator<Item = TreeIdx>,
+        engine: &mut VerifyEngine,
+        prep: &mut ProbeVerify,
+        pairs: &mut Vec<(TreeIdx, TreeIdx)>,
+    ) {
+        let left_data = self.left.left_data;
+        let data = prep.prepare(&self.right[pos], &self.config.verify);
+        for i in candidates {
+            if engine.check(&left_data[i as usize], data).is_some() {
+                pairs.push((i, pos as TreeIdx));
+            }
+        }
     }
 }
 
@@ -135,83 +254,21 @@ pub fn frozen_rs_join_seq(
     scratch: &mut FrozenJoinScratch,
     pairs: &mut Vec<(TreeIdx, TreeIdx)>,
 ) -> JoinStats {
-    let mut stats = JoinStats::default();
-    let total_start = Instant::now();
-    let index = left.index;
-    let small_by_size = left.small_by_size;
-    let left_data = left.left_data;
-
     verify.set_tau(tau);
     verify.reset_counters();
     pairs.clear();
-    // Stale markers from a previous join must not dedup this one's
-    // candidates: refill with the never-used sentinel (a fill, not an
-    // allocation, once the buffer has grown to the frozen side's size).
-    scratch.stamp.clear();
-    scratch.stamp.resize(left_data.len(), TreeIdx::MAX);
-    if scratch.caches.len() != index.shard_count() {
-        scratch.caches = (0..index.shard_count())
-            .map(|_| MatchCache::new())
-            .collect();
-    }
-    let mut counters = ProbeCounters::default();
-    let mut candidate_time = total_start.elapsed();
-
-    for (j, tree) in right.iter().enumerate() {
-        let probe_start = Instant::now();
-        let marker = j as TreeIdx;
-        let size_j = tree.len() as u32;
-        let (lo, hi) = partsj::window_of(size_j, tau);
-        scratch.candidates.clear();
-        for n in lo..=hi {
-            if let Some(list) = small_by_size.get(&n) {
-                for &i in list {
-                    if scratch.stamp[i as usize] != marker {
-                        scratch.stamp[i as usize] = marker;
-                        scratch.candidates.push(i);
-                    }
-                }
-            }
-        }
-        let (binary, posts) = scratch.probe.prepare(tree);
-        let mut sink = StampSink {
-            stamp: &mut scratch.stamp,
-            marker,
-            candidates: &mut scratch.candidates,
-        };
-        index.probe_tree(
-            binary,
-            posts,
-            size_j,
-            lo,
-            hi,
-            config.matching,
-            &mut scratch.caches,
-            &mut scratch.shard_scratch,
-            &mut scratch.layer_scratch,
-            &mut counters,
-            &mut sink,
-        );
-        stats.candidates += scratch.candidates.len() as u64;
-        candidate_time += probe_start.elapsed();
-
-        let verify_start = Instant::now();
-        let data_j = scratch.probe_verify.prepare(tree, &config.verify);
-        for &i in &scratch.candidates {
-            if verify.check(&left_data[i as usize], data_j).is_some() {
-                pairs.push((i, j as TreeIdx));
-            }
-        }
-        stats.verify_time += verify_start.elapsed();
-    }
+    let side = RightSide {
+        left,
+        right,
+        tau,
+        config,
+    };
+    let mut stats = run_inline(&side, verify, scratch, pairs).stats;
     // Same normalization as `JoinOutcome::new_bipartite`, so callers
     // holding the raw vector see identical results.
     pairs.sort_unstable();
     pairs.dedup();
     stats.results = pairs.len() as u64;
-    stats.pairs_examined = stats.candidates;
-    stats.candidate_time = candidate_time;
-    verify.fold_into(&mut stats);
     stats
 }
 
@@ -220,10 +277,11 @@ pub fn frozen_rs_join_seq(
 /// exceeding the one the left side was frozen for (callers enforce
 /// that; see the module docs for why smaller thresholds stay complete).
 ///
-/// With `probe_threads > 1` and `right.len() ≥ config.parallel_fallback`
-/// probing fans out over scoped workers feeding `verify_threads`
-/// verifiers through the bounded channel; otherwise everything runs
-/// inline. Results are bit-identical either way.
+/// When either resolved thread count exceeds one and
+/// `right.len() ≥ config.parallel_fallback`, `probe_threads` probers
+/// feed `verify_threads` verifiers through the bounded channel;
+/// otherwise everything runs inline. Results are bit-identical either
+/// way.
 pub fn frozen_rs_join(
     left: &FrozenLeft<'_>,
     right: &[Tree],
@@ -232,159 +290,12 @@ pub fn frozen_rs_join(
     probe_threads: usize,
     verify_threads: usize,
 ) -> JoinOutcome {
-    let mut stats = JoinStats::default();
-    let total_start = Instant::now();
-    let index = left.index;
-    let small_by_size = left.small_by_size;
-    let left_data = left.left_data;
-    let left_len = left_data.len();
-
-    let parallel = probe_threads > 1 && right.len() >= config.parallel_fallback;
-    if !parallel {
-        let mut verify = VerifyEngine::new(tau, config);
-        let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-        let stats = frozen_rs_join_seq(
-            left,
-            right,
-            tau,
-            config,
-            &mut verify,
-            &mut FrozenJoinScratch::new(),
-            &mut pairs,
-        );
-        return JoinOutcome::new_bipartite(pairs, stats);
-    }
-
-    // Parallel verifiers pick right trees out of order, so every right
-    // tree's verification inputs are materialized up front, through one
-    // shared set of build temporaries.
-    let right_data: Vec<VerifyData> = VerifyData::batch_for_config(right, &config.verify);
-    let batch_size = config.verify_batch.max(1);
-    let (tx, rx) = channel::bounded::<Vec<(TreeIdx, TreeIdx)>>(verify_threads * 4);
-    let cursor = AtomicUsize::new(0);
-    let (pairs, candidates_total, engines, probe_wall) = crossbeam::scope(|scope| {
-        let verifiers: Vec<_> = (0..verify_threads)
-            .map(|_| {
-                let rx = rx.clone();
-                let right_data = &right_data;
-                scope.spawn(move |_| {
-                    // One filter-chain engine per verify worker.
-                    let mut verify = VerifyEngine::new(tau, config);
-                    let mut found = Vec::new();
-                    while let Ok(batch) = rx.recv() {
-                        for (i, j) in batch {
-                            let (iu, ju) = (i as usize, j as usize);
-                            if verify.check(&left_data[iu], &right_data[ju]).is_some() {
-                                found.push((i, j));
-                            }
-                        }
-                    }
-                    (found, verify)
-                })
-            })
-            .collect();
-        drop(rx);
-
-        let probers: Vec<_> = (0..probe_threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                scope.spawn(move |_| {
-                    let mut stamp: Vec<TreeIdx> = vec![TreeIdx::MAX; left_len];
-                    let mut caches: Vec<MatchCache> = (0..index.shard_count())
-                        .map(|_| MatchCache::new())
-                        .collect();
-                    let (mut shard_scratch, mut layer_scratch) =
-                        (Vec::new(), Vec::<LayerId>::new());
-                    let mut candidates: Vec<TreeIdx> = Vec::new();
-                    let mut counters = ProbeCounters::default();
-                    let mut batch: Vec<(TreeIdx, TreeIdx)> = Vec::with_capacity(batch_size);
-                    let mut candidates_total = 0u64;
-                    let mut probe_scratch = ProbeScratch::new();
-                    loop {
-                        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                        if start >= right.len() {
-                            break;
-                        }
-                        for j in start..(start + CLAIM_CHUNK).min(right.len()) {
-                            let tree = &right[j];
-                            let marker = j as TreeIdx;
-                            let size_j = tree.len() as u32;
-                            let (lo, hi) = partsj::window_of(size_j, tau);
-                            candidates.clear();
-                            for n in lo..=hi {
-                                if let Some(list) = small_by_size.get(&n) {
-                                    for &i in list {
-                                        if stamp[i as usize] != marker {
-                                            stamp[i as usize] = marker;
-                                            candidates.push(i);
-                                        }
-                                    }
-                                }
-                            }
-                            let (binary, posts) = probe_scratch.prepare(tree);
-                            let mut sink = StampSink {
-                                stamp: &mut stamp,
-                                marker,
-                                candidates: &mut candidates,
-                            };
-                            index.probe_tree(
-                                binary,
-                                posts,
-                                size_j,
-                                lo,
-                                hi,
-                                config.matching,
-                                &mut caches,
-                                &mut shard_scratch,
-                                &mut layer_scratch,
-                                &mut counters,
-                                &mut sink,
-                            );
-                            candidates_total += candidates.len() as u64;
-                            for &i in &candidates {
-                                batch.push((i, marker));
-                                if batch.len() >= batch_size {
-                                    let full = std::mem::replace(
-                                        &mut batch,
-                                        Vec::with_capacity(batch_size),
-                                    );
-                                    tx.send(full).expect("verifier pool alive");
-                                }
-                            }
-                        }
-                    }
-                    if !batch.is_empty() {
-                        tx.send(batch).expect("verifier pool alive");
-                    }
-                    candidates_total
-                })
-            })
-            .collect();
-        drop(tx);
-
-        let mut candidates_total = 0u64;
-        for prober in probers {
-            candidates_total += prober.join().expect("probe worker panicked");
-        }
-        let probe_wall = total_start.elapsed();
-        let mut pairs = Vec::new();
-        let mut engines = Vec::new();
-        for verifier in verifiers {
-            let (found, engine) = verifier.join().expect("verifier panicked");
-            pairs.extend(found);
-            engines.push(engine);
-        }
-        (pairs, candidates_total, engines, probe_wall)
-    })
-    .expect("frozen rs join scope");
-
-    stats.candidates = candidates_total;
-    stats.pairs_examined = candidates_total;
-    for engine in &engines {
-        engine.fold_into(&mut stats);
-    }
-    stats.candidate_time = probe_wall;
-    stats.verify_time = total_start.elapsed().saturating_sub(probe_wall);
-    JoinOutcome::new_bipartite(pairs, stats)
+    let side = RightSide {
+        left,
+        right,
+        tau,
+        config,
+    };
+    let (pairs, tally) = execute(&side, tau, config, probe_threads, verify_threads);
+    JoinOutcome::new_bipartite(pairs, tally.stats)
 }

@@ -75,8 +75,12 @@ pub struct ShardConfig {
     /// (each size class still lives in exactly one shard).
     pub shards: usize,
     /// Probe-side worker threads for the batch joins; `0` sizes the pool
-    /// from `std::thread::available_parallelism`. `1` keeps candidate
-    /// generation inline (no channel, no scope).
+    /// from `std::thread::available_parallelism`. The joins run inline
+    /// (no channel, no scope) only when this *and*
+    /// [`ShardConfig::verify_threads`] both resolve to `1`, or the input
+    /// is below `PartSjConfig::parallel_fallback`; `1` here with more
+    /// verifiers is one prober feeding a verifier pool — the shape a
+    /// TED-bound input wants.
     pub probe_threads: usize,
     /// Verifier threads for the batch joins; `0` = auto.
     pub verify_threads: usize,
@@ -756,22 +760,14 @@ impl<S: CandidateSink> CandidateSink for LiveSink<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partsj::partition::cuts_for;
-    use partsj::subgraph::build_subgraphs;
-    use partsj::{PartSjConfig, StampSink};
+    use partsj::{partition_tree, window_of, Candidates, PartSjConfig};
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
     fn subgraphs_for(tree: &Tree, tau: u32, id: TreeIdx) -> (u32, Vec<Subgraph>) {
         let binary = BinaryTree::from_tree(tree);
-        let delta = 2 * tau as usize + 1;
-        let cuts = cuts_for(
-            &binary,
-            delta,
-            PartSjConfig::default().partitioning,
-            u64::from(id),
-        );
-        let sgs = build_subgraphs(&binary, &tree.postorder_numbers(), &cuts, id);
-        (tree.len() as u32, sgs)
+        let scheme = PartSjConfig::default().partitioning;
+        let sgs = partition_tree(&binary, &tree.postorder_numbers(), tau, scheme, id);
+        (tree.len() as u32, sgs.expect("test trees have ≥ δ nodes"))
     }
 
     fn probe_live(index: &ShardedIndex, tree: &Tree, tau: u32, tracked: usize) -> Vec<TreeIdx> {
@@ -781,30 +777,27 @@ mod tests {
         let mut caches: Vec<MatchCache> = (0..index.shard_count())
             .map(|_| MatchCache::new())
             .collect();
-        let mut stamp = vec![TreeIdx::MAX; tracked];
-        let mut candidates = Vec::new();
-        let mut sink = StampSink {
-            stamp: &mut stamp,
-            marker: 0,
-            candidates: &mut candidates,
-        };
+        let mut candidates = Candidates::new();
+        candidates.begin(tracked);
+        let (lo, hi) = window_of(size, tau);
         let (mut shards, mut layers) = (Vec::new(), Vec::new());
         let mut counters = ProbeCounters::default();
         index.probe_tree(
             &binary,
             &posts,
             size,
-            size.saturating_sub(tau).max(1),
-            size + tau,
+            lo,
+            hi,
             partsj::MatchSemantics::Exact,
             &mut caches,
             &mut shards,
             &mut layers,
             &mut counters,
-            &mut sink,
+            &mut candidates.sink(),
         );
-        candidates.sort_unstable();
-        candidates
+        let mut found = candidates.as_slice().to_vec();
+        found.sort_unstable();
+        found
     }
 
     #[test]

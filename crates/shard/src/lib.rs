@@ -7,17 +7,18 @@
 //! structure grown on the fly by Algorithm 1. Two of the roadmap's scale
 //! directions need more:
 //!
-//! * **Parallel candidate generation.** PR 2 parallelized verification
-//!   only; the probe loop still ran on one core because the index mutates
-//!   while the join runs. [`sharded_join`] breaks that dependency by
-//!   building the index *offline first* — sharded so the build itself
-//!   fans out — and reproducing Algorithm 1's "each unordered pair
-//!   exactly once" semantics with a processing-*rank* filter instead of
-//!   insertion order (à la the map/reduce-style partitioned joins of
-//!   *Adaptive MapReduce Similarity Joins*). Probing trees then fan out
-//!   over `crossbeam` scoped threads and feed the same batched,
-//!   bounded-channel verify pipeline as `partsj::parallel`. Results are
-//!   bit-identical to [`partsj::partsj_join`].
+//! * **Parallel candidate generation and verification.** Algorithm 1's
+//!   probe loop is pinned to one core because the index mutates while
+//!   the join runs. [`sharded_join`] breaks that dependency by building
+//!   the index *offline first* — sharded so the build itself fans out —
+//!   and reproducing Algorithm 1's "each unordered pair exactly once"
+//!   semantics with a processing-*rank* filter instead of insertion
+//!   order (à la the map/reduce-style partitioned joins of *Adaptive
+//!   MapReduce Similarity Joins*). Probing trees then fan out over
+//!   `crossbeam` scoped threads and feed a batched, bounded-channel
+//!   verifier pool — the workspace's one pooled executor; `partsj`
+//!   itself is thread-free. Results are bit-identical to
+//!   [`partsj::partsj_join`].
 //! * **Deletion and eviction.** Streaming workloads insert *and expire*.
 //!   [`ShardedIndex`] supports [`ShardedIndex::remove_tree`]: removed
 //!   trees are tombstoned (probes filter them through a liveness bitmap)
@@ -56,6 +57,7 @@
 pub mod frozen;
 pub mod index;
 pub mod join;
+mod pool;
 pub mod rs_join;
 pub mod streaming;
 

@@ -1,14 +1,24 @@
 //! Sliding-window streaming join over the sharded dynamic index.
 //!
-//! [`partsj::StreamingJoin`] is insert-only: its index grows forever,
-//! which no high-rate monitor can afford. [`ShardedStreamingJoin`]
-//! rebuilds the streaming scenario on [`ShardedIndex`], adding the two
-//! operations a sliding window needs — [`ShardedStreamingJoin::remove`]
-//! (explicit deletion) and automatic **eviction** under an
-//! [`EvictionPolicy`] (by window count or by logical timestamp). Evicted
-//! trees stop appearing as partners immediately; their postings are
-//! tombstoned and reclaimed by per-shard compaction, so index memory
-//! tracks the live window rather than the stream's lifetime.
+//! The paper's §4.3 closes by motivating "streaming workloads where tree
+//! objects (e.g., XML and HTML entities) are inserted and updated at a
+//! high rate". Algorithm 1's loop is naturally incremental — the index
+//! is built on the fly — but it relies on ascending size order to probe
+//! only `[|T| − τ, |T|]`. A stream arrives in arbitrary order, so
+//! [`ShardedStreamingJoin::insert`] probes the symmetric window
+//! `[|T| − τ, |T| + τ]`, reports the partners found among the live
+//! trees, and then publishes the newcomer's subgraphs.
+//!
+//! An insert-only index grows forever, which no high-rate monitor can
+//! afford, so the join runs on the dynamic [`ShardedIndex`] and adds the
+//! two operations a sliding window needs —
+//! [`ShardedStreamingJoin::remove`] (explicit deletion) and automatic
+//! **eviction** under an [`EvictionPolicy`] (by window count or by
+//! logical timestamp; [`EvictionPolicy::Retain`] at one shard is the
+//! plain insert-only join). Evicted trees stop appearing as partners
+//! immediately; their postings are tombstoned and reclaimed by per-shard
+//! compaction, so index memory tracks the live window rather than the
+//! stream's lifetime.
 //!
 //! The streaming index always routes with the default hash
 //! [`crate::ShardMap`]: a balanced map is derived from the *observed*
@@ -50,14 +60,11 @@
 //! assert_eq!(join.evictions(), 2);
 //! ```
 
+use crate::frozen::FrozenJoinScratch;
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::partition::cuts_for;
-use partsj::probe::ProbeCounters;
-use partsj::subgraph::build_subgraphs;
-use partsj::{
-    LayerId, MatchCache, PartSjConfig, ProbeScratch, StampSink, VerifyData, VerifyEngine,
-    VerifyPrep,
-};
+use partsj::probe::{scan_small_trees, window_of, ProbeCounters};
+use partsj::subgraph::partition_tree;
+use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
 use tsj_ted::TreeIdx;
 use tsj_tree::{FxHashMap, Tree};
@@ -93,12 +100,9 @@ pub struct ShardedStreamingJoin {
     /// Verification inputs; `None` once evicted (frees the bulk of the
     /// per-tree memory).
     data: Vec<Option<VerifyData>>,
-    stamp: Vec<u32>,
-    caches: Vec<MatchCache>,
-    shard_scratch: Vec<usize>,
-    layer_scratch: Vec<LayerId>,
-    candidates: Vec<TreeIdx>,
-    probe_scratch: ProbeScratch,
+    /// Per-insert probe scratch, held across inserts so the steady-state
+    /// probe path allocates nothing proportional to the stream.
+    scratch: FrozenJoinScratch,
     verify_prep: VerifyPrep,
     arrivals: VecDeque<(TreeIdx, u64)>,
     /// Next auto-assigned timestamp for [`Self::insert`].
@@ -122,23 +126,14 @@ impl ShardedStreamingJoin {
         shard_cfg: ShardConfig,
         eviction: EvictionPolicy,
     ) -> ShardedStreamingJoin {
-        let index = ShardedIndex::new(tau, config.window, &shard_cfg);
-        let caches = (0..index.shard_count())
-            .map(|_| MatchCache::new())
-            .collect();
         ShardedStreamingJoin {
             tau,
             config,
             eviction,
-            index,
+            index: ShardedIndex::new(tau, config.window, &shard_cfg),
             small_by_size: FxHashMap::default(),
             data: Vec::new(),
-            stamp: Vec::new(),
-            caches,
-            shard_scratch: Vec::new(),
-            layer_scratch: Vec::new(),
-            candidates: Vec::new(),
-            probe_scratch: ProbeScratch::new(),
+            scratch: FrozenJoinScratch::new(),
             verify_prep: VerifyPrep::default(),
             arrivals: VecDeque::new(),
             clock: 0,
@@ -216,33 +211,19 @@ impl ShardedStreamingJoin {
         self.clock = ts + 1;
         self.evict_for(ts);
 
-        let delta = 2 * self.tau as usize + 1;
         let id = self.data.len() as TreeIdx;
         let size = tree.len() as u32;
-        let lo = size.saturating_sub(self.tau).max(1);
-        let hi = size + self.tau;
+        let (lo, hi) = window_of(size, self.tau);
 
-        // Candidates from the small-tree side lists (live only).
-        self.candidates.clear();
-        for n in lo..=hi {
-            if let Some(list) = self.small_by_size.get(&n) {
-                for &j in list {
-                    if self.index.is_alive(j) && self.stamp[j as usize] != id {
-                        self.stamp[j as usize] = id;
-                        self.candidates.push(j);
-                    }
-                }
-            }
-        }
-
-        // Candidates from the sharded index (dead trees filtered inside).
-        let (binary, posts) = self.probe_scratch.prepare(tree);
+        // Candidates from the small-tree side lists (expiry prunes them,
+        // so every entry is live), then from the sharded index (dead
+        // trees filtered inside).
+        let scratch = &mut self.scratch;
+        scratch.begin(id as usize, &self.index);
+        let mut sink = scratch.candidates.sink();
+        scan_small_trees(&self.small_by_size, lo..=hi, &mut sink);
+        let (binary, posts) = scratch.probe.prepare(tree);
         let mut counters = ProbeCounters::default();
-        let mut sink = StampSink {
-            stamp: &mut self.stamp,
-            marker: id,
-            candidates: &mut self.candidates,
-        };
         self.index.probe_tree(
             binary,
             posts,
@@ -250,9 +231,9 @@ impl ShardedStreamingJoin {
             lo,
             hi,
             self.config.matching,
-            &mut self.caches,
-            &mut self.shard_scratch,
-            &mut self.layer_scratch,
+            &mut scratch.caches,
+            &mut scratch.shard_scratch,
+            &mut scratch.layer_scratch,
             &mut counters,
             &mut sink,
         );
@@ -263,8 +244,9 @@ impl ShardedStreamingJoin {
         let data = VerifyData::for_config_with(tree, &self.config.verify, &mut self.verify_prep);
         let verify = &mut self.verify;
         let known = &self.data;
-        let mut partners: Vec<TreeIdx> = self
+        let mut partners: Vec<TreeIdx> = scratch
             .candidates
+            .as_slice()
             .iter()
             .filter(|&&j| {
                 let other = known[j as usize]
@@ -278,16 +260,14 @@ impl ShardedStreamingJoin {
         self.pairs_found += partners.len() as u64;
 
         // Publish the newcomer.
-        if (size as usize) < delta {
-            self.index.track(id, size);
-            self.small_by_size.entry(size).or_default().push(id);
-        } else {
-            let cuts = cuts_for(binary, delta, self.config.partitioning, u64::from(id));
-            let subgraphs = build_subgraphs(binary, posts, &cuts, id);
-            self.index.insert_tree(id, size, subgraphs);
+        match partition_tree(binary, posts, self.tau, self.config.partitioning, id) {
+            Some(subgraphs) => self.index.insert_tree(id, size, subgraphs),
+            None => {
+                self.index.track(id, size);
+                self.small_by_size.entry(size).or_default().push(id);
+            }
         }
         self.data.push(Some(data));
-        self.stamp.push(u32::MAX);
         self.arrivals.push_back((id, ts));
         partners
     }
@@ -339,10 +319,9 @@ impl ShardedStreamingJoin {
         let size = self.index.size_of(id).expect("live tree has a size");
         self.index.remove_tree(id);
         self.data[id as usize] = None;
-        if (size as usize) < 2 * self.tau as usize + 1 {
-            if let Some(list) = self.small_by_size.get_mut(&size) {
-                list.retain(|&j| j != id);
-            }
+        // Only sizes below δ ever have a side list.
+        if let Some(list) = self.small_by_size.get_mut(&size) {
+            list.retain(|&j| j != id);
         }
         self.evictions += 1;
         if let Some(counter) = &self.obs_evictions {

@@ -89,24 +89,6 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
         },
     );
     for verify in all_verify_configs() {
-        let config = PartSjConfig {
-            verify,
-            parallel_fallback: 0,
-            verify_batch: 8,
-            ..Default::default()
-        };
-        let outcome = sharded_join(
-            &trees,
-            tau,
-            &config,
-            &ShardConfig {
-                shards: 4,
-                probe_threads: 2,
-                verify_threads: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(outcome.pairs, reference.pairs, "verify = {verify:?}");
         // The chain resolves each pair identically regardless of which
         // worker verified it: per-stage counters match the sequential
         // join's under the same configuration.
@@ -118,18 +100,42 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
                 ..Default::default()
             },
         );
-        assert_eq!(
-            outcome.stats.prefilter_skips, sequential.stats.prefilter_skips,
-            "verify = {verify:?}"
-        );
-        assert_eq!(
-            outcome.stats.early_accepts, sequential.stats.early_accepts,
-            "verify = {verify:?}"
-        );
-        assert_eq!(
-            outcome.stats.stage_counts, sequential.stats.stage_counts,
-            "verify = {verify:?}"
-        );
+        // Two probers × two verifiers in batches of 8, one prober
+        // feeding three verifiers pair by pair, and the machine-sized
+        // pool (0 = auto).
+        for (probe_threads, verify_threads, verify_batch) in [(2, 2, 8), (1, 3, 1), (0, 0, 64)] {
+            let config = PartSjConfig {
+                verify,
+                parallel_fallback: 0,
+                verify_batch,
+                ..Default::default()
+            };
+            let outcome = sharded_join(
+                &trees,
+                tau,
+                &config,
+                &ShardConfig {
+                    shards: 4,
+                    probe_threads,
+                    verify_threads,
+                    ..Default::default()
+                },
+            );
+            let row = format!("verify = {verify:?}, pool = {probe_threads}x{verify_threads}");
+            assert_eq!(outcome.pairs, reference.pairs, "{row}");
+            assert_eq!(
+                outcome.stats.prefilter_skips, sequential.stats.prefilter_skips,
+                "{row}"
+            );
+            assert_eq!(
+                outcome.stats.early_accepts, sequential.stats.early_accepts,
+                "{row}"
+            );
+            assert_eq!(
+                outcome.stats.stage_counts, sequential.stats.stage_counts,
+                "{row}"
+            );
+        }
     }
 }
 
@@ -193,6 +199,17 @@ fn sharded_streaming_window_is_sound_for_every_chain_config() {
             for j in join.insert(tree) {
                 pairs.push((j, i as TreeIdx));
             }
+        }
+        // The join's own counters agree with what it reported: a
+        // filter-free chain pays exact TED for every partner, the full
+        // chain certifies the rename-only near-duplicates without it.
+        assert_eq!(join.pairs_found(), pairs.len() as u64);
+        let early_accepts = join.verify_engine().early_accepts();
+        if verify == VerifyConfig::NONE {
+            assert!(join.ted_calls() >= join.pairs_found());
+            assert_eq!(early_accepts, 0);
+        } else if verify == VerifyConfig::ALL {
+            assert!(early_accepts > 0 && join.ted_calls() < join.pairs_found());
         }
         pairs
     };

@@ -172,20 +172,33 @@ fn adaptive_chain_is_result_invariant_in_the_sharded_join() {
 
 #[test]
 fn sharded_join_parallel_pipeline_matches_sequential() {
-    let trees = collection(150, 25, 7);
-    // parallel_fallback 0 forces the probe/verify pools even on small
-    // inputs and single-core machines.
-    let config = PartSjConfig {
-        parallel_fallback: 0,
-        verify_batch: 8,
-        ..Default::default()
-    };
-    for tau in [0u32, 1, 3] {
-        let reference = partsj_join(&trees, tau);
-        for (shards, probe_threads, verify_threads) in [(1, 2, 2), (4, 2, 2), (4, 3, 1), (8, 2, 3)]
-        {
+    let all = collection(150, 25, 7);
+    // The full input, and a two-tree one the pool is forced onto.
+    let twins = [all[0].clone(), all[0].clone()];
+    let (all, twins) = (&all[..], &twins[..]);
+    for (trees, tau) in [(all, 0u32), (all, 1), (all, 3), (twins, 1)] {
+        let reference = partsj_join(trees, tau);
+        // (shards, probe threads, verify threads, verify batch): probe-
+        // heavy, verify-heavy, one prober feeding a verifier pool,
+        // per-pair sends, and the machine-sized pool (0 = auto).
+        for (shards, probe_threads, verify_threads, verify_batch) in [
+            (1, 2, 2, 8),
+            (4, 2, 2, 8),
+            (4, 3, 1, 8),
+            (8, 2, 3, 8),
+            (4, 1, 3, 8),
+            (4, 1, 3, 1),
+            (4, 0, 0, 64),
+        ] {
+            // parallel_fallback 0 forces the probe/verify pools whatever
+            // the input size.
+            let config = PartSjConfig {
+                parallel_fallback: 0,
+                verify_batch,
+                ..Default::default()
+            };
             let outcome = sharded_join(
-                &trees,
+                trees,
                 tau,
                 &config,
                 &ShardConfig {
@@ -195,11 +208,20 @@ fn sharded_join_parallel_pipeline_matches_sequential() {
                     ..Default::default()
                 },
             );
-            assert_eq!(
-                outcome.pairs, reference.pairs,
-                "shards = {shards}, probe = {probe_threads}, verify = {verify_threads}, tau = {tau}"
+            let row = format!(
+                "shards = {shards}, probe = {probe_threads}, verify = {verify_threads}, \
+                 batch = {verify_batch}, tau = {tau}, trees = {}",
+                trees.len()
             );
-            assert_eq!(outcome.stats.candidates, reference.stats.candidates);
+            assert_eq!(outcome.pairs, reference.pairs, "{row}");
+            assert_eq!(
+                outcome.stats.candidates, reference.stats.candidates,
+                "{row}"
+            );
+            assert_eq!(
+                outcome.stats.stage_counts, reference.stats.stage_counts,
+                "{row}"
+            );
         }
     }
 }

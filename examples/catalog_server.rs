@@ -112,7 +112,7 @@ fn main() {
         direct.pairs.len()
     );
 
-    // Single-probe lookups (exact distances), SearchIndex semantics.
+    // Single-probe lookups: similarity search with exact distances.
     // feed[60] is the first edited revision, so it has catalog neighbors.
     let probe = &feed[60];
     let hits = served.query(probe, 2, &config).expect("query");

@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# The three numbers a PR states (ROADMAP, standing constraints), counted
+# one way: source lines per crate, the join-stack subtotal, all Rust
+# outside benchmark/ vendor/ target/, and the test-group count.
+#
+#   scripts/loc.sh              # line counts + test groups (runs cargo test)
+#   scripts/loc.sh --no-tests   # line counts only
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+shopt -s nullglob
+src_lines() { cat "crates/$1"/src/*.rs "crates/$1"/src/bin/*.rs | wc -l; }
+
+stack=0
+for dir in crates/*/; do
+  crate=$(basename "$dir")
+  lines=$(src_lines "$crate")
+  printf '%-10s %6d\n' "$crate" "$lines"
+  case "$crate" in core | shard | catalog | cluster) stack=$((stack + lines)) ;; esac
+done
+printf '%-32s %6d\n' 'core+shard+catalog+cluster src' "$stack"
+printf '%-32s %6d\n' 'tests (crates/*/tests + tests/)' \
+  "$(find crates/*/tests tests -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+printf '%-32s %6d\n' 'all *.rs (no benchmark/vendor)' \
+  "$(find . -name '*.rs' -not -path './benchmark/*' -not -path './vendor/*' \
+    -not -path './target/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+
+if [ "${1:-}" != "--no-tests" ]; then
+  printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"
+fi

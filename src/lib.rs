@@ -109,12 +109,16 @@
 //! ## Sharding and streaming at scale
 //!
 //! The [`shard`] crate (`tsj-shard`) partitions the subgraph index across
-//! shards keyed by container size class: `sharded_join` fans candidate
-//! generation out over worker threads (bit-identical results to
-//! `partsj_join`), `sharded_rs_join` does the same for R×S, and
-//! `ShardedStreamingJoin` adds deletion and sliding-window eviction
-//! (`EvictionPolicy`) on a dynamic index with tombstone compaction —
-//! see `examples/streaming_monitor.rs`.
+//! shards keyed by container size class and owns every thread the join
+//! stack spawns: `sharded_join` fans candidate generation *and*
+//! verification out over worker pools (`ShardConfig::probe_threads` /
+//! `verify_threads`; bit-identical results to `partsj_join`),
+//! `sharded_rs_join` does the same for R×S, and `ShardedStreamingJoin`
+//! is the online join — insert trees one at a time, learn each
+//! newcomer's partners at once — with deletion and sliding-window
+//! eviction (`EvictionPolicy`) on a dynamic index with tombstone
+//! compaction; see `examples/streaming_monitor.rs`. Point queries
+//! against an indexed collection are `Catalog::query`, below.
 //!
 //! ## Freezing a catalog
 //!
@@ -211,11 +215,10 @@ pub mod prelude {
     /// [`tsj_ted::JoinOutcome::new_bipartite`].
     pub use partsj::partsj_join_rs as rs_join;
     pub use partsj::{
-        partsj_join, partsj_join_detailed, partsj_join_parallel, partsj_join_parallel_auto,
-        partsj_join_rs, partsj_join_with, partsj_topk, partsj_topk_with, AdaptiveConfig,
-        FilterStage, MatchSemantics, PartSjConfig, PartitionScheme, SearchIndex, StageKind,
-        StageVerdict, StreamingJoin, TopKOutcome, TopKPair, VerifyConfig, VerifyData, VerifyEngine,
-        WindowPolicy,
+        partsj_join, partsj_join_detailed, partsj_join_rs, partsj_join_with, partsj_topk,
+        partsj_topk_with, AdaptiveConfig, FilterStage, MatchSemantics, PartSjConfig,
+        PartitionScheme, StageKind, StageVerdict, TopKOutcome, TopKPair, VerifyConfig, VerifyData,
+        VerifyEngine, WindowPolicy,
     };
     pub use tsj_baselines::{brute_force_join, set_join, str_join};
     pub use tsj_catalog::{Catalog, CatalogError, SnapshotReader};

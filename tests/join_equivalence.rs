@@ -59,9 +59,15 @@ fn parallel_variants_agree_with_sequential() {
         },
         46,
     );
+    // One prober feeding four verifiers.
+    let pool = ShardConfig {
+        probe_threads: 1,
+        verify_threads: 4,
+        ..ShardConfig::default()
+    };
     for tau in [1u32, 3] {
         let seq = partsj_join(&trees, tau);
-        let par = partsj_join_parallel(&trees, tau, &PartSjConfig::default(), 4);
+        let par = sharded_join(&trees, tau, &PartSjConfig::default(), &pool);
         assert_eq!(
             seq.pairs, par.pairs,
             "parallel PartSJ diverged at tau {tau}"

@@ -63,18 +63,19 @@ fn self_join_paths_agree_across_tau_and_window_policies() {
                 ..PartSjConfig::default()
             };
             let reference = partsj_join_with(&trees, tau, &config);
-            let parallel = partsj_join_parallel(&trees, tau, &config, 4);
+            // One prober feeding four verifiers over the bounded channel.
+            let pool = ShardConfig {
+                probe_threads: 1,
+                verify_threads: 4,
+                ..ShardConfig::default()
+            };
+            let parallel = sharded_join(&trees, tau, &config, &pool);
             assert_same(
                 &reference,
                 &parallel,
                 &format!("parallel tau={tau} window={window:?}"),
             );
-            let sharded = tree_similarity_join::shard::sharded_join(
-                &trees,
-                tau,
-                &config,
-                &ShardConfig::with_shards(3),
-            );
+            let sharded = sharded_join(&trees, tau, &config, &ShardConfig::with_shards(3));
             assert_same(
                 &reference,
                 &sharded,
@@ -119,17 +120,33 @@ fn frozen_join_scratch_reuse_is_bit_identical() {
 }
 
 #[test]
-fn search_scratch_reuse_matches_fresh_queries() {
-    let collection = dataset(90, 51);
+fn query_scratch_reuse_across_catalogs_matches_fresh_queries() {
+    use tree_similarity_join::catalog::QueryScratch;
     let probes = dataset(25, 52);
     let config = PartSjConfig::default();
-    let index = SearchIndex::build(&collection, 2, config);
+    // One engine + scratch serve two catalogs of different size and
+    // shard count, alternating: every query starts on stamps and match
+    // caches the *other* catalog dirtied.
+    let freeze = |n, seed, shards| {
+        let shard_cfg = ShardConfig::with_shards(shards);
+        Catalog::freeze(
+            dataset(n, seed),
+            LabelInterner::new(),
+            2,
+            &config,
+            &shard_cfg,
+        )
+    };
+    let catalogs = [freeze(90, 51, 3), freeze(40, 53, 5)];
     let mut engine = VerifyEngine::new(2, &config);
-    let mut scratch = partsj::SearchScratch::new();
+    let mut scratch = QueryScratch::default();
     let mut hits = Vec::new();
-    for probe in &probes {
-        let fresh = index.query(probe);
-        index.query_into(probe, &mut engine, &mut scratch, &mut hits);
-        assert_eq!(hits, fresh, "recycled search query diverged");
+    for (p, probe) in probes.iter().enumerate() {
+        let catalog = &catalogs[p % 2];
+        let fresh = catalog.query(probe, 2, &config).unwrap();
+        catalog
+            .query_into(probe, &config, &mut engine, &mut scratch, &mut hits)
+            .unwrap();
+        assert_eq!(hits, fresh, "recycled point query diverged");
     }
 }
