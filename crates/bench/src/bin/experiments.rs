@@ -39,20 +39,19 @@
 //! `--shards N` (default 1) runs the `PRT` rows through the sharded join
 //! (`tsj-shard`: parallel candidate generation, results bit-identical),
 //! `--catalog PATH` names the snapshot file of the `catalog` command,
-//! `--tau N` (default 3) sets its freeze threshold, and `--adaptive`
-//! runs the `PRT` rows with [`AdaptiveConfig::FULL`] (online verify-chain
-//! reordering + balanced shard maps) — results are bit-identical to the
-//! static path, so the flag only moves the time and per-stage columns.
+//! `--tau N` (default 3) sets its freeze threshold, and
+//! `--balanced-shards` routes the sharded `PRT` rows with
+//! `ShardConfig::balanced_shards` — results are bit-identical to the hash
+//! map, so the flag only moves the time columns.
 
 use partsj::{
-    partsj_join_detailed, partsj_join_with, AdaptiveConfig, MatchSemantics, PartSjConfig,
-    PartitionScheme, WindowPolicy,
+    partsj_join_detailed, partsj_join_with, MatchSemantics, PartSjConfig, PartitionScheme,
+    WindowPolicy, VERIFY_STAGES,
 };
 use std::time::Instant;
-use tsj_bench::{
-    dataset_with_stats, render_table, secs, stage_columns, stage_count, stats_row, Dataset, Method,
-};
+use tsj_bench::{dataset_with_stats, render_table, secs, stage_count, stats_row, Dataset, Method};
 use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
 use tsj_tree::Tree;
 
@@ -64,18 +63,15 @@ struct Options {
     shards: usize,
     catalog: Option<String>,
     tau: u32,
-    adaptive: bool,
+    balanced_shards: bool,
 }
 
 impl Options {
-    /// The `PartSjConfig` the `PRT` rows run with.
-    fn prt_config(&self) -> PartSjConfig {
-        PartSjConfig {
-            adaptive: if self.adaptive {
-                AdaptiveConfig::FULL
-            } else {
-                AdaptiveConfig::OFF
-            },
+    /// The `ShardConfig` the `PRT` rows run with.
+    fn shard_config(&self) -> ShardConfig {
+        ShardConfig {
+            shards: self.shards,
+            balanced_shards: self.balanced_shards,
             ..Default::default()
         }
     }
@@ -84,7 +80,7 @@ impl Options {
 fn parse_args() -> (String, Options) {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| {
-        eprintln!("usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--shards N] [--catalog PATH] [--tau N] [--adaptive]");
+        eprintln!("usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--shards N] [--catalog PATH] [--tau N] [--balanced-shards]");
         std::process::exit(2);
     });
     let mut options = Options {
@@ -94,7 +90,7 @@ fn parse_args() -> (String, Options) {
         shards: 1,
         catalog: None,
         tau: 3,
-        adaptive: false,
+        balanced_shards: false,
     };
     while let Some(flag) = args.next() {
         let mut value = || {
@@ -110,7 +106,7 @@ fn parse_args() -> (String, Options) {
             "--shards" => options.shards = value().parse().expect("integer --shards"),
             "--catalog" => options.catalog = Some(value()),
             "--tau" => options.tau = value().parse().expect("integer --tau"),
-            "--adaptive" => options.adaptive = true,
+            "--balanced-shards" => options.balanced_shards = true,
             other => {
                 eprintln!("unknown option {other}");
                 std::process::exit(2);
@@ -202,10 +198,10 @@ fn fig10_11(options: &Options, runtime: bool) {
         "Figure 11 (candidates vs τ)"
     };
     println!("\n== {which} ==\n");
-    if options.adaptive {
-        println!("(PRT rows run with AdaptiveConfig::FULL)\n");
+    if options.balanced_shards {
+        println!("(sharded PRT rows route with a balanced shard map)\n");
     }
-    let config = options.prt_config();
+    let shard_cfg = options.shard_config();
     for dataset in Dataset::ALL {
         let n = scaled(dataset.default_cardinality(), options.scale);
         let trees = dataset.generate(n, options.seed);
@@ -214,7 +210,7 @@ fn fig10_11(options: &Options, runtime: bool) {
         for tau in 1..=5u32 {
             let mut rel = None;
             for method in Method::ALL {
-                let outcome = method.run_sharded_with(&trees, tau, options.shards, &config);
+                let outcome = method.run_sharded(&trees, tau, &shard_cfg);
                 rel.get_or_insert(outcome.stats.results);
                 if runtime {
                     rows.push(vec![
@@ -247,7 +243,7 @@ fn fig10_11(options: &Options, runtime: bool) {
 /// per-stage kill counters, exact TED calls, and result pairs.
 fn candidate_header(key: &'static str) -> Vec<&'static str> {
     let mut header = vec![key, "method", "candidates"];
-    header.extend(stage_columns());
+    header.extend(VERIFY_STAGES);
     header.push("ted calls");
     header.push("REL");
     header
@@ -257,7 +253,7 @@ fn candidate_header(key: &'static str) -> Vec<&'static str> {
 /// method's candidates died, stage by stage, then the exact TED calls.
 fn candidate_row(key: String, method: Method, stats: &tsj_ted::JoinStats) -> Vec<String> {
     let mut row = vec![key, method.name().into(), format!("{}", stats.candidates)];
-    for stage in stage_columns() {
+    for stage in VERIFY_STAGES {
         row.push(format!("{}", stage_count(stats, stage)));
     }
     row.push(format!("{}", stats.ted_calls));
@@ -273,7 +269,7 @@ fn fig12_13(options: &Options, runtime: bool) {
         "Figure 13 (candidates vs cardinality, tau = 3)"
     };
     println!("\n== {which} ==\n");
-    let config = options.prt_config();
+    let shard_cfg = options.shard_config();
     let tau = 3;
     for dataset in Dataset::ALL {
         let full = scaled(dataset.default_cardinality(), options.scale);
@@ -285,7 +281,7 @@ fn fig12_13(options: &Options, runtime: bool) {
         for &n in &steps {
             let slice = &trees[..n];
             for method in Method::ALL {
-                let outcome = method.run_sharded_with(slice, tau, options.shards, &config);
+                let outcome = method.run_sharded(slice, tau, &shard_cfg);
                 if runtime {
                     rows.push(vec![
                         format!("{n}"),
@@ -327,7 +323,7 @@ fn fig14(options: &Options, param: &str) {
         }
     };
     let tau = 3;
-    let config = options.prt_config();
+    let shard_cfg = options.shard_config();
     let n = scaled(Dataset::Synthetic.default_cardinality(), options.scale);
     println!("\n== Figure 14: sensitivity to {label} ({n} trees, tau = {tau}) ==\n");
     let mut rows = Vec::new();
@@ -341,7 +337,7 @@ fn fig14(options: &Options, param: &str) {
         }
         let trees = synthetic(n, &params, options.seed);
         for method in Method::ALL {
-            let outcome = method.run_sharded_with(&trees, tau, options.shards, &config);
+            let outcome = method.run_sharded(&trees, tau, &shard_cfg);
             rows.push(vec![
                 format!("{value}"),
                 method.name().into(),
@@ -376,7 +372,7 @@ fn fig14(options: &Options, param: &str) {
 /// CI round-trip smoke.
 fn catalog_cmd(options: &Options) {
     use tsj_catalog::Catalog;
-    use tsj_shard::{sharded_rs_join, ShardConfig};
+    use tsj_shard::sharded_rs_join;
 
     let Some(path) = options.catalog.as_deref() else {
         eprintln!("the catalog command requires --catalog <path>");
@@ -505,7 +501,7 @@ fn metrics_cmd(options: &Options) {
     use tsj_cluster::{Cluster, ClusterConfig, FaultPlan, VirtualClock};
     use tsj_obs::export::{to_json, to_prometheus, validate_prometheus};
     use tsj_obs::MetricsSnapshot;
-    use tsj_shard::{sharded_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
+    use tsj_shard::{sharded_join, EvictionPolicy, ShardedStreamingJoin};
 
     let tau = 2u32;
     let config = PartSjConfig::default();

@@ -9,12 +9,13 @@
 
 pub mod compare;
 
-use partsj::{partsj_join_with, PartSjConfig};
+use partsj::{partsj_join, PartSjConfig};
 use std::time::Duration;
 use tsj_datagen::{
     collection_stats, sentiment_like, swissprot_like, synthetic, treebank_like, CollectionStats,
     SyntheticParams,
 };
+use tsj_shard::{sharded_join, ShardConfig};
 use tsj_ted::JoinOutcome;
 use tsj_tree::Tree;
 
@@ -118,38 +119,21 @@ impl Method {
 
     /// Runs the method.
     pub fn run(self, trees: &[Tree], tau: u32) -> JoinOutcome {
-        self.run_sharded(trees, tau, 1)
+        self.run_sharded(trees, tau, &ShardConfig::with_shards(1))
     }
 
-    /// Runs the method; with `shards > 1`, `PRT` uses the sharded join
-    /// (parallel candidate generation over `tsj_shard::ShardedIndex`,
+    /// Runs the method; with more than one shard, `PRT` uses the sharded
+    /// join (parallel candidate generation over `tsj_shard::ShardedIndex`,
     /// pools auto-sized to the machine). The baselines have no sharded
     /// variant and ignore the parameter.
-    pub fn run_sharded(self, trees: &[Tree], tau: u32, shards: usize) -> JoinOutcome {
-        self.run_sharded_with(trees, tau, shards, &PartSjConfig::default())
-    }
-
-    /// [`Method::run_sharded`] with a caller-supplied configuration —
-    /// the hook the `--adaptive` experiments use to flip
-    /// [`partsj::AdaptiveConfig`] on without forking the harness. The
-    /// baselines have no configuration and ignore it.
-    pub fn run_sharded_with(
-        self,
-        trees: &[Tree],
-        tau: u32,
-        shards: usize,
-        config: &PartSjConfig,
-    ) -> JoinOutcome {
+    pub fn run_sharded(self, trees: &[Tree], tau: u32, shard_cfg: &ShardConfig) -> JoinOutcome {
         match self {
             Method::Str => tsj_baselines::str_join(trees, tau),
             Method::Set => tsj_baselines::set_join(trees, tau),
-            Method::Prt if shards > 1 => tsj_shard::sharded_join(
-                trees,
-                tau,
-                config,
-                &tsj_shard::ShardConfig::with_shards(shards),
-            ),
-            Method::Prt => partsj_join_with(trees, tau, config),
+            Method::Prt if shard_cfg.shards > 1 => {
+                sharded_join(trees, tau, &PartSjConfig::default(), shard_cfg)
+            }
+            Method::Prt => partsj_join(trees, tau),
         }
     }
 }
@@ -157,14 +141,6 @@ impl Method {
 /// Formats a duration as fractional seconds.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
-}
-
-/// The default verification chain's stage names, in chain order — the
-/// per-stage columns of the candidate tables (Figures 11/13). Derived
-/// from the engine itself so a renamed or newly spliced stage can never
-/// desync the tables.
-pub fn stage_columns() -> Vec<&'static str> {
-    partsj::VerifyEngine::with_filters(0, &partsj::VerifyConfig::default()).stage_names()
 }
 
 /// One stage's counter from a stats breakdown; `0` when the method ran

@@ -365,7 +365,6 @@ impl Catalog {
         let trees = reader.trees()?;
         let tau = reader.tau();
         let window = reader.window();
-        let delta = 2 * tau as usize + 1;
         let map = reader.shard_map()?;
         let shards: Vec<SubgraphIndex> = (0..reader.shard_count())
             .map(|s| reader.shard(s))
@@ -398,13 +397,7 @@ impl Catalog {
                 }
             }
         }
-        let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-        for (i, tree) in trees.iter().enumerate() {
-            let size = tree.len() as u32;
-            if (size as usize) < delta {
-                small_by_size.entry(size).or_default().push(i as TreeIdx);
-            }
-        }
+        let small_by_size = partsj::side_list(&trees, tau);
         let left_data = VerifyData::batch(&trees);
         let obs = tsj_obs::global();
         if obs.is_enabled() {
@@ -586,6 +579,9 @@ mod tests {
         assert_eq!(loaded.len(), catalog.len());
         assert_eq!(loaded.shard_count(), catalog.shard_count());
         assert_eq!(loaded.labels().len(), catalog.labels().len());
+        // `{q}` is below δ = 3: the restored side list is the frozen one.
+        assert_eq!(loaded.small_by_size, catalog.small_by_size);
+        assert_eq!(loaded.small_by_size[&1], vec![3]);
         for (a, b) in catalog.trees().iter().zip(loaded.trees()) {
             assert!(a.structurally_eq(b));
         }
@@ -600,11 +596,13 @@ mod tests {
             .iter()
             .map(|s| parse_bracket(s, &mut labels).unwrap())
             .collect();
-        let config = PartSjConfig {
-            adaptive: partsj::AdaptiveConfig::FULL,
-            ..PartSjConfig::default()
+        let config = PartSjConfig::default();
+        let shard_cfg = ShardConfig {
+            shards: 2,
+            balanced_shards: true,
+            ..ShardConfig::default()
         };
-        let catalog = Catalog::freeze(trees, labels, 1, &config, &ShardConfig::with_shards(2));
+        let catalog = Catalog::freeze(trees, labels, 1, &config, &shard_cfg);
         assert!(matches!(
             catalog.index().shard_map(),
             tsj_shard::ShardMap::Balanced(_)

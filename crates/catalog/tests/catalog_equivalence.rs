@@ -6,21 +6,10 @@
 
 use partsj::{partsj_join_rs, PartSjConfig, VerifyConfig, WindowPolicy};
 use tsj_catalog::{Catalog, CatalogError};
-use tsj_datagen::{swissprot_like, synthetic, SyntheticParams};
+use tsj_datagen::{swissprot_like, synthetic_sized};
 use tsj_shard::{sharded_rs_join, ShardConfig};
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::Tree;
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
 
 /// Freeze `left`, push it through a full byte round trip, and return the
 /// reloaded catalog.
@@ -42,8 +31,8 @@ fn frozen_round_trip(left: &[Tree], tau: u32, config: &PartSjConfig, shards: usi
 
 #[test]
 fn loaded_catalog_join_bit_identical_to_direct_joins() {
-    let left = collection(60, 24, 311);
-    let right = collection(70, 24, 412);
+    let left = synthetic_sized(60, 24, 311);
+    let right = synthetic_sized(70, 24, 412);
     for tau in [0u32, 1, 3] {
         let config = PartSjConfig::default();
         let reference = partsj_join_rs(&left, &right, tau, &config);
@@ -64,22 +53,18 @@ fn loaded_catalog_join_bit_identical_to_direct_joins() {
                 "catalog pairs, shards = {shards}, tau = {tau}"
             );
             assert_eq!(
-                served.stats.candidates, direct.stats.candidates,
-                "catalog candidates, shards = {shards}, tau = {tau}"
+                served.stats.work(),
+                direct.stats.work(),
+                "catalog stats, shards = {shards}, tau = {tau}"
             );
-            assert_eq!(
-                served.stats.ted_calls, direct.stats.ted_calls,
-                "catalog ted calls, shards = {shards}, tau = {tau}"
-            );
-            assert_eq!(served.stats.stage_counts, direct.stats.stage_counts);
         }
     }
 }
 
 #[test]
 fn round_trip_holds_for_every_window_policy() {
-    let left = collection(40, 20, 99);
-    let right = collection(45, 20, 98);
+    let left = synthetic_sized(40, 20, 99);
+    let right = synthetic_sized(45, 20, 98);
     let tau = 2u32;
     for window in [
         WindowPolicy::Safe,
@@ -98,17 +83,14 @@ fn round_trip_holds_for_every_window_policy() {
         assert_eq!(catalog.window(), window);
         let served = catalog.join(&right, tau, &config, &shard_cfg).unwrap();
         assert_eq!(served.pairs, direct.pairs, "{window:?}");
-        assert_eq!(
-            served.stats.candidates, direct.stats.candidates,
-            "{window:?}"
-        );
+        assert_eq!(served.stats.work(), direct.stats.work(), "{window:?}");
     }
 }
 
 #[test]
 fn pooled_probe_and_verify_threads_match_inline() {
-    let left = collection(50, 22, 5);
-    let right = collection(90, 22, 6);
+    let left = synthetic_sized(50, 22, 5);
+    let right = synthetic_sized(90, 22, 6);
     let tau = 2u32;
     let config = PartSjConfig {
         parallel_fallback: 0,
@@ -146,11 +128,7 @@ fn pooled_probe_and_verify_threads_match_inline() {
             .unwrap();
         let row = format!("pool = {probe_threads}x{verify_threads}");
         assert_eq!(pooled.pairs, inline.pairs, "{row}");
-        assert_eq!(pooled.stats.candidates, inline.stats.candidates, "{row}");
-        assert_eq!(
-            pooled.stats.stage_counts, inline.stats.stage_counts,
-            "{row}"
-        );
+        assert_eq!(pooled.stats.work(), inline.stats.work(), "{row}");
     }
 }
 
@@ -158,8 +136,8 @@ fn pooled_probe_and_verify_threads_match_inline() {
 /// `τ_q ≤ τ_f` with exactly the pairs of a direct join at `τ_q`.
 #[test]
 fn per_query_tau_reproduces_direct_joins() {
-    let left = collection(50, 20, 21);
-    let right = collection(55, 20, 22);
+    let left = synthetic_sized(50, 20, 21);
+    let right = synthetic_sized(55, 20, 22);
     let config = PartSjConfig::default();
     let frozen_tau = 3u32;
     let catalog = frozen_round_trip(&left, frozen_tau, &config, 4);
@@ -200,7 +178,7 @@ fn per_query_tau_reproduces_direct_joins() {
 fn single_probe_query_matches_linear_ted_scan() {
     let default = PartSjConfig::default();
     for (left, probes) in [
-        (collection(40, 18, 77), collection(8, 18, 78)),
+        (synthetic_sized(40, 18, 77), synthetic_sized(8, 18, 78)),
         (swissprot_like(40, 33), swissprot_like(8, 34)),
     ] {
         let catalog = frozen_round_trip(&left, 3, &default, 2);
@@ -234,8 +212,8 @@ fn single_probe_query_matches_linear_ted_scan() {
 
 #[test]
 fn save_and_load_through_the_filesystem() {
-    let left = collection(30, 20, 55);
-    let right = collection(30, 20, 56);
+    let left = synthetic_sized(30, 20, 55);
+    let right = synthetic_sized(30, 20, 56);
     let config = PartSjConfig::default();
     let catalog = Catalog::freeze(
         left.clone(),
@@ -258,6 +236,6 @@ fn save_and_load_through_the_filesystem() {
     let a = catalog.join(&right, 2, &config, &shard_cfg).unwrap();
     let b = loaded.join(&right, 2, &config, &shard_cfg).unwrap();
     assert_eq!(a.pairs, b.pairs);
-    assert_eq!(a.stats.candidates, b.stats.candidates);
+    assert_eq!(a.stats.work(), b.stats.work());
     std::fs::remove_dir_all(&dir).unwrap();
 }

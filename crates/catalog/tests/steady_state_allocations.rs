@@ -109,7 +109,7 @@ fn steady_state_probes_allocate_nothing() {
     let mut scratch = QueryScratch::default();
     let mut hits = Vec::new();
 
-    // Warm-up: two full passes grow every buffer (including the adaptive
+    // Warm-up: two full passes grow every buffer (including the
     // engine's) to the workload maximum and exercise marker turnover.
     let mut expected = Vec::new();
     for _ in 0..2 {

@@ -25,7 +25,6 @@
 //! `docs/PROTOCOL.md`, which a round-trip test keeps in lockstep with
 //! this module.
 
-use std::sync::Mutex;
 use tsj_catalog::format::{fnv1a64, ByteReader, ByteWriter};
 use tsj_catalog::CatalogError;
 use tsj_cluster::ShardRequest;
@@ -348,38 +347,6 @@ impl From<CatalogError> for WireError {
     }
 }
 
-/// Decode-side interner for [`StageCount::stage`] names (`&'static str`
-/// on the receiving side). Bounded: stage names come from a small fixed
-/// set of filter implementations, so more than [`MAX_STAGE_NAMES`]
-/// distinct names (or one longer than [`MAX_STAGE_NAME_LEN`] bytes) is a
-/// malformed frame, not a leak.
-static STAGE_NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// Cap on distinct interned stage names.
-pub const MAX_STAGE_NAMES: usize = 256;
-/// Cap on one stage name's byte length.
-pub const MAX_STAGE_NAME_LEN: usize = 64;
-
-fn intern_stage(name: &str) -> Result<&'static str, WireError> {
-    if name.len() > MAX_STAGE_NAME_LEN {
-        return Err(WireError::Malformed {
-            context: "stage name too long",
-        });
-    }
-    let mut names = STAGE_NAMES.lock().expect("stage interner poisoned");
-    if let Some(s) = names.iter().find(|s| **s == name) {
-        return Ok(s);
-    }
-    if names.len() >= MAX_STAGE_NAMES {
-        return Err(WireError::Malformed {
-            context: "too many distinct stage names",
-        });
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    names.push(leaked);
-    Ok(leaked)
-}
-
 fn put_str(w: &mut ByteWriter, s: &str) {
     w.put_u32(s.len() as u32);
     w.put_bytes(s.as_bytes());
@@ -483,7 +450,12 @@ fn get_stats(r: &mut ByteReader<'_>) -> Result<JoinStats, WireError> {
     };
     let stages = r.get_count(12, "stats stage count")?;
     for _ in 0..stages {
-        let stage = intern_stage(get_str(r, "stage name")?)?;
+        // Stage names are a closed set; anything else is a malformed
+        // frame (and leaves the stream in sync: the frame was read whole).
+        let stage =
+            partsj::verify_stage(get_str(r, "stage name")?).ok_or(WireError::Malformed {
+                context: "unknown stage name",
+            })?;
         let count = r.get_u64("stage counter")?;
         stats.stage_counts.push(StageCount { stage, count });
     }
@@ -879,7 +851,7 @@ mod tests {
                 candidate_time: std::time::Duration::from_nanos(1234),
                 verify_time: std::time::Duration::from_nanos(5678),
                 stage_counts: vec![StageCount {
-                    stage: intern_stage("traversal-sed").unwrap(),
+                    stage: "traversal-sed",
                     count: 3,
                 }],
             },

@@ -67,45 +67,11 @@ pub fn probe_batch(
     (probes, labels)
 }
 
-/// Stage counters as comparable values (stage names on the TCP side are
-/// re-interned `&'static str`s, so compare by string).
-pub fn stages(outcome: &JoinOutcome) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = outcome
-        .stats
-        .stage_counts
-        .iter()
-        .map(|sc| (sc.stage.to_string(), sc.count))
-        .collect();
-    v.sort();
-    v
-}
-
 /// Asserts everything deterministic about two outcomes is identical
 /// (durations are wall-clock and excluded by design).
 pub fn assert_bit_identical(got: &JoinOutcome, want: &JoinOutcome, context: &str) {
     assert_eq!(got.pairs, want.pairs, "{context}: pairs");
-    assert_eq!(
-        got.stats.candidates, want.stats.candidates,
-        "{context}: candidates"
-    );
-    assert_eq!(
-        got.stats.pairs_examined, want.stats.pairs_examined,
-        "{context}: pairs_examined"
-    );
-    assert_eq!(got.stats.results, want.stats.results, "{context}: results");
-    assert_eq!(
-        got.stats.ted_calls, want.stats.ted_calls,
-        "{context}: ted_calls"
-    );
-    assert_eq!(
-        got.stats.prefilter_skips, want.stats.prefilter_skips,
-        "{context}: prefilter_skips"
-    );
-    assert_eq!(
-        got.stats.early_accepts, want.stats.early_accepts,
-        "{context}: early_accepts"
-    );
-    assert_eq!(stages(got), stages(want), "{context}: stage counters");
+    assert_eq!(got.stats.work(), want.stats.work(), "{context}");
 }
 
 /// What a [`Chopper`] does to its node once the armed number of

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tsj_catalog::format::fnv1a64;
 use tsj_catalogd::wire::{encode_probes, ErrorCode, Frame, WireError, PROTOCOL_VERSION};
 use tsj_ted::{JoinStats, StageCount};
 use tsj_tree::{parse_bracket, LabelInterner};
@@ -60,7 +61,7 @@ fn sample_frames() -> Vec<Frame> {
                 verify_time: std::time::Duration::from_nanos(2_000),
                 stage_counts: vec![
                     StageCount {
-                        stage: "twig",
+                        stage: "label-hist",
                         count: 40,
                     },
                     StageCount {
@@ -171,4 +172,33 @@ fn truncation_at_every_boundary_is_typed() {
         assert_eq!(consumed, bytes.len());
         assert_eq!(decoded, frame);
     }
+}
+
+/// A peer cannot poison stage-name decoding: a well-formed
+/// `JoinShardResp` naming a stage outside the closed set is `Malformed`
+/// (stream still in sync), and — there being no decode-side name table
+/// to fill — 300 distinct junk names later the real names still decode.
+#[test]
+fn unknown_stage_names_are_malformed_and_poison_nothing() {
+    let resp = sample_frames()
+        .into_iter()
+        .find(|frame| matches!(frame, Frame::JoinShardResp { .. }))
+        .expect("sample JoinShardResp");
+    let honest = resp.encode();
+    let name_at = honest
+        .windows(10)
+        .position(|w| w == b"label-hist")
+        .expect("the sample names label-hist");
+    for i in 0..300 {
+        // Same length as the name it overwrites; checksum redone.
+        let mut bytes = honest.clone();
+        bytes[name_at..name_at + 10].copy_from_slice(format!("junk-{i:05}").as_bytes());
+        let body_end = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[4..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        let err = Frame::decode(&bytes).expect_err("junk stage name");
+        assert!(matches!(err, WireError::Malformed { .. }), "{i}: {err:?}");
+        assert!(!err.desyncs_stream(), "{i}: the frame was consumed whole");
+    }
+    assert_eq!(Frame::decode(&honest).expect("decodes").0, resp);
 }

@@ -14,7 +14,7 @@
 //! coordination, and the gathered union is **bit-identical** — pairs,
 //! candidate counts *and* filter-stage counters — to single-node
 //! `Catalog::join` (property-tested across nodes × replication × shards
-//! × τ, with the adaptive chain reordering off).
+//! × τ).
 //!
 //! Fault tolerance is the headline, not an afterthought. Every node sits
 //! behind a deterministic [`FaultInjector`] (stateless seeded hashing:

@@ -135,18 +135,11 @@ impl Node {
     ) -> Result<Node, ClusterError> {
         let trees = reader.trees()?;
         let tau = reader.tau();
-        let delta = 2 * tau as usize + 1;
         let mut shards = FxHashMap::default();
         for &s in owned {
             shards.insert(s, reader.shard(s as usize)?);
         }
-        let mut smalls: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-        for (i, tree) in trees.iter().enumerate() {
-            let size = tree.len() as u32;
-            if (size as usize) < delta {
-                smalls.entry(size).or_default().push(i as TreeIdx);
-            }
-        }
+        let smalls = partsj::side_list(&trees, tau);
         let left_data = VerifyData::batch(&trees);
         Ok(Node {
             id,

@@ -10,21 +10,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_catalog::{Catalog, CatalogError, SnapshotReader};
 use tsj_cluster::{Cluster, ClusterConfig, ClusterError, FaultPlan};
-use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_datagen::synthetic_sized;
 use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
 use tsj_tree::{LabelInterner, Tree};
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
 
 fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
     Catalog::freeze(
@@ -60,8 +49,8 @@ fn reference(catalog: &Catalog, probes: &[Tree], tau: u32) -> JoinOutcome {
 /// typed snapshot error, and the replica serves the identical join.
 #[test]
 fn corrupted_node_copy_fails_over_to_the_clean_replica() {
-    let left = collection(24, 16, 71);
-    let right = collection(20, 16, 72);
+    let left = synthetic_sized(24, 16, 71);
+    let right = synthetic_sized(20, 16, 72);
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
     let expected = reference(&catalog, &right, tau);
@@ -89,7 +78,7 @@ fn corrupted_node_copy_fails_over_to_the_clean_replica() {
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         assert!(served.is_complete(), "shard {shard}: replica must cover");
         assert_eq!(served.outcome.pairs, expected.pairs);
-        assert_eq!(served.outcome.stats.candidates, expected.stats.candidates);
+        assert_eq!(served.outcome.stats.work(), expected.stats.work());
     }
 }
 
@@ -97,8 +86,8 @@ fn corrupted_node_copy_fails_over_to_the_clean_replica() {
 /// damages the named node's copy inside `Cluster::from_snapshot` itself.
 #[test]
 fn corrupt_on_load_fault_downs_the_planned_node() {
-    let left = collection(24, 16, 71);
-    let right = collection(20, 16, 72);
+    let left = synthetic_sized(24, 16, 71);
+    let right = synthetic_sized(20, 16, 72);
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
     let expected = reference(&catalog, &right, tau);
@@ -121,8 +110,8 @@ fn corrupt_on_load_fault_downs_the_planned_node() {
 /// served exactly.
 #[test]
 fn unreplicated_corruption_degrades_with_exact_coverage() {
-    let left = collection(24, 16, 71);
-    let right = collection(20, 16, 72);
+    let left = synthetic_sized(24, 16, 71);
+    let right = synthetic_sized(20, 16, 72);
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
     let expected = reference(&catalog, &right, tau);
@@ -162,7 +151,7 @@ fn unreplicated_corruption_degrades_with_exact_coverage() {
 /// instead of producing an unservable cluster.
 #[test]
 fn all_copies_damaged_is_a_construction_error() {
-    let catalog = freeze(&collection(12, 14, 71), 1, 2);
+    let catalog = freeze(&synthetic_sized(12, 14, 71), 1, 2);
     let bytes = catalog.to_bytes();
     let mut a = bytes.clone();
     a.truncate(10);
@@ -187,8 +176,8 @@ proptest! {
         nflips in 1usize..8,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let left = collection(16, 14, 71);
-        let right = collection(12, 14, 72);
+        let left = synthetic_sized(16, 14, 71);
+        let right = synthetic_sized(12, 14, 72);
         let tau = 1;
         let catalog = freeze(&left, tau, 4);
         let expected = reference(&catalog, &right, tau);
@@ -223,7 +212,6 @@ proptest! {
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         prop_assert!(served.is_complete());
         prop_assert_eq!(&served.outcome.pairs, &expected.pairs);
-        prop_assert_eq!(served.outcome.stats.candidates, expected.stats.candidates);
-        prop_assert_eq!(served.outcome.stats.ted_calls, expected.stats.ted_calls);
+        prop_assert_eq!(served.outcome.stats.work(), expected.stats.work());
     }
 }

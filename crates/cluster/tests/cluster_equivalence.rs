@@ -7,24 +7,12 @@
 //! contribution.
 
 use partsj::PartSjConfig;
-use std::collections::BTreeMap;
 use tsj_catalog::Catalog;
 use tsj_cluster::{Cluster, ClusterConfig, ClusterError, FaultPlan};
-use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_datagen::synthetic_sized;
 use tsj_shard::ShardConfig;
-use tsj_ted::{JoinOutcome, JoinStats};
+use tsj_ted::JoinOutcome;
 use tsj_tree::{LabelInterner, Tree};
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
 
 fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
     Catalog::freeze(
@@ -57,19 +45,8 @@ fn reference(catalog: &Catalog, probes: &[Tree], tau: u32) -> JoinOutcome {
         .unwrap()
 }
 
-/// Stage counters keyed by name, zero entries dropped — response order
-/// must not matter, only the per-stage totals.
-fn stages(stats: &JoinStats) -> BTreeMap<&'static str, u64> {
-    stats
-        .stage_counts
-        .iter()
-        .filter(|s| s.count > 0)
-        .map(|s| (s.stage, s.count))
-        .collect()
-}
-
-/// Field-by-field identity, durations excluded (JoinStats's derived
-/// equality would compare wall times).
+/// Bit-identity, durations excluded (`JoinStats`'s derived equality
+/// would compare wall times).
 fn assert_identical(served: &tsj_cluster::ClusterJoin, reference: &JoinOutcome, label: &str) {
     assert!(
         served.is_complete(),
@@ -77,20 +54,11 @@ fn assert_identical(served: &tsj_cluster::ClusterJoin, reference: &JoinOutcome, 
         served.degraded
     );
     assert_eq!(served.outcome.pairs, reference.pairs, "{label}: pairs");
-    let (a, b) = (&served.outcome.stats, &reference.stats);
-    assert_eq!(a.results, b.results, "{label}: results");
-    assert_eq!(a.candidates, b.candidates, "{label}: candidates");
     assert_eq!(
-        a.pairs_examined, b.pairs_examined,
-        "{label}: pairs_examined"
+        served.outcome.stats.work(),
+        reference.stats.work(),
+        "{label}"
     );
-    assert_eq!(a.ted_calls, b.ted_calls, "{label}: ted_calls");
-    assert_eq!(
-        a.prefilter_skips, b.prefilter_skips,
-        "{label}: prefilter_skips"
-    );
-    assert_eq!(a.early_accepts, b.early_accepts, "{label}: early_accepts");
-    assert_eq!(stages(a), stages(b), "{label}: stage_counts");
 }
 
 /// The issue's headline property: zero faults → bit-identical to the
@@ -98,10 +66,10 @@ fn assert_identical(served: &tsj_cluster::ClusterJoin, reference: &JoinOutcome, 
 /// shards {1, 2, 4, 8} × τ {0, 1, 3}.
 #[test]
 fn zero_fault_cluster_join_is_bit_identical_to_catalog_join() {
-    let left = collection(48, 20, 311);
+    let left = synthetic_sized(48, 20, 311);
     // Random probes plus exact copies of catalog trees, so every τ in the
     // sweep produces real result pairs.
-    let mut right = collection(32, 20, 412);
+    let mut right = synthetic_sized(32, 20, 412);
     right.extend(left.iter().step_by(6).cloned());
     for tau in [0u32, 1, 3] {
         for shards in [1usize, 2, 4, 8] {
@@ -140,8 +108,8 @@ fn zero_fault_cluster_join_is_bit_identical_to_catalog_join() {
 /// replica, the router fails over, nothing degrades.
 #[test]
 fn single_node_loss_with_replication_two_is_bit_identical() {
-    let left = collection(48, 20, 311);
-    let mut right = collection(24, 20, 413);
+    let left = synthetic_sized(48, 20, 311);
+    let mut right = synthetic_sized(24, 20, 413);
     right.extend(left.iter().step_by(5).cloned());
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
@@ -175,8 +143,8 @@ fn single_node_loss_with_replication_two_is_bit_identical() {
 /// owned — never a silent partial answer.
 #[test]
 fn unrecoverable_loss_degrades_to_exactly_the_surviving_shards() {
-    let left = collection(48, 20, 311);
-    let mut right = collection(24, 20, 413);
+    let left = synthetic_sized(48, 20, 311);
+    let mut right = synthetic_sized(24, 20, 413);
     right.extend(left.iter().step_by(5).cloned());
     let tau = 1;
     let shards = 4usize;
@@ -228,8 +196,8 @@ fn unrecoverable_loss_degrades_to_exactly_the_surviving_shards() {
 /// full bit-identical service resumes.
 #[test]
 fn recover_reassigns_lost_shards_and_restores_identical_service() {
-    let left = collection(48, 20, 311);
-    let mut right = collection(24, 20, 413);
+    let left = synthetic_sized(48, 20, 311);
+    let mut right = synthetic_sized(24, 20, 413);
     right.extend(left.iter().step_by(5).cloned());
     let tau = 1;
     let catalog = freeze(&left, tau, 8);
@@ -255,7 +223,7 @@ fn recover_reassigns_lost_shards_and_restores_identical_service() {
 /// (under-filtered) answer.
 #[test]
 fn tau_above_frozen_is_a_typed_error() {
-    let left = collection(12, 14, 311);
+    let left = synthetic_sized(12, 14, 311);
     let catalog = freeze(&left, 1, 2);
     let mut cluster =
         Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(2, 1)).unwrap();

@@ -10,20 +10,9 @@ use tsj_catalog::Catalog;
 use tsj_cluster::{
     Cluster, ClusterConfig, ClusterJoin, FaultPlan, NodeMetricsSnapshot, VirtualClock,
 };
-use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_datagen::synthetic_sized;
 use tsj_shard::ShardConfig;
 use tsj_tree::{LabelInterner, Tree};
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
 
 fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
     Catalog::freeze(
@@ -148,8 +137,8 @@ fn check_reconciled(seed: u64, served: &ClusterJoin, nodes: &[NodeMetricsSnapsho
 /// several seeds: per-node sums always equal the telemetry totals.
 #[test]
 fn per_node_metrics_reconcile_under_mixed_faults() {
-    let left = collection(24, 14, 21);
-    let right = collection(12, 14, 22);
+    let left = synthetic_sized(24, 14, 21);
+    let right = synthetic_sized(12, 14, 22);
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
     let snapshot = catalog.to_bytes();
@@ -181,8 +170,8 @@ fn per_node_metrics_reconcile_under_mixed_faults() {
 /// node's failovers land on the node that was down.
 #[test]
 fn metrics_accumulate_across_joins_and_attribute_failovers() {
-    let left = collection(16, 14, 21);
-    let right = collection(6, 14, 23);
+    let left = synthetic_sized(16, 14, 21);
+    let right = synthetic_sized(6, 14, 23);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
     let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(2, 2))
@@ -219,8 +208,8 @@ fn metrics_accumulate_across_joins_and_attribute_failovers() {
 /// naming scheme, so the exporters downstream see stable names.
 #[test]
 fn snapshot_uses_the_documented_series_names() {
-    let left = collection(16, 14, 21);
-    let right = collection(4, 14, 23);
+    let left = synthetic_sized(16, 14, 21);
+    let right = synthetic_sized(4, 14, 23);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
     let mut cluster =

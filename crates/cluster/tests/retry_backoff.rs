@@ -9,20 +9,9 @@ use partsj::{window_of, PartSjConfig};
 use std::sync::Arc;
 use tsj_catalog::Catalog;
 use tsj_cluster::{Clock, Cluster, ClusterConfig, FaultPlan, RetryPolicy, VirtualClock};
-use tsj_datagen::{synthetic, SyntheticParams};
+use tsj_datagen::synthetic_sized;
 use tsj_shard::ShardConfig;
 use tsj_tree::{LabelInterner, Tree};
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
 
 fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
     Catalog::freeze(
@@ -61,8 +50,8 @@ fn planned_requests(catalog: &Catalog, probes: &[Tree], tau: u32) -> Vec<(u32, u
 /// request coordinates.
 #[test]
 fn transient_storm_sleeps_the_exact_backoff_schedule() {
-    let left = collection(16, 14, 21);
-    let right = collection(10, 14, 22);
+    let left = synthetic_sized(16, 14, 21);
+    let right = synthetic_sized(10, 14, 22);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
     let plan = FaultPlan {
@@ -112,8 +101,8 @@ fn transient_storm_sleeps_the_exact_backoff_schedule() {
 /// deadline once, and the next timeout exhausts it.
 #[test]
 fn probe_deadline_cuts_retries_off_exactly() {
-    let left = collection(16, 14, 21);
-    let probe = collection(1, 14, 23);
+    let left = synthetic_sized(16, 14, 21);
+    let probe = synthetic_sized(1, 14, 23);
     let tau = 1;
     // One shard: the single probe plans exactly one request.
     let catalog = freeze(&left, tau, 1);
@@ -152,8 +141,8 @@ fn probe_deadline_cuts_retries_off_exactly() {
 /// with the exact fault-free result, only later by the injected latency.
 #[test]
 fn delays_within_timeout_are_absorbed_not_retried() {
-    let left = collection(16, 14, 21);
-    let right = collection(10, 14, 22);
+    let left = synthetic_sized(16, 14, 21);
+    let right = synthetic_sized(10, 14, 22);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
     let expected = catalog
@@ -183,7 +172,7 @@ fn delays_within_timeout_are_absorbed_not_retried() {
 
     assert!(served.is_complete());
     assert_eq!(served.outcome.pairs, expected.pairs);
-    assert_eq!(served.outcome.stats.candidates, expected.stats.candidates);
+    assert_eq!(served.outcome.stats.work(), expected.stats.work());
     let n = planned_requests(&catalog, &right, tau).len() as u64;
     assert_eq!(served.telemetry.retries, 0, "absorbed, never retried");
     assert_eq!(served.telemetry.delay_ms, 5 * n);
@@ -195,8 +184,8 @@ fn delays_within_timeout_are_absorbed_not_retried() {
 /// nothing — and counts nothing (no half-computed stats ever leak).
 #[test]
 fn delays_beyond_timeout_become_timeouts_without_double_counting() {
-    let left = collection(16, 14, 21);
-    let right = collection(10, 14, 22);
+    let left = synthetic_sized(16, 14, 21);
+    let right = synthetic_sized(10, 14, 22);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
     let mut cfg = ClusterConfig::new(2, 2);

@@ -78,8 +78,9 @@ pub enum MatchSemantics {
     Embedding,
 }
 
-/// Which stages the verification filter chain runs, in cost order (see
-/// [`crate::verify`] for the chain itself and the cost model).
+/// Which stages of the verification filter chain run (see
+/// [`crate::verify`] for the chain itself, its fixed order and the cost
+/// model).
 ///
 /// Every stage is *sound* — lower-bound stages only reject pairs whose
 /// TED provably exceeds `τ`, upper-bound stages only admit pairs with a
@@ -136,70 +137,6 @@ impl VerifyConfig {
     };
 }
 
-/// The adaptive, telemetry-driven execution layer (ROADMAP item 3).
-///
-/// Everything here is **off by default**, so the static configuration
-/// stays the property-tested reference path. Each knob feeds observed
-/// run statistics back into a decision the static engine hard-codes:
-///
-/// * [`reorder_chain`] lets [`crate::VerifyEngine`] re-rank its
-///   *lower-bound* filter stages every [`reorder_every`] checks by
-///   observed kills-per-cost. Reordering independent sound bounds is
-///   always correctness-preserving — a pair is rejected by *some* stage
-///   iff any bound exceeds τ, regardless of evaluation order — so only
-///   filter cost (and per-stage kill attribution) changes, never the
-///   result pairs, the candidate counts, or the exact-TED call count.
-/// * [`balanced_shards`] derives the size-class→shard map of
-///   `tsj-shard`'s `ShardedIndex` from the observed posting-mass
-///   histogram (greedy bin-packing, largest class first) instead of the
-///   fixed multiplicative hash, evening out per-shard load under skewed
-///   size distributions. Routing changes which shard owns a class, not
-///   which postings exist, so results stay bit-identical.
-///
-/// The top-k join mode ([`crate::partsj_topk`]) is threshold-free by
-/// construction and therefore has no flag here: it always adapts its
-/// effective τ to the current k-th best distance.
-///
-/// [`reorder_chain`]: AdaptiveConfig::reorder_chain
-/// [`reorder_every`]: AdaptiveConfig::reorder_every
-/// [`balanced_shards`]: AdaptiveConfig::balanced_shards
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Re-rank the verify chain's lower-bound stages by observed
-    /// kills-per-cost.
-    pub reorder_chain: bool,
-    /// Checks between chain re-rankings (ignored unless
-    /// [`AdaptiveConfig::reorder_chain`] is set; `0` is treated as the
-    /// default period).
-    pub reorder_every: u32,
-    /// Derive the shard map from the observed size histogram at index
-    /// build time (sharded/frozen joins and the catalog; the streaming
-    /// index keeps the hash map — it never sees the histogram up front).
-    pub balanced_shards: bool,
-}
-
-impl AdaptiveConfig {
-    /// Everything off: the static reference configuration.
-    pub const OFF: AdaptiveConfig = AdaptiveConfig {
-        reorder_chain: false,
-        reorder_every: 256,
-        balanced_shards: false,
-    };
-
-    /// Everything on, with the default reordering period.
-    pub const FULL: AdaptiveConfig = AdaptiveConfig {
-        reorder_chain: true,
-        reorder_every: 256,
-        balanced_shards: true,
-    };
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> AdaptiveConfig {
-        AdaptiveConfig::OFF
-    }
-}
-
 /// Full configuration of a PartSJ run.
 #[derive(Debug, Clone, Copy)]
 pub struct PartSjConfig {
@@ -220,9 +157,6 @@ pub struct PartSjConfig {
     pub verify_batch: usize,
     /// Which verification filter stages run before exact TED.
     pub verify: VerifyConfig,
-    /// The telemetry-driven adaptive layer (default off — the static
-    /// path is the property-tested reference).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for PartSjConfig {
@@ -234,7 +168,6 @@ impl Default for PartSjConfig {
             parallel_fallback: 64,
             verify_batch: 64,
             verify: VerifyConfig::default(),
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -263,15 +196,6 @@ mod tests {
         assert!(config.parallel_fallback > 0);
         assert!(config.verify_batch > 0);
         assert_eq!(config.verify, VerifyConfig::default());
-        assert_eq!(config.adaptive, AdaptiveConfig::OFF, "adaptivity is opt-in");
-    }
-
-    #[test]
-    fn adaptive_presets_cover_both_extremes() {
-        let (off, full) = (AdaptiveConfig::OFF, AdaptiveConfig::FULL);
-        assert!(!off.reorder_chain && !off.balanced_shards);
-        assert!(full.reorder_chain && full.balanced_shards);
-        assert!(full.reorder_every > 0);
     }
 
     #[test]

@@ -56,9 +56,7 @@ pub mod subgraph;
 pub mod topk;
 pub mod verify;
 
-pub use config::{
-    AdaptiveConfig, MatchSemantics, PartSjConfig, PartitionScheme, VerifyConfig, WindowPolicy,
-};
+pub use config::{MatchSemantics, PartSjConfig, PartitionScheme, VerifyConfig, WindowPolicy};
 pub use index::{
     BucketDump, ComponentDump, ComponentId, IndexDump, LayerDump, LayerId, MatchCache,
     PostorderLayer, SubgraphHandle, SubgraphIndex, SubgraphMeta, TwigKeys,
@@ -71,11 +69,8 @@ pub use probe::{
 };
 pub use rs_join::partsj_join_rs;
 pub use subgraph::{
-    build_subgraphs, nodes_match_at, partition_tree, subgraph_matches, subgraph_matches_with,
-    ChildKind, SgNode, Subgraph,
+    build_subgraphs, nodes_match_at, partition_tree, side_list, subgraph_matches,
+    subgraph_matches_with, ChildKind, SgNode, Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
-pub use verify::{
-    FilterStage, ProbeVerify, StageKind, StageVerdict, VerifyData, VerifyEngine, VerifyPrep,
-    VerifyScratch,
-};
+pub use verify::{verify_stage, ProbeVerify, VerifyData, VerifyEngine, VerifyPrep, VERIFY_STAGES};

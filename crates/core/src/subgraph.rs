@@ -19,7 +19,7 @@
 
 use crate::config::{MatchSemantics, PartitionScheme};
 use crate::partition::cuts_for;
-use tsj_tree::{pack_twig, BinaryTree, Label, NodeId, Side};
+use tsj_tree::{pack_twig, BinaryTree, FxHashMap, Label, NodeId, Side, Tree};
 
 /// Index of a tree within the joined collection (re-exported convention
 /// from `tsj_ted::outcome`).
@@ -148,12 +148,38 @@ pub fn partition_tree(
     scheme: PartitionScheme,
     tree: TreeIdx,
 ) -> Option<Vec<Subgraph>> {
-    let delta = 2 * tau as usize + 1;
-    if binary.len() < delta {
+    if is_side_listed(binary.len(), tau) {
         return None;
     }
-    let cuts = cuts_for(binary, delta, scheme, u64::from(tree));
+    let cuts = cuts_for(binary, delta(tau), scheme, u64::from(tree));
     Some(build_subgraphs(binary, general_post, &cuts, tree))
+}
+
+/// `δ = 2τ + 1`, the number of subgraphs a tree is cut into.
+fn delta(tau: u32) -> usize {
+    2 * tau as usize + 1
+}
+
+/// The δ rule as a predicate: a tree of `size` nodes is too small to be
+/// δ-partitioned at `tau` — [`partition_tree`] answers `None` for it.
+fn is_side_listed(size: usize, tau: u32) -> bool {
+    size < delta(tau)
+}
+
+/// The side list of a whole collection — the trees [`partition_tree`]
+/// answers `None` for at `tau`, grouped by size, ids ascending — for
+/// owners that restore an index instead of building it.
+pub fn side_list(trees: &[Tree], tau: u32) -> FxHashMap<u32, Vec<TreeIdx>> {
+    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
+    for (i, tree) in trees.iter().enumerate() {
+        if is_side_listed(tree.len(), tau) {
+            small_by_size
+                .entry(tree.len() as u32)
+                .or_default()
+                .push(i as TreeIdx);
+        }
+    }
+    small_by_size
 }
 
 fn component_child_label(binary: &BinaryTree, node: NodeId, side: Side, kind: ChildKind) -> Label {

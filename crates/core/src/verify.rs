@@ -1,18 +1,18 @@
-//! The unified verification engine: a pluggable chain of cheap bounds in
-//! front of exact TED.
+//! The unified verification engine: a fixed chain of four cheap bounds
+//! in front of exact TED.
 //!
 //! Every join entry point — sequential, R×S and top-k in this crate,
 //! plus the pooled, streaming and point-query paths of `tsj-shard` and
-//! `tsj-catalog` — verifies candidate pairs the same way: run cheap distance *bounds* first and fall back to
-//! the cubic exact-TED DP only when no bound decides the pair. Before
-//! this module each entry point re-implemented that pipeline inline;
-//! [`VerifyEngine`] owns it once, so a new bound added here speeds up
-//! every entry point at the same time.
+//! `tsj-catalog` — verifies candidate pairs the same way: run cheap
+//! distance *bounds* first and fall back to the cubic exact-TED DP only
+//! when no bound decides the pair. [`VerifyEngine`] owns that pipeline
+//! once.
 //!
 //! ## The filter chain
 //!
-//! A [`VerifyEngine`] holds an ordered chain of [`FilterStage`]s, built
-//! from [`VerifyConfig`] and evaluated **cheapest first**:
+//! The chain is the **closed** set [`VERIFY_STAGES`], always evaluated in
+//! this one order (cheapest first); [`VerifyConfig`] only switches
+//! individual stages off:
 //!
 //! | # | stage | kind | per-pair cost | decides |
 //! |---|----------------|-------|----------------------|---------|
@@ -45,7 +45,7 @@
 //! rename-only pairs, which makes this the stage that eliminates most
 //! TED calls on the paper's workloads.
 
-use crate::config::{AdaptiveConfig, PartSjConfig, VerifyConfig};
+use crate::config::{PartSjConfig, VerifyConfig};
 use std::cell::Cell;
 use std::hash::Hasher as _;
 use std::time::Instant;
@@ -227,50 +227,6 @@ impl VerifyData {
     }
 }
 
-/// Whether a stage bounds TED from below (can only reject) or from above
-/// (can only accept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Computes `lb ≤ TED`; rejects when `lb > τ`.
-    LowerBound,
-    /// Exhibits an edit script of cost `ub ≥ TED`; accepts when `ub ≤ τ`.
-    UpperBound,
-}
-
-/// One stage's decision for one candidate pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageVerdict {
-    /// A lower bound exceeded `τ`: the pair is not a result.
-    Reject,
-    /// An upper bound certified the pair with the **exact** distance `d`
-    /// (the stage proved no cheaper script exists).
-    AcceptExact(u32),
-    /// An upper bound certified the pair: `TED ≤ d ≤ τ`, but `d` may
-    /// overestimate the true distance. Sufficient for joins (membership),
-    /// not for [`VerifyEngine::check_exact`] consumers.
-    AcceptWithin(u32),
-    /// No decision; evaluate the next stage (or exact TED).
-    Continue,
-}
-
-/// The engine-owned scratch arena stages compute out of: per-pair
-/// working memory that must not be allocated per candidate. Each
-/// [`VerifyEngine`] owns exactly one (engines are per-worker, so no
-/// locking is ever needed) and passes it to every
-/// [`FilterStage::apply`] call.
-#[derive(Debug, Default)]
-pub struct VerifyScratch {
-    /// Row/band buffers for the SED-based stages.
-    pub sed: SedScratch,
-}
-
-impl VerifyScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> VerifyScratch {
-        VerifyScratch::default()
-    }
-}
-
 /// A reusable probe-side [`VerifyData`] slot: one data instance plus its
 /// preparation temporaries, rebuilt in place per probe tree. Holding one
 /// across a query/insert loop makes the per-probe verification setup
@@ -298,328 +254,140 @@ impl ProbeVerify {
     }
 }
 
-/// A pluggable verification filter. Implementations must be `Send + Sync`
-/// so parallel verify pools can build one chain per worker; all per-pair
-/// state lives in the [`VerifyData`] arguments and the engine-owned
-/// [`VerifyScratch`].
-///
-/// To add a new bound: implement this trait (see the module docs for the
-/// soundness contract per [`StageKind`]), give it a distinct [`name`],
-/// and splice it into [`VerifyEngine::with_filters`] at its cost rank —
-/// every entry point picks it up through `PartSjConfig`.
-///
-/// [`name`]: FilterStage::name
-pub trait FilterStage: Send + Sync {
-    /// Stable stage name, used for [`StageCount`] reporting and for
-    /// merging per-worker counters ([`VerifyEngine::fold_into`] keys on
-    /// it, so it must be unique within a chain).
-    fn name(&self) -> &'static str;
+/// The verify chain's stage names — a closed set, in the one order the
+/// engine evaluates them. [`StageCount::stage`] only ever holds one of
+/// these.
+pub const VERIFY_STAGES: [&str; 4] = ["size", "shape-accept", "label-hist", "traversal-sed"];
 
-    /// Lower or upper bound (documents which verdicts are legal).
-    fn kind(&self) -> StageKind;
+// Positions in [`VERIFY_STAGES`] (and in the engine's counter arrays).
+const STAGES: usize = VERIFY_STAGES.len();
+const SIZE: usize = 0;
+const SHAPE_ACCEPT: usize = 1;
+const LABEL_HIST: usize = 2;
+const TRAVERSAL_SED: usize = 3;
 
-    /// Relative per-pair cost weight, used by the adaptive chain
-    /// reordering to rank stages by kills-per-cost. Purely advisory —
-    /// correctness never depends on it. Defaults to `1`.
-    fn cost(&self) -> u32 {
-        1
-    }
-
-    /// Evaluates the stage on one candidate pair at threshold `tau`,
-    /// computing out of the engine-owned `scratch` so steady-state
-    /// verification performs no heap allocation.
-    fn apply(
-        &self,
-        a: &VerifyData,
-        b: &VerifyData,
-        tau: u32,
-        scratch: &mut VerifyScratch,
-    ) -> StageVerdict;
+/// The `&'static` spelling of a stage name, or `None` for anything
+/// outside [`VERIFY_STAGES`] — how a decoder turns a name read off the
+/// wire back into a [`StageCount::stage`].
+pub fn verify_stage(name: &str) -> Option<&'static str> {
+    VERIFY_STAGES.into_iter().find(|stage| *stage == name)
 }
 
 /// Size lower bound `||T1| − |T2|| ≤ TED` (§3.2 footnote 1).
-struct SizeFilter;
-
-impl FilterStage for SizeFilter {
-    fn name(&self) -> &'static str {
-        "size"
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::LowerBound
-    }
-
-    fn cost(&self) -> u32 {
-        1 // two cached lengths
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        a: &VerifyData,
-        b: &VerifyData,
-        tau: u32,
-        _: &mut VerifyScratch,
-    ) -> StageVerdict {
-        if a.len().abs_diff(b.len()) as u32 > tau {
-            StageVerdict::Reject
-        } else {
-            StageVerdict::Continue
-        }
-    }
+#[inline]
+fn size_rejects(a: &VerifyData, b: &VerifyData, tau: u32) -> bool {
+    a.len().abs_diff(b.len()) as u32 > tau
 }
 
 /// Rename-script early accept: same shape ⇒ TED ≤ label Hamming
-/// distance. See the module docs for why this replaces the (unsound)
-/// SED-based accept.
-struct ShapeAcceptFilter;
-
-impl FilterStage for ShapeAcceptFilter {
-    fn name(&self) -> &'static str {
-        "shape-accept"
+/// distance (`Some(hamming)` when that is ≤ `tau`). See the module docs
+/// for why this replaces the (unsound) SED-based accept.
+#[inline]
+fn shape_certificate(a: &VerifyData, b: &VerifyData, tau: u32) -> Option<u32> {
+    // An empty shape means the input was built without this stage
+    // (trees are never empty): no decision. The preorder-length
+    // check rejects mixed-construction inputs the same way.
+    if a.shape.is_empty()
+        || a.shape_hash != b.shape_hash
+        || a.shape != b.shape
+        || a.traversals.preorder.len() != a.shape.len()
+        || b.traversals.preorder.len() != b.shape.len()
+    {
+        return None;
     }
-
-    fn kind(&self) -> StageKind {
-        StageKind::UpperBound
-    }
-
-    fn cost(&self) -> u32 {
-        2 // O(1) hash compare, O(n) only on the rare hash hit
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        a: &VerifyData,
-        b: &VerifyData,
-        tau: u32,
-        _: &mut VerifyScratch,
-    ) -> StageVerdict {
-        // An empty shape means the input was built without this stage
-        // (trees are never empty): no decision. The preorder-length
-        // check rejects mixed-construction inputs the same way.
-        if a.shape.is_empty()
-            || a.shape_hash != b.shape_hash
-            || a.shape != b.shape
-            || a.traversals.preorder.len() != a.shape.len()
-            || b.traversals.preorder.len() != b.shape.len()
-        {
-            return StageVerdict::Continue;
-        }
-        // Equal preorder degree sequences ⇒ identical shapes; mapping
-        // nodes by preorder position and renaming every label mismatch is
-        // a valid edit script of cost `hamming`.
-        let mut hamming = 0u32;
-        for (&la, &lb) in a.traversals.preorder.iter().zip(&b.traversals.preorder) {
-            hamming += u32::from(la != lb);
-            if hamming > tau {
-                return StageVerdict::Continue;
-            }
-        }
-        // hamming = 0 ⇒ identical trees ⇒ TED = 0. hamming = 1 with
-        // equal sizes ⇒ the trees differ, so TED ≥ 1 — the bound is
-        // tight. From 2 on, mixed insert/delete scripts can be cheaper
-        // than renames, so the certificate is only an upper bound.
-        if hamming <= 1 {
-            StageVerdict::AcceptExact(hamming)
-        } else {
-            StageVerdict::AcceptWithin(hamming)
+    // Equal preorder degree sequences ⇒ identical shapes; mapping
+    // nodes by preorder position and renaming every label mismatch is
+    // a valid edit script of cost `hamming`.
+    let mut hamming = 0u32;
+    for (&la, &lb) in a.traversals.preorder.iter().zip(&b.traversals.preorder) {
+        hamming += u32::from(la != lb);
+        if hamming > tau {
+            return None;
         }
     }
+    Some(hamming)
 }
 
 /// Label-histogram L1 lower bound `⌈L1/2⌉ ≤ TED` (Kailing et al.).
-struct HistogramFilter;
-
-impl FilterStage for HistogramFilter {
-    fn name(&self) -> &'static str {
-        "label-hist"
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::LowerBound
-    }
-
-    fn cost(&self) -> u32 {
-        8 // O(n) sorted-multiset merge
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        a: &VerifyData,
-        b: &VerifyData,
-        tau: u32,
-        _: &mut VerifyScratch,
-    ) -> StageVerdict {
-        // Empty histogram = input built without this stage: no decision
-        // (a one-sided empty histogram would inflate the L1 bound).
-        if a.histogram.is_empty() || b.histogram.is_empty() {
-            return StageVerdict::Continue;
-        }
-        if histogram_bound(&a.histogram, &b.histogram) > tau {
-            StageVerdict::Reject
-        } else {
-            StageVerdict::Continue
-        }
-    }
+#[inline]
+fn histogram_rejects(a: &VerifyData, b: &VerifyData, tau: u32) -> bool {
+    // Empty histogram = input built without this stage: no decision
+    // (a one-sided empty histogram would inflate the L1 bound).
+    !a.histogram.is_empty()
+        && !b.histogram.is_empty()
+        && histogram_bound(&a.histogram, &b.histogram) > tau
 }
 
 /// Banded traversal-string SED lower bound
 /// `max(SED(pre), SED(post)) ≤ TED` (Guha et al.).
-struct TraversalFilter;
-
-impl FilterStage for TraversalFilter {
-    fn name(&self) -> &'static str {
-        "traversal-sed"
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::LowerBound
-    }
-
-    fn cost(&self) -> u32 {
-        32 // O(τ·n) banded DP, twice (preorder + postorder)
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        a: &VerifyData,
-        b: &VerifyData,
-        tau: u32,
-        scratch: &mut VerifyScratch,
-    ) -> StageVerdict {
-        // Empty strings = input built without this stage: no decision
-        // (a one-sided empty string would inflate the SED bound).
-        if a.traversals.preorder.is_empty() || b.traversals.preorder.is_empty() {
-            return StageVerdict::Continue;
-        }
-        if traversal_within_with(&a.traversals, &b.traversals, tau, &mut scratch.sed) {
-            StageVerdict::Continue
-        } else {
-            StageVerdict::Reject
-        }
-    }
+#[inline]
+fn traversal_rejects(a: &VerifyData, b: &VerifyData, tau: u32, sed: &mut SedScratch) -> bool {
+    // Empty strings = input built without this stage: no decision
+    // (a one-sided empty string would inflate the SED bound).
+    !a.traversals.preorder.is_empty()
+        && !b.traversals.preorder.is_empty()
+        && !traversal_within_with(&a.traversals, &b.traversals, tau, sed)
 }
 
-/// The verification engine: one filter chain, one exact-TED engine, and
+/// The verification engine: the filter chain, one exact-TED engine, and
 /// the per-stage counters — everything one verifier thread needs.
 ///
 /// Entry points create one engine per verifying thread (the sequential
 /// joins own one; `tsj-shard`'s verify pool builds one per worker)
 /// and fold the counters into the run's [`JoinStats`] at the end with
-/// [`VerifyEngine::fold_into`].
-///
-/// ## Adaptive reordering
-///
-/// When [`AdaptiveConfig::reorder_chain`] is set (via
-/// [`VerifyEngine::new`]), the engine re-ranks its **lower-bound**
-/// stages every `reorder_every` checks by observed kills-per-cost:
-/// `(rejections / evaluations) / cost`. Upper-bound stages keep their
-/// chain slots — an accept and a reject can never both fire on the same
-/// pair (both bounds are sound, so they would contradict each other),
-/// which is exactly why permuting the lower bounds among themselves
-/// changes neither the decision for any pair nor the number of pairs
-/// that fall through to exact TED. Only *which* stage gets credited
-/// with a kill (and the filter work spent) depends on the order.
+/// [`VerifyEngine::fold_into`]. The stage order is fixed, so every
+/// engine given the same pairs reports the same per-stage counters.
 #[derive(Debug)]
 pub struct VerifyEngine {
     tau: u32,
-    /// Stages in canonical (cheapest-first construction) order; counters
-    /// stay aligned with this vector no matter how evaluation is
-    /// reordered.
-    stages: Vec<Box<dyn FilterStage>>,
-    /// Evaluation order: a permutation of `0..stages.len()`.
-    order: Vec<usize>,
-    /// Pairs resolved per stage, aligned with `stages`.
-    counts: Vec<u64>,
-    /// Pairs each stage was evaluated on, aligned with `stages` (the
-    /// kill-rate denominator).
-    seen: Vec<u64>,
-    /// Checks between adaptive reorders; `0` = static chain.
-    reorder_every: u32,
-    /// Checks since the last reorder.
-    since_reorder: u32,
+    /// Which of [`VERIFY_STAGES`] run, by position.
+    enabled: [bool; STAGES],
+    /// Pairs resolved per stage, by position.
+    counts: [u64; STAGES],
     /// Total lower-bound rejections (sum over lower stages).
     lower_skips: u64,
-    /// Total upper-bound admissions (sum over upper stages).
+    /// Total upper-bound admissions (`shape-accept`).
     early_accepts: u64,
     /// Whether to stopwatch each stage evaluation. Sampled from
     /// [`tsj_obs::stage_timings_enabled`] at construction (off by
     /// default: the `Instant` stamps would dominate the O(1) stages).
     time_stages: bool,
-    /// Accumulated per-stage wall time in nanoseconds, aligned with
-    /// `stages`; only written when `time_stages` is set.
-    stage_ns: Vec<u64>,
+    /// Accumulated per-stage wall time in nanoseconds, by position;
+    /// only written when `time_stages` is set.
+    stage_ns: [u64; STAGES],
     /// One-shot guard so [`VerifyEngine::fold_into`] publishes the stage
     /// timings to the global registry exactly once per engine.
     timings_flushed: Cell<bool>,
-    /// The engine-owned scratch arena stages compute out of; per-worker
-    /// engines therefore need no locking and no per-pair allocation.
-    scratch: VerifyScratch,
+    /// Row/band buffers of the `traversal-sed` stage; engines are
+    /// per-worker, so no locking and no per-pair allocation.
+    sed: SedScratch,
     ted: TedEngine,
 }
 
-impl std::fmt::Debug for dyn FilterStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterStage")
-            .field("name", &self.name())
-            .field("kind", &self.kind())
-            .finish()
-    }
-}
-
 impl VerifyEngine {
-    /// Engine for threshold `tau` with the chain configured in
-    /// `config.verify`, honoring `config.adaptive` (chain reordering).
+    /// Engine for threshold `tau` with the stages `config.verify`
+    /// enables.
     pub fn new(tau: u32, config: &PartSjConfig) -> VerifyEngine {
-        let mut engine = VerifyEngine::with_filters(tau, &config.verify);
-        if config.adaptive.reorder_chain {
-            engine.reorder_every = match config.adaptive.reorder_every {
-                0 => AdaptiveConfig::FULL.reorder_every,
-                n => n,
-            };
-        }
-        engine
+        VerifyEngine::with_filters(tau, &config.verify)
     }
 
-    /// Engine for threshold `tau` with an explicit stage selection and a
-    /// **static** chain. The chain is assembled cheapest-first regardless
-    /// of the order the flags are written.
+    /// Engine for threshold `tau` with an explicit stage selection.
     pub fn with_filters(tau: u32, filters: &VerifyConfig) -> VerifyEngine {
-        let mut stages: Vec<Box<dyn FilterStage>> = Vec::new();
-        if filters.size {
-            stages.push(Box::new(SizeFilter));
-        }
-        if filters.shape_accept {
-            stages.push(Box::new(ShapeAcceptFilter));
-        }
-        if filters.histogram {
-            stages.push(Box::new(HistogramFilter));
-        }
-        if filters.traversal {
-            stages.push(Box::new(TraversalFilter));
-        }
-        let counts = vec![0; stages.len()];
-        let seen = vec![0; stages.len()];
-        let stage_ns = vec![0; stages.len()];
-        let order = (0..stages.len()).collect();
-        let time_stages = tsj_obs::stage_timings_enabled() && tsj_obs::global().is_enabled();
         VerifyEngine {
             tau,
-            stages,
-            order,
-            counts,
-            seen,
-            reorder_every: 0,
-            since_reorder: 0,
+            enabled: [
+                filters.size,
+                filters.shape_accept,
+                filters.histogram,
+                filters.traversal,
+            ],
+            counts: [0; STAGES],
             lower_skips: 0,
             early_accepts: 0,
-            time_stages,
-            stage_ns,
+            time_stages: tsj_obs::stage_timings_enabled() && tsj_obs::global().is_enabled(),
+            stage_ns: [0; STAGES],
             timings_flushed: Cell::new(false),
-            scratch: VerifyScratch::new(),
+            sed: SedScratch::default(),
             ted: TedEngine::unit(),
         }
     }
@@ -631,26 +399,25 @@ impl VerifyEngine {
 
     /// Tightens (or relaxes) the verification threshold in place. The
     /// top-k join mode shrinks τ to the current k-th best distance as
-    /// its result heap fills; counters and any learned stage order carry
-    /// over unchanged.
+    /// its result heap fills; counters carry over unchanged.
     pub fn set_tau(&mut self, tau: u32) {
         self.tau = tau;
     }
 
-    /// Stage names in canonical (construction) order — stable under
-    /// adaptive reordering; counters and [`fold_into`] report in this
-    /// order.
-    ///
-    /// [`fold_into`]: VerifyEngine::fold_into
+    /// The enabled stages' names: the subsequence of [`VERIFY_STAGES`]
+    /// this engine evaluates, and the rows [`VerifyEngine::fold_into`]
+    /// reports, in that order.
     pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
+        self.stages().map(|(_, name)| name).collect()
     }
 
-    /// Stage names in the **current evaluation order** — equals
-    /// [`VerifyEngine::stage_names`] until an adaptive reorder promotes
-    /// a more effective lower bound.
-    pub fn evaluation_order(&self) -> Vec<&'static str> {
-        self.order.iter().map(|&i| self.stages[i].name()).collect()
+    /// `(position, name)` of every enabled stage, in chain order.
+    fn stages(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
+        let enabled = self.enabled;
+        VERIFY_STAGES
+            .into_iter()
+            .enumerate()
+            .filter(move |&(stage, _)| enabled[stage])
     }
 
     /// Exact TED computations performed so far.
@@ -669,134 +436,97 @@ impl VerifyEngine {
     }
 
     /// Zeroes every work counter (stage counts, TED calls, skip/accept
-    /// totals) while keeping the learned evaluation order and all scratch
-    /// capacity. Callers that reuse one engine across independent runs
-    /// (e.g. repeated scratch joins) reset between runs so each run's
-    /// [`VerifyEngine::fold_into`] reports only its own work.
+    /// totals) while keeping all scratch capacity. Callers that reuse one
+    /// engine across independent runs (e.g. repeated scratch joins) reset
+    /// between runs so each run's [`VerifyEngine::fold_into`] reports only
+    /// its own work.
     pub fn reset_counters(&mut self) {
-        self.counts.fill(0);
-        self.seen.fill(0);
-        self.stage_ns.fill(0);
-        self.since_reorder = 0;
+        self.counts = [0; STAGES];
+        self.stage_ns = [0; STAGES];
         self.lower_skips = 0;
         self.early_accepts = 0;
         self.ted.reset_counters();
     }
 
     /// Membership check: `Some(d)` iff `TED(a, b) ≤ τ`, where `d ≤ τ` is
-    /// a distance certificate — exact unless an [`AcceptWithin`] upper
-    /// bound resolved the pair first. Joins and streaming monitors (which
-    /// report pair *sets*) use this; use [`VerifyEngine::check_exact`]
-    /// when the caller surfaces the distance value.
-    ///
-    /// [`AcceptWithin`]: StageVerdict::AcceptWithin
+    /// a distance certificate — exact unless `shape-accept` resolved the
+    /// pair with a rename script of two or more renames, which may
+    /// overestimate. Joins and streaming monitors (which report pair
+    /// *sets*) use this; use [`VerifyEngine::check_exact`] when the caller
+    /// surfaces the distance value.
     pub fn check(&mut self, a: &VerifyData, b: &VerifyData) -> Option<u32> {
-        let decision = self.decide(a, b, false);
-        self.tick();
-        decision
+        self.decide(a, b, false)
     }
 
     /// Like [`VerifyEngine::check`] but the returned distance is always
-    /// **exact**: upper-bound stages only short-circuit when their
-    /// certificate is provably tight ([`StageVerdict::AcceptExact`]);
-    /// otherwise the pair falls through to the exact TED DP. Point
-    /// queries and the top-k join use this to report `(tree, distance)`
-    /// hits.
+    /// **exact**: `shape-accept` only short-circuits when its certificate
+    /// is provably tight; otherwise the pair falls through to the exact
+    /// TED DP. Point queries and the top-k join use this to report
+    /// `(tree, distance)` hits.
     pub fn check_exact(&mut self, a: &VerifyData, b: &VerifyData) -> Option<u32> {
-        let decision = self.decide(a, b, true);
-        self.tick();
-        decision
+        self.decide(a, b, true)
     }
 
-    /// The shared chain walk behind both check flavours. With `exact`,
-    /// an [`StageVerdict::AcceptWithin`] certificate is not enough to
-    /// short-circuit and the pair falls through to the exact DP.
+    /// The chain walk behind both check flavours: each enabled stage in
+    /// [`VERIFY_STAGES`] order, then exact TED.
     fn decide(&mut self, a: &VerifyData, b: &VerifyData, exact: bool) -> Option<u32> {
-        for pos in 0..self.order.len() {
-            let idx = self.order[pos];
-            self.seen[idx] += 1;
-            let started = self.time_stages.then(Instant::now);
-            let verdict = self.stages[idx].apply(a, b, self.tau, &mut self.scratch);
-            if let Some(t) = started {
-                self.stage_ns[idx] += t.elapsed().as_nanos() as u64;
-            }
-            match verdict {
-                StageVerdict::Reject => {
-                    self.counts[idx] += 1;
-                    self.lower_skips += 1;
-                    return None;
-                }
-                StageVerdict::AcceptExact(d) => {
-                    self.counts[idx] += 1;
+        let tau = self.tau;
+        if self.enabled[SIZE] && self.timed(SIZE, |_| size_rejects(a, b, tau)) {
+            return self.reject(SIZE);
+        }
+        if self.enabled[SHAPE_ACCEPT] {
+            // hamming = 0 ⇒ identical trees ⇒ TED = 0. hamming = 1 with
+            // equal sizes ⇒ the trees differ, so TED ≥ 1 — the bound is
+            // tight. From 2 on, mixed insert/delete scripts can be cheaper
+            // than renames, so the certificate is only an upper bound and
+            // an `exact` caller falls through.
+            match self.timed(SHAPE_ACCEPT, |_| shape_certificate(a, b, tau)) {
+                Some(hamming) if hamming <= 1 || !exact => {
+                    self.counts[SHAPE_ACCEPT] += 1;
                     self.early_accepts += 1;
-                    return Some(d);
+                    return Some(hamming);
                 }
-                StageVerdict::AcceptWithin(d) if !exact => {
-                    self.counts[idx] += 1;
-                    self.early_accepts += 1;
-                    return Some(d);
-                }
-                StageVerdict::AcceptWithin(_) | StageVerdict::Continue => {}
+                _ => {}
             }
+        }
+        if self.enabled[LABEL_HIST] && self.timed(LABEL_HIST, |_| histogram_rejects(a, b, tau)) {
+            return self.reject(LABEL_HIST);
+        }
+        if self.enabled[TRAVERSAL_SED]
+            && self.timed(TRAVERSAL_SED, |e| traversal_rejects(a, b, tau, &mut e.sed))
+        {
+            return self.reject(TRAVERSAL_SED);
         }
         let d = self.ted.distance(&a.prepared, &b.prepared);
-        (d <= self.tau).then_some(d)
+        (d <= tau).then_some(d)
     }
 
-    /// Counts one completed check toward the adaptive reorder period.
+    /// Runs one stage's bound, stopwatched in profile mode.
     #[inline]
-    fn tick(&mut self) {
-        if self.reorder_every == 0 {
-            return;
+    fn timed<R>(&mut self, stage: usize, bound: impl FnOnce(&mut VerifyEngine) -> R) -> R {
+        if !self.time_stages {
+            return bound(self);
         }
-        self.since_reorder += 1;
-        if self.since_reorder >= self.reorder_every {
-            self.since_reorder = 0;
-            self.reorder_stages();
-        }
+        let started = Instant::now();
+        let verdict = bound(self);
+        self.stage_ns[stage] += started.elapsed().as_nanos() as u64;
+        verdict
     }
 
-    /// Re-ranks the lower-bound stages among the chain slots they
-    /// currently occupy, best observed kills-per-cost first (ties break
-    /// toward canonical order, keeping the permutation deterministic).
-    /// Upper-bound stages keep their slots.
-    fn reorder_stages(&mut self) {
-        let mut slots: Vec<usize> = Vec::with_capacity(self.order.len());
-        let mut movers: Vec<usize> = Vec::with_capacity(self.order.len());
-        for (pos, &idx) in self.order.iter().enumerate() {
-            if self.stages[idx].kind() == StageKind::LowerBound {
-                slots.push(pos);
-                movers.push(idx);
-            }
-        }
-        movers.sort_by(|&x, &y| {
-            self.kill_rate(y)
-                .partial_cmp(&self.kill_rate(x))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
-        });
-        for (slot, idx) in slots.into_iter().zip(movers) {
-            self.order[slot] = idx;
-        }
-    }
-
-    /// Observed kills-per-cost of a stage: `(rejections / evaluations) /
-    /// cost`, `0` before the stage has seen any pair.
-    fn kill_rate(&self, idx: usize) -> f64 {
-        if self.seen[idx] == 0 {
-            return 0.0;
-        }
-        let rate = self.counts[idx] as f64 / self.seen[idx] as f64;
-        rate / f64::from(self.stages[idx].cost().max(1))
+    /// Records a lower-bound rejection at `stage`.
+    #[inline]
+    fn reject(&mut self, stage: usize) -> Option<u32> {
+        self.counts[stage] += 1;
+        self.lower_skips += 1;
+        None
     }
 
     /// Folds this engine's counters into `stats`: TED calls, total
-    /// lower-bound skips, upper-bound accepts, and the per-stage
-    /// breakdown. Stage counters merge **by stage name**, so engines
-    /// with differently ordered — or differently enabled — chains fold
-    /// into one coherent breakdown (adaptive workers may each have
-    /// learned a different order). First-folded engines establish the
-    /// display order of stages not yet present.
+    /// lower-bound skips, upper-bound accepts, and one row per enabled
+    /// stage. Stage counters merge **by stage name**, so engines with
+    /// differently enabled chains fold into one coherent breakdown.
+    /// First-folded engines establish the display order of stages not
+    /// yet present.
     pub fn fold_into(&self, stats: &mut JoinStats) {
         stats.ted_calls += self.ted.computations();
         stats.prefilter_skips += self.lower_skips;
@@ -805,10 +535,9 @@ impl VerifyEngine {
             // One exact allocation instead of push-doubling growth — the
             // stage-count rows are the only allocation a recycled join
             // makes per call.
-            stats.stage_counts.reserve_exact(self.stages.len());
+            stats.stage_counts.reserve_exact(self.stages().count());
         }
-        for (idx, stage) in self.stages.iter().enumerate() {
-            let name = stage.name();
+        for (idx, name) in self.stages() {
             match stats.stage_counts.iter_mut().find(|c| c.stage == name) {
                 Some(slot) => slot.count += self.counts[idx],
                 None => stats.stage_counts.push(StageCount {
@@ -821,11 +550,11 @@ impl VerifyEngine {
         // fold_into may be called again on a still-live engine.
         if self.time_stages && !self.timings_flushed.replace(true) {
             let obs = tsj_obs::global();
-            for (idx, stage) in self.stages.iter().enumerate() {
+            for (idx, name) in self.stages() {
                 obs.counter(&tsj_obs::labeled(
                     "tsj_core_verify_stage_ns_total",
                     "stage",
-                    stage.name(),
+                    name,
                 ))
                 .add(self.stage_ns[idx]);
             }
@@ -849,12 +578,27 @@ mod tests {
     #[test]
     fn default_chain_order_is_cheapest_first() {
         let engine = VerifyEngine::with_filters(1, &VerifyConfig::default());
-        assert_eq!(
-            engine.stage_names(),
-            vec!["size", "shape-accept", "label-hist", "traversal-sed"]
-        );
-        let empty = VerifyEngine::with_filters(1, &VerifyConfig::NONE);
-        assert!(empty.stage_names().is_empty());
+        assert_eq!(engine.stage_names(), VERIFY_STAGES);
+        // Every toggle mask evaluates the canonical subsequence.
+        for mask in 0..16u32 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let filters = VerifyConfig {
+                size: on(0),
+                shape_accept: on(1),
+                histogram: on(2),
+                traversal: on(3),
+            };
+            let want: Vec<&str> = (0..4)
+                .filter(|&bit| on(bit))
+                .map(|bit| VERIFY_STAGES[bit as usize])
+                .collect();
+            let engine = VerifyEngine::with_filters(1, &filters);
+            assert_eq!(engine.stage_names(), want, "mask {mask:04b}");
+        }
+        for name in VERIFY_STAGES {
+            assert_eq!(verify_stage(name), Some(name));
+        }
+        assert_eq!(verify_stage("twig"), None);
     }
 
     #[test]
@@ -965,8 +709,8 @@ mod tests {
     #[test]
     fn fold_into_merges_heterogeneous_chains_by_name() {
         // Regression for the positional zip: worker chains that differ
-        // in enabled subset (or learned order) must merge by stage name,
-        // not by chain position.
+        // in enabled subset must merge by stage name, not by chain
+        // position.
         let d = data(&["{a{b}{c}}", "{x{y}{z}}", "{m{n{o{p{q}}}}}"]);
         let mut stats = JoinStats::default();
         // Worker 1: full default chain. Histogram rejects the
@@ -998,72 +742,6 @@ mod tests {
         assert_eq!(by_name("traversal-sed"), Some(1));
         let total: u64 = stats.stage_counts.iter().map(|c| c.count).sum();
         assert_eq!(total, stats.prefilter_skips + stats.early_accepts);
-    }
-
-    #[test]
-    fn adaptive_reorder_promotes_the_killing_stage() {
-        use crate::config::{AdaptiveConfig, PartSjConfig};
-        // Same size, same label multiset, same (chain) shape with
-        // hamming > τ: only traversal-SED can reject these pairs.
-        let d = data(&["{a{b{c{d{e}}}}}", "{e{d{c{b{a}}}}}"]);
-        let config = PartSjConfig {
-            adaptive: AdaptiveConfig {
-                reorder_chain: true,
-                reorder_every: 4,
-                ..AdaptiveConfig::OFF
-            },
-            ..Default::default()
-        };
-        let mut engine = VerifyEngine::new(1, &config);
-        assert_eq!(engine.evaluation_order()[0], "size");
-        for _ in 0..4 {
-            assert_eq!(engine.check(&d[0], &d[1]), None);
-        }
-        // After the reorder window, the only stage with observed kills
-        // leads the evaluation order; canonical reporting order is
-        // untouched.
-        assert_eq!(engine.evaluation_order()[0], "traversal-sed");
-        assert_eq!(engine.stage_names()[0], "size");
-        // Upper-bound stages keep their slot.
-        assert_eq!(engine.evaluation_order()[1], "shape-accept");
-    }
-
-    #[test]
-    fn adaptive_engine_matches_static_decisions() {
-        use crate::config::{AdaptiveConfig, PartSjConfig};
-        let d = data(&[
-            "{a{b{c{d{e}}}}}",
-            "{e{d{c{b{a}}}}}",
-            "{a{b}{c}}",
-            "{a{b}{z}}",
-            "{x{y}{z}}",
-            "{m{n{o{p{q}}}}}",
-        ]);
-        let adaptive_cfg = PartSjConfig {
-            adaptive: AdaptiveConfig {
-                reorder_chain: true,
-                reorder_every: 2,
-                ..AdaptiveConfig::OFF
-            },
-            ..Default::default()
-        };
-        let mut fixed = VerifyEngine::new(1, &PartSjConfig::default());
-        let mut adaptive = VerifyEngine::new(1, &adaptive_cfg);
-        for i in 0..d.len() {
-            for j in (i + 1)..d.len() {
-                assert_eq!(
-                    fixed.check(&d[i], &d[j]),
-                    adaptive.check(&d[i], &d[j]),
-                    "membership must not depend on stage order ({i}, {j})"
-                );
-            }
-        }
-        // Sound bounds never contradict, so the totals — not just the
-        // pair decisions — are order-independent; only the per-stage
-        // attribution may differ.
-        assert_eq!(fixed.ted_calls(), adaptive.ted_calls());
-        assert_eq!(fixed.prefilter_skips(), adaptive.prefilter_skips());
-        assert_eq!(fixed.early_accepts(), adaptive.early_accepts());
     }
 
     #[test]

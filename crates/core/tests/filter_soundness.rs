@@ -7,8 +7,7 @@
 //! answer, only where candidates die.
 
 use partsj::{partsj_join_rs, partsj_join_with, PartSjConfig, VerifyConfig, WindowPolicy};
-use tsj_datagen::{swissprot_like, synthetic, SyntheticParams};
-use tsj_tree::Tree;
+use tsj_datagen::{swissprot_like, synthetic_sized};
 
 /// Every subset of the four stages.
 fn all_verify_configs() -> Vec<VerifyConfig> {
@@ -20,17 +19,6 @@ fn all_verify_configs() -> Vec<VerifyConfig> {
             traversal: mask & 8 != 0,
         })
         .collect()
-}
-
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
 }
 
 #[test]
@@ -104,7 +92,7 @@ fn full_chain_reduces_ted_calls_on_near_duplicates() {
 
 #[test]
 fn rs_join_is_sound_for_every_chain_config() {
-    let left = collection(40, 18, 3);
+    let left = synthetic_sized(40, 18, 3);
     let right = swissprot_like(40, 4);
     let tau = 2;
     let reference = partsj_join_rs(

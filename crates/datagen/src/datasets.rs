@@ -112,6 +112,17 @@ pub fn synthetic(n: usize, params: &SyntheticParams, seed: u64) -> Vec<Tree> {
     })
 }
 
+/// [`synthetic`] at the paper's default shape parameters but trees of
+/// `avg_size` nodes on average — small sizes keep brute-force oracles
+/// cheap, which is the collection the equivalence suites share.
+pub fn synthetic_sized(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
+    let params = SyntheticParams {
+        avg_size,
+        ..Default::default()
+    };
+    synthetic(n, &params, seed)
+}
+
 /// Swissprot-like: 100K-scale flat, medium trees.
 ///
 /// Paper statistics: average size 62.37, 84 labels, average depth 2.65,

@@ -15,8 +15,8 @@ pub mod mother;
 pub mod mutate;
 
 pub use datasets::{
-    collection_stats, sentiment_like, swissprot_like, synthetic, treebank_like, CollectionStats,
-    SyntheticParams,
+    collection_stats, sentiment_like, swissprot_like, synthetic, synthetic_sized, treebank_like,
+    CollectionStats, SyntheticParams,
 };
 pub use grow::{grow_tree, ShapeProfile};
 pub use mother::{mother_collection, MotherSampler};

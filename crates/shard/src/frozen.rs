@@ -21,7 +21,7 @@
 //! at `τ_q` makes the result exact. `tsj-catalog` relies on this to
 //! serve per-query thresholds from one snapshot.
 
-use crate::index::{balanced_map_for, ShardConfig, ShardedIndex};
+use crate::index::{ShardConfig, ShardedIndex};
 use crate::join::build_subgraph_lists;
 use crate::pool::{execute, run_inline, JoinSide};
 use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
@@ -59,17 +59,7 @@ pub fn build_frozen_left(
             None => small_by_size.entry(size).or_default().push(i as TreeIdx),
         }
     }
-    let mut index = ShardedIndex::new(tau, config.window, shard_cfg).without_replay();
-    if config.adaptive.balanced_shards {
-        // The freeze sees the full size histogram up front — derive the
-        // balanced routing before any posting lands. The map travels
-        // with the snapshot (`tsj-catalog` round-trips it), so loads
-        // probe the same shards the freeze filled.
-        index
-            .set_shard_map(balanced_map_for(&items, index.shard_count()))
-            .expect("empty index accepts a validated map");
-    }
-    index.insert_all(items, probe_threads > 1);
+    let index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
     (index, small_by_size)
 }
 
@@ -240,8 +230,7 @@ impl JoinSide for RightSide<'_> {
 /// serving loops can reuse one engine and one [`FrozenJoinScratch`]
 /// across repeated batch joins: result pairs are appended to `pairs`
 /// (cleared first) and the returned [`JoinStats`] cover only this call
-/// (the engine's counters are reset at entry; its learned adaptive
-/// stage order is kept).
+/// (the engine's counters are reset at entry).
 ///
 /// Bit-identical (pairs *and* candidate/stage counters) to
 /// [`frozen_rs_join`] over the same inputs.

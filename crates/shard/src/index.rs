@@ -9,7 +9,7 @@
 //! [`crate::join`] and the isolation unit of delete/evict. The default
 //! map is a fixed multiplicative hash; batch builds can derive a
 //! [`ShardMap::balanced`] assignment from the observed size histogram
-//! instead (see `AdaptiveConfig::balanced_shards`).
+//! instead (see [`ShardConfig::balanced_shards`]).
 //!
 //! ## Dynamics
 //!
@@ -90,6 +90,14 @@ pub struct ShardConfig {
     /// …and at least this many postings are dead (hysteresis so small
     /// shards don't rebuild on every removal).
     pub min_dead_postings: u64,
+    /// Route size classes with a [`ShardMap::balanced`] map derived from
+    /// the size histogram a batch build observes (sharded/frozen joins
+    /// and the catalog freeze, via [`ShardedIndex::build_static`])
+    /// instead of the fixed hash. Results are bit-identical either way;
+    /// the load-evening win needs more than one core to show and is
+    /// unverified on the single-CPU benchmark host. The streaming index
+    /// keeps the hash map — it never sees the histogram up front.
+    pub balanced_shards: bool,
 }
 
 impl Default for ShardConfig {
@@ -100,6 +108,7 @@ impl Default for ShardConfig {
             verify_threads: 0,
             max_dead_fraction: 0.25,
             min_dead_postings: 256,
+            balanced_shards: false,
         }
     }
 }
@@ -150,7 +159,7 @@ fn hash_shard(size: u32, shards: usize) -> usize {
 /// adjacent size classes with a fixed multiplicative hash; under a
 /// skewed size distribution that can pile the heavy classes onto few
 /// shards, which [`Balanced`] corrects by bin-packing the *observed*
-/// posting masses (enabled via `AdaptiveConfig::balanced_shards`).
+/// posting masses (enabled via [`ShardConfig::balanced_shards`]).
 ///
 /// The map is part of a frozen catalog's identity: snapshots carry it in
 /// an explicit, checksummed section, and loading validates every shard's
@@ -251,9 +260,9 @@ impl ShardMap {
 /// [`ShardedIndex::insert_all`] — using each size class's subgraph
 /// count as its posting-mass proxy (bucket registrations are not known
 /// until insertion and track subgraph counts closely). This is the
-/// histogram the batch joins and the catalog freeze observe when
-/// `AdaptiveConfig::balanced_shards` is on.
-pub fn balanced_map_for(items: &[(TreeIdx, u32, Vec<Subgraph>)], shards: usize) -> ShardMap {
+/// histogram [`ShardedIndex::build_static`] observes when
+/// [`ShardConfig::balanced_shards`] is on.
+fn balanced_map_for(items: &[(TreeIdx, u32, Vec<Subgraph>)], shards: usize) -> ShardMap {
     let mut hist: FxHashMap<u32, u64> = FxHashMap::default();
     for (_, size, subgraphs) in items {
         *hist.entry(*size).or_insert(0) += subgraphs.len() as u64;
@@ -414,6 +423,29 @@ impl ShardedIndex {
         debug_assert!(self.live_trees == 0, "set replay mode before inserting");
         self.replay = false;
         self
+    }
+
+    /// The build-once index of the batch joins and the catalog freeze:
+    /// a [`ShardedIndex::without_replay`] index bulk-loaded with `items`
+    /// (`(tree, size, subgraphs)`, over scoped threads when `parallel`).
+    /// With [`ShardConfig::balanced_shards`] the routing is derived from
+    /// the items' size histogram before any posting lands; it moves
+    /// postings between shards, never changes which exist, so results
+    /// stay bit-identical to the hash map, and it travels with a
+    /// snapshot (`tsj-catalog` round-trips it).
+    pub fn build_static(
+        tau: u32,
+        window: WindowPolicy,
+        config: &ShardConfig,
+        items: Vec<(TreeIdx, u32, Vec<Subgraph>)>,
+        parallel: bool,
+    ) -> ShardedIndex {
+        let mut index = ShardedIndex::new(tau, window, config).without_replay();
+        if config.balanced_shards {
+            index.map = balanced_map_for(&items, index.shard_count());
+        }
+        index.insert_all(items, parallel);
+        index
     }
 
     /// Reassembles a sharded index from per-shard [`SubgraphIndex`]es

@@ -25,7 +25,7 @@
 //! shard count and thread count (asserted across the property suite).
 
 use crate::frozen::FrozenJoinScratch;
-use crate::index::{balanced_map_for, ShardConfig, ShardedIndex};
+use crate::index::{ShardConfig, ShardedIndex};
 use crate::pool::{execute, JoinSide};
 use partsj::join::PartSjDetail;
 use partsj::probe::{scan_small_trees, window_of, CandidateSink, ProbeCounters, StampSink};
@@ -177,17 +177,7 @@ pub fn sharded_join_detailed(
             None => small_by_size.entry(size).or_default().push(i),
         }
     }
-    // Batch joins never remove trees: skip the compaction replay log
-    // (halves build memory, moves instead of cloning every posting).
-    let mut index = ShardedIndex::new(tau, config.window, shard_cfg).without_replay();
-    if config.adaptive.balanced_shards {
-        // Routing moves postings between shards, never changes which
-        // exist — results stay bit-identical to the hash map.
-        index
-            .set_shard_map(balanced_map_for(&items, index.shard_count()))
-            .expect("empty index accepts a validated map");
-    }
-    index.insert_all(items, probe_threads > 1);
+    let index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
     detail.index_registrations = index.live_postings();
     let build_time = build_start.elapsed();
 

@@ -64,7 +64,7 @@ pub mod streaming;
 pub use frozen::{
     build_frozen_left, frozen_rs_join, frozen_rs_join_seq, FrozenJoinScratch, FrozenLeft,
 };
-pub use index::{balanced_map_for, ShardConfig, ShardMap, ShardedIndex};
+pub use index::{ShardConfig, ShardMap, ShardedIndex};
 pub use join::{build_subgraph_lists, sharded_join, sharded_join_detailed};
 pub use rs_join::sharded_rs_join;
 pub use streaming::{EvictionPolicy, ShardedStreamingJoin};

@@ -23,10 +23,8 @@
 //! The streaming index always routes with the default hash
 //! [`crate::ShardMap`]: a balanced map is derived from the *observed*
 //! size histogram, which a stream only reveals after the routing
-//! decisions are already made (`AdaptiveConfig::balanced_shards` is a
-//! batch/freeze-time knob). Adaptive verify-chain reordering, by
-//! contrast, applies here like everywhere else — the engine below is
-//! built from the supplied `PartSjConfig`.
+//! decisions are already made ([`crate::ShardConfig::balanced_shards`]
+//! is a batch/freeze-time knob and is ignored here).
 //!
 //! Per-tree bookkeeping (`4 B` stamp + liveness bit + size) still grows
 //! with the total stream length — ids are never recycled, keeping

@@ -10,26 +10,15 @@
 //!   brute-force partners of the live window, while compaction reclaims
 //!   tombstoned postings.
 
-use partsj::{partsj_join, partsj_join_rs, AdaptiveConfig, PartSjConfig, WindowPolicy};
-use tsj_datagen::{synthetic, SyntheticParams};
+use partsj::{partsj_join, partsj_join_rs, PartSjConfig, WindowPolicy};
+use tsj_datagen::synthetic_sized;
 use tsj_shard::{sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::Tree;
 
-fn collection(n: usize, avg_size: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size,
-            ..Default::default()
-        },
-        seed,
-    )
-}
-
 #[test]
 fn sharded_join_bit_identical_across_shard_counts() {
-    let trees = collection(120, 30, 42);
+    let trees = synthetic_sized(120, 30, 42);
     for tau in [0u32, 1, 3] {
         let reference = partsj_join(&trees, tau);
         for shards in [1usize, 2, 4, 8] {
@@ -50,11 +39,8 @@ fn sharded_join_bit_identical_across_shard_counts() {
             );
             // Same candidate semantics, not just same results.
             assert_eq!(
-                outcome.stats.candidates, reference.stats.candidates,
-                "shards = {shards}, tau = {tau}"
-            );
-            assert_eq!(
-                outcome.stats.prefilter_skips, reference.stats.prefilter_skips,
+                outcome.stats.work(),
+                reference.stats.work(),
                 "shards = {shards}, tau = {tau}"
             );
         }
@@ -66,113 +52,38 @@ fn sharded_join_bit_identical_across_shard_counts() {
 /// bit-identical to hash routing.
 #[test]
 fn balanced_shard_map_is_result_invariant() {
-    let trees = collection(100, 28, 31);
+    let trees = synthetic_sized(100, 28, 31);
     for window in [
         WindowPolicy::Safe,
         WindowPolicy::Tight,
         WindowPolicy::PaperAbsolute,
     ] {
-        let hash_cfg = PartSjConfig {
-            window,
-            ..Default::default()
-        };
-        let balanced_cfg = PartSjConfig {
-            window,
-            adaptive: AdaptiveConfig {
-                balanced_shards: true,
-                ..AdaptiveConfig::OFF
-            },
-            ..Default::default()
-        };
+        let config = PartSjConfig::with_window(window);
         for tau in [0u32, 1, 3] {
             for shards in [1usize, 2, 4, 8] {
-                let shard_cfg = ShardConfig {
+                let hash_cfg = ShardConfig {
                     shards,
                     probe_threads: 1,
                     verify_threads: 1,
                     ..Default::default()
                 };
-                let hash = sharded_join(&trees, tau, &hash_cfg, &shard_cfg);
-                let balanced = sharded_join(&trees, tau, &balanced_cfg, &shard_cfg);
+                let balanced_cfg = ShardConfig {
+                    balanced_shards: true,
+                    ..hash_cfg
+                };
+                let hash = sharded_join(&trees, tau, &config, &hash_cfg);
+                let balanced = sharded_join(&trees, tau, &config, &balanced_cfg);
                 let ctx = format!("window {window:?}, tau {tau}, shards {shards}");
                 assert_eq!(balanced.pairs, hash.pairs, "{ctx}");
-                assert_eq!(balanced.stats.candidates, hash.stats.candidates, "{ctx}");
-                assert_eq!(
-                    balanced.stats.prefilter_skips, hash.stats.prefilter_skips,
-                    "{ctx}"
-                );
-                assert_eq!(balanced.stats.ted_calls, hash.stats.ted_calls, "{ctx}");
+                assert_eq!(balanced.stats.work(), hash.stats.work(), "{ctx}");
             }
         }
     }
 }
 
-/// Adaptive chain reordering inside the sharded join — including the
-/// multi-worker verify pool, whose per-worker engines fold their
-/// reordered counters into one `JoinStats` — must be invisible in
-/// results and aggregate stats.
-#[test]
-fn adaptive_chain_is_result_invariant_in_the_sharded_join() {
-    let trees = collection(120, 26, 37);
-    let adaptive_cfg = PartSjConfig {
-        parallel_fallback: 0, // force the worker pools even when small
-        adaptive: AdaptiveConfig {
-            reorder_chain: true,
-            reorder_every: 16,
-            balanced_shards: true,
-        },
-        ..Default::default()
-    };
-    let fixed_cfg = PartSjConfig {
-        parallel_fallback: 0,
-        ..Default::default()
-    };
-    for tau in [0u32, 1, 3] {
-        let shard_cfg = ShardConfig {
-            shards: 4,
-            probe_threads: 2,
-            verify_threads: 2,
-            ..Default::default()
-        };
-        let fixed = sharded_join(&trees, tau, &fixed_cfg, &shard_cfg);
-        let adaptive = sharded_join(&trees, tau, &adaptive_cfg, &shard_cfg);
-        assert_eq!(adaptive.pairs, fixed.pairs, "tau {tau}");
-        assert_eq!(adaptive.stats.candidates, fixed.stats.candidates);
-        assert_eq!(adaptive.stats.ted_calls, fixed.stats.ted_calls);
-        assert_eq!(adaptive.stats.prefilter_skips, fixed.stats.prefilter_skips);
-        assert_eq!(adaptive.stats.early_accepts, fixed.stats.early_accepts);
-        // The per-worker fold (keyed by stage name, since each worker's
-        // engine may sit in a different order) must still produce one
-        // coherent stats block: no duplicate stage rows, and the stage
-        // counters accounting for exactly the skips and accepts.
-        let shape = |stats: &tsj_ted::JoinStats| {
-            let mut names: Vec<&'static str> = stats.stage_counts.iter().map(|c| c.stage).collect();
-            names.sort_unstable();
-            let sum: u64 = stats.stage_counts.iter().map(|c| c.count).sum();
-            (names, sum)
-        };
-        let (a_names, a_sum) = shape(&adaptive.stats);
-        let (f_names, f_sum) = shape(&fixed.stats);
-        let mut deduped = a_names.clone();
-        deduped.dedup();
-        assert_eq!(
-            deduped.len(),
-            a_names.len(),
-            "duplicate stage rows after fold"
-        );
-        assert_eq!(a_names, f_names, "tau {tau}");
-        assert_eq!(a_sum, f_sum, "tau {tau}");
-        assert_eq!(
-            a_sum,
-            fixed.stats.prefilter_skips + fixed.stats.early_accepts,
-            "tau {tau}"
-        );
-    }
-}
-
 #[test]
 fn sharded_join_parallel_pipeline_matches_sequential() {
-    let all = collection(150, 25, 7);
+    let all = synthetic_sized(150, 25, 7);
     // The full input, and a two-tree one the pool is forced onto.
     let twins = [all[0].clone(), all[0].clone()];
     let (all, twins) = (&all[..], &twins[..]);
@@ -214,22 +125,15 @@ fn sharded_join_parallel_pipeline_matches_sequential() {
                 trees.len()
             );
             assert_eq!(outcome.pairs, reference.pairs, "{row}");
-            assert_eq!(
-                outcome.stats.candidates, reference.stats.candidates,
-                "{row}"
-            );
-            assert_eq!(
-                outcome.stats.stage_counts, reference.stats.stage_counts,
-                "{row}"
-            );
+            assert_eq!(outcome.stats.work(), reference.stats.work(), "{row}");
         }
     }
 }
 
 #[test]
 fn sharded_rs_join_matches_sequential_rs() {
-    let left = collection(60, 22, 11);
-    let right = collection(80, 22, 12);
+    let left = synthetic_sized(60, 22, 11);
+    let right = synthetic_sized(80, 22, 12);
     for tau in [0u32, 1, 3] {
         let reference = partsj_join_rs(&left, &right, tau, &PartSjConfig::default());
         for shards in [1usize, 4] {
@@ -271,7 +175,7 @@ fn sharded_rs_join_matches_sequential_rs() {
 /// symmetric probe window.
 #[test]
 fn streaming_without_eviction_matches_batch() {
-    let mut trees = collection(80, 25, 13);
+    let mut trees = synthetic_sized(80, 25, 13);
     for pass in 0..2 {
         if pass == 1 {
             trees.reverse();
@@ -304,8 +208,8 @@ fn streaming_without_eviction_matches_batch() {
 /// indistinguishable from one where they never existed.
 #[test]
 fn insert_then_remove_equals_never_inserted() {
-    let trees = collection(50, 24, 17);
-    let victims = collection(12, 24, 99);
+    let trees = synthetic_sized(50, 24, 17);
+    let victims = synthetic_sized(12, 24, 99);
     let split = 25usize;
     let tau = 2u32;
 
@@ -406,7 +310,7 @@ impl WindowMirror {
 
 #[test]
 fn sliding_count_window_matches_brute_force() {
-    let trees = collection(70, 18, 23);
+    let trees = synthetic_sized(70, 18, 23);
     let tau = 2u32;
     let policy = EvictionPolicy::SlidingCount(9);
     let mut stream = ShardedStreamingJoin::new(
@@ -441,7 +345,7 @@ fn sliding_count_window_matches_brute_force() {
 
 #[test]
 fn sliding_time_window_matches_brute_force() {
-    let trees = collection(60, 18, 29);
+    let trees = synthetic_sized(60, 18, 29);
     let tau = 1u32;
     let policy = EvictionPolicy::SlidingTime(5);
     let mut stream = ShardedStreamingJoin::new(

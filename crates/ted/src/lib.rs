@@ -27,7 +27,7 @@ pub use bounds::{
 };
 pub use cost::CostModel;
 pub use hybrid::{ted, PreparedTree, Strategy, TedEngine};
-pub use outcome::{JoinOutcome, JoinStats, StageCount, TreeIdx};
+pub use outcome::{JoinOutcome, JoinStats, JoinWork, StageCount, TreeIdx};
 pub use sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
 pub use ted_tree::{TedBuildScratch, TedTree};
 pub use zs::{tree_distance, zhang_shasha, TedWorkspace};

@@ -8,6 +8,7 @@
 //! and PartSJ — return the same [`JoinOutcome`] so the harness and the
 //! equivalence tests can treat them uniformly.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Index of a tree within the joined collection.
@@ -17,12 +18,13 @@ pub type TreeIdx = u32;
 /// *resolved* at this stage — rejected by a lower bound, or admitted by an
 /// upper bound — and therefore never reached the exact TED computation.
 ///
-/// The stage name comes from the filter implementation (e.g. `"size"`,
-/// `"traversal-sed"`); this crate only defines the counter shape so every
-/// join entry point can report the same breakdown in [`JoinStats`].
+/// The stage name is one of the verify chain's closed set (`"size"`,
+/// `"shape-accept"`, `"label-hist"`, `"traversal-sed"`); this crate only
+/// defines the counter shape so every join entry point can report the
+/// same breakdown in [`JoinStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCount {
-    /// Stage name, as reported by the filter implementation.
+    /// Stage name, as reported by the verify chain.
     pub stage: &'static str,
     /// Candidate pairs resolved at this stage.
     pub count: u64,
@@ -62,7 +64,48 @@ pub struct JoinStats {
     pub stage_counts: Vec<StageCount>,
 }
 
+/// The deterministic half of a [`JoinStats`] — what the bit-identity
+/// contract between join paths compares: the six work counters and the
+/// per-stage counters keyed by name (rows that resolved nothing dropped,
+/// so report order and omitted stages do not matter). Wall times are
+/// left out. Built by [`JoinStats::work`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinWork {
+    /// [`JoinStats::pairs_examined`].
+    pub pairs_examined: u64,
+    /// [`JoinStats::candidates`].
+    pub candidates: u64,
+    /// [`JoinStats::results`].
+    pub results: u64,
+    /// [`JoinStats::ted_calls`].
+    pub ted_calls: u64,
+    /// [`JoinStats::prefilter_skips`].
+    pub prefilter_skips: u64,
+    /// [`JoinStats::early_accepts`].
+    pub early_accepts: u64,
+    /// Nonzero [`JoinStats::stage_counts`], by stage name.
+    pub stages: BTreeMap<&'static str, u64>,
+}
+
 impl JoinStats {
+    /// The counters two bit-identical joins must agree on: compare with
+    /// `assert_eq!(a.stats.work(), b.stats.work())`.
+    pub fn work(&self) -> JoinWork {
+        let mut stages = BTreeMap::new();
+        for sc in self.stage_counts.iter().filter(|sc| sc.count > 0) {
+            *stages.entry(sc.stage).or_insert(0) += sc.count;
+        }
+        JoinWork {
+            pairs_examined: self.pairs_examined,
+            candidates: self.candidates,
+            results: self.results,
+            ted_calls: self.ted_calls,
+            prefilter_skips: self.prefilter_skips,
+            early_accepts: self.early_accepts,
+            stages,
+        }
+    }
+
     /// Total measured time (candidate generation + verification).
     pub fn total_time(&self) -> Duration {
         self.candidate_time + self.verify_time
@@ -208,6 +251,40 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn work_ignores_durations_row_order_and_zero_rows_only() {
+        let row = |stage, count| StageCount { stage, count };
+        let stats = JoinStats {
+            candidates: 9,
+            ted_calls: 4,
+            candidate_time: Duration::from_millis(5),
+            stage_counts: vec![row("size", 2), row("label-hist", 3)],
+            ..Default::default()
+        };
+        let same_work = JoinStats {
+            candidate_time: Duration::from_millis(50),
+            verify_time: Duration::from_millis(7),
+            stage_counts: vec![
+                row("label-hist", 3),
+                row("traversal-sed", 0),
+                row("size", 2),
+            ],
+            ..stats.clone()
+        };
+        assert_ne!(stats, same_work);
+        assert_eq!(stats.work(), same_work.work());
+        let one_stage_off = JoinStats {
+            stage_counts: vec![row("size", 2), row("label-hist", 4)],
+            ..stats.clone()
+        };
+        assert_ne!(stats.work(), one_stage_off.work());
+        let one_counter_off = JoinStats {
+            ted_calls: 5,
+            ..stats.clone()
+        };
+        assert_ne!(stats.work(), one_counter_off.work());
     }
 
     #[test]

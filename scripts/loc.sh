@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The three numbers a PR states (ROADMAP, standing constraints), counted
 # one way: source lines per crate, the join-stack subtotal, all Rust
-# outside benchmark/ vendor/ target/, and the test-group count.
+# outside benchmark/ vendor/ target/, and the test-group count — plus
+# `options`, the public fields of the ten config structs (ROADMAP 4(c):
+# they "come out with fewer fields than they went in").
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -24,6 +26,18 @@ printf '%-32s %6d\n' 'tests (crates/*/tests + tests/)' \
 printf '%-32s %6d\n' 'all *.rs (no benchmark/vendor)' \
   "$(find . -name '*.rs' -not -path './benchmark/*' -not -path './vendor/*' \
     -not -path './target/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+
+# Public fields of `pub struct $1` (its body runs to the first `^}`).
+pub_fields() { sed -n "/^pub struct $1 {/,/^}/p" crates/*/src/*.rs | grep -c '^    pub '; }
+
+options=0
+for config in PartSjConfig VerifyConfig ShardConfig ObsConfig ClusterConfig RetryPolicy \
+  FaultPlan ClientConfig PoolConfig ServerConfig; do
+  fields=$(pub_fields "$config")
+  printf '  %-14s %2d\n' "$config" "$fields"
+  options=$((options + fields))
+done
+printf '%-32s %6d\n' 'options (pub config fields)' "$options"
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"

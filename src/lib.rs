@@ -72,8 +72,8 @@
 //! ## Configuring the verification filter chain
 //!
 //! Every entry point verifies candidates through one engine
-//! ([`partsj::VerifyEngine`]): an ordered chain of cheap lower/upper
-//! distance bounds in front of exact TED, configured per stage via
+//! ([`partsj::VerifyEngine`]): a fixed chain of four cheap lower/upper
+//! distance bounds in front of exact TED, each switched on or off via
 //! [`prelude::VerifyConfig`]. Disabling a stage never changes the result
 //! pairs — every stage is a sound bound — it only shifts work onto the
 //! exact TED fallback:
@@ -216,9 +216,8 @@ pub mod prelude {
     pub use partsj::partsj_join_rs as rs_join;
     pub use partsj::{
         partsj_join, partsj_join_detailed, partsj_join_rs, partsj_join_with, partsj_topk,
-        partsj_topk_with, AdaptiveConfig, FilterStage, MatchSemantics, PartSjConfig,
-        PartitionScheme, StageKind, StageVerdict, TopKOutcome, TopKPair, VerifyConfig, VerifyData,
-        VerifyEngine, WindowPolicy,
+        partsj_topk_with, MatchSemantics, PartSjConfig, PartitionScheme, TopKOutcome, TopKPair,
+        VerifyConfig, VerifyData, VerifyEngine, WindowPolicy,
     };
     pub use tsj_baselines::{brute_force_join, set_join, str_join};
     pub use tsj_catalog::{Catalog, CatalogError, SnapshotReader};
@@ -228,7 +227,8 @@ pub mod prelude {
         Topology, VirtualClock,
     };
     pub use tsj_datagen::{
-        collection_stats, sentiment_like, swissprot_like, synthetic, treebank_like, SyntheticParams,
+        collection_stats, sentiment_like, swissprot_like, synthetic, synthetic_sized,
+        treebank_like, SyntheticParams,
     };
     pub use tsj_obs::{
         Clock, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

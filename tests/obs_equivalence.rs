@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tree_similarity_join::obs::{self, ObsConfig};
 use tree_similarity_join::prelude::*;
+use tree_similarity_join::ted::JoinWork;
 
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
@@ -20,35 +21,16 @@ static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     join_pairs: Vec<(u32, u32)>,
-    join_counters: (u64, u64, u64, u64),
-    join_stages: Vec<(&'static str, u64)>,
+    join_work: JoinWork,
     sharded_pairs: Vec<(u32, u32)>,
     search_hits: Vec<(u32, u32)>,
     stream_partners: Vec<Vec<u32>>,
     stream_evictions: u64,
     stream_compactions: u64,
     cluster_pairs: Vec<(u32, u32)>,
-    cluster_counters: (u64, u64, u64, u64),
-    cluster_stages: Vec<(&'static str, u64)>,
+    cluster_work: JoinWork,
     cluster_telemetry: Telemetry,
     cluster_degraded: Option<Degraded>,
-}
-
-fn counters_of(stats: &JoinStats) -> (u64, u64, u64, u64) {
-    (
-        stats.candidates,
-        stats.ted_calls,
-        stats.prefilter_skips,
-        stats.early_accepts,
-    )
-}
-
-fn stages_of(stats: &JoinStats) -> Vec<(&'static str, u64)> {
-    stats
-        .stage_counts
-        .iter()
-        .map(|c| (c.stage, c.count))
-        .collect()
 }
 
 /// Runs the full stack — batch join, sharded join, similarity search,
@@ -117,16 +99,14 @@ fn fingerprint(left: &[Tree], right: &[Tree], tau: u32, shards: usize, seed: u64
     let served = cluster.join(right, tau, &config).expect("join runs");
 
     Fingerprint {
-        join_counters: counters_of(&join.stats),
-        join_stages: stages_of(&join.stats),
+        join_work: join.stats.work(),
         join_pairs: join.pairs,
         sharded_pairs: sharded.pairs,
         search_hits,
         stream_partners,
         stream_evictions: stream.evictions(),
         stream_compactions: stream.compactions(),
-        cluster_counters: counters_of(&served.outcome.stats),
-        cluster_stages: stages_of(&served.outcome.stats),
+        cluster_work: served.outcome.stats.work(),
         cluster_pairs: served.outcome.pairs,
         cluster_telemetry: served.telemetry,
         cluster_degraded: served.degraded,
@@ -135,22 +115,8 @@ fn fingerprint(left: &[Tree], right: &[Tree], tau: u32, shards: usize, seed: u64
 
 fn check_matrix(seed: u64, tau: u32, shards: usize) {
     let guard = CONFIG_LOCK.lock().unwrap();
-    let left = synthetic(
-        24,
-        &SyntheticParams {
-            avg_size: 12,
-            ..Default::default()
-        },
-        seed,
-    );
-    let right = synthetic(
-        8,
-        &SyntheticParams {
-            avg_size: 12,
-            ..Default::default()
-        },
-        seed.wrapping_add(1),
-    );
+    let left = synthetic_sized(24, 12, seed);
+    let right = synthetic_sized(8, 12, seed.wrapping_add(1));
     let baseline = {
         obs::configure(&ObsConfig::ON);
         fingerprint(&left, &right, tau, shards, seed)

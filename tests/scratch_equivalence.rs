@@ -11,39 +11,13 @@ use tree_similarity_join::shard::{
 };
 
 fn dataset(n: usize, seed: u64) -> Vec<Tree> {
-    synthetic(
-        n,
-        &SyntheticParams {
-            avg_size: 30,
-            ..SyntheticParams::default()
-        },
-        seed,
-    )
+    synthetic_sized(n, 30, seed)
 }
 
 /// Everything two outcomes must share to count as bit-identical.
 fn assert_same(reference: &JoinOutcome, other: &JoinOutcome, what: &str) {
     assert_eq!(other.pairs, reference.pairs, "{what}: pairs diverged");
-    assert_eq!(
-        other.stats.candidates, reference.stats.candidates,
-        "{what}: candidate counts diverged"
-    );
-    assert_eq!(
-        other.stats.prefilter_skips, reference.stats.prefilter_skips,
-        "{what}: prefilter skips diverged"
-    );
-    assert_eq!(
-        other.stats.early_accepts, reference.stats.early_accepts,
-        "{what}: early accepts diverged"
-    );
-    assert_eq!(
-        other.stats.ted_calls, reference.stats.ted_calls,
-        "{what}: TED call counts diverged"
-    );
-    assert_eq!(
-        other.stats.stage_counts, reference.stats.stage_counts,
-        "{what}: per-stage counters diverged"
-    );
+    assert_eq!(other.stats.work(), reference.stats.work(), "{what}");
 }
 
 #[test]
