@@ -4,19 +4,17 @@ use crate::error::CatalogError;
 use crate::snapshot::{
     assemble, encode_labels, encode_shard, encode_shard_map, encode_trees, SnapshotReader,
 };
-use partsj::{PartSjConfig, SubgraphIndex, VerifyData, VerifyEngine, WindowPolicy};
+use partsj::{PartSjConfig, VerifyConfig, VerifyEngine, WindowPolicy};
 use std::path::Path;
-use tsj_shard::{
-    build_frozen_left, frozen_rs_join, frozen_rs_join_seq, FrozenJoinScratch, FrozenLeft,
-    ShardConfig, ShardedIndex,
-};
+use tsj_shard::{Frozen, FrozenJoinScratch, ShardConfig, ShardedIndex};
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
-use tsj_tree::{FxHashMap, LabelInterner, Tree};
+use tsj_tree::{LabelInterner, Tree};
 
-/// A frozen left collection: the sharded subgraph index over its trees,
-/// the trees themselves, their label space and their precomputed
-/// verification inputs — everything needed to serve indexed-left joins
-/// and single-probe queries without rebuilding anything.
+/// A frozen left collection: its [`Frozen`] side (the sharded subgraph
+/// index, the side list of small trees and the precomputed verification
+/// inputs), the trees themselves and their label space — everything
+/// needed to serve indexed-left joins and single-probe queries without
+/// rebuilding anything.
 ///
 /// Build one with [`Catalog::freeze`], persist it with
 /// [`Catalog::save`] and bring it back with [`Catalog::load`]; the
@@ -39,15 +37,11 @@ use tsj_tree::{FxHashMap, LabelInterner, Tree};
 pub struct Catalog {
     labels: LabelInterner,
     trees: Vec<Tree>,
-    tau: u32,
-    window: WindowPolicy,
-    index: ShardedIndex,
-    small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
-    left_data: Vec<VerifyData>,
+    frozen: Frozen,
 }
 
-/// Reusable scratch for [`Catalog::query_with_engine`] — the same type
-/// as [`FrozenJoinScratch`], under the name point-query callers know:
+/// Reusable scratch for [`Catalog::query_into`] — the same type as
+/// [`FrozenJoinScratch`], under the name point-query callers know:
 /// the O(catalog-size) candidate-dedup stamp array, the per-shard match
 /// caches and the probe buffers. Holding one of these (plus a
 /// [`VerifyEngine`]) across a serving loop's point queries makes each
@@ -76,15 +70,13 @@ impl Catalog {
         let freeze_span = tsj_obs::span("catalog.freeze", "catalog");
         // The exact build phase of `sharded_rs_join` — sharing the one
         // builder is what keeps a frozen catalog bit-identical to the
-        // direct join. The catalog additionally tracks the side-listed
-        // small trees for liveness/size accounting.
-        let (mut index, small_by_size) = build_frozen_left(&trees, tau, config, shard_cfg);
-        for (&size, list) in &small_by_size {
-            for &i in list {
-                index.track(i, size);
-            }
-        }
-        let left_data = VerifyData::batch(&trees);
+        // direct join — with every stage's verification inputs: queries
+        // choose their filters per call.
+        let all_stages = PartSjConfig {
+            verify: VerifyConfig::ALL,
+            ..*config
+        };
+        let frozen = Frozen::build(&trees, tau, &all_stages, shard_cfg);
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_freezes_total").inc();
@@ -95,23 +87,19 @@ impl Catalog {
         Catalog {
             labels,
             trees,
-            tau,
-            window: config.window,
-            index,
-            small_by_size,
-            left_data,
+            frozen,
         }
     }
 
     /// The threshold the catalog was frozen for — the ceiling of every
     /// per-query threshold.
     pub fn tau(&self) -> u32 {
-        self.tau
+        self.index().tau()
     }
 
     /// The window policy frozen into the index.
     pub fn window(&self) -> WindowPolicy {
-        self.window
+        self.index().window()
     }
 
     /// Number of catalog trees.
@@ -126,7 +114,7 @@ impl Catalog {
 
     /// Number of index shards (fixed at freeze time).
     pub fn shard_count(&self) -> usize {
-        self.index.shard_count()
+        self.index().shard_count()
     }
 
     /// The catalog trees, indexed by the left component of result pairs.
@@ -148,22 +136,19 @@ impl Catalog {
 
     /// The frozen sharded index (read-only).
     pub fn index(&self) -> &ShardedIndex {
-        &self.index
+        self.frozen.index()
     }
 
-    fn frozen(&self) -> FrozenLeft<'_> {
-        FrozenLeft {
-            index: &self.index,
-            small_by_size: &self.small_by_size,
-            left_data: &self.left_data,
-        }
+    /// The frozen side every join and query of this catalog probes.
+    pub fn frozen(&self) -> &Frozen {
+        &self.frozen
     }
 
     fn check_tau(&self, query: u32) -> Result<(), CatalogError> {
-        if query > self.tau {
+        if query > self.tau() {
             return Err(CatalogError::TauExceedsFrozen {
                 query,
-                frozen: self.tau,
+                frozen: self.tau(),
             });
         }
         Ok(())
@@ -188,8 +173,7 @@ impl Catalog {
         shard_cfg: &ShardConfig,
     ) -> Result<JoinOutcome, CatalogError> {
         self.check_tau(tau)?;
-        Ok(frozen_rs_join(
-            &self.frozen(),
+        Ok(self.frozen.join(
             probes,
             tau,
             config,
@@ -216,15 +200,9 @@ impl Catalog {
         pairs: &mut Vec<(TreeIdx, TreeIdx)>,
     ) -> Result<JoinStats, CatalogError> {
         self.check_tau(tau)?;
-        Ok(frozen_rs_join_seq(
-            &self.frozen(),
-            probes,
-            tau,
-            config,
-            verify,
-            scratch,
-            pairs,
-        ))
+        Ok(self
+            .frozen
+            .join_seq(probes, tau, config, verify, scratch, pairs))
     }
 
     /// Single-probe similarity search — the query type the paper's
@@ -233,10 +211,10 @@ impl Catalog {
     /// `(tree index, exact distance)` pairs. Distances are exact — the
     /// engine only short-circuits on provably tight certificates.
     ///
-    /// This convenience form allocates a fresh engine and
-    /// [`QueryScratch`] per call; a serving loop should hold both and
-    /// use [`Catalog::query_with_engine`] so the O(catalog) stamp array
-    /// and the per-shard match caches amortize across probes.
+    /// This convenience form allocates a fresh engine, [`QueryScratch`]
+    /// and hit vector per call; a serving loop should hold all three and
+    /// use [`Catalog::query_into`] so the O(catalog) stamp array and the
+    /// per-shard match caches amortize across probes.
     pub fn query(
         &self,
         probe: &Tree,
@@ -244,29 +222,16 @@ impl Catalog {
         config: &PartSjConfig,
     ) -> Result<Vec<(TreeIdx, u32)>, CatalogError> {
         let mut engine = VerifyEngine::with_filters(tau, &config.verify);
-        self.query_with_engine(probe, config, &mut engine, &mut QueryScratch::default())
-    }
-
-    /// Like [`Catalog::query`], reusing a caller-owned engine (its
-    /// threshold is the query threshold and must not exceed the frozen
-    /// one) and [`QueryScratch`] across probes — repeated point queries
-    /// then allocate nothing proportional to the catalog. Only the
-    /// returned hit vector is fresh per call; [`Catalog::query_into`]
-    /// recycles that too.
-    pub fn query_with_engine(
-        &self,
-        probe: &Tree,
-        config: &PartSjConfig,
-        engine: &mut VerifyEngine,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(TreeIdx, u32)>, CatalogError> {
         let mut hits = Vec::new();
-        self.query_into(probe, config, engine, scratch, &mut hits)?;
+        let mut scratch = QueryScratch::default();
+        self.query_into(probe, config, &mut engine, &mut scratch, &mut hits)?;
         Ok(hits)
     }
 
-    /// The fully recycled form of [`Catalog::query_with_engine`]: hits
-    /// are written into `out` (cleared first, ascending
+    /// The fully recycled form of [`Catalog::query`], reusing a
+    /// caller-owned engine (its threshold is the query threshold and
+    /// must not exceed the frozen one) and [`QueryScratch`] across
+    /// probes: hits are written into `out` (cleared first, ascending
     /// `(tree index, exact distance)`). With a warmed engine and scratch,
     /// a steady-state query performs **zero heap allocations** — the
     /// probe tree's LC-RS form, postorder numbers and verification inputs
@@ -281,7 +246,7 @@ impl Catalog {
         out: &mut Vec<(TreeIdx, u32)>,
     ) -> Result<(), CatalogError> {
         self.check_tau(engine.tau())?;
-        self.frozen()
+        self.frozen
             .query_into(probe, config.matching, engine, scratch, out);
         Ok(())
     }
@@ -290,14 +255,16 @@ impl Catalog {
     /// (see [`crate::snapshot`] for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let save_span = tsj_obs::span("catalog.save", "catalog");
-        let mut sections = Vec::with_capacity(3 + self.index.shard_count());
+        let index = self.index();
+        let mut sections = Vec::with_capacity(3 + index.shard_count());
         sections.push(encode_labels(&self.labels));
         sections.push(encode_trees(&self.trees));
-        sections.push(encode_shard_map(self.index.shard_map()));
-        for s in 0..self.index.shard_count() {
-            sections.push(encode_shard(&self.index.shard_index(s).dump()));
+        sections.push(encode_shard_map(index.shard_map()));
+        for s in 0..index.shard_count() {
+            sections.push(encode_shard(&index.shard_index(s).dump()));
         }
-        let bytes = assemble(self.tau, self.window, self.trees.len() as u32, &sections);
+        let tree_count = self.trees.len() as u32;
+        let bytes = assemble(index.tau(), index.window(), tree_count, &sections);
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_saves_total").inc();
@@ -342,10 +309,10 @@ impl Catalog {
     }
 
     /// Deserializes a catalog from snapshot bytes, validating magic,
-    /// version, checksums and every structural cross-reference. The
-    /// tree store drives the rebuild of the small-tree side list and the
-    /// per-tree verification inputs; the shard sections restore the
-    /// index postings verbatim.
+    /// version, checksums and every structural cross-reference
+    /// ([`SnapshotReader::restore`]). The tree store drives the rebuild
+    /// of the small-tree side list and the per-tree verification inputs;
+    /// the shard sections restore the index postings verbatim.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Catalog, CatalogError> {
         let reader = SnapshotReader::from_bytes(bytes)?;
         Catalog::from_reader(&reader)
@@ -362,43 +329,7 @@ impl Catalog {
     pub fn from_reader(reader: &SnapshotReader) -> Result<Catalog, CatalogError> {
         let load_span = tsj_obs::span("catalog.load", "catalog");
         let labels = reader.labels()?;
-        let trees = reader.trees()?;
-        let tau = reader.tau();
-        let window = reader.window();
-        let map = reader.shard_map()?;
-        let shards: Vec<SubgraphIndex> = (0..reader.shard_count())
-            .map(|s| reader.shard(s))
-            .collect::<Result<_, _>>()?;
-        let index = ShardedIndex::from_frozen_parts(
-            tau,
-            window,
-            map,
-            shards,
-            trees
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (i as TreeIdx, t.len() as u32)),
-        )
-        .map_err(|context| CatalogError::Corrupt { context })?;
-        // Cross-check: every posting's container tree must exist in the
-        // tree store (a dangling tree id would panic in the verify
-        // phase, far from the load).
-        for s in 0..index.shard_count() {
-            let shard = index.shard_index(s);
-            for handle in 0..shard.len() as u32 {
-                let tree = shard.tree_of(handle);
-                if tree as usize >= trees.len() {
-                    return Err(CatalogError::Corrupt {
-                        context: format!(
-                            "shard {s} references tree {tree} but the store holds {}",
-                            trees.len()
-                        ),
-                    });
-                }
-            }
-        }
-        let small_by_size = partsj::side_list(&trees, tau);
-        let left_data = VerifyData::batch(&trees);
+        let (trees, frozen) = reader.restore(0..reader.shard_count() as u32)?;
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_loads_total").inc();
@@ -407,11 +338,7 @@ impl Catalog {
         Ok(Catalog {
             labels,
             trees,
-            tau,
-            window,
-            index,
-            small_by_size,
-            left_data,
+            frozen,
         })
     }
 }
@@ -453,29 +380,6 @@ mod tests {
         assert_eq!(outcome.pairs, vec![(0, 0), (1, 0)]);
         let hits = catalog.query(&probe, 1, &PartSjConfig::default()).unwrap();
         assert_eq!(hits, vec![(0, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn query_scratch_reuse_matches_fresh_queries() {
-        let catalog = catalog_from(
-            &["{a{b}{c}}", "{a{b}{d}}", "{x{y{z}}}", "{a{b}{c}{d}}", "{q}"],
-            2,
-        );
-        let mut labels = catalog.labels().clone();
-        let probes: Vec<Tree> = ["{a{b}{c}}", "{x{y}}", "{q}", "{a{b}{c}}"]
-            .iter()
-            .map(|s| parse_bracket(s, &mut labels).unwrap())
-            .collect();
-        let config = PartSjConfig::default();
-        let mut engine = VerifyEngine::with_filters(2, &config.verify);
-        let mut scratch = QueryScratch::default();
-        for probe in &probes {
-            let fresh = catalog.query(probe, 2, &config).unwrap();
-            let reused = catalog
-                .query_with_engine(probe, &config, &mut engine, &mut scratch)
-                .unwrap();
-            assert_eq!(reused, fresh);
-        }
     }
 
     #[test]
@@ -580,8 +484,11 @@ mod tests {
         assert_eq!(loaded.shard_count(), catalog.shard_count());
         assert_eq!(loaded.labels().len(), catalog.labels().len());
         // `{q}` is below δ = 3: the restored side list is the frozen one.
-        assert_eq!(loaded.small_by_size, catalog.small_by_size);
-        assert_eq!(loaded.small_by_size[&1], vec![3]);
+        assert_eq!(
+            loaded.frozen().small_by_size(),
+            catalog.frozen().small_by_size()
+        );
+        assert_eq!(loaded.frozen().small_by_size()[&1], vec![3]);
         for (a, b) in catalog.trees().iter().zip(loaded.trees()) {
             assert!(a.structurally_eq(b));
         }

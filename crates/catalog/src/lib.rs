@@ -13,15 +13,16 @@
 //! continuously. This crate provides the three pieces:
 //!
 //! * **[`Catalog::freeze`]** — partition and index a collection for a
-//!   freeze threshold `τ_f`, exactly as [`tsj_shard::sharded_rs_join`]'s
-//!   build phase would.
+//!   freeze threshold `τ_f` into a [`tsj_shard::Frozen`] side, exactly
+//!   as [`tsj_shard::sharded_rs_join`]'s build phase does.
 //! * **Snapshots** — [`Catalog::save`] / [`Catalog::load`] persist the
 //!   catalog as a checked binary format (magic, version, per-section
 //!   FNV-1a checksums): label store, tree store, and one independently
 //!   decodable section per shard — the unit of multi-node placement.
 //!   Corruption surfaces as a typed [`CatalogError`], never a panic.
-//!   [`SnapshotReader`] reads headers and individual shards without
-//!   decoding the rest.
+//!   [`SnapshotReader`] reads headers without decoding the rest, and
+//!   [`SnapshotReader::restore`] is the one validating way a snapshot
+//!   — whole, or a node's owned shards — becomes a frozen side again.
 //! * **Serving** — [`Catalog::join`] runs batch probes through the same
 //!   probe fan-out + bounded-channel verify pool as the sharded R×S
 //!   join (bit-identical pairs and candidate counts at `τ = τ_f`);

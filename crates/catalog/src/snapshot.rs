@@ -40,7 +40,7 @@ use partsj::{
 };
 use partsj::{ChildKind, SgNode};
 use std::path::Path;
-use tsj_shard::ShardMap;
+use tsj_shard::{Frozen, ShardMap};
 use tsj_tree::{Label, LabelInterner, Tree};
 
 /// Leading bytes of every catalog snapshot.
@@ -408,9 +408,9 @@ struct SectionEntry {
 /// lazily (and checksum-verified) on access.
 ///
 /// This is the distribution-friendly view of a snapshot: a node that
-/// owns shard `s` calls [`SnapshotReader::shard`]`(s)` and never touches
-/// the other shards' bytes. [`crate::Catalog::load`] uses the same
-/// reader to decode everything.
+/// owns shards `{2, 5}` calls [`SnapshotReader::restore`]`([2, 5])` and
+/// never touches the other shards' bytes. [`crate::Catalog::load`]
+/// calls the same restore with every shard.
 #[derive(Debug)]
 pub struct SnapshotReader {
     bytes: Vec<u8>,
@@ -578,6 +578,35 @@ impl SnapshotReader {
             });
         }
         Ok(index)
+    }
+
+    /// The one way a snapshot becomes a servable frozen side — whole
+    /// (`Catalog`: every shard) or in part (a cluster node: the shards
+    /// it owns; the rest stay empty). Decodes the tree store, the shard
+    /// map and the `owned` shard sections, each checksum-verified, and
+    /// hands them to [`Frozen::restore`], whose cross-checks — every
+    /// shard frozen for the header's `(tau, window)` and holding only
+    /// size classes the map gives it, no tree tracked twice, every
+    /// posting's tree present in the store — turn a checksum-valid but
+    /// inconsistent snapshot into a typed [`CatalogError::Corrupt`]
+    /// here, not a panic or a short answer in a later probe. Returns
+    /// the trees beside the frozen side, for callers that keep them.
+    pub fn restore(
+        &self,
+        owned: impl IntoIterator<Item = u32>,
+    ) -> Result<(Vec<Tree>, Frozen), CatalogError> {
+        let trees = self.trees()?;
+        let map = self.shard_map()?;
+        let mut shards: Vec<SubgraphIndex> = (0..self.shard_count())
+            .map(|_| SubgraphIndex::new(self.tau, self.window))
+            .collect();
+        for s in owned {
+            let index = self.shard(s as usize)?; // range-checked before the slot is indexed
+            shards[s as usize] = index;
+        }
+        let frozen = Frozen::restore(self.tau, self.window, map, shards, &trees)
+            .map_err(|context| CatalogError::Corrupt { context })?;
+        Ok((trees, frozen))
     }
 }
 

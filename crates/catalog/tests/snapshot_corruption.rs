@@ -4,6 +4,12 @@
 //! and never a silently wrong catalog. Plus a property test that
 //! save → load round-trips arbitrary generated collections.
 
+/// The crafted checksum-valid snapshots, shared with the cluster and
+/// catalogd suites.
+#[path = "../../cluster/tests/common/mod.rs"]
+mod crafted;
+
+use crafted::{crafted, Flaw};
 use partsj::PartSjConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -128,6 +134,21 @@ fn single_bit_flips_never_panic() {
         undetected_section_damage, 0,
         "checksums must catch every payload flip"
     );
+}
+
+/// Damage no checksum sees: sections that are each intact but contradict
+/// one another (tree store one tree short, shard sections rotated, one
+/// shard frozen at another τ) must fail the restore's cross-checks with
+/// the typed `Corrupt` — not load and panic, or answer short, later.
+#[test]
+fn checksum_valid_but_inconsistent_snapshots_are_corrupt() {
+    let catalog = crafted::freeze(&synthetic_sized(24, 16, 71), 1, 8);
+    for flaw in Flaw::ALL {
+        match Catalog::from_bytes(crafted(&catalog, flaw)) {
+            Err(CatalogError::Corrupt { .. }) => {}
+            other => panic!("{flaw:?}: expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 fn random_collection(seed: u64) -> Vec<Tree> {

@@ -7,6 +7,9 @@
 //! through a pipelined burst.
 
 mod common;
+/// The crafted checksum-valid snapshots, shared with the cluster suite.
+#[path = "../../cluster/tests/common/mod.rs"]
+mod crafted;
 
 use common::{assert_bit_identical, Then};
 use partsj::PartSjConfig;
@@ -90,6 +93,23 @@ fn tau_above_frozen_is_refused() {
     let addrs: Vec<SocketAddr> = servers.iter().map(RunningServer::addr).collect();
     let mut client = ClusterClient::connect(&addrs, ClientConfig::default()).expect("connect");
     assert!(client.join(&probes, &probe_labels, 2).is_err());
+}
+
+/// A checksum-valid but self-contradictory snapshot never becomes a
+/// listening node: `bind` goes through the same validating restore as
+/// the in-process cluster and answers the typed `Corrupt`.
+#[test]
+fn inconsistent_snapshot_is_refused_at_bind() {
+    use tsj_catalog::CatalogError::Corrupt;
+    use tsj_cluster::ClusterError::Snapshot;
+    let catalog = crafted::freeze(&tsj_datagen::synthetic_sized(24, 16, 71), 1, SHARDS);
+    for flaw in crafted::Flaw::ALL {
+        let dirty = crafted::crafted(&catalog, flaw);
+        match Catalogd::bind(dirty, &ServerConfig::new(0, 1, 1), "127.0.0.1:0").err() {
+            Some(tsj_catalogd::CatalogdError::Cluster(Snapshot(Corrupt { .. }))) => {}
+            refusal => panic!("{flaw:?}: expected the typed Corrupt, got {refusal:?}"),
+        }
+    }
 }
 
 /// Spawns a real `catalogd` server process and reads its bound address

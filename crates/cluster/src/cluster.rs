@@ -4,21 +4,23 @@
 //! snapshot ([`Cluster::from_snapshot`] hands each node the same bytes;
 //! [`Cluster::from_node_snapshots`] gives each node its own copy, which
 //! is how the corruption suite models a node holding damaged data). A
-//! node whose restore fails — corrupted shard section, truncated file —
-//! comes up **down** with the typed error attached, and the router
-//! treats it exactly like a dead node: requests fail over to replicas.
+//! node whose restore fails — corrupted shard section, truncated file,
+//! sections that contradict one another — comes up **down** with the
+//! typed error attached, and the router treats it exactly like a dead
+//! node: requests fail over to replicas.
 //!
 //! After losses, [`Cluster::recover`] re-replicates the dead nodes'
-//! shard slots onto survivors from the retained snapshot — the "node
-//! loss + shard reassignment from the same snapshot" path of the
-//! roadmap's serving-layer item.
+//! shard slots onto survivors from the retained snapshot, through the
+//! same validating restore — the "node loss + shard reassignment from
+//! the same snapshot" path of the roadmap's serving-layer item.
 
 use crate::error::ClusterError;
-use crate::fault::{corrupt_range, mix, FaultInjector, FaultPlan};
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{ClusterMetrics, NodeMetricsSnapshot};
 use crate::node::Node;
 use crate::retry::RetryPolicy;
 use crate::topology::Topology;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use tsj_catalog::SnapshotReader;
 use tsj_obs::{Clock, MetricsSnapshot, VirtualClock};
@@ -59,8 +61,19 @@ impl Default for ClusterConfig {
 /// A node slot: restored and servable, or down with the reason.
 #[derive(Debug)]
 pub(crate) enum NodeSlot {
-    Up(Node),
+    Up(Box<Node>),
     Down(ClusterError),
+}
+
+impl NodeSlot {
+    /// Node `n` restored from its snapshot copy — or down with the typed
+    /// reason when the copy is damaged or inconsistent.
+    fn restore(n: usize, reader: &SnapshotReader, owned: &[u32]) -> NodeSlot {
+        match Node::restore(n, reader, owned) {
+            Ok(node) => NodeSlot::Up(Box::new(node)),
+            Err(e) => NodeSlot::Down(e),
+        }
+    }
 }
 
 /// An in-process cluster of catalog nodes serving scatter/gather joins.
@@ -88,37 +101,13 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster where every node restores its owned shards from
-    /// the same snapshot `bytes`. Nodes named in
-    /// [`FaultPlan::corrupt_on_load`] get a deterministically damaged
-    /// private copy (one owned shard section flipped), so their restore
-    /// fails with the typed checksum error and they come up down.
+    /// the same snapshot `bytes`.
     pub fn from_snapshot(bytes: Vec<u8>, cfg: &ClusterConfig) -> Result<Cluster, ClusterError> {
-        let reader = SnapshotReader::from_bytes(bytes.clone())?;
+        let reader = SnapshotReader::from_bytes(bytes)?;
         let topology = Self::check_topology(&reader, cfg)?;
-        let mut slots = Vec::with_capacity(cfg.nodes);
-        for n in 0..cfg.nodes {
-            let owned = topology.shards_of(n);
-            let corrupt = cfg.faults.corrupt_on_load.contains(&n) && !owned.is_empty();
-            let slot = if corrupt {
-                let target = owned[(mix(cfg.faults.seed, &[n as u64]) as usize) % owned.len()];
-                let range = reader.shard_section_range(target as usize)?;
-                let mut dirty = bytes.clone();
-                corrupt_range(&mut dirty, range, cfg.faults.seed ^ n as u64);
-                match SnapshotReader::from_bytes(dirty)
-                    .map_err(ClusterError::from)
-                    .and_then(|r| Node::restore(n, &r, &owned))
-                {
-                    Ok(node) => NodeSlot::Up(node),
-                    Err(e) => NodeSlot::Down(e),
-                }
-            } else {
-                match Node::restore(n, &reader, &owned) {
-                    Ok(node) => NodeSlot::Up(node),
-                    Err(e) => NodeSlot::Down(e),
-                }
-            };
-            slots.push(slot);
-        }
+        let slots = (0..cfg.nodes)
+            .map(|n| NodeSlot::restore(n, &reader, &topology.shards_of(n)))
+            .collect();
         Self::assemble(reader, topology, slots, cfg)
     }
 
@@ -171,10 +160,7 @@ impl Cluster {
                     })
                 }
                 Ok(reader) => {
-                    let slot = match Node::restore(n, &reader, &topology.shards_of(n)) {
-                        Ok(node) => NodeSlot::Up(node),
-                        Err(e) => NodeSlot::Down(e),
-                    };
+                    let slot = NodeSlot::restore(n, &reader, &topology.shards_of(n));
                     if canonical_reader.is_none() {
                         // Recovery's section source: the first parseable
                         // copy (sections stay checksum-verified at use).
@@ -310,36 +296,40 @@ impl Cluster {
     }
 
     /// Re-replicates every shard slot held by a dead node onto the
-    /// least-loaded alive node not already holding that shard, decoding
-    /// the section from the retained snapshot (checksum-verified — a
-    /// damaged section is a typed error, and that shard keeps its dead
-    /// slot). Returns the number of shard slots moved.
+    /// least-loaded alive node not already holding that shard. Every
+    /// node that gains a shard is restored whole from the retained
+    /// snapshot — through the same validating restore as at construction
+    /// — before anything changes: a damaged or inconsistent section is a
+    /// typed error and moves nothing. Returns the number of shard slots
+    /// moved.
     pub fn recover(&mut self) -> Result<usize, ClusterError> {
+        let mut topology = self.topology.clone();
         let mut loads: Vec<usize> = (0..self.slots.len())
-            .map(|n| match &self.slots[n] {
-                NodeSlot::Up(node) => node.owned_shards().len(),
-                NodeSlot::Down(_) => 0,
-            })
+            .map(|n| topology.shards_of(n).len())
             .collect();
+        let mut grown = BTreeSet::new();
         let mut moved = 0;
         for shard in 0..self.shard_count as u32 {
-            let replicas = self.topology.replicas(shard).to_vec();
+            let replicas = self.topology.replicas(shard);
             for dead in replicas.iter().copied().filter(|&n| !self.health[n]) {
-                let holders = self.topology.replicas(shard).to_vec();
                 let target = (0..self.slots.len())
-                    .filter(|&n| self.health[n] && !holders.contains(&n))
+                    .filter(|&n| self.health[n] && !topology.replicas(shard).contains(&n))
                     .min_by_key(|&n| (loads[n], n));
                 let Some(target) = target else { continue };
-                let index = self.snapshot.shard(shard as usize)?;
-                let NodeSlot::Up(node) = &mut self.slots[target] else {
-                    unreachable!("healthy nodes are restored");
-                };
-                node.add_shard(shard, index);
-                self.topology.reassign(shard, dead, target)?;
+                topology.reassign(shard, dead, target)?;
                 loads[target] += 1;
                 moved += 1;
+                grown.insert(target);
             }
         }
+        let restored = grown
+            .into_iter()
+            .map(|n| Ok((n, Node::restore(n, &self.snapshot, &topology.shards_of(n))?)))
+            .collect::<Result<Vec<_>, ClusterError>>()?;
+        for (n, node) in restored {
+            self.slots[n] = NodeSlot::Up(Box::new(node));
+        }
+        self.topology = topology;
         Ok(moved)
     }
 }

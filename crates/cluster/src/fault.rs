@@ -18,10 +18,10 @@
 //!   never double-count stats);
 //! * **timeout** — the request consumes its full timeout and fails;
 //! * **transient error** — an immediate retryable failure;
-//! * **corrupted shard section on load** — handled at cluster
-//!   construction: [`corrupt_range`] damages a node's snapshot copy and
-//!   the checksummed decode surfaces a typed error (the node comes up
-//!   down).
+//! * **corrupted shard section on load** — not a plan field: a test
+//!   damages one node's snapshot copy with [`corrupt_range`], hands it to
+//!   `Cluster::from_node_snapshots`, and the checksummed, validating
+//!   restore surfaces a typed error (the node comes up down).
 //!
 //! To add a fault type: add a variant to [`Fault`], a rate knob to
 //! [`FaultPlan`], a branch in [`FaultInjector::decide`], and teach the
@@ -47,15 +47,10 @@ pub enum Fault {
 /// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Seed of every fault decision (and of load-time corruption).
+    /// Seed of every fault decision.
     pub seed: u64,
     /// Nodes that are down from the start.
     pub down_nodes: Vec<usize>,
-    /// Nodes whose snapshot copy is corrupted before restore: one of the
-    /// node's shard sections gets a deterministic multi-byte flip, the
-    /// checksummed decode fails, and the node comes up down with the
-    /// typed error attached.
-    pub corrupt_on_load: Vec<usize>,
     /// Permille of requests whose target node drops dead.
     pub node_down_permille: u16,
     /// Permille of requests that fail with a transient error.

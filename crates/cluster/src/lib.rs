@@ -9,8 +9,9 @@
 //! threshold `τ` touches only the size classes `[|T| − τ, |T| + τ]`
 //! ([`partsj::window_of`]), every catalog tree's postings live in
 //! exactly **one** shard, and snapshot sections decode independently
-//! ([`tsj_catalog::SnapshotReader::shard`]). So the router scatters one
-//! request per owning shard, nodes serve them with zero cross-node
+//! ([`tsj_catalog::SnapshotReader::restore`] brings a node's owned
+//! shards up as one [`tsj_shard::Frozen`] side). So the router scatters
+//! one request per owning shard, nodes serve them with zero cross-node
 //! coordination, and the gathered union is **bit-identical** — pairs,
 //! candidate counts *and* filter-stage counters — to single-node
 //! `Catalog::join` (property-tested across nodes × replication × shards
@@ -18,9 +19,9 @@
 //!
 //! Fault tolerance is the headline, not an afterthought. Every node sits
 //! behind a deterministic [`FaultInjector`] (stateless seeded hashing:
-//! node down, delays, timeouts, transient errors, corrupted shard
-//! sections on load), and the router carries a real resilience policy
-//! ([`RetryPolicy`]): per-probe deadlines, bounded retries with
+//! node down, delays, timeouts, transient errors; a damaged snapshot
+//! copy downs its node at load), and the router carries a real
+//! resilience policy ([`RetryPolicy`]): per-probe deadlines, bounded retries with
 //! exponential backoff + deterministic jitter against replicas,
 //! immediate failover from dead nodes, and — when every replica of a
 //! shard is lost — a typed [`Degraded`] report naming exactly which

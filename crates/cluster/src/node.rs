@@ -1,29 +1,27 @@
-//! One catalog "node": the shard sections it owns, restored from a
-//! snapshot, and the serve loop that answers shard requests.
+//! One catalog "node": the frozen side of the shards it owns, restored
+//! from a snapshot, and the serve call that answers shard requests.
 //!
-//! A node is the single-machine unit of the cluster: it decodes only the
-//! shard sections assigned to it (plus the shared tree store, which every
-//! node needs for verification), and serves `(probe, shard)` requests by
-//! running exactly the inline loop of `frozen_rs_join` restricted to that
-//! shard — side-listed small trees of the request's size classes first,
-//! then the shard's `SubgraphIndex` probed through the shared Algorithm 1
-//! node loop, then one `VerifyEngine` pass over the deduplicated
-//! candidates. Because every catalog tree's postings live in exactly one
-//! shard (its own size class), per-shard candidate sets are disjoint and
-//! the router's union of node responses reproduces the single-node join
+//! A node is the single-machine unit of the cluster: a
+//! [`tsj_shard::Frozen`] side restored through the one validating
+//! restore (`SnapshotReader::restore`) with only the owned shard
+//! sections decoded — the others stay empty — plus the shared tree
+//! store, which every node needs for verification. It serves
+//! `(probe, shard)` requests with [`Frozen::serve_shard`]: the frozen
+//! side's own probe step restricted to that shard — side-listed small
+//! trees of the request's size classes first, then the shard's postings
+//! — then one `VerifyEngine` pass over the deduplicated candidates.
+//! Because every catalog tree's postings live in exactly one shard (its
+//! own size class), per-shard candidate sets are disjoint and the
+//! router's union of node responses reproduces the single-node join
 //! bit-for-bit: same pairs, same candidate counts, same filter-stage
 //! counters.
 
 use crate::error::ClusterError;
-use partsj::probe::{scan_small_trees, Candidates, ProbeCounters};
-use partsj::{
-    probe_tree_nodes, resolve_layers, window_of, LayerId, MatchCache, PartSjConfig, SubgraphIndex,
-    VerifyData, VerifyEngine,
-};
-use std::time::Instant;
+use partsj::{PartSjConfig, VerifyData, VerifyEngine};
 use tsj_catalog::SnapshotReader;
+use tsj_shard::{Frozen, FrozenJoinScratch};
 use tsj_ted::{JoinStats, TreeIdx};
-use tsj_tree::{BinaryTree, FxHashMap, Tree};
+use tsj_tree::{BinaryTree, Tree};
 
 /// One scatter unit: probe `probe`'s window classes that live on `shard`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +53,9 @@ pub struct ShardResponse {
 /// probing tree by the router and shared across its shard requests.
 #[derive(Debug)]
 pub struct ProbeCtx {
-    pub(crate) binary: BinaryTree,
-    pub(crate) posts: Vec<u32>,
-    pub(crate) size: u32,
-    pub(crate) data: VerifyData,
+    binary: BinaryTree,
+    posts: Vec<u32>,
+    data: VerifyData,
 }
 
 impl ProbeCtx {
@@ -67,7 +64,6 @@ impl ProbeCtx {
         ProbeCtx {
             binary: BinaryTree::from_tree(tree),
             posts: tree.postorder_numbers(),
-            size: tree.len() as u32,
             data: VerifyData::for_config(tree, &config.verify),
         }
     }
@@ -87,7 +83,6 @@ impl ProbeCtx {
                 ProbeCtx {
                     binary: BinaryTree::from_tree(tree),
                     posts,
-                    size: tree.len() as u32,
                     data,
                 }
             })
@@ -95,59 +90,36 @@ impl ProbeCtx {
     }
 }
 
-/// Per-thread serve scratch: the candidate collection (generation
-/// stamps, never re-cleared), the per-node match cache and the probe
-/// buffers. One per scatter worker; the router keeps its own for the
-/// sequential retry phase.
-#[derive(Debug, Default)]
-pub struct NodeScratch {
-    candidates: Candidates,
-    cache: MatchCache,
-    layers: Vec<LayerId>,
-}
+/// Per-thread serve scratch — the same type as [`FrozenJoinScratch`],
+/// under the name the cluster's callers know. One per scatter worker;
+/// the router keeps its own for the sequential retry phase.
+pub type NodeScratch = FrozenJoinScratch;
 
-/// One cluster node: the subset of shard sections it owns, the side list
-/// of small trees, and the catalog trees' verification inputs.
+/// One cluster node: a frozen side whose index holds the shard sections
+/// the node owns (every node keeps the full, tiny side list and every
+/// catalog tree's verification inputs — requests select the classes the
+/// addressed shard owns, so nothing is double-served).
 #[derive(Debug)]
 pub struct Node {
     id: usize,
-    tau: u32,
-    /// shard id → that shard's restored index.
-    shards: FxHashMap<u32, SubgraphIndex>,
-    /// size class → catalog trees too small to partition. Every node
-    /// keeps the full (tiny) side list; requests select the classes the
-    /// addressed shard owns, so nothing is double-served.
-    smalls: FxHashMap<u32, Vec<TreeIdx>>,
-    /// Verification inputs for every catalog tree (candidates can name
-    /// any tree of the owned shards' size classes).
-    left_data: Vec<VerifyData>,
+    owned: Vec<u32>,
+    frozen: Frozen,
 }
 
 impl Node {
     /// Restores node `id` from `reader`, decoding only the shard
-    /// sections in `owned` (each checksum-verified — a corrupted section
+    /// sections in `owned`, through the one validating restore: a
+    /// corrupted section or a checksum-valid but inconsistent snapshot
     /// surfaces the typed [`tsj_catalog::CatalogError`] and the cluster
-    /// marks the node down).
+    /// marks the node down.
     pub fn restore(
         id: usize,
         reader: &SnapshotReader,
         owned: &[u32],
     ) -> Result<Node, ClusterError> {
-        let trees = reader.trees()?;
-        let tau = reader.tau();
-        let mut shards = FxHashMap::default();
-        for &s in owned {
-            shards.insert(s, reader.shard(s as usize)?);
-        }
-        let smalls = partsj::side_list(&trees, tau);
-        let left_data = VerifyData::batch(&trees);
-        Ok(Node {
-            id,
-            tau,
-            shards,
-            smalls,
-            left_data,
-        })
+        let (_, frozen) = reader.restore(owned.iter().copied())?;
+        let owned = owned.to_vec();
+        Ok(Node { id, owned, frozen })
     }
 
     /// This node's id in the cluster.
@@ -157,26 +129,14 @@ impl Node {
 
     /// Whether the node holds a replica of `shard`.
     pub fn owns(&self, shard: u32) -> bool {
-        self.shards.contains_key(&shard)
+        self.owned.contains(&shard)
     }
 
-    /// The shards this node holds, ascending.
-    pub fn owned_shards(&self) -> Vec<u32> {
-        let mut owned: Vec<u32> = self.shards.keys().copied().collect();
-        owned.sort_unstable();
-        owned
-    }
-
-    /// Installs an additional shard replica (recovery path).
-    pub fn add_shard(&mut self, shard: u32, index: SubgraphIndex) {
-        self.shards.insert(shard, index);
-    }
-
-    /// Serves one shard request: candidates from the request's small
-    /// classes and the shard's index (deduplicated per request), verified
-    /// at `tau` through a fresh filter-chain engine. Mirrors the inline
-    /// path of `tsj_shard::frozen_rs_join` restricted to one shard, so
-    /// the union over shards is bit-identical to the single-node join.
+    /// Serves one shard request: [`Frozen::serve_shard`] on the
+    /// addressed shard with the probe's prepared parts, verified at
+    /// `tau` through a fresh filter-chain engine — the frozen side's own
+    /// probe step, so the union over shards is bit-identical to the
+    /// single-node join.
     pub fn serve(
         &self,
         req: &ShardRequest,
@@ -185,55 +145,24 @@ impl Node {
         config: &PartSjConfig,
         scratch: &mut NodeScratch,
     ) -> Result<ShardResponse, ClusterError> {
-        debug_assert!(tau <= self.tau, "router checks tau before scattering");
-        let index = self
-            .shards
-            .get(&req.shard)
-            .ok_or(ClusterError::ShardNotOwned {
+        debug_assert!(
+            tau <= self.frozen.index().tau(),
+            "router checks tau before scattering"
+        );
+        if !self.owns(req.shard) {
+            return Err(ClusterError::ShardNotOwned {
                 node: self.id,
                 shard: req.shard,
-            })?;
-        let probe_start = Instant::now();
-        let mut stats = JoinStats::default();
-        scratch.candidates.begin(self.left_data.len());
-        let mut sink = scratch.candidates.sink();
-        scan_small_trees(&self.smalls, req.classes.iter().copied(), &mut sink);
-        // The shard's index only holds layers for its own size classes,
-        // so resolving the full probe window surfaces exactly the owned
-        // populated classes — the same layers `ShardedIndex::probe_tree`
-        // would visit for this shard.
-        let (lo, hi) = window_of(ctx.size, tau);
-        resolve_layers(index, lo, hi, &mut scratch.layers);
-        let mut counters = ProbeCounters::default();
-        probe_tree_nodes(
-            index,
-            &scratch.layers,
-            &ctx.binary,
-            &ctx.posts,
-            ctx.size,
-            config.matching,
-            &mut scratch.cache,
-            &mut counters,
-            &mut sink,
-        );
-        let found = scratch.candidates.as_slice();
-        stats.candidates = found.len() as u64;
-        stats.pairs_examined = stats.candidates;
-        stats.candidate_time = probe_start.elapsed();
-
-        let verify_start = Instant::now();
-        let mut verify = VerifyEngine::new(tau, config);
-        let mut matches = Vec::new();
-        for &i in found {
-            if verify
-                .check(&self.left_data[i as usize], &ctx.data)
-                .is_some()
-            {
-                matches.push(i);
-            }
+            });
         }
-        stats.verify_time = verify_start.elapsed();
-        verify.fold_into(&mut stats);
+        let (matches, stats) = self.frozen.serve_shard(
+            req.shard as usize,
+            &req.classes,
+            (&ctx.binary, &ctx.posts, &ctx.data),
+            config.matching,
+            &mut VerifyEngine::new(tau, config),
+            scratch,
+        );
         Ok(ShardResponse {
             probe: req.probe,
             matches,

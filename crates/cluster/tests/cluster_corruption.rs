@@ -4,46 +4,18 @@
 //! wrong index — and the rest of the cluster must keep serving (completely
 //! when a replica covers the loss, degraded-with-report when not).
 
+mod common;
+
+use common::{crafted, freeze, reference, Flaw};
 use partsj::PartSjConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_catalog::{Catalog, CatalogError, SnapshotReader};
-use tsj_cluster::{Cluster, ClusterConfig, ClusterError, FaultPlan};
+use tsj_cluster::{Cluster, ClusterConfig, ClusterError};
 use tsj_datagen::synthetic_sized;
-use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
-use tsj_tree::{LabelInterner, Tree};
-
-fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
-    Catalog::freeze(
-        left.to_vec(),
-        LabelInterner::new(),
-        tau,
-        &PartSjConfig::default(),
-        &ShardConfig {
-            shards,
-            probe_threads: 1,
-            verify_threads: 1,
-            ..Default::default()
-        },
-    )
-}
-
-fn reference(catalog: &Catalog, probes: &[Tree], tau: u32) -> JoinOutcome {
-    catalog
-        .join(
-            probes,
-            tau,
-            &PartSjConfig::default(),
-            &ShardConfig {
-                probe_threads: 1,
-                verify_threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-}
+use tsj_tree::Tree;
 
 /// A corrupted private copy downs exactly that node, the error is the
 /// typed snapshot error, and the replica serves the identical join.
@@ -82,27 +54,98 @@ fn corrupted_node_copy_fails_over_to_the_clean_replica() {
     }
 }
 
-/// The same path driven by the fault plan: [`FaultPlan::corrupt_on_load`]
-/// damages the named node's copy inside `Cluster::from_snapshot` itself.
+/// An 8-shard catalog at τ = 1, probes with real matches, and the
+/// single-node join they must reproduce.
+fn eight_shard_fixture() -> (Catalog, Vec<Tree>, JoinOutcome) {
+    let left = synthetic_sized(48, 20, 311);
+    let mut right = synthetic_sized(24, 20, 413);
+    right.extend(left.iter().step_by(5).cloned());
+    let catalog = freeze(&left, 1, 8);
+    let expected = reference(&catalog, &right, 1);
+    (catalog, right, expected)
+}
+
+/// Checksum-valid but self-contradictory copies: every checksum passes,
+/// so only the restore's cross-checks stand between the flaw and a
+/// panicking or short-answering node. The node holding the crafted copy
+/// comes up down with the typed `Corrupt`, the clean replica serves the
+/// identical join — and with the crafted copy everywhere, no join is
+/// ever a short `Complete`.
 #[test]
-fn corrupt_on_load_fault_downs_the_planned_node() {
-    let left = synthetic_sized(24, 16, 71);
-    let right = synthetic_sized(20, 16, 72);
-    let tau = 1;
-    let catalog = freeze(&left, tau, 4);
-    let expected = reference(&catalog, &right, tau);
-    let mut cfg = ClusterConfig::new(2, 2);
-    cfg.faults = FaultPlan {
-        seed: 99,
-        corrupt_on_load: vec![0],
-        ..FaultPlan::none()
-    };
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
-    assert!(cluster.node_error(0).is_some());
-    assert_eq!(cluster.alive_nodes(), vec![1]);
-    let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
-    assert!(served.is_complete());
-    assert_eq!(served.outcome.pairs, expected.pairs);
+fn inconsistent_node_copy_is_down_typed_and_never_answers_short() {
+    let (catalog, right, expected) = eight_shard_fixture();
+    let config = PartSjConfig::default();
+    for flaw in Flaw::ALL {
+        let dirty = crafted(&catalog, flaw);
+        let copies = vec![dirty.clone(), catalog.to_bytes()];
+        let mut cluster = Cluster::from_node_snapshots(copies, &ClusterConfig::new(2, 2)).unwrap();
+        assert!(
+            matches!(
+                cluster.node_error(0),
+                Some(ClusterError::Snapshot(CatalogError::Corrupt { .. }))
+            ),
+            "{flaw:?}: got {:?}",
+            cluster.node_error(0)
+        );
+        assert_eq!(cluster.alive_nodes(), vec![1], "{flaw:?}");
+        let served = cluster.join(&right, 1, &config).unwrap();
+        assert!(served.is_complete(), "{flaw:?}: replica must cover");
+        assert_eq!(served.outcome.pairs, expected.pairs, "{flaw:?}");
+        assert_eq!(served.outcome.stats.work(), expected.stats.work());
+
+        // The crafted copy on both nodes. R = 2: each owns every shard,
+        // so each is down and every class goes unserved. R = 1: a node
+        // whose own shards are consistent may serve them — omission
+        // only, reported.
+        for replication in [2usize, 1] {
+            let cfg = ClusterConfig::new(2, replication);
+            let mut cluster = Cluster::from_snapshot(dirty.clone(), &cfg).unwrap();
+            if replication == 2 {
+                assert!(cluster.alive_nodes().is_empty(), "{flaw:?}");
+            }
+            let served = cluster.join(&right, 1, &config).unwrap();
+            let degraded = served.degraded.as_ref().expect("never a short Complete");
+            assert!(!degraded.unserved.is_empty(), "{flaw:?}");
+            let pairs = &served.outcome.pairs;
+            assert!(pairs.len() < expected.pairs.len(), "{flaw:?}");
+            assert!(pairs.iter().all(|p| expected.pairs.contains(p)), "{flaw:?}");
+        }
+    }
+}
+
+/// Recovery re-validates what it installs: with an inconsistent copy as
+/// the section source, `recover` answers the typed `Corrupt` and moves
+/// nothing — placement, node contents and service stay as they were.
+#[test]
+fn recovery_from_an_inconsistent_source_is_typed_and_moves_nothing() {
+    let (catalog, right, expected) = eight_shard_fixture();
+    let clean = catalog.to_bytes();
+    for flaw in Flaw::ALL {
+        // The first parseable copy — node 0's crafted one — is the
+        // recovery source.
+        let copies = vec![crafted(&catalog, flaw), clean.clone(), clean.clone()];
+        let mut cluster = Cluster::from_node_snapshots(copies, &ClusterConfig::new(3, 2)).unwrap();
+        cluster.kill_node(0);
+        let placement = |c: &Cluster| {
+            (0..3)
+                .map(|n| c.topology().shards_of(n))
+                .collect::<Vec<_>>()
+        };
+        let before = placement(&cluster);
+        assert!(
+            matches!(
+                cluster.recover(),
+                Err(ClusterError::Snapshot(CatalogError::Corrupt { .. }))
+            ),
+            "{flaw:?}"
+        );
+        assert_eq!(placement(&cluster), before, "{flaw:?}: nothing moved");
+        // R = 2 still covers node 0's loss from the two clean nodes.
+        let served = cluster.join(&right, 1, &PartSjConfig::default()).unwrap();
+        assert!(served.is_complete(), "{flaw:?}");
+        assert_eq!(served.outcome.pairs, expected.pairs, "{flaw:?}");
+        assert_eq!(served.outcome.stats.work(), expected.stats.work());
+    }
 }
 
 /// Without replication, a corrupted copy degrades the shards only the

@@ -6,44 +6,17 @@
 //! coverage report whose served pairs are exactly the surviving shards'
 //! contribution.
 
-use partsj::PartSjConfig;
-use tsj_catalog::Catalog;
-use tsj_cluster::{Cluster, ClusterConfig, ClusterError, FaultPlan};
+mod common;
+
+use common::{freeze, reference};
+use partsj::{PartSjConfig, VerifyEngine};
+use tsj_catalog::SnapshotReader;
+use tsj_cluster::{
+    plan_requests, Cluster, ClusterConfig, ClusterError, FaultPlan, Node, NodeScratch, ProbeCtx,
+};
 use tsj_datagen::synthetic_sized;
-use tsj_shard::ShardConfig;
-use tsj_ted::JoinOutcome;
-use tsj_tree::{LabelInterner, Tree};
-
-fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
-    Catalog::freeze(
-        left.to_vec(),
-        LabelInterner::new(),
-        tau,
-        &PartSjConfig::default(),
-        &ShardConfig {
-            shards,
-            probe_threads: 1,
-            verify_threads: 1,
-            ..Default::default()
-        },
-    )
-}
-
-fn reference(catalog: &Catalog, probes: &[Tree], tau: u32) -> JoinOutcome {
-    catalog
-        .join(
-            probes,
-            tau,
-            &PartSjConfig::default(),
-            &ShardConfig {
-                shards: catalog.shard_count(),
-                probe_threads: 1,
-                verify_threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-}
+use tsj_shard::FrozenJoinScratch;
+use tsj_ted::{JoinOutcome, JoinStats};
 
 /// Bit-identity, durations excluded (`JoinStats`'s derived equality
 /// would compare wall times).
@@ -99,6 +72,51 @@ fn zero_fault_cluster_join_is_bit_identical_to_catalog_join() {
                     assert_eq!(served.telemetry.faults, 0, "{label}");
                 }
             }
+        }
+    }
+}
+
+/// A node *is* a frozen side: for a node owning every shard, the union
+/// of `Node::serve` over the planned requests equals the frozen side's
+/// own sequential join of the same probes — pairs and work counters —
+/// over shards {1, 3, 8} × τ {0, 1, 2}.
+#[test]
+fn node_serve_union_equals_the_frozen_sides_sequential_join() {
+    let left = synthetic_sized(48, 20, 311);
+    let mut right = synthetic_sized(32, 20, 412);
+    right.extend(left.iter().step_by(6).cloned());
+    let config = PartSjConfig::default();
+    for tau in [0u32, 1, 2] {
+        for shards in [1usize, 3, 8] {
+            let label = format!("tau {tau}, shards {shards}");
+            let catalog = freeze(&left, tau, shards);
+            let mut pairs = Vec::new();
+            let stats = catalog.frozen().join_seq(
+                &right,
+                tau,
+                &config,
+                &mut VerifyEngine::new(tau, &config),
+                &mut FrozenJoinScratch::new(),
+                &mut pairs,
+            );
+            assert!(!pairs.is_empty(), "{label}: sweep must exercise real joins");
+
+            let reader = SnapshotReader::from_bytes(catalog.to_bytes()).unwrap();
+            let every: Vec<u32> = (0..shards as u32).collect();
+            let node = Node::restore(0, &reader, &every).unwrap();
+            let ctxs = ProbeCtx::batch(&right, &config);
+            let mut scratch = NodeScratch::default();
+            let mut union = Vec::new();
+            let mut total = JoinStats::default();
+            for req in plan_requests(&right, tau, catalog.index().shard_map(), shards) {
+                let ctx = &ctxs[req.probe as usize];
+                let resp = node.serve(&req, ctx, tau, &config, &mut scratch).unwrap();
+                union.extend(resp.matches.iter().map(|&i| (i, resp.probe)));
+                total.merge_partial(&resp.stats);
+            }
+            let served = JoinOutcome::new_bipartite(union, total);
+            assert_eq!(served.pairs, pairs, "{label}: pairs");
+            assert_eq!(served.stats.work(), stats.work(), "{label}");
         }
     }
 }

@@ -11,15 +11,16 @@
 //! * the whole run is a pure function of the seed: replaying it on a
 //!   fresh cluster reproduces pairs, report and telemetry exactly.
 
+mod common;
+
+use common::{freeze, reference};
 use partsj::PartSjConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tsj_catalog::Catalog;
 use tsj_cluster::{Cluster, ClusterConfig, ClusterJoin, FaultPlan};
 use tsj_datagen::synthetic_sized;
-use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
-use tsj_tree::{LabelInterner, Tree};
+use tsj_tree::Tree;
 
 struct Fixture {
     left: Vec<Tree>,
@@ -34,30 +35,8 @@ fn fixture() -> &'static Fixture {
         let left = synthetic_sized(32, 16, 81);
         let right = synthetic_sized(24, 16, 82);
         let tau = 1;
-        let catalog = Catalog::freeze(
-            left.clone(),
-            LabelInterner::new(),
-            tau,
-            &PartSjConfig::default(),
-            &ShardConfig {
-                shards: 8,
-                probe_threads: 1,
-                verify_threads: 1,
-                ..Default::default()
-            },
-        );
-        let expected = catalog
-            .join(
-                &right,
-                tau,
-                &PartSjConfig::default(),
-                &ShardConfig {
-                    probe_threads: 1,
-                    verify_threads: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let catalog = freeze(&left, tau, 8);
+        let expected = reference(&catalog, &right, tau);
         Fixture {
             left,
             right,

@@ -4,30 +4,15 @@
 //! twin recorded under identical conditions, so these are equalities,
 //! not bounds.
 
+mod common;
+
+use common::freeze;
 use partsj::PartSjConfig;
 use std::sync::Arc;
-use tsj_catalog::Catalog;
 use tsj_cluster::{
     Cluster, ClusterConfig, ClusterJoin, FaultPlan, NodeMetricsSnapshot, VirtualClock,
 };
 use tsj_datagen::synthetic_sized;
-use tsj_shard::ShardConfig;
-use tsj_tree::{LabelInterner, Tree};
-
-fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
-    Catalog::freeze(
-        left.to_vec(),
-        LabelInterner::new(),
-        tau,
-        &PartSjConfig::default(),
-        &ShardConfig {
-            shards,
-            probe_threads: 1,
-            verify_threads: 1,
-            ..Default::default()
-        },
-    )
-}
 
 /// Every reconciliation invariant between `Cluster::metrics()`, the
 /// join telemetry, the per-request rows and the degradation report.

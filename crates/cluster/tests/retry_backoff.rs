@@ -5,28 +5,15 @@
 //! and injected delays are absorbed or converted to timeouts without ever
 //! double-counting work.
 
+mod common;
+
+use common::{freeze, reference};
 use partsj::{window_of, PartSjConfig};
 use std::sync::Arc;
 use tsj_catalog::Catalog;
 use tsj_cluster::{Clock, Cluster, ClusterConfig, FaultPlan, RetryPolicy, VirtualClock};
 use tsj_datagen::synthetic_sized;
-use tsj_shard::ShardConfig;
-use tsj_tree::{LabelInterner, Tree};
-
-fn freeze(left: &[Tree], tau: u32, shards: usize) -> Catalog {
-    Catalog::freeze(
-        left.to_vec(),
-        LabelInterner::new(),
-        tau,
-        &PartSjConfig::default(),
-        &ShardConfig {
-            shards,
-            probe_threads: 1,
-            verify_threads: 1,
-            ..Default::default()
-        },
-    )
-}
+use tsj_tree::Tree;
 
 /// The shard requests `Cluster::join` plans for `probes` — replicated
 /// here so the tests can compute expected schedules independently.
@@ -145,18 +132,7 @@ fn delays_within_timeout_are_absorbed_not_retried() {
     let right = synthetic_sized(10, 14, 22);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
-    let expected = catalog
-        .join(
-            &right,
-            tau,
-            &PartSjConfig::default(),
-            &ShardConfig {
-                probe_threads: 1,
-                verify_threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let expected = reference(&catalog, &right, tau);
     let mut cfg = ClusterConfig::new(2, 2);
     cfg.faults = FaultPlan {
         seed: 7,

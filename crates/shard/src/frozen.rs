@@ -1,16 +1,21 @@
-//! Probing a **frozen** left side: the shared probe + verify half
-//! behind [`crate::sharded_rs_join`] and `tsj-catalog`'s
-//! `Catalog::{join, query}`.
+//! The **frozen side**: one owned left collection, indexed once and
+//! probed by any number of right trees — and the sharded probe step
+//! every join in this crate runs.
 //!
-//! Once a left collection has been partitioned and loaded into a
-//! [`ShardedIndex`], the remaining work of an R×S join is independent of
-//! *how* the index came to be — built moments ago or deserialized from a
-//! snapshot. [`frozen_rs_join`] owns that second half: right trees probe
-//! the frozen shards (inline, or pooled — the crate's one executor
-//! decides), candidates are verified through one [`VerifyEngine`] filter
-//! chain per verifier, and the outcome is a bipartite [`JoinOutcome`].
-//! [`FrozenLeft::query_into`] is the same probe step for a single tree,
-//! reporting exact distances.
+//! [`Frozen`] owns the three things an indexed-left join needs: the
+//! [`ShardedIndex`] over the left trees' subgraphs, the side list of
+//! left trees too small to partition, and the left trees' verification
+//! inputs. It comes into existence exactly two ways — [`Frozen::build`]
+//! from the trees, or [`Frozen::restore`] from snapshot parts, for all
+//! shards or an owned subset (`tsj-catalog`'s `SnapshotReader::restore`
+//! is its one caller) — and the remaining work of an R×S join is
+//! independent of which: right trees probe the shards (inline, or pooled
+//! — the crate's one executor decides), candidates are verified through
+//! one [`VerifyEngine`] filter chain per verifier, and the outcome is a
+//! bipartite [`JoinOutcome`]. [`crate::sharded_rs_join`] is a frozen side
+//! built and joined on the spot, `tsj-catalog`'s `Catalog` is one kept
+//! with its trees and labels, and a `tsj-cluster` node is one whose
+//! unowned shards are empty, answering [`Frozen::serve_shard`].
 //!
 //! The probe threshold `tau` is a **parameter**, not a property of the
 //! index: postings are registered once with the freeze-time half-width,
@@ -21,79 +26,46 @@
 //! at `τ_q` makes the result exact. `tsj-catalog` relies on this to
 //! serve per-query thresholds from one snapshot.
 
-use crate::index::{ShardConfig, ShardedIndex};
+use crate::index::{Gate, ShardConfig, ShardMap, ShardedIndex};
 use crate::join::build_subgraph_lists;
 use crate::pool::{execute, run_inline, JoinSide};
 use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
 use partsj::subgraph::Subgraph;
 use partsj::{
-    LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, VerifyConfig,
-    VerifyData, VerifyEngine,
+    LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
+    VerifyConfig, VerifyData, VerifyEngine, WindowPolicy,
 };
+use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
 use tsj_tree::{BinaryTree, FxHashMap, Tree};
 
-/// The shared build phase of [`crate::sharded_rs_join`] and
-/// `tsj-catalog`'s freeze: δ-partitions `left` (fanned out over the
-/// configured probe workers), bulk-loads the subgraphs into a fresh
-/// **static** (no-replay) [`ShardedIndex`], and returns it together
-/// with the side list of trees too small to partition, grouped by
-/// size. Keeping this in one place is what keeps a frozen catalog
-/// bit-identical to the direct join — both sides build through it.
-pub fn build_frozen_left(
-    left: &[Tree],
-    tau: u32,
-    config: &PartSjConfig,
-    shard_cfg: &ShardConfig,
-) -> (ShardedIndex, FxHashMap<u32, Vec<TreeIdx>>) {
-    let probe_threads = shard_cfg.resolved_probe_threads();
-    let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
-    let posts: Vec<Vec<u32>> = left.iter().map(Tree::postorder_numbers).collect();
-    let mut lists = build_subgraph_lists(left, &binaries, &posts, tau, config, probe_threads);
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    let mut items: Vec<(TreeIdx, u32, Vec<Subgraph>)> = Vec::new();
-    for (i, list) in lists.iter_mut().enumerate() {
-        let size = left[i].len() as u32;
-        match list.take() {
-            Some(subgraphs) => items.push((i as TreeIdx, size, subgraphs)),
-            None => small_by_size.entry(size).or_default().push(i as TreeIdx),
-        }
-    }
-    let index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
-    (index, small_by_size)
-}
-
 /// A frozen left side, ready to be probed by any number of right
-/// collections: the sharded index over the left trees' subgraphs, the
-/// side list of left trees too small to partition, and the left trees'
-/// precomputed verification inputs.
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenLeft<'a> {
+/// collections. See the [module docs](self).
+#[derive(Debug)]
+pub struct Frozen {
     /// The (no longer mutated) sharded subgraph index over the left
-    /// collection.
-    pub index: &'a ShardedIndex,
+    /// collection; every left tree is tracked in it.
+    index: ShardedIndex,
     /// Left trees below the partitioning threshold `δ`, grouped by size.
-    pub small_by_size: &'a FxHashMap<u32, Vec<TreeIdx>>,
+    small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
     /// Per-left-tree verification inputs, indexed by left tree id.
-    pub left_data: &'a [VerifyData],
+    left_data: Vec<VerifyData>,
 }
 
 /// Reusable scratch for probing a [`ShardedIndex`]: the candidate
 /// collection with its O(left) dedup stamps, the per-shard match caches,
 /// the probe-tree preparation buffers and the probe tree's verification
 /// inputs. A serving loop holding one of these (plus a [`VerifyEngine`])
-/// across repeated joins ([`frozen_rs_join_seq`]) or point queries
-/// ([`FrozenLeft::query_into`]; `tsj-catalog` calls the same type
-/// `QueryScratch`) allocates nothing proportional to the frozen side or
+/// across repeated joins ([`Frozen::join_seq`]), point queries
+/// ([`Frozen::query_into`]) or shard requests ([`Frozen::serve_shard`];
+/// `tsj-catalog` and `tsj-cluster` call the same type `QueryScratch` and
+/// `NodeScratch`) allocates nothing proportional to the frozen side or
 /// the probe trees in steady state — only the results the caller keeps.
 /// One scratch may move freely between frozen sides of different size
 /// and shard count.
 #[derive(Debug, Default)]
 pub struct FrozenJoinScratch {
-    pub(crate) candidates: Candidates,
-    pub(crate) caches: Vec<MatchCache>,
-    pub(crate) shard_scratch: Vec<usize>,
-    pub(crate) layer_scratch: Vec<LayerId>,
+    pub(crate) step: StepScratch,
     pub(crate) probe: ProbeScratch,
     pub(crate) probe_verify: ProbeVerify,
 }
@@ -103,25 +75,166 @@ impl FrozenJoinScratch {
     pub fn new() -> FrozenJoinScratch {
         FrozenJoinScratch::default()
     }
+}
 
-    /// Starts the next probe of `index` over container trees
-    /// `0..universe`: a fresh candidate generation and one match cache
-    /// per shard (component ids are per-shard).
-    pub(crate) fn begin(&mut self, universe: usize, index: &ShardedIndex) {
-        self.candidates.begin(universe);
-        if self.caches.len() != index.shard_count() {
-            self.caches = (0..index.shard_count())
-                .map(|_| MatchCache::new())
-                .collect();
-        }
+/// The part of the scratch [`probe_step`] itself writes — apart from the
+/// probe-tree buffers, so a tree prepared in those can be probed.
+#[derive(Debug, Default)]
+pub(crate) struct StepScratch {
+    candidates: Candidates,
+    caches: Vec<MatchCache>,
+    shard_scratch: Vec<usize>,
+    layer_scratch: Vec<LayerId>,
+}
+
+impl StepScratch {
+    /// The last probe's candidates, in discovery order.
+    pub(crate) fn found(&self) -> &[TreeIdx] {
+        self.candidates.as_slice()
     }
 }
 
-impl FrozenLeft<'_> {
-    /// Algorithm 1's probe step against the frozen side: the side-listed
-    /// small trees of `tree`'s size window at `tau`, then every shard
-    /// covering it. Candidates are left in `scratch`; returns how many
-    /// came from the side list.
+/// Algorithm 1's probe step against a sharded index, sequenced once for
+/// every join of the crate: a fresh dedup generation over container
+/// trees `0..universe` (one match cache per shard — component ids are
+/// per-shard), then the side-listed trees of `classes`, then the
+/// postings of every shard covering the size window `[lo, hi]` — or of
+/// `shard` alone. `admit` is the caller's admission rule (processing
+/// rank for the self-join; liveness is the index's own). Candidates are
+/// left in `scratch`; returns how many came from the side list.
+#[allow(clippy::too_many_arguments)] // one hot step, all parts hoisted by callers
+pub(crate) fn probe_step(
+    index: &ShardedIndex,
+    small_by_size: &FxHashMap<u32, Vec<TreeIdx>>,
+    universe: usize,
+    (binary, posts): (&BinaryTree, &[u32]),
+    (lo, hi): (u32, u32),
+    classes: impl IntoIterator<Item = u32>,
+    shard: Option<usize>,
+    matching: MatchSemantics,
+    admit: impl Fn(TreeIdx) -> bool,
+    scratch: &mut StepScratch,
+    counters: &mut ProbeCounters,
+) -> u64 {
+    scratch.candidates.begin(universe);
+    scratch
+        .caches
+        .resize_with(index.shard_count(), MatchCache::new);
+    let mut stamps = scratch.candidates.sink();
+    let mut sink = Gate {
+        admit,
+        inner: &mut stamps,
+    };
+    let small = scan_small_trees(small_by_size, classes, &mut sink);
+    let size = binary.len() as u32;
+    let (caches, layers) = (&mut scratch.caches, &mut scratch.layer_scratch);
+    match shard {
+        None => index.probe_tree(
+            binary,
+            posts,
+            size,
+            lo,
+            hi,
+            matching,
+            caches,
+            &mut scratch.shard_scratch,
+            layers,
+            counters,
+            &mut sink,
+        ),
+        Some(s) => index.probe_shard(
+            s,
+            binary,
+            posts,
+            size,
+            lo,
+            hi,
+            matching,
+            &mut caches[s],
+            layers,
+            counters,
+            &mut sink,
+        ),
+    }
+    small
+}
+
+impl Frozen {
+    /// Builds the frozen side of `left` for threshold `tau`: δ-partitions
+    /// the trees (fanned out over the configured probe workers),
+    /// bulk-loads the subgraphs into a fresh **static** (no-replay)
+    /// [`ShardedIndex`], side-lists — and tracks — the trees too small
+    /// to partition, and prepares the verification inputs of the stages
+    /// `config.verify` enables. Both [`crate::sharded_rs_join`] and
+    /// `tsj-catalog`'s freeze build through here, which is what keeps a
+    /// frozen catalog bit-identical to the direct join.
+    pub fn build(
+        left: &[Tree],
+        tau: u32,
+        config: &PartSjConfig,
+        shard_cfg: &ShardConfig,
+    ) -> Frozen {
+        let probe_threads = shard_cfg.resolved_probe_threads();
+        let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
+        let posts: Vec<Vec<u32>> = left.iter().map(Tree::postorder_numbers).collect();
+        let lists = build_subgraph_lists(left, &binaries, &posts, tau, config, probe_threads);
+        let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
+        let mut items: Vec<(TreeIdx, u32, Vec<Subgraph>)> = Vec::new();
+        for (i, list) in lists.into_iter().enumerate() {
+            let size = left[i].len() as u32;
+            match list {
+                Some(subgraphs) => items.push((i as TreeIdx, size, subgraphs)),
+                None => small_by_size.entry(size).or_default().push(i as TreeIdx),
+            }
+        }
+        let mut index =
+            ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
+        for (&size, list) in &small_by_size {
+            for &i in list {
+                index.track(i, size);
+            }
+        }
+        Frozen {
+            index,
+            small_by_size,
+            left_data: VerifyData::batch_for_config(left, &config.verify),
+        }
+    }
+
+    /// Reassembles a frozen side from snapshot parts: the header's
+    /// `(tau, window)`, the shard map, one restored [`SubgraphIndex`]
+    /// per shard of the snapshot — an **empty** one for every shard the
+    /// caller does not own — and the tree store, which is tracked whole
+    /// and from which the side list and the (full-stage) verification
+    /// inputs are rebuilt. The one validating restore: every check of
+    /// [`ShardedIndex::from_frozen_parts`] applies.
+    pub fn restore(
+        tau: u32,
+        window: WindowPolicy,
+        map: ShardMap,
+        shards: Vec<SubgraphIndex>,
+        trees: &[Tree],
+    ) -> Result<Frozen, String> {
+        let tracked = (0..).zip(trees.iter().map(|t| t.len() as u32));
+        Ok(Frozen {
+            index: ShardedIndex::from_frozen_parts(tau, window, map, shards, tracked)?,
+            small_by_size: partsj::side_list(trees, tau),
+            left_data: VerifyData::batch(trees),
+        })
+    }
+
+    /// The sharded index over the left collection (read-only).
+    pub fn index(&self) -> &ShardedIndex {
+        &self.index
+    }
+
+    /// Left trees below the partitioning threshold `δ`, grouped by size.
+    pub fn small_by_size(&self) -> &FxHashMap<u32, Vec<TreeIdx>> {
+        &self.small_by_size
+    }
+
+    /// The probe step for a raw `tree` at `tau`: its size window, every
+    /// shard covering it.
     fn probe(
         &self,
         tree: &Tree,
@@ -130,35 +243,94 @@ impl FrozenLeft<'_> {
         scratch: &mut FrozenJoinScratch,
         counters: &mut ProbeCounters,
     ) -> u64 {
-        let size = tree.len() as u32;
-        let (lo, hi) = window_of(size, tau);
-        scratch.begin(self.left_data.len(), self.index);
-        let mut sink = scratch.candidates.sink();
-        let small = scan_small_trees(self.small_by_size, lo..=hi, &mut sink);
-        let (binary, posts) = scratch.probe.prepare(tree);
-        self.index.probe_tree(
-            binary,
-            posts,
-            size,
-            lo,
-            hi,
+        let (lo, hi) = window_of(tree.len() as u32, tau);
+        probe_step(
+            &self.index,
+            &self.small_by_size,
+            self.left_data.len(),
+            scratch.probe.prepare(tree),
+            (lo, hi),
+            lo..=hi,
+            None,
             matching,
-            &mut scratch.caches,
-            &mut scratch.shard_scratch,
-            &mut scratch.layer_scratch,
+            |_| true,
+            &mut scratch.step,
             counters,
-            &mut sink,
-        );
-        small
+        )
+    }
+
+    /// R×S join of `right` against the frozen side: all `(i, j)` with
+    /// `TED(left[i], right[j]) ≤ tau`, where `tau` may be any threshold
+    /// not exceeding the one the side was frozen for (callers enforce
+    /// that; see the [module docs](self) for why smaller thresholds stay
+    /// complete).
+    ///
+    /// When either thread count exceeds one and
+    /// `right.len() ≥ config.parallel_fallback`, `probe_threads` probers
+    /// feed `verify_threads` verifiers through the bounded channel;
+    /// otherwise everything runs inline. Results are bit-identical either
+    /// way.
+    pub fn join(
+        &self,
+        right: &[Tree],
+        tau: u32,
+        config: &PartSjConfig,
+        probe_threads: usize,
+        verify_threads: usize,
+    ) -> JoinOutcome {
+        let side = RightSide {
+            left: self,
+            right,
+            tau,
+            config,
+        };
+        let (pairs, tally) = execute(&side, tau, config, probe_threads, verify_threads);
+        JoinOutcome::new_bipartite(pairs, tally.stats)
+    }
+
+    /// The inline (single-thread) half of [`Frozen::join`], exposed so
+    /// serving loops can reuse one engine and one [`FrozenJoinScratch`]
+    /// across repeated batch joins: result pairs are appended to `pairs`
+    /// (cleared first) and the returned [`JoinStats`] cover only this
+    /// call (the engine's counters are reset at entry).
+    ///
+    /// Bit-identical (pairs *and* candidate/stage counters) to
+    /// [`Frozen::join`] over the same inputs.
+    pub fn join_seq(
+        &self,
+        right: &[Tree],
+        tau: u32,
+        config: &PartSjConfig,
+        verify: &mut VerifyEngine,
+        scratch: &mut FrozenJoinScratch,
+        pairs: &mut Vec<(TreeIdx, TreeIdx)>,
+    ) -> JoinStats {
+        verify.set_tau(tau);
+        verify.reset_counters();
+        pairs.clear();
+        let side = RightSide {
+            left: self,
+            right,
+            tau,
+            config,
+        };
+        let mut stats = run_inline(&side, verify, scratch, pairs).stats;
+        // Same normalization as `JoinOutcome::new_bipartite`, so callers
+        // holding the raw vector see identical results.
+        pairs.sort_unstable();
+        pairs.dedup();
+        stats.results = pairs.len() as u64;
+        stats
     }
 
     /// Point query: all left trees within the engine's threshold of
     /// `probe`, written to `out` (cleared first) as ascending
     /// `(tree index, exact distance)` — the engine only short-circuits
     /// on provably tight certificates. The threshold must not exceed the
-    /// one the side was frozen for (callers enforce that), and
-    /// [`FrozenLeft::left_data`] must carry every stage's inputs.
-    /// With a warmed engine and scratch this allocates nothing.
+    /// one the side was frozen for (callers enforce that), and the side
+    /// must carry every stage's inputs (a restored one does; build with
+    /// [`VerifyConfig::ALL`]). With a warmed engine and scratch this
+    /// allocates nothing.
     pub fn query_into(
         &self,
         probe: &Tree,
@@ -173,12 +345,62 @@ impl FrozenLeft<'_> {
         // Full stage inputs, like the left side's — `check_exact` may
         // consult any filter.
         let data_q = scratch.probe_verify.prepare(probe, &VerifyConfig::ALL);
-        out.extend(scratch.candidates.as_slice().iter().filter_map(|&i| {
+        out.extend(scratch.step.found().iter().filter_map(|&i| {
             engine
                 .check_exact(&self.left_data[i as usize], data_q)
                 .map(|d| (i, d))
         }));
         out.sort_unstable();
+    }
+
+    /// One shard's share of a probe — what a cluster node answers a
+    /// `(probe, shard)` request with: the side-listed trees of `classes`
+    /// (the probe-window size classes `shard` owns) and `shard`'s
+    /// postings (`shard` must be below the index's shard count), verified
+    /// through `engine` at its threshold. The probe arrives prepared: its
+    /// LC-RS form, postorder numbers and verification inputs. Returns the
+    /// verified left tree ids in discovery order and this call's stats
+    /// (`results` is left to the caller). Every left tree's postings live
+    /// in exactly one shard, so the union over the shards of a probe's
+    /// window is bit-identical — pairs, candidate counts, stage counters
+    /// — to that probe's row of [`Frozen::join_seq`].
+    pub fn serve_shard(
+        &self,
+        shard: usize,
+        classes: &[u32],
+        (binary, posts, data): (&BinaryTree, &[u32], &VerifyData),
+        matching: MatchSemantics,
+        engine: &mut VerifyEngine,
+        scratch: &mut FrozenJoinScratch,
+    ) -> (Vec<TreeIdx>, JoinStats) {
+        engine.reset_counters();
+        let mut stats = JoinStats::default();
+        let probe_start = Instant::now();
+        probe_step(
+            &self.index,
+            &self.small_by_size,
+            self.left_data.len(),
+            (binary, posts),
+            window_of(binary.len() as u32, engine.tau()),
+            classes.iter().copied(),
+            Some(shard),
+            matching,
+            |_| true,
+            &mut scratch.step,
+            &mut ProbeCounters::default(),
+        );
+        let found = scratch.step.found();
+        stats.candidates = found.len() as u64;
+        stats.pairs_examined = stats.candidates;
+        stats.candidate_time = probe_start.elapsed();
+
+        let verify_start = Instant::now();
+        let left_data = &self.left_data;
+        let verified = |&i: &TreeIdx| engine.check(&left_data[i as usize], data).is_some();
+        let matches = found.iter().copied().filter(verified).collect();
+        stats.verify_time = verify_start.elapsed();
+        engine.fold_into(&mut stats);
+        (matches, stats)
     }
 }
 
@@ -186,7 +408,7 @@ impl FrozenLeft<'_> {
 /// `right[pos]`, probing the frozen side with no admission rule beyond
 /// dedup (the index spans exactly the left collection).
 struct RightSide<'a> {
-    left: &'a FrozenLeft<'a>,
+    left: &'a Frozen,
     right: &'a [Tree],
     tau: u32,
     config: &'a PartSjConfig,
@@ -216,7 +438,7 @@ impl JoinSide for RightSide<'_> {
         prep: &mut ProbeVerify,
         pairs: &mut Vec<(TreeIdx, TreeIdx)>,
     ) {
-        let left_data = self.left.left_data;
+        let left_data = &self.left.left_data;
         let data = prep.prepare(&self.right[pos], &self.config.verify);
         for i in candidates {
             if engine.check(&left_data[i as usize], data).is_some() {
@@ -224,67 +446,4 @@ impl JoinSide for RightSide<'_> {
             }
         }
     }
-}
-
-/// The inline (single-thread) half of [`frozen_rs_join`], exposed so
-/// serving loops can reuse one engine and one [`FrozenJoinScratch`]
-/// across repeated batch joins: result pairs are appended to `pairs`
-/// (cleared first) and the returned [`JoinStats`] cover only this call
-/// (the engine's counters are reset at entry).
-///
-/// Bit-identical (pairs *and* candidate/stage counters) to
-/// [`frozen_rs_join`] over the same inputs.
-pub fn frozen_rs_join_seq(
-    left: &FrozenLeft<'_>,
-    right: &[Tree],
-    tau: u32,
-    config: &PartSjConfig,
-    verify: &mut VerifyEngine,
-    scratch: &mut FrozenJoinScratch,
-    pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-) -> JoinStats {
-    verify.set_tau(tau);
-    verify.reset_counters();
-    pairs.clear();
-    let side = RightSide {
-        left,
-        right,
-        tau,
-        config,
-    };
-    let mut stats = run_inline(&side, verify, scratch, pairs).stats;
-    // Same normalization as `JoinOutcome::new_bipartite`, so callers
-    // holding the raw vector see identical results.
-    pairs.sort_unstable();
-    pairs.dedup();
-    stats.results = pairs.len() as u64;
-    stats
-}
-
-/// R×S join of `right` against a frozen left side: all `(i, j)` with
-/// `TED(left[i], right[j]) ≤ tau`, where `tau` may be any threshold not
-/// exceeding the one the left side was frozen for (callers enforce
-/// that; see the module docs for why smaller thresholds stay complete).
-///
-/// When either resolved thread count exceeds one and
-/// `right.len() ≥ config.parallel_fallback`, `probe_threads` probers
-/// feed `verify_threads` verifiers through the bounded channel;
-/// otherwise everything runs inline. Results are bit-identical either
-/// way.
-pub fn frozen_rs_join(
-    left: &FrozenLeft<'_>,
-    right: &[Tree],
-    tau: u32,
-    config: &PartSjConfig,
-    probe_threads: usize,
-    verify_threads: usize,
-) -> JoinOutcome {
-    let side = RightSide {
-        left,
-        right,
-        tau,
-        config,
-    };
-    let (pairs, tally) = execute(&side, tau, config, probe_threads, verify_threads);
-    JoinOutcome::new_bipartite(pairs, tally.stats)
 }

@@ -457,11 +457,12 @@ impl ShardedIndex {
     /// The result is a static index (no replay log, like
     /// [`ShardedIndex::without_replay`]) that probes bit-identically to
     /// the index the shards were dumped from. Validates that every shard
-    /// matches `(tau, window)` and that each shard only holds size
-    /// classes it owns under `map` — a shard-section mix-up, or a
-    /// snapshot whose shard-map section disagrees with its shard
-    /// sections, surfaces here as an error, not as silently empty probe
-    /// results.
+    /// matches `(tau, window)`, that each shard only holds size classes
+    /// it owns under `map`, and that every posting's container tree is
+    /// tracked — a shard-section mix-up, a snapshot whose shard-map
+    /// section disagrees with its shard sections, or a tree store short
+    /// of a referenced tree surfaces here as an error, not as silently
+    /// empty probe results or an out-of-bounds stamp in a later probe.
     pub fn from_frozen_parts(
         tau: u32,
         window: WindowPolicy,
@@ -507,6 +508,14 @@ impl ShardedIndex {
                 return Err(format!("tree {tree} tracked twice"));
             }
             index.track(tree, size);
+        }
+        for (s, shard) in index.shards.iter().enumerate() {
+            let mut trees = (0..shard.index.len() as u32).map(|h| shard.index.tree_of(h));
+            if let Some(tree) = trees.find(|&tree| !index.is_alive(tree)) {
+                return Err(format!(
+                    "shard {s} references tree {tree}, which the tree store lacks"
+                ));
+            }
         }
         Ok(index)
     }
@@ -682,8 +691,8 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// The private index of shard `s` (probe it with
-    /// [`partsj::probe_tree_nodes`]).
+    /// The private index of shard `s` (a snapshot dumps it; probe it
+    /// through [`ShardedIndex::probe_shard`]).
     #[inline]
     pub fn shard_index(&self, s: usize) -> &SubgraphIndex {
         &self.shards[s].index
@@ -725,11 +734,11 @@ impl ShardedIndex {
     }
 
     /// Probes every node of `binary` against every shard covering size
-    /// window `[lo, hi]`, visiting each shard's populated layers through
-    /// the shared Algorithm 1 inner loop. Dead container trees are
-    /// filtered before the sink sees them. `caches` must hold one
-    /// [`MatchCache`] per shard (component ids are per-shard);
-    /// `shard_scratch`/`layer_scratch` are reusable buffers.
+    /// window `[lo, hi]` ([`ShardedIndex::probe_shard`] per shard of
+    /// [`ShardedIndex::shard_set`], which is left in `shard_scratch`).
+    /// `caches` must hold one [`MatchCache`] per shard (component ids
+    /// are per-shard); `shard_scratch`/`layer_scratch` are reusable
+    /// buffers.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tree<S: CandidateSink>(
         &self,
@@ -747,40 +756,75 @@ impl ShardedIndex {
     ) {
         self.shard_set(lo, hi, shard_scratch);
         for &s in shard_scratch.iter() {
-            let index = &self.shards[s].index;
-            resolve_layers(index, lo, hi, layer_scratch);
-            if layer_scratch.is_empty() {
-                continue;
-            }
-            let mut live_sink = LiveSink {
-                alive: &self.alive,
-                inner: &mut *sink,
-            };
-            probe_tree_nodes(
-                index,
-                layer_scratch,
+            let cache = &mut caches[s];
+            self.probe_shard(
+                s,
                 binary,
                 posts,
                 probe_size,
+                lo,
+                hi,
                 matching,
-                &mut caches[s],
+                cache,
+                layer_scratch,
                 counters,
-                &mut live_sink,
+                sink,
             );
         }
     }
+
+    /// Probes every node of `binary` against shard `s` alone (`s` must
+    /// be below [`ShardedIndex::shard_count`]): the shard's populated
+    /// layers of size window `[lo, hi]` — it only holds layers for size
+    /// classes it owns — through the shared Algorithm 1 inner loop. Dead
+    /// container trees are filtered before the sink sees them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_shard<S: CandidateSink>(
+        &self,
+        s: usize,
+        binary: &BinaryTree,
+        posts: &[u32],
+        probe_size: u32,
+        lo: u32,
+        hi: u32,
+        matching: partsj::MatchSemantics,
+        cache: &mut MatchCache,
+        layer_scratch: &mut Vec<LayerId>,
+        counters: &mut ProbeCounters,
+        sink: &mut S,
+    ) {
+        let index = &self.shards[s].index;
+        resolve_layers(index, lo, hi, layer_scratch);
+        let alive = self.alive_bitmap();
+        let mut live_sink = Gate {
+            admit: |tree: TreeIdx| alive.get(tree as usize).copied().unwrap_or(false),
+            inner: sink,
+        };
+        probe_tree_nodes(
+            index,
+            layer_scratch,
+            binary,
+            posts,
+            probe_size,
+            matching,
+            cache,
+            counters,
+            &mut live_sink,
+        );
+    }
 }
 
-/// Sink adapter that drops dead container trees before delegating.
-struct LiveSink<'a, S> {
-    alive: &'a [bool],
-    inner: &'a mut S,
+/// Sink adapter: an admission rule in front of another sink — liveness
+/// here, processing rank in the self-join.
+pub(crate) struct Gate<'a, F, S> {
+    pub(crate) admit: F,
+    pub(crate) inner: &'a mut S,
 }
 
-impl<S: CandidateSink> CandidateSink for LiveSink<'_, S> {
+impl<F: Fn(TreeIdx) -> bool, S: CandidateSink> CandidateSink for Gate<'_, F, S> {
     #[inline]
     fn admit(&mut self, tree: TreeIdx) -> bool {
-        self.alive.get(tree as usize).copied().unwrap_or(false) && self.inner.admit(tree)
+        (self.admit)(tree) && self.inner.admit(tree)
     }
 
     #[inline]

@@ -24,36 +24,16 @@
 //! Result pairs are bit-identical to [`partsj::partsj_join`] for every
 //! shard count and thread count (asserted across the property suite).
 
-use crate::frozen::FrozenJoinScratch;
+use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
 use crate::pool::{execute, JoinSide};
 use partsj::join::PartSjDetail;
-use partsj::probe::{scan_small_trees, window_of, CandidateSink, ProbeCounters, StampSink};
+use partsj::probe::{window_of, ProbeCounters};
 use partsj::subgraph::{partition_tree, Subgraph};
 use partsj::{MatchSemantics, PartSjConfig, ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, TreeIdx};
 use tsj_tree::{BinaryTree, FxHashMap, Tree};
-
-/// Admits a container tree only if it precedes the probing tree in
-/// processing rank (and is not already a candidate of this probe).
-struct RankSink<'a> {
-    rank: &'a [u32],
-    my_rank: u32,
-    inner: StampSink<'a>,
-}
-
-impl CandidateSink for RankSink<'_> {
-    #[inline]
-    fn admit(&mut self, tree: TreeIdx) -> bool {
-        self.rank[tree as usize] < self.my_rank && self.inner.admit(tree)
-    }
-
-    #[inline]
-    fn accept(&mut self, tree: TreeIdx) {
-        self.inner.accept(tree);
-    }
-}
 
 /// The self-join as the executor sees it: probe number `pos` is the tree
 /// of processing rank `pos`, probing the prebuilt index under the rank
@@ -85,27 +65,22 @@ impl JoinSide for SelfJoin<'_> {
         let size_i = self.binaries[i].len() as u32;
         // Nothing larger precedes `T_i` in rank: the window stops at `|T_i|`.
         let (lo, _) = window_of(size_i, self.tau);
-        scratch.begin(self.order.len(), self.index);
-        let mut sink = RankSink {
-            rank: self.rank,
-            my_rank: pos as u32,
-            inner: scratch.candidates.sink(),
-        };
-        let small = scan_small_trees(self.small_by_size, lo..=size_i, &mut sink);
-        self.index.probe_tree(
-            &self.binaries[i],
-            &self.general_posts[i],
-            size_i,
-            lo,
-            size_i,
+        // A container tree is admitted only if it precedes the probing
+        // tree in processing rank.
+        let my_rank = pos as u32;
+        probe_step(
+            self.index,
+            self.small_by_size,
+            self.order.len(),
+            (&self.binaries[i], &self.general_posts[i]),
+            (lo, size_i),
+            lo..=size_i,
+            None,
             self.matching,
-            &mut scratch.caches,
-            &mut scratch.shard_scratch,
-            &mut scratch.layer_scratch,
+            |j| self.rank[j as usize] < my_rank,
+            &mut scratch.step,
             counters,
-            &mut sink,
-        );
-        small
+        )
     }
 
     fn verify(
@@ -205,9 +180,9 @@ pub fn sharded_join_detailed(
 
 /// Applies the δ rule ([`partition_tree`]) to every tree — its subgraph
 /// list, or `None` for side-listed small trees — fanning the per-tree
-/// work out over `threads` scoped workers. Shared by both batch joins
-/// and `tsj-catalog`'s freeze; the `binaries`/`general_posts` slices
-/// must be index-aligned with `trees`.
+/// work out over `threads` scoped workers. Shared by the self-join and
+/// [`crate::Frozen::build`]; the `binaries`/`general_posts` slices must
+/// be index-aligned with `trees`.
 pub fn build_subgraph_lists(
     trees: &[Tree],
     binaries: &[BinaryTree],

@@ -29,6 +29,12 @@
 //!   [`ShardedStreamingJoin`] packages this as a sliding-window monitor
 //!   with an [`EvictionPolicy`] by count or by logical timestamp.
 //!
+//! The other regime — index one side **once**, stream probes through it
+//! — is [`Frozen`]: the sharded index, the side list and the verify
+//! inputs of a left collection as one owned value, built
+//! ([`sharded_rs_join`]) or restored from a snapshot (`tsj-catalog`,
+//! `tsj-cluster`).
+//!
 //! ## Shard key
 //!
 //! The shard key is a hash of the **container size class** `n`. All
@@ -61,9 +67,7 @@ mod pool;
 pub mod rs_join;
 pub mod streaming;
 
-pub use frozen::{
-    build_frozen_left, frozen_rs_join, frozen_rs_join_seq, FrozenJoinScratch, FrozenLeft,
-};
+pub use frozen::{Frozen, FrozenJoinScratch};
 pub use index::{ShardConfig, ShardMap, ShardedIndex};
 pub use join::{build_subgraph_lists, sharded_join, sharded_join_detailed};
 pub use rs_join::sharded_rs_join;

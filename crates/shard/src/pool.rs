@@ -32,7 +32,7 @@ pub(crate) trait JoinSide: Sync {
     fn probes(&self) -> usize;
 
     /// Algorithm 1's probe step for probing tree number `pos`: leaves
-    /// its candidates in `scratch.candidates` and returns how many of
+    /// its candidates in `scratch.step` and returns how many of
     /// them came from the small-tree side list.
     fn probe(
         &self,
@@ -67,7 +67,7 @@ pub(crate) struct Tally {
 impl Tally {
     fn probed(&mut self, small: u64, scratch: &FrozenJoinScratch) {
         self.small_candidates += small;
-        self.stats.candidates += scratch.candidates.as_slice().len() as u64;
+        self.stats.candidates += scratch.step.found().len() as u64;
     }
 }
 
@@ -88,7 +88,7 @@ pub(crate) fn run_inline<S: JoinSide>(
         tally.stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
-        let found = scratch.candidates.as_slice().iter().copied();
+        let found = scratch.step.found().iter().copied();
         side.verify(pos, found, engine, &mut scratch.probe_verify, pairs);
         tally.stats.verify_time += verify_start.elapsed();
     }
@@ -164,7 +164,7 @@ pub(crate) fn execute<S: JoinSide>(
                         for pos in claimed..(claimed + CLAIM_CHUNK).min(side.probes()) {
                             let small = side.probe(pos, &mut scratch, &mut tally.counters);
                             tally.probed(small, &scratch);
-                            for &candidate in scratch.candidates.as_slice() {
+                            for &candidate in scratch.step.found() {
                                 batch.push((pos as TreeIdx, candidate));
                                 if batch.len() >= batch_size {
                                     let full = std::mem::replace(

@@ -1,18 +1,17 @@
 //! Sharded bipartite (R×S) join: the offline-index regime the sharded
 //! design fits best.
 //!
-//! The left collection is partitioned and bulk-loaded into a
-//! [`ShardedIndex`](crate::ShardedIndex) by [`crate::build_frozen_left`]
-//! (shards ingest in parallel); the probe + verify half is then
-//! delegated to [`crate::frozen_rs_join`] — right trees probe the
-//! frozen shards concurrently (no rank filter is needed because the
-//! index spans exactly the left collection) and candidate batches
-//! stream to the verifier pool. Results are bit-identical to
+//! The left collection becomes a [`Frozen`] side — partitioned and
+//! bulk-loaded into a [`ShardedIndex`](crate::ShardedIndex), shards
+//! ingesting in parallel — and [`Frozen::join`] does the rest: right
+//! trees probe the frozen shards concurrently (no rank filter is needed
+//! because the index spans exactly the left collection) and candidate
+//! batches stream to the verifier pool. Results are bit-identical to
 //! [`partsj::partsj_join_rs`].
 
-use crate::frozen::{build_frozen_left, frozen_rs_join, FrozenLeft};
+use crate::frozen::Frozen;
 use crate::index::ShardConfig;
-use partsj::{PartSjConfig, VerifyData};
+use partsj::PartSjConfig;
 use std::time::Instant;
 use tsj_ted::JoinOutcome;
 use tsj_tree::Tree;
@@ -28,16 +27,10 @@ pub fn sharded_rs_join(
     shard_cfg: &ShardConfig,
 ) -> JoinOutcome {
     let build_start = Instant::now();
-    let (index, small_by_size) = build_frozen_left(left, tau, config, shard_cfg);
-    let left_data: Vec<VerifyData> = VerifyData::batch_for_config(left, &config.verify);
+    let frozen = Frozen::build(left, tau, config, shard_cfg);
     let build_time = build_start.elapsed();
 
-    let mut outcome = frozen_rs_join(
-        &FrozenLeft {
-            index: &index,
-            small_by_size: &small_by_size,
-            left_data: &left_data,
-        },
+    let mut outcome = frozen.join(
         right,
         tau,
         config,

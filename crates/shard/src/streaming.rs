@@ -58,9 +58,9 @@
 //! assert_eq!(join.evictions(), 2);
 //! ```
 
-use crate::frozen::FrozenJoinScratch;
+use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::{scan_small_trees, window_of, ProbeCounters};
+use partsj::probe::{window_of, ProbeCounters};
 use partsj::subgraph::partition_tree;
 use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
@@ -216,24 +216,19 @@ impl ShardedStreamingJoin {
         // Candidates from the small-tree side lists (expiry prunes them,
         // so every entry is live), then from the sharded index (dead
         // trees filtered inside).
-        let scratch = &mut self.scratch;
-        scratch.begin(id as usize, &self.index);
-        let mut sink = scratch.candidates.sink();
-        scan_small_trees(&self.small_by_size, lo..=hi, &mut sink);
-        let (binary, posts) = scratch.probe.prepare(tree);
-        let mut counters = ProbeCounters::default();
-        self.index.probe_tree(
-            binary,
-            posts,
-            size,
-            lo,
-            hi,
+        let (binary, posts) = self.scratch.probe.prepare(tree);
+        probe_step(
+            &self.index,
+            &self.small_by_size,
+            id as usize,
+            (binary, posts),
+            (lo, hi),
+            lo..=hi,
+            None,
             self.config.matching,
-            &mut scratch.caches,
-            &mut scratch.shard_scratch,
-            &mut scratch.layer_scratch,
-            &mut counters,
-            &mut sink,
+            |_| true,
+            &mut self.scratch.step,
+            &mut ProbeCounters::default(),
         );
 
         // Verify against the live window. The newcomer's data is owned —
@@ -242,9 +237,10 @@ impl ShardedStreamingJoin {
         let data = VerifyData::for_config_with(tree, &self.config.verify, &mut self.verify_prep);
         let verify = &mut self.verify;
         let known = &self.data;
-        let mut partners: Vec<TreeIdx> = scratch
-            .candidates
-            .as_slice()
+        let mut partners: Vec<TreeIdx> = self
+            .scratch
+            .step
+            .found()
             .iter()
             .filter(|&&j| {
                 let other = known[j as usize]

@@ -3,7 +3,9 @@
 # one way: source lines per crate, the join-stack subtotal, all Rust
 # outside benchmark/ vendor/ target/, and the test-group count — plus
 # `options`, the public fields of the ten config structs (ROADMAP 4(c):
-# they "come out with fewer fields than they went in").
+# they "come out with fewer fields than they went in"), and `paths`, how
+# many places in the join stack still sequence the sharded probe step or
+# hold a frozen side's parts (ROADMAP 3: each should be written once).
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -38,6 +40,23 @@ for config in PartSjConfig VerifyConfig ShardConfig ObsConfig ClusterConfig Retr
   options=$((options + fields))
 done
 printf '%-32s %6d\n' 'options (pub config fields)' "$options"
+
+# Non-comment lines matching $1 in the non-test part (everything before
+# `#[cfg(test)]`) of the given files.
+sites() {
+  local pattern=$1 file
+  shift
+  for file in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$file"; done |
+    grep -vE '^\s*//' | grep -cE "$pattern" || true
+}
+path_row() { printf '  %-36s %2d\n' "$1" "$(sites "${@:2}")"; }
+stack_src=(crates/{shard,catalog,cluster}/src/*.rs)
+echo 'paths (non-test, shard+catalog+cluster src)'
+path_row 'scan_small_trees( call sites' 'scan_small_trees\(' "${stack_src[@]}"
+path_row '.probe_tree( call sites' '\.probe_tree\(' "${stack_src[@]}"
+path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/src/*.rs
+path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' "${stack_src[@]}"
+path_row 'side_list( call sites' 'side_list\(' "${stack_src[@]}"
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"

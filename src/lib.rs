@@ -124,9 +124,11 @@
 //!
 //! When one side of the join is long-lived — a reference catalog probed
 //! by many feeds — the [`catalog`] crate (`tsj-catalog`) freezes its
-//! sharded index **once**, persists it as a versioned, checksummed
-//! binary snapshot, and serves indexed-left joins against it at any
-//! per-query threshold up to the frozen one. Loading a snapshot joins
+//! sharded index **once** (a [`shard::Frozen`] side: the value
+//! `sharded_rs_join` builds on the spot and a cluster node restores for
+//! the shards it owns), persists it as a versioned, checksummed binary
+//! snapshot, and serves indexed-left joins against it at any per-query
+//! threshold up to the frozen one. Loading a snapshot joins
 //! bit-identically to `sharded_rs_join` over the original trees:
 //!
 //! ```

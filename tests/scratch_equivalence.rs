@@ -6,9 +6,7 @@
 //! execution-mode matrix, including dirty-scratch reuse across calls.
 
 use tree_similarity_join::prelude::*;
-use tree_similarity_join::shard::{
-    build_frozen_left, frozen_rs_join, frozen_rs_join_seq, FrozenJoinScratch, FrozenLeft,
-};
+use tree_similarity_join::shard::{Frozen, FrozenJoinScratch};
 
 fn dataset(n: usize, seed: u64) -> Vec<Tree> {
     synthetic_sized(n, 30, seed)
@@ -69,24 +67,10 @@ fn frozen_join_scratch_reuse_is_bit_identical() {
     let mut engine = VerifyEngine::new(3, &config);
     let mut scratch = FrozenJoinScratch::new();
     let mut pairs = Vec::new();
-    let (index, small_by_size) = build_frozen_left(&left, 3, &config, &ShardConfig::with_shards(2));
-    let left_data: Vec<VerifyData> = VerifyData::batch_for_config(&left, &config.verify);
-    let frozen = FrozenLeft {
-        index: &index,
-        small_by_size: &small_by_size,
-        left_data: &left_data,
-    };
+    let frozen = Frozen::build(&left, 3, &config, &ShardConfig::with_shards(2));
     for tau in [0u32, 1, 3, 1] {
-        let reference = frozen_rs_join(&frozen, &right, tau, &config, 1, 1);
-        let stats = frozen_rs_join_seq(
-            &frozen,
-            &right,
-            tau,
-            &config,
-            &mut engine,
-            &mut scratch,
-            &mut pairs,
-        );
+        let reference = frozen.join(&right, tau, &config, 1, 1);
+        let stats = frozen.join_seq(&right, tau, &config, &mut engine, &mut scratch, &mut pairs);
         assert_eq!(pairs, reference.pairs, "tau={tau}: pairs diverged");
         let reused = JoinOutcome::new_bipartite(pairs.clone(), stats);
         assert_same(&reference, &reused, &format!("frozen seq tau={tau}"));
