@@ -1,18 +1,20 @@
 //! Micro-benchmarks of the distance kernels: Zhang–Shasha left/right
-//! decompositions, the RTED-inspired dynamic choice, and banded vs full
-//! string edit distance. These are the per-pair costs that dominate the
-//! verification bars of Figures 10/12/14.
+//! decompositions, the RTED-inspired dynamic choice, the τ-bounded kernel
+//! the verify chain runs (`ted/within/*`, with the full DP on the same
+//! pair beside it as `ted/full/*`), and banded vs full string edit
+//! distance. These are the per-pair costs that dominate the verification
+//! bars of Figures 10/12/14.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tsj_datagen::{grow_tree, ShapeProfile};
+use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
-    sed, sed_with, sed_within, sed_within_with, tree_distance, CostModel, SedScratch, Strategy,
-    TedEngine, TedTree, TedWorkspace,
+    sed, sed_with, sed_within, sed_within_with, tree_distance, CostModel, PreparedTree, SedScratch,
+    Strategy, TedEngine, TedTree, TedWorkspace,
 };
-use tsj_tree::Tree;
+use tsj_tree::{Label, Tree, TreeBuilder};
 
 fn tree_of_shape(seed: u64, size: usize, deepen: f64) -> Tree {
     let profile = ShapeProfile {
@@ -63,6 +65,66 @@ fn bench_ted_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+/// A spine of `n / 2` nodes, each with a leaf to the left of the next
+/// spine node: every spine node is a keyroot of the left decomposition
+/// (Σ keyroot spans is quadratic) and none is of the right one.
+fn right_comb(n: usize, labels: u32) -> Tree {
+    let label = |k: usize| Label::from_raw(1 + (k as u32 * 7) % labels);
+    let mut builder = TreeBuilder::with_capacity(n);
+    let mut spine = builder.root(label(0));
+    for k in (1..n).step_by(2) {
+        builder.child(spine, label(k));
+        if k + 1 < n {
+            spine = builder.child(spine, label(k + 1));
+        }
+    }
+    builder.build()
+}
+
+/// The threshold call the verify chain makes, on pairs shaped like the
+/// repo benchmark's two join collections (a tree and a mutant of it within
+/// τ, the pairs that reach exact TED there) and on the shape where the
+/// two decompositions differ most.
+fn bench_ted_within(c: &mut Criterion) {
+    let grown = |seed, size, labels, max_fanout, max_depth, deepen_prob| {
+        let profile = ShapeProfile {
+            max_fanout,
+            max_depth,
+            deepen_prob,
+        };
+        grow_tree(&mut StdRng::seed_from_u64(seed), size, labels, &profile)
+    };
+    let inputs = [
+        ("bigtree150_tau6", grown(7, 150, 20, 3, 5, 0.25), 20, 6u32),
+        ("flat62_tau2", grown(8, 62, 84, 24, 4, 0.0), 84, 2),
+        ("right_comb80_tau3", right_comb(80, 12), 12, 3),
+    ];
+    let strategies = [
+        ("left", Strategy::Left),
+        ("right", Strategy::Right),
+        ("dynamic", Strategy::Dynamic),
+    ];
+    for (input, base, labels, tau) in inputs {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mutant, _) = random_edit_script(&base, tau as usize - 1, &mut rng, labels);
+        let (pa, pb) = (PreparedTree::new(&base), PreparedTree::new(&mutant));
+        let mut group = c.benchmark_group("ted/within");
+        for (name, strategy) in strategies {
+            let mut engine = TedEngine::new(CostModel::UNIT, strategy);
+            assert!(engine.within(&pa, &pb, tau).is_some(), "{input} is a hit");
+            group.bench_function(format!("{input}/{name}"), |bench| {
+                bench.iter(|| black_box(engine.within(black_box(&pa), black_box(&pb), tau)))
+            });
+        }
+        group.finish();
+        let mut engine = TedEngine::unit();
+        c.benchmark_group("ted/full")
+            .bench_function(format!("{input}/dynamic"), |bench| {
+                bench.iter(|| black_box(engine.distance(black_box(&pa), black_box(&pb))))
+            });
+    }
+}
+
 fn bench_sed(c: &mut Criterion) {
     let mut group = c.benchmark_group("sed");
     let a = tree_of_shape(5, 120, 0.2).preorder_labels();
@@ -99,5 +161,11 @@ fn bench_sed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ted_sizes, bench_ted_strategies, bench_sed);
+criterion_group!(
+    benches,
+    bench_ted_sizes,
+    bench_ted_strategies,
+    bench_ted_within,
+    bench_sed
+);
 criterion_main!(benches);

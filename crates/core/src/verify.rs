@@ -4,9 +4,8 @@
 //! Every join entry point — sequential, R×S and top-k in this crate,
 //! plus the pooled, streaming and point-query paths of `tsj-shard` and
 //! `tsj-catalog` — verifies candidate pairs the same way: run cheap
-//! distance *bounds* first and fall back to the cubic exact-TED DP only
-//! when no bound decides the pair. [`VerifyEngine`] owns that pipeline
-//! once.
+//! distance *bounds* first and fall back to the exact-TED DP only when no
+//! bound decides the pair. [`VerifyEngine`] owns that pipeline once.
 //!
 //! ## The filter chain
 //!
@@ -20,7 +19,7 @@
 //! | 2 | `shape-accept` | upper | O(1), O(n) on hit | accept |
 //! | 3 | `label-hist` | lower | O(n) merge | reject |
 //! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject |
-//! | — | exact TED | — | O(n²·min-height²) DP | both |
+//! | — | exact TED | — | O(n·τ) cells per surviving keyroot pair | both |
 //!
 //! A **lower-bound** stage computes `lb ≤ TED` and rejects when
 //! `lb > τ`; rejection can never drop a true result. An **upper-bound**
@@ -28,6 +27,14 @@
 //! when `ub ≤ τ`; acceptance can never add a false result. Either way
 //! the pair is *resolved* without the expensive DP, and the stage's
 //! counter records it ([`JoinStats::stage_counts`]).
+//!
+//! The exact fallback is [`TedEngine::verify`], the τ-bounded
+//! Zhang–Shasha kernel: it only has to answer "≤ τ, and the value if so",
+//! so it fills the `|x − y| ≤ τ` band of each forest table and skips
+//! keyroot pairs whose leftmost leaves are more than 2τ apart. It counts
+//! one computation per pair, exactly as the full DP did. The unbounded DP
+//! ([`TedEngine::distance`]) stays what `tsj-baselines` and every test
+//! oracle run — the independent verifier.
 //!
 //! ## Why the early accept hashes shapes instead of reusing SED
 //!
@@ -497,8 +504,7 @@ impl VerifyEngine {
         {
             return self.reject(TRAVERSAL_SED);
         }
-        let d = self.ted.distance(&a.prepared, &b.prepared);
-        (d <= tau).then_some(d)
+        self.ted.verify(&a.prepared, &b.prepared, tau)
     }
 
     /// Runs one stage's bound, stopwatched in profile mode.
@@ -575,21 +581,27 @@ mod tests {
             .collect()
     }
 
+    /// The stage selection whose toggles are the low four bits of `mask`,
+    /// in [`VERIFY_STAGES`] order.
+    fn config_of(mask: u32) -> VerifyConfig {
+        let on = |bit: u32| mask & (1 << bit) != 0;
+        VerifyConfig {
+            size: on(0),
+            shape_accept: on(1),
+            histogram: on(2),
+            traversal: on(3),
+        }
+    }
+
     #[test]
     fn default_chain_order_is_cheapest_first() {
         let engine = VerifyEngine::with_filters(1, &VerifyConfig::default());
         assert_eq!(engine.stage_names(), VERIFY_STAGES);
         // Every toggle mask evaluates the canonical subsequence.
         for mask in 0..16u32 {
-            let on = |bit: u32| mask & (1 << bit) != 0;
-            let filters = VerifyConfig {
-                size: on(0),
-                shape_accept: on(1),
-                histogram: on(2),
-                traversal: on(3),
-            };
+            let filters = config_of(mask);
             let want: Vec<&str> = (0..4)
-                .filter(|&bit| on(bit))
+                .filter(|&bit| mask & (1 << bit) != 0)
                 .map(|bit| VERIFY_STAGES[bit as usize])
                 .collect();
             let engine = VerifyEngine::with_filters(1, &filters);
@@ -752,6 +764,142 @@ mod tests {
         engine.set_tau(1);
         assert_eq!(engine.tau(), 1);
         assert_eq!(engine.check_exact(&d[0], &d[1]), None, "tightened τ");
+    }
+
+    /// The chain as it was before the τ-bounded kernel: the same four
+    /// bounds, then the full DP and a comparison. `VerifyEngine` must
+    /// agree with it on every verdict and every counter.
+    struct Reference {
+        tau: u32,
+        filters: VerifyConfig,
+        counts: [u64; STAGES],
+        sed: SedScratch,
+        ted: TedEngine,
+    }
+
+    impl Reference {
+        fn new(tau: u32, filters: VerifyConfig) -> Reference {
+            Reference {
+                tau,
+                filters,
+                counts: [0; STAGES],
+                sed: SedScratch::default(),
+                ted: TedEngine::unit(),
+            }
+        }
+
+        fn decide(&mut self, a: &VerifyData, b: &VerifyData, exact: bool) -> Option<u32> {
+            let (tau, on) = (self.tau, self.filters);
+            if on.size && size_rejects(a, b, tau) {
+                return self.reject(SIZE);
+            }
+            if on.shape_accept {
+                let certificate = shape_certificate(a, b, tau);
+                if let Some(hamming) = certificate.filter(|&hamming| hamming <= 1 || !exact) {
+                    self.counts[SHAPE_ACCEPT] += 1;
+                    return Some(hamming);
+                }
+            }
+            if on.histogram && histogram_rejects(a, b, tau) {
+                return self.reject(LABEL_HIST);
+            }
+            if on.traversal && traversal_rejects(a, b, tau, &mut self.sed) {
+                return self.reject(TRAVERSAL_SED);
+            }
+            let d = self.ted.distance(&a.prepared, &b.prepared);
+            (d <= tau).then_some(d)
+        }
+
+        fn reject(&mut self, stage: usize) -> Option<u32> {
+            self.counts[stage] += 1;
+            None
+        }
+
+        /// The engine under test must have decided the same pairs at the
+        /// same stages and handed the same number to exact TED.
+        fn assert_counters_match(&self, engine: &VerifyEngine, context: &str) {
+            assert_eq!(engine.ted_calls(), self.ted.computations(), "{context}");
+            let mut stats = JoinStats::default();
+            engine.fold_into(&mut stats);
+            let want: Vec<StageCount> = engine
+                .stages()
+                .map(|(idx, stage)| StageCount {
+                    stage,
+                    count: self.counts[idx],
+                })
+                .collect();
+            assert_eq!(stats.stage_counts, want, "{context}");
+        }
+    }
+
+    /// Near-duplicates at every distance up to 5 edits, unrelated trees of
+    /// equal and of very different sizes, and a single node.
+    fn mixed_collection() -> Vec<VerifyData> {
+        use rand::{rngs::StdRng, SeedableRng};
+        use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
+        let mut rng = StdRng::seed_from_u64(21);
+        let profile = ShapeProfile {
+            max_fanout: 3,
+            max_depth: 6,
+            deepen_prob: 0.3,
+        };
+        let mut trees = vec![Tree::leaf(Label::from_raw(1))];
+        for (size, labels) in [(10, 3), (10, 3), (18, 4), (19, 2)] {
+            let base = grow_tree(&mut rng, size, labels, &profile);
+            for edits in 0..=5 {
+                trees.push(random_edit_script(&base, edits, &mut rng, labels).0);
+            }
+        }
+        VerifyData::batch(&trees)
+    }
+
+    #[test]
+    fn bounded_ted_moves_no_verdict_and_no_counter() {
+        let data = mixed_collection();
+        for mask in 0..16u32 {
+            let filters = config_of(mask);
+            for tau in [0, 1, 3, 6, 40] {
+                let mut engine = VerifyEngine::with_filters(tau, &filters);
+                let mut reference = Reference::new(tau, filters);
+                for (i, a) in data.iter().enumerate() {
+                    for (j, b) in data.iter().enumerate() {
+                        let exact = (i + j) % 2 == 0;
+                        let got = engine.decide(a, b, exact);
+                        let want = reference.decide(a, b, exact);
+                        assert_eq!(got, want, "mask {mask:04b} tau {tau} pair ({i}, {j})");
+                    }
+                }
+                reference.assert_counters_match(&engine, &format!("mask {mask:04b} tau {tau}"));
+            }
+        }
+        // Without the size stage, a size-mismatched pair still counts as
+        // one exact computation, though the kernel answers it in O(1).
+        let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::NONE);
+        assert_eq!(engine.check(&data[0], &data[20]), None);
+        assert_eq!(engine.ted_calls(), 1);
+    }
+
+    #[test]
+    fn shrinking_tau_mid_run_matches_the_reference() {
+        // The top-k join starts wide and tightens τ as its heap fills; the
+        // bounded kernel must follow each new τ on a warm engine.
+        let data = mixed_collection();
+        let mut engine = VerifyEngine::with_filters(4096, &VerifyConfig::default());
+        let mut reference = Reference::new(4096, VerifyConfig::default());
+        for tau in [4096, 64, 9, 4, 2, 1, 0, 3] {
+            engine.set_tau(tau);
+            reference.tau = tau;
+            for (i, a) in data.iter().enumerate() {
+                for b in &data[..i] {
+                    assert_eq!(
+                        engine.check_exact(a, b),
+                        reference.decide(a, b, true),
+                        "tau {tau}"
+                    );
+                }
+            }
+            reference.assert_counters_match(&engine, &format!("after tau {tau}"));
+        }
     }
 
     #[test]

@@ -44,6 +44,18 @@ impl CostModel {
         }
     }
 
+    /// The most nodes an edit mapping of cost at most `k` can leave
+    /// unmapped: each one is an insertion or a deletion. What the size
+    /// lower bound and the τ-bounded kernel's band both come from;
+    /// unbounded when inserting or deleting is free.
+    #[inline]
+    pub fn max_unmapped(&self, k: u32) -> usize {
+        match self.insert.min(self.delete) {
+            0 => usize::MAX,
+            cheapest => (k / cheapest) as usize,
+        }
+    }
+
     /// Whether this is the unit-cost model (required by the filter bounds).
     pub fn is_unit(&self) -> bool {
         *self == CostModel::UNIT
@@ -78,5 +90,21 @@ mod tests {
         };
         assert!(!weighted.is_unit());
         assert_eq!(weighted.rename(Label::from_raw(1), Label::from_raw(2)), 3);
+    }
+
+    #[test]
+    fn unmapped_nodes_are_paid_at_the_cheaper_of_insert_and_delete() {
+        assert_eq!(CostModel::UNIT.max_unmapped(6), 6);
+        let weighted = CostModel {
+            insert: 3,
+            delete: 2,
+            relabel: 1,
+        };
+        assert_eq!(weighted.max_unmapped(7), 3);
+        let free_delete = CostModel {
+            delete: 0,
+            ..weighted
+        };
+        assert_eq!(free_delete.max_unmapped(0), usize::MAX);
     }
 }

@@ -15,10 +15,12 @@
 //! relevant-subproblem cost estimates; [`TedEngine::distance`] multiplies
 //! the per-tree costs and runs the cheaper side. Both sides are exact, so
 //! the choice affects only running time — never the reported distance.
+//! The threshold entries ([`TedEngine::within`], [`TedEngine::verify`])
+//! make the same choice and run the τ-bounded kernel on it.
 
 use crate::cost::CostModel;
 use crate::ted_tree::{TedBuildScratch, TedTree};
-use crate::zs::{tree_distance, TedWorkspace};
+use crate::zs::{tree_distance, tree_distance_bounded, TedWorkspace};
 use tsj_tree::Tree;
 
 /// Which decomposition a distance computation used (or must use).
@@ -149,9 +151,20 @@ impl TedEngine {
         self.computations = 0;
     }
 
-    /// Exact distance between two prepared trees.
+    /// Exact distance between two prepared trees: the unbounded DP, the
+    /// reference the baselines and every test oracle run.
     pub fn distance(&mut self, a: &PreparedTree, b: &PreparedTree) -> u32 {
         self.computations += 1;
+        let (a, b) = self.decomposition(a, b);
+        tree_distance(a, b, &self.costs, &mut self.ws)
+    }
+
+    /// The pair of preprocessed forms this engine's strategy runs on.
+    fn decomposition<'t>(
+        &self,
+        a: &'t PreparedTree,
+        b: &'t PreparedTree,
+    ) -> (&'t TedTree, &'t TedTree) {
         let use_right = match self.strategy {
             Strategy::Left => false,
             Strategy::Right => true,
@@ -164,9 +177,9 @@ impl TedEngine {
             }
         };
         if use_right {
-            tree_distance(&a.right, &b.right, &self.costs, &mut self.ws)
+            (&a.right, &b.right)
         } else {
-            tree_distance(&a.left, &b.left, &self.costs, &mut self.ws)
+            (&a.left, &b.left)
         }
     }
 
@@ -175,17 +188,29 @@ impl TedEngine {
         self.distance(&PreparedTree::new(a), &PreparedTree::new(b))
     }
 
-    /// Threshold test: is `TED(a, b) ≤ tau`?
+    /// Threshold test: `Some(TED(a, b))` when it is at most `tau`.
     ///
-    /// Applies the size lower bound before running the cubic DP — each edit
-    /// operation changes the tree size by at most one (§3.2, footnote 1).
+    /// Applies the size lower bound first — each edit operation changes
+    /// the tree size by at most one (§3.2, footnote 1), so the sizes of a
+    /// pair within `tau` differ by at most [`CostModel::max_unmapped`] —
+    /// and a pair it rejects counts no computation; the rest go to
+    /// [`TedEngine::verify`].
     pub fn within(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
-        let diff = a.len().abs_diff(b.len()) as u32;
-        if diff > tau {
+        if a.len().abs_diff(b.len()) > self.costs.max_unmapped(tau) {
             return None;
         }
-        let d = self.distance(a, b);
-        (d <= tau).then_some(d)
+        self.verify(a, b, tau)
+    }
+
+    /// [`TedEngine::within`] for a caller that has done its own filtering:
+    /// every pair counts one computation, as [`TedEngine::distance`]
+    /// would, and runs the τ-bounded kernel
+    /// ([`tree_distance_bounded`]) — O(n·τ) cells per surviving keyroot
+    /// pair instead of the whole DP.
+    pub fn verify(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
+        self.computations += 1;
+        let (a, b) = self.decomposition(a, b);
+        tree_distance_bounded(a, b, &self.costs, tau, &mut self.ws)
     }
 }
 

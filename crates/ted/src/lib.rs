@@ -4,7 +4,8 @@
 //! reproduction of *Scaling Similarity Joins over Tree-Structured Data*
 //! (Tang, Cai & Mamoulis, VLDB 2015).
 //!
-//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program;
+//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program, and its
+//!   τ-bounded form that fills only the `|x − y| ≤ τ` band;
 //! * [`hybrid`] — an RTED-inspired engine that dynamically picks between
 //!   left-path and mirrored (right-path) decompositions per tree pair (see
 //!   DESIGN.md for the substitution note);
@@ -30,4 +31,4 @@ pub use hybrid::{ted, PreparedTree, Strategy, TedEngine};
 pub use outcome::{JoinOutcome, JoinStats, JoinWork, StageCount, TreeIdx};
 pub use sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
 pub use ted_tree::{TedBuildScratch, TedTree};
-pub use zs::{tree_distance, zhang_shasha, TedWorkspace};
+pub use zs::{tree_distance, tree_distance_bounded, zhang_shasha, TedWorkspace};

@@ -7,6 +7,12 @@
 //! full `n₁ × n₂` table. Worst-case time is O(n₁²·n₂²) but for realistic
 //! shapes it behaves like the O(n³) algorithms the paper builds on.
 //!
+//! Two kernels share the tables. [`tree_distance`] is the unbounded DP —
+//! the reference every oracle and baseline runs. [`tree_distance_bounded`]
+//! answers "is the distance ≤ τ, and what is it if so" and spends only
+//! O(n·τ) cells per surviving keyroot pair (Touzet's k-strip idea); see
+//! its docs for the three prunings and why each is exact.
+//!
 //! Matrices live in a reusable [`TedWorkspace`] so joins that verify
 //! millions of candidate pairs do not allocate per pair (workhorse-buffer
 //! pattern from the performance guide).
@@ -14,14 +20,20 @@
 use crate::cost::CostModel;
 use crate::ted_tree::TedTree;
 
-/// Reusable scratch matrices for [`tree_distance`].
+/// Reusable scratch matrices for [`tree_distance`] and
+/// [`tree_distance_bounded`].
 ///
 /// Create once per thread and pass to every distance computation.
+/// Grow-only and never cleared: Zhang–Shasha writes every forest and tree
+/// cell before it reads it, and the bounded kernel guards every read of a
+/// cell it may have skipped, so cells left over from an earlier (larger,
+/// smaller, bounded or full) call are never observed.
 #[derive(Debug, Default)]
 pub struct TedWorkspace {
-    /// Tree-distance table, `(n1+1) × (n2+1)`, row-major.
+    /// Tree-distance table: `(n1+1) × (n2+1)`, row-major, for the full
+    /// DP; the diagonal band of it for the bounded one.
     td: Vec<u32>,
-    /// Forest-distance table for the current keyroot pair.
+    /// Forest-distance table for the current keyroot pair, likewise.
     fd: Vec<u32>,
 }
 
@@ -29,6 +41,14 @@ impl TedWorkspace {
     /// Creates an empty workspace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Grows both tables to at least `cells` cells.
+    fn fit(&mut self, cells: usize) {
+        if self.td.len() < cells {
+            self.td.resize(cells, 0);
+            self.fd.resize(cells, 0);
+        }
     }
 }
 
@@ -45,12 +65,9 @@ fn min3(a: u32, b: u32, c: u32) -> u32 {
 pub fn tree_distance(a: &TedTree, b: &TedTree, costs: &CostModel, ws: &mut TedWorkspace) -> u32 {
     let n1 = a.len();
     let n2 = b.len();
+    // The forest matrix of the root keyroot pair is as large as `td`.
     let td_stride = n2 + 1;
-    ws.td.clear();
-    ws.td.resize((n1 + 1) * td_stride, 0);
-    // Forest matrix is at most (n1+1) x (n2+1) for the root keyroot pair.
-    ws.fd.clear();
-    ws.fd.resize((n1 + 1) * (n2 + 1), 0);
+    ws.fit((n1 + 1) * td_stride);
 
     for &k1 in a.keyroots() {
         for &k2 in b.keyroots() {
@@ -114,6 +131,221 @@ fn forest_distance(
                     fd[p * fs + q] + td[node_i * td_stride + node_j],
                 );
             }
+        }
+    }
+}
+
+/// Threshold tree edit distance: `Some(d)` with `d = TED(a, b)` when
+/// `d ≤ k`, `None` otherwise — the answer of [`tree_distance`] followed by
+/// a comparison, for O(n·k) cells per surviving keyroot pair instead of
+/// all of them. Both trees must be preprocessed the same way, as for
+/// [`tree_distance`].
+///
+/// Every cell saturates at `cap = k + 1`; `min` and `+` are monotone, so a
+/// saturated table holds exactly `min(true value, cap)`. On top of that,
+/// one fact prunes three ways: every node a mapping leaves unmapped costs
+/// at least `min(insert, delete)`, so a mapping of cost ≤ `k` leaves at
+/// most `band = k / min(insert, delete)` nodes unmapped
+/// ([`CostModel::max_unmapped`]), and — mappings
+/// preserve postorder and ancestry — pairs node `i` only with a node `j`
+/// where `|i − j| ≤ band` in postorder and `|size(i) − size(j)| ≤ band`.
+///
+/// 1. A forest cell `(x, y)` is the distance between forests of `x` and
+///    `y` nodes, at least `|x − y|` unmapped nodes: only the diagonal band
+///    `|x − y| ≤ band` is filled, with a `cap` sentinel either side, and a
+///    split cell `fd[p][q]` outside the band reads as `cap`.
+/// 2. A memoized tree distance `td[i][j]` reads as `cap` unless both the
+///    postorder and the size difference are within the band. Every cell
+///    that passes was written by some table's band during this call,
+///    which is also why the tables need no clearing between calls.
+/// 3. The two guards of (2) put `|lld(i) − lld(j)|` within `2·band`, so a
+///    keyroot pair whose leftmost leaves are further apart produces no
+///    tree cell anyone reads and is skipped. (Skipping on the keyroots'
+///    *sizes* would be wrong: the pair's table is the only producer of
+///    `td` for the nodes further down its two leftmost paths.)
+///
+/// The restricted tables never fall below the true saturated values, and
+/// along an optimal mapping of cost ≤ `k` every cell the recurrence
+/// visits passes the guards, so the root cell is exactly `min(TED, cap)`.
+/// Row minima of a forest table never decrease, so a band row that is all
+/// `cap` ends the pair early.
+///
+/// Both tables store their band only — row `x` holds columns
+/// `x − band ..= x + band` (and the two sentinels, for `fd`) — so a
+/// pair's working set is `O(n·band)` cells, not `O(n²)`.
+///
+/// Falls back to the full DP when the band would cover the whole table
+/// (`band ≥ max(|a|, |b|)`, which includes `k = u32::MAX` and a free
+/// insert or delete).
+pub fn tree_distance_bounded(
+    a: &TedTree,
+    b: &TedTree,
+    costs: &CostModel,
+    k: u32,
+    ws: &mut TedWorkspace,
+) -> Option<u32> {
+    let n1 = a.len();
+    let n2 = b.len();
+    let band = costs.max_unmapped(k);
+    if n1.abs_diff(n2) > band {
+        return None;
+    }
+    // A cell holds at most `cap` and is added to one cost or one other
+    // cell; a threshold too large for that is far beyond any band.
+    let cap = k.saturating_add(1);
+    let widest = cap.max(costs.insert).max(costs.delete).max(costs.relabel);
+    if band >= n1.max(n2) || cap.checked_add(widest).is_none() {
+        let d = tree_distance(a, b, costs, ws);
+        return (d <= k).then_some(d);
+    }
+
+    let at = Band { band, cap };
+    ws.fit((n1 + 1) * at.fd_width());
+    for &k1 in a.keyroots() {
+        let l1 = a.lld(k1);
+        for &k2 in b.keyroots() {
+            if l1.abs_diff(b.lld(k2)) <= 2 * band {
+                bounded_forest_distance(a, b, k1, k2, costs, at, &mut ws.fd, &mut ws.td);
+            }
+        }
+    }
+    // The sizes differ by at most `band`, so the root cell is in the band.
+    let d = ws.td[at.td_row(n1) + n2];
+    (d <= k).then_some(d)
+}
+
+/// The limits of one [`tree_distance_bounded`] call and the band-only
+/// layout of its two tables.
+#[derive(Clone, Copy)]
+struct Band {
+    /// Half-width of the filled diagonal band, in nodes.
+    band: usize,
+    /// Saturation value: one more than the threshold.
+    cap: u32,
+}
+
+impl Band {
+    /// Cells per forest-table row: the band and a sentinel either side.
+    #[inline]
+    fn fd_width(self) -> usize {
+        2 * self.band + 3
+    }
+
+    /// Forest cell `(x, y)`, `x − band − 1 ≤ y ≤ x + band + 1`, lives at
+    /// `fd_row(x) + y`: row `x` starts `fd_width()` cells after row
+    /// `x − 1` and is shifted one column to the right of it.
+    #[inline]
+    fn fd_row(self, x: usize) -> usize {
+        x * (self.fd_width() - 1) + self.band + 1
+    }
+
+    /// Tree cell `(i, j)`, `|i − j| ≤ band`, lives at `td_row(i) + j`.
+    #[inline]
+    fn td_row(self, i: usize) -> usize {
+        i * 2 * self.band + self.band
+    }
+}
+
+/// [`forest_distance`] restricted to the band `|x − y| ≤ band`, saturated
+/// at `cap`; returns early once a whole band row is `cap`.
+#[allow(clippy::too_many_arguments)]
+fn bounded_forest_distance(
+    a: &TedTree,
+    b: &TedTree,
+    i: usize,
+    j: usize,
+    costs: &CostModel,
+    at: Band,
+    fd: &mut [u32],
+    td: &mut [u32],
+) {
+    let Band { band, cap } = at;
+    let l1 = a.lld(i);
+    let l2 = b.lld(j);
+    let m = i - l1 + 1;
+    let n = j - l2 + 1;
+    // Rows past `n + band` lie wholly outside the band.
+    let rows = m.min(n + band);
+
+    let row = at.fd_row(0);
+    fd[row] = 0;
+    for y in 1..=n.min(band) {
+        fd[row + y] = (fd[row + y - 1] + costs.insert).min(cap);
+    }
+    if band < n {
+        fd[row + band + 1] = cap;
+    }
+
+    for x in 1..=rows {
+        let node_i = l1 + x - 1;
+        let lld_i = a.lld(node_i);
+        let row = at.fd_row(x);
+        let prev_row = at.fd_row(x - 1);
+        let split_row = at.fd_row(lld_i - l1);
+        let td_row = at.td_row(node_i);
+        let hi = n.min(x + band);
+        // Left edge: column 0 while it is inside the band, then a sentinel.
+        let (lo, mut row_min) = if x <= band {
+            let d = (fd[prev_row] + costs.delete).min(cap);
+            fd[row] = d;
+            (1, d)
+        } else {
+            fd[row + x - band - 1] = cap;
+            (x - band, cap)
+        };
+        for y in lo..=hi {
+            let node_j = l2 + y - 1;
+            let lld_j = b.lld(node_j);
+            let delete = fd[prev_row + y] + costs.delete;
+            let insert = fd[row + y - 1] + costs.insert;
+            // Only node pairs within the band are ever read back.
+            let near = node_i.abs_diff(node_j) <= band;
+            let d = if lld_i == l1 && lld_j == l2 {
+                let rename = costs.rename(a.label(node_i), b.label(node_j));
+                let d = min3(delete, insert, fd[prev_row + y - 1] + rename).min(cap);
+                if near {
+                    td[td_row + node_j] = d;
+                }
+                d
+            } else {
+                let p = lld_i - l1;
+                let q = lld_j - l2;
+                let split = if p.abs_diff(q) <= band {
+                    fd[split_row + q]
+                } else {
+                    cap
+                };
+                // size(i) − size(j) = (node_i − node_j) − (lld_i − lld_j).
+                let tree = if near && (node_i + lld_j).abs_diff(node_j + lld_i) <= band {
+                    td[td_row + node_j]
+                } else {
+                    cap
+                };
+                min3(delete, insert, split + tree).min(cap)
+            };
+            fd[row + y] = d;
+            row_min = row_min.min(d);
+        }
+        if hi < n {
+            fd[row + hi + 1] = cap;
+        }
+        if row_min == cap {
+            // Every later row is `cap` too; a later pair may read the tree
+            // cells among them.
+            for x in x + 1..=rows {
+                let node_i = l1 + x - 1;
+                if a.lld(node_i) != l1 {
+                    continue;
+                }
+                let td_row = at.td_row(node_i);
+                for y in x.saturating_sub(band).max(1)..=n.min(x + band) {
+                    let node_j = l2 + y - 1;
+                    if b.lld(node_j) == l2 && node_i.abs_diff(node_j) <= band {
+                        td[td_row + node_j] = cap;
+                    }
+                }
+            }
+            return;
         }
     }
 }
@@ -224,18 +456,107 @@ mod tests {
         }
     }
 
+    /// Random trees, each followed by a mutant of it a few edits away.
+    /// Sizes sit in two narrow clusters (about 10 nodes and just under
+    /// `max_size`) so unrelated pairs also pass the size check and reach
+    /// the band as misses.
+    fn trees_and_mutants(seed: u64, count: usize, max_size: usize) -> Vec<TedTree> {
+        use rand::{Rng, SeedableRng};
+        use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut trees = Vec::new();
+        for idx in 0..count {
+            let profile = ShapeProfile {
+                max_fanout: rng.gen_range(2..=4),
+                max_depth: 14,
+                deepen_prob: rng.gen_range(0.1..0.7),
+            };
+            let largest = if idx % 2 == 0 { 13 } else { max_size };
+            let size = rng.gen_range(largest - 5..=largest);
+            let tree = grow_tree(&mut rng, size, 2, &profile);
+            let edits = rng.gen_range(0..=6);
+            let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 2);
+            trees.push(TedTree::new(&tree));
+            trees.push(TedTree::new(&mutant));
+        }
+        trees
+    }
+
     #[test]
     fn workspace_reuse_is_sound() {
+        // The tables are never cleared, so one workspace carried through
+        // large and small pairs, hits and misses, bounded and full calls
+        // in every order must answer as a fresh workspace does.
+        let trees = trees_and_mutants(7, 12, 70);
+        let mut shared = TedWorkspace::new();
+        let costs = CostModel::UNIT;
+        for round in 0..2 {
+            for (ia, a) in trees.iter().enumerate() {
+                for (ib, b) in trees.iter().enumerate() {
+                    let d = tree_distance(a, b, &costs, &mut TedWorkspace::new());
+                    let k = ((ia + 2 * ib) as u32 + round) % 9;
+                    assert_eq!(
+                        tree_distance_bounded(a, b, &costs, k, &mut shared),
+                        (d <= k).then_some(d),
+                        "{ia} vs {ib} at k = {k}"
+                    );
+                    // First bounded calls only, then the two kernels in
+                    // turn, each on the other's leftovers.
+                    if round == 1 {
+                        assert_eq!(tree_distance(a, b, &costs, &mut shared), d);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_kernel_never_reads_a_cell_it_did_not_write() {
+        // Poison both tables before every call: zeros would fake a hit,
+        // large values a miss. Neither kernel may notice.
+        let trees = trees_and_mutants(11, 10, 60);
         let mut ws = TedWorkspace::new();
-        let (t1, t2) = pair("{f{d{a}{c{b}}}{e}}", "{f{c{d{a}{b}}}{e}}");
-        let (t3, t4) = pair("{a}", "{b{c}{d}}");
-        let (p1, p2) = (TedTree::new(&t1), TedTree::new(&t2));
-        let (p3, p4) = (TedTree::new(&t3), TedTree::new(&t4));
-        // Interleave differently-sized computations through one workspace.
-        assert_eq!(tree_distance(&p1, &p2, &CostModel::UNIT, &mut ws), 2);
-        assert_eq!(tree_distance(&p3, &p4, &CostModel::UNIT, &mut ws), 3);
-        assert_eq!(tree_distance(&p1, &p2, &CostModel::UNIT, &mut ws), 2);
-        assert_eq!(tree_distance(&p1, &p1, &CostModel::UNIT, &mut ws), 0);
+        let costs = CostModel::UNIT;
+        for poison in [0, 1 << 20] {
+            for (ia, a) in trees.iter().enumerate() {
+                for (ib, b) in trees.iter().enumerate() {
+                    ws.td.fill(poison);
+                    ws.fd.fill(poison);
+                    let d = tree_distance(a, b, &costs, &mut ws);
+                    assert_eq!(d, tree_distance(a, b, &costs, &mut TedWorkspace::new()));
+                    for k in [0, 1, 2, 4, 7] {
+                        ws.td.fill(poison);
+                        ws.fd.fill(poison);
+                        assert_eq!(
+                            tree_distance_bounded(a, b, &costs, k, &mut ws),
+                            (d <= k).then_some(d),
+                            "{ia} vs {ib} at k = {k}, poison {poison}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_answers_size_mismatch_and_wide_thresholds_without_a_band() {
+        let (small, large) = pair("{a}", "{a{b}{c}{d}{e}}");
+        let (small, large) = (TedTree::new(&small), TedTree::new(&large));
+        let mut ws = TedWorkspace::new();
+        let costs = CostModel::UNIT;
+        // Size difference 4 > k: answered before any table is touched.
+        assert_eq!(
+            tree_distance_bounded(&small, &large, &costs, 3, &mut ws),
+            None
+        );
+        assert!(ws.td.is_empty());
+        // k ≥ max size (a doubling top-k threshold, "no threshold"): full DP.
+        for k in [4, 5, 1 << 20, u32::MAX] {
+            assert_eq!(
+                tree_distance_bounded(&small, &large, &costs, k, &mut ws),
+                Some(4)
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the distance kernels: metric axioms, the
-//! published lower bounds, and cross-decomposition agreement.
+//! published lower bounds, cross-decomposition agreement, and exactness of
+//! the τ-bounded kernel against the full DP.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -7,9 +8,9 @@ use rand::{Rng, SeedableRng};
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
     histogram_bound, label_histogram, sed, sed_within, size_bound, ted, traversal_bound, CostModel,
-    Strategy, TedEngine, TraversalStrings,
+    PreparedTree, Strategy, TedEngine, TraversalStrings,
 };
-use tsj_tree::Tree;
+use tsj_tree::{Label, Tree};
 
 fn random_tree(seed: u64, max_size: usize) -> Tree {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -22,8 +23,185 @@ fn random_tree(seed: u64, max_size: usize) -> Tree {
     grow_tree(&mut rng, size, 5, &profile)
 }
 
+/// One engine per [`Strategy`], to be carried across many pairs so every
+/// call runs in a workspace left dirty by other pairs and thresholds.
+fn engines(costs: CostModel) -> Vec<TedEngine> {
+    [Strategy::Left, Strategy::Right, Strategy::Dynamic]
+        .map(|strategy| TedEngine::new(costs, strategy))
+        .into()
+}
+
+/// The τ-bounded kernel's contract: under every strategy, `within` and
+/// `verify` answer what the full DP followed by a comparison answers. The
+/// bounded calls run first, on whatever earlier pairs left in the tables.
+fn bounded_is_exact(
+    engines: &mut [TedEngine],
+    a: &Tree,
+    b: &Tree,
+    taus: &[u32],
+) -> Result<(), String> {
+    let (pa, pb) = (PreparedTree::new(a), PreparedTree::new(b));
+    for (idx, engine) in engines.iter_mut().enumerate() {
+        let got: Vec<_> = taus
+            .iter()
+            .map(|&tau| (engine.within(&pa, &pb, tau), engine.verify(&pa, &pb, tau)))
+            .collect();
+        let d = engine.distance(&pa, &pb);
+        for (&tau, got) in taus.iter().zip(got) {
+            let want = (d <= tau).then_some(d);
+            if got != (want, want) {
+                return Err(format!(
+                    "(within, verify) = {got:?}, full DP {d} at tau {tau}, engine {idx}, \
+                     {:?}: {:?} vs {:?}",
+                    engine.costs(),
+                    a.flatten(),
+                    b.flatten()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The thresholds every pair is checked at: the small ones joins use, one
+/// past any band (`≥ |T|`), and the top-k search's "no threshold yet".
+fn thresholds(a: &Tree, b: &Tree) -> [u32; 9] {
+    let largest = a.len().max(b.len()) as u32;
+    [0, 1, 2, 3, 6, 13, largest, largest + 5, u32::MAX]
+}
+
+/// A tree from its preorder parent positions (`parents[0]` is ignored);
+/// bit `k` of `mask` picks the label of preorder node `k` out of two.
+fn tree_of(parents: &[u32], mask: u32) -> Tree {
+    let nodes: Vec<_> = parents
+        .iter()
+        .enumerate()
+        .map(|(k, &parent)| {
+            let label = Label::from_raw(1 + ((mask >> k) & 1));
+            (label, (k > 0).then_some(parent))
+        })
+        .collect();
+    Tree::from_flattened(&nodes).expect("parents precede their children")
+}
+
+/// Degenerate shapes random growth rarely produces, `n` nodes each, as
+/// preorder parent positions: a path, a star, and the two combs (a spine
+/// with one leaf hanging off every spine node, left or right of the next
+/// spine node).
+fn corner_shapes(n: usize) -> Vec<Vec<u32>> {
+    let n = n as u32;
+    let path = (0..n).map(|k| k.saturating_sub(1)).collect();
+    let star = vec![0; n as usize];
+    // Leaf first, spine continues to its right: spine nodes sit at the
+    // even preorder positions, each followed by its leaf.
+    let right_comb = (0..n).map(|k| k.saturating_sub(1) & !1).collect();
+    // Its mirror image: the spine is a path of the first ⌈n/2⌉ nodes, then
+    // come the leaves, the deepest spine node's first and the root's last.
+    let left_comb = (0..n)
+        .map(|k| {
+            if k < n.div_ceil(2) {
+                k.saturating_sub(1)
+            } else {
+                n - 1 - k
+            }
+        })
+        .collect();
+    vec![path, star, left_comb, right_comb]
+}
+
+/// Every ordered tree shape of `n` nodes, as preorder parent positions:
+/// node `k` hangs off any node on the rightmost path of the first `k`.
+fn all_shapes(n: usize) -> Vec<Vec<u32>> {
+    let mut shapes = vec![vec![0u32]];
+    for k in 1..n as u32 {
+        let mut grown = Vec::new();
+        for shape in &shapes {
+            let mut parent = k - 1;
+            loop {
+                let mut next = shape.clone();
+                next.push(parent);
+                grown.push(next);
+                if parent == 0 {
+                    break;
+                }
+                parent = shape[parent as usize];
+            }
+        }
+        shapes = grown;
+    }
+    shapes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Bounded TED on unrelated random trees: mostly misses, early exits
+    /// and size rejections.
+    #[test]
+    fn bounded_ted_is_exact_on_random_pairs(a in any::<u64>(), b in any::<u64>()) {
+        let (ta, tb) = (random_tree(a, 40), random_tree(b, 40));
+        let engines = &mut engines(CostModel::UNIT);
+        bounded_is_exact(engines, &ta, &tb, &thresholds(&ta, &tb))?;
+        bounded_is_exact(engines, &tb, &ta, &thresholds(&ta, &tb))?;
+    }
+
+    /// Bounded TED on a tree and its mutant: hits at every distance up to
+    /// the script length, the case a join's survivors are.
+    #[test]
+    fn bounded_ted_is_exact_on_mutants(seed in any::<u64>(), edits in 0usize..=12) {
+        let tree = random_tree(seed, 60);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 5);
+        let engines = &mut engines(CostModel::UNIT);
+        bounded_is_exact(engines, &tree, &mutant, &thresholds(&tree, &mutant))?;
+        bounded_is_exact(engines, &mutant, &tree, &thresholds(&tree, &mutant))?;
+    }
+
+    /// Bounded TED on paths, stars and combs against each other and
+    /// against their mutants, with two labels and with one.
+    #[test]
+    fn bounded_ted_is_exact_on_corner_shapes(
+        seed in any::<u64>(),
+        n in 1usize..=24,
+        m in 1usize..=24,
+        edits in 0usize..=4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let engines = &mut engines(CostModel::UNIT);
+        for shape_a in corner_shapes(n) {
+            // Single-label trees, then two labels sprinkled at random.
+            for mask in [0, rng.gen::<u32>()] {
+                let ta = tree_of(&shape_a, mask);
+                let (mutant, _) = random_edit_script(&ta, edits, &mut rng, 2);
+                bounded_is_exact(engines, &ta, &mutant, &thresholds(&ta, &mutant))?;
+                for shape_b in corner_shapes(m) {
+                    let tb = tree_of(&shape_b, mask & rng.gen::<u32>());
+                    bounded_is_exact(engines, &ta, &tb, &thresholds(&ta, &tb))?;
+                }
+            }
+        }
+    }
+
+    /// Weighted costs: the band is `τ / min(insert, delete)` nodes wide,
+    /// and a free insert or delete means no band at all.
+    #[test]
+    fn bounded_ted_is_exact_under_weighted_costs(
+        seed in any::<u64>(),
+        edits in 0usize..=6,
+        insert in 0u32..=3,
+        delete in 0u32..=3,
+        relabel in 0u32..=5,
+    ) {
+        let engines = &mut engines(CostModel { insert, delete, relabel });
+        let tree = random_tree(seed, 30);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc057);
+        let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 5);
+        let other = random_tree(seed ^ 0x07e2, 30);
+        let taus = [0, 1, 2, 3, 5, 8, 13, 21, 40, 200, u32::MAX - 1, u32::MAX];
+        bounded_is_exact(engines, &tree, &mutant, &taus)?;
+        bounded_is_exact(engines, &mutant, &tree, &taus)?;
+        bounded_is_exact(engines, &tree, &other, &taus)?;
+    }
 
     /// TED is a metric: identity, symmetry, triangle inequality.
     #[test]
@@ -106,4 +284,65 @@ proptest! {
         let d = ted(&tree, &leaf);
         prop_assert_eq!(d as usize, tree.len() - 1);
     }
+}
+
+/// Exhaustive soak of the τ-bounded kernel on small trees, where every
+/// pruning's edge (band edge, sentinel, skipped keyroot pair, early exit)
+/// is hit from every side: every ordered pair of two-label trees up to 5
+/// nodes, and every ordered pair of tree *shapes* up to 7 nodes under
+/// three labelings, at every τ ≤ 8. CI runs it in release
+/// (`cargo test --release -p tsj-ted -- --ignored`).
+#[test]
+#[ignore = "exhaustive: about half a minute in release, far longer in debug"]
+fn bounded_ted_exhaustive_small_trees() {
+    let taus: Vec<u32> = (0..=8).collect();
+    let engines = &mut engines(CostModel::UNIT);
+    let mut soak = |trees: &[Tree]| {
+        for a in trees {
+            for b in trees {
+                bounded_is_exact(engines, a, b, &taus).unwrap();
+            }
+        }
+    };
+
+    let all_labelings: Vec<Tree> = (1..=5)
+        .flat_map(|n| {
+            all_shapes(n)
+                .into_iter()
+                .flat_map(move |shape| (0..1u32 << n).map(move |mask| tree_of(&shape, mask)))
+        })
+        .collect();
+    assert_eq!(all_labelings.len(), 2 + 4 + 2 * 8 + 5 * 16 + 14 * 32);
+    soak(&all_labelings);
+
+    let shapes: Vec<Vec<u32>> = (1..=7).flat_map(all_shapes).collect();
+    assert_eq!(shapes.len(), 1 + 1 + 2 + 5 + 14 + 42 + 132);
+    let three_labelings: Vec<Tree> = shapes
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, shape)| {
+            let scrambled = (idx as u32).wrapping_mul(0x9E37_79B9) >> 13;
+            [0, 0b101_0101, scrambled].map(|mask| tree_of(shape, mask))
+        })
+        .collect();
+    soak(&three_labelings);
+}
+
+#[test]
+fn corner_shapes_are_the_shapes_they_claim() {
+    let shapes = corner_shapes(7);
+    let degrees = |parents: &[u32]| {
+        let tree = tree_of(parents, 0);
+        let mut degrees: Vec<usize> = tree
+            .preorder()
+            .iter()
+            .map(|&n| tree.children(n).len())
+            .collect();
+        degrees.truncate(4);
+        (tree.len(), tree.max_depth(), degrees)
+    };
+    assert_eq!(degrees(&shapes[0]), (7, 6, vec![1, 1, 1, 1]), "path");
+    assert_eq!(degrees(&shapes[1]), (7, 1, vec![6, 0, 0, 0]), "star");
+    assert_eq!(degrees(&shapes[2]), (7, 3, vec![2, 2, 2, 0]), "left comb");
+    assert_eq!(degrees(&shapes[3]), (7, 3, vec![2, 0, 2, 0]), "right comb");
 }
