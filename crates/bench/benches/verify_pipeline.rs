@@ -1,8 +1,12 @@
 //! Verification-pipeline benchmarks: what the filter chain buys over
 //! bare exact-TED verification.
 //!
+//! * `verify_pipeline/prep/*` — [`VerifyData::batch`] alone (what is
+//!   built per tree ahead of time) and followed by one pass of the
+//!   candidate pairs over the cold memo (plus every first-use derivation);
 //! * `verify_pipeline/check/*` — the [`partsj::VerifyEngine::check`]
-//!   micro-path over a fixed candidate list, full chain vs. no chain;
+//!   micro-path over a fixed candidate list, full chain vs. no chain, on
+//!   a memo earlier passes have warmed;
 //! * `verify_pipeline/join/*` — the end-to-end join under both
 //!   configurations (same dataset family as the `join/tau` series).
 //!
@@ -139,6 +143,29 @@ fn report_stage_profile() {
     tsj_obs::configure(&ObsConfig::ON);
 }
 
+fn bench_prep(c: &mut Criterion) {
+    let trees = swissprot_like(90, 2015);
+    let tau = 3u32;
+    let pairs = candidate_pairs(&trees, tau);
+    let config = PartSjConfig::default();
+    let mut group = c.benchmark_group("verify_pipeline/prep");
+    group.bench_function("batch", |bench| {
+        bench.iter(|| black_box(VerifyData::batch(&trees)))
+    });
+    let mut engine = VerifyEngine::new(tau, &config);
+    group.bench_function("batch+first_touch", |bench| {
+        bench.iter(|| {
+            let data = VerifyData::batch(&trees);
+            let mut within = 0usize;
+            for &(i, j) in &pairs {
+                within += usize::from(engine.check(&data[i], &data[j]).is_some());
+            }
+            black_box(within)
+        })
+    });
+    group.finish();
+}
+
 fn bench_check(c: &mut Criterion) {
     let trees = swissprot_like(90, 2015);
     let data: Vec<VerifyData> = VerifyData::batch(&trees);
@@ -191,6 +218,7 @@ fn bench_join(c: &mut Criterion) {
 fn bench_all(c: &mut Criterion) {
     report_ratios();
     report_stage_profile();
+    bench_prep(c);
     bench_check(c);
     bench_join(c);
 }

@@ -4,7 +4,7 @@ use crate::error::CatalogError;
 use crate::snapshot::{
     assemble, encode_labels, encode_shard, encode_shard_map, encode_trees, SnapshotReader,
 };
-use partsj::{PartSjConfig, VerifyConfig, VerifyEngine, WindowPolicy};
+use partsj::{PartSjConfig, VerifyEngine, WindowPolicy};
 use std::path::Path;
 use tsj_shard::{Frozen, FrozenJoinScratch, ShardConfig, ShardedIndex};
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -70,13 +70,8 @@ impl Catalog {
         let freeze_span = tsj_obs::span("catalog.freeze", "catalog");
         // The exact build phase of `sharded_rs_join` — sharing the one
         // builder is what keeps a frozen catalog bit-identical to the
-        // direct join — with every stage's verification inputs: queries
-        // choose their filters per call.
-        let all_stages = PartSjConfig {
-            verify: VerifyConfig::ALL,
-            ..*config
-        };
-        let frozen = Frozen::build(&trees, tau, &all_stages, shard_cfg);
+        // direct join.
+        let frozen = Frozen::build(&trees, tau, config, shard_cfg);
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_freezes_total").inc();

@@ -19,6 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsj_catalog::{Catalog, QueryScratch};
 use tsj_shard::{FrozenJoinScratch, ShardConfig};
+use tsj_ted::PreparedTree;
 use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
 /// System allocator with an allocation-event counter (frees are not
@@ -51,6 +52,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// A right comb, and itself less one leaf: TED 1, shapes differ, and the
+/// right decomposition is the cheaper one for both.
+const RIGHT_COMB: &str = "{a{x}{b{x}{c{x}{d}}}}";
+const RIGHT_COMB_PROBE: &str = "{a{x}{b{x}{c{d}}}}";
+
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
@@ -76,6 +82,7 @@ fn steady_state_probes_allocate_nothing() {
         "{x{y}}",
         "{z}",
         "{a{b}{c}{d}{e}{f}}",
+        RIGHT_COMB,
     ];
     let catalog_trees: Vec<Tree> = (0..64)
         .map(|i| parse_bracket(base[i % base.len()], &mut labels).unwrap())
@@ -99,9 +106,21 @@ fn steady_state_probes_allocate_nothing() {
             "{a{b{c}}{d{e}}}",
             "{x{y}}",
             "{q{w}{e}{r}{t}}",
+            RIGHT_COMB_PROBE,
             "{a{b}{c}}",
         ],
         &mut labels,
+    );
+    // The comb pair is what makes the recycled probe slot's *sticky*
+    // refill the thing measured: one deletion apart, so the pair is a
+    // candidate that no bound decides — it passes `label-hist` and both
+    // halves of `traversal-sed` (the slot derives its histogram and its
+    // mirrored decomposition) and its exact TED runs right-side. Every
+    // later probe of the zig-zag refills both in place.
+    let comb = PreparedTree::new(&parse_bracket(RIGHT_COMB, &mut labels).unwrap());
+    let comb_probe = PreparedTree::new(&probes[5]);
+    assert!(
+        comb.right_cost() * comb_probe.right_cost() < comb.left_cost() * comb_probe.left_cost()
     );
 
     // --- Single-probe queries -------------------------------------------
@@ -122,6 +141,8 @@ fn steady_state_probes_allocate_nothing() {
         }
     }
 
+    assert!(expected[5].contains(&(8, 1)), "comb probe misses the comb");
+    engine.reset_counters();
     for (probe, expected) in probes.iter().zip(&expected) {
         let before = allocations();
         catalog
@@ -136,6 +157,7 @@ fn steady_state_probes_allocate_nothing() {
         );
         assert_eq!(&hits, expected, "recycled query changed its answer");
     }
+    assert!(engine.ted_calls() > 0 && engine.prefilter_skips() > 0);
 
     // --- Batch joins ----------------------------------------------------
     // The returned `JoinStats` owns its per-stage count rows, so a batch

@@ -93,14 +93,14 @@ pub struct VerifyConfig {
     /// Size lower bound `||T1| − |T2||` (free: two cached lengths).
     pub size: bool,
     /// Rename-script early accept: if the two trees have identical
-    /// *shape* (preorder degree sequence), renaming the mismatched labels
+    /// *shape* (equal leftmost-leaf arrays), renaming the mismatched labels
     /// in place is a valid edit script, so a label Hamming distance ≤ τ
     /// admits the pair without the cubic TED DP. O(1) per pair via a
     /// shape hash, O(n) on the rare hash hit.
     pub shape_accept: bool,
     /// Label-histogram L1 lower bound `⌈L1/2⌉` (Kailing et al.), over
-    /// sorted label multisets precomputed per tree at build time. O(n)
-    /// merge per pair.
+    /// sorted label multisets derived per tree on first use. O(n) merge
+    /// per pair.
     pub histogram: bool,
     /// Banded traversal-string SED lower bound
     /// `max(SED(pre), SED(post)) ≤ TED` (Guha et al.). O(τ·n) per pair.

@@ -73,4 +73,6 @@ pub use subgraph::{
     subgraph_matches_with, ChildKind, SgNode, Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
-pub use verify::{verify_stage, ProbeVerify, VerifyData, VerifyEngine, VerifyPrep, VERIFY_STAGES};
+pub use verify::{
+    verify_stage, Materialized, ProbeVerify, VerifyData, VerifyEngine, VerifyPrep, VERIFY_STAGES,
+};

@@ -87,7 +87,7 @@ pub fn partsj_join_rs(
         stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
-        let data_j = probe_verify.prepare(tree, &config.verify);
+        let data_j = probe_verify.prepare(tree);
         for &i in found {
             if verify.check(&left_data[i as usize], data_j).is_some() {
                 pairs.push((i, j as TreeIdx));

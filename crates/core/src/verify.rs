@@ -13,13 +13,13 @@
 //! this one order (cheapest first); [`VerifyConfig`] only switches
 //! individual stages off:
 //!
-//! | # | stage | kind | per-pair cost | decides |
-//! |---|----------------|-------|----------------------|---------|
-//! | 1 | `size` | lower | O(1) | reject |
-//! | 2 | `shape-accept` | upper | O(1), O(n) on hit | accept |
-//! | 3 | `label-hist` | lower | O(n) merge | reject |
-//! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject |
-//! | — | exact TED | — | O(n·τ) cells per surviving keyroot pair | both |
+//! | # | stage | kind | per-pair cost | decides | input | built when |
+//! |---|----------------|-------|----------------------|---------|-------|------------|
+//! | 1 | `size` | lower | O(1) | reject | node count | preparation |
+//! | 2 | `shape-accept` | upper | O(1), O(n) on hit | accept | `lld` array, its hash, postorder labels | preparation |
+//! | 3 | `label-hist` | lower | O(n) merge | reject | sorted label multiset | first `label-hist` on the tree |
+//! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject | postorder labels; mirrored decomposition's labels | preparation; first pair whose postorder SED is ≤ τ |
+//! | — | exact TED | — | O(n·τ) cells per surviving keyroot pair | both | left decomposition; mirrored decomposition | preparation; first right-side pair |
 //!
 //! A **lower-bound** stage computes `lb ≤ TED` and rejects when
 //! `lb > τ`; rejection can never drop a true result. An **upper-bound**
@@ -36,6 +36,34 @@
 //! ([`TedEngine::distance`]) stays what `tsj-baselines` and every test
 //! oracle run — the independent verifier.
 //!
+//! ## One walk per tree, everything else derived
+//!
+//! Preparing a [`VerifyData`] walks the tree once, for the left postorder
+//! arrays Zhang–Shasha needs anyway (labels, leftmost-leaf descendants
+//! `lld`, keyroots, cost). A join verifies only the pairs its index
+//! surfaces and most of those resolve at the first two stages, so every
+//! other input is derived from those arrays — never from the tree — the
+//! first time a stage asks, and memoized per tree in a `OnceLock` (verify
+//! workers share the data). Four identities make that possible:
+//!
+//! * the **postorder string** *is* the left decomposition's label array;
+//! * the **preorder string** is the mirrored decomposition's label array
+//!   reversed (mirrored postorder is preorder backwards), and SED is
+//!   reversal-invariant, so `traversal-sed` reads it unreversed;
+//! * the **shape** *is* the `lld` array: it determines the tree as the
+//!   preorder degree sequence does, and the rename script's Hamming
+//!   distance is the same over postorder as over preorder labels (one
+//!   node bijection);
+//! * the **right decomposition's cost** is `Σ (i − lld(i) + 1)` over the
+//!   root and every `i` with a leaf at `i + 1`
+//!   ([`tsj_ted::TedTree::mirror_cost`]), so the dynamic strategy chooses
+//!   as it always did and the mirrored decomposition itself
+//!   ([`tsj_ted::TedTree::mirror_of`], from `labels` and `lld` alone) is
+//!   built only for trees a right-side pair or `traversal-sed` reaches.
+//!
+//! A recycled probe slot ([`VerifyData::rebuild`]) keeps the memo sticky
+//! so the steady state stays allocation-free.
+//!
 //! ## Why the early accept hashes shapes instead of reusing SED
 //!
 //! A tempting upper bound is the exact traversal-string SED itself —
@@ -45,8 +73,8 @@
 //! `{1{2{1}{3}}}`) has `max(SED) = 2` but `TED = 3`, so SED-accepting at
 //! `τ = 2` would report a false pair — the regression test
 //! `sed_accept_would_be_unsound` pins this counterexample. The sound
-//! replacement: when two trees have the *same shape* (equal preorder
-//! degree sequences — which uniquely determine an ordered tree), renaming
+//! replacement: when two trees have the *same shape* (equal `lld`
+//! arrays — which uniquely determine an ordered tree), renaming
 //! every label mismatch in place is a valid edit script, so the label
 //! Hamming distance upper-bounds TED. Near-duplicate corpora are full of
 //! rename-only pairs, which makes this the stage that eliminates most
@@ -55,169 +83,107 @@
 use crate::config::{PartSjConfig, VerifyConfig};
 use std::cell::Cell;
 use std::hash::Hasher as _;
+use std::sync::OnceLock;
 use std::time::Instant;
-use tsj_ted::bounds::{histogram_bound, traversal_within_with, TraversalStrings};
-use tsj_ted::{JoinStats, PreparedTree, SedScratch, StageCount, TedBuildScratch, TedEngine};
-use tsj_tree::{FxHasher, Label, NodeId, Tree};
+use tsj_ted::{
+    histogram_bound, sed_within_with, JoinStats, PreparedTree, SedScratch, StageCount,
+    TedBuildScratch, TedEngine,
+};
+use tsj_tree::{FxHasher, Label, Tree};
 
-/// Per-tree verification inputs, precomputed once at index-build /
-/// data-prep time so every stage is allocation-free per pair.
+/// Per-tree verification inputs: the left postorder arrays and the shape
+/// hash built ahead of time (one walk over the tree), every other stage
+/// input derived from those arrays the first time a pair asks for it and
+/// kept (see the [module docs](self) for which stage reads what).
 ///
-/// Built with [`VerifyData::for_config`], only the inputs of *enabled*
-/// stages are materialized (disabled ones stay empty, and every stage
-/// skips itself on empty inputs — trees are never empty, so emptiness
-/// is unambiguous). A fully populated instance from [`VerifyData::new`]
-/// works with any chain.
+/// The memo cells are `OnceLock`s: `tsj-shard`'s verify pool shares one
+/// `&[VerifyData]` across its workers.
 #[derive(Debug, Clone)]
 pub struct VerifyData {
-    /// Both TED decompositions, for the exact fallback.
-    pub prepared: PreparedTree,
-    /// Preorder/postorder label strings (traversal-SED stage; the
-    /// preorder string doubles as the rename-script label sequence).
-    pub traversals: TraversalStrings,
-    /// Sorted label multiset (label-histogram stage).
-    pub histogram: Vec<Label>,
-    /// Preorder child-count sequence — uniquely identifies the ordered
-    /// tree *shape* (shape-accept stage).
-    pub shape: Vec<u32>,
-    /// Fx-style hash of [`VerifyData::shape`]: O(1) shape inequality.
-    pub shape_hash: u64,
+    /// The left decomposition, and the mirrored one once a pair has run
+    /// right-side or reached `traversal-sed`.
+    prepared: PreparedTree,
+    /// Fx-style hash of the `lld` array: O(1) shape inequality.
+    shape_hash: u64,
+    /// Sorted label multiset, filled by the first `label-hist`.
+    histogram: OnceLock<Vec<Label>>,
 }
 
-/// Reusable temporaries for [`VerifyData`] preparation: the TED-tree
-/// build scratch plus the traversal walk stacks. One instance batched
-/// across a whole collection ([`VerifyData::batch_for_config`]) or
-/// carried in a probe scratch ([`VerifyData::rebuild`]) makes repeated
+/// Reusable temporaries for [`VerifyData`] preparation — the one walk's.
+/// One instance batched across a whole collection ([`VerifyData::batch`])
+/// or carried in a probe scratch ([`VerifyData::rebuild`]) makes repeated
 /// preparation allocation-free in steady state.
-#[derive(Debug, Default)]
-pub struct VerifyPrep {
-    ted: TedBuildScratch,
-    pre_stack: Vec<NodeId>,
-    post_stack: Vec<(NodeId, usize)>,
-}
+pub type VerifyPrep = TedBuildScratch;
 
-impl VerifyPrep {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> VerifyPrep {
-        VerifyPrep::default()
-    }
+/// Which lazily derived inputs a [`VerifyData`] holds so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Materialized {
+    /// The sorted label multiset (`label-hist` reached this tree).
+    pub histogram: bool,
+    /// The mirrored decomposition (`traversal-sed`'s preorder half or a
+    /// right-side exact TED reached this tree).
+    pub mirror: bool,
 }
 
 impl VerifyData {
-    /// Precomputes every stage's inputs for `tree`.
+    /// Prepares `tree` for any chain.
     pub fn new(tree: &Tree) -> VerifyData {
-        VerifyData::for_config(tree, &VerifyConfig::ALL)
+        VerifyData::build(tree, &mut VerifyPrep::new())
     }
 
-    /// Precomputes the inputs of the stages `filters` enables; disabled
-    /// stages cost neither setup time nor memory.
-    pub fn for_config(tree: &Tree, filters: &VerifyConfig) -> VerifyData {
-        VerifyData::for_config_with(tree, filters, &mut VerifyPrep::new())
+    fn build(tree: &Tree, prep: &mut VerifyPrep) -> VerifyData {
+        let prepared = PreparedTree::new_with(tree, prep);
+        VerifyData {
+            shape_hash: shape_hash(&prepared),
+            prepared,
+            histogram: OnceLock::new(),
+        }
     }
 
-    /// [`VerifyData::for_config`] using caller-provided preparation
-    /// temporaries — the building block of [`VerifyData::batch_for_config`].
+    /// [`VerifyData::new`]. `filters` no longer selects what is built: a
+    /// stage's input is derived when the stage first runs on this tree, so
+    /// a disabled stage costs nothing without being named here.
+    pub fn for_config(tree: &Tree, _filters: &VerifyConfig) -> VerifyData {
+        VerifyData::new(tree)
+    }
+
+    /// [`VerifyData::new`] using caller-provided preparation temporaries
+    /// (`filters` is not read, see [`VerifyData::for_config`]).
     pub fn for_config_with(
         tree: &Tree,
-        filters: &VerifyConfig,
+        _filters: &VerifyConfig,
         prep: &mut VerifyPrep,
     ) -> VerifyData {
-        let mut data = VerifyData {
-            prepared: PreparedTree::new_with(tree, &mut prep.ted),
-            traversals: TraversalStrings {
-                preorder: Vec::new(),
-                postorder: Vec::new(),
-            },
-            histogram: Vec::new(),
-            shape: Vec::new(),
-            shape_hash: 0,
-        };
-        data.fill_stage_inputs(tree, filters, prep);
-        data
+        VerifyData::build(tree, prep)
     }
 
-    /// Prepares a whole collection through one shared set of temporaries
-    /// (full stage inputs, as [`VerifyData::new`] per tree).
+    /// Prepares a whole collection through one shared set of temporaries.
     pub fn batch(trees: &[Tree]) -> Vec<VerifyData> {
-        VerifyData::batch_for_config(trees, &VerifyConfig::ALL)
-    }
-
-    /// Prepares a whole collection through one shared set of temporaries,
-    /// materializing only the inputs of enabled stages. Equivalent to
-    /// mapping [`VerifyData::for_config`] but the walk/build scratch is
-    /// allocated once instead of per tree.
-    pub fn batch_for_config(trees: &[Tree], filters: &VerifyConfig) -> Vec<VerifyData> {
         let mut prep = VerifyPrep::new();
         trees
             .iter()
-            .map(|tree| VerifyData::for_config_with(tree, filters, &mut prep))
+            .map(|tree| VerifyData::build(tree, &mut prep))
             .collect()
     }
 
-    /// Rebuilds this instance in place for a new `tree`, reusing every
-    /// buffer. Equivalent to `*self = VerifyData::for_config(tree,
-    /// filters)` but allocation-free once buffers fit the largest tree
-    /// seen — repeated probes reuse one instance through a scratch.
-    pub fn rebuild(&mut self, tree: &Tree, filters: &VerifyConfig, prep: &mut VerifyPrep) {
-        self.prepared.rebuild(tree, &mut prep.ted);
-        self.fill_stage_inputs(tree, filters, prep);
+    /// [`VerifyData::batch`] (`filters` is not read, see
+    /// [`VerifyData::for_config`]).
+    pub fn batch_for_config(trees: &[Tree], _filters: &VerifyConfig) -> Vec<VerifyData> {
+        VerifyData::batch(trees)
     }
 
-    /// (Re)fills the per-stage inputs: one preorder walk produces the
-    /// preorder label string, the shape sequence and its hash together;
-    /// one postorder walk produces the postorder string; the histogram
-    /// is an in-place sort. All buffers are cleared first, so disabled
-    /// stages leave their inputs unambiguously empty.
-    fn fill_stage_inputs(&mut self, tree: &Tree, filters: &VerifyConfig, prep: &mut VerifyPrep) {
-        self.traversals.preorder.clear();
-        self.traversals.postorder.clear();
-        self.histogram.clear();
-        self.shape.clear();
-        self.shape_hash = 0;
-
-        // The shape-accept stage reads the preorder string too (the
-        // rename-script label sequence).
-        let want_traversals = filters.traversal || filters.shape_accept;
-        if want_traversals || filters.shape_accept {
-            let mut hasher = FxHasher::default();
-            prep.pre_stack.clear();
-            prep.pre_stack.push(tree.root());
-            while let Some(node) = prep.pre_stack.pop() {
-                if want_traversals {
-                    self.traversals.preorder.push(tree.label(node));
-                }
-                if filters.shape_accept {
-                    let degree = tree.children(node).len() as u32;
-                    self.shape.push(degree);
-                    hasher.write_u32(degree);
-                }
-                for &child in tree.children(node).iter().rev() {
-                    prep.pre_stack.push(child);
-                }
-            }
-            if filters.shape_accept {
-                self.shape_hash = hasher.finish();
-            }
-        }
-        if want_traversals {
-            prep.post_stack.clear();
-            prep.post_stack.push((tree.root(), 0));
-            while let Some(&mut (node, ref mut next)) = prep.post_stack.last_mut() {
-                let children = tree.children(node);
-                if *next < children.len() {
-                    let child = children[*next];
-                    *next += 1;
-                    prep.post_stack.push((child, 0));
-                } else {
-                    self.traversals.postorder.push(tree.label(node));
-                    prep.post_stack.pop();
-                }
-            }
-        }
-        if filters.histogram {
-            self.histogram
-                .extend(tree.node_ids().map(|n| tree.label(n)));
-            self.histogram.sort_unstable();
+    /// Rebuilds this instance in place for a new `tree`, reusing every
+    /// buffer: allocation-free once buffers fit the largest tree seen —
+    /// repeated probes reuse one instance through a scratch. The memo is
+    /// *sticky*: an input this slot derived for an earlier tree is derived
+    /// for the new one at once, into the same buffer (emptying the cell
+    /// would make the next first use allocate); one it never needed stays
+    /// unbuilt.
+    pub fn rebuild(&mut self, tree: &Tree, prep: &mut VerifyPrep) {
+        self.prepared.rebuild(tree, prep);
+        self.shape_hash = shape_hash(&self.prepared);
+        if let Some(histogram) = self.histogram.get_mut() {
+            fill_histogram(histogram, &self.prepared);
         }
     }
 
@@ -232,6 +198,44 @@ impl VerifyData {
     pub fn is_empty(&self) -> bool {
         false
     }
+
+    /// What the chain has made this tree derive so far.
+    pub fn materialized(&self) -> Materialized {
+        Materialized {
+            histogram: self.histogram.get().is_some(),
+            mirror: self.prepared.right_built(),
+        }
+    }
+
+    /// Labels in postorder: the left decomposition's label array.
+    fn postorder(&self) -> &[Label] {
+        self.prepared.left().labels()
+    }
+
+    /// The sorted label multiset, derived on first use.
+    fn histogram(&self) -> &[Label] {
+        self.histogram.get_or_init(|| {
+            let mut histogram = Vec::new();
+            fill_histogram(&mut histogram, &self.prepared);
+            histogram
+        })
+    }
+}
+
+/// Hash of the tree's `lld` array, which determines its shape.
+fn shape_hash(prepared: &PreparedTree) -> u64 {
+    let mut hasher = FxHasher::default();
+    for &lld in prepared.left().llds() {
+        hasher.write_usize(lld);
+    }
+    hasher.finish()
+}
+
+/// (Re)fills `histogram` with the tree's labels, sorted.
+fn fill_histogram(histogram: &mut Vec<Label>, prepared: &PreparedTree) {
+    histogram.clear();
+    histogram.extend_from_slice(prepared.left().labels());
+    histogram.sort_unstable();
 }
 
 /// A reusable probe-side [`VerifyData`] slot: one data instance plus its
@@ -250,12 +254,12 @@ impl ProbeVerify {
         ProbeVerify::default()
     }
 
-    /// Prepares the verification inputs of `tree` for the stages
-    /// `filters` enables. The result is valid until the next call.
-    pub fn prepare(&mut self, tree: &Tree, filters: &VerifyConfig) -> &VerifyData {
+    /// Prepares the verification inputs of `tree`. The result is valid
+    /// until the next call.
+    pub fn prepare(&mut self, tree: &Tree) -> &VerifyData {
         match &mut self.data {
-            Some(data) => data.rebuild(tree, filters, &mut self.prep),
-            None => self.data = Some(VerifyData::for_config_with(tree, filters, &mut self.prep)),
+            Some(data) => data.rebuild(tree, &mut self.prep),
+            None => self.data = Some(VerifyData::build(tree, &mut self.prep)),
         }
         self.data.as_ref().expect("prepared above")
     }
@@ -291,22 +295,14 @@ fn size_rejects(a: &VerifyData, b: &VerifyData, tau: u32) -> bool {
 /// for why this replaces the (unsound) SED-based accept.
 #[inline]
 fn shape_certificate(a: &VerifyData, b: &VerifyData, tau: u32) -> Option<u32> {
-    // An empty shape means the input was built without this stage
-    // (trees are never empty): no decision. The preorder-length
-    // check rejects mixed-construction inputs the same way.
-    if a.shape.is_empty()
-        || a.shape_hash != b.shape_hash
-        || a.shape != b.shape
-        || a.traversals.preorder.len() != a.shape.len()
-        || b.traversals.preorder.len() != b.shape.len()
-    {
+    if a.shape_hash != b.shape_hash || a.prepared.left().llds() != b.prepared.left().llds() {
         return None;
     }
-    // Equal preorder degree sequences ⇒ identical shapes; mapping
-    // nodes by preorder position and renaming every label mismatch is
-    // a valid edit script of cost `hamming`.
+    // Equal `lld` arrays ⇒ identical shapes; mapping nodes by postorder
+    // position and renaming every label mismatch is a valid edit script
+    // of cost `hamming`.
     let mut hamming = 0u32;
-    for (&la, &lb) in a.traversals.preorder.iter().zip(&b.traversals.preorder) {
+    for (&la, &lb) in a.postorder().iter().zip(b.postorder()) {
         hamming += u32::from(la != lb);
         if hamming > tau {
             return None;
@@ -318,22 +314,24 @@ fn shape_certificate(a: &VerifyData, b: &VerifyData, tau: u32) -> Option<u32> {
 /// Label-histogram L1 lower bound `⌈L1/2⌉ ≤ TED` (Kailing et al.).
 #[inline]
 fn histogram_rejects(a: &VerifyData, b: &VerifyData, tau: u32) -> bool {
-    // Empty histogram = input built without this stage: no decision
-    // (a one-sided empty histogram would inflate the L1 bound).
-    !a.histogram.is_empty()
-        && !b.histogram.is_empty()
-        && histogram_bound(&a.histogram, &b.histogram) > tau
+    histogram_bound(a.histogram(), b.histogram()) > tau
 }
 
 /// Banded traversal-string SED lower bound
-/// `max(SED(pre), SED(post)) ≤ TED` (Guha et al.).
+/// `max(SED(pre), SED(post)) ≤ TED` (Guha et al.). The postorder half
+/// runs first — it reads what is already there; the preorder strings are
+/// the mirrored decompositions' label arrays reversed, read unreversed
+/// because SED is reversal-invariant.
 #[inline]
 fn traversal_rejects(a: &VerifyData, b: &VerifyData, tau: u32, sed: &mut SedScratch) -> bool {
-    // Empty strings = input built without this stage: no decision
-    // (a one-sided empty string would inflate the SED bound).
-    !a.traversals.preorder.is_empty()
-        && !b.traversals.preorder.is_empty()
-        && !traversal_within_with(&a.traversals, &b.traversals, tau, sed)
+    sed_within_with(a.postorder(), b.postorder(), tau, sed).is_none()
+        || sed_within_with(
+            a.prepared.right().labels(),
+            b.prepared.right().labels(),
+            tau,
+            sed,
+        )
+        .is_none()
 }
 
 /// The verification engine: the filter chain, one exact-TED engine, and
@@ -571,7 +569,14 @@ impl VerifyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsj_ted::bounds::{label_histogram, size_bound, traversal_within_with, TraversalStrings};
+    use tsj_ted::{tree_distance, CostModel, TedTree, TedWorkspace};
     use tsj_tree::{parse_bracket, LabelInterner};
+
+    const BOTH: Materialized = Materialized {
+        histogram: true,
+        mirror: true,
+    };
 
     fn data(specs: &[&str]) -> Vec<VerifyData> {
         let mut labels = LabelInterner::new();
@@ -649,11 +654,7 @@ mod tests {
         // An "exact SED ≤ τ accepts" stage would report a false pair at
         // τ = 2; the shape-accept stage must not (shapes differ here).
         let d = data(&["{1{2}{1{3}}}", "{1{2{1}{3}}}"]);
-        assert!(tsj_ted::traversal_within(
-            &d[0].traversals,
-            &d[1].traversals,
-            2
-        ));
+        assert!(!traversal_rejects(&d[0], &d[1], 2, &mut SedScratch::new()));
         let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
         assert_eq!(engine.check(&d[0], &d[1]), None);
         assert_eq!(engine.ted_calls(), 1, "only exact TED may decide");
@@ -766,15 +767,40 @@ mod tests {
         assert_eq!(engine.check_exact(&d[0], &d[1]), None, "tightened τ");
     }
 
-    /// The chain as it was before the τ-bounded kernel: the same four
-    /// bounds, then the full DP and a comparison. `VerifyEngine` must
-    /// agree with it on every verdict and every counter.
+    /// One tree's stage inputs as the eager design built them: every one
+    /// straight from the [`Tree`] by `tsj_ted`'s standalone constructors,
+    /// none through [`PreparedTree`] or a derivation.
+    struct RefInputs {
+        /// Preorder child counts.
+        shape: Vec<u32>,
+        strings: TraversalStrings,
+        histogram: Vec<Label>,
+        ted: TedTree,
+    }
+
+    impl RefInputs {
+        fn new(tree: &Tree) -> RefInputs {
+            let degree = |&node| tree.children(node).len() as u32;
+            RefInputs {
+                shape: tree.preorder().iter().map(degree).collect(),
+                strings: TraversalStrings::new(tree),
+                histogram: label_histogram(tree),
+                ted: TedTree::new(tree),
+            }
+        }
+    }
+
+    /// The chain as it was before the τ-bounded kernel and the derived
+    /// inputs: the same four bounds over [`RefInputs`], then the full DP
+    /// and a comparison. `VerifyEngine` must agree with it on every
+    /// verdict and every counter.
     struct Reference {
         tau: u32,
         filters: VerifyConfig,
         counts: [u64; STAGES],
+        ted_calls: u64,
         sed: SedScratch,
-        ted: TedEngine,
+        ws: TedWorkspace,
     }
 
     impl Reference {
@@ -783,30 +809,33 @@ mod tests {
                 tau,
                 filters,
                 counts: [0; STAGES],
+                ted_calls: 0,
                 sed: SedScratch::default(),
-                ted: TedEngine::unit(),
+                ws: TedWorkspace::new(),
             }
         }
 
-        fn decide(&mut self, a: &VerifyData, b: &VerifyData, exact: bool) -> Option<u32> {
+        fn decide(&mut self, a: &RefInputs, b: &RefInputs, exact: bool) -> Option<u32> {
             let (tau, on) = (self.tau, self.filters);
-            if on.size && size_rejects(a, b, tau) {
+            if on.size && size_bound(a.shape.len(), b.shape.len()) > tau {
                 return self.reject(SIZE);
             }
-            if on.shape_accept {
-                let certificate = shape_certificate(a, b, tau);
-                if let Some(hamming) = certificate.filter(|&hamming| hamming <= 1 || !exact) {
+            if on.shape_accept && a.shape == b.shape {
+                let (pre_a, pre_b) = (&a.strings.preorder, &b.strings.preorder);
+                let hamming = pre_a.iter().zip(pre_b).filter(|(la, lb)| la != lb).count() as u32;
+                if hamming <= tau && (hamming <= 1 || !exact) {
                     self.counts[SHAPE_ACCEPT] += 1;
                     return Some(hamming);
                 }
             }
-            if on.histogram && histogram_rejects(a, b, tau) {
+            if on.histogram && histogram_bound(&a.histogram, &b.histogram) > tau {
                 return self.reject(LABEL_HIST);
             }
-            if on.traversal && traversal_rejects(a, b, tau, &mut self.sed) {
+            if on.traversal && !traversal_within_with(&a.strings, &b.strings, tau, &mut self.sed) {
                 return self.reject(TRAVERSAL_SED);
             }
-            let d = self.ted.distance(&a.prepared, &b.prepared);
+            self.ted_calls += 1;
+            let d = tree_distance(&a.ted, &b.ted, &CostModel::UNIT, &mut self.ws);
             (d <= tau).then_some(d)
         }
 
@@ -818,7 +847,7 @@ mod tests {
         /// The engine under test must have decided the same pairs at the
         /// same stages and handed the same number to exact TED.
         fn assert_counters_match(&self, engine: &VerifyEngine, context: &str) {
-            assert_eq!(engine.ted_calls(), self.ted.computations(), "{context}");
+            assert_eq!(engine.ted_calls(), self.ted_calls, "{context}");
             let mut stats = JoinStats::default();
             engine.fold_into(&mut stats);
             let want: Vec<StageCount> = engine
@@ -833,8 +862,10 @@ mod tests {
     }
 
     /// Near-duplicates at every distance up to 5 edits, unrelated trees of
-    /// equal and of very different sizes, and a single node.
-    fn mixed_collection() -> Vec<VerifyData> {
+    /// equal and of very different sizes, skewed shapes that run exact TED
+    /// right-side, and a single node — prepared for the engine and, from
+    /// the same trees, for the [`Reference`].
+    fn mixed_collection() -> (Vec<VerifyData>, Vec<RefInputs>) {
         use rand::{rngs::StdRng, SeedableRng};
         use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
         let mut rng = StdRng::seed_from_u64(21);
@@ -850,12 +881,19 @@ mod tests {
                 trees.push(random_edit_script(&base, edits, &mut rng, labels).0);
             }
         }
-        VerifyData::batch(&trees)
+        let mut labels = LabelInterner::new();
+        for comb in ["{a{x}{b{x}{c{x}{d{x}{e}}}}}", "{a{x}{b{y}{c{x}{d{e}{x}}}}}"] {
+            trees.push(parse_bracket(comb, &mut labels).unwrap());
+        }
+        let data = VerifyData::batch(&trees);
+        let comb = &data[data.len() - 1].prepared;
+        assert!(comb.right_cost() < comb.left_cost(), "no right-side TED");
+        (data, trees.iter().map(RefInputs::new).collect())
     }
 
     #[test]
     fn bounded_ted_moves_no_verdict_and_no_counter() {
-        let data = mixed_collection();
+        let (data, inputs) = mixed_collection();
         for mask in 0..16u32 {
             let filters = config_of(mask);
             for tau in [0, 1, 3, 6, 40] {
@@ -865,7 +903,7 @@ mod tests {
                     for (j, b) in data.iter().enumerate() {
                         let exact = (i + j) % 2 == 0;
                         let got = engine.decide(a, b, exact);
-                        let want = reference.decide(a, b, exact);
+                        let want = reference.decide(&inputs[i], &inputs[j], exact);
                         assert_eq!(got, want, "mask {mask:04b} tau {tau} pair ({i}, {j})");
                     }
                 }
@@ -883,17 +921,17 @@ mod tests {
     fn shrinking_tau_mid_run_matches_the_reference() {
         // The top-k join starts wide and tightens τ as its heap fills; the
         // bounded kernel must follow each new τ on a warm engine.
-        let data = mixed_collection();
+        let (data, inputs) = mixed_collection();
         let mut engine = VerifyEngine::with_filters(4096, &VerifyConfig::default());
         let mut reference = Reference::new(4096, VerifyConfig::default());
         for tau in [4096, 64, 9, 4, 2, 1, 0, 3] {
             engine.set_tau(tau);
             reference.tau = tau;
             for (i, a) in data.iter().enumerate() {
-                for b in &data[..i] {
+                for j in 0..i {
                     assert_eq!(
-                        engine.check_exact(a, b),
-                        reference.decide(a, b, true),
+                        engine.check_exact(a, &data[j]),
+                        reference.decide(&inputs[i], &inputs[j], true),
                         "tau {tau}"
                     );
                 }
@@ -903,34 +941,185 @@ mod tests {
     }
 
     #[test]
-    fn for_config_skips_disabled_stage_inputs() {
+    fn a_disabled_stage_never_materialises_its_input() {
+        // Same labels, different shapes: no bound decides this pair, so a
+        // full chain runs every stage on it.
+        let specs = ["{a{b}{c}}", "{a{b{c}}}"];
+        let built = |filters: &VerifyConfig| {
+            let d = data(&specs);
+            let mut engine = VerifyEngine::with_filters(2, filters);
+            assert_eq!(engine.check(&d[0], &d[1]), Some(2));
+            assert_eq!(engine.ted_calls(), 1);
+            assert_eq!(d[0].materialized(), d[1].materialized());
+            d[0].materialized()
+        };
+        // Left-side exact TED (these shapes cost the same either way)
+        // needs nothing beyond what preparation built.
+        assert_eq!(built(&VerifyConfig::NONE), Materialized::default());
+        let only = |histogram, traversal| VerifyConfig {
+            histogram,
+            traversal,
+            ..VerifyConfig::NONE
+        };
+        let held = |histogram, mirror| Materialized { histogram, mirror };
+        assert_eq!(built(&only(true, false)), held(true, false));
+        assert_eq!(built(&only(false, true)), held(false, true));
+        assert_eq!(built(&VerifyConfig::ALL), BOTH);
+    }
+
+    #[test]
+    fn rebuild_refills_what_the_slot_held_and_nothing_else() {
         let mut labels = LabelInterner::new();
-        let tree = parse_bracket("{a{b}{c}}", &mut labels).unwrap();
-        let bare = VerifyData::for_config(&tree, &VerifyConfig::NONE);
-        assert!(bare.histogram.is_empty());
-        assert!(bare.shape.is_empty());
-        assert!(bare.traversals.preorder.is_empty());
-        // Stage-less inputs under a full chain: every stage must abstain
-        // (not mis-decide on the empty vectors) and exact TED decides.
-        let other = VerifyData::for_config(
-            &parse_bracket("{a{b}{z}}", &mut labels).unwrap(),
-            &VerifyConfig::NONE,
-        );
-        let mut engine = VerifyEngine::with_filters(1, &VerifyConfig::default());
-        assert_eq!(engine.check(&bare, &other), Some(1));
-        assert_eq!(engine.ted_calls(), 1);
-        assert_eq!(engine.early_accepts(), 0);
-        assert_eq!(engine.prefilter_skips(), 0);
+        let mut tree = |s| parse_bracket(s, &mut labels).unwrap();
+        let (first, second) = (tree("{a{b}{c}}"), tree("{r{c{b}{a}}{q}}"));
+        let fresh = VerifyData::new(&second);
+        let mut prep = VerifyPrep::new();
+
+        let mut slot = VerifyData::new(&first);
+        slot.rebuild(&second, &mut prep);
+        assert_eq!(slot.materialized(), Materialized::default());
+        assert_eq!(slot.shape_hash, fresh.shape_hash);
+
+        let mut slot = VerifyData::new(&first);
+        slot.histogram();
+        slot.prepared.right();
+        slot.rebuild(&second, &mut prep);
+        assert_eq!(slot.materialized(), BOTH);
+        assert_eq!(slot.histogram(), fresh.histogram());
+        assert_eq!(slot.postorder(), fresh.postorder());
+        let (got, want) = (slot.prepared.right(), fresh.prepared.right());
+        assert_eq!(got.labels(), want.labels());
+        assert_eq!(got.llds(), want.llds());
+        assert_eq!(got.keyroots(), want.keyroots());
     }
 
     #[test]
     fn shape_hash_distinguishes_shapes_sharing_labels() {
         let d = data(&["{a{b}{c}}", "{a{b{c}}}"]);
         assert_ne!(d[0].shape_hash, d[1].shape_hash);
-        assert_ne!(d[0].shape, d[1].shape);
         // Same labels, different shape: stage must not accept.
         let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
         assert_eq!(engine.check(&d[0], &d[1]), Some(2));
         assert_eq!(engine.ted_calls(), 1);
+    }
+
+    /// A path, a star and the two combs of `n` nodes over three labels.
+    fn corner_trees(n: usize) -> Vec<Tree> {
+        use tsj_tree::TreeBuilder;
+        let label = |k: usize| Label::from_raw(1 + (k % 3) as u32);
+        // Each spine node gets `before` leaf children left of the next
+        // spine node and `after` right of it, while nodes last.
+        let grow = |spine: bool, before: usize, after: usize| {
+            let mut builder = TreeBuilder::new();
+            let mut at = builder.root(label(0));
+            while builder.len() < n {
+                let mut next = at;
+                for slot in 0..before + usize::from(spine) + after {
+                    if builder.len() == n {
+                        break;
+                    }
+                    let child = builder.child(at, label(builder.len()));
+                    if spine && slot == before {
+                        next = child;
+                    }
+                }
+                at = next;
+            }
+            builder.build()
+        };
+        vec![
+            grow(true, 0, 0),
+            grow(false, n, 0),
+            grow(true, 0, 1),
+            grow(true, 1, 0),
+        ]
+    }
+
+    /// Every derived input against the `tsj_ted` constructor that walks
+    /// the tree for it.
+    fn assert_inputs_match(tree: &Tree) {
+        let data = VerifyData::new(tree);
+        let strings = TraversalStrings::new(tree);
+        assert_eq!(data.postorder(), strings.postorder);
+        let mut preorder = data.prepared.right().labels().to_vec();
+        preorder.reverse();
+        assert_eq!(preorder, strings.preorder);
+        assert_eq!(data.histogram(), label_histogram(tree));
+        assert_eq!(data.materialized(), BOTH);
+    }
+
+    #[test]
+    fn derived_inputs_match_on_corner_shapes() {
+        for n in [1, 2, 5, 12, 33] {
+            let trees = corner_trees(n);
+            trees.iter().for_each(assert_inputs_match);
+            // The shape stage tells the four shapes apart exactly as the
+            // degree sequences do (some coincide at the smallest sizes).
+            let inputs: Vec<_> = trees
+                .iter()
+                .map(|t| (VerifyData::new(t), RefInputs::new(t)))
+                .collect();
+            for (a, ra) in &inputs {
+                for (b, rb) in &inputs {
+                    let certified = shape_certificate(a, b, u32::MAX).is_some();
+                    assert_eq!(certified, ra.shape == rb.shape, "{n} nodes");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn derived_inputs_match_on_random_trees(seed in proptest::prelude::any::<u64>()) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            use tsj_datagen::{grow_tree, ShapeProfile};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let profile = ShapeProfile {
+                max_fanout: 4,
+                max_depth: 9,
+                deepen_prob: rng.gen_range(0.0..0.8),
+            };
+            let size = rng.gen_range(1..48);
+            assert_inputs_match(&grow_tree(&mut rng, size, 4, &profile));
+        }
+    }
+
+    #[test]
+    fn workers_released_together_onto_cold_trees_agree_with_one() {
+        // Every worker checks every tree against the same two, so all four
+        // reach each cold cell at once: one derives, the rest wait for it.
+        let run = |data: &[VerifyData], start: &std::sync::Barrier| {
+            let mut engine = VerifyEngine::with_filters(6, &VerifyConfig::default());
+            start.wait();
+            let verdicts: Vec<_> = data
+                .iter()
+                .flat_map(|a| [engine.check(a, &data[7]), engine.check(&data[26], a)])
+                .collect();
+            (verdicts, engine.ted_calls())
+        };
+        let held =
+            |data: &[VerifyData]| -> Vec<_> { data.iter().map(VerifyData::materialized).collect() };
+        let (alone, _) = mixed_collection();
+        let want = run(&alone, &std::sync::Barrier::new(1));
+        assert!(want.1 > 0 && held(&alone).contains(&Materialized::default()));
+
+        let (shared, _) = mixed_collection();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| run(&shared, &start)))
+                .collect();
+            for worker in workers {
+                assert_eq!(worker.join().expect("worker panicked"), want);
+            }
+        });
+        assert_eq!(held(&shared), held(&alone));
+    }
+
+    /// `tsj_shard::pool` shares `&[VerifyData]` across verify workers.
+    #[allow(dead_code)]
+    fn verify_data_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<VerifyData>();
     }
 }

@@ -33,7 +33,7 @@ use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
 use partsj::subgraph::Subgraph;
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
-    VerifyConfig, VerifyData, VerifyEngine, WindowPolicy,
+    VerifyData, VerifyEngine, WindowPolicy,
 };
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -164,8 +164,8 @@ impl Frozen {
     /// the trees (fanned out over the configured probe workers),
     /// bulk-loads the subgraphs into a fresh **static** (no-replay)
     /// [`ShardedIndex`], side-lists — and tracks — the trees too small
-    /// to partition, and prepares the verification inputs of the stages
-    /// `config.verify` enables. Both [`crate::sharded_rs_join`] and
+    /// to partition, and prepares the trees' verification inputs (as
+    /// [`Frozen::restore`] does). Both [`crate::sharded_rs_join`] and
     /// `tsj-catalog`'s freeze build through here, which is what keeps a
     /// frozen catalog bit-identical to the direct join.
     pub fn build(
@@ -197,7 +197,7 @@ impl Frozen {
         Frozen {
             index,
             small_by_size,
-            left_data: VerifyData::batch_for_config(left, &config.verify),
+            left_data: VerifyData::batch(left),
         }
     }
 
@@ -205,8 +205,8 @@ impl Frozen {
     /// `(tau, window)`, the shard map, one restored [`SubgraphIndex`]
     /// per shard of the snapshot — an **empty** one for every shard the
     /// caller does not own — and the tree store, which is tracked whole
-    /// and from which the side list and the (full-stage) verification
-    /// inputs are rebuilt. The one validating restore: every check of
+    /// and from which the side list and the verification inputs are
+    /// rebuilt. The one validating restore: every check of
     /// [`ShardedIndex::from_frozen_parts`] applies.
     pub fn restore(
         tau: u32,
@@ -327,10 +327,8 @@ impl Frozen {
     /// `probe`, written to `out` (cleared first) as ascending
     /// `(tree index, exact distance)` — the engine only short-circuits
     /// on provably tight certificates. The threshold must not exceed the
-    /// one the side was frozen for (callers enforce that), and the side
-    /// must carry every stage's inputs (a restored one does; build with
-    /// [`VerifyConfig::ALL`]). With a warmed engine and scratch this
-    /// allocates nothing.
+    /// one the side was frozen for (callers enforce that). With a warmed
+    /// engine and scratch this allocates nothing.
     pub fn query_into(
         &self,
         probe: &Tree,
@@ -342,9 +340,7 @@ impl Frozen {
         out.clear();
         let mut counters = ProbeCounters::default();
         self.probe(probe, engine.tau(), matching, scratch, &mut counters);
-        // Full stage inputs, like the left side's — `check_exact` may
-        // consult any filter.
-        let data_q = scratch.probe_verify.prepare(probe, &VerifyConfig::ALL);
+        let data_q = scratch.probe_verify.prepare(probe);
         out.extend(scratch.step.found().iter().filter_map(|&i| {
             engine
                 .check_exact(&self.left_data[i as usize], data_q)
@@ -439,11 +435,59 @@ impl JoinSide for RightSide<'_> {
         pairs: &mut Vec<(TreeIdx, TreeIdx)>,
     ) {
         let left_data = &self.left.left_data;
-        let data = prep.prepare(&self.right[pos], &self.config.verify);
+        let data = prep.prepare(&self.right[pos]);
         for i in candidates {
             if engine.check(&left_data[i as usize], data).is_some() {
                 pairs.push((i, pos as TreeIdx));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use partsj::Materialized;
+    use tsj_tree::{parse_bracket, LabelInterner};
+
+    /// A join derives the lazy verification inputs of the left trees its
+    /// candidate pairs carry past `shape-accept`, and of no others.
+    #[test]
+    fn a_join_materialises_only_what_its_pairs_reach() {
+        let mut labels = LabelInterner::new();
+        let mut trees = |specs: &[&str]| -> Vec<Tree> {
+            let parsed = specs.iter().map(|s| parse_bracket(s, &mut labels));
+            parsed.collect::<Result<_, _>>().unwrap()
+        };
+        // τ = 2 side-lists every tree below five nodes: each left tree
+        // here is a candidate of each probe.
+        let config = PartSjConfig::default();
+        let mut joined = |left: &[&str], right: &[&str]| {
+            let frozen = Frozen::build(&trees(left), 2, &config, &ShardConfig::with_shards(2));
+            let outcome = frozen.join(&trees(right), 2, &config, 1, 1);
+            assert_eq!(outcome.stats.candidates, (left.len() * right.len()) as u64);
+            let held = frozen.left_data.iter().map(VerifyData::materialized);
+            (outcome, held.collect::<Vec<_>>())
+        };
+
+        // Renames of one shape: every pair resolves at `shape-accept`.
+        let (outcome, held) = joined(&["{a{b}{c}}", "{a{b}{z}}"], &["{a{b}{c}}", "{a{q}{c}}"]);
+        assert_eq!(outcome.stats.early_accepts, 4);
+        assert_eq!(held, [Materialized::default(); 2]);
+
+        // One probe against its twin (`shape-accept`), a same-shape tree
+        // sharing no label (rejected by `label-hist`) and a reshaped one
+        // with its labels (through `traversal-sed` to exact TED).
+        let left = ["{a{b}{c}}", "{x{y}{z}}", "{a{b{c}}}"];
+        let (outcome, held) = joined(&left, &["{a{b}{c}}"]);
+        assert_eq!(outcome.pairs, [(0, 0), (2, 0)]);
+        assert_eq!(outcome.stats.ted_calls, 1);
+        let held_is = |histogram, mirror| Materialized { histogram, mirror };
+        let want = [
+            held_is(false, false),
+            held_is(true, false),
+            held_is(true, true),
+        ];
+        assert_eq!(held, want);
     }
 }

@@ -14,7 +14,7 @@ use partsj::{partsj_join, partsj_join_rs, PartSjConfig, WindowPolicy};
 use tsj_datagen::synthetic_sized;
 use tsj_shard::{sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
 use tsj_ted::{ted, TreeIdx};
-use tsj_tree::Tree;
+use tsj_tree::{apply_edit, EditOp, Tree};
 
 #[test]
 fn sharded_join_bit_identical_across_shard_counts() {
@@ -84,14 +84,23 @@ fn balanced_shard_map_is_result_invariant() {
 #[test]
 fn sharded_join_parallel_pipeline_matches_sequential() {
     let all = synthetic_sized(150, 25, 7);
-    // The full input, and a two-tree one the pool is forced onto.
+    // The full input, a two-tree one the pool is forced onto, and a hub:
+    // one tree and every single-node deletion of it, so every pair is a
+    // candidate no cheap bound decides and the verify workers derive the
+    // same trees' histograms and mirrored decompositions at the same time.
     let twins = [all[0].clone(), all[0].clone()];
-    let (all, twins) = (&all[..], &twins[..]);
-    for (trees, tau) in [(all, 0u32), (all, 1), (all, 3), (twins, 1)] {
+    let base = all.iter().find(|t| t.len() >= 20).unwrap();
+    let mut hub = vec![base.clone()];
+    for node in base.node_ids().filter(|&n| n != base.root()) {
+        hub.push(apply_edit(base, &EditOp::Delete { node }).unwrap());
+    }
+    let (all, twins, hub) = (&all[..], &twins[..], &hub[..]);
+    for (trees, tau) in [(all, 0u32), (all, 1), (all, 3), (twins, 1), (hub, 2)] {
         let reference = partsj_join(trees, tau);
         // (shards, probe threads, verify threads, verify batch): probe-
         // heavy, verify-heavy, one prober feeding a verifier pool,
-        // per-pair sends, and the machine-sized pool (0 = auto).
+        // per-pair sends, four verifiers on per-pair sends, and the
+        // machine-sized pool (0 = auto).
         for (shards, probe_threads, verify_threads, verify_batch) in [
             (1, 2, 2, 8),
             (4, 2, 2, 8),
@@ -99,6 +108,7 @@ fn sharded_join_parallel_pipeline_matches_sequential() {
             (8, 2, 3, 8),
             (4, 1, 3, 8),
             (4, 1, 3, 1),
+            (2, 1, 4, 1),
             (4, 0, 0, 64),
         ] {
             // parallel_fallback 0 forces the probe/verify pools whatever

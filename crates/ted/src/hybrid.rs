@@ -11,16 +11,20 @@
 //! * **right decomposition** — Zhang–Shasha on both mirror images, which is
 //!   equivalent to decomposing the originals along right paths.
 //!
-//! Each [`PreparedTree`] carries both preprocessed forms and their
-//! relevant-subproblem cost estimates; [`TedEngine::distance`] multiplies
-//! the per-tree costs and runs the cheaper side. Both sides are exact, so
-//! the choice affects only running time — never the reported distance.
+//! Each [`PreparedTree`] carries the left preprocessed form and both
+//! relevant-subproblem cost estimates (the right one read off the left
+//! arrays, [`TedTree::mirror_cost`]); [`TedEngine::distance`] multiplies
+//! the per-tree costs and runs the cheaper side, deriving a tree's
+//! mirrored form the first time a pair runs right-side. Both sides are
+//! exact, so the choice affects only running time — never the reported
+//! distance.
 //! The threshold entries ([`TedEngine::within`], [`TedEngine::verify`])
 //! make the same choice and run the τ-bounded kernel on it.
 
 use crate::cost::CostModel;
 use crate::ted_tree::{TedBuildScratch, TedTree};
 use crate::zs::{tree_distance, tree_distance_bounded, TedWorkspace};
+use std::sync::OnceLock;
 use tsj_tree::Tree;
 
 /// Which decomposition a distance computation used (or must use).
@@ -34,49 +38,71 @@ pub enum Strategy {
     Dynamic,
 }
 
-/// A tree preprocessed for repeated distance computations.
+/// A tree preprocessed for repeated distance computations: the left form
+/// built ahead of time, the mirrored one derived from it on first use
+/// (in a `OnceLock` — prepared trees are shared across verify workers).
 #[derive(Debug, Clone)]
 pub struct PreparedTree {
     left: TedTree,
-    right: TedTree,
-    size: usize,
+    right_cost: u64,
+    right: OnceLock<TedTree>,
 }
 
 impl PreparedTree {
-    /// Preprocesses both decompositions of `tree`.
+    /// Preprocesses `tree`: one postorder walk.
     pub fn new(tree: &Tree) -> PreparedTree {
-        PreparedTree {
-            left: TedTree::new(tree),
-            right: TedTree::mirrored(tree),
-            size: tree.len(),
-        }
+        PreparedTree::new_with(tree, &mut TedBuildScratch::new())
     }
 
     /// [`PreparedTree::new`] using caller-provided walk temporaries, for
     /// batch preparation of many trees through one scratch.
     pub fn new_with(tree: &Tree, scratch: &mut TedBuildScratch) -> PreparedTree {
+        let left = TedTree::new_with(tree, scratch);
         PreparedTree {
-            left: TedTree::new_with(tree, scratch),
-            right: TedTree::mirrored_with(tree, scratch),
-            size: tree.len(),
+            right_cost: left.mirror_cost(),
+            left,
+            right: OnceLock::new(),
         }
     }
 
-    /// Rebuilds both decompositions in place for a new `tree`.
+    /// Rebuilds this instance in place for a new `tree`.
     ///
     /// Equivalent to `*self = PreparedTree::new(tree)` but reuses every
     /// array (and the walk temporaries in `scratch`), so preparing a
-    /// stream of probe trees is allocation-free in steady state.
+    /// stream of probe trees is allocation-free in steady state. A slot
+    /// that has derived its mirrored form before derives the new tree's
+    /// into the same arrays at once; one that never ran right-side still
+    /// has none.
     pub fn rebuild(&mut self, tree: &Tree, scratch: &mut TedBuildScratch) {
         self.left.rebuild(tree, false, scratch);
-        self.right.rebuild(tree, true, scratch);
-        self.size = tree.len();
+        self.right_cost = self.left.mirror_cost();
+        if let Some(right) = self.right.get_mut() {
+            right.rebuild_mirror_of(&self.left, scratch);
+        }
+    }
+
+    /// The left (as given) preprocessed form.
+    #[inline]
+    pub fn left(&self) -> &TedTree {
+        &self.left
+    }
+
+    /// The mirrored preprocessed form, derived from the left one on first
+    /// use. Its label array reversed is the tree's preorder string.
+    pub fn right(&self) -> &TedTree {
+        self.right
+            .get_or_init(|| TedTree::mirror_of(&self.left, &mut TedBuildScratch::new()))
+    }
+
+    /// Whether [`PreparedTree::right`] has been asked for yet.
+    pub fn right_built(&self) -> bool {
+        self.right.get().is_some()
     }
 
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.size
+        self.left.len()
     }
 
     /// Trees are never empty.
@@ -92,7 +118,7 @@ impl PreparedTree {
 
     /// Work estimate of the right decomposition.
     pub fn right_cost(&self) -> u64 {
-        self.right.decomposition_cost()
+        self.right_cost
     }
 }
 
@@ -177,7 +203,7 @@ impl TedEngine {
             }
         };
         if use_right {
-            (&a.right, &b.right)
+            (a.right(), b.right())
         } else {
             (&a.left, &b.left)
         }

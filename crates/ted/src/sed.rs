@@ -160,17 +160,22 @@ pub fn sed_within_with(
         return None;
     }
     let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
+    // No diagonal lies further out than the longer string is long, so a
+    // band that wide is already the whole table: buffers are sized by the
+    // input, never by a huge `tau`.
+    let band = a.len().min(tau as usize);
     // Real cells are bounded by m + band + 1; pick u16 whenever that fits
     // under its INF sentinel so the inner loop streams half the bytes.
-    if a.len() + tau as usize + 2 <= u16::INF.to_u32() as usize {
-        banded::<u16>(a, b, tau, &mut scratch.prev16, &mut scratch.cur16)
+    if a.len() + band + 2 <= u16::INF.to_u32() as usize {
+        banded::<u16>(a, b, tau, band, &mut scratch.prev16, &mut scratch.cur16)
     } else {
-        banded::<u32>(a, b, tau, &mut scratch.prev32, &mut scratch.cur32)
+        banded::<u32>(a, b, tau, band, &mut scratch.prev32, &mut scratch.cur32)
     }
 }
 
 /// The banded DP proper, generic over the cell width. `a` is the longer
-/// sequence; the length gap has already been checked against `tau`.
+/// sequence; the length gap has already been checked against `tau`, and
+/// `band` is `tau` clamped to `a`'s length.
 ///
 /// The inner loop is branchless: the `j = 0` boundary column is hoisted
 /// out, and each remaining cell is a pure min-of-three over the band
@@ -180,11 +185,11 @@ fn banded<C: Cell>(
     a: &[Label],
     b: &[Label],
     tau: u32,
+    band: usize,
     prev_buf: &mut Vec<C>,
     cur_buf: &mut Vec<C>,
 ) -> Option<u32> {
     let (m, n) = (a.len(), b.len());
-    let band = tau as usize;
 
     // Row i covers columns [i.saturating_sub(band), min(n, i + band)].
     let width = 2 * band + 3;
@@ -380,6 +385,21 @@ mod tests {
                 assert_eq!(banded, None, "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn band_is_clamped_to_the_longer_string() {
+        // τ = u32::MAX used to size the band buffers 2τ + 3 (~34 GB).
+        let a = labels(&[1, 2, 3, 4, 5]);
+        let b = labels(&[1, 9, 3, 5, 5]);
+        let mut scratch = SedScratch::new();
+        assert_eq!(
+            sed_within_with(&a, &b, u32::MAX, &mut scratch),
+            Some(sed(&a, &b))
+        );
+        assert_eq!(sed_within_with(&a, &[], u32::MAX, &mut scratch), Some(5));
+        let cells = scratch.prev16.len() + scratch.prev32.len();
+        assert!(cells <= 2 * a.len() + 3, "{cells} band cells for 5 labels");
     }
 
     #[test]

@@ -10,17 +10,22 @@
 //! mirrored inputs computes the *right-path* decomposition of the original
 //! pair — the second half of the RTED-inspired hybrid in
 //! [`crate::hybrid`].
+//!
+//! The left arrays determine the mirror's: `lld` encodes the whole shape
+//! (the children of `i`, right to left, are `c = i − 1, c ← lld(c) − 1`
+//! while `c ≥ lld(i)`), so [`TedTree::mirror_of`] derives the mirrored
+//! form without the tree and [`TedTree::mirror_cost`] prices it without
+//! building it. The hybrid builds only left forms ahead of time.
 
 use tsj_tree::{Label, NodeId, Tree};
 
 /// Reusable temporaries for [`TedTree::rebuild`]: the postorder walk
-/// stack/order and the keyroot `seen` marks. Grow-only, so rebuilding a
-/// stream of probe trees through one scratch is allocation-free once the
-/// buffers reach the largest tree seen.
+/// stack and numbering and the keyroot `seen` marks. Grow-only, so
+/// rebuilding a stream of probe trees through one scratch is
+/// allocation-free once the buffers reach the largest tree seen.
 #[derive(Debug, Default, Clone)]
 pub struct TedBuildScratch {
     post_of: Vec<usize>,
-    order: Vec<NodeId>,
     stack: Vec<(NodeId, usize)>,
     seen: Vec<bool>,
 }
@@ -55,7 +60,7 @@ pub struct TedTree {
 impl TedTree {
     /// Preprocesses `tree` with its natural (left-to-right) child order.
     pub fn new(tree: &Tree) -> TedTree {
-        Self::build(tree, false)
+        Self::new_with(tree, &mut TedBuildScratch::new())
     }
 
     /// Preprocesses the mirror image of `tree` (children reversed).
@@ -65,7 +70,9 @@ impl TedTree {
     /// mirrored `TedTree`s yields the same distance while decomposing along
     /// right paths of the original trees.
     pub fn mirrored(tree: &Tree) -> TedTree {
-        Self::build(tree, true)
+        let mut built = Self::placeholder();
+        built.rebuild(tree, true, &mut TedBuildScratch::new());
+        built
     }
 
     /// [`TedTree::new`] using caller-provided walk temporaries, for batch
@@ -76,10 +83,11 @@ impl TedTree {
         built
     }
 
-    /// [`TedTree::mirrored`] using caller-provided walk temporaries.
-    pub fn mirrored_with(tree: &Tree, scratch: &mut TedBuildScratch) -> TedTree {
+    /// The mirrored form of `left` — field for field what
+    /// [`TedTree::mirrored`] builds from the tree `left` was built from.
+    pub fn mirror_of(left: &TedTree, scratch: &mut TedBuildScratch) -> TedTree {
         let mut built = Self::placeholder();
-        built.rebuild(tree, true, scratch);
+        built.rebuild_mirror_of(left, scratch);
         built
     }
 
@@ -91,12 +99,6 @@ impl TedTree {
             keyroots: Vec::new(),
             decomposition_cost: 0,
         }
-    }
-
-    fn build(tree: &Tree, mirror: bool) -> TedTree {
-        let mut built = Self::placeholder();
-        built.rebuild(tree, mirror, &mut TedBuildScratch::new());
-        built
     }
 
     /// Rebuilds this preprocessed form in place for a new `tree`, reusing
@@ -114,8 +116,9 @@ impl TedTree {
         scratch.post_of.clear();
         scratch.post_of.resize(n, 0);
 
-        // Iterative (possibly mirrored) postorder.
-        scratch.order.clear();
+        // Iterative (possibly mirrored) postorder, numbering each node as
+        // it finishes.
+        let mut post = 0;
         scratch.stack.clear();
         scratch.stack.push((tree.root(), 0));
         while let Some(&mut (node, ref mut next)) = scratch.stack.last_mut() {
@@ -129,37 +132,77 @@ impl TedTree {
                 *next += 1;
                 scratch.stack.push((child, 0));
             } else {
-                scratch.post_of[node.index()] = scratch.order.len() + 1;
-                scratch.order.push(node);
+                post += 1;
+                scratch.post_of[node.index()] = post;
+                self.labels[post] = tree.label(node);
+                let first = if mirror {
+                    children.last()
+                } else {
+                    children.first()
+                };
+                self.lld[post] = match first {
+                    // The leftmost leaf of an inner node is the leftmost
+                    // leaf of its first (in visit order) child, which was
+                    // already numbered because postorder visits children
+                    // first.
+                    Some(&c) => self.lld[scratch.post_of[c.index()]],
+                    None => post,
+                };
                 scratch.stack.pop();
             }
         }
 
-        for (i, &node) in scratch.order.iter().enumerate() {
-            let post = i + 1;
-            self.labels[post] = tree.label(node);
-            let children = tree.children(node);
-            let first = if mirror {
-                children.last()
-            } else {
-                children.first()
-            };
-            self.lld[post] = match first {
-                // The leftmost leaf of an inner node is the leftmost leaf
-                // of its first (in visit order) child, which was already
-                // numbered because postorder visits children first.
-                Some(&c) => self.lld[scratch.post_of[c.index()]],
-                None => post,
-            };
-        }
+        self.index_keyroots(&mut scratch.seen);
+    }
 
-        // Keyroots: nodes with no higher-postorder node sharing their lld.
-        scratch.seen.clear();
-        scratch.seen.resize(n + 1, false);
-        self.keyroots.clear();
+    /// [`TedTree::mirror_of`] in place, reusing this tree's arrays.
+    ///
+    /// Mirrored postorder is preorder reversed, and a node's preorder
+    /// number is its depth plus the `lld(i) − 1` nodes entirely to its
+    /// left plus one; the mirror's leftmost leaf of `i` is the end of its
+    /// rightmost-child chain `i − 1, i − 2, …`, the last leaf at or before
+    /// `i` in postorder.
+    pub(crate) fn rebuild_mirror_of(&mut self, left: &TedTree, scratch: &mut TedBuildScratch) {
+        let n = left.n;
+        self.n = n;
+        self.labels.clear();
+        self.labels.resize(n + 1, Label::EPSILON);
+        self.lld.clear();
+        self.lld.resize(n + 1, 0);
+
+        // Depths first: a parent's postorder number is above its
+        // children's, so descending order sees each depth before its use.
+        let depth = &mut scratch.post_of;
+        depth.clear();
+        depth.resize(n + 1, 0);
         for i in (1..=n).rev() {
-            if !scratch.seen[self.lld[i]] {
-                scratch.seen[self.lld[i]] = true;
+            let mut child = i - 1;
+            while child >= left.lld[i] {
+                depth[child] = depth[i] + 1;
+                child = left.lld[child] - 1;
+            }
+        }
+        let mut leaf = 0;
+        for i in 1..=n {
+            let post = n + 1 - left.lld[i] - depth[i];
+            if left.lld[i] == i {
+                leaf = post;
+            }
+            self.labels[post] = left.labels[i];
+            self.lld[post] = leaf;
+        }
+        self.index_keyroots(&mut scratch.seen);
+    }
+
+    /// Fills `keyroots` and `decomposition_cost` from `lld`.
+    fn index_keyroots(&mut self, seen: &mut Vec<bool>) {
+        // Keyroots: nodes with no higher-postorder node sharing their lld.
+        seen.clear();
+        seen.resize(self.n + 1, false);
+        self.keyroots.clear();
+        for i in (1..=self.n).rev() {
+            if !seen[self.lld[i]] {
+                seen[self.lld[i]] = true;
                 self.keyroots.push(i);
             }
         }
@@ -196,6 +239,19 @@ impl TedTree {
         self.lld[i]
     }
 
+    /// Every node's label, in postorder.
+    #[inline]
+    pub fn labels(&self) -> &[Label] {
+        &self.labels[1..]
+    }
+
+    /// Every node's leftmost-leaf descendant, in postorder. Two trees have
+    /// the same shape exactly when these arrays are equal.
+    #[inline]
+    pub fn llds(&self) -> &[usize] {
+        &self.lld[1..]
+    }
+
     /// Keyroots in ascending postorder; the last one is the root.
     #[inline]
     pub fn keyroots(&self) -> &[usize] {
@@ -207,6 +263,18 @@ impl TedTree {
     #[inline]
     pub fn decomposition_cost(&self) -> u64 {
         self.decomposition_cost
+    }
+
+    /// The mirrored form's [`TedTree::decomposition_cost`], without
+    /// building it: the mirror's keyroots are the root and every node that
+    /// is not its parent's last child — `i` with a leaf at `i + 1`, since a
+    /// last child is followed in postorder by its parent — and a keyroot's
+    /// span is its subtree size either way round.
+    pub fn mirror_cost(&self) -> u64 {
+        (1..=self.n)
+            .filter(|&i| i == self.n || self.lld[i + 1] == i + 1)
+            .map(|i| (i - self.lld[i] + 1) as u64)
+            .sum()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the distance kernels: metric axioms, the
-//! published lower bounds, cross-decomposition agreement, and exactness of
-//! the τ-bounded kernel against the full DP.
+//! published lower bounds, cross-decomposition agreement, exactness of
+//! the τ-bounded kernel against the full DP, and everything derived from
+//! the left postorder arrays against the constructors that walk the tree.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
     histogram_bound, label_histogram, sed, sed_within, size_bound, ted, traversal_bound, CostModel,
-    PreparedTree, Strategy, TedEngine, TraversalStrings,
+    PreparedTree, Strategy, TedBuildScratch, TedEngine, TedTree, TraversalStrings,
 };
 use tsj_tree::{Label, Tree};
 
@@ -132,8 +133,88 @@ fn all_shapes(n: usize) -> Vec<Vec<u32>> {
     shapes
 }
 
+/// Every field of a preprocessed form.
+fn fields(t: &TedTree) -> (&[Label], &[usize], &[usize], u64) {
+    (t.labels(), t.llds(), t.keyroots(), t.decomposition_cost())
+}
+
+/// What the hybrid derives from a tree's left arrays, against what
+/// walking the tree builds: the mirrored form field for field, its cost
+/// without building it, and both traversal strings. `scratch` arrives
+/// dirty from other trees.
+fn derivations_match_the_tree(tree: &Tree, scratch: &mut TedBuildScratch) -> Result<(), String> {
+    let check = |ok: bool, what: &str| {
+        ok.then_some(())
+            .ok_or_else(|| format!("{what}: {:?}", tree.flatten()))
+    };
+    let left = TedTree::new(tree);
+    let mirrored = TedTree::mirrored(tree);
+    let derived = TedTree::mirror_of(&left, scratch);
+    check(fields(&derived) == fields(&mirrored), "derived mirror")?;
+    let right_cost = mirrored.decomposition_cost();
+    check(left.mirror_cost() == right_cost, "mirror cost")?;
+    check(
+        mirrored.mirror_cost() == left.decomposition_cost(),
+        "and back",
+    )?;
+
+    let strings = TraversalStrings::new(tree);
+    check(left.labels() == strings.postorder, "postorder string")?;
+    let reversed: Vec<Label> = derived.labels().iter().rev().copied().collect();
+    check(reversed == strings.preorder, "preorder string")?;
+
+    let prepared = PreparedTree::new(tree);
+    check(!prepared.right_built(), "mirror built ahead of time")?;
+    let costs = (prepared.left_cost(), prepared.right_cost());
+    check(costs == (left.decomposition_cost(), right_cost), "costs")?;
+    check(fields(prepared.right()) == fields(&mirrored), "lazy mirror")?;
+    check(prepared.right_built(), "mirror not kept")
+}
+
+/// Preorder child counts: the shape as the eager design spelled it.
+fn degree_sequence(tree: &Tree) -> Vec<usize> {
+    let degree = |&n| tree.children(n).len();
+    tree.preorder().iter().map(degree).collect()
+}
+
+#[test]
+fn derivations_hold_on_corner_shapes_and_every_small_shape() {
+    let scratch = &mut TedBuildScratch::new();
+    let corners = [1, 2, 3, 8, 31].into_iter().flat_map(corner_shapes);
+    let small: Vec<Vec<u32>> = (1..=6).flat_map(all_shapes).collect();
+    for shape in corners.chain(small.iter().cloned()) {
+        derivations_match_the_tree(&tree_of(&shape, 0b0110_1001_1011), scratch).unwrap();
+    }
+    // `lld` arrays are equal exactly when the shapes are, whatever the labels.
+    for (i, a) in small.iter().enumerate() {
+        for (j, b) in small.iter().enumerate() {
+            let (a, b) = (tree_of(a, 0), tree_of(b, 0b10_1101));
+            let same_llds = TedTree::new(&a).llds() == TedTree::new(&b).llds();
+            assert_eq!(same_llds, i == j, "{:?} vs {:?}", a.flatten(), b.flatten());
+            assert_eq!(same_llds, degree_sequence(&a) == degree_sequence(&b));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The derivations on random trees, and `lld` equality against degree
+    /// sequence equality on a random pair and on an edited copy (a rename
+    /// keeps the shape, anything else changes it).
+    #[test]
+    fn derivations_match_on_random_trees(a in any::<u64>(), b in any::<u64>(), k in 0usize..3) {
+        let (ta, tb) = (random_tree(a, 40), random_tree(b, 6));
+        let edited = random_edit_script(&ta, k, &mut StdRng::seed_from_u64(b), 5).0;
+        let scratch = &mut TedBuildScratch::new();
+        for tree in [&ta, &tb, &edited] {
+            prop_assert_eq!(derivations_match_the_tree(tree, scratch), Ok(()));
+        }
+        for (x, y) in [(&ta, &tb), (&ta, &edited), (&tb, &tb)] {
+            let same_llds = TedTree::new(x).llds() == TedTree::new(y).llds();
+            prop_assert_eq!(same_llds, degree_sequence(x) == degree_sequence(y));
+        }
+    }
 
     /// Bounded TED on unrelated random trees: mostly misses, early exits
     /// and size rejections.
