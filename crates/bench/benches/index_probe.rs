@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the two-layer subgraph index (§3.4): insertion of
-//! a partitioned tree and per-node probes under the three window policies.
-//! Probe cost is the core of PartSJ's candidate-generation bars.
+//! a partitioned tree, per-node probes under the three window policies,
+//! and the in-place sweep of dead trees. Probe cost is the core of
+//! PartSJ's candidate-generation bars; the sweep is what a streaming
+//! shard pays when its dead fraction trips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{
@@ -119,5 +121,28 @@ fn bench_probe(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_probe);
+/// `retain_trees` over a 1 000-tree index with every 4th / every 2nd tree
+/// dead. A sweep consumes its index, so each iteration restores a copy
+/// from one dump first; row `0` (nothing dead) is that cost plus a sweep
+/// that moves nothing — subtract it to read the other two.
+fn bench_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("index/sweep");
+    let (index, _) = build_index(&sample_trees(1_000, 60, 11), 3, WindowPolicy::Safe);
+    let dump = index.dump();
+    for (dead_pct, every) in [(0u32, 0u32), (25, 4), (50, 2)] {
+        group.bench_with_input(
+            BenchmarkId::new("dead_pct", dead_pct),
+            &every,
+            |bench, &n| {
+                bench.iter(|| {
+                    let mut index = SubgraphIndex::restore(dump.clone()).expect("own dump");
+                    black_box(index.retain_trees(|tree| n == 0 || tree % n != 0))
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_insert, bench_probe, bench_sweep);
 criterion_main!(benches);

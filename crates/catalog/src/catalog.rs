@@ -57,8 +57,7 @@ impl Catalog {
     /// thread knobs only affect this build).
     ///
     /// Freezing always builds a fresh, fully live index — there are no
-    /// tombstones, replay logs or liveness bitmaps to carry: that state
-    /// is "compacted away" by construction, which is what keeps the
+    /// tombstones or liveness bitmaps to carry, which is what keeps the
     /// snapshot format a plain postings image.
     pub fn freeze(
         trees: Vec<Tree>,

@@ -322,6 +322,30 @@ impl MatchCache {
     }
 }
 
+/// "Swept away" in the renumbering maps of [`SubgraphIndex::retain_trees`].
+const GONE: u32 = u32::MAX;
+
+/// Dense new ids for the `true` slots, in order; [`GONE`] for the rest.
+fn renumber(kept: impl Iterator<Item = bool>) -> Vec<u32> {
+    let mut ids = 0u32..;
+    let id = |kept: bool| kept.then(|| ids.next()).flatten().unwrap_or(GONE);
+    kept.map(id).collect()
+}
+
+/// Drops every item whose slot in a [`renumber`] map is [`GONE`].
+fn retain_mapped<T>(items: &mut Vec<T>, map: &[u32]) {
+    let mut slots = map.iter();
+    items.retain(|_| slots.next() != Some(&GONE));
+}
+
+/// Sends a table's ids through a [`renumber`] map, dropping the [`GONE`].
+fn remap_ids<K>(table: &mut FxHashMap<K, u32>, map: &[u32]) {
+    table.retain(|_, id| {
+        *id = map[*id as usize];
+        *id != GONE
+    });
+}
+
 /// Two-layer inverted index over the subgraphs of already-processed trees.
 #[derive(Debug)]
 pub struct SubgraphIndex {
@@ -429,6 +453,64 @@ impl SubgraphIndex {
             self.layers[layer_id as usize].register(lo, hi, sg.twig, handle);
             self.registrations += u64::from(hi - lo + 1);
         }
+    }
+
+    /// Forgets every tree `keep` rejects, in place, and returns the
+    /// bucket registrations removed. Their postings are `retain`ed out of
+    /// the buckets (survivors keep their order, so every twig-sorted
+    /// prefix stays sorted); handles, component ids and layers are
+    /// renumbered densely in their old order; the arena and the interning
+    /// table shrink to the shapes still referenced; a size class left
+    /// without a tree is forgotten. Probes then surface the *set* a fresh
+    /// index over the survivors would (visit order may differ: the
+    /// prefix/tail split is history). [`LayerId`]s and handles resolved
+    /// earlier are stale; a [`MatchCache`] is not — verdicts are per node.
+    pub fn retain_trees(&mut self, keep: impl Fn(TreeIdx) -> bool) -> u64 {
+        let handle_map = renumber(self.metas.iter().map(|m| keep(m.tree)));
+        let mut referenced = vec![false; self.components.len()];
+        for (meta, &handle) in self.metas.iter().zip(&handle_map) {
+            referenced[meta.component as usize] |= handle != GONE;
+        }
+        let component_map = renumber(referenced.into_iter());
+        retain_mapped(&mut self.metas, &handle_map);
+        for meta in &mut self.metas {
+            meta.component = component_map[meta.component as usize];
+        }
+        // Runs tile the arena in id order (insertion appends them,
+        // `restore` checks it), so survivors only ever move down.
+        retain_mapped(&mut self.components, &component_map);
+        let mut end = 0;
+        for c in &mut self.components {
+            let run = c.start as usize..c.start as usize + c.len as usize;
+            self.arena.copy_within(run, end);
+            c.start = end as u32;
+            end += c.len as usize;
+        }
+        self.arena.truncate(end);
+        remap_ids(&mut self.interned, &component_map);
+
+        let mut removed = 0u64;
+        for bucket in self.layers.iter_mut().flat_map(|l| &mut l.buckets) {
+            let (before, sorted) = (bucket.postings.len(), bucket.sorted_len as usize);
+            let (mut at, mut sorted_kept) = (0, 0);
+            bucket.postings.retain_mut(|posting| {
+                posting.handle = handle_map[posting.handle as usize];
+                let kept = posting.handle != GONE;
+                sorted_kept += u32::from(kept && at < sorted);
+                at += 1;
+                kept
+            });
+            bucket.sorted_len = sorted_kept;
+            removed += (before - bucket.postings.len()) as u64;
+        }
+        self.registrations -= removed;
+        // Every stored subgraph holds at least one posting, so a layer
+        // without postings is a size class without trees.
+        let occupied = |l: &PostorderLayer| l.buckets.iter().any(|b| !b.postings.is_empty());
+        let layer_map = renumber(self.layers.iter().map(occupied));
+        retain_mapped(&mut self.layers, &layer_map);
+        remap_ids(&mut self.by_size, &layer_map);
+        removed
     }
 
     /// Resolves the layer of size class `tree_size`, if any trees of that
@@ -557,9 +639,7 @@ impl SubgraphIndex {
         self.window
     }
 
-    /// The threshold the index registers windows for. A dynamic wrapper
-    /// (e.g. `tsj-shard`'s compaction) rebuilds replacement indexes with
-    /// the same `(tau, window)` pair.
+    /// The threshold the index registers windows for.
     pub fn tau(&self) -> u32 {
         self.tau
     }
@@ -662,19 +742,22 @@ impl SubgraphIndex {
                 return Err(format!("size class {size} appears twice"));
             }
         }
+        // Runs must tile the arena in id order, as insertion lays them.
+        let mut next = 0usize;
         for (id, c) in components.iter().enumerate() {
-            let end = (c.start as usize)
+            let end = next
                 .checked_add(c.len as usize)
-                .filter(|&end| end <= arena.len() && c.len > 0);
-            if end.is_none() {
+                .filter(|&end| end <= arena.len() && c.len > 0 && c.start as usize == next);
+            let Some(end) = end else {
                 return Err(format!(
-                    "component {id} spans arena [{}, {}+{}) of {}",
+                    "component {id} spans arena [{}, {}+{}) of {}, after {next}",
                     c.start,
                     c.start,
                     c.len,
                     arena.len()
                 ));
-            }
+            };
+            next = end;
             if c.incoming > 2 {
                 return Err(format!("component {id} has incoming tag {}", c.incoming));
             }
@@ -1108,6 +1191,10 @@ mod tests {
         let mut bad = good.clone();
         bad.components[0].len = bad.arena.len() as u32 + 1;
         assert!(SubgraphIndex::restore(bad).is_err(), "arena overrun");
+
+        let mut bad = good.clone();
+        bad.components.swap(0, 1);
+        assert!(SubgraphIndex::restore(bad).is_err(), "runs out of order");
 
         let mut bad = good.clone();
         for layer in &mut bad.layers {

@@ -1,16 +1,33 @@
-//! Equivalence test for the dense subgraph index: **index ≡ linear
-//! scan** — probing the flat per-size / position-bucket / twig-sorted
-//! storage must surface exactly the handles a naive scan over every
-//! inserted subgraph's registration predicate (size match, position
-//! within `[pos − ∆′, pos + ∆′]`, twig among the probe's keys) selects,
-//! for all three window policies and τ ∈ {0, 1, 3}.
+//! Equivalence tests for the dense subgraph index.
+//!
+//! **Index ≡ linear scan** — probing the flat per-size / position-bucket
+//! / twig-sorted storage must surface exactly the handles a naive scan
+//! over every inserted subgraph's registration predicate (size match,
+//! position within `[pos − ∆′, pos + ∆′]`, twig among the probe's keys)
+//! selects, for all three window policies and τ ∈ {0, 1, 3}.
+//!
+//! **Sweep ≡ rebuild** — after any interleaving of inserts, removals and
+//! [`SubgraphIndex::retain_trees`] sweeps, the index is indistinguishable
+//! (candidate sets, every count, a valid dump) from a fresh one fed the
+//! survivors' subgraphs in insertion order: the rebuild `tsj-shard` used
+//! to run for every compaction, kept here as the oracle.
 
-use partsj::{build_subgraphs, max_min_size, select_cuts, SubgraphIndex, TwigKeys, WindowPolicy};
+use partsj::{
+    build_subgraphs, max_min_size, partition_tree, probe_tree_nodes, resolve_layers, select_cuts,
+    window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig, ProbeCounters, Subgraph,
+    SubgraphIndex, TwigKeys, WindowPolicy,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_datagen::{grow_tree, ShapeProfile};
 use tsj_tree::{BinaryTree, Label, Tree};
+
+const WINDOWS: [WindowPolicy; 3] = [
+    WindowPolicy::Safe,
+    WindowPolicy::Tight,
+    WindowPolicy::PaperAbsolute,
+];
 
 fn random_tree(seed: u64, size: usize, labels: u32, deepen: f64) -> Tree {
     let profile = ShapeProfile {
@@ -38,7 +55,7 @@ proptest! {
     /// all inserted subgraphs selects.
     #[test]
     fn probe_equals_linear_scan(seed in any::<u64>()) {
-        for window in [WindowPolicy::Safe, WindowPolicy::Tight, WindowPolicy::PaperAbsolute] {
+        for window in WINDOWS {
             for tau in [0u32, 1, 3] {
                 let delta = 2 * tau as usize + 1;
                 let mut rng = StdRng::seed_from_u64(seed ^ (tau as u64) << 3 ^ window as u64);
@@ -117,6 +134,152 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The container trees `tree`'s probe surfaces, in discovery order.
+fn candidates(index: &SubgraphIndex, cache: &mut MatchCache, tree: &Tree, tau: u32) -> Vec<u32> {
+    let binary = BinaryTree::from_tree(tree);
+    let size = tree.len() as u32;
+    let (lo, hi) = window_of(size, tau);
+    let mut layers = Vec::new();
+    resolve_layers(index, lo, hi, &mut layers);
+    let mut found = Candidates::new();
+    found.begin(1 << 10);
+    probe_tree_nodes(
+        index,
+        &layers,
+        &binary,
+        &tree.postorder_numbers(),
+        size,
+        MatchSemantics::Exact,
+        cache,
+        &mut ProbeCounters::default(),
+        &mut found.sink(),
+    );
+    found.as_slice().to_vec()
+}
+
+fn sorted(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids
+}
+
+/// One index under insert / remove / sweep, with everything the oracle
+/// needs beside it: each inserted tree's size and subgraphs (the copy a
+/// shard no longer keeps), its registration count, and who is alive.
+struct Swept {
+    tau: u32,
+    index: SubgraphIndex,
+    /// Lives across sweeps: verdicts memoized under the old component
+    /// ids must not leak into probes of the renumbered index.
+    cache: MatchCache,
+    stored: Vec<(u32, Vec<Subgraph>, u64)>,
+    alive: Vec<bool>,
+}
+
+impl Swept {
+    fn insert(&mut self, tree: &Tree) {
+        let id = self.stored.len() as u32;
+        let binary = BinaryTree::from_tree(tree);
+        let scheme = PartSjConfig::default().partitioning;
+        let subgraphs = partition_tree(&binary, &tree.postorder_numbers(), self.tau, scheme, id)
+            .expect("pool trees have ≥ δ nodes");
+        let before = self.index.registrations();
+        self.index.insert_tree(tree.len() as u32, subgraphs.clone());
+        let regs = self.index.registrations() - before;
+        self.stored.push((tree.len() as u32, subgraphs, regs));
+        self.alive.push(true);
+    }
+
+    /// Sweeps the dead trees out and holds the result to the rebuild.
+    fn sweep_and_check(&mut self, pool: &[Tree]) {
+        let tau = self.tau;
+        // Warm the cache on the pre-sweep numbering.
+        for tree in pool {
+            candidates(&self.index, &mut self.cache, tree, tau);
+        }
+        let handles = (0..self.index.len() as u32).map(|h| self.index.tree_of(h));
+        let doomed: std::collections::BTreeSet<u32> =
+            handles.filter(|&t| !self.alive[t as usize]).collect();
+        let owed: u64 = doomed.iter().map(|&t| self.stored[t as usize].2).sum();
+        let alive = &self.alive;
+        assert_eq!(self.index.retain_trees(|t| alive[t as usize]), owed);
+
+        let mut fresh = SubgraphIndex::new(tau, self.index.window());
+        for ((size, subgraphs, _), _) in self.stored.iter().zip(alive).filter(|(_, &alive)| alive) {
+            fresh.insert_tree(*size, subgraphs.clone());
+        }
+        let index = &self.index;
+        assert_eq!(index.len(), fresh.len());
+        assert_eq!(index.is_empty(), !alive.contains(&true));
+        assert_eq!(index.registrations(), fresh.registrations());
+        assert_eq!(index.distinct_components(), fresh.distinct_components());
+        assert_eq!(index.distinct_sizes(), fresh.distinct_sizes());
+        let dump = index.dump();
+        assert_eq!(dump.arena.len(), fresh.dump().arena.len());
+        let restored = SubgraphIndex::restore(dump).expect("a swept index dumps validly");
+        for tree in pool {
+            let got = candidates(index, &mut self.cache, tree, tau);
+            assert!(got.iter().all(|&t| alive[t as usize]), "dead candidate");
+            let again = candidates(&restored, &mut MatchCache::new(), tree, tau);
+            assert_eq!(got, again, "restore(dump()) probes identically");
+            let want = candidates(&fresh, &mut MatchCache::new(), tree, tau);
+            assert_eq!(sorted(got), sorted(want), "sweep ≡ rebuild");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random insert/remove/sweep interleavings, with sweep-nothing and
+    /// sweep-everything (and life after it) as edge rows.
+    #[test]
+    fn sweep_equals_rebuild_from_survivors(seed in any::<u64>()) {
+        for window in WINDOWS {
+            for tau in 0u32..=3 {
+                let mut rng = StdRng::seed_from_u64(seed ^ (tau as u64) << 3 ^ window as u64);
+                // Few sizes, few labels, repeated arrivals: deep buckets
+                // (sorted prefix *and* tail) and shared component shapes.
+                let least = (2 * tau as usize + 1).max(3);
+                let pool: Vec<Tree> = (0..12)
+                    .map(|_| {
+                        let size = rng.gen_range(least..least + 4);
+                        random_tree(rng.gen(), size, 4, rng.gen_range(0.0..0.6))
+                    })
+                    .collect();
+                let mut side = Swept {
+                    tau,
+                    index: SubgraphIndex::new(tau, window),
+                    cache: MatchCache::new(),
+                    stored: Vec::new(),
+                    alive: Vec::new(),
+                };
+                side.sweep_and_check(&pool); // empty index
+                for _ in 0..160 {
+                    match rng.gen_range(0..20) {
+                        0 => {
+                            side.sweep_and_check(&pool);
+                            side.sweep_and_check(&pool); // nothing left to sweep
+                        }
+                        1..=7 if !side.alive.is_empty() => {
+                            let victim = rng.gen_range(0..side.alive.len());
+                            side.alive[victim] = false;
+                        }
+                        _ => side.insert(&pool[rng.gen_range(0..pool.len())]),
+                    }
+                }
+                side.sweep_and_check(&pool);
+                side.alive.fill(false);
+                side.sweep_and_check(&pool); // everything
+                prop_assert_eq!(side.index.dump().arena.len(), 0);
+                for tree in &pool[..4] {
+                    side.insert(tree);
+                }
+                side.sweep_and_check(&pool);
             }
         }
     }

@@ -30,7 +30,6 @@ use crate::index::{Gate, ShardConfig, ShardMap, ShardedIndex};
 use crate::join::build_subgraph_lists;
 use crate::pool::{execute, run_inline, JoinSide};
 use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
-use partsj::subgraph::Subgraph;
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
     VerifyData, VerifyEngine, WindowPolicy,
@@ -49,7 +48,7 @@ pub struct Frozen {
     /// Left trees below the partitioning threshold `δ`, grouped by size.
     small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
     /// Per-left-tree verification inputs, indexed by left tree id.
-    left_data: Vec<VerifyData>,
+    pub(crate) left_data: Vec<VerifyData>,
 }
 
 /// Reusable scratch for probing a [`ShardedIndex`]: the candidate
@@ -160,45 +159,58 @@ pub(crate) fn probe_step(
 }
 
 impl Frozen {
-    /// Builds the frozen side of `left` for threshold `tau`: δ-partitions
-    /// the trees (fanned out over the configured probe workers),
-    /// bulk-loads the subgraphs into a fresh **static** (no-replay)
-    /// [`ShardedIndex`], side-lists — and tracks — the trees too small
-    /// to partition, and prepares the trees' verification inputs (as
-    /// [`Frozen::restore`] does). Both [`crate::sharded_rs_join`] and
-    /// `tsj-catalog`'s freeze build through here, which is what keeps a
-    /// frozen catalog bit-identical to the direct join.
+    /// Builds the frozen side of `left` for threshold `tau` — the crate's
+    /// one static build, in input order. Both [`crate::sharded_rs_join`]
+    /// and `tsj-catalog`'s freeze build through here, which is what keeps
+    /// a frozen catalog bit-identical to the direct join.
     pub fn build(
         left: &[Tree],
         tau: u32,
         config: &PartSjConfig,
         shard_cfg: &ShardConfig,
     ) -> Frozen {
-        let probe_threads = shard_cfg.resolved_probe_threads();
+        Frozen::build_in(left, tau, config, shard_cfg, 0..left.len() as TreeIdx).0
+    }
+
+    /// The one static build: LC-RS forms and postorder numbers (returned
+    /// beside the side — the self-join probes with them), the δ rule over
+    /// every tree (fanned out over the configured probe workers), then —
+    /// walking `order`, which fixes the insertion order within every
+    /// shard and side list — the partitioned trees bulk-loaded into a
+    /// fresh [`ShardedIndex`], the rest side-listed, all of them tracked;
+    /// and the verification inputs, as [`Frozen::restore`] prepares them.
+    pub(crate) fn build_in(
+        left: &[Tree],
+        tau: u32,
+        config: &PartSjConfig,
+        shard_cfg: &ShardConfig,
+        order: impl IntoIterator<Item = TreeIdx>,
+    ) -> (Frozen, Vec<BinaryTree>, Vec<Vec<u32>>) {
+        let threads = shard_cfg.resolved_probe_threads();
         let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
         let posts: Vec<Vec<u32>> = left.iter().map(Tree::postorder_numbers).collect();
-        let lists = build_subgraph_lists(left, &binaries, &posts, tau, config, probe_threads);
+        let mut lists = build_subgraph_lists(left, &binaries, &posts, tau, config, threads);
         let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-        let mut items: Vec<(TreeIdx, u32, Vec<Subgraph>)> = Vec::new();
-        for (i, list) in lists.into_iter().enumerate() {
-            let size = left[i].len() as u32;
-            match list {
-                Some(subgraphs) => items.push((i as TreeIdx, size, subgraphs)),
-                None => small_by_size.entry(size).or_default().push(i as TreeIdx),
+        let mut items = Vec::new();
+        for i in order {
+            let size = left[i as usize].len() as u32;
+            match lists[i as usize].take() {
+                Some(subgraphs) => items.push((i, size, subgraphs)),
+                None => small_by_size.entry(size).or_default().push(i),
             }
         }
-        let mut index =
-            ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
-        for (&size, list) in &small_by_size {
-            for &i in list {
-                index.track(i, size);
-            }
-        }
-        Frozen {
-            index,
+        let parallel = threads > 1;
+        let mut frozen = Frozen {
+            index: ShardedIndex::build_static(tau, config.window, shard_cfg, items, parallel),
             small_by_size,
             left_data: VerifyData::batch(left),
+        };
+        for (&size, list) in &frozen.small_by_size {
+            for &i in list {
+                frozen.index.track(i, size);
+            }
         }
+        (frozen, binaries, posts)
     }
 
     /// Reassembles a frozen side from snapshot parts: the header's

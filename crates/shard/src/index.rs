@@ -13,24 +13,18 @@
 //!
 //! ## Dynamics
 //!
-//! The wrapped [`SubgraphIndex`] is insert-only, so removal is layered on
-//! top:
-//!
 //! * [`ShardedIndex::remove_tree`] flips the tree's **liveness bit** —
 //!   probe sinks filter dead container trees in O(1) per surfaced handle
-//!   — and tombstones the tree's stored postings in its shard.
+//!   — and tombstones the tree's postings in its shard: one
+//!   registration count per stored tree is all a shard keeps beside
+//!   its index.
 //! * Each shard tracks its live/dead posting counts. Once the dead
 //!   fraction exceeds [`ShardConfig::max_dead_fraction`] (and at least
 //!   [`ShardConfig::min_dead_postings`] postings are dead, so tiny shards
-//!   don't thrash), the shard **compacts**: it rebuilds its private
-//!   `SubgraphIndex` from the retained trees' stored subgraphs, in
-//!   original insertion order, and drops the tombstones. Amortized, a
-//!   posting is re-inserted at most `1/max_dead_fraction` times per
-//!   eviction epoch.
-//!
-//! Storing each tree's subgraphs for replay roughly doubles the index's
-//! memory; that is the standard price of compaction-based deletion (cf.
-//! LSM tombstones) and is bounded by the live window in streaming use.
+//!   don't thrash), the shard **compacts**: one
+//!   [`SubgraphIndex::retain_trees`] sweeps the dead trees out of its
+//!   index in place. Amortized, a surviving posting is walked at most
+//!   `1/max_dead_fraction` times per eviction epoch.
 
 use partsj::probe::{probe_tree_nodes, CandidateSink, ProbeCounters};
 use partsj::subgraph::Subgraph;
@@ -70,8 +64,8 @@ impl ObsCells {
 /// partitioning, matching — stay in [`partsj::PartSjConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Number of shards (≥ 1). More shards mean more build/compaction
-    /// parallelism and smaller compaction units; probe cost is unchanged
+    /// Number of shards (≥ 1). More shards mean more build parallelism
+    /// and smaller compaction units; probe cost is unchanged
     /// (each size class still lives in exactly one shard).
     pub shards: usize,
     /// Probe-side worker threads for the batch joins; `0` sizes the pool
@@ -88,7 +82,7 @@ pub struct ShardConfig {
     /// fraction.
     pub max_dead_fraction: f64,
     /// …and at least this many postings are dead (hysteresis so small
-    /// shards don't rebuild on every removal).
+    /// shards don't sweep on every removal).
     pub min_dead_postings: u64,
     /// Route size classes with a [`ShardMap::balanced`] map derived from
     /// the size histogram a batch build observes (sharded/frozen joins
@@ -272,27 +266,14 @@ fn balanced_map_for(items: &[(TreeIdx, u32, Vec<Subgraph>)], shards: usize) -> S
     ShardMap::balanced(&hist, shards)
 }
 
-/// One tree's replayable contribution to a shard.
-#[derive(Debug)]
-struct Stored {
-    tree: TreeIdx,
-    size: u32,
-    /// Bucket registrations this tree contributed (tombstone accounting).
-    regs: u64,
-    subgraphs: Vec<Subgraph>,
-    dead: bool,
-}
-
-/// One shard: a private [`SubgraphIndex`] plus the replay log that makes
-/// it compactable.
+/// One shard: a private [`SubgraphIndex`] plus its tombstone accounting.
 #[derive(Debug)]
 struct Shard {
     index: SubgraphIndex,
-    /// Insertion-ordered replay log; `dead` entries are dropped at the
-    /// next compaction.
-    stored: Vec<Stored>,
-    slot_of: FxHashMap<TreeIdx, usize>,
-    live_postings: u64,
+    /// Bucket registrations of each live tree inserted here. A restored
+    /// index arrives without them, so its trees are never tombstoned.
+    regs_of: FxHashMap<TreeIdx, u64>,
+    /// Postings of tombstoned trees the index still stores.
     dead_postings: u64,
 }
 
@@ -300,69 +281,38 @@ impl Shard {
     fn new(tau: u32, window: WindowPolicy) -> Shard {
         Shard {
             index: SubgraphIndex::new(tau, window),
-            stored: Vec::new(),
-            slot_of: FxHashMap::default(),
-            live_postings: 0,
+            regs_of: FxHashMap::default(),
             dead_postings: 0,
         }
     }
 
-    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: Vec<Subgraph>, replay: bool) {
-        let before = self.index.registrations();
-        if replay {
-            self.index.insert_tree(size, subgraphs.clone());
-            let regs = self.index.registrations() - before;
-            self.live_postings += regs;
-            self.slot_of.insert(tree, self.stored.len());
-            self.stored.push(Stored {
-                tree,
-                size,
-                regs,
-                subgraphs,
-                dead: false,
-            });
-        } else {
-            // Static (build-once) use: move the subgraphs straight into
-            // the index — no clone, no replay log.
-            self.index.insert_tree(size, subgraphs);
-            self.live_postings += self.index.registrations() - before;
-        }
+    fn live_postings(&self) -> u64 {
+        self.index.registrations() - self.dead_postings
     }
 
-    /// Tombstones `tree`'s postings; returns whether the shard stored it.
+    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: Vec<Subgraph>) {
+        let before = self.index.registrations();
+        self.index.insert_tree(size, subgraphs);
+        self.regs_of
+            .insert(tree, self.index.registrations() - before);
+    }
+
+    /// Tombstones `tree`'s postings; returns whether the shard counted it.
     fn tombstone(&mut self, tree: TreeIdx) -> bool {
-        let Some(&slot) = self.slot_of.get(&tree) else {
-            return false;
-        };
-        let entry = &mut self.stored[slot];
-        if entry.dead {
-            return false;
-        }
-        entry.dead = true;
-        self.live_postings -= entry.regs;
-        self.dead_postings += entry.regs;
-        self.slot_of.remove(&tree);
-        true
+        let regs = self.regs_of.remove(&tree);
+        self.dead_postings += regs.unwrap_or(0);
+        regs.is_some()
     }
 
     fn should_compact(&self, max_dead_fraction: f64, min_dead_postings: u64) -> bool {
         self.dead_postings >= min_dead_postings.max(1)
-            && (self.dead_postings as f64)
-                > max_dead_fraction * (self.dead_postings + self.live_postings) as f64
+            && (self.dead_postings as f64) > max_dead_fraction * self.index.registrations() as f64
     }
 
-    /// Rebuilds the shard's index from the retained trees, in original
-    /// insertion order, dropping every tombstone.
-    fn compact(&mut self) {
-        let mut index = SubgraphIndex::new(self.index.tau(), self.index.window());
-        self.stored.retain(|entry| !entry.dead);
-        self.slot_of.clear();
-        for (slot, entry) in self.stored.iter().enumerate() {
-            index.insert_tree(entry.size, entry.subgraphs.clone());
-            self.slot_of.insert(entry.tree, slot);
-        }
-        self.index = index;
-        self.live_postings = self.index.registrations();
+    /// Sweeps every tree that `alive` no longer lists out of the shard's
+    /// index, in place, dropping every tombstone.
+    fn compact(&mut self, alive: &[bool]) {
+        self.index.retain_trees(|tree| alive[tree as usize]);
         self.dead_postings = 0;
     }
 }
@@ -375,9 +325,6 @@ pub struct ShardedIndex {
     window: WindowPolicy,
     max_dead_fraction: f64,
     min_dead_postings: u64,
-    /// Whether shards keep the compaction replay log (see
-    /// [`ShardedIndex::without_replay`]).
-    replay: bool,
     /// Size-class→shard routing (hash by default; a balanced map must be
     /// installed before the first insertion).
     map: ShardMap,
@@ -401,7 +348,6 @@ impl ShardedIndex {
             window,
             max_dead_fraction: config.max_dead_fraction,
             min_dead_postings: config.min_dead_postings,
-            replay: true,
             map: ShardMap::Hash,
             shards: (0..shards).map(|_| Shard::new(tau, window)).collect(),
             alive: Vec::new(),
@@ -413,21 +359,9 @@ impl ShardedIndex {
         }
     }
 
-    /// Disables the compaction replay log: subgraphs are moved into the
-    /// shards (no clone, no `Stored` copy), halving build memory and
-    /// skipping a full posting copy. For **static** (build-once) uses —
-    /// the batch joins. [`ShardedIndex::remove_tree`] still works (the
-    /// liveness bitmap filters probes) but tombstoned postings are never
-    /// compacted away. Call before the first insertion.
-    pub fn without_replay(mut self) -> ShardedIndex {
-        debug_assert!(self.live_trees == 0, "set replay mode before inserting");
-        self.replay = false;
-        self
-    }
-
     /// The build-once index of the batch joins and the catalog freeze:
-    /// a [`ShardedIndex::without_replay`] index bulk-loaded with `items`
-    /// (`(tree, size, subgraphs)`, over scoped threads when `parallel`).
+    /// a fresh index bulk-loaded with `items` (`(tree, size,
+    /// subgraphs)`, over scoped threads when `parallel`).
     /// With [`ShardConfig::balanced_shards`] the routing is derived from
     /// the items' size histogram before any posting lands; it moves
     /// postings between shards, never changes which exist, so results
@@ -440,7 +374,7 @@ impl ShardedIndex {
         items: Vec<(TreeIdx, u32, Vec<Subgraph>)>,
         parallel: bool,
     ) -> ShardedIndex {
-        let mut index = ShardedIndex::new(tau, window, config).without_replay();
+        let mut index = ShardedIndex::new(tau, window, config);
         if config.balanced_shards {
             index.map = balanced_map_for(&items, index.shard_count());
         }
@@ -454,9 +388,10 @@ impl ShardedIndex {
     /// freeze compacts liveness away, so a frozen snapshot has no dead
     /// entries to restore.
     ///
-    /// The result is a static index (no replay log, like
-    /// [`ShardedIndex::without_replay`]) that probes bit-identically to
-    /// the index the shards were dumped from. Validates that every shard
+    /// The result probes bit-identically to the index the shards were
+    /// dumped from. A snapshot carries no per-tree registration counts,
+    /// so [`ShardedIndex::remove_tree`] on it is liveness-only: the tree
+    /// stops surfacing, its postings stay. Validates that every shard
     /// matches `(tau, window)`, that each shard only holds size classes
     /// it owns under `map`, and that every posting's container tree is
     /// tracked — a shard-section mix-up, a snapshot whose shard-map
@@ -480,8 +415,7 @@ impl ShardedIndex {
                 shards: shard_indexes.len(),
                 ..Default::default()
             },
-        )
-        .without_replay();
+        );
         index.set_shard_map(map)?;
         for (s, shard_index) in shard_indexes.into_iter().enumerate() {
             if shard_index.tau() != tau || shard_index.window() != window {
@@ -499,7 +433,6 @@ impl ShardedIndex {
                     ));
                 }
             }
-            index.shards[s].live_postings = shard_index.registrations();
             index.shards[s].index = shard_index;
         }
         for (tree, size) in tracked {
@@ -549,7 +482,7 @@ impl ShardedIndex {
     /// Live postings per shard — the load-imbalance diagnostic the
     /// balanced map is judged by (`max/mean` over this vector).
     pub fn shard_posting_loads(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.live_postings).collect()
+        self.shards.iter().map(Shard::live_postings).collect()
     }
 
     /// The deduplicated shard ids covering size window `[lo, hi]`, in
@@ -586,8 +519,7 @@ impl ShardedIndex {
     pub fn insert_tree(&mut self, tree: TreeIdx, size: u32, subgraphs: Vec<Subgraph>) {
         self.track(tree, size);
         let shard = self.shard_of_size(size);
-        let replay = self.replay;
-        self.shards[shard].insert(tree, size, subgraphs, replay);
+        self.shards[shard].insert(tree, size, subgraphs);
         if self.obs.enabled {
             self.obs.live_postings.set(self.live_postings() as i64);
         }
@@ -606,7 +538,6 @@ impl ShardedIndex {
             self.track(tree, size);
             per_shard[self.shard_of_size(size)].push((tree, size, subgraphs));
         }
-        let replay = self.replay;
         if parallel && self.shards.len() > 1 {
             crossbeam::scope(|scope| {
                 for (shard, items) in self.shards.iter_mut().zip(per_shard) {
@@ -615,7 +546,7 @@ impl ShardedIndex {
                     }
                     scope.spawn(move |_| {
                         for (tree, size, subgraphs) in items {
-                            shard.insert(tree, size, subgraphs, replay);
+                            shard.insert(tree, size, subgraphs);
                         }
                     });
                 }
@@ -624,7 +555,7 @@ impl ShardedIndex {
         } else {
             for (shard, items) in self.shards.iter_mut().zip(per_shard) {
                 for (tree, size, subgraphs) in items {
-                    shard.insert(tree, size, subgraphs, replay);
+                    shard.insert(tree, size, subgraphs);
                 }
             }
         }
@@ -651,7 +582,7 @@ impl ShardedIndex {
         if shard.tombstone(tree)
             && shard.should_compact(self.max_dead_fraction, self.min_dead_postings)
         {
-            shard.compact();
+            shard.compact(&self.alive);
             self.compactions += 1;
             if self.obs.enabled {
                 self.obs.compactions.inc();
@@ -715,10 +646,10 @@ impl ShardedIndex {
 
     /// Live postings across all shards.
     pub fn live_postings(&self) -> u64 {
-        self.shards.iter().map(|s| s.live_postings).sum()
+        self.shards.iter().map(Shard::live_postings).sum()
     }
 
-    /// Tombstoned (not yet compacted) postings across all shards.
+    /// Tombstoned (not yet swept) postings across all shards.
     pub fn dead_postings(&self) -> u64 {
         self.shards.iter().map(|s| s.dead_postings).sum()
     }
@@ -954,31 +885,6 @@ mod tests {
         assert_eq!(found, (10..20).collect::<Vec<_>>());
         // And the dead postings were actually dropped somewhere.
         assert!(index.dead_postings() < index.live_postings());
-    }
-
-    #[test]
-    fn without_replay_probes_and_removes_but_keeps_no_log() {
-        let mut labels = LabelInterner::new();
-        let tau = 1;
-        let specs = ["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{a{b}{c}{f}}"];
-        let trees: Vec<Tree> = specs
-            .iter()
-            .map(|s| parse_bracket(s, &mut labels).unwrap())
-            .collect();
-        let mut index = ShardedIndex::new(tau, WindowPolicy::Safe, &ShardConfig::with_shards(4))
-            .without_replay();
-        for (i, tree) in trees.iter().enumerate() {
-            let (size, sgs) = subgraphs_for(tree, tau, i as TreeIdx);
-            index.insert_tree(i as TreeIdx, size, sgs);
-        }
-        let probe = parse_bracket("{a{b}{c}{d}}", &mut labels).unwrap();
-        assert_eq!(probe_live(&index, &probe, tau, 3), vec![0, 1, 2]);
-        // Removal still hides the tree from probes (liveness bitmap) even
-        // though nothing is tombstoned or compacted.
-        assert!(index.remove_tree(1));
-        assert_eq!(probe_live(&index, &probe, tau, 3), vec![0, 2]);
-        assert_eq!(index.dead_postings(), 0);
-        assert_eq!(index.compactions(), 0);
     }
 
     #[test]

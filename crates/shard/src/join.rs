@@ -5,9 +5,10 @@
 //! probes the index state left by trees processed before it — which pins
 //! candidate generation to one core. This module de-interleaves the two:
 //!
-//! 1. **Build** (parallel): every δ-partitionable tree is partitioned and
-//!    its subgraphs inserted into the [`ShardedIndex`] — shards ingest
-//!    concurrently since each owns disjoint size classes.
+//! 1. **Build** (parallel): the collection becomes a [`Frozen`] side —
+//!    every δ-partitionable tree partitioned, its subgraphs inserted into
+//!    the [`crate::ShardedIndex`], shards ingesting concurrently since
+//!    each owns disjoint size classes.
 //! 2. **Probe**: each tree probes the now-frozen shards covering
 //!    `[|T_i| − τ, |T_i|]`. A surfaced container tree `T_j` is admitted
 //!    only if its processing **rank** (position in the ascending
@@ -24,16 +25,16 @@
 //! Result pairs are bit-identical to [`partsj::partsj_join`] for every
 //! shard count and thread count (asserted across the property suite).
 
-use crate::frozen::{probe_step, FrozenJoinScratch};
-use crate::index::{ShardConfig, ShardedIndex};
+use crate::frozen::{probe_step, Frozen, FrozenJoinScratch};
+use crate::index::ShardConfig;
 use crate::pool::{execute, JoinSide};
 use partsj::join::PartSjDetail;
 use partsj::probe::{window_of, ProbeCounters};
 use partsj::subgraph::{partition_tree, Subgraph};
-use partsj::{MatchSemantics, PartSjConfig, ProbeVerify, VerifyData, VerifyEngine};
+use partsj::{MatchSemantics, PartSjConfig, ProbeVerify, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, TreeIdx};
-use tsj_tree::{BinaryTree, FxHashMap, Tree};
+use tsj_tree::{BinaryTree, Tree};
 
 /// The self-join as the executor sees it: probe number `pos` is the tree
 /// of processing rank `pos`, probing the prebuilt index under the rank
@@ -41,11 +42,10 @@ use tsj_tree::{BinaryTree, FxHashMap, Tree};
 struct SelfJoin<'a> {
     binaries: &'a [BinaryTree],
     general_posts: &'a [Vec<u32>],
-    data: &'a [VerifyData],
+    /// The collection as a frozen side, built in processing order.
+    side: &'a Frozen,
     order: &'a [TreeIdx],
     rank: &'a [u32],
-    index: &'a ShardedIndex,
-    small_by_size: &'a FxHashMap<u32, Vec<TreeIdx>>,
     tau: u32,
     matching: MatchSemantics,
 }
@@ -69,8 +69,8 @@ impl JoinSide for SelfJoin<'_> {
         // tree in processing rank.
         let my_rank = pos as u32;
         probe_step(
-            self.index,
-            self.small_by_size,
+            self.side.index(),
+            self.side.small_by_size(),
             self.order.len(),
             (&self.binaries[i], &self.general_posts[i]),
             (lo, size_i),
@@ -91,9 +91,9 @@ impl JoinSide for SelfJoin<'_> {
         _prep: &mut ProbeVerify,
         pairs: &mut Vec<(TreeIdx, TreeIdx)>,
     ) {
-        let i = self.order[pos];
+        let (i, data) = (self.order[pos], &self.side.left_data);
         for j in candidates {
-            let (a, b) = (&self.data[i as usize], &self.data[j as usize]);
+            let (a, b) = (&data[i as usize], &data[j as usize]);
             if engine.check(a, b).is_some() {
                 pairs.push((j, i));
             }
@@ -121,12 +121,7 @@ pub fn sharded_join_detailed(
 ) -> (JoinOutcome, PartSjDetail) {
     let mut detail = PartSjDetail::default();
     let build_start = Instant::now();
-    let probe_threads = shard_cfg.resolved_probe_threads();
 
-    // Shared read-only preprocessing.
-    let binaries: Vec<BinaryTree> = trees.iter().map(BinaryTree::from_tree).collect();
-    let general_posts: Vec<Vec<u32>> = trees.iter().map(Tree::postorder_numbers).collect();
-    let data: Vec<VerifyData> = VerifyData::batch_for_config(trees, &config.verify);
     let mut order: Vec<TreeIdx> = (0..trees.len() as TreeIdx).collect();
     order.sort_by_key(|&i| (trees[i as usize].len(), i));
     let mut rank: Vec<u32> = vec![0; trees.len()];
@@ -134,39 +129,27 @@ pub fn sharded_join_detailed(
         rank[i as usize] = r as u32;
     }
 
-    // Build phase: partition every δ-partitionable tree (fanned out over
-    // scoped threads), then bulk-load the shards.
-    let mut lists =
-        build_subgraph_lists(trees, &binaries, &general_posts, tau, config, probe_threads);
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    let mut items: Vec<(TreeIdx, u32, Vec<Subgraph>)> = Vec::new();
-    // Walk in processing order so shard-local insertion order (and the
-    // small side lists) match the sequential join's.
-    for &i in &order {
-        let size = trees[i as usize].len() as u32;
-        match lists[i as usize].take() {
-            Some(subgraphs) => {
-                detail.subgraphs_built += subgraphs.len() as u64;
-                items.push((i, size, subgraphs));
-            }
-            None => small_by_size.entry(size).or_default().push(i),
-        }
-    }
-    let index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, probe_threads > 1);
+    // Build phase: the collection as a frozen side, walked in processing
+    // order so shard-local insertion order (and the small side lists)
+    // match the sequential join's.
+    let (frozen, binaries, general_posts) =
+        Frozen::build_in(trees, tau, config, shard_cfg, order.iter().copied());
+    let index = frozen.index();
+    let handles = (0..index.shard_count()).map(|s| index.shard_index(s).len() as u64);
+    detail.subgraphs_built = handles.sum();
     detail.index_registrations = index.live_postings();
     let build_time = build_start.elapsed();
 
     let side = SelfJoin {
         binaries: &binaries,
         general_posts: &general_posts,
-        data: &data,
+        side: &frozen,
         order: &order,
         rank: &rank,
-        index: &index,
-        small_by_size: &small_by_size,
         tau,
         matching: config.matching,
     };
+    let probe_threads = shard_cfg.resolved_probe_threads();
     let verify_threads = shard_cfg.resolved_verify_threads();
     let (pairs, mut tally) = execute(&side, tau, config, probe_threads, verify_threads);
     detail.probes = tally.counters.probes;
@@ -180,9 +163,8 @@ pub fn sharded_join_detailed(
 
 /// Applies the δ rule ([`partition_tree`]) to every tree — its subgraph
 /// list, or `None` for side-listed small trees — fanning the per-tree
-/// work out over `threads` scoped workers. Shared by the self-join and
-/// [`crate::Frozen::build`]; the `binaries`/`general_posts` slices must
-/// be index-aligned with `trees`.
+/// work out over `threads` scoped workers; the `binaries`/`general_posts`
+/// slices must be index-aligned with `trees`.
 pub fn build_subgraph_lists(
     trees: &[Tree],
     binaries: &[BinaryTree],

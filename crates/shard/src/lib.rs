@@ -3,8 +3,8 @@
 //! A **sharded, dynamic** version of PartSJ's two-layer subgraph index,
 //! and the joins built on top of it.
 //!
-//! The core crate's [`partsj::SubgraphIndex`] is a monolithic, insert-only
-//! structure grown on the fly by Algorithm 1. Two of the roadmap's scale
+//! The core crate's [`partsj::SubgraphIndex`] is a monolithic structure
+//! grown on the fly by Algorithm 1. Two of the roadmap's scale
 //! directions need more:
 //!
 //! * **Parallel candidate generation and verification.** Algorithm 1's
@@ -22,10 +22,11 @@
 //! * **Deletion and eviction.** Streaming workloads insert *and expire*.
 //!   [`ShardedIndex`] supports [`ShardedIndex::remove_tree`]: removed
 //!   trees are tombstoned (probes filter them through a liveness bitmap)
-//!   and each shard compacts itself — rebuilding its private
-//!   [`partsj::SubgraphIndex`] from the retained trees — once the dead
-//!   fraction of its postings passes [`ShardConfig::max_dead_fraction`],
-//!   in the spirit of *Dynamic Enumeration of Similarity Joins*.
+//!   and each shard compacts itself — one in-place
+//!   [`partsj::SubgraphIndex::retain_trees`] sweep, no second copy of
+//!   anything — once the dead fraction of its postings passes
+//!   [`ShardConfig::max_dead_fraction`], in the spirit of *Dynamic
+//!   Enumeration of Similarity Joins*.
 //!   [`ShardedStreamingJoin`] packages this as a sliding-window monitor
 //!   with an [`EvictionPolicy`] by count or by logical timestamp.
 //!
@@ -71,4 +72,4 @@ pub use frozen::{Frozen, FrozenJoinScratch};
 pub use index::{ShardConfig, ShardMap, ShardedIndex};
 pub use join::{build_subgraph_lists, sharded_join, sharded_join_detailed};
 pub use rs_join::sharded_rs_join;
-pub use streaming::{EvictionPolicy, ShardedStreamingJoin};
+pub use streaming::{EvictionPolicy, ShardedStreamingJoin, StaleTimestamp};

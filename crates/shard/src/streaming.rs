@@ -16,9 +16,9 @@
 //! **eviction** under an [`EvictionPolicy`] (by window count or by
 //! logical timestamp; [`EvictionPolicy::Retain`] at one shard is the
 //! plain insert-only join). Evicted trees stop appearing as partners
-//! immediately; their postings are tombstoned and reclaimed by per-shard
-//! compaction, so index memory tracks the live window rather than the
-//! stream's lifetime.
+//! immediately; their postings are tombstoned and swept out of their
+//! shard's index in place once enough of it is dead, so index memory
+//! tracks the live window rather than the stream's lifetime.
 //!
 //! The streaming index always routes with the default hash
 //! [`crate::ShardMap`]: a balanced map is derived from the *observed*
@@ -80,9 +80,28 @@ pub enum EvictionPolicy {
     /// arrives at `now ≥ t + horizon`. [`ShardedStreamingJoin::insert`]
     /// stamps arrival ordinals (0, 1, 2, …); use
     /// [`ShardedStreamingJoin::insert_at`] for caller-supplied
-    /// (monotonic) timestamps.
+    /// (non-decreasing) timestamps.
     SlidingTime(u64),
 }
+
+/// [`ShardedStreamingJoin::insert_at`] refused an arrival stamped behind
+/// the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaleTimestamp {
+    /// The refused timestamp.
+    pub ts: u64,
+    /// The largest timestamp admitted so far.
+    pub latest: u64,
+}
+
+impl std::fmt::Display for StaleTimestamp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let StaleTimestamp { ts, latest } = self;
+        write!(f, "timestamp {ts} is behind the stream's newest, {latest}")
+    }
+}
+
+impl std::error::Error for StaleTimestamp {}
 
 /// An online similarity self-join over a sliding window: insert trees as
 /// they arrive, learn each newcomer's partners among the *live* window,
@@ -105,7 +124,7 @@ pub struct ShardedStreamingJoin {
     arrivals: VecDeque<(TreeIdx, u64)>,
     /// Next auto-assigned timestamp for [`Self::insert`].
     clock: u64,
-    /// Largest timestamp seen (monotonicity guard; equal is allowed).
+    /// Largest timestamp admitted (monotonicity guard; equal is allowed).
     last_ts: u64,
     verify: VerifyEngine,
     pairs_found: u64,
@@ -170,7 +189,7 @@ impl ShardedStreamingJoin {
         self.evictions
     }
 
-    /// Shard compactions performed so far (tombstone reclamation).
+    /// Shard sweeps performed so far (tombstone reclamation).
     pub fn compactions(&self) -> u64 {
         self.index.compactions()
     }
@@ -190,23 +209,28 @@ impl ShardedStreamingJoin {
         &self.index
     }
 
-    /// Inserts `tree` at the next arrival ordinal and returns the live
-    /// partners within `τ`, ascending. Equivalent to
-    /// `insert_at(tree, arrival_ordinal)`.
+    /// Inserts `tree` at the next arrival ordinal — never behind an
+    /// earlier timestamp, hence infallible — and returns the live
+    /// partners within `τ`, ascending.
     pub fn insert(&mut self, tree: &Tree) -> Vec<TreeIdx> {
-        self.insert_at(tree, self.clock)
+        self.admit(tree, self.clock)
     }
 
-    /// Inserts `tree` at logical time `ts` (must be ≥ every earlier
-    /// timestamp; equal timestamps — simultaneous arrivals — are fine)
-    /// and returns the live partners within `τ`, ascending.
-    ///
-    /// # Panics
-    /// Panics if `ts` is smaller than a previously supplied timestamp.
-    pub fn insert_at(&mut self, tree: &Tree, ts: u64) -> Vec<TreeIdx> {
-        assert!(ts >= self.last_ts, "timestamps must be monotonic");
+    /// [`Self::insert`] at logical time `ts`. Timestamps must not go
+    /// backwards (equal ones — simultaneous arrivals — are fine): a
+    /// stale one is refused and leaves the window exactly as it was.
+    pub fn insert_at(&mut self, tree: &Tree, ts: u64) -> Result<Vec<TreeIdx>, StaleTimestamp> {
+        let latest = self.last_ts;
+        if ts < latest {
+            return Err(StaleTimestamp { ts, latest });
+        }
+        Ok(self.admit(tree, ts))
+    }
+
+    /// One arrival at `ts ≥ last_ts`: evict, probe, verify, publish.
+    fn admit(&mut self, tree: &Tree, ts: u64) -> Vec<TreeIdx> {
         self.last_ts = ts;
-        self.clock = ts + 1;
+        self.clock = ts.saturating_add(1);
         self.evict_for(ts);
 
         let id = self.data.len() as TreeIdx;
@@ -307,7 +331,7 @@ impl ShardedStreamingJoin {
         }
     }
 
-    /// Drops one live tree: liveness bit, tombstones (with compaction),
+    /// Drops one live tree: liveness bit, tombstones (with the sweep),
     /// prepared handle, and its small side-list slot if any.
     fn expire(&mut self, id: TreeIdx) {
         let size = self.index.size_of(id).expect("live tree has a size");

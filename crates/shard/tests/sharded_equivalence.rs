@@ -7,14 +7,36 @@
 //!   join over any insertion order;
 //! * insert-then-remove is indistinguishable from never-inserted;
 //! * sliding windows (by count and by logical time) report exactly the
-//!   brute-force partners of the live window, while compaction reclaims
-//!   tombstoned postings.
+//!   brute-force partners of the live window, while the in-place sweep
+//!   reclaims tombstoned postings — under the default trigger and when
+//!   every removal sweeps — and leaks nothing over many window turns;
+//! * a refused timestamp changes nothing;
+//! * a built index reclaims on removal, a restored one only hides the
+//!   tree, and parallel bulk ingest reaches the sequential state.
 
-use partsj::{partsj_join, partsj_join_rs, PartSjConfig, WindowPolicy};
+use partsj::{
+    partsj_join, partsj_join_rs, window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig,
+    ProbeCounters, SubgraphIndex, WindowPolicy,
+};
 use tsj_datagen::synthetic_sized;
-use tsj_shard::{sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
+use tsj_shard::{
+    build_subgraph_lists, sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedIndex,
+    ShardedStreamingJoin, StaleTimestamp,
+};
 use tsj_ted::{ted, TreeIdx};
-use tsj_tree::{apply_edit, EditOp, Tree};
+use tsj_tree::{apply_edit, BinaryTree, EditOp, Label, Tree};
+
+/// The shard config of a 4-shard stream that sweeps under `(fraction,
+/// floor)`; `SWEEP_ALWAYS` makes every removal that kills a posting sweep.
+fn sweeping(max_dead_fraction: f64, min_dead_postings: u64) -> ShardConfig {
+    ShardConfig {
+        shards: 4,
+        max_dead_fraction,
+        min_dead_postings,
+        ..Default::default()
+    }
+}
+const SWEEP_ALWAYS: (f64, u64) = (0.0, 1);
 
 #[test]
 fn sharded_join_bit_identical_across_shard_counts() {
@@ -236,24 +258,29 @@ fn insert_then_remove_equals_never_inserted() {
     }
 
     // Run A: victims are inserted mid-stream, then removed (with an
-    // aggressive compaction config so removal also exercises rebuilds).
-    let mut dirty = ShardedStreamingJoin::new(
-        tau,
-        PartSjConfig::default(),
-        ShardConfig {
-            shards: 4,
-            max_dead_fraction: 0.05,
-            min_dead_postings: 1,
-            ..Default::default()
-        },
-        EvictionPolicy::Retain,
-    );
+    // aggressive trigger, then the most aggressive one, so removal also
+    // exercises sweeps).
+    for (fraction, floor) in [(0.05, 1), SWEEP_ALWAYS] {
+        let config = sweeping(fraction, floor);
+        let dirty =
+            ShardedStreamingJoin::new(tau, PartSjConfig::default(), config, EvictionPolicy::Retain);
+        removed_victims_leave_no_trace(dirty, &trees, &victims, split, &clean_partners);
+    }
+}
+
+fn removed_victims_leave_no_trace(
+    mut dirty: ShardedStreamingJoin,
+    trees: &[Tree],
+    victims: &[Tree],
+    split: usize,
+    clean_partners: &[Vec<TreeIdx>],
+) {
     for tree in &trees[..split] {
         let id = dirty.len() as TreeIdx;
         assert_eq!(dirty.insert(tree), clean_partners[id as usize]);
     }
     let victim_base = dirty.len() as TreeIdx;
-    for tree in &victims {
+    for tree in victims {
         dirty.insert(tree);
     }
     for v in 0..victims.len() as TreeIdx {
@@ -282,6 +309,7 @@ fn insert_then_remove_equals_never_inserted() {
         assert_eq!(mapped, clean_partners[m], "insert #{m}");
     }
     assert_eq!(dirty.evictions(), shift as u64);
+    assert!(dirty.compactions() > 0, "removals must sweep");
 }
 
 /// Mirror of the implementation's eviction bookkeeping, used to compute
@@ -320,20 +348,16 @@ impl WindowMirror {
 
 #[test]
 fn sliding_count_window_matches_brute_force() {
+    for (fraction, floor) in [(0.2, 8), SWEEP_ALWAYS] {
+        sliding_count_window_under(sweeping(fraction, floor));
+    }
+}
+
+fn sliding_count_window_under(config: ShardConfig) {
     let trees = synthetic_sized(70, 18, 23);
     let tau = 2u32;
     let policy = EvictionPolicy::SlidingCount(9);
-    let mut stream = ShardedStreamingJoin::new(
-        tau,
-        PartSjConfig::default(),
-        ShardConfig {
-            shards: 4,
-            max_dead_fraction: 0.2,
-            min_dead_postings: 8,
-            ..Default::default()
-        },
-        policy,
-    );
+    let mut stream = ShardedStreamingJoin::new(tau, PartSjConfig::default(), config, policy);
     let mut mirror = WindowMirror { live: Vec::new() };
     for (i, tree) in trees.iter().enumerate() {
         let ts = i as u64;
@@ -369,7 +393,7 @@ fn sliding_time_window_matches_brute_force() {
         // Two inserts per tick: same-timestamp arrivals must both work.
         let ts = (i / 2) as u64;
         mirror.evict_for(policy, ts);
-        let partners = stream.insert_at(tree, ts);
+        let partners = stream.insert_at(tree, ts).expect("timestamps ascend");
         assert_eq!(
             partners,
             mirror.expected_partners(tree, tau),
@@ -379,4 +403,206 @@ fn sliding_time_window_matches_brute_force() {
         assert_eq!(stream.live(), mirror.live.len());
     }
     assert!(stream.evictions() > 0);
+}
+
+/// A timestamp behind the stream's newest is refused with a typed error
+/// — not a panic — and the refusal touches nothing: no eviction ran, no
+/// id was spent, the next valid arrival sees the window it would have.
+#[test]
+fn stale_timestamp_is_refused_and_changes_nothing() {
+    let trees = synthetic_sized(12, 18, 31);
+    let tau = 2u32;
+    let mut stream = ShardedStreamingJoin::new(
+        tau,
+        PartSjConfig::default(),
+        ShardConfig::with_shards(2),
+        EvictionPolicy::SlidingTime(3),
+    );
+    let mut twin = ShardedStreamingJoin::new(
+        tau,
+        PartSjConfig::default(),
+        ShardConfig::with_shards(2),
+        EvictionPolicy::SlidingTime(3),
+    );
+    for (i, tree) in trees[..8].iter().enumerate() {
+        stream.insert_at(tree, 10 + i as u64).unwrap();
+        twin.insert_at(tree, 10 + i as u64).unwrap();
+    }
+    let before = (stream.len(), stream.live(), stream.evictions());
+    let (dead, postings) = (
+        stream.index().dead_postings(),
+        stream.index().live_postings(),
+    );
+    for ts in [0, 16] {
+        let refused = stream.insert_at(&trees[8], ts);
+        assert_eq!(refused, Err(StaleTimestamp { ts, latest: 17 }));
+        assert!(refused.unwrap_err().to_string().contains("17"));
+    }
+    assert_eq!((stream.len(), stream.live(), stream.evictions()), before);
+    assert_eq!(stream.index().dead_postings(), dead);
+    assert_eq!(stream.index().live_postings(), postings);
+    // Equal timestamps stay fine, and the stream goes on as its twin,
+    // which never saw the stale arrivals, does.
+    for (i, tree) in trees[8..].iter().enumerate() {
+        let ts = 17 + i as u64 / 2;
+        assert_eq!(stream.insert_at(tree, ts), twin.insert_at(tree, ts));
+    }
+    assert_eq!(stream.evictions(), twin.evictions());
+    // `insert` stamps its own ordinal, never behind the newest.
+    assert_eq!(stream.insert(&trees[0]), twin.insert(&trees[0]));
+}
+
+/// `tree` with every label moved into alphabet number `turn`.
+fn relabelled(tree: &Tree, turn: u32) -> Tree {
+    let mut nodes = tree.flatten();
+    for (label, _) in &mut nodes {
+        *label = Label::from_raw(label.raw() + turn * 1_000);
+    }
+    Tree::from_flattened(&nodes).unwrap()
+}
+
+/// Over many full turns of a window whose trees bring fresh labels — so
+/// fresh component shapes — every turn, the index holds what the live
+/// window needs and nothing of the turns before: when every removal
+/// sweeps, each shard equals (handles, shapes, postings) one that only
+/// ever saw the live window; under the default trigger the live counts
+/// still do and the dead ones stay under the trigger.
+#[test]
+fn window_turns_leave_nothing_behind() {
+    let base = synthetic_sized(40, 18, 37);
+    let (tau, window, turns) = (2u32, 40usize, 6u32);
+    let arrivals: Vec<Tree> = (0..turns)
+        .flat_map(|turn| base.iter().map(move |tree| relabelled(tree, turn)))
+        .collect();
+    for (fraction, floor) in [SWEEP_ALWAYS, (0.25, 64)] {
+        let stream_of = |policy, trees: &[Tree]| {
+            let config = sweeping(fraction, floor);
+            let mut stream =
+                ShardedStreamingJoin::new(tau, PartSjConfig::default(), config, policy);
+            for tree in trees {
+                stream.insert(tree);
+            }
+            stream
+        };
+        let turned = stream_of(EvictionPolicy::SlidingCount(window), &arrivals);
+        let live_only = stream_of(EvictionPolicy::Retain, &arrivals[arrivals.len() - window..]);
+        assert_eq!(turned.live(), window);
+        let (index, want) = (turned.index(), live_only.index());
+        assert_eq!(index.shard_posting_loads(), want.shard_posting_loads());
+        let (dead, live) = (index.dead_postings(), index.live_postings());
+        if (fraction, floor) == SWEEP_ALWAYS {
+            assert_eq!(dead, 0);
+            for s in 0..index.shard_count() {
+                let (shard, want) = (index.shard_index(s), want.shard_index(s));
+                assert_eq!(shard.len(), want.len(), "shard {s}");
+                assert_eq!(shard.distinct_components(), want.distinct_components());
+                assert_eq!(shard.distinct_sizes(), want.distinct_sizes());
+                assert_eq!(shard.registrations(), want.registrations());
+            }
+        } else {
+            assert!(turned.compactions() > 0);
+            // Per shard: fewer dead than the floor, or no more than the
+            // fraction of the shard's postings.
+            let bound = 4 * floor + (fraction * (dead + live) as f64) as u64;
+            assert!(dead <= bound, "{dead} dead postings against {live} live");
+            let handles: usize = (0..4).map(|s| index.shard_index(s).len()).sum();
+            let needed: usize = (0..4).map(|s| want.shard_index(s).len()).sum();
+            assert!(handles <= 2 * needed, "{handles} handles for {needed}");
+        }
+    }
+}
+
+/// The candidates `tree` surfaces from `index`, ascending.
+fn probe(index: &ShardedIndex, tree: &Tree, tau: u32, universe: usize) -> Vec<TreeIdx> {
+    let size = tree.len() as u32;
+    let (lo, hi) = window_of(size, tau);
+    let mut caches = Vec::new();
+    caches.resize_with(index.shard_count(), MatchCache::new);
+    let mut candidates = Candidates::new();
+    candidates.begin(universe);
+    index.probe_tree(
+        &BinaryTree::from_tree(tree),
+        &tree.postorder_numbers(),
+        size,
+        lo,
+        hi,
+        MatchSemantics::Exact,
+        &mut caches,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut ProbeCounters::default(),
+        &mut candidates.sink(),
+    );
+    let mut found = candidates.as_slice().to_vec();
+    found.sort_unstable();
+    found
+}
+
+/// Static and dynamic are one index. What `Frozen::build` builds
+/// (`ShardedIndex::build_static`) tombstones and reclaims on
+/// `remove_tree` like a streaming index; the same index restored from
+/// its shards' dumps never knew per-tree registration counts, so there
+/// removal only hides the tree; and `insert_all` over scoped threads
+/// followed by removals lands in the state sequential ingest reaches.
+#[test]
+fn built_sides_reclaim_and_restored_sides_hide() {
+    let trees = synthetic_sized(60, 18, 41);
+    let (tau, config) = (2u32, PartSjConfig::default());
+    let shard_cfg = sweeping(0.1, 1);
+    let binaries: Vec<BinaryTree> = trees.iter().map(BinaryTree::from_tree).collect();
+    let posts: Vec<Vec<u32>> = trees.iter().map(Tree::postorder_numbers).collect();
+    let lists = build_subgraph_lists(&trees, &binaries, &posts, tau, &config, 1);
+    let size_of = |i: usize| trees[i].len() as u32;
+    let items: Vec<_> = (lists.into_iter().enumerate())
+        .filter_map(|(i, list)| Some((i as TreeIdx, size_of(i), list?)))
+        .collect();
+    let victims: Vec<TreeIdx> = items.iter().map(|item| item.0).step_by(2).collect();
+    let survivors: Vec<TreeIdx> = items.iter().map(|item| item.0).skip(1).step_by(2).collect();
+
+    let mut built =
+        ShardedIndex::build_static(tau, config.window, &shard_cfg, items.clone(), false);
+    let shards = (0..built.shard_count())
+        .map(|s| SubgraphIndex::restore(built.shard_index(s).dump()).unwrap())
+        .collect();
+    let tracked = items.iter().map(|item| (item.0, item.1));
+    let map = built.shard_map().clone();
+    let mut restored =
+        ShardedIndex::from_frozen_parts(tau, config.window, map, shards, tracked).unwrap();
+    let mut threaded = ShardedIndex::new(tau, config.window, &shard_cfg);
+    threaded.insert_all(items.clone(), true);
+
+    let full = built.live_postings();
+    let everyone: Vec<Vec<TreeIdx>> = (trees.iter())
+        .map(|tree| probe(&built, tree, tau, trees.len()))
+        .collect();
+    for &victim in &victims {
+        for index in [&mut built, &mut restored, &mut threaded] {
+            assert!(index.remove_tree(victim));
+            assert!(!index.remove_tree(victim), "double remove");
+            assert!(!index.is_alive(victim));
+        }
+    }
+    // Built: tombstoned, swept, gone from the shards' own indexes.
+    assert!(built.compactions() > 0);
+    assert!(built.live_postings() < full);
+    let stored: u64 = (0..4).map(|s| built.shard_index(s).registrations()).sum();
+    assert_eq!(stored, built.live_postings() + built.dead_postings());
+    // Restored: hidden, nothing counted dead, nothing reclaimed.
+    assert_eq!(restored.dead_postings(), 0);
+    assert_eq!(restored.compactions(), 0);
+    assert_eq!(restored.live_postings(), full);
+    // Threaded ingest: the sequential state, shard for shard.
+    assert_eq!(threaded.compactions(), built.compactions());
+    assert_eq!(threaded.dead_postings(), built.dead_postings());
+    for s in 0..built.shard_count() {
+        assert_eq!(threaded.shard_index(s).dump(), built.shard_index(s).dump());
+    }
+    // All three answer alike: the survivors, as before the removals.
+    for (tree, before) in trees.iter().zip(&everyone) {
+        let mut want = before.clone();
+        want.retain(|j| survivors.contains(j));
+        for index in [&built, &restored, &threaded] {
+            assert_eq!(probe(index, tree, tau, trees.len()), want);
+        }
+    }
 }
