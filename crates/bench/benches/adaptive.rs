@@ -47,8 +47,7 @@ fn report_shard_loads(trees: &[Tree], shards: usize) {
     let tau = 2u32;
     let config = PartSjConfig::default();
     let binaries: Vec<BinaryTree> = trees.iter().map(BinaryTree::from_tree).collect();
-    let posts: Vec<Vec<u32>> = trees.iter().map(Tree::postorder_numbers).collect();
-    let lists = build_subgraph_lists(trees, &binaries, &posts, tau, &config, 1);
+    let lists = build_subgraph_lists(trees, &binaries, tau, &config, 1);
     let items: Vec<_> = lists
         .into_iter()
         .enumerate()

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the two-layer subgraph index (§3.4): insertion of
 //! a partitioned tree, per-node probes under the three window policies,
-//! and the in-place sweep of dead trees. Probe cost is the core of
-//! PartSJ's candidate-generation bars; the sweep is what a streaming
-//! shard pays when its dead fraction trips.
+//! probes that can surface nothing (a join's common case: the bucket
+//! header's signature answers them), and the in-place sweep of dead
+//! trees. Probe cost is the core of PartSJ's candidate-generation bars;
+//! the sweep is what a streaming shard pays when its dead fraction trips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{
@@ -15,16 +16,16 @@ use std::hint::black_box;
 use tsj_datagen::{grow_tree, mutate, ShapeProfile};
 use tsj_tree::{BinaryTree, Label, Tree};
 
-fn sample_trees(count: usize, size: usize, seed: u64) -> Vec<Tree> {
+fn sample_trees(count: usize, size: usize, labels: u32, seed: u64) -> Vec<Tree> {
     let profile = ShapeProfile {
         max_fanout: 4,
         max_depth: 12,
         deepen_prob: 0.3,
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = grow_tree(&mut rng, size, 20, &profile);
+    let base = grow_tree(&mut rng, size, labels, &profile);
     (0..count)
-        .map(|_| mutate(&base, 0.05, &mut rng, 20))
+        .map(|_| mutate(&base, 0.05, &mut rng, labels))
         .collect()
 }
 
@@ -47,7 +48,7 @@ fn build_index(trees: &[Tree], tau: u32, window: WindowPolicy) -> (SubgraphIndex
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/insert_tree");
     for tau in [1u32, 3, 5] {
-        let trees = sample_trees(1, 80, 7);
+        let trees = sample_trees(1, 80, 20, 7);
         let tree = &trees[0];
         let binary = BinaryTree::from_tree(tree);
         let delta = 2 * tau as usize + 1;
@@ -66,56 +67,80 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
+/// The production probe shape: size layers resolved once per tree, twig
+/// keys once per node, match scratch reused. Returns the matches.
+fn probe_all_nodes(index: &SubgraphIndex, probe: &BinaryTree, tau: u32) -> u64 {
+    let size = probe.len() as u32;
+    let mut hits = 0u64;
+    let layers: Vec<_> = (size.saturating_sub(tau)..=size)
+        .filter_map(|n| index.layer_id(n))
+        .collect();
+    let mut match_cache = MatchCache::new();
+    for node in probe.node_ids() {
+        let label_of = |c: Option<_>| c.map_or(Label::EPSILON, |c| probe.label(c));
+        let (left, right) = (label_of(probe.left(node)), label_of(probe.right(node)));
+        let keys = TwigKeys::new(probe.label(node), left, right);
+        match_cache.begin_node();
+        let pos = index.probe_position(probe.general_post()[node.index()], size);
+        for &layer in &layers {
+            index.layer(layer).probe(pos, &keys, |handle| {
+                let semantics = MatchSemantics::Exact;
+                if index.matches_at(handle, probe, node, semantics, &mut match_cache) {
+                    hits += 1;
+                }
+            });
+        }
+    }
+    hits
+}
+
+/// What over 99 % of a join's probes are: a node whose label roots no
+/// subgraph of the bucket it lands in. A 600-tree index over labels
+/// 1..=10, probed by its own trees relabelled to 11..=20 — same shapes,
+/// sizes and positions, no root label (and no signature bit) shared, so
+/// every probe is answered by a bucket header. `index/probe_all_nodes`
+/// is the same loop with hits.
+fn bench_probe_miss(c: &mut Criterion) {
+    let mut group = c.benchmark_group("index/probe_miss");
+    let tau = 2u32;
+    let trees = sample_trees(600, 60, 10, 13);
+    let (index, _) = build_index(&trees, tau, WindowPolicy::Safe);
+    let strangers: Vec<BinaryTree> = trees[..8]
+        .iter()
+        .map(|tree| {
+            let mut nodes = tree.flatten();
+            for (label, _) in &mut nodes {
+                *label = Label::from_raw(label.raw() + 10);
+            }
+            BinaryTree::from_tree(&Tree::from_flattened(&nodes).expect("relabelled"))
+        })
+        .collect();
+    group.bench_function("600_trees/8_strangers", |bench| {
+        bench.iter(|| {
+            let hits: u64 = strangers
+                .iter()
+                .map(|probe| probe_all_nodes(&index, probe, tau))
+                .sum();
+            assert_eq!(hits, 0);
+            black_box(hits)
+        })
+    });
+    group.finish();
+}
+
 fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/probe_all_nodes");
     let tau = 3u32;
-    let trees = sample_trees(200, 60, 9);
+    let trees = sample_trees(200, 60, 20, 9);
     for (name, window) in [
         ("safe", WindowPolicy::Safe),
         ("tight", WindowPolicy::Tight),
         ("paper", WindowPolicy::PaperAbsolute),
     ] {
         let (index, _) = build_index(&trees, tau, window);
-        let probe_tree = &trees[0];
-        let probe_bin = BinaryTree::from_tree(probe_tree);
-        let posts = probe_tree.postorder_numbers();
-        let size = probe_tree.len() as u32;
+        let probe_bin = BinaryTree::from_tree(&trees[0]);
         group.bench_function(name, |bench| {
-            // The production probe shape: size layers resolved once per
-            // tree, twig keys once per node, match scratch reused.
-            bench.iter(|| {
-                let mut hits = 0u64;
-                let layers: Vec<_> = (size.saturating_sub(tau)..=size)
-                    .filter_map(|n| index.layer_id(n))
-                    .collect();
-                let mut match_cache = MatchCache::new();
-                for node in probe_bin.node_ids() {
-                    let label = probe_bin.label(node);
-                    let left = probe_bin
-                        .left(node)
-                        .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
-                    let right = probe_bin
-                        .right(node)
-                        .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
-                    let keys = TwigKeys::new(label, left, right);
-                    match_cache.begin_node();
-                    let pos = index.probe_position(posts[node.index()], size);
-                    for &layer in &layers {
-                        index.layer(layer).probe(pos, &keys, |handle| {
-                            if index.matches_at(
-                                handle,
-                                &probe_bin,
-                                node,
-                                MatchSemantics::Exact,
-                                &mut match_cache,
-                            ) {
-                                hits += 1;
-                            }
-                        });
-                    }
-                }
-                black_box(hits)
-            })
+            bench.iter(|| black_box(probe_all_nodes(&index, &probe_bin, tau)))
         });
     }
     group.finish();
@@ -127,7 +152,7 @@ fn bench_probe(c: &mut Criterion) {
 /// that moves nothing — subtract it to read the other two.
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/sweep");
-    let (index, _) = build_index(&sample_trees(1_000, 60, 11), 3, WindowPolicy::Safe);
+    let (index, _) = build_index(&sample_trees(1_000, 60, 20, 11), 3, WindowPolicy::Safe);
     let dump = index.dump();
     for (dead_pct, every) in [(0u32, 0u32), (25, 4), (50, 2)] {
         group.bench_with_input(
@@ -144,5 +169,11 @@ fn bench_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_probe, bench_sweep);
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_probe,
+    bench_probe_miss,
+    bench_sweep
+);
 criterion_main!(benches);

@@ -4,7 +4,10 @@
 //! indexed tree in Algorithm 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use partsj::{build_subgraphs, max_min_size, partitionable, select_cuts, select_random_cuts};
+use partsj::{
+    build_subgraphs, max_min_size, partition_tree_with, partitionable, select_cuts,
+    select_random_cuts, Partition, PartitionScheme, PartitionScratch,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -56,6 +59,16 @@ fn bench_full_pipeline(c: &mut Criterion) {
             let gamma = max_min_size(&binary, delta);
             let cuts = select_cuts(&binary, delta, gamma);
             black_box(build_subgraphs(&binary, &posts, &cuts, 0))
+        })
+    });
+    // The join loops' form of the first row (δ = 7 is τ = 3): every
+    // temporary and the partition itself come out of one warm scratch.
+    let mut scratch = PartitionScratch::new();
+    group.bench_function("maxmin_warm_scratch", |bench| {
+        bench.iter(|| {
+            let scheme = PartitionScheme::MaxMin;
+            let partition = partition_tree_with(&binary, &posts, 3, scheme, 0, &mut scratch);
+            black_box(partition.map(Partition::len))
         })
     });
     group.bench_function("random_cuts_and_build", |bench| {

@@ -53,8 +53,9 @@ pub struct ShardResponse {
 /// probing tree by the router and shared across its shard requests.
 #[derive(Debug)]
 pub struct ProbeCtx {
+    /// LC-RS form; its cached general-postorder numbers are the probe
+    /// positions.
     binary: BinaryTree,
-    posts: Vec<u32>,
     data: VerifyData,
 }
 
@@ -63,7 +64,6 @@ impl ProbeCtx {
     pub fn new(tree: &Tree, config: &PartSjConfig) -> ProbeCtx {
         ProbeCtx {
             binary: BinaryTree::from_tree(tree),
-            posts: tree.postorder_numbers(),
             data: VerifyData::for_config(tree, &config.verify),
         }
     }
@@ -73,20 +73,11 @@ impl ProbeCtx {
     /// is owned — contexts outlive the scatter).
     pub fn batch(trees: &[Tree], config: &PartSjConfig) -> Vec<ProbeCtx> {
         let data = VerifyData::batch_for_config(trees, &config.verify);
-        let mut walk = Vec::new();
-        trees
-            .iter()
-            .zip(data)
-            .map(|(tree, data)| {
-                let mut posts = Vec::new();
-                tree.postorder_numbers_into(&mut posts, &mut walk);
-                ProbeCtx {
-                    binary: BinaryTree::from_tree(tree),
-                    posts,
-                    data,
-                }
-            })
-            .collect()
+        let ctx = |(tree, data)| ProbeCtx {
+            binary: BinaryTree::from_tree(tree),
+            data,
+        };
+        trees.iter().zip(data).map(ctx).collect()
     }
 }
 
@@ -158,7 +149,7 @@ impl Node {
         let (matches, stats) = self.frozen.serve_shard(
             req.shard as usize,
             &req.classes,
-            (&ctx.binary, &ctx.posts, &ctx.data),
+            (&ctx.binary, ctx.binary.general_post(), &ctx.data),
             config.matching,
             &mut VerifyEngine::new(tau, config),
             scratch,

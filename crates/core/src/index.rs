@@ -26,7 +26,14 @@
 //!   `ℓεℓ_r`, `ℓεε`, the keys whose subgraphs can still embed at the node
 //!   (precomputed once per node as [`TwigKeys`]). Small buckets are
 //!   scanned linearly in one pass over contiguous memory; large buckets
-//!   binary-search each key's posting run.
+//!   binary-search each key's posting run. All four keys share the probe
+//!   node's own label, so the bucket *header* carries a 32-bit signature
+//!   of the root labels filed in it (bit `label mod 32`) and a probe
+//!   whose bit is not set returns from the header alone — the common
+//!   case by far (over 99 % of a join's probes surface nothing) costs
+//!   one cache line and never touches the postings. The signature is
+//!   derived state: registration ors a bit in, a sweep or a restore
+//!   recomputes it from the postings kept, and no dump ever carries it.
 //!
 //! The index owns the subgraph pool in struct-of-arrays form: per-handle
 //! metadata ([`SubgraphMeta`]) in one `Vec`, component shapes *interned*
@@ -40,11 +47,18 @@
 //! identical subgraphs from different container trees share one
 //! [`ComponentId`], and the probe loop memoizes match verdicts per
 //! component in a [`MatchCache`], so a component surfaced by `k` trees at
-//! a node is walked once, not `k` times.
+//! a node is walked once, not `k` times. Every shape is stored **once**,
+//! as its arena run: an arriving subgraph is looked up by hashing its
+//! borrowed `(incoming, nodes)` slice and comparing it against the runs
+//! of the components with that hash (a table of chain heads plus one
+//! `next` id per component), and is copied into the arena only on a
+//! miss — a known shape costs no allocation and no copy.
 
 use crate::config::{MatchSemantics, WindowPolicy};
-use crate::subgraph::{nodes_match_at, SgNode, Subgraph, TreeIdx};
-use tsj_tree::{pack_twig, BinaryTree, FxHashMap, Label, NodeId, Side};
+use crate::subgraph::{nodes_match_at, Partition, SgNode, Subgraph, TreeIdx};
+use std::borrow::Borrow;
+use std::hash::Hasher;
+use tsj_tree::{pack_twig, BinaryTree, FxHashMap, FxHasher, Label, NodeId, Side};
 
 /// Handle into the index's subgraph pool.
 pub type SubgraphHandle = u32;
@@ -65,12 +79,20 @@ struct Posting {
     handle: SubgraphHandle,
 }
 
+/// The bucket-signature bit of a packed twig's root label.
+#[inline]
+fn root_bit(twig: u64) -> u32 {
+    1 << ((twig >> 42) & 31)
+}
+
 /// The up-to-four packed twig keys a probe node can match (§3.4),
 /// deduplicated, specific-first. Compute once per node and reuse across
 /// the node's whole size window.
 #[derive(Debug, Clone, Copy)]
 pub struct TwigKeys {
     keys: [u64; 4],
+    /// [`root_bit`] of the node's label — the one root all keys share.
+    root_bit: u32,
     len: u8,
 }
 
@@ -94,7 +116,11 @@ impl TwigKeys {
                 len += 1;
             }
         }
-        TwigKeys { keys, len }
+        TwigKeys {
+            keys,
+            root_bit: root_bit(keys[0]),
+            len,
+        }
     }
 
     /// The deduplicated keys, most-specific first.
@@ -126,6 +152,26 @@ struct Bucket {
     /// Length of the twig-sorted prefix; `postings[sorted_len..]` is the
     /// tail, in insertion order.
     sorted_len: u32,
+    /// The [`root_bit`]s of every posting, or-ed: a probe whose bit is
+    /// missing cannot match here. Fits the padding after `sorted_len`.
+    roots: u32,
+}
+
+impl Bucket {
+    /// A bucket over `postings`, its signature folded from them.
+    fn new(postings: Vec<Posting>, sorted_len: u32) -> Bucket {
+        let roots = signature(&postings);
+        Bucket {
+            postings,
+            sorted_len,
+            roots,
+        }
+    }
+}
+
+/// The [`root_bit`]s of `postings`, or-ed.
+fn signature(postings: &[Posting]) -> u32 {
+    postings.iter().fold(0, |bits, p| bits | root_bit(p.twig))
 }
 
 /// One size class `I_n`: a flat vector of position buckets.
@@ -143,6 +189,7 @@ impl PostorderLayer {
         }
         for bucket in &mut self.buckets[lo as usize..=hi as usize] {
             bucket.postings.push(Posting { twig, handle });
+            bucket.roots |= root_bit(twig);
             if bucket.postings.len() - bucket.sorted_len as usize > TAIL_MAX {
                 // The stable sort merges the two runs (sorted prefix +
                 // tail) in ~O(len); stability keeps equal-twig postings
@@ -160,6 +207,9 @@ impl PostorderLayer {
         let Some(bucket) = self.buckets.get(position as usize) else {
             return;
         };
+        if bucket.roots & keys.root_bit == 0 {
+            return;
+        }
         let sorted = &bucket.postings[..bucket.sorted_len as usize];
         if sorted.len() <= LINEAR_SCAN_MAX {
             for posting in sorted {
@@ -267,9 +317,17 @@ struct Component {
     len: u32,
     /// Incoming side: 0 = none (tree root), 1 = left, 2 = right.
     incoming: u8,
+    /// The next component whose shape has the same [`shape_hash`], or
+    /// [`GONE`]: the interning chain.
+    next: ComponentId,
 }
 
 impl Component {
+    #[inline]
+    fn run(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+
     #[inline]
     fn incoming_side(&self) -> Option<Side> {
         match self.incoming {
@@ -322,8 +380,21 @@ impl MatchCache {
     }
 }
 
-/// "Swept away" in the renumbering maps of [`SubgraphIndex::retain_trees`].
+/// "Swept away" in the renumbering maps of [`SubgraphIndex::retain_trees`];
+/// "no further component" in an interning chain.
 const GONE: u32 = u32::MAX;
+
+/// What a component shape is interned under: one hash step for the
+/// incoming side and one per node.
+fn shape_hash(incoming: u8, nodes: &[SgNode]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_u8(incoming);
+    for node in nodes {
+        let kinds = (node.left as u64) << 32 | (node.right as u64) << 34;
+        hasher.write_u64(u64::from(node.label.raw()) | kinds);
+    }
+    hasher.finish()
+}
 
 /// Dense new ids for the `true` slots, in order; [`GONE`] for the rest.
 fn renumber(kept: impl Iterator<Item = bool>) -> Vec<u32> {
@@ -359,8 +430,10 @@ pub struct SubgraphIndex {
     metas: Vec<SubgraphMeta>,
     components: Vec<Component>,
     arena: Vec<SgNode>,
-    /// Interning table: `(incoming, nodes) → ComponentId`.
-    interned: FxHashMap<(u8, Box<[SgNode]>), ComponentId>,
+    /// Interning table, ids only: [`shape_hash`] → the first component of
+    /// that hash's chain ([`Component::next`]). The shapes themselves
+    /// live in the arena and nowhere else.
+    interned: FxHashMap<u64, ComponentId>,
     /// Total bucket registrations (a subgraph appears in `2∆′ + 1`
     /// buckets).
     registrations: u64,
@@ -409,13 +482,51 @@ impl SubgraphIndex {
         }
     }
 
-    /// Inserts all subgraphs of a processed tree of size `tree_size`.
-    pub fn insert_tree(&mut self, tree_size: u32, subgraphs: Vec<Subgraph>) {
+    /// Interns the component shape `(incoming, nodes)`: near-duplicate
+    /// collections repeat the same shapes across trees, and every repeat
+    /// shares one arena run and one memoizable [`ComponentId`]. A known
+    /// shape is found by comparing the borrowed slice against the runs on
+    /// the chain of `hash` (its [`shape_hash`]; a parameter so that a test
+    /// can make two shapes collide); only a new one is copied (into the
+    /// arena) and becomes the chain's head.
+    fn intern(&mut self, hash: u64, incoming: u8, nodes: &[SgNode]) -> ComponentId {
+        let mut known = self.interned.get(&hash).copied().unwrap_or(GONE);
+        while known != GONE {
+            let c = &self.components[known as usize];
+            if c.incoming == incoming && self.arena[c.run()] == *nodes {
+                return known;
+            }
+            known = c.next;
+        }
+        let id = self.components.len() as ComponentId;
+        self.components.push(Component {
+            start: self.arena.len() as u32,
+            len: nodes.len() as u32,
+            incoming,
+            next: self.interned.insert(hash, id).unwrap_or(GONE),
+        });
+        self.arena.extend_from_slice(nodes);
+        id
+    }
+
+    /// Rebuilds the interning chains from the arena runs: every component
+    /// becomes the head of its hash's chain, in id order.
+    fn relink(&mut self) {
+        self.interned.clear();
+        for (id, c) in (0..).zip(&mut self.components) {
+            let hash = shape_hash(c.incoming, &self.arena[c.run()]);
+            c.next = self.interned.insert(hash, id).unwrap_or(GONE);
+        }
+    }
+
+    /// Inserts all subgraphs of a processed tree of size `tree_size`
+    /// (an owned [`Partition`] or a borrowed one, e.g. a scratch's).
+    pub fn insert_tree(&mut self, tree_size: u32, subgraphs: impl Borrow<Partition>) {
         let layer_id = *self.by_size.entry(tree_size).or_insert_with(|| {
             self.layers.push(PostorderLayer::default());
             (self.layers.len() - 1) as LayerId
         });
-        for sg in subgraphs {
+        for sg in subgraphs.borrow().iter() {
             let position = self.subgraph_position(&sg);
             let dw = self.half_width(sg.ordinal);
             let handle = self.metas.len() as SubgraphHandle;
@@ -424,25 +535,7 @@ impl SubgraphIndex {
                 Some(Side::Left) => 1,
                 Some(Side::Right) => 2,
             };
-            // Intern the component shape: near-duplicate collections
-            // repeat the same shapes across trees, and every repeat
-            // shares one arena run and one memoizable ComponentId. The
-            // node box is moved into the key, so the common already-
-            // interned case allocates nothing.
-            let component = match self.interned.entry((incoming, sg.nodes)) {
-                std::collections::hash_map::Entry::Occupied(slot) => *slot.get(),
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let id = self.components.len() as ComponentId;
-                    self.components.push(Component {
-                        start: self.arena.len() as u32,
-                        len: slot.key().1.len() as u32,
-                        incoming,
-                    });
-                    self.arena.extend_from_slice(&slot.key().1);
-                    slot.insert(id);
-                    id
-                }
-            };
+            let component = self.intern(shape_hash(incoming, sg.nodes), incoming, sg.nodes);
             self.metas.push(SubgraphMeta {
                 tree: sg.tree,
                 component,
@@ -459,8 +552,9 @@ impl SubgraphIndex {
     /// bucket registrations removed. Their postings are `retain`ed out of
     /// the buckets (survivors keep their order, so every twig-sorted
     /// prefix stays sorted); handles, component ids and layers are
-    /// renumbered densely in their old order; the arena and the interning
-    /// table shrink to the shapes still referenced; a size class left
+    /// renumbered densely in their old order; the arena shrinks to the
+    /// shapes still referenced and the interning chains are re-linked
+    /// over the runs that moved; a size class left
     /// without a tree is forgotten. Probes then surface the *set* a fresh
     /// index over the survivors would (visit order may differ: the
     /// prefix/tail split is history). [`LayerId`]s and handles resolved
@@ -487,7 +581,7 @@ impl SubgraphIndex {
             end += c.len as usize;
         }
         self.arena.truncate(end);
-        remap_ids(&mut self.interned, &component_map);
+        self.relink();
 
         let mut removed = 0u64;
         for bucket in self.layers.iter_mut().flat_map(|l| &mut l.buckets) {
@@ -500,7 +594,7 @@ impl SubgraphIndex {
                 at += 1;
                 kept
             });
-            bucket.sorted_len = sorted_kept;
+            *bucket = Bucket::new(std::mem::take(&mut bucket.postings), sorted_kept);
             removed += (before - bucket.postings.len()) as u64;
         }
         self.registrations -= removed;
@@ -561,7 +655,7 @@ impl SubgraphIndex {
             1 => false,
             _ => {
                 let c = &self.components[component as usize];
-                let nodes = &self.arena[c.start as usize..c.start as usize + c.len as usize];
+                let nodes = &self.arena[c.run()];
                 let matched = nodes_match_at(
                     nodes,
                     c.incoming_side(),
@@ -652,7 +746,7 @@ impl SubgraphIndex {
     /// The distinct container-size classes currently indexed, in
     /// arbitrary order. Shard wrappers use this to validate that a
     /// restored shard only holds size classes it actually owns.
-    pub fn size_classes(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn size_classes(&self) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
         self.by_size.keys().copied()
     }
 
@@ -708,8 +802,9 @@ impl SubgraphIndex {
     /// every cross-reference (layer ids, handles, component arena runs,
     /// sorted-prefix order, registration count) so corrupted snapshot
     /// data surfaces as an error instead of an out-of-bounds panic later.
-    /// The component interning table is reconstructed, so the restored
-    /// index accepts further [`SubgraphIndex::insert_tree`] calls.
+    /// The interning chains are re-linked over the restored arena runs (no
+    /// shape is copied), so the restored index accepts further
+    /// [`SubgraphIndex::insert_tree`] calls.
     pub fn restore(dump: IndexDump) -> Result<SubgraphIndex, String> {
         let IndexDump {
             tau,
@@ -800,10 +895,7 @@ impl SubgraphIndex {
                     postings.push(Posting { twig, handle });
                 }
                 total_postings += postings.len() as u64;
-                buckets.push(Bucket {
-                    postings,
-                    sorted_len: bucket.sorted_len,
-                });
+                buckets.push(Bucket::new(postings, bucket.sorted_len));
             }
             restored_layers.push(PostorderLayer { buckets });
         }
@@ -818,15 +910,10 @@ impl SubgraphIndex {
                 start: c.start,
                 len: c.len,
                 incoming: c.incoming,
+                next: GONE,
             })
             .collect();
-        let mut interned: FxHashMap<(u8, Box<[SgNode]>), ComponentId> = FxHashMap::default();
-        for (id, c) in restored_components.iter().enumerate() {
-            let nodes: Box<[SgNode]> =
-                arena[c.start as usize..c.start as usize + c.len as usize].into();
-            interned.entry((c.incoming, nodes)).or_insert(id as u32);
-        }
-        Ok(SubgraphIndex {
+        let mut index = SubgraphIndex {
             tau,
             window,
             by_size,
@@ -834,9 +921,19 @@ impl SubgraphIndex {
             metas,
             components: restored_components,
             arena,
-            interned,
+            interned: FxHashMap::default(),
             registrations,
-        })
+        };
+        index.relink();
+        Ok(index)
+    }
+
+    /// Whether every bucket's root-label signature is exactly the fold of
+    /// the postings it stores (diagnostics and tests: a missing bit would
+    /// lose candidates, a stale one only costs the probes it lets in).
+    pub fn signatures_exact(&self) -> bool {
+        let mut buckets = self.layers.iter().flat_map(|l| &l.buckets);
+        buckets.all(|b| b.roots == signature(&b.postings))
     }
 
     /// Position key a subgraph is centered on (diagnostics and tests).
@@ -855,14 +952,14 @@ mod tests {
     fn subgraphs_of(
         input: &str,
         tau: u32,
-    ) -> (tsj_tree::Tree, BinaryTree, Vec<Subgraph>, LabelInterner) {
+    ) -> (tsj_tree::Tree, BinaryTree, Partition, LabelInterner) {
         let mut labels = LabelInterner::new();
         let tree = parse_bracket(input, &mut labels).unwrap();
         let binary = BinaryTree::from_tree(&tree);
         let delta = 2 * tau as usize + 1;
         let gamma = max_min_size(&binary, delta);
         let cuts = select_cuts(&binary, delta, gamma);
-        let sgs = build_subgraphs(&binary, &tree.postorder_numbers(), &cuts, 0);
+        let sgs = build_subgraphs(&binary, binary.general_post(), &cuts, 0);
         (tree, binary, sgs, labels)
     }
 
@@ -908,7 +1005,7 @@ mod tests {
         assert_eq!(index.len(), 3);
 
         // Probing each subgraph root with its own twig must surface it.
-        for sg in &sgs {
+        for sg in sgs.iter() {
             let root = sg.root;
             let left = binary
                 .left(root)
@@ -975,7 +1072,7 @@ mod tests {
                         MatchSemantics::Exact,
                         &mut cache
                     ),
-                    subgraph_matches(sg, &binary, node),
+                    subgraph_matches(&sg, &binary, node),
                     "handle {h} at node {node}"
                 );
             }
@@ -1013,6 +1110,64 @@ mod tests {
             let again = index.matches_at(h, &binary, node, MatchSemantics::Exact, &mut cache);
             assert_eq!(first, again);
         }
+    }
+
+    #[test]
+    fn shapes_are_interned_by_slice_and_stored_once() {
+        use crate::config::PartitionScheme;
+        use crate::subgraph::partition_tree;
+        // One renamed leaf: of the δ = 3 subgraphs, the two it is not in
+        // are the same shapes in both trees.
+        let mut labels = LabelInterner::new();
+        let mut partition = |input: &str, id| {
+            let tree = parse_bracket(input, &mut labels).unwrap();
+            let binary = BinaryTree::from_tree(&tree);
+            let posts = binary.general_post();
+            partition_tree(&binary, posts, 1, PartitionScheme::MaxMin, id).expect("10 ≥ δ")
+        };
+        let a = partition("{a{b{c}{d}}{e{f}{g}}{h{i}{j}}}", 0);
+        let b = partition("{a{b{c}{d}}{e{f}{g}}{h{i}{z}}}", 1);
+        let differ = |k: &usize| a.get(*k).nodes != b.get(*k).nodes;
+        let changed: Vec<usize> = (0..3).filter(differ).collect();
+        assert_eq!(changed.len(), 1);
+
+        let mut index = SubgraphIndex::new(1, WindowPolicy::Safe);
+        index.insert_tree(10, &a);
+        index.insert_tree(10, &b);
+        assert_eq!((index.len(), index.distinct_components()), (6, 4));
+        // One id and one arena run per shared shape: the arena grew by
+        // the renamed component alone.
+        for k in 0..3 {
+            let (first, second) = (index.metas[k].component, index.metas[k + 3].component);
+            assert_eq!(first != second, changed.contains(&k), "subgraph {k}");
+        }
+        assert_eq!(index.arena.len(), 10 + a.get(changed[0]).nodes.len());
+
+        // Two shapes under one 64-bit hash are still two components, each
+        // found again by its slice; the incoming side is part of the shape.
+        let (x, y) = (a.get(0).nodes, a.get(1).nodes);
+        let mut collided = SubgraphIndex::new(1, WindowPolicy::Safe);
+        let ids = [
+            collided.intern(7, 1, x),
+            collided.intern(7, 1, y),
+            collided.intern(7, 2, x),
+        ];
+        assert_eq!(ids, [0, 1, 2]);
+        let again = [
+            collided.intern(7, 1, x),
+            collided.intern(7, 1, y),
+            collided.intern(7, 2, x),
+        ];
+        assert_eq!(again, ids);
+        assert_eq!(collided.interned.len(), 1, "one chain");
+        assert_eq!(collided.arena.len(), 2 * x.len() + y.len());
+
+        // A restored index re-links its runs: a known shape is found, not
+        // stored again.
+        let mut restored = SubgraphIndex::restore(index.dump()).unwrap();
+        restored.insert_tree(10, &b);
+        assert_eq!((restored.len(), restored.distinct_components()), (9, 4));
+        assert_eq!(restored.arena.len(), index.arena.len());
     }
 
     #[test]
@@ -1100,8 +1255,7 @@ mod tests {
             index.insert_tree(n, sgs.clone());
         }
         let layer = index.layer(index.layer_id(n).unwrap());
-        let sg = &sgs[0];
-        let position = index.position_of(sg);
+        let position = index.position_of(&sgs.get(0));
         let bucket = &layer.buckets[position as usize];
         assert!(
             bucket.sorted_len as usize > LINEAR_SCAN_MAX,
@@ -1225,13 +1379,13 @@ mod tests {
         let tau = 1;
         let (_, binary, sgs, _) = subgraphs_of("{a{b{c}{d}}{e{f}{g}}{h{i}{j}}}", tau);
         let index = SubgraphIndex::new(tau, WindowPolicy::PaperAbsolute);
-        for sg in &sgs {
-            assert_eq!(index.position_of(sg), sg.root_post);
+        for sg in sgs.iter() {
+            assert_eq!(index.position_of(&sg), sg.root_post);
         }
         assert_eq!(index.probe_position(7, binary.len() as u32), 7);
         let tight = SubgraphIndex::new(tau, WindowPolicy::Tight);
-        for sg in &sgs {
-            assert_eq!(tight.position_of(sg), sg.suffix);
+        for sg in sgs.iter() {
+            assert_eq!(tight.position_of(&sg), sg.suffix);
         }
     }
 }

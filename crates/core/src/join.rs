@@ -20,10 +20,10 @@
 use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
 use crate::probe::{
-    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
-    ProbeScratch,
+    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
+    ProbeCounters, ProbeScratch,
 };
-use crate::subgraph::partition_tree;
+use crate::subgraph::{partition_tree_with, PartitionScratch};
 use crate::verify::{VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -100,6 +100,7 @@ pub fn partsj_join_detailed(
     let mut match_cache = MatchCache::new();
     let mut counters = ProbeCounters::default();
     let mut probe_scratch = ProbeScratch::new();
+    let mut partition_scratch = PartitionScratch::new();
 
     for &i in &order {
         let tree = &trees[i as usize];
@@ -114,7 +115,8 @@ pub fn partsj_join_detailed(
         let mut sink = candidates.sink();
         // Small trees cannot be δ-partitioned: every size-compatible one is
         // a direct candidate.
-        detail.small_tree_candidates += scan_small_trees(&small_by_size, lo..=size_i, &mut sink);
+        let classes = classes_within(small_by_size.keys().copied(), lo, size_i);
+        detail.small_tree_candidates += scan_small_trees(&small_by_size, classes, &mut sink);
 
         // Index probes: every node of T_i against every populated size
         // layer of `[lo, size_i]` (resolved once per tree). Positions are
@@ -154,7 +156,8 @@ pub fn partsj_join_detailed(
 
         // Partition T_i and publish its subgraphs (or side-list it).
         let insert_start = Instant::now();
-        match partition_tree(binary, posts, tau, config.partitioning, i) {
+        let scheme = config.partitioning;
+        match partition_tree_with(binary, posts, tau, scheme, i, &mut partition_scratch) {
             Some(subgraphs) => {
                 detail.subgraphs_built += subgraphs.len() as u64;
                 index.insert_tree(size_i, subgraphs);

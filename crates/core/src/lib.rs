@@ -64,13 +64,14 @@ pub use index::{
 pub use join::{partsj_join, partsj_join_detailed, partsj_join_with, PartSjDetail};
 pub use partition::{cuts_for, max_min_size, partitionable, select_cuts, select_random_cuts};
 pub use probe::{
-    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, CandidateSink, Candidates,
-    ProbeCounters, ProbeScratch, StampSink,
+    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, CandidateSink,
+    Candidates, ProbeCounters, ProbeScratch, StampSink,
 };
 pub use rs_join::partsj_join_rs;
 pub use subgraph::{
-    build_subgraphs, nodes_match_at, partition_tree, side_list, subgraph_matches,
-    subgraph_matches_with, ChildKind, SgNode, Subgraph,
+    build_subgraphs, nodes_match_at, partition_tree, partition_tree_with, side_list,
+    subgraph_matches, subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode,
+    Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
 pub use verify::{

@@ -10,6 +10,11 @@
 //! [`select_cuts`] re-runs the greedy with the optimal `γ` and returns the
 //! first `δ − 1` cut nodes — the roots of the detached subgraphs; the
 //! remainder around the tree root forms the δ-th subgraph.
+//!
+//! Every greedy pass needs one residual size per node. The public
+//! functions allocate that array themselves; the join loops reach the
+//! same bodies through [`crate::subgraph::partition_tree_with`], whose
+//! caller-owned scratch lends one array to every pass of every tree.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,33 +27,53 @@ use tsj_tree::{BinaryTree, NodeId};
 /// a node is one plus the residual sizes of its children, zeroed whenever a
 /// cut is taken.
 pub fn partitionable(binary: &BinaryTree, delta: usize, gamma: u32) -> bool {
+    partitionable_in(binary, delta, gamma, &mut Vec::new())
+}
+
+/// Makes `residual` cover `binary`'s nodes plus one slot, kept at zero,
+/// that a missing child reads (so a greedy pass adds both children
+/// without branching). A pass writes a node's slot before its parent
+/// reads it (postorder), so whatever an earlier pass left there is never
+/// seen.
+fn cover(residual: &mut Vec<u32>, binary: &BinaryTree) {
+    if residual.len() <= binary.len() {
+        residual.resize(binary.len() + 1, 0);
+    }
+    residual[binary.len()] = 0;
+}
+
+/// Residual size of the subtree under `node`: one plus what its children
+/// kept (`residual` as [`cover`] left it).
+#[inline]
+fn residual_size(binary: &BinaryTree, node: NodeId, residual: &[u32]) -> u32 {
+    let slot = |child: Option<NodeId>| child.map_or(binary.len(), NodeId::index);
+    1 + residual[slot(binary.left(node))] + residual[slot(binary.right(node))]
+}
+
+fn partitionable_in(
+    binary: &BinaryTree,
+    delta: usize,
+    gamma: u32,
+    residual: &mut Vec<u32>,
+) -> bool {
     if gamma == 0 {
         return binary.len() >= delta;
     }
     if (binary.len() as u64) < delta as u64 * gamma as u64 {
         return false;
     }
-    let mut residual = vec![0u32; binary.len()];
+    cover(residual, binary);
     let mut found = 0usize;
     for &node in binary.postorder() {
-        let mut size = 1u32;
-        if let Some(l) = binary.left(node) {
-            size += residual[l.index()];
+        let size = residual_size(binary, node, residual);
+        // Greedily detach the γ-subtree rooted here (Lemma 3 shows greedy
+        // detachment preserves partitionability).
+        let cut = size >= gamma;
+        found += usize::from(cut);
+        if found >= delta {
+            return true;
         }
-        if let Some(r) = binary.right(node) {
-            size += residual[r.index()];
-        }
-        if size >= gamma {
-            // Greedily detach the γ-subtree rooted here (Lemma 3 shows
-            // greedy detachment preserves partitionability).
-            found += 1;
-            if found >= delta {
-                return true;
-            }
-            residual[node.index()] = 0;
-        } else {
-            residual[node.index()] = size;
-        }
+        residual[node.index()] = if cut { 0 } else { size };
     }
     false
 }
@@ -61,6 +86,10 @@ pub fn partitionable(binary: &BinaryTree, delta: usize, gamma: u32) -> bool {
 /// # Panics
 /// Panics if `binary.len() < delta` or `delta == 0`.
 pub fn max_min_size(binary: &BinaryTree, delta: usize) -> u32 {
+    max_min_size_in(binary, delta, &mut Vec::new())
+}
+
+fn max_min_size_in(binary: &BinaryTree, delta: usize, residual: &mut Vec<u32>) -> u32 {
     assert!(delta >= 1, "delta must be positive");
     let n = binary.len();
     assert!(n >= delta, "tree of size {n} cannot be {delta}-partitioned");
@@ -69,7 +98,7 @@ pub fn max_min_size(binary: &BinaryTree, delta: usize) -> u32 {
     // Lower bound (§3.3): each greedy subgraph has at most 2γ − 1 nodes, so
     // γ ≤ (n + δ − 1)/(2δ − 1) always admits a partitioning.
     let mut gamma_min = (((n + delta - 1) / (2 * delta - 1)) as u32).max(1);
-    debug_assert!(partitionable(binary, delta, gamma_min));
+    debug_assert!(partitionable_in(binary, delta, gamma_min, residual));
 
     // Invariant: the answer lies in [gamma_min, gamma_min + c).
     // gamma_max ≥ gamma_min whenever n ≥ δ (shown in §3.3), so the
@@ -77,7 +106,7 @@ pub fn max_min_size(binary: &BinaryTree, delta: usize) -> u32 {
     let mut c = gamma_max - gamma_min + 1;
     while c > 1 {
         let gamma_mid = gamma_min + c / 2;
-        if partitionable(binary, delta, gamma_mid) {
+        if partitionable_in(binary, delta, gamma_mid, residual) {
             gamma_min = gamma_mid;
             c -= c / 2;
         } else {
@@ -95,19 +124,25 @@ pub fn max_min_size(binary: &BinaryTree, delta: usize) -> u32 {
 /// residual nodes, and so does the remainder (the greedy would have found a
 /// δ-th cut inside it).
 pub fn select_cuts(binary: &BinaryTree, delta: usize, gamma: u32) -> Vec<NodeId> {
-    let mut residual = vec![0u32; binary.len()];
     let mut cuts = Vec::with_capacity(delta.saturating_sub(1));
+    select_cuts_in(binary, delta, gamma, &mut Vec::new(), &mut cuts);
+    cuts
+}
+
+fn select_cuts_in(
+    binary: &BinaryTree,
+    delta: usize,
+    gamma: u32,
+    residual: &mut Vec<u32>,
+    cuts: &mut Vec<NodeId>,
+) {
+    cover(residual, binary);
+    cuts.clear();
     for &node in binary.postorder() {
         if cuts.len() + 1 >= delta {
             break;
         }
-        let mut size = 1u32;
-        if let Some(l) = binary.left(node) {
-            size += residual[l.index()];
-        }
-        if let Some(r) = binary.right(node) {
-            size += residual[r.index()];
-        }
+        let size = residual_size(binary, node, residual);
         if size >= gamma && node != binary.root() {
             cuts.push(node);
             residual[node.index()] = 0;
@@ -115,7 +150,6 @@ pub fn select_cuts(binary: &BinaryTree, delta: usize, gamma: u32) -> Vec<NodeId>
             residual[node.index()] = size;
         }
     }
-    cuts
 }
 
 /// Random-partitioning ablation (§4.3 closing note): choose `delta − 1`
@@ -151,13 +185,29 @@ pub fn cuts_for(
     scheme: crate::config::PartitionScheme,
     salt: u64,
 ) -> Vec<NodeId> {
+    let mut cuts = Vec::with_capacity(delta.saturating_sub(1));
+    cuts_for_in(binary, delta, scheme, salt, &mut Vec::new(), &mut cuts);
+    cuts
+}
+
+/// [`cuts_for`] into `cuts` (cleared first), every greedy pass of the γ
+/// search and the final selection sharing the one `residual` array.
+pub(crate) fn cuts_for_in(
+    binary: &BinaryTree,
+    delta: usize,
+    scheme: crate::config::PartitionScheme,
+    salt: u64,
+    residual: &mut Vec<u32>,
+    cuts: &mut Vec<NodeId>,
+) {
     match scheme {
         crate::config::PartitionScheme::MaxMin => {
-            let gamma = max_min_size(binary, delta);
-            select_cuts(binary, delta, gamma)
+            let gamma = max_min_size_in(binary, delta, residual);
+            select_cuts_in(binary, delta, gamma, residual, cuts);
         }
         crate::config::PartitionScheme::Random { seed } => {
-            select_random_cuts(binary, delta, seed ^ salt)
+            cuts.clear();
+            cuts.extend(select_random_cuts(binary, delta, seed ^ salt));
         }
     }
 }

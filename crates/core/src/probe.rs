@@ -22,18 +22,16 @@
 use crate::config::MatchSemantics;
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
 use tsj_ted::TreeIdx;
-use tsj_tree::{BinaryTree, FxHashMap, Label, NodeId, Tree};
+use tsj_tree::{BinaryTree, FxHashMap, Label, Tree};
 
-/// Reusable probe-tree preparation: one LC-RS representation and one
-/// general-postorder array, rebuilt in place per probing tree. All
-/// buffers are grow-only, so a serving or join loop that prepares a
-/// stream of probes through one scratch allocates nothing once the
-/// buffers fit the largest tree seen.
+/// Reusable probe-tree preparation: one LC-RS representation (which
+/// numbers the general postorder in the walk that fills its caches),
+/// rebuilt in place per probing tree. All buffers are grow-only, so a
+/// serving or join loop that prepares a stream of probes through one
+/// scratch allocates nothing once the buffers fit the largest tree seen.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     binary: Option<BinaryTree>,
-    posts: Vec<u32>,
-    walk: Vec<(NodeId, usize)>,
 }
 
 impl ProbeScratch {
@@ -50,8 +48,8 @@ impl ProbeScratch {
             Some(binary) => binary.rebuild_from(tree),
             None => self.binary = Some(BinaryTree::from_tree(tree)),
         }
-        tree.postorder_numbers_into(&mut self.posts, &mut self.walk);
-        (self.binary.as_ref().expect("prepared above"), &self.posts)
+        let binary = self.binary.as_ref().expect("prepared above");
+        (binary, binary.general_post())
     }
 }
 
@@ -87,10 +85,34 @@ pub struct ProbeCounters {
 /// threshold `tau`: `[max(size − τ, 1), size + τ]`. Every consumer —
 /// batch joins, point queries, the frozen catalog and the cluster
 /// router — derives its probed size classes from this one definition,
-/// so candidate generation cannot drift between entry points.
+/// so candidate generation cannot drift between entry points. Both ends
+/// saturate: a `tau` near `u32::MAX` asks for every size there is (walk
+/// such a window with [`classes_within`], not by stepping through it).
 #[inline]
 pub fn window_of(size: u32, tau: u32) -> (u32, u32) {
-    (size.saturating_sub(tau).max(1), size + tau)
+    (size.saturating_sub(tau).max(1), size.saturating_add(tau))
+}
+
+/// The size classes of `[lo, hi]` worth visiting, ascending: every class
+/// of the window — or, when the window is wider than `populated` is long
+/// (a saturated one spans 2³² classes), only those of `populated` that
+/// fall in it, each found by one scan for the smallest not yet visited.
+pub fn classes_within<K>(populated: K, lo: u32, hi: u32) -> impl Iterator<Item = u32>
+where
+    K: ExactSizeIterator<Item = u32> + Clone,
+{
+    let stepping = (hi.saturating_sub(lo) as usize) < populated.len();
+    let mut next = Some(lo);
+    std::iter::from_fn(move || {
+        let from = next.filter(|&n| n <= hi)?;
+        let class = if stepping {
+            from
+        } else {
+            populated.clone().filter(|&n| from <= n && n <= hi).min()?
+        };
+        next = class.checked_add(1);
+        Some(class)
+    })
 }
 
 /// Resolves the populated size layers of `[lo, hi]` into `out` (cleared
@@ -99,14 +121,15 @@ pub fn window_of(size: u32, tau: u32) -> (u32, u32) {
 #[inline]
 pub fn resolve_layers(index: &SubgraphIndex, lo: u32, hi: u32, out: &mut Vec<LayerId>) {
     out.clear();
-    out.extend((lo..=hi).filter_map(|n| index.layer_id(n)));
+    let classes = classes_within(index.size_classes(), lo, hi);
+    out.extend(classes.filter_map(|n| index.layer_id(n)));
 }
 
 /// Probes every node of `binary` against the resolved `layer_window` of
 /// `index` — one full iteration of Algorithm 1's inner loop.
 ///
 /// `posts` maps node ids to 1-based *general-tree* postorder numbers
-/// ([`tsj_tree::Tree::postorder_numbers`]) and `probe_size` is the probing
+/// ([`BinaryTree::general_post`]) and `probe_size` is the probing
 /// tree's node count (both feed [`SubgraphIndex::probe_position`]).
 /// `cache` memoizes per-node match verdicts; it is reset per node here,
 /// so a caller-owned cache can be reused across trees.
@@ -241,8 +264,9 @@ impl Candidates {
 
 /// The side-list half of the probe step: trees too small to
 /// δ-partition carry no postings (Lemma 2 offers no filter for them),
-/// so every one whose size class is in `classes` goes straight to
-/// `sink`. Returns how many the sink admitted.
+/// so every one whose size class is in `classes` (a window's, through
+/// [`classes_within`], or a shard request's explicit list) goes straight
+/// to `sink`. Returns how many the sink admitted.
 pub fn scan_small_trees<S: CandidateSink>(
     small_by_size: &FxHashMap<u32, Vec<TreeIdx>>,
     classes: impl IntoIterator<Item = u32>,
@@ -326,6 +350,22 @@ mod tests {
         let index = SubgraphIndex::new(1, WindowPolicy::Safe);
         let probe = parse_bracket("{a{b}}", &mut labels).unwrap();
         assert!(probe_candidates(&index, &probe, 1).is_empty());
+    }
+
+    #[test]
+    fn classes_within_walks_the_narrower_of_window_and_population() {
+        let populated = [9u32, 3, 40, 7];
+        let within =
+            |lo, hi| -> Vec<u32> { classes_within(populated.iter().copied(), lo, hi).collect() };
+        // Narrower than the population: every class, populated or not.
+        assert_eq!(within(6, 8), [6, 7, 8]);
+        assert_eq!(within(u32::MAX - 1, u32::MAX), [u32::MAX - 1, u32::MAX]);
+        // Wider: the populated classes in it, ascending.
+        assert_eq!(within(4, 40), [7, 9, 40]);
+        assert_eq!(within(1, u32::MAX), [3, 7, 9, 40]);
+        assert!(within(41, u32::MAX).is_empty());
+        assert_eq!(classes_within(std::iter::empty(), 1, u32::MAX).count(), 0);
+        assert_eq!(window_of(5, u32::MAX - 4), (1, u32::MAX));
     }
 
     /// Offers every tree of `trees` twice; dedup must admit each exactly

@@ -12,10 +12,10 @@
 use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
 use crate::probe::{
-    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
-    ProbeScratch,
+    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
+    ProbeCounters, ProbeScratch,
 };
-use crate::subgraph::partition_tree;
+use crate::subgraph::{partition_tree_with, PartitionScratch};
 use crate::verify::{ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -37,12 +37,14 @@ pub fn partsj_join_rs(
     let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
     let left_data: Vec<VerifyData> = VerifyData::batch_for_config(left, &config.verify);
     let mut probe_scratch = ProbeScratch::new();
-    for (i, tree) in left.iter().enumerate() {
+    let mut partition_scratch = PartitionScratch::new();
+    for (i, tree) in (0..).zip(left) {
         let size = tree.len() as u32;
         let (binary, posts) = probe_scratch.prepare(tree);
-        match partition_tree(binary, posts, tau, config.partitioning, i as TreeIdx) {
+        let scheme = config.partitioning;
+        match partition_tree_with(binary, posts, tau, scheme, i, &mut partition_scratch) {
             Some(subgraphs) => index.insert_tree(size, subgraphs),
-            None => small_by_size.entry(size).or_default().push(i as TreeIdx),
+            None => small_by_size.entry(size).or_default().push(i),
         }
     }
     stats.candidate_time += build_start.elapsed();
@@ -63,7 +65,8 @@ pub fn partsj_join_rs(
         let (lo, hi) = window_of(size_j, tau);
         candidates.begin(left.len());
         let mut sink = candidates.sink();
-        scan_small_trees(&small_by_size, lo..=hi, &mut sink);
+        let classes = classes_within(small_by_size.keys().copied(), lo, hi);
+        scan_small_trees(&small_by_size, classes, &mut sink);
 
         // The offline index is frozen now: resolve the `2τ + 1` size
         // layers once per right tree.

@@ -16,9 +16,21 @@
 //! grandchild hanging below a *bridge* slot, whose subtree is always
 //! unconstrained. The weaker [`MatchSemantics::Embedding`] exists for the
 //! matching-semantics ablation.
+//!
+//! A tree's δ subgraphs are built and handed on **flat**: the components
+//! partition the tree, so their preorder node lists tile one buffer of
+//! `|T|` [`SgNode`]s, and a [`Partition`] is that buffer plus δ small
+//! records — no list, box or stack per subgraph. Who partitions a stream
+//! of trees (every join loop) owns a [`PartitionScratch`] and calls
+//! [`partition_tree_with`]: the γ search and the cut selection share its
+//! residual array, the walk its cut bits, and the partition it lends
+//! out is the scratch's own, overwritten by the next tree — the index
+//! copies out of it only the shapes it has not seen. [`partition_tree`]
+//! and [`build_subgraphs`] are the same bodies over a scratch they
+//! build and drop, for callers that keep the result.
 
 use crate::config::{MatchSemantics, PartitionScheme};
-use crate::partition::cuts_for;
+use crate::partition::cuts_for_in;
 use tsj_tree::{pack_twig, BinaryTree, FxHashMap, Label, NodeId, Side, Tree};
 
 /// Index of a tree within the joined collection (re-exported convention
@@ -49,9 +61,11 @@ pub struct SgNode {
     pub right: ChildKind,
 }
 
-/// A subgraph of a δ-partitioning, ready for indexing and matching.
-#[derive(Debug, Clone)]
-pub struct Subgraph {
+/// One subgraph of a [`Partition`], ready for indexing and matching: its
+/// bookkeeping by value, its component nodes borrowed from the
+/// partition's one buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Subgraph<'a> {
     /// Container tree index within the joined collection.
     pub tree: TreeIdx,
     /// 1-based ordinal `k` in greedy-discovery (binary postorder of root)
@@ -75,13 +89,96 @@ pub struct Subgraph {
     /// or ε, right component child label or ε)` — the layer-2 index key.
     pub twig: u64,
     /// Component nodes in preorder (node, left subtree, right subtree).
-    pub nodes: Box<[SgNode]>,
+    pub nodes: &'a [SgNode],
 }
 
-impl Subgraph {
+impl Subgraph<'_> {
     /// Number of component nodes.
     pub fn component_size(&self) -> usize {
         self.nodes.len()
+    }
+}
+
+/// What a [`Partition`] keeps per subgraph: the [`Subgraph`] fields its
+/// place in the partition does not give, and where its nodes end in the
+/// shared buffer (they start where the previous subgraph's end).
+#[derive(Debug, Clone, Copy)]
+struct Part {
+    root: NodeId,
+    incoming: Option<Side>,
+    twig: u64,
+    root_post: u32,
+    end: u32,
+}
+
+/// The δ subgraphs of one tree, flat: every component's nodes back to
+/// back in **one** buffer (they tile it — the components partition the
+/// tree) and one small record per subgraph. This is what travels from
+/// [`partition_tree`] / [`build_subgraphs`] to `SubgraphIndex::insert_tree`;
+/// [`Partition::get`] and [`Partition::iter`] lend the subgraphs out.
+#[derive(Debug, Clone, Default)]
+pub struct Partition {
+    tree: TreeIdx,
+    /// Container tree size (suffix positions are `size − root_post`).
+    size: u32,
+    nodes: Vec<SgNode>,
+    parts: Vec<Part>,
+}
+
+impl Partition {
+    /// Number of subgraphs (δ for a partitioned tree).
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Whether the partition holds no subgraph (only before it is filled).
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// The `k`-th subgraph in discovery order (ordinal `k + 1`).
+    ///
+    /// # Panics
+    /// Panics if `k` is not below [`Partition::len`].
+    pub fn get(&self, k: usize) -> Subgraph<'_> {
+        let part = self.parts[k];
+        let start = k.checked_sub(1).map_or(0, |prev| self.parts[prev].end);
+        Subgraph {
+            tree: self.tree,
+            ordinal: k as u16 + 1,
+            root: part.root,
+            root_post: part.root_post,
+            suffix: self.size - part.root_post,
+            incoming: part.incoming,
+            twig: part.twig,
+            nodes: &self.nodes[start as usize..part.end as usize],
+        }
+    }
+
+    /// The subgraphs in discovery order; the last contains the tree root.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Subgraph<'_>> + '_ {
+        (0..self.len()).map(|k| self.get(k))
+    }
+}
+
+/// The temporaries of partitioning one tree, and the [`Partition`] it
+/// produces (see the [module docs](self)): grow-only, so
+/// [`partition_tree_with`] calls the allocator for nothing once they fit
+/// the largest tree seen.
+#[derive(Debug, Default)]
+pub struct PartitionScratch {
+    /// Residual sizes of the greedy passes (γ search and cut selection).
+    residual: Vec<u32>,
+    cuts: Vec<NodeId>,
+    /// All `false` between calls: a walk clears exactly the bits it set.
+    is_cut: Vec<bool>,
+    partition: Partition,
+}
+
+impl PartitionScratch {
+    /// An empty scratch; buffers are grown on first use.
+    pub fn new() -> PartitionScratch {
+        PartitionScratch::default()
     }
 }
 
@@ -90,49 +187,66 @@ impl Subgraph {
 /// `cuts` must be non-root nodes in strictly ascending binary postorder
 /// (as produced by `partition::select_cuts`); `general_post` maps node ids
 /// to 1-based postorder numbers of the container *general* tree
-/// ([`tsj_tree::Tree::postorder_numbers`]). The result contains
-/// `cuts.len() + 1` subgraphs in discovery order; the last one contains
-/// the tree root.
+/// ([`BinaryTree::general_post`]). The result contains `cuts.len() + 1`
+/// subgraphs in discovery order; the last one contains the tree root.
 pub fn build_subgraphs(
     binary: &BinaryTree,
     general_post: &[u32],
     cuts: &[NodeId],
     tree: TreeIdx,
-) -> Vec<Subgraph> {
+) -> Partition {
+    let mut partition = Partition {
+        nodes: Vec::with_capacity(binary.len()),
+        parts: Vec::with_capacity(cuts.len() + 1),
+        ..Partition::default()
+    };
+    let is_cut = &mut Vec::new();
+    fill_partition(binary, general_post, cuts, tree, is_cut, &mut partition);
+    partition
+}
+
+/// [`build_subgraphs`] into `out` (emptied first), through a caller-owned
+/// `is_cut` that is all `false` on entry and on return.
+fn fill_partition(
+    binary: &BinaryTree,
+    general_post: &[u32],
+    cuts: &[NodeId],
+    tree: TreeIdx,
+    is_cut: &mut Vec<bool>,
+    out: &mut Partition,
+) {
     debug_assert!(cuts
         .windows(2)
         .all(|w| binary.post_of(w[0]) < binary.post_of(w[1])));
     debug_assert!(cuts.iter().all(|&c| c != binary.root()));
 
-    let mut is_cut = vec![false; binary.len()];
+    if is_cut.len() < binary.len() {
+        is_cut.resize(binary.len(), false);
+    }
     for &c in cuts {
         is_cut[c.index()] = true;
     }
-
-    let n = binary.len() as u32;
-    let mut subgraphs = Vec::with_capacity(cuts.len() + 1);
-    for (pos, &root) in cuts
-        .iter()
-        .chain(std::iter::once(&binary.root()))
-        .enumerate()
-    {
-        let nodes = collect_component(binary, root, &is_cut);
-        let root_node = nodes[0];
+    out.tree = tree;
+    out.size = binary.len() as u32;
+    out.nodes.clear();
+    out.parts.clear();
+    for &root in cuts.iter().chain(std::iter::once(&binary.root())) {
+        let start = out.nodes.len();
+        collect_component(binary, root, is_cut, &mut out.nodes);
+        let root_node = out.nodes[start];
         let left_label = component_child_label(binary, root, Side::Left, root_node.left);
         let right_label = component_child_label(binary, root, Side::Right, root_node.right);
-        let post = general_post[root.index()];
-        subgraphs.push(Subgraph {
-            tree,
-            ordinal: pos as u16 + 1,
+        out.parts.push(Part {
             root,
-            root_post: post,
-            suffix: n - post,
             incoming: binary.side(root),
             twig: pack_twig(root_node.label, left_label, right_label),
-            nodes: nodes.into_boxed_slice(),
+            root_post: general_post[root.index()],
+            end: out.nodes.len() as u32,
         });
     }
-    subgraphs
+    for &c in cuts {
+        is_cut[c.index()] = false;
+    }
 }
 
 /// Algorithm 1's publish rule, shared by every index producer: a tree
@@ -147,12 +261,36 @@ pub fn partition_tree(
     tau: u32,
     scheme: PartitionScheme,
     tree: TreeIdx,
-) -> Option<Vec<Subgraph>> {
+) -> Option<Partition> {
+    let mut scratch = PartitionScratch::new();
+    partition_tree_with(binary, general_post, tau, scheme, tree, &mut scratch)?;
+    Some(scratch.partition)
+}
+
+/// [`partition_tree`] through a caller-owned scratch: the γ search, the
+/// cut selection and the component walk share its temporaries, and the
+/// partition it lends out is the scratch's own, valid until the next
+/// call.
+pub fn partition_tree_with<'s>(
+    binary: &BinaryTree,
+    general_post: &[u32],
+    tau: u32,
+    scheme: PartitionScheme,
+    tree: TreeIdx,
+    scratch: &'s mut PartitionScratch,
+) -> Option<&'s Partition> {
     if is_side_listed(binary.len(), tau) {
         return None;
     }
-    let cuts = cuts_for(binary, delta(tau), scheme, u64::from(tree));
-    Some(build_subgraphs(binary, general_post, &cuts, tree))
+    let PartitionScratch {
+        residual,
+        cuts,
+        is_cut,
+        partition,
+    } = scratch;
+    cuts_for_in(binary, delta(tau), scheme, u64::from(tree), residual, cuts);
+    fill_partition(binary, general_post, cuts, tree, is_cut, partition);
+    Some(partition)
 }
 
 /// `δ = 2τ + 1`, the number of subgraphs a tree is cut into.
@@ -192,33 +330,39 @@ fn component_child_label(binary: &BinaryTree, node: NodeId, side: Side, kind: Ch
     }
 }
 
-/// Collects the component rooted at `root` (stopping at cut nodes) in
-/// preorder, recording child kinds.
-fn collect_component(binary: &BinaryTree, root: NodeId, is_cut: &[bool]) -> Vec<SgNode> {
-    let mut nodes = Vec::new();
-    let mut stack = vec![root];
-    while let Some(v) = stack.pop() {
-        let classify = |child: Option<NodeId>| match child {
-            None => ChildKind::Absent,
-            Some(c) if is_cut[c.index()] => ChildKind::Bridge,
-            Some(_) => ChildKind::Component,
-        };
-        let left = classify(binary.left(v));
-        let right = classify(binary.right(v));
-        nodes.push(SgNode {
+/// Appends the component rooted at `root` (stopping at cut nodes) to
+/// `out` in preorder, recording child kinds: the run of the tree's
+/// preorder that is `root`'s subtree, stepping over the subtree of every
+/// cut node met in it.
+fn collect_component(binary: &BinaryTree, root: NodeId, is_cut: &[bool], out: &mut Vec<SgNode>) {
+    // Looked up, not branched on: which children exist and which are cut
+    // is the least predictable thing about a tree. A missing child reads
+    // node 0's bit, which the `Absent` rows ignore.
+    const KINDS: [ChildKind; 4] = [
+        ChildKind::Component,
+        ChildKind::Bridge,
+        ChildKind::Absent,
+        ChildKind::Absent,
+    ];
+    let kind = |child: Option<NodeId>| {
+        let cut = is_cut[child.map_or(0, NodeId::index)];
+        KINDS[usize::from(cut) | usize::from(child.is_none()) << 1]
+    };
+    let start = binary.pre_of(root) as usize - 1;
+    let run = &binary.preorder()[start..start + binary.subtree_size(root) as usize];
+    let mut at = 0;
+    while let Some(&v) = run.get(at) {
+        if is_cut[v.index()] && at > 0 {
+            at += binary.subtree_size(v) as usize;
+            continue;
+        }
+        out.push(SgNode {
             label: binary.label(v),
-            left,
-            right,
+            left: kind(binary.left(v)),
+            right: kind(binary.right(v)),
         });
-        // Preorder: push right first so the left subtree is emitted next.
-        if right == ChildKind::Component {
-            stack.push(binary.right(v).expect("component right child"));
-        }
-        if left == ChildKind::Component {
-            stack.push(binary.left(v).expect("component left child"));
-        }
+        at += 1;
     }
-    nodes
 }
 
 /// Match under the default [`MatchSemantics::Exact`]: does `sg` appear in
@@ -240,7 +384,7 @@ pub fn subgraph_matches_with(
     semantics: MatchSemantics,
 ) -> bool {
     let mut stack = Vec::new();
-    nodes_match_at(&sg.nodes, sg.incoming, binary, node, semantics, &mut stack)
+    nodes_match_at(sg.nodes, sg.incoming, binary, node, semantics, &mut stack)
 }
 
 /// Slice form of [`subgraph_matches_with`]: matches a component given as a
@@ -344,14 +488,13 @@ mod tests {
 
     /// Figure 5: the 3-partitioning of Figure 4(b) cutting ⟨N2,N3⟩ and
     /// ⟨N6,N7⟩ — cut roots N3 and N7.
-    fn figure5_subgraphs() -> (Tree, BinaryTree, LabelInterner, Vec<Subgraph>) {
+    fn figure5_subgraphs() -> (Tree, BinaryTree, LabelInterner, Partition) {
         let (tree, binary, labels) = figure4();
         let n3 = node_with_label(&tree, &labels, "l3");
         let n7 = node_with_label(&tree, &labels, "l7");
         let mut cuts = vec![n3, n7];
         cuts.sort_by_key(|&c| binary.post_of(c));
-        let general_post = tree.postorder_numbers();
-        let sgs = build_subgraphs(&binary, &general_post, &cuts, 0);
+        let sgs = build_subgraphs(&binary, binary.general_post(), &cuts, 0);
         (tree, binary, labels, sgs)
     }
 
@@ -364,7 +507,7 @@ mod tests {
         // s1 = {N3, N4, N5}: root ℓ3 with left component child; N3's right
         // pointer is empty in the binary tree; the incoming edge comes from
         // N2's left pointer.
-        let s1 = &sgs[0];
+        let s1 = sgs.get(0);
         assert_eq!(s1.ordinal, 1);
         assert_eq!(s1.root_post, 3); // general postorder: N4, N5, N3, ...
         assert_eq!(s1.component_size(), 3);
@@ -374,7 +517,7 @@ mod tests {
         assert_eq!(s1.nodes[0].right, ChildKind::Absent);
 
         // s2 = {N7, N8, N9, N10}: left chain, incoming from N6's right.
-        let s2 = &sgs[1];
+        let s2 = sgs.get(1);
         assert_eq!(s2.ordinal, 2);
         assert_eq!(s2.root_post, 9); // N7 is 9th in general postorder
         assert_eq!(s2.component_size(), 4);
@@ -382,7 +525,7 @@ mod tests {
         assert_eq!(s2.incoming, Some(Side::Right));
 
         // s3 = {N1, N2, N6}: contains the root, two outgoing bridges.
-        let s3 = &sgs[2];
+        let s3 = sgs.get(2);
         assert_eq!(s3.ordinal, 3);
         assert_eq!(s3.root_post, 10);
         assert_eq!(s3.suffix, 0);
@@ -407,9 +550,9 @@ mod tests {
     #[test]
     fn every_subgraph_matches_its_own_tree() {
         let (_, binary, _, sgs) = figure5_subgraphs();
-        for sg in &sgs {
+        for sg in sgs.iter() {
             assert!(
-                subgraph_matches(sg, &binary, sg.root),
+                subgraph_matches(&sg, &binary, sg.root),
                 "subgraph {} must match its own root",
                 sg.ordinal
             );
@@ -419,13 +562,13 @@ mod tests {
     #[test]
     fn subgraph_does_not_match_wrong_positions() {
         let (_, binary, _, sgs) = figure5_subgraphs();
-        let s1 = &sgs[0];
+        let s1 = sgs.get(0);
         for node in binary.node_ids() {
             if node == s1.root {
                 continue;
             }
             assert!(
-                !subgraph_matches(s1, &binary, node),
+                !subgraph_matches(&s1, &binary, node),
                 "s1 must not match at node {node}"
             );
         }
@@ -446,7 +589,7 @@ mod tests {
         let small = BinaryTree::from_tree(&small_tree);
         let sgs = build_subgraphs(&small, &small_tree.postorder_numbers(), &[], 0);
         assert_eq!(sgs.len(), 1);
-        let sg = &sgs[0];
+        let sg = &sgs.get(0);
 
         // Bigger tree: a -> b -> c. In LC-RS: a.l=b, b.l=c.
         let mut builder = TreeBuilder::new();
@@ -479,7 +622,7 @@ mod tests {
         // bridge at its root.
         let child = container.left(container.root()).unwrap();
         let sgs = build_subgraphs(&container, &container_tree.postorder_numbers(), &[child], 0);
-        let root_sg = &sgs[1];
+        let root_sg = &sgs.get(1);
         assert_eq!(root_sg.nodes[0].left, ChildKind::Bridge);
 
         // Match against a single-node tree labeled a: must fail.
@@ -499,15 +642,16 @@ mod tests {
         // s2 hangs from a right pointer. Its own root is the only node
         // where it matches; flip a copy to demand a left incoming edge and
         // it must no longer match there.
-        let mut flipped = sgs[1].clone();
+        let mut flipped = sgs.get(1);
+        assert!(subgraph_matches(&flipped, &binary, flipped.root));
         flipped.incoming = Some(Side::Left);
-        assert!(!subgraph_matches(&flipped, &binary, sgs[1].root));
+        assert!(!subgraph_matches(&flipped, &binary, flipped.root));
     }
 
     #[test]
     fn twig_uses_component_children_only() {
         let (_, _, labels, sgs) = figure5_subgraphs();
-        let s3 = &sgs[2];
+        let s3 = sgs.get(2);
         // Root N1: left component child N2, no right child.
         let expected = pack_twig(
             labels.get("l1").unwrap(),
@@ -516,7 +660,7 @@ mod tests {
         );
         assert_eq!(s3.twig, expected);
         // s1 root N3: left component child N4, right absent.
-        let s1 = &sgs[0];
+        let s1 = sgs.get(0);
         let expected = pack_twig(
             labels.get("l3").unwrap(),
             labels.get("l4").unwrap(),

@@ -39,10 +39,10 @@
 use crate::config::PartSjConfig;
 use crate::index::{LayerId, MatchCache, SubgraphIndex};
 use crate::probe::{
-    probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates, ProbeCounters,
-    ProbeScratch,
+    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
+    ProbeCounters, ProbeScratch,
 };
-use crate::subgraph::partition_tree;
+use crate::subgraph::{partition_tree_with, PartitionScratch};
 use crate::verify::{VerifyData, VerifyEngine};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -163,6 +163,7 @@ fn topk_pass(
     let mut layer_window: Vec<LayerId> = Vec::new();
     let mut match_cache = MatchCache::new();
     let mut counters = ProbeCounters::default();
+    let mut partition_scratch = PartitionScratch::new();
 
     for &i in order {
         let (binary, posts) = probe_scratch.prepare(&trees[i as usize]);
@@ -178,7 +179,8 @@ fn topk_pass(
         let cand_start = Instant::now();
         candidates.begin(trees.len());
         let mut sink = candidates.sink();
-        scan_small_trees(&small_by_size, lo..=size_i, &mut sink);
+        let classes = classes_within(small_by_size.keys().copied(), lo, size_i);
+        scan_small_trees(&small_by_size, classes, &mut sink);
         // The index was partitioned at τ_c ≥ τ_eff, so probing the
         // narrowed size window stays complete (the catalog's
         // `τ_q ≤ τ_frozen` argument).
@@ -221,7 +223,8 @@ fn topk_pass(
         stats.verify_time += verify_start.elapsed();
 
         let insert_start = Instant::now();
-        match partition_tree(binary, posts, tau_c, config.partitioning, i) {
+        let scheme = config.partitioning;
+        match partition_tree_with(binary, posts, tau_c, scheme, i, &mut partition_scratch) {
             Some(subgraphs) => index.insert_tree(size_i, subgraphs),
             None => small_by_size.entry(size_i).or_default().push(i),
         }

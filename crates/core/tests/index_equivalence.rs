@@ -11,11 +11,18 @@
 //! (candidate sets, every count, a valid dump) from a fresh one fed the
 //! survivors' subgraphs in insertion order: the rebuild `tsj-shard` used
 //! to run for every compaction, kept here as the oracle.
+//!
+//! **Signature ≡ postings** — the header signature that lets a probe
+//! leave a bucket unread never hides a posting: what
+//! [`PostorderLayer::probe`](partsj::PostorderLayer::probe) visits is what
+//! a scan of the dumped bucket selects, for label alphabets below, at and
+//! above the signature's 32 bits, before and after sweeps and through
+//! `restore(dump())` — and it is always the exact fold of the postings.
 
 use partsj::{
     build_subgraphs, max_min_size, partition_tree, probe_tree_nodes, resolve_layers, select_cuts,
-    window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig, ProbeCounters, Subgraph,
-    SubgraphIndex, TwigKeys, WindowPolicy,
+    window_of, Candidates, IndexDump, MatchCache, MatchSemantics, PartSjConfig, Partition,
+    ProbeCounters, SubgraphIndex, TwigKeys, WindowPolicy,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,7 +89,7 @@ proptest! {
                         reference.push(RefEntry {
                             handle: base + k as u32,
                             tree_size: tree.len() as u32,
-                            position: index.position_of(sg),
+                            position: index.position_of(&sg),
                             half_width: index.window_half_width(sg.ordinal),
                             twig: sg.twig,
                         });
@@ -176,7 +183,7 @@ struct Swept {
     /// Lives across sweeps: verdicts memoized under the old component
     /// ids must not leak into probes of the renumbered index.
     cache: MatchCache,
-    stored: Vec<(u32, Vec<Subgraph>, u64)>,
+    stored: Vec<(u32, Partition, u64)>,
     alive: Vec<bool>,
 }
 
@@ -280,6 +287,93 @@ proptest! {
                     side.insert(tree);
                 }
                 side.sweep_and_check(&pool);
+            }
+        }
+    }
+}
+
+/// The handles a probe of `(layer, position)` visits, and the handles a
+/// scan of that bucket's dumped postings selects for the same keys — both
+/// ascending.
+fn probed_and_scanned(
+    index: &SubgraphIndex,
+    dump: &IndexDump,
+    (layer, position): (u32, u32),
+    keys: &TwigKeys,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut probed = Vec::new();
+    index.layer(layer).probe(position, keys, |h| probed.push(h));
+    let bucket = dump.layers[layer as usize].buckets.get(position as usize);
+    let postings = bucket.map_or(&[][..], |b| &b.postings);
+    let selected = postings.iter().filter(|p| keys.as_slice().contains(&p.0));
+    (sorted(probed), sorted(selected.map(|p| p.1).collect()))
+}
+
+/// Every node of every pool tree, against every layer of its window:
+/// probe ≡ bucket scan, and every signature is the fold of its postings.
+fn signature_hides_nothing(index: &SubgraphIndex, pool: &[Tree], tau: u32) -> u64 {
+    assert!(index.signatures_exact());
+    let dump = index.dump();
+    let mut surfaced = 0;
+    for tree in pool {
+        let binary = BinaryTree::from_tree(tree);
+        let size = tree.len() as u32;
+        let (lo, hi) = window_of(size, tau);
+        let mut layers = Vec::new();
+        resolve_layers(index, lo, hi, &mut layers);
+        for node in binary.node_ids() {
+            let label_of = |c: Option<_>| c.map_or(Label::EPSILON, |c| binary.label(c));
+            let (left, right) = (label_of(binary.left(node)), label_of(binary.right(node)));
+            let keys = TwigKeys::new(binary.label(node), left, right);
+            let position = index.probe_position(binary.general_post()[node.index()], size);
+            for &layer in &layers {
+                let (probed, scanned) = probed_and_scanned(index, &dump, (layer, position), &keys);
+                assert_eq!(probed, scanned, "layer {layer}, position {position}");
+                surfaced += probed.len() as u64;
+            }
+        }
+    }
+    surfaced
+}
+
+/// The signature across τ × window policy × alphabet size (3 labels: few
+/// bits set; 40: every bit, some shared; 200: every bit shared six ways),
+/// on the built index, after a sweep of a quarter of the trees, through
+/// `restore(dump())`, and after a sweep of everything else.
+#[test]
+fn signature_never_hides_a_posting() {
+    for window in WINDOWS {
+        for tau in 0u32..=3 {
+            for labels in [3u32, 40, 200] {
+                let seed = u64::from(tau) << 16 | u64::from(labels) << 2 | window as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let least = (2 * tau as usize + 1).max(3);
+                let pool: Vec<Tree> = (0..24)
+                    .map(|_| {
+                        let size = rng.gen_range(least..least + 12);
+                        random_tree(rng.gen(), size, labels, rng.gen_range(0.0..0.6))
+                    })
+                    .collect();
+                let scheme = PartSjConfig::default().partitioning;
+                let mut index = SubgraphIndex::new(tau, window);
+                // Three arrivals a tree: buckets deep enough for a sorted
+                // prefix, a binary-searched one and a tail.
+                for (id, tree) in (0u32..).zip(pool.iter().cycle().take(3 * pool.len())) {
+                    let binary = BinaryTree::from_tree(tree);
+                    let partition = partition_tree(&binary, binary.general_post(), tau, scheme, id);
+                    index.insert_tree(tree.len() as u32, partition.expect("≥ δ nodes"));
+                }
+                let built = signature_hides_nothing(&index, &pool, tau);
+                assert!(built > 0, "the pool probes its own index");
+
+                index.retain_trees(|tree| tree % 4 != 0);
+                let swept = signature_hides_nothing(&index, &pool, tau);
+                assert!(swept < built);
+                let restored = SubgraphIndex::restore(index.dump()).expect("own dump");
+                assert_eq!(signature_hides_nothing(&restored, &pool, tau), swept);
+
+                index.retain_trees(|_| false);
+                assert_eq!(signature_hides_nothing(&index, &pool, tau), 0);
             }
         }
     }

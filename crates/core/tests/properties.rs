@@ -74,7 +74,7 @@ proptest! {
         let survived = subgraphs.iter().any(|sg| {
             edited_bin
                 .node_ids()
-                .any(|node| subgraph_matches(sg, &edited_bin, node))
+                .any(|node| subgraph_matches(&sg, &edited_bin, node))
         });
         prop_assert!(
             survived,
@@ -186,7 +186,7 @@ proptest! {
 
         let total: usize = subgraphs.iter().map(|s| s.component_size()).sum();
         prop_assert_eq!(total, binary.len(), "components must partition the tree");
-        for sg in &subgraphs {
+        for sg in subgraphs.iter() {
             prop_assert!(
                 sg.component_size() >= gamma as usize,
                 "subgraph {} has {} nodes < gamma {}",
@@ -216,8 +216,8 @@ proptest! {
             &select_cuts(&binary, delta, gamma),
             0,
         );
-        for sg in &subgraphs {
-            prop_assert!(subgraph_matches(sg, &binary, sg.root));
+        for sg in subgraphs.iter() {
+            prop_assert!(subgraph_matches(&sg, &binary, sg.root));
         }
     }
 }

@@ -29,7 +29,7 @@
 use crate::index::{Gate, ShardConfig, ShardMap, ShardedIndex};
 use crate::join::build_subgraph_lists;
 use crate::pool::{execute, run_inline, JoinSide};
-use partsj::probe::{scan_small_trees, window_of, Candidates, ProbeCounters};
+use partsj::probe::{classes_within, scan_small_trees, window_of, Candidates, ProbeCounters};
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
     VerifyData, VerifyEngine, WindowPolicy,
@@ -172,8 +172,8 @@ impl Frozen {
         Frozen::build_in(left, tau, config, shard_cfg, 0..left.len() as TreeIdx).0
     }
 
-    /// The one static build: LC-RS forms and postorder numbers (returned
-    /// beside the side — the self-join probes with them), the δ rule over
+    /// The one static build: LC-RS forms (returned beside the side — the
+    /// self-join probes with them), the δ rule over
     /// every tree (fanned out over the configured probe workers), then —
     /// walking `order`, which fixes the insertion order within every
     /// shard and side list — the partitioned trees bulk-loaded into a
@@ -185,11 +185,10 @@ impl Frozen {
         config: &PartSjConfig,
         shard_cfg: &ShardConfig,
         order: impl IntoIterator<Item = TreeIdx>,
-    ) -> (Frozen, Vec<BinaryTree>, Vec<Vec<u32>>) {
+    ) -> (Frozen, Vec<BinaryTree>) {
         let threads = shard_cfg.resolved_probe_threads();
         let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
-        let posts: Vec<Vec<u32>> = left.iter().map(Tree::postorder_numbers).collect();
-        let mut lists = build_subgraph_lists(left, &binaries, &posts, tau, config, threads);
+        let mut lists = build_subgraph_lists(left, &binaries, tau, config, threads);
         let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
         let mut items = Vec::new();
         for i in order {
@@ -210,7 +209,7 @@ impl Frozen {
                 frozen.index.track(i, size);
             }
         }
-        (frozen, binaries, posts)
+        (frozen, binaries)
     }
 
     /// Reassembles a frozen side from snapshot parts: the header's
@@ -262,7 +261,7 @@ impl Frozen {
             self.left_data.len(),
             scratch.probe.prepare(tree),
             (lo, hi),
-            lo..=hi,
+            classes_within(self.small_by_size.keys().copied(), lo, hi),
             None,
             matching,
             |_| true,

@@ -27,8 +27,8 @@
 //!   `1/max_dead_fraction` times per eviction epoch.
 
 use partsj::probe::{probe_tree_nodes, CandidateSink, ProbeCounters};
-use partsj::subgraph::Subgraph;
-use partsj::{resolve_layers, LayerId, MatchCache, SubgraphIndex, WindowPolicy};
+use partsj::{resolve_layers, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy};
+use std::borrow::Borrow;
 use tsj_obs::{Counter, Gauge};
 use tsj_ted::TreeIdx;
 use tsj_tree::{BinaryTree, FxHashMap};
@@ -256,7 +256,7 @@ impl ShardMap {
 /// until insertion and track subgraph counts closely). This is the
 /// histogram [`ShardedIndex::build_static`] observes when
 /// [`ShardConfig::balanced_shards`] is on.
-fn balanced_map_for(items: &[(TreeIdx, u32, Vec<Subgraph>)], shards: usize) -> ShardMap {
+fn balanced_map_for(items: &[(TreeIdx, u32, Partition)], shards: usize) -> ShardMap {
     let mut hist: FxHashMap<u32, u64> = FxHashMap::default();
     for (_, size, subgraphs) in items {
         *hist.entry(*size).or_insert(0) += subgraphs.len() as u64;
@@ -290,7 +290,7 @@ impl Shard {
         self.index.registrations() - self.dead_postings
     }
 
-    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: Vec<Subgraph>) {
+    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: &Partition) {
         let before = self.index.registrations();
         self.index.insert_tree(size, subgraphs);
         self.regs_of
@@ -371,7 +371,7 @@ impl ShardedIndex {
         tau: u32,
         window: WindowPolicy,
         config: &ShardConfig,
-        items: Vec<(TreeIdx, u32, Vec<Subgraph>)>,
+        items: Vec<(TreeIdx, u32, Partition)>,
         parallel: bool,
     ) -> ShardedIndex {
         let mut index = ShardedIndex::new(tau, window, config);
@@ -487,12 +487,21 @@ impl ShardedIndex {
 
     /// The deduplicated shard ids covering size window `[lo, hi]`, in
     /// ascending shard order (deterministic). At most `min(hi − lo + 1,
-    /// shards)` entries.
+    /// shards)` entries — and the window is stepped through only until
+    /// every shard is in the set, which a saturated one (2³² classes
+    /// wide) reaches within a few classes per shard.
     pub fn shard_set(&self, lo: u32, hi: u32, out: &mut Vec<usize>) {
         out.clear();
-        out.extend((lo..=hi).map(|n| self.shard_of_size(n)));
+        for n in lo..=hi {
+            let shard = self.shard_of_size(n);
+            if !out.contains(&shard) {
+                out.push(shard);
+                if out.len() == self.shards.len() {
+                    break;
+                }
+            }
+        }
         out.sort_unstable();
-        out.dedup();
     }
 
     /// Registers `tree` (of `size` nodes) as tracked and alive *without*
@@ -515,11 +524,12 @@ impl ShardedIndex {
     }
 
     /// Inserts a partitioned tree: tracks it and registers its subgraphs
-    /// in the shard owning size class `size`.
-    pub fn insert_tree(&mut self, tree: TreeIdx, size: u32, subgraphs: Vec<Subgraph>) {
+    /// (an owned [`Partition`] or a borrowed one) in the shard owning
+    /// size class `size`.
+    pub fn insert_tree(&mut self, tree: TreeIdx, size: u32, subgraphs: impl Borrow<Partition>) {
         self.track(tree, size);
         let shard = self.shard_of_size(size);
-        self.shards[shard].insert(tree, size, subgraphs);
+        self.shards[shard].insert(tree, size, subgraphs.borrow());
         if self.obs.enabled {
             self.obs.live_postings.set(self.live_postings() as i64);
         }
@@ -530,9 +540,9 @@ impl ShardedIndex {
     /// concurrently over scoped threads (they own disjoint size classes,
     /// so no synchronization is needed); the resulting index is
     /// *identical* to sequential insertion either way.
-    pub fn insert_all(&mut self, items: Vec<(TreeIdx, u32, Vec<Subgraph>)>, parallel: bool) {
+    pub fn insert_all(&mut self, items: Vec<(TreeIdx, u32, Partition)>, parallel: bool) {
         let build_span = tsj_obs::span("shard.build", "shard");
-        let mut per_shard: Vec<Vec<(TreeIdx, u32, Vec<Subgraph>)>> =
+        let mut per_shard: Vec<Vec<(TreeIdx, u32, Partition)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (tree, size, subgraphs) in items {
             self.track(tree, size);
@@ -546,7 +556,7 @@ impl ShardedIndex {
                     }
                     scope.spawn(move |_| {
                         for (tree, size, subgraphs) in items {
-                            shard.insert(tree, size, subgraphs);
+                            shard.insert(tree, size, &subgraphs);
                         }
                     });
                 }
@@ -555,7 +565,7 @@ impl ShardedIndex {
         } else {
             for (shard, items) in self.shards.iter_mut().zip(per_shard) {
                 for (tree, size, subgraphs) in items {
-                    shard.insert(tree, size, subgraphs);
+                    shard.insert(tree, size, &subgraphs);
                 }
             }
         }
@@ -770,7 +780,7 @@ mod tests {
     use partsj::{partition_tree, window_of, Candidates, PartSjConfig};
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
-    fn subgraphs_for(tree: &Tree, tau: u32, id: TreeIdx) -> (u32, Vec<Subgraph>) {
+    fn subgraphs_for(tree: &Tree, tau: u32, id: TreeIdx) -> (u32, Partition) {
         let binary = BinaryTree::from_tree(tree);
         let scheme = PartSjConfig::default().partitioning;
         let sgs = partition_tree(&binary, &tree.postorder_numbers(), tau, scheme, id);

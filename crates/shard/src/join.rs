@@ -29,8 +29,8 @@ use crate::frozen::{probe_step, Frozen, FrozenJoinScratch};
 use crate::index::ShardConfig;
 use crate::pool::{execute, JoinSide};
 use partsj::join::PartSjDetail;
-use partsj::probe::{window_of, ProbeCounters};
-use partsj::subgraph::{partition_tree, Subgraph};
+use partsj::probe::{classes_within, window_of, ProbeCounters};
+use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use partsj::{MatchSemantics, PartSjConfig, ProbeVerify, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, TreeIdx};
@@ -41,7 +41,6 @@ use tsj_tree::{BinaryTree, Tree};
 /// filter.
 struct SelfJoin<'a> {
     binaries: &'a [BinaryTree],
-    general_posts: &'a [Vec<u32>],
     /// The collection as a frozen side, built in processing order.
     side: &'a Frozen,
     order: &'a [TreeIdx],
@@ -61,8 +60,8 @@ impl JoinSide for SelfJoin<'_> {
         scratch: &mut FrozenJoinScratch,
         counters: &mut ProbeCounters,
     ) -> u64 {
-        let i = self.order[pos] as usize;
-        let size_i = self.binaries[i].len() as u32;
+        let binary = &self.binaries[self.order[pos] as usize];
+        let size_i = binary.len() as u32;
         // Nothing larger precedes `T_i` in rank: the window stops at `|T_i|`.
         let (lo, _) = window_of(size_i, self.tau);
         // A container tree is admitted only if it precedes the probing
@@ -72,9 +71,9 @@ impl JoinSide for SelfJoin<'_> {
             self.side.index(),
             self.side.small_by_size(),
             self.order.len(),
-            (&self.binaries[i], &self.general_posts[i]),
+            (binary, binary.general_post()),
             (lo, size_i),
-            lo..=size_i,
+            classes_within(self.side.small_by_size().keys().copied(), lo, size_i),
             None,
             self.matching,
             |j| self.rank[j as usize] < my_rank,
@@ -132,8 +131,7 @@ pub fn sharded_join_detailed(
     // Build phase: the collection as a frozen side, walked in processing
     // order so shard-local insertion order (and the small side lists)
     // match the sequential join's.
-    let (frozen, binaries, general_posts) =
-        Frozen::build_in(trees, tau, config, shard_cfg, order.iter().copied());
+    let (frozen, binaries) = Frozen::build_in(trees, tau, config, shard_cfg, order.iter().copied());
     let index = frozen.index();
     let handles = (0..index.shard_count()).map(|s| index.shard_index(s).len() as u64);
     detail.subgraphs_built = handles.sum();
@@ -142,7 +140,6 @@ pub fn sharded_join_detailed(
 
     let side = SelfJoin {
         binaries: &binaries,
-        general_posts: &general_posts,
         side: &frozen,
         order: &order,
         rank: &rank,
@@ -161,33 +158,36 @@ pub fn sharded_join_detailed(
     (JoinOutcome::new(pairs, tally.stats), detail)
 }
 
-/// Applies the δ rule ([`partition_tree`]) to every tree — its subgraph
-/// list, or `None` for side-listed small trees — fanning the per-tree
-/// work out over `threads` scoped workers; the `binaries`/`general_posts`
-/// slices must be index-aligned with `trees`.
+/// Applies the δ rule ([`partition_tree_with`]) to every tree — its
+/// partition (an exact-size copy out of the worker's scratch), or `None`
+/// for side-listed small trees — fanning the per-tree work out over
+/// `threads` scoped workers; `binaries` must be index-aligned with
+/// `trees`.
 pub fn build_subgraph_lists(
     trees: &[Tree],
     binaries: &[BinaryTree],
-    general_posts: &[Vec<u32>],
     tau: u32,
     config: &PartSjConfig,
     threads: usize,
-) -> Vec<Option<Vec<Subgraph>>> {
-    let build_one = |i: usize| {
-        let (binary, posts) = (&binaries[i], &general_posts[i]);
-        partition_tree(binary, posts, tau, config.partitioning, i as TreeIdx)
+) -> Vec<Option<Partition>> {
+    let build_one = |i: usize, scratch: &mut PartitionScratch| {
+        let (binary, scheme) = (&binaries[i], config.partitioning);
+        let posts = binary.general_post();
+        partition_tree_with(binary, posts, tau, scheme, i as TreeIdx, scratch).cloned()
     };
     if threads <= 1 || trees.len() < 2 * threads {
-        return (0..trees.len()).map(build_one).collect();
+        let scratch = &mut PartitionScratch::new();
+        return (0..trees.len()).map(|i| build_one(i, scratch)).collect();
     }
-    let mut lists: Vec<Option<Vec<Subgraph>>> = vec![None; trees.len()];
+    let mut lists: Vec<Option<Partition>> = vec![None; trees.len()];
     let chunk = trees.len().div_ceil(threads);
     crossbeam::scope(|scope| {
         for (c, slot) in lists.chunks_mut(chunk).enumerate() {
             let base = c * chunk;
             scope.spawn(move |_| {
+                let scratch = &mut PartitionScratch::new();
                 for (off, out) in slot.iter_mut().enumerate() {
-                    *out = build_one(base + off);
+                    *out = build_one(base + off, scratch);
                 }
             });
         }

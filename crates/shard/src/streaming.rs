@@ -60,8 +60,8 @@
 
 use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::{window_of, ProbeCounters};
-use partsj::subgraph::partition_tree;
+use partsj::probe::{classes_within, window_of, ProbeCounters};
+use partsj::subgraph::{partition_tree_with, PartitionScratch};
 use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
 use tsj_ted::TreeIdx;
@@ -120,6 +120,7 @@ pub struct ShardedStreamingJoin {
     /// Per-insert probe scratch, held across inserts so the steady-state
     /// probe path allocates nothing proportional to the stream.
     scratch: FrozenJoinScratch,
+    partition_scratch: PartitionScratch,
     verify_prep: VerifyPrep,
     arrivals: VecDeque<(TreeIdx, u64)>,
     /// Next auto-assigned timestamp for [`Self::insert`].
@@ -151,6 +152,7 @@ impl ShardedStreamingJoin {
             small_by_size: FxHashMap::default(),
             data: Vec::new(),
             scratch: FrozenJoinScratch::new(),
+            partition_scratch: PartitionScratch::new(),
             verify_prep: VerifyPrep::default(),
             arrivals: VecDeque::new(),
             clock: 0,
@@ -247,7 +249,7 @@ impl ShardedStreamingJoin {
             id as usize,
             (binary, posts),
             (lo, hi),
-            lo..=hi,
+            classes_within(self.small_by_size.keys().copied(), lo, hi),
             None,
             self.config.matching,
             |_| true,
@@ -278,7 +280,8 @@ impl ShardedStreamingJoin {
         self.pairs_found += partners.len() as u64;
 
         // Publish the newcomer.
-        match partition_tree(binary, posts, self.tau, self.config.partitioning, id) {
+        let (scheme, scratch) = (self.config.partitioning, &mut self.partition_scratch);
+        match partition_tree_with(binary, posts, self.tau, scheme, id, scratch) {
             Some(subgraphs) => self.index.insert_tree(id, size, subgraphs),
             None => {
                 self.index.track(id, size);

@@ -11,17 +11,19 @@
 //!   reclaims tombstoned postings — under the default trigger and when
 //!   every removal sweeps — and leaks nothing over many window turns;
 //! * a refused timestamp changes nothing;
+//! * a threshold near `u32::MAX` saturates the size window instead of
+//!   wrapping it: every join still equals brute force;
 //! * a built index reclaims on removal, a restored one only hides the
 //!   tree, and parallel bulk ingest reaches the sequential state.
 
 use partsj::{
     partsj_join, partsj_join_rs, window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig,
-    ProbeCounters, SubgraphIndex, WindowPolicy,
+    ProbeCounters, SubgraphIndex, VerifyEngine, WindowPolicy,
 };
 use tsj_datagen::synthetic_sized;
 use tsj_shard::{
-    build_subgraph_lists, sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedIndex,
-    ShardedStreamingJoin, StaleTimestamp,
+    build_subgraph_lists, sharded_join, sharded_rs_join, EvictionPolicy, Frozen, ShardConfig,
+    ShardedIndex, ShardedStreamingJoin, StaleTimestamp,
 };
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::{apply_edit, BinaryTree, EditOp, Label, Tree};
@@ -490,6 +492,9 @@ fn window_turns_leave_nothing_behind() {
         let (index, want) = (turned.index(), live_only.index());
         assert_eq!(index.shard_posting_loads(), want.shard_posting_loads());
         let (dead, live) = (index.dead_postings(), index.live_postings());
+        // Six turns of fresh labels: a signature that only ever gained
+        // bits would by now admit every probe.
+        assert!((0..index.shard_count()).all(|s| index.shard_index(s).signatures_exact()));
         if (fraction, floor) == SWEEP_ALWAYS {
             assert_eq!(dead, 0);
             for s in 0..index.shard_count() {
@@ -508,6 +513,48 @@ fn window_turns_leave_nothing_behind() {
             let handles: usize = (0..4).map(|s| index.shard_index(s).len()).sum();
             let needed: usize = (0..4).map(|s| want.shard_index(s).len()).sum();
             assert!(handles <= 2 * needed, "{handles} handles for {needed}");
+        }
+    }
+}
+
+/// `window_of` used to add `size + tau` in `u32`: a debug build panicked,
+/// a release build wrapped the window shut (a 5-node probe found nothing
+/// from `u32::MAX − 4` up). The saturated window spans every size class
+/// and is walked by populated class, not stepped through.
+#[test]
+fn thresholds_near_u32_max_keep_the_whole_window() {
+    let left = synthetic_sized(7, 6, 5);
+    let right = synthetic_sized(5, 5, 6);
+    assert!(left.iter().any(|t| t.len() == 6) && right.iter().any(|t| t.len() == 5));
+    let config = PartSjConfig::default();
+    for tau in [u32::MAX - 5, u32::MAX - 4, u32::MAX] {
+        let within = |a: &Tree, b: &Tree| ted(a, b) <= tau;
+        let mut expected = Vec::new();
+        for (i, a) in (0..).zip(&left) {
+            expected.extend(
+                (0..)
+                    .zip(&right)
+                    .filter(|(_, b)| within(a, b))
+                    .map(|(j, _)| (i, j)),
+            );
+        }
+        assert_eq!(expected.len(), left.len() * right.len(), "tau = {tau}");
+        assert_eq!(partsj_join_rs(&left, &right, tau, &config).pairs, expected);
+
+        let frozen = Frozen::build(&left, tau, &config, &ShardConfig::with_shards(3));
+        let mut pairs = Vec::new();
+        let (engine, scratch) = (
+            &mut VerifyEngine::new(tau, &config),
+            &mut Default::default(),
+        );
+        frozen.join_seq(&right, tau, &config, engine, scratch, &mut pairs);
+        assert_eq!(pairs, expected, "tau = {tau}");
+
+        let shards = ShardConfig::with_shards(3);
+        let mut stream = ShardedStreamingJoin::new(tau, config, shards, EvictionPolicy::Retain);
+        for (id, tree) in (0..).zip(left.iter().chain(&right)) {
+            let earlier: Vec<TreeIdx> = (0..id).collect();
+            assert_eq!(stream.insert(tree), earlier, "tau = {tau}, arrival {id}");
         }
     }
 }
@@ -550,8 +597,7 @@ fn built_sides_reclaim_and_restored_sides_hide() {
     let (tau, config) = (2u32, PartSjConfig::default());
     let shard_cfg = sweeping(0.1, 1);
     let binaries: Vec<BinaryTree> = trees.iter().map(BinaryTree::from_tree).collect();
-    let posts: Vec<Vec<u32>> = trees.iter().map(Tree::postorder_numbers).collect();
-    let lists = build_subgraph_lists(&trees, &binaries, &posts, tau, &config, 1);
+    let lists = build_subgraph_lists(&trees, &binaries, tau, &config, 1);
     let size_of = |i: usize| trees[i].len() as u32;
     let items: Vec<_> = (lists.into_iter().enumerate())
         .filter_map(|(i, list)| Some((i as TreeIdx, size_of(i), list?)))

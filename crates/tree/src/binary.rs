@@ -6,9 +6,10 @@
 //! `right` pointer to its next sibling. Node labels are unchanged, so
 //! [`NodeId`]s are shared between a [`Tree`] and its [`BinaryTree`].
 //!
-//! The binary tree caches its postorder numbering and subtree sizes because
-//! the partitioning scheme (§3.3) and the postorder-pruning index layer
-//! (§3.4) consult them constantly.
+//! The binary tree caches its postorder and preorder numberings, its
+//! subtree sizes and the *general-tree* postorder numbering (which is the
+//! binary inorder) because the partitioning scheme (§3.3) and the
+//! postorder-pruning index layer (§3.4) consult them constantly.
 
 use crate::label::Label;
 use crate::tree::{NodeId, Tree, TreeBuilder};
@@ -49,8 +50,17 @@ pub struct BinaryTree {
     postorder: Vec<NodeId>,
     /// 1-based postorder number per node id.
     post_of: Vec<u32>,
+    /// Nodes in binary preorder (node, left subtree, right subtree): a
+    /// binary subtree is the contiguous run of `subtree_size` nodes that
+    /// starts at its root.
+    preorder: Vec<NodeId>,
+    /// 1-based preorder number per node id.
+    pre_of: Vec<u32>,
     /// Binary-subtree size (node + left subtree + right subtree) per id.
     subtree_size: Vec<u32>,
+    /// 1-based binary *inorder* number per node id — the postorder number
+    /// of the node in the general tree this is the LC-RS image of.
+    general_post: Vec<u32>,
     /// Persistent traversal stack for cache rebuilds; empty between
     /// calls but keeps its capacity, so [`BinaryTree::rebuild_from`] is
     /// allocation-free in steady state.
@@ -70,7 +80,10 @@ impl BinaryTree {
             root: tree.root(),
             postorder: Vec::new(),
             post_of: Vec::new(),
+            preorder: Vec::new(),
+            pre_of: Vec::new(),
             subtree_size: Vec::new(),
+            general_post: Vec::new(),
             walk: Vec::new(),
         };
         binary.rebuild_from(tree);
@@ -147,7 +160,10 @@ impl BinaryTree {
             root,
             postorder: Vec::new(),
             post_of: Vec::new(),
+            preorder: Vec::new(),
+            pre_of: Vec::new(),
             subtree_size: Vec::new(),
+            general_post: Vec::new(),
             walk: Vec::new(),
         };
         binary.rebuild_caches();
@@ -165,8 +181,15 @@ impl BinaryTree {
         self.postorder.reserve(n);
         self.post_of.clear();
         self.post_of.resize(n, 0);
+        self.preorder.clear();
+        self.preorder.reserve(n);
+        self.pre_of.clear();
+        self.pre_of.resize(n, 0);
         self.subtree_size.clear();
         self.subtree_size.resize(n, 1);
+        self.general_post.clear();
+        self.general_post.resize(n, 0);
+        let mut inorder = 0u32;
         // Iterative postorder: 0 = descend left, 1 = descend right, 2 = emit.
         // Taking the persistent stack sidesteps the borrow of `self`
         // inside the loop; it is handed back (empty, capacity kept) after.
@@ -176,12 +199,19 @@ impl BinaryTree {
         while let Some((node, stage)) = stack.pop() {
             match stage {
                 0 => {
+                    self.preorder.push(node);
+                    self.pre_of[node.index()] = self.preorder.len() as u32;
                     stack.push((node, 1));
                     if let Some(l) = self.left[node.index()] {
                         stack.push((l, 0));
                     }
                 }
                 1 => {
+                    // Between the two descents is the inorder visit: a
+                    // node's general-tree descendants are its left
+                    // subtree, everything after it hangs off its right.
+                    inorder += 1;
+                    self.general_post[node.index()] = inorder;
                     stack.push((node, 2));
                     if let Some(r) = self.right[node.index()] {
                         stack.push((r, 0));
@@ -282,6 +312,29 @@ impl BinaryTree {
     #[inline]
     pub fn node_at_postorder(&self, k: u32) -> NodeId {
         self.postorder[k as usize - 1]
+    }
+
+    /// Nodes in binary preorder (node, left, right). The binary subtree
+    /// of `node` is `preorder()[pre_of(node) − 1..][..subtree_size(node)]`.
+    #[inline]
+    pub fn preorder(&self) -> &[NodeId] {
+        &self.preorder
+    }
+
+    /// 1-based preorder number of `node` in the binary traversal.
+    #[inline]
+    pub fn pre_of(&self, node: NodeId) -> u32 {
+        self.pre_of[node.index()]
+    }
+
+    /// 1-based *general-tree* postorder numbers, indexed by node id:
+    /// general postorder is LC-RS inorder (left subtree = descendants,
+    /// node, right subtree = later siblings), numbered by the same walk
+    /// that fills the other caches. Equal to
+    /// [`Tree::postorder_numbers`] of the source tree.
+    #[inline]
+    pub fn general_post(&self) -> &[u32] {
+        &self.general_post
     }
 
     /// Size of the binary subtree rooted at `node` (node + both subtrees).
@@ -413,6 +466,25 @@ mod tests {
     }
 
     #[test]
+    fn a_subtree_is_a_run_of_the_preorder() {
+        let (tree, _) = figure4_tree();
+        let bin = BinaryTree::from_tree(&tree);
+        assert_eq!(bin.preorder()[0], bin.root());
+        for node in bin.node_ids() {
+            let start = bin.pre_of(node) as usize - 1;
+            assert_eq!(bin.preorder()[start], node);
+            // The run opens with the node, then its left subtree, then
+            // its right one — each again a run of its own size.
+            let mut at = start + 1;
+            for child in [bin.left(node), bin.right(node)].into_iter().flatten() {
+                assert_eq!(bin.pre_of(child) as usize - 1, at);
+                at += bin.subtree_size(child) as usize;
+            }
+            assert_eq!(at - start, bin.subtree_size(node) as usize);
+        }
+    }
+
+    #[test]
     fn rebuild_from_matches_fresh_build_across_mismatched_trees() {
         // One reused BinaryTree cycled over trees of different shapes and
         // sizes must reproduce from_tree exactly, including all caches.
@@ -435,6 +507,8 @@ mod tests {
                 assert_eq!(reused.right(node), fresh.right(node));
                 assert_eq!(reused.parent(node), fresh.parent(node));
                 assert_eq!(reused.post_of(node), fresh.post_of(node));
+                assert_eq!(reused.pre_of(node), fresh.pre_of(node));
+                assert_eq!(reused.general_post(), tree.postorder_numbers());
                 assert_eq!(reused.subtree_size(node), fresh.subtree_size(node));
             }
         }

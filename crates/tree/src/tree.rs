@@ -151,24 +151,13 @@ impl Tree {
     ///
     /// `postorder_numbers()[n.index()]` is the position (starting at 1) of
     /// node `n` in [`Tree::postorder`]. These are the "numbers in
-    /// parentheses" of the paper's Figure 7.
+    /// parentheses" of the paper's Figure 7 — and the reference for the
+    /// numbers a [`crate::BinaryTree`] caches as it is built
+    /// ([`crate::BinaryTree::general_post`]), which is what the join
+    /// layers read.
     pub fn postorder_numbers(&self) -> Vec<u32> {
-        let mut numbers = Vec::new();
-        self.postorder_numbers_into(&mut numbers, &mut Vec::new());
-        numbers
-    }
-
-    /// [`Tree::postorder_numbers`] into caller-provided buffers.
-    ///
-    /// `numbers` receives the 1-based postorder number per node id;
-    /// `stack` is walk scratch that drains back to empty. Both are
-    /// grow-only, so repeated calls across a probe stream are
-    /// allocation-free once they fit the largest tree seen.
-    pub fn postorder_numbers_into(&self, numbers: &mut Vec<u32>, stack: &mut Vec<(NodeId, usize)>) {
-        numbers.clear();
-        numbers.resize(self.len(), 0);
-        stack.clear();
-        stack.push((self.root(), 0));
+        let mut numbers = vec![0; self.len()];
+        let mut stack = vec![(self.root(), 0)];
         let mut next_post = 0u32;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             let children = self.children(node);
@@ -182,6 +171,7 @@ impl Tree {
                 stack.pop();
             }
         }
+        numbers
     }
 
     /// Labels in preorder, the traversal string of Guha et al. (§2).

@@ -88,6 +88,45 @@ proptest! {
         prop_assert_eq!(binary.post_of(binary.root()) as usize, tree.len());
     }
 
+    /// General-tree postorder is LC-RS inorder: the numbers
+    /// `BinaryTree` caches equal `Tree::postorder_numbers` — on builder
+    /// trees (children attached to random earlier parents, so ids are
+    /// not in preorder), on edited trees, and on `from_links` trees
+    /// handed the same links.
+    #[test]
+    fn general_post_is_the_trees_postorder(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tree, _) = random_tree(seed ^ 0x77, 50);
+        let node = NodeId::from_index(rng.gen_range(0..tree.len()));
+        let wrap = EditOp::Insert {
+            parent: node,
+            start: 0,
+            count: tree.children(node).len(),
+            label: Label::from_raw(2),
+        };
+        let mut trees = vec![apply_edit(&tree, &wrap).unwrap()];
+        if node != tree.root() {
+            trees.push(apply_edit(&tree, &EditOp::Delete { node }).unwrap());
+        }
+        trees.push(tree);
+        let mut reused = BinaryTree::from_tree(&trees[0]);
+        for tree in &trees {
+            let want = tree.postorder_numbers();
+            let binary = BinaryTree::from_tree(tree);
+            prop_assert_eq!(binary.general_post(), &want[..]);
+            reused.rebuild_from(tree);
+            prop_assert_eq!(reused.general_post(), &want[..]);
+            let ids = || binary.node_ids();
+            let linked = BinaryTree::from_links(
+                ids().map(|n| binary.label(n)).collect(),
+                ids().map(|n| binary.left(n)).collect(),
+                ids().map(|n| binary.right(n)).collect(),
+                binary.root(),
+            );
+            prop_assert_eq!(linked.general_post(), &want[..]);
+        }
+    }
+
     /// Subtree sizes and depths are mutually consistent.
     #[test]
     fn size_and_depth_consistency(seed in any::<u64>()) {

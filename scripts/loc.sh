@@ -7,7 +7,10 @@
 # many places in the join stack still sequence the sharded probe step or
 # hold a frozen side's parts (ROADMAP 3: each should be written once) —
 # and, expected 0, how many still copy a stored tree's subgraphs or
-# mention a replay log in tsj-shard (deletion is the index's own sweep).
+# mention a replay log in tsj-shard (deletion is the index's own sweep),
+# and how many places in partsj box a component's nodes on their own (a
+# shape lives once, in the index's arena; a tree's components travel in
+# one flat `Partition`).
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -60,6 +63,7 @@ path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/
 path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' "${stack_src[@]}"
 path_row 'side_list( call sites' 'side_list\(' "${stack_src[@]}"
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
+path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"
