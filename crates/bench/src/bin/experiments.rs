@@ -77,12 +77,12 @@ impl Options {
     }
 }
 
-fn parse_args() -> (String, Options) {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().unwrap_or_else(|| {
-        eprintln!("usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--shards N] [--catalog PATH] [--tau N] [--balanced-shards]");
-        std::process::exit(2);
-    });
+const USAGE: &str = "usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--shards N] [--catalog PATH] [--tau N] [--balanced-shards]";
+
+/// Parses `<command> [options]`; an error is the line to print above
+/// [`USAGE`].
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
+    let command = args.next().ok_or("missing command")?;
     let mut options = Options {
         scale: 1.0,
         seed: 2015,
@@ -94,26 +94,28 @@ fn parse_args() -> (String, Options) {
     };
     while let Some(flag) = args.next() {
         let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
+            args.next()
+                .ok_or_else(|| format!("missing value for {flag}"))
         };
         match flag.as_str() {
-            "--scale" => options.scale = value().parse().expect("numeric --scale"),
-            "--seed" => options.seed = value().parse().expect("integer --seed"),
-            "--param" => options.param = Some(value()),
-            "--shards" => options.shards = value().parse().expect("integer --shards"),
-            "--catalog" => options.catalog = Some(value()),
-            "--tau" => options.tau = value().parse().expect("integer --tau"),
+            "--scale" => options.scale = number(&flag, value()?)?,
+            "--seed" => options.seed = number(&flag, value()?)?,
+            "--param" => options.param = Some(value()?),
+            "--shards" => options.shards = number(&flag, value()?)?,
+            "--catalog" => options.catalog = Some(value()?),
+            "--tau" => options.tau = number(&flag, value()?)?,
             "--balanced-shards" => options.balanced_shards = true,
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown option {other}")),
         }
     }
-    (command, options)
+    Ok((command, options))
+}
+
+/// `value` parsed as the number `flag` takes.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid value for {flag}: {value}"))
 }
 
 fn scaled(n: usize, scale: f64) -> usize {
@@ -121,7 +123,10 @@ fn scaled(n: usize, scale: f64) -> usize {
 }
 
 fn main() {
-    let (command, options) = parse_args();
+    let (command, options) = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2);
+    });
     match command.as_str() {
         "table1" => table1(&options),
         "fig10" => fig10_11(&options, true),
@@ -818,3 +823,43 @@ fn ablation_matching(options: &Options) {
 // signatures above under some feature selections.
 #[allow(dead_code)]
 fn _assert_types(_: &[Tree]) {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(String, Options), String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn numeric_flags_parse_or_name_the_bad_value() {
+        let (command, options) =
+            parse("table1 --scale 0.5 --seed 7 --shards 2 --tau 4 --balanced-shards").unwrap();
+        assert_eq!(command, "table1");
+        assert_eq!(
+            (options.scale, options.seed, options.shards, options.tau),
+            (0.5, 7, 2, 4)
+        );
+        assert!(options.balanced_shards);
+        for flag in ["--scale", "--seed", "--shards", "--tau"] {
+            assert_eq!(
+                parse(&format!("table1 {flag} abc")).unwrap_err(),
+                format!("invalid value for {flag}: abc")
+            );
+        }
+        assert_eq!(
+            parse("table1 --tau -1").unwrap_err(),
+            "invalid value for --tau: -1"
+        );
+        assert_eq!(
+            parse("table1 --tau").unwrap_err(),
+            "missing value for --tau"
+        );
+        assert_eq!(
+            parse("table1 --bogus").unwrap_err(),
+            "unknown option --bogus"
+        );
+        assert_eq!(parse("").unwrap_err(), "missing command");
+    }
+}

@@ -226,7 +226,7 @@ impl VerifyData {
 fn shape_hash(prepared: &PreparedTree) -> u64 {
     let mut hasher = FxHasher::default();
     for &lld in prepared.left().llds() {
-        hasher.write_usize(lld);
+        hasher.write_u32(lld);
     }
     hasher.finish()
 }

@@ -26,7 +26,10 @@
 //! decisions are already made ([`crate::ShardConfig::balanced_shards`]
 //! is a batch/freeze-time knob and is ignored here).
 //!
-//! Per-tree bookkeeping (`4 B` stamp + liveness bit + size) still grows
+//! A tree's verification inputs are freed at eviction and their slot
+//! once every older arrival is gone too, so under a sliding policy they
+//! take a window's worth of memory. The rest of the per-tree bookkeeping
+//! (`4 B` stamp + liveness bit + size) still grows
 //! with the total stream length — ids are never recycled, keeping
 //! reported partner indices stable. At one insert per millisecond that
 //! is ~midnight-of-49-days before `u32` ids wrap; recycle ids upstream
@@ -114,9 +117,13 @@ pub struct ShardedStreamingJoin {
     eviction: EvictionPolicy,
     index: ShardedIndex,
     small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
-    /// Verification inputs; `None` once evicted (frees the bulk of the
-    /// per-tree memory).
-    data: Vec<Option<VerifyData>>,
+    /// Verification inputs of arrivals `first..`, `None` once evicted.
+    /// Leading `None`s are dropped as the window slides, so a sliding
+    /// window holds about a window of these slots, not one per arrival
+    /// ever.
+    data: VecDeque<Option<VerifyData>>,
+    /// Arrival ordinal of `data[0]`.
+    first: usize,
     /// Per-insert probe scratch, held across inserts so the steady-state
     /// probe path allocates nothing proportional to the stream.
     scratch: FrozenJoinScratch,
@@ -150,7 +157,8 @@ impl ShardedStreamingJoin {
             eviction,
             index: ShardedIndex::new(tau, config.window, &shard_cfg),
             small_by_size: FxHashMap::default(),
-            data: Vec::new(),
+            data: VecDeque::new(),
+            first: 0,
             scratch: FrozenJoinScratch::new(),
             partition_scratch: PartitionScratch::new(),
             verify_prep: VerifyPrep::default(),
@@ -168,12 +176,12 @@ impl ShardedStreamingJoin {
 
     /// Trees ever inserted (evicted ones included).
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.first + self.data.len()
     }
 
     /// Whether nothing was ever inserted.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Trees currently live in the window.
@@ -235,7 +243,7 @@ impl ShardedStreamingJoin {
         self.clock = ts.saturating_add(1);
         self.evict_for(ts);
 
-        let id = self.data.len() as TreeIdx;
+        let id = self.len() as TreeIdx;
         let size = tree.len() as u32;
         let (lo, hi) = window_of(size, self.tau);
 
@@ -262,14 +270,14 @@ impl ShardedStreamingJoin {
         // temporaries come from the reusable prep.
         let data = VerifyData::for_config_with(tree, &self.config.verify, &mut self.verify_prep);
         let verify = &mut self.verify;
-        let known = &self.data;
+        let (known, first) = (&self.data, self.first);
         let mut partners: Vec<TreeIdx> = self
             .scratch
             .step
             .found()
             .iter()
             .filter(|&&j| {
-                let other = known[j as usize]
+                let other = known[j as usize - first]
                     .as_ref()
                     .expect("live candidate has verification data");
                 verify.check(other, &data).is_some()
@@ -288,7 +296,7 @@ impl ShardedStreamingJoin {
                 self.small_by_size.entry(size).or_default().push(id);
             }
         }
-        self.data.push(Some(data));
+        self.data.push_back(Some(data));
         self.arrivals.push_back((id, ts));
         partners
     }
@@ -335,11 +343,16 @@ impl ShardedStreamingJoin {
     }
 
     /// Drops one live tree: liveness bit, tombstones (with the sweep),
-    /// prepared handle, and its small side-list slot if any.
+    /// prepared handle (and the leading empty slots), and its small
+    /// side-list slot if any.
     fn expire(&mut self, id: TreeIdx) {
         let size = self.index.size_of(id).expect("live tree has a size");
         self.index.remove_tree(id);
-        self.data[id as usize] = None;
+        self.data[id as usize - self.first] = None;
+        while let Some(None) = self.data.front() {
+            self.data.pop_front();
+            self.first += 1;
+        }
         // Only sizes below δ ever have a side list.
         if let Some(list) = self.small_by_size.get_mut(&size) {
             list.retain(|&j| j != id);
@@ -348,5 +361,50 @@ impl ShardedStreamingJoin {
         if let Some(counter) = &self.obs_evictions {
             counter.inc();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsj_tree::{parse_bracket, LabelInterner};
+
+    /// Verification slots span the window, not the stream: an explicit
+    /// removal inside the window holds its slot only until every older
+    /// arrival has gone, and `len` still counts every arrival.
+    #[test]
+    fn verification_slots_follow_the_window() {
+        let mut labels = LabelInterner::new();
+        let trees: Vec<Tree> = ["{a{b}{c}}", "{a{b}{c}{d}}", "{x{y}}", "{a{b{c}{d}}}"]
+            .iter()
+            .map(|s| parse_bracket(s, &mut labels).unwrap())
+            .collect();
+        let window = 3;
+        let mut join = ShardedStreamingJoin::new(
+            1,
+            PartSjConfig::default(),
+            ShardConfig::with_shards(2),
+            EvictionPolicy::SlidingCount(window),
+        );
+        for i in 0..200 {
+            join.insert(&trees[i % trees.len()]);
+            if i % 7 == 0 {
+                assert!(join.remove(i as TreeIdx));
+            }
+            assert_eq!(join.len(), i + 1);
+            assert!(join.data.len() <= window + 1, "{} slots", join.data.len());
+            assert!(!matches!(join.data.front(), Some(None)));
+        }
+
+        let mut all = ShardedStreamingJoin::new(
+            1,
+            PartSjConfig::default(),
+            ShardConfig::with_shards(2),
+            EvictionPolicy::Retain,
+        );
+        for tree in &trees {
+            all.insert(tree);
+        }
+        assert_eq!((all.first, all.data.len()), (0, trees.len()));
     }
 }

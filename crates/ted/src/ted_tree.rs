@@ -47,10 +47,11 @@ pub struct TedTree {
     n: usize,
     /// `labels[i]`: label of the node with postorder number `i`.
     labels: Vec<Label>,
-    /// `lld[i]`: postorder number of the leftmost leaf descendant of `i`.
-    lld: Vec<usize>,
-    /// Keyroots in ascending postorder.
-    keyroots: Vec<usize>,
+    /// `lld[i]`: postorder number of the leftmost leaf descendant of `i`;
+    /// `u32` like every node count of a [`Tree`], 4 bytes a node.
+    lld: Vec<u32>,
+    /// Keyroots (postorder numbers) in ascending order, `u32` likewise.
+    keyroots: Vec<u32>,
     /// Σ over keyroots of their relevant-forest span; the number of
     /// forest-distance cells this decomposition touches scales with this,
     /// so it drives the hybrid's left-vs-right choice.
@@ -146,7 +147,7 @@ impl TedTree {
                     // already numbered because postorder visits children
                     // first.
                     Some(&c) => self.lld[scratch.post_of[c.index()]],
-                    None => post,
+                    None => post as u32,
                 };
                 scratch.stack.pop();
             }
@@ -177,16 +178,16 @@ impl TedTree {
         depth.resize(n + 1, 0);
         for i in (1..=n).rev() {
             let mut child = i - 1;
-            while child >= left.lld[i] {
+            while child >= left.lld(i) {
                 depth[child] = depth[i] + 1;
-                child = left.lld[child] - 1;
+                child = left.lld(child) - 1;
             }
         }
         let mut leaf = 0;
         for i in 1..=n {
-            let post = n + 1 - left.lld[i] - depth[i];
-            if left.lld[i] == i {
-                leaf = post;
+            let post = n + 1 - left.lld(i) - depth[i];
+            if left.lld(i) == i {
+                leaf = post as u32;
             }
             self.labels[post] = left.labels[i];
             self.lld[post] = leaf;
@@ -201,9 +202,10 @@ impl TedTree {
         seen.resize(self.n + 1, false);
         self.keyroots.clear();
         for i in (1..=self.n).rev() {
-            if !seen[self.lld[i]] {
-                seen[self.lld[i]] = true;
-                self.keyroots.push(i);
+            let lld = self.lld(i);
+            if !seen[lld] {
+                seen[lld] = true;
+                self.keyroots.push(i as u32);
             }
         }
         self.keyroots.reverse();
@@ -211,7 +213,7 @@ impl TedTree {
         self.decomposition_cost = self
             .keyroots
             .iter()
-            .map(|&k| (k - self.lld[k] + 1) as u64)
+            .map(|&k| (k - self.lld[k as usize] + 1) as u64)
             .sum();
     }
 
@@ -236,7 +238,7 @@ impl TedTree {
     /// Leftmost-leaf descendant (postorder number) of node `i` (1-based).
     #[inline]
     pub fn lld(&self, i: usize) -> usize {
-        self.lld[i]
+        self.lld[i] as usize
     }
 
     /// Every node's label, in postorder.
@@ -248,13 +250,13 @@ impl TedTree {
     /// Every node's leftmost-leaf descendant, in postorder. Two trees have
     /// the same shape exactly when these arrays are equal.
     #[inline]
-    pub fn llds(&self) -> &[usize] {
+    pub fn llds(&self) -> &[u32] {
         &self.lld[1..]
     }
 
     /// Keyroots in ascending postorder; the last one is the root.
     #[inline]
-    pub fn keyroots(&self) -> &[usize] {
+    pub fn keyroots(&self) -> &[u32] {
         &self.keyroots
     }
 
@@ -272,8 +274,8 @@ impl TedTree {
     /// span is its subtree size either way round.
     pub fn mirror_cost(&self) -> u64 {
         (1..=self.n)
-            .filter(|&i| i == self.n || self.lld[i + 1] == i + 1)
-            .map(|i| (i - self.lld[i] + 1) as u64)
+            .filter(|&i| i == self.n || self.lld(i + 1) == i + 1)
+            .map(|i| (i - self.lld(i) + 1) as u64)
             .sum()
     }
 }
@@ -363,6 +365,7 @@ mod tests {
             let tree = t(src);
             reused.rebuild(&tree, false, &mut scratch);
             reused_mirror.rebuild(&tree, true, &mut scratch);
+            assert_eq!(std::mem::size_of_val(reused.llds()), 4 * tree.len());
             let fresh = TedTree::new(&tree);
             let fresh_mirror = TedTree::mirrored(&tree);
             for (got, want) in [(&reused, &fresh), (&reused_mirror, &fresh_mirror)] {

@@ -69,8 +69,8 @@ pub fn tree_distance(a: &TedTree, b: &TedTree, costs: &CostModel, ws: &mut TedWo
     let td_stride = n2 + 1;
     ws.fit((n1 + 1) * td_stride);
 
-    for &k1 in a.keyroots() {
-        for &k2 in b.keyroots() {
+    for k1 in a.keyroots().iter().map(|&k| k as usize) {
+        for k2 in b.keyroots().iter().map(|&k| k as usize) {
             forest_distance(a, b, k1, k2, costs, &mut ws.fd, &mut ws.td, td_stride);
         }
     }
@@ -201,9 +201,9 @@ pub fn tree_distance_bounded(
 
     let at = Band { band, cap };
     ws.fit((n1 + 1) * at.fd_width());
-    for &k1 in a.keyroots() {
+    for k1 in a.keyroots().iter().map(|&k| k as usize) {
         let l1 = a.lld(k1);
-        for &k2 in b.keyroots() {
+        for k2 in b.keyroots().iter().map(|&k| k as usize) {
             if l1.abs_diff(b.lld(k2)) <= 2 * band {
                 bounded_forest_distance(a, b, k1, k2, costs, at, &mut ws.fd, &mut ws.td);
             }

@@ -134,7 +134,7 @@ fn all_shapes(n: usize) -> Vec<Vec<u32>> {
 }
 
 /// Every field of a preprocessed form.
-fn fields(t: &TedTree) -> (&[Label], &[usize], &[usize], u64) {
+fn fields(t: &TedTree) -> (&[Label], &[u32], &[u32], u64) {
     (t.labels(), t.llds(), t.keyroots(), t.decomposition_cost())
 }
 

@@ -1,11 +1,22 @@
-//! Rooted ordered labeled trees stored in a flat arena.
+//! Rooted ordered labeled trees stored as four flat columns.
 //!
 //! This is the "general tree" of the paper (§2): a directed acyclic graph
 //! where every node has one parent (except the unique root), a label, and an
-//! ordered list of children. Nodes are identified by dense [`NodeId`]s into
-//! the arena, which makes traversals allocation-free and lets companion
-//! structures (postorder numbers, subtree sizes, the LC-RS representation)
-//! be plain vectors indexed by node id.
+//! ordered list of children. Nodes are identified by dense [`NodeId`]s,
+//! which makes traversals allocation-free and lets companion structures
+//! (postorder numbers, subtree sizes, the LC-RS representation) be plain
+//! vectors indexed by node id.
+//!
+//! A [`Tree`] is four `u32` columns indexed by id — `labels`, `parents`
+//! (`u32::MAX` for the root), `child_start` (n + 1 offsets) and `kids` (the
+//! n − 1 non-root ids grouped by parent) — so a node costs 16 bytes of heap
+//! and a tree four allocations, whatever its shape
+//! ([`Tree::heap_bytes`]). Ids are handed out by [`TreeBuilder`] in call
+//! order: the root is 0 and a child's id is above its parent's, but ids
+//! are not preorder. Because a child is always a fresh id appended as its
+//! parent's rightmost child, the children of a node in call order are its
+//! children in id order, so [`TreeBuilder::build`] lays out every child
+//! list at once with one stable counting sort of the ids by parent.
 
 use crate::error::ParseError;
 use crate::label::Label;
@@ -35,41 +46,49 @@ impl fmt::Display for NodeId {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeData {
-    label: Label,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-}
+/// The `parents` entry of the root.
+const NO_PARENT: u32 = u32::MAX;
 
 /// A rooted ordered labeled tree.
 ///
 /// Construct with [`TreeBuilder`] or one of the parsers in
-/// [`crate::parser`]. Trees always contain at least one node (the root);
-/// the empty tree is not representable.
+/// [`crate::parser`]. Trees always contain at least one node (the root,
+/// id 0); the empty tree is not representable. Storage is four flat `u32`
+/// columns, 16 bytes a node (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Tree {
-    nodes: Vec<NodeData>,
-    root: NodeId,
+    /// `labels[i]`: the label of node `i`.
+    labels: Vec<Label>,
+    /// `parents[i]`: the parent of node `i`, [`NO_PARENT`] for the root.
+    parents: Vec<u32>,
+    /// `kids[child_start[i]..child_start[i + 1]]` are node `i`'s children.
+    child_start: Vec<u32>,
+    /// Every non-root id, grouped by parent in parent-id order, each group
+    /// in child order (which is id order).
+    kids: Vec<NodeId>,
 }
 
 impl Tree {
     /// Creates a single-node tree.
     pub fn leaf(label: Label) -> Tree {
-        Tree {
-            nodes: vec![NodeData {
-                label,
-                parent: None,
-                children: Vec::new(),
-            }],
-            root: NodeId(0),
-        }
+        let mut builder = TreeBuilder::with_capacity(1);
+        builder.root(label);
+        builder.build()
     }
 
     /// Number of nodes, written `|T|` in the paper.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.labels.len()
+    }
+
+    /// Heap bytes this tree holds: 16 a node once capacity is exact,
+    /// which every built, cloned or decoded tree is.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.labels.capacity() * size_of::<Label>()
+            + (self.parents.capacity() + self.child_start.capacity()) * size_of::<u32>()
+            + self.kids.capacity() * size_of::<NodeId>()
     }
 
     /// Trees are never empty, so this is always `false`; provided for
@@ -82,25 +101,27 @@ impl Tree {
     /// The root node.
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// The label of `node`.
     #[inline]
     pub fn label(&self, node: NodeId) -> Label {
-        self.nodes[node.index()].label
+        self.labels[node.index()]
     }
 
     /// The parent of `node`, or `None` for the root.
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.index()].parent
+        let parent = self.parents[node.index()];
+        (parent != NO_PARENT).then_some(NodeId(parent))
     }
 
     /// The ordered children of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.index()].children
+        let i = node.index();
+        &self.kids[self.child_start[i] as usize..self.child_start[i + 1] as usize]
     }
 
     /// Whether `node` has no children.
@@ -111,13 +132,13 @@ impl Tree {
 
     /// Iterates over all node ids in arena order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.len() as u32).map(NodeId)
     }
 
     /// Nodes in preorder (node before its children, children left to right).
     pub fn preorder(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.len());
-        let mut stack = vec![self.root];
+        let mut stack = vec![self.root()];
         while let Some(node) = stack.pop() {
             order.push(node);
             // Push children reversed so the leftmost child is popped first.
@@ -132,7 +153,7 @@ impl Tree {
     pub fn postorder(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.len());
         // (node, next child index to visit)
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.root, 0)];
+        let mut stack: Vec<(NodeId, usize)> = vec![(self.root(), 0)];
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             let children = self.children(node);
             if *next < children.len() {
@@ -233,7 +254,7 @@ impl Tree {
         if self.len() != other.len() {
             return false;
         }
-        let mut stack = vec![(self.root, other.root)];
+        let mut stack = vec![(self.root(), other.root())];
         while let Some((a, b)) = stack.pop() {
             if self.label(a) != other.label(b) {
                 return false;
@@ -256,8 +277,8 @@ impl Tree {
     /// root, at position 0). Preorder guarantees parents precede their
     /// children and sibling order is preserved, so
     /// [`Tree::from_flattened`] reconstructs a structurally identical
-    /// tree regardless of how the original arena was laid out (edited
-    /// trees can hold children out of arena order).
+    /// tree regardless of how the original ids were laid out (a builder's
+    /// ids follow its call order, not preorder).
     pub fn flatten(&self) -> Vec<(Label, Option<u32>)> {
         let order = self.preorder();
         let mut pos = vec![0u32; self.len()];
@@ -309,8 +330,8 @@ impl Tree {
     /// agree, every non-root node is reachable from the root exactly once.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = vec![false; self.len()];
-        let mut stack = vec![self.root];
-        if self.parent(self.root).is_some() {
+        let mut stack = vec![self.root()];
+        if self.parent(self.root()).is_some() {
             return Err("root has a parent".into());
         }
         let mut count = 0usize;
@@ -338,7 +359,8 @@ impl Tree {
     }
 }
 
-/// Incremental builder for [`Tree`].
+/// Incremental builder for [`Tree`]: records a label and a parent a node,
+/// and lays the child lists out once, in [`TreeBuilder::build`].
 ///
 /// Nodes must be added parent-before-child (e.g. in preorder):
 ///
@@ -355,7 +377,8 @@ impl Tree {
 /// ```
 #[derive(Debug, Default)]
 pub struct TreeBuilder {
-    nodes: Vec<NodeData>,
+    labels: Vec<Label>,
+    parents: Vec<u32>,
 }
 
 impl TreeBuilder {
@@ -367,7 +390,8 @@ impl TreeBuilder {
     /// Creates a builder with room for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
         TreeBuilder {
-            nodes: Vec::with_capacity(capacity),
+            labels: Vec::with_capacity(capacity),
+            parents: Vec::with_capacity(capacity),
         }
     }
 
@@ -376,12 +400,9 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if a root was already added.
     pub fn root(&mut self, label: Label) -> NodeId {
-        assert!(self.nodes.is_empty(), "root must be the first node");
-        self.nodes.push(NodeData {
-            label,
-            parent: None,
-            children: Vec::new(),
-        });
+        assert!(self.labels.is_empty(), "root must be the first node");
+        self.labels.push(label);
+        self.parents.push(NO_PARENT);
         NodeId(0)
     }
 
@@ -390,36 +411,65 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if `parent` was not returned by this builder.
     pub fn child(&mut self, parent: NodeId, label: Label) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            label,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
+        assert!(
+            parent.index() < self.labels.len(),
+            "unknown parent {parent}"
+        );
+        let id = NodeId(self.labels.len() as u32);
+        self.labels.push(label);
+        self.parents.push(parent.0);
         id
     }
 
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.labels.len()
     }
 
     /// Whether no nodes have been added.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.labels.is_empty()
     }
 
-    /// Finalizes the tree.
+    /// Finalizes the tree: trims the two recorded columns to their length
+    /// and groups the non-root ids by parent with a counting sort.
     ///
     /// # Panics
     /// Panics if no root was added.
     pub fn build(self) -> Tree {
-        assert!(!self.nodes.is_empty(), "tree must have a root");
+        let TreeBuilder {
+            mut labels,
+            mut parents,
+        } = self;
+        assert!(!labels.is_empty(), "tree must have a root");
+        labels.shrink_to_fit();
+        parents.shrink_to_fit();
+        let n = labels.len();
+        // Child counts, turned into each group's end by inclusive prefix
+        // sums; slot n, which no node names as parent, ends at n − 1.
+        let mut child_start = vec![0u32; n + 1];
+        for &parent in &parents[1..] {
+            child_start[parent as usize] += 1;
+        }
+        let mut end = 0;
+        for slot in &mut child_start {
+            end += *slot;
+            *slot = end;
+        }
+        // Fill every group back to front with ids in descending order, so
+        // each ends up in id order — which is call order — and its slot
+        // ends up at the group's start.
+        let mut kids = vec![NodeId(0); n - 1];
+        for child in (1..n).rev() {
+            let slot = &mut child_start[parents[child] as usize];
+            *slot -= 1;
+            kids[*slot as usize] = NodeId(child as u32);
+        }
         Tree {
-            nodes: self.nodes,
-            root: NodeId(0),
+            labels,
+            parents,
+            child_start,
+            kids,
         }
     }
 }
@@ -554,8 +604,8 @@ mod tests {
 
     #[test]
     fn flatten_round_trips_after_edits() {
-        // Edited trees can hold children out of arena order; flatten must
-        // still preserve sibling order.
+        // Edited trees are renumbered; flatten must still preserve
+        // sibling order.
         use crate::edit::{apply_edit, EditOp};
         let (tree, _) = figure1_tree();
         let victim = tree.children(tree.root())[0];

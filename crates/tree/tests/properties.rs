@@ -28,8 +28,83 @@ fn random_tree(seed: u64, max_size: usize) -> (Tree, LabelInterner) {
     (builder.build(), labels)
 }
 
+/// The tree a builder makes when node `k` is added under `parents[k − 1]`
+/// (each below `k`), beside the child lists those calls describe.
+fn built_and_reference(parents: &[usize]) -> (Tree, Vec<Vec<NodeId>>) {
+    let mut builder = TreeBuilder::new();
+    builder.root(Label::from_raw(1));
+    let mut reference = vec![Vec::new()];
+    for (k, &parent) in parents.iter().enumerate() {
+        let label = Label::from_raw(1 + (k % 5) as u32);
+        reference[parent].push(builder.child(NodeId::from_index(parent), label));
+        reference.push(Vec::new());
+    }
+    (builder.build(), reference)
+}
+
+#[test]
+fn interleaved_children_keep_call_order() {
+    let mut builder = TreeBuilder::new();
+    let l = Label::from_raw;
+    let r = builder.root(l(1));
+    let a = builder.child(r, l(2));
+    let b = builder.child(r, l(3));
+    let c = builder.child(a, l(4));
+    let d = builder.child(b, l(5));
+    let e = builder.child(a, l(6));
+    let f = builder.child(r, l(7));
+    let tree = builder.build();
+    assert_eq!(tree.children(r), &[a, b, f]);
+    assert_eq!(tree.children(a), &[c, e]);
+    assert_eq!(tree.children(b), &[d]);
+    assert!([c, d, e, f].iter().all(|&leaf| tree.is_leaf(leaf)));
+    // Ids follow the calls, not the preorder.
+    assert_eq!(tree.preorder(), [r, a, c, e, b, d, f]);
+    assert_eq!(tree.parent(e), Some(a));
+    tree.validate().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat builder answers every query as per-node child lists built
+    /// from the same calls would, on bushy and deep random shapes alike.
+    #[test]
+    fn flat_builder_matches_child_lists(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let size = rng.gen_range(1..=60);
+        let deepen = rng.gen_range(0.0..1.0);
+        let parents: Vec<usize> = (1..size)
+            .map(|k| if rng.gen_bool(deepen) { k - 1 } else { rng.gen_range(0..k) })
+            .collect();
+        let (tree, reference) = built_and_reference(&parents);
+        prop_assert!(tree.validate().is_ok());
+        prop_assert_eq!(tree.len(), size);
+        for node in tree.node_ids() {
+            prop_assert_eq!(tree.children(node), &reference[node.index()][..]);
+            let parent = node.index().checked_sub(1).map(|k| NodeId::from_index(parents[k]));
+            prop_assert_eq!(tree.parent(node), parent);
+        }
+        let rebuilt = Tree::from_flattened(&tree.flatten()).unwrap();
+        prop_assert!(rebuilt.structurally_eq(&tree));
+
+        let mut post = vec![0u32; size];
+        let mut next = 0;
+        let mut stack = vec![(0usize, 0usize)];
+        while let Some(&mut (node, ref mut visited)) = stack.last_mut() {
+            if let Some(child) = reference[node].get(*visited) {
+                *visited += 1;
+                stack.push((child.index(), 0));
+            } else {
+                next += 1;
+                post[node] = next;
+                stack.pop();
+            }
+        }
+        prop_assert_eq!(tree.postorder_numbers(), post.clone());
+        let binary = BinaryTree::from_tree(&tree);
+        prop_assert_eq!(binary.general_post(), &post[..]);
+    }
 
     /// Bracket serialization round-trips structurally.
     #[test]

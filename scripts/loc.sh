@@ -10,7 +10,9 @@
 # mention a replay log in tsj-shard (deletion is the index's own sweep),
 # and how many places in partsj box a component's nodes on their own (a
 # shape lives once, in the index's arena; a tree's components travel in
-# one flat `Partition`).
+# one flat `Partition`), and how many bring back a per-node child `Vec`
+# in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is four
+# flat `u32` columns, 16 bytes a node).
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -56,7 +58,7 @@ sites() {
 }
 path_row() { printf '  %-36s %2d\n' "$1" "$(sites "${@:2}")"; }
 stack_src=(crates/{shard,catalog,cluster}/src/*.rs)
-echo 'paths (non-test, shard+catalog+cluster src)'
+echo 'paths (non-test src lines; shard+catalog+cluster unless named)'
 path_row 'scan_small_trees( call sites' 'scan_small_trees\(' "${stack_src[@]}"
 path_row '.probe_tree( call sites' '\.probe_tree\(' "${stack_src[@]}"
 path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/src/*.rs
@@ -64,6 +66,8 @@ path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' 
 path_row 'side_list( call sites' 'side_list\(' "${stack_src[@]}"
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
+path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
+path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"
