@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the distance kernels: Zhang–Shasha left/right
 //! decompositions, the RTED-inspired dynamic choice, the τ-bounded kernel
 //! the verify chain runs (`ted/within/*`, with the full DP on the same
-//! pair beside it as `ted/full/*`), and banded vs full string edit
+//! pair beside it as `ted/full/*` and the banded mapping upper bound that
+//! accepts before it as `ted/upper/*`), and banded vs full string edit
 //! distance. These are the per-pair costs that dominate the verification
 //! bars of Figures 10/12/14.
 
@@ -11,8 +12,8 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
-    sed, sed_with, sed_within, sed_within_with, tree_distance, CostModel, PreparedTree, SedScratch,
-    Strategy, TedEngine, TedTree, TedWorkspace,
+    mapping_bound_within, sed, sed_with, sed_within, sed_within_with, tree_distance, CostModel,
+    MappingWorkspace, PreparedTree, SedScratch, Strategy, TedEngine, TedTree, TedWorkspace,
 };
 use tsj_tree::{Label, Tree, TreeBuilder};
 
@@ -121,6 +122,22 @@ fn bench_ted_within(c: &mut Criterion) {
         c.benchmark_group("ted/full")
             .bench_function(format!("{input}/dynamic"), |bench| {
                 bench.iter(|| black_box(engine.distance(black_box(&pa), black_box(&pb))))
+            });
+        // The verify chain's accept before exact TED, on the same pair.
+        let (la, lb) = (pa.left(), pb.left());
+        let mut ws = MappingWorkspace::new();
+        let accepted = mapping_bound_within(la, lb, tau, &mut ws).is_some();
+        assert!(accepted, "{input} is accepted");
+        c.benchmark_group("ted/upper")
+            .bench_function(input, |bench| {
+                bench.iter(|| {
+                    black_box(mapping_bound_within(
+                        black_box(la),
+                        black_box(lb),
+                        tau,
+                        &mut ws,
+                    ))
+                })
             });
     }
 }

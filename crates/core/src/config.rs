@@ -92,11 +92,14 @@ pub enum MatchSemantics {
 pub struct VerifyConfig {
     /// Size lower bound `||T1| − |T2||` (free: two cached lengths).
     pub size: bool,
-    /// Rename-script early accept: if the two trees have identical
-    /// *shape* (equal leftmost-leaf arrays), renaming the mismatched labels
-    /// in place is a valid edit script, so a label Hamming distance ≤ τ
-    /// admits the pair without the cubic TED DP. O(1) per pair via a
-    /// shape hash, O(n) on the rare hash hit.
+    /// Upper-bound early accept, in two halves. Rename script: if the two
+    /// trees have identical *shape* (equal leftmost-leaf arrays), renaming
+    /// the mismatched labels in place is a valid edit script, so a label
+    /// Hamming distance ≤ τ admits the pair; O(1) per pair via a shape
+    /// hash, O(n) on the rare hash hit. Mapping: after the lower-bound
+    /// stages, a τ-banded constrained mapping of cost ≤ τ admits the pair
+    /// (`tsj_ted::mapping_bound_within`, unit costs). Either way the pair
+    /// skips exact TED.
     pub shape_accept: bool,
     /// Label-histogram L1 lower bound `⌈L1/2⌉` (Kailing et al.), over
     /// sorted label multisets derived per tree on first use. O(n) merge

@@ -9,14 +9,13 @@
 //!
 //! ## The filter chain
 //!
-//! The chain is the **closed** set [`VERIFY_STAGES`], always evaluated in
-//! this one order (cheapest first); [`VerifyConfig`] only switches
-//! individual stages off:
+//! The chain is the **closed** set [`VERIFY_STAGES`]; [`VerifyConfig`]
+//! only switches individual stages off:
 //!
 //! | # | stage | kind | per-pair cost | decides | input | built when |
 //! |---|----------------|-------|----------------------|---------|-------|------------|
 //! | 1 | `size` | lower | O(1) | reject | node count | preparation |
-//! | 2 | `shape-accept` | upper | O(1), O(n) on hit | accept | `lld` array, its hash, postorder labels | preparation |
+//! | 2 | `shape-accept` | upper | Hamming: O(1), O(n) on hit; mapping: O(n·τ) band cells | accept | `lld` array, its hash, postorder labels | preparation |
 //! | 3 | `label-hist` | lower | O(n) merge | reject | sorted label multiset | first `label-hist` on the tree |
 //! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject | postorder labels; mirrored decomposition's labels | preparation; first pair whose postorder SED is ≤ τ |
 //! | — | exact TED | — | O(n·τ) cells per surviving keyroot pair | both | left decomposition; mirrored decomposition | preparation; first right-side pair |
@@ -27,6 +26,23 @@
 //! when `ub ≤ τ`; acceptance can never add a false result. Either way
 //! the pair is *resolved* without the expensive DP, and the stage's
 //! counter records it ([`JoinStats::stage_counts`]).
+//!
+//! `shape-accept` has two halves, and the engine evaluates them apart:
+//!
+//! 1. `size`;
+//! 2. `shape-accept`'s **Hamming** half: equal shapes ⇒ the rename
+//!    script (O(1) on a shape-hash miss);
+//! 3. `label-hist`, then `traversal-sed`;
+//! 4. `shape-accept`'s **mapping** half: the cost of a τ-banded
+//!    constrained mapping with run moves ([`mapping_bound_within`], unit
+//!    costs);
+//! 5. exact TED.
+//!
+//! The mapping half runs after the lower stages, so it sees only pairs no
+//! lower bound rejected, and no lower stage's counter moves: an upper
+//! bound only accepts results, and a lower bound never rejects one.
+//! [`VerifyEngine::check_exact`] takes a certificate from either half
+//! only when it is provably TED, `ub ≤ max(1, ||a| − |b||)`.
 //!
 //! The exact fallback is [`TedEngine::verify`], the τ-bounded
 //! Zhang–Shasha kernel: it only has to answer "≤ τ, and the value if so",
@@ -64,7 +80,7 @@
 //! A recycled probe slot ([`VerifyData::rebuild`]) keeps the memo sticky
 //! so the steady state stays allocation-free.
 //!
-//! ## Why the early accept hashes shapes instead of reusing SED
+//! ## Why the early accept hashes shapes and maps, instead of reusing SED
 //!
 //! A tempting upper bound is the exact traversal-string SED itself —
 //! "if `SED ≤ τ`, accept". It is **unsound**: SED of preorder/postorder
@@ -73,21 +89,24 @@
 //! `{1{2{1}{3}}}`) has `max(SED) = 2` but `TED = 3`, so SED-accepting at
 //! `τ = 2` would report a false pair — the regression test
 //! `sed_accept_would_be_unsound` pins this counterexample. The sound
-//! replacement: when two trees have the *same shape* (equal `lld`
-//! arrays — which uniquely determine an ordered tree), renaming
-//! every label mismatch in place is a valid edit script, so the label
-//! Hamming distance upper-bounds TED. Near-duplicate corpora are full of
-//! rename-only pairs, which makes this the stage that eliminates most
-//! TED calls on the paper's workloads.
+//! replacement is a cost that belongs to a concrete mapping. When two
+//! trees have the *same shape* (equal `lld` arrays — which uniquely
+//! determine an ordered tree), renaming every label mismatch in place is
+//! one, so the label Hamming distance upper-bounds TED; near-duplicate
+//! corpora are full of rename-only pairs, and an O(1) hash compare finds
+//! them. Every other pair takes the constrained mapping Guha et al. pair
+//! with the traversal-string lower bound: each of its table cells is the
+//! cost of a mapping that keeps ancestry and sibling order, so it
+//! upper-bounds TED too, and with its two run moves it prices every
+//! single insertion, deletion and rename exactly.
 
 use crate::config::{PartSjConfig, VerifyConfig};
-use std::cell::Cell;
 use std::hash::Hasher as _;
 use std::sync::OnceLock;
 use std::time::Instant;
 use tsj_ted::{
-    histogram_bound, sed_within_with, JoinStats, PreparedTree, SedScratch, StageCount,
-    TedBuildScratch, TedEngine,
+    histogram_bound, mapping_bound_within, sed_within_with, JoinStats, MappingWorkspace,
+    PreparedTree, SedScratch, StageCount, TedBuildScratch, TedEngine,
 };
 use tsj_tree::{FxHasher, Label, Tree};
 
@@ -290,9 +309,18 @@ fn size_rejects(a: &VerifyData, b: &VerifyData, tau: u32) -> bool {
     a.len().abs_diff(b.len()) as u32 > tau
 }
 
-/// Rename-script early accept: same shape ⇒ TED ≤ label Hamming
-/// distance (`Some(hamming)` when that is ≤ `tau`). See the module docs
-/// for why this replaces the (unsound) SED-based accept.
+/// The largest certificate that is provably TED itself: TED is at least
+/// the size difference, and a mapping search that finds cost 1 did not
+/// find the identity, so the trees differ and TED ≥ 1.
+#[inline]
+fn tight_certificate(a: &VerifyData, b: &VerifyData) -> u32 {
+    a.len().abs_diff(b.len()).max(1) as u32
+}
+
+/// Rename-script early accept, `shape-accept`'s first half: same shape ⇒
+/// TED ≤ label Hamming distance (`Some(hamming)` when that is ≤ `tau`).
+/// See the module docs for why this replaces the (unsound) SED-based
+/// accept.
 #[inline]
 fn shape_certificate(a: &VerifyData, b: &VerifyData, tau: u32) -> Option<u32> {
     if a.shape_hash != b.shape_hash || a.prepared.left().llds() != b.prepared.left().llds() {
@@ -357,15 +385,15 @@ pub struct VerifyEngine {
     /// [`tsj_obs::stage_timings_enabled`] at construction (off by
     /// default: the `Instant` stamps would dominate the O(1) stages).
     time_stages: bool,
-    /// Accumulated per-stage wall time in nanoseconds, by position;
-    /// only written when `time_stages` is set.
+    /// Per-stage wall time in nanoseconds not yet published, by position;
+    /// only written when `time_stages` is set, drained by
+    /// [`VerifyEngine::fold_into`].
     stage_ns: [u64; STAGES],
-    /// One-shot guard so [`VerifyEngine::fold_into`] publishes the stage
-    /// timings to the global registry exactly once per engine.
-    timings_flushed: Cell<bool>,
-    /// Row/band buffers of the `traversal-sed` stage; engines are
-    /// per-worker, so no locking and no per-pair allocation.
+    /// Row/band buffers of the `traversal-sed` stage and the band tables
+    /// of `shape-accept`'s mapping bound; engines are per-worker, so no
+    /// locking and no per-pair allocation.
     sed: SedScratch,
+    mapping: MappingWorkspace,
     ted: TedEngine,
 }
 
@@ -391,8 +419,8 @@ impl VerifyEngine {
             early_accepts: 0,
             time_stages: tsj_obs::stage_timings_enabled() && tsj_obs::global().is_enabled(),
             stage_ns: [0; STAGES],
-            timings_flushed: Cell::new(false),
             sed: SedScratch::default(),
+            mapping: MappingWorkspace::new(),
             ted: TedEngine::unit(),
         }
     }
@@ -444,19 +472,19 @@ impl VerifyEngine {
     /// totals) while keeping all scratch capacity. Callers that reuse one
     /// engine across independent runs (e.g. repeated scratch joins) reset
     /// between runs so each run's [`VerifyEngine::fold_into`] reports only
-    /// its own work.
+    /// its own work. Stage time not yet published is kept: it is wall
+    /// time, and the next fold publishes it.
     pub fn reset_counters(&mut self) {
         self.counts = [0; STAGES];
-        self.stage_ns = [0; STAGES];
         self.lower_skips = 0;
         self.early_accepts = 0;
         self.ted.reset_counters();
     }
 
     /// Membership check: `Some(d)` iff `TED(a, b) ≤ τ`, where `d ≤ τ` is
-    /// a distance certificate — exact unless `shape-accept` resolved the
-    /// pair with a rename script of two or more renames, which may
-    /// overestimate. Joins and streaming monitors (which report pair
+    /// a distance certificate — exact when exact TED decided the pair,
+    /// otherwise the cost of the edit script `shape-accept` found, which
+    /// may overestimate. Joins and streaming monitors (which report pair
     /// *sets*) use this; use [`VerifyEngine::check_exact`] when the caller
     /// surfaces the distance value.
     pub fn check(&mut self, a: &VerifyData, b: &VerifyData) -> Option<u32> {
@@ -464,34 +492,34 @@ impl VerifyEngine {
     }
 
     /// Like [`VerifyEngine::check`] but the returned distance is always
-    /// **exact**: `shape-accept` only short-circuits when its certificate
-    /// is provably tight; otherwise the pair falls through to the exact
-    /// TED DP. Point queries and the top-k join use this to report
-    /// `(tree, distance)` hits.
+    /// **exact**: `shape-accept` only short-circuits on a certificate
+    /// `ub ≤ max(1, ||a| − |b||)`, which is provably TED (a rename, or a
+    /// run of insertions or deletions the size difference forces);
+    /// otherwise the pair falls through to the exact TED DP. Point
+    /// queries and the top-k join use this to report `(tree, distance)`
+    /// hits.
     pub fn check_exact(&mut self, a: &VerifyData, b: &VerifyData) -> Option<u32> {
         self.decide(a, b, true)
     }
 
-    /// The chain walk behind both check flavours: each enabled stage in
-    /// [`VERIFY_STAGES`] order, then exact TED.
+    /// The chain walk behind both check flavours: `size`, the Hamming
+    /// half of `shape-accept`, the two lower stages, the mapping half of
+    /// `shape-accept`, then exact TED.
     fn decide(&mut self, a: &VerifyData, b: &VerifyData, exact: bool) -> Option<u32> {
         let tau = self.tau;
         if self.enabled[SIZE] && self.timed(SIZE, |_| size_rejects(a, b, tau)) {
             return self.reject(SIZE);
         }
+        // An exact caller takes only a tight certificate, so both halves
+        // of `shape-accept` look for no more than that.
+        let accept = if exact {
+            tau.min(tight_certificate(a, b))
+        } else {
+            tau
+        };
         if self.enabled[SHAPE_ACCEPT] {
-            // hamming = 0 ⇒ identical trees ⇒ TED = 0. hamming = 1 with
-            // equal sizes ⇒ the trees differ, so TED ≥ 1 — the bound is
-            // tight. From 2 on, mixed insert/delete scripts can be cheaper
-            // than renames, so the certificate is only an upper bound and
-            // an `exact` caller falls through.
-            match self.timed(SHAPE_ACCEPT, |_| shape_certificate(a, b, tau)) {
-                Some(hamming) if hamming <= 1 || !exact => {
-                    self.counts[SHAPE_ACCEPT] += 1;
-                    self.early_accepts += 1;
-                    return Some(hamming);
-                }
-                _ => {}
+            if let Some(hamming) = self.timed(SHAPE_ACCEPT, |_| shape_certificate(a, b, accept)) {
+                return self.accept(hamming);
             }
         }
         if self.enabled[LABEL_HIST] && self.timed(LABEL_HIST, |_| histogram_rejects(a, b, tau)) {
@@ -501,6 +529,15 @@ impl VerifyEngine {
             && self.timed(TRAVERSAL_SED, |e| traversal_rejects(a, b, tau, &mut e.sed))
         {
             return self.reject(TRAVERSAL_SED);
+        }
+        if self.enabled[SHAPE_ACCEPT] {
+            // `shape-accept`'s mapping half, on the left decompositions.
+            let (left_a, left_b) = (a.prepared.left(), b.prepared.left());
+            let bound =
+                |e: &mut VerifyEngine| mapping_bound_within(left_a, left_b, accept, &mut e.mapping);
+            if let Some(ub) = self.timed(SHAPE_ACCEPT, bound) {
+                return self.accept(ub);
+            }
         }
         self.ted.verify(&a.prepared, &b.prepared, tau)
     }
@@ -525,13 +562,25 @@ impl VerifyEngine {
         None
     }
 
+    /// Records an upper-bound admission (`shape-accept`) of cost `ub`.
+    #[inline]
+    fn accept(&mut self, ub: u32) -> Option<u32> {
+        self.counts[SHAPE_ACCEPT] += 1;
+        self.early_accepts += 1;
+        Some(ub)
+    }
+
     /// Folds this engine's counters into `stats`: TED calls, total
     /// lower-bound skips, upper-bound accepts, and one row per enabled
     /// stage. Stage counters merge **by stage name**, so engines with
     /// differently enabled chains fold into one coherent breakdown.
     /// First-folded engines establish the display order of stages not
     /// yet present.
-    pub fn fold_into(&self, stats: &mut JoinStats) {
+    ///
+    /// In profile mode it also publishes the stage time accumulated since
+    /// the last fold to `tsj_core_verify_stage_ns_total` and drains it, so
+    /// an engine reused across runs publishes every run's time, once.
+    pub fn fold_into(&mut self, stats: &mut JoinStats) {
         stats.ted_calls += self.ted.computations();
         stats.prefilter_skips += self.lower_skips;
         stats.early_accepts += self.early_accepts;
@@ -550,17 +599,16 @@ impl VerifyEngine {
                 }),
             }
         }
-        // Publish stage timings (profile mode) exactly once per engine —
-        // fold_into may be called again on a still-live engine.
-        if self.time_stages && !self.timings_flushed.replace(true) {
+        if self.time_stages {
             let obs = tsj_obs::global();
+            let stage_ns = std::mem::take(&mut self.stage_ns);
             for (idx, name) in self.stages() {
                 obs.counter(&tsj_obs::labeled(
                     "tsj_core_verify_stage_ns_total",
                     "stage",
                     name,
                 ))
-                .add(self.stage_ns[idx]);
+                .add(stage_ns[idx]);
             }
         }
     }
@@ -657,7 +705,61 @@ mod tests {
         assert!(!traversal_rejects(&d[0], &d[1], 2, &mut SedScratch::new()));
         let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
         assert_eq!(engine.check(&d[0], &d[1]), None);
+        // The mapping half ran before it and, an upper bound, refused.
         assert_eq!(engine.ted_calls(), 1, "only exact TED may decide");
+        assert_eq!(engine.early_accepts(), 0);
+    }
+
+    #[test]
+    fn an_insert_over_a_run_accepts_exactly_without_ted() {
+        // One node inserted over two children: the sizes differ by one, so
+        // a bound of 1 is TED itself and both check flavours take it.
+        let d = data(&["{a{b}{c}{d}}", "{a{b}{x{c}{d}}}"]);
+        let mut engine = VerifyEngine::with_filters(1, &VerifyConfig::default());
+        assert_eq!(engine.check_exact(&d[0], &d[1]), Some(1));
+        assert_eq!(engine.check_exact(&d[1], &d[0]), Some(1), "the delete");
+        assert_eq!(engine.check(&d[0], &d[1]), Some(1));
+        assert_eq!(engine.ted_calls(), 0);
+        assert_eq!(engine.early_accepts(), 3);
+    }
+
+    #[test]
+    fn a_loose_mapping_certificate_falls_through_in_check_exact() {
+        // A leaf inserted and another renamed: the bound finds 2, above
+        // max(1, size difference) = 1, so it proves membership only.
+        let d = data(&["{a{b}{c}{d}{e}{f}}", "{a{z}{c}{d}{e}{f}{g}}"]);
+        let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
+        assert_eq!(engine.check(&d[0], &d[1]), Some(2));
+        assert_eq!(engine.ted_calls(), 0, "the bound accepted the pair");
+        assert_eq!(engine.check_exact(&d[0], &d[1]), Some(2));
+        assert_eq!(engine.ted_calls(), 1, "exact TED reported the distance");
+        assert_eq!(engine.early_accepts(), 1);
+    }
+
+    #[test]
+    fn a_fold_publishes_stage_time_once_and_drains_it() {
+        let d = data(&["{a{b}{c}{d}}", "{a{b}{x{c}{d}}}", "{q{r}{s}{t}}"]);
+        let mut engine = VerifyEngine::with_filters(1, &VerifyConfig::default());
+        engine.time_stages = true;
+        let run = |engine: &mut VerifyEngine| {
+            for _ in 0..50 {
+                engine.check(&d[0], &d[1]);
+                engine.check(&d[0], &d[2]);
+            }
+            engine.stage_ns.iter().sum::<u64>()
+        };
+        assert!(run(&mut engine) > 0);
+        let mut stats = JoinStats::default();
+        engine.fold_into(&mut stats);
+        assert_eq!(engine.stage_ns, [0; STAGES], "published, then drained");
+        // A reused engine times its next run and keeps that time across a
+        // counter reset until its own fold publishes it.
+        let pending = run(&mut engine);
+        assert!(pending > 0);
+        engine.reset_counters();
+        assert_eq!(engine.stage_ns.iter().sum::<u64>(), pending);
+        engine.fold_into(&mut stats);
+        assert_eq!(engine.stage_ns, [0; STAGES]);
     }
 
     #[test]
@@ -791,15 +893,17 @@ mod tests {
     }
 
     /// The chain as it was before the τ-bounded kernel and the derived
-    /// inputs: the same four bounds over [`RefInputs`], then the full DP
-    /// and a comparison. `VerifyEngine` must agree with it on every
-    /// verdict and every counter.
+    /// inputs: the same four bounds over [`RefInputs`], `shape-accept`'s
+    /// mapping half on the tree's own decomposition, then the full DP and
+    /// a comparison. `VerifyEngine` must agree with it on every verdict
+    /// and every counter.
     struct Reference {
         tau: u32,
         filters: VerifyConfig,
         counts: [u64; STAGES],
         ted_calls: u64,
         sed: SedScratch,
+        mapping: MappingWorkspace,
         ws: TedWorkspace,
     }
 
@@ -811,19 +915,26 @@ mod tests {
                 counts: [0; STAGES],
                 ted_calls: 0,
                 sed: SedScratch::default(),
+                mapping: MappingWorkspace::new(),
                 ws: TedWorkspace::new(),
             }
         }
 
         fn decide(&mut self, a: &RefInputs, b: &RefInputs, exact: bool) -> Option<u32> {
             let (tau, on) = (self.tau, self.filters);
-            if on.size && size_bound(a.shape.len(), b.shape.len()) > tau {
+            let (n1, n2) = (a.shape.len(), b.shape.len());
+            if on.size && size_bound(n1, n2) > tau {
                 return self.reject(SIZE);
             }
+            // Only a certificate of at most max(1, size difference) is TED.
+            let accept = match exact {
+                true => tau.min(size_bound(n1, n2).max(1)),
+                false => tau,
+            };
             if on.shape_accept && a.shape == b.shape {
                 let (pre_a, pre_b) = (&a.strings.preorder, &b.strings.preorder);
                 let hamming = pre_a.iter().zip(pre_b).filter(|(la, lb)| la != lb).count() as u32;
-                if hamming <= tau && (hamming <= 1 || !exact) {
+                if hamming <= accept {
                     self.counts[SHAPE_ACCEPT] += 1;
                     return Some(hamming);
                 }
@@ -833,6 +944,13 @@ mod tests {
             }
             if on.traversal && !traversal_within_with(&a.strings, &b.strings, tau, &mut self.sed) {
                 return self.reject(TRAVERSAL_SED);
+            }
+            if on.shape_accept {
+                let bound = mapping_bound_within(&a.ted, &b.ted, accept, &mut self.mapping);
+                if let Some(ub) = bound {
+                    self.counts[SHAPE_ACCEPT] += 1;
+                    return Some(ub);
+                }
             }
             self.ted_calls += 1;
             let d = tree_distance(&a.ted, &b.ted, &CostModel::UNIT, &mut self.ws);
@@ -846,7 +964,7 @@ mod tests {
 
         /// The engine under test must have decided the same pairs at the
         /// same stages and handed the same number to exact TED.
-        fn assert_counters_match(&self, engine: &VerifyEngine, context: &str) {
+        fn assert_counters_match(&self, engine: &mut VerifyEngine, context: &str) {
             assert_eq!(engine.ted_calls(), self.ted_calls, "{context}");
             let mut stats = JoinStats::default();
             engine.fold_into(&mut stats);
@@ -907,7 +1025,7 @@ mod tests {
                         assert_eq!(got, want, "mask {mask:04b} tau {tau} pair ({i}, {j})");
                     }
                 }
-                reference.assert_counters_match(&engine, &format!("mask {mask:04b} tau {tau}"));
+                reference.assert_counters_match(&mut engine, &format!("mask {mask:04b} tau {tau}"));
             }
         }
         // Without the size stage, a size-mismatched pair still counts as
@@ -936,25 +1054,25 @@ mod tests {
                     );
                 }
             }
-            reference.assert_counters_match(&engine, &format!("after tau {tau}"));
+            reference.assert_counters_match(&mut engine, &format!("after tau {tau}"));
         }
     }
 
     #[test]
     fn a_disabled_stage_never_materialises_its_input() {
-        // Same labels, different shapes: no bound decides this pair, so a
-        // full chain runs every stage on it.
-        let specs = ["{a{b}{c}}", "{a{b{c}}}"];
+        // Same labels, different shapes, TED 3 > τ 2 (Figure 3, mirrored):
+        // no bound decides this pair, so a full chain runs every stage on it.
+        let specs = ["{1{1{3}}{2}}", "{1{2{3}{1}}}"];
         let built = |filters: &VerifyConfig| {
             let d = data(&specs);
             let mut engine = VerifyEngine::with_filters(2, filters);
-            assert_eq!(engine.check(&d[0], &d[1]), Some(2));
+            assert_eq!(engine.check(&d[0], &d[1]), None);
             assert_eq!(engine.ted_calls(), 1);
             assert_eq!(d[0].materialized(), d[1].materialized());
             d[0].materialized()
         };
-        // Left-side exact TED (these shapes cost the same either way)
-        // needs nothing beyond what preparation built.
+        // Left-side exact TED (mirrored, these shapes favour it) needs
+        // nothing beyond what preparation built.
         assert_eq!(built(&VerifyConfig::NONE), Materialized::default());
         let only = |histogram, traversal| VerifyConfig {
             histogram,
@@ -997,10 +1115,11 @@ mod tests {
     fn shape_hash_distinguishes_shapes_sharing_labels() {
         let d = data(&["{a{b}{c}}", "{a{b{c}}}"]);
         assert_ne!(d[0].shape_hash, d[1].shape_hash);
-        // Same labels, different shape: stage must not accept.
+        // Same labels, different shape: the rename script must not accept;
+        // the pair's TED 2 comes from a mapping.
+        assert_eq!(shape_certificate(&d[0], &d[1], 2), None);
         let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
         assert_eq!(engine.check(&d[0], &d[1]), Some(2));
-        assert_eq!(engine.ted_calls(), 1);
     }
 
     /// A path, a star and the two combs of `n` nodes over three labels.

@@ -488,11 +488,12 @@ mod tests {
 
         // One probe against its twin (`shape-accept`), a same-shape tree
         // sharing no label (rejected by `label-hist`) and a reshaped one
-        // with its labels (through `traversal-sed` to exact TED).
+        // with its labels (through `traversal-sed` to the mapping bound).
         let left = ["{a{b}{c}}", "{x{y}{z}}", "{a{b{c}}}"];
         let (outcome, held) = joined(&left, &["{a{b}{c}}"]);
         assert_eq!(outcome.pairs, [(0, 0), (2, 0)]);
-        assert_eq!(outcome.stats.ted_calls, 1);
+        assert_eq!(outcome.stats.early_accepts, 2);
+        assert_eq!(outcome.stats.ted_calls, 0);
         let held_is = |histogram, mirror| Materialized { histogram, mirror };
         let want = [
             held_is(false, false),

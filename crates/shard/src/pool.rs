@@ -198,7 +198,7 @@ pub(crate) fn execute<S: JoinSide>(
         // verification.
         tally.stats.candidate_time = start.elapsed();
         for verifier in verifiers {
-            let (found, engine) = verifier.join().expect("verifier panicked");
+            let (found, mut engine) = verifier.join().expect("verifier panicked");
             pairs.extend(found);
             engine.fold_into(&mut tally.stats);
         }

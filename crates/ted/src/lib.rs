@@ -10,13 +10,16 @@
 //!   left-path and mirrored (right-path) decompositions per tree pair (see
 //!   DESIGN.md for the substitution note);
 //! * [`sed`](mod@sed) — full and banded (threshold-aware) string edit distance;
-//! * [`bounds`] — the TED lower bounds used by the filtering baselines.
+//! * [`bounds`] — the TED lower bounds used by the filtering baselines;
+//! * [`mapping`] — a τ-banded constrained-mapping *upper* bound, the
+//!   verify chain's accept before exact TED.
 
 #![warn(missing_docs)]
 
 pub mod bounds;
 pub mod cost;
 pub mod hybrid;
+pub mod mapping;
 pub mod outcome;
 pub mod sed;
 pub mod ted_tree;
@@ -28,6 +31,7 @@ pub use bounds::{
 };
 pub use cost::CostModel;
 pub use hybrid::{ted, PreparedTree, Strategy, TedEngine};
+pub use mapping::{mapping_bound_within, MappingWorkspace};
 pub use outcome::{JoinOutcome, JoinStats, JoinWork, StageCount, TreeIdx};
 pub use sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
 pub use ted_tree::{TedBuildScratch, TedTree};

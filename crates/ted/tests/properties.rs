@@ -1,17 +1,19 @@
 //! Property-based tests for the distance kernels: metric axioms, the
 //! published lower bounds, cross-decomposition agreement, exactness of
-//! the τ-bounded kernel against the full DP, and everything derived from
-//! the left postorder arrays against the constructors that walk the tree.
+//! the τ-bounded kernel against the full DP, soundness of the banded
+//! mapping upper bound, and everything derived from the left postorder
+//! arrays against the constructors that walk the tree.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
-    histogram_bound, label_histogram, sed, sed_within, size_bound, ted, traversal_bound, CostModel,
-    PreparedTree, Strategy, TedBuildScratch, TedEngine, TedTree, TraversalStrings,
+    histogram_bound, label_histogram, mapping_bound_within, sed, sed_within, size_bound, ted,
+    traversal_bound, tree_distance, CostModel, MappingWorkspace, PreparedTree, Strategy,
+    TedBuildScratch, TedEngine, TedTree, TedWorkspace, TraversalStrings,
 };
-use tsj_tree::{Label, Tree};
+use tsj_tree::{apply_edit, EditOp, Label, NodeId, Tree};
 
 fn random_tree(seed: u64, max_size: usize) -> Tree {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,6 +64,144 @@ fn bounded_is_exact(
         }
     }
     Ok(())
+}
+
+/// Zhang's constrained mapping distance with both run moves, unbanded and
+/// unsaturated, straight from the recurrence over [`Tree`] child lists:
+/// what `mapping_bound_within` computes when its band loses nothing.
+struct Constrained<'t> {
+    a: &'t Tree,
+    b: &'t Tree,
+    size_a: Vec<u32>,
+    size_b: Vec<u32>,
+    /// `(subtree cost, child-forest cost)` per node pair.
+    memo: Vec<Option<(u32, u32)>>,
+}
+
+impl<'t> Constrained<'t> {
+    fn distance(a: &'t Tree, b: &'t Tree) -> u32 {
+        let mut pairs = Constrained {
+            a,
+            b,
+            size_a: a.subtree_sizes(),
+            size_b: b.subtree_sizes(),
+            memo: vec![None; a.len() * b.len()],
+        };
+        pairs.pair(a.root(), b.root()).0
+    }
+
+    fn pair(&mut self, x: NodeId, y: NodeId) -> (u32, u32) {
+        let slot = x.index() * self.b.len() + y.index();
+        if let Some(done) = self.memo[slot] {
+            return done;
+        }
+        let (a, b) = (self.a, self.b);
+        let mut forest = self.child_edit(a.children(x), b.children(y));
+        let mut tree = u32::MAX;
+        for &c in b.children(y) {
+            let (t, f) = self.pair(x, c);
+            let rest = self.size_b[y.index()] - self.size_b[c.index()];
+            (tree, forest) = (tree.min(t + rest), forest.min(f + rest));
+        }
+        for &c in a.children(x) {
+            let (t, f) = self.pair(c, y);
+            let rest = self.size_a[x.index()] - self.size_a[c.index()];
+            (tree, forest) = (tree.min(t + rest), forest.min(f + rest));
+        }
+        let tree = tree.min(forest + u32::from(a.label(x) != b.label(y)));
+        self.memo[slot] = Some((tree, forest));
+        (tree, forest)
+    }
+
+    fn run(&mut self, xs: &[NodeId], ys: &[NodeId]) -> u32 {
+        1 + xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &y)| self.pair(x, y).0)
+            .sum::<u32>()
+    }
+
+    fn child_edit(&mut self, xs: &[NodeId], ys: &[NodeId]) -> u32 {
+        let (a, b) = (self.a, self.b);
+        let w = ys.len() + 1;
+        let mut e = vec![0u32; (xs.len() + 1) * w];
+        for t in 1..w {
+            e[t] = e[t - 1] + self.size_b[ys[t - 1].index()];
+        }
+        for s in 1..=xs.len() {
+            let x = xs[s - 1];
+            let delete = self.size_a[x.index()];
+            e[s * w] = e[(s - 1) * w] + delete;
+            for t in 1..w {
+                let y = ys[t - 1];
+                let mut d = (e[(s - 1) * w + t] + delete)
+                    .min(e[s * w + t - 1] + self.size_b[y.index()])
+                    .min(e[(s - 1) * w + t - 1] + self.pair(x, y).0);
+                let (inserted, deleted) = (b.children(y), a.children(x));
+                if (2..=s).contains(&inserted.len()) {
+                    let m = inserted.len();
+                    d = d.min(e[(s - m) * w + t - 1] + self.run(&xs[s - m..s], inserted));
+                }
+                if (2..=t).contains(&deleted.len()) {
+                    let m = deleted.len();
+                    d = d.min(e[(s - 1) * w + t - m] + self.run(deleted, &ys[t - m..t]));
+                }
+                e[s * w + t] = d;
+            }
+        }
+        e[xs.len() * w + ys.len()]
+    }
+}
+
+/// The mapping bound's contract on one pair at each of `taus`: never below
+/// TED, never above τ, never below the unbanded bound, and `Some` exactly
+/// when the unbanded bound is within τ — the band loses nothing.
+fn mapping_bound_holds(
+    ws: &mut MappingWorkspace,
+    a: &Tree,
+    b: &Tree,
+    taus: &[u32],
+) -> Result<(), String> {
+    let (pa, pb) = (TedTree::new(a), TedTree::new(b));
+    let d = tree_distance(&pa, &pb, &CostModel::UNIT, &mut TedWorkspace::new());
+    let unbanded = Constrained::distance(a, b);
+    for &tau in taus {
+        let got = mapping_bound_within(&pa, &pb, tau, ws);
+        let sound = got.is_none_or(|ub| d <= ub && unbanded <= ub && ub <= tau);
+        if !sound || got.is_some() != (unbanded <= tau) {
+            return Err(format!(
+                "bound {got:?} at tau {tau}, TED {d}, unbanded {unbanded}: {:?} vs {:?}",
+                a.flatten(),
+                b.flatten()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every single edit of `tree`: a rename of each node to `label`, the
+/// delete of each non-root node, and an insert under each node over every
+/// run of its children (empty runs included).
+fn every_single_edit(tree: &Tree, label: Label) -> Vec<EditOp> {
+    let mut ops = Vec::new();
+    for node in tree.node_ids() {
+        ops.push(EditOp::Rename { node, label });
+        if node != tree.root() {
+            ops.push(EditOp::Delete { node });
+        }
+        let available = tree.children(node).len();
+        for start in 0..=available {
+            for count in 0..=available - start {
+                ops.push(EditOp::Insert {
+                    parent: node,
+                    start,
+                    count,
+                    label,
+                });
+            }
+        }
+    }
+    ops
 }
 
 /// The thresholds every pair is checked at: the small ones joins use, one
@@ -284,6 +424,38 @@ proptest! {
         bounded_is_exact(engines, &tree, &other, &taus)?;
     }
 
+    /// The mapping bound on a tree and its mutant, both ways round, and on
+    /// an unrelated tree: sound at every threshold a join runs.
+    #[test]
+    fn mapping_bound_is_never_below_ted(seed in any::<u64>(), edits in 0usize..=8) {
+        let tree = random_tree(seed, 40);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0b0d);
+        let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 5);
+        let other = random_tree(seed ^ 0x07e2, 40);
+        let ws = &mut MappingWorkspace::new();
+        let taus = [0, 1, 2, 3, 6];
+        for (a, b) in [(&tree, &mutant), (&mutant, &tree), (&tree, &other)] {
+            prop_assert_eq!(mapping_bound_holds(ws, a, b, &taus), Ok(()));
+        }
+    }
+
+    /// Every single edit — a rename, the delete of any non-root node, an
+    /// insert over any run of children — costs exactly TED under the
+    /// bound: the two run moves cover what a constrained mapping cannot.
+    #[test]
+    fn one_edit_is_bounded_exactly(seed in any::<u64>()) {
+        let tree = random_tree(seed, 24);
+        let label = Label::from_raw(1 + (seed % 5) as u32);
+        let (pa, ws) = (TedTree::new(&tree), &mut MappingWorkspace::new());
+        for op in every_single_edit(&tree, label) {
+            let edited = apply_edit(&tree, &op).expect("a valid edit");
+            let pb = TedTree::new(&edited);
+            let d = ted(&tree, &edited);
+            prop_assert_eq!(mapping_bound_within(&pa, &pb, 1, ws), Some(d), "{:?}", op);
+            prop_assert_eq!(mapping_bound_within(&pb, &pa, 1, ws), Some(d), "{:?}", op);
+        }
+    }
+
     /// TED is a metric: identity, symmetry, triangle inequality.
     #[test]
     fn ted_is_a_metric(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
@@ -367,21 +539,26 @@ proptest! {
     }
 }
 
-/// Exhaustive soak of the τ-bounded kernel on small trees, where every
-/// pruning's edge (band edge, sentinel, skipped keyroot pair, early exit)
-/// is hit from every side: every ordered pair of two-label trees up to 5
-/// nodes, and every ordered pair of tree *shapes* up to 7 nodes under
-/// three labelings, at every τ ≤ 8. CI runs it in release
+/// Exhaustive soak of both τ-banded kernels on small trees, where every
+/// pruning's edge (band edge, sentinel, skipped keyroot pair, early exit,
+/// saturation) is hit from every side: every ordered pair of two-label
+/// trees up to 5 nodes, every ordered pair of tree *shapes* up to 7 nodes
+/// under three labelings, and paths, stars and both combs up to 12 nodes,
+/// at every τ ≤ 8 and past every band. The bounded TED kernel must be
+/// exact; the mapping bound never below TED and `Some` exactly when its
+/// unbanded value is within τ. CI runs it in release
 /// (`cargo test --release -p tsj-ted -- --ignored`).
 #[test]
-#[ignore = "exhaustive: about half a minute in release, far longer in debug"]
+#[ignore = "exhaustive: about a minute in release, far longer in debug"]
 fn bounded_ted_exhaustive_small_trees() {
-    let taus: Vec<u32> = (0..=8).collect();
+    let taus: Vec<u32> = (0..=8).chain([12, 13, u32::MAX]).collect();
     let engines = &mut engines(CostModel::UNIT);
+    let ws = &mut MappingWorkspace::new();
     let mut soak = |trees: &[Tree]| {
         for a in trees {
             for b in trees {
                 bounded_is_exact(engines, a, b, &taus).unwrap();
+                mapping_bound_holds(ws, a, b, &taus).unwrap();
             }
         }
     };
@@ -407,6 +584,12 @@ fn bounded_ted_exhaustive_small_trees() {
         })
         .collect();
     soak(&three_labelings);
+
+    let corners: Vec<Tree> = (1..=12)
+        .flat_map(corner_shapes)
+        .flat_map(|shape| [0, 0b0110_1001_1011].map(|mask| tree_of(&shape, mask)))
+        .collect();
+    soak(&corners);
 }
 
 #[test]
