@@ -15,7 +15,6 @@ use partsj::{partsj_join_with, PartSjConfig, PartitionScheme, WindowPolicy};
 use std::hint::black_box;
 use tsj_baselines::{set_join, str_join};
 use tsj_datagen::{synthetic, SyntheticParams};
-use tsj_shard::{sharded_join, ShardConfig};
 use tsj_tree::Tree;
 
 fn dataset(n: usize) -> Vec<Tree> {
@@ -47,18 +46,6 @@ fn bench_cardinality(c: &mut Criterion) {
         let slice = &trees[..n];
         group.bench_with_input(BenchmarkId::new("PRT", n), &n, |bench, _| {
             bench.iter(|| black_box(partsj_join_with(slice, 3, &PartSjConfig::default())))
-        });
-        // Sharded candidate generation, pools sized to the machine
-        // (collapses to the inline sharded path on one core).
-        group.bench_with_input(BenchmarkId::new("PRT-sh4", n), &n, |bench, _| {
-            bench.iter(|| {
-                black_box(sharded_join(
-                    slice,
-                    3,
-                    &PartSjConfig::default(),
-                    &ShardConfig::default(),
-                ))
-            })
         });
         group.bench_with_input(BenchmarkId::new("STR", n), &n, |bench, _| {
             bench.iter(|| black_box(str_join(slice, 3)))

@@ -21,8 +21,8 @@
 //!   join is cross-checked against a fresh `sharded_rs_join` and the
 //!   process exits nonzero on any mismatch)
 //! * `metrics`             — runs a representative workload through
-//!   every layer (batch join, sharded join, frozen catalog, streaming,
-//!   faulty cluster on a virtual clock), then prints the merged
+//!   every layer (batch join, sharded R×S join, frozen catalog,
+//!   streaming, faulty cluster on a virtual clock), then prints the merged
 //!   [`tsj_obs`] metrics in both export formats and self-validates
 //!   them: the Prometheus text must pass
 //!   [`tsj_obs::export::validate_prometheus`] (no duplicate series,
@@ -36,13 +36,13 @@
 //! Options: `--scale F` multiplies the default cardinalities (default 1.0;
 //! the paper's full scale is reached around `--scale 50` for Swissprot),
 //! `--seed N` changes the generator seed (default 2015),
-//! `--shards N` (default 1) runs the `PRT` rows through the sharded join
-//! (`tsj-shard`: parallel candidate generation, results bit-identical),
 //! `--catalog PATH` names the snapshot file of the `catalog` command,
-//! `--tau N` (default 3) sets its freeze threshold, and
-//! `--balanced-shards` routes the sharded `PRT` rows with
-//! `ShardConfig::balanced_shards` — results are bit-identical to the hash
-//! map, so the flag only moves the time columns.
+//! `--tau N` (default 3) sets its freeze threshold, `--shards N`
+//! (default 1) its shard count, and `--balanced-shards` routes its
+//! freeze with `ShardConfig::balanced_shards` — results are
+//! bit-identical to the hash map, so the flag only moves the time
+//! columns. `metrics` runs on `max(N, 2)` shards. Any other command
+//! refuses both shard flags: the figure and table commands never shard.
 
 use partsj::{
     partsj_join_detailed, partsj_join_with, MatchSemantics, PartSjConfig, PartitionScheme,
@@ -67,17 +67,17 @@ struct Options {
 }
 
 impl Options {
-    /// The `ShardConfig` the `PRT` rows run with.
+    /// The `ShardConfig` the `catalog` command freezes and joins with.
     fn shard_config(&self) -> ShardConfig {
         ShardConfig {
-            shards: self.shards,
+            shards: self.shards.max(1),
             balanced_shards: self.balanced_shards,
             ..Default::default()
         }
     }
 }
 
-const USAGE: &str = "usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--shards N] [--catalog PATH] [--tau N] [--balanced-shards]";
+const USAGE: &str = "usage: experiments <table1|fig10|fig11|fig12|fig13|fig14|ablation-partition|ablation-window|ablation-matching|catalog|metrics|all> [--scale F] [--seed N] [--param P] [--catalog PATH] [--tau N] [--shards N] [--balanced-shards]";
 
 /// Parses `<command> [options]`; an error is the line to print above
 /// [`USAGE`].
@@ -101,14 +101,31 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
             "--scale" => options.scale = number(&flag, value()?)?,
             "--seed" => options.seed = number(&flag, value()?)?,
             "--param" => options.param = Some(value()?),
-            "--shards" => options.shards = number(&flag, value()?)?,
+            "--shards" => {
+                options.shards = number(&flag, value()?)?;
+                read_by(&command, &flag, &["catalog", "metrics"])?;
+            }
             "--catalog" => options.catalog = Some(value()?),
             "--tau" => options.tau = number(&flag, value()?)?,
-            "--balanced-shards" => options.balanced_shards = true,
+            "--balanced-shards" => {
+                options.balanced_shards = true;
+                read_by(&command, &flag, &["catalog"])?;
+            }
             other => return Err(format!("unknown option {other}")),
         }
     }
     Ok((command, options))
+}
+
+/// An error unless `command` is one of `readers`, the commands that read
+/// `flag`: elsewhere the flag would be parsed and silently ignored.
+fn read_by(command: &str, flag: &str, readers: &[&str]) -> Result<(), String> {
+    if readers.contains(&command) {
+        Ok(())
+    } else {
+        let readers = readers.join(" and ");
+        Err(format!("{flag} applies to {readers} only, not {command}"))
+    }
 }
 
 /// `value` parsed as the number `flag` takes.
@@ -203,10 +220,6 @@ fn fig10_11(options: &Options, runtime: bool) {
         "Figure 11 (candidates vs τ)"
     };
     println!("\n== {which} ==\n");
-    if options.balanced_shards {
-        println!("(sharded PRT rows route with a balanced shard map)\n");
-    }
-    let shard_cfg = options.shard_config();
     for dataset in Dataset::ALL {
         let n = scaled(dataset.default_cardinality(), options.scale);
         let trees = dataset.generate(n, options.seed);
@@ -215,7 +228,7 @@ fn fig10_11(options: &Options, runtime: bool) {
         for tau in 1..=5u32 {
             let mut rel = None;
             for method in Method::ALL {
-                let outcome = method.run_sharded(&trees, tau, &shard_cfg);
+                let outcome = method.run(&trees, tau);
                 rel.get_or_insert(outcome.stats.results);
                 if runtime {
                     rows.push(vec![
@@ -274,7 +287,6 @@ fn fig12_13(options: &Options, runtime: bool) {
         "Figure 13 (candidates vs cardinality, tau = 3)"
     };
     println!("\n== {which} ==\n");
-    let shard_cfg = options.shard_config();
     let tau = 3;
     for dataset in Dataset::ALL {
         let full = scaled(dataset.default_cardinality(), options.scale);
@@ -286,7 +298,7 @@ fn fig12_13(options: &Options, runtime: bool) {
         for &n in &steps {
             let slice = &trees[..n];
             for method in Method::ALL {
-                let outcome = method.run_sharded(slice, tau, &shard_cfg);
+                let outcome = method.run(slice, tau);
                 if runtime {
                     rows.push(vec![
                         format!("{n}"),
@@ -328,7 +340,6 @@ fn fig14(options: &Options, param: &str) {
         }
     };
     let tau = 3;
-    let shard_cfg = options.shard_config();
     let n = scaled(Dataset::Synthetic.default_cardinality(), options.scale);
     println!("\n== Figure 14: sensitivity to {label} ({n} trees, tau = {tau}) ==\n");
     let mut rows = Vec::new();
@@ -342,7 +353,7 @@ fn fig14(options: &Options, param: &str) {
         }
         let trees = synthetic(n, &params, options.seed);
         for method in Method::ALL {
-            let outcome = method.run_sharded(&trees, tau, &shard_cfg);
+            let outcome = method.run(&trees, tau);
             rows.push(vec![
                 format!("{value}"),
                 method.name().into(),
@@ -385,15 +396,22 @@ fn catalog_cmd(options: &Options) {
     };
     let tau = options.tau;
     let config = PartSjConfig::default();
-    let shard_cfg = ShardConfig::with_shards(options.shards.max(1));
+    let shard_cfg = options.shard_config();
     let n = scaled(Dataset::Swissprot.default_cardinality(), options.scale) / 2;
     let left = Dataset::Swissprot.generate(n, options.seed);
-    let probes = Dataset::Swissprot.generate(n / 4, options.seed + 1);
+    // Every fourth catalog tree: each probe finds at least itself, so the
+    // cross-check below compares joins that route real matches.
+    let probes: Vec<Tree> = left.iter().step_by(4).cloned().collect();
     println!(
-        "\n== Catalog service ({} catalog trees, {} probes, tau = {tau}, {} shards) ==\n",
+        "\n== Catalog service ({} catalog trees, {} probes, tau = {tau}, {} shards, {} map) ==\n",
         left.len(),
         probes.len(),
-        shard_cfg.shards
+        shard_cfg.shards,
+        if shard_cfg.balanced_shards {
+            "balanced"
+        } else {
+            "hash"
+        }
     );
 
     let existed = std::path::Path::new(path).exists();
@@ -457,7 +475,10 @@ fn catalog_cmd(options: &Options) {
         let start = Instant::now();
         let direct = sharded_rs_join(&left, &probes, tau_q, &config, &shard_cfg);
         let direct_time = start.elapsed();
-        let agree = served.pairs == direct.pairs;
+        // Probe `j` is catalog tree `4j`: a join without that pair is
+        // wrong whatever the direct join says.
+        let finds_itself = (0..probes.len() as u32).all(|j| served.pairs.contains(&(4 * j, j)));
+        let agree = served.pairs == direct.pairs && finds_itself;
         failed |= !agree;
         rows.push(vec![
             format!("{tau_q}"),
@@ -506,7 +527,7 @@ fn metrics_cmd(options: &Options) {
     use tsj_cluster::{Cluster, ClusterConfig, FaultPlan, VirtualClock};
     use tsj_obs::export::{to_json, to_prometheus, validate_prometheus};
     use tsj_obs::MetricsSnapshot;
-    use tsj_shard::{sharded_join, EvictionPolicy, ShardedStreamingJoin};
+    use tsj_shard::{sharded_rs_join, EvictionPolicy, ShardedStreamingJoin};
 
     let tau = 2u32;
     let config = PartSjConfig::default();
@@ -565,11 +586,12 @@ fn metrics_cmd(options: &Options) {
         })
         .with_clock(Arc::new(VirtualClock::new()));
 
-    // Every instrumented layer once per pass: batch join, sharded join,
-    // catalog search, streaming with eviction, cluster scatter/gather.
+    // Every instrumented layer once per pass: batch join, sharded R×S
+    // join, catalog search, streaming with eviction, cluster
+    // scatter/gather.
     let run_pass = |cluster: &mut Cluster| {
         let _ = partsj_join_with(&trees, tau, &config);
-        let _ = sharded_join(&trees, tau, &config, &shard_cfg);
+        let _ = sharded_rs_join(&trees, &probes, tau, &config, &shard_cfg);
         for probe in &probes {
             let _ = catalog
                 .query(probe, tau, &config)
@@ -835,19 +857,31 @@ mod tests {
     #[test]
     fn numeric_flags_parse_or_name_the_bad_value() {
         let (command, options) =
-            parse("table1 --scale 0.5 --seed 7 --shards 2 --tau 4 --balanced-shards").unwrap();
-        assert_eq!(command, "table1");
+            parse("catalog --scale 0.5 --seed 7 --shards 2 --tau 4 --balanced-shards").unwrap();
+        assert_eq!(command, "catalog");
         assert_eq!(
             (options.scale, options.seed, options.shards, options.tau),
             (0.5, 7, 2, 4)
         );
-        assert!(options.balanced_shards);
+        // The catalog command freezes and joins with both shard flags.
+        let shard_cfg = options.shard_config();
+        assert_eq!((shard_cfg.shards, shard_cfg.balanced_shards), (2, true));
         for flag in ["--scale", "--seed", "--shards", "--tau"] {
             assert_eq!(
                 parse(&format!("table1 {flag} abc")).unwrap_err(),
                 format!("invalid value for {flag}: abc")
             );
         }
+        // The shard flags reach only the commands that read them.
+        assert_eq!(parse("metrics --shards 4").unwrap().1.shards, 4);
+        assert_eq!(
+            parse("fig12 --shards 4").unwrap_err(),
+            "--shards applies to catalog and metrics only, not fig12"
+        );
+        assert_eq!(
+            parse("metrics --balanced-shards").unwrap_err(),
+            "--balanced-shards applies to catalog only, not metrics"
+        );
         assert_eq!(
             parse("table1 --tau -1").unwrap_err(),
             "invalid value for --tau: -1"

@@ -9,13 +9,12 @@
 
 pub mod compare;
 
-use partsj::{partsj_join, PartSjConfig};
+use partsj::partsj_join;
 use std::time::Duration;
 use tsj_datagen::{
     collection_stats, sentiment_like, swissprot_like, synthetic, treebank_like, CollectionStats,
     SyntheticParams,
 };
-use tsj_shard::{sharded_join, ShardConfig};
 use tsj_ted::JoinOutcome;
 use tsj_tree::Tree;
 
@@ -119,20 +118,9 @@ impl Method {
 
     /// Runs the method.
     pub fn run(self, trees: &[Tree], tau: u32) -> JoinOutcome {
-        self.run_sharded(trees, tau, &ShardConfig::with_shards(1))
-    }
-
-    /// Runs the method; with more than one shard, `PRT` uses the sharded
-    /// join (parallel candidate generation over `tsj_shard::ShardedIndex`,
-    /// pools auto-sized to the machine). The baselines have no sharded
-    /// variant and ignore the parameter.
-    pub fn run_sharded(self, trees: &[Tree], tau: u32, shard_cfg: &ShardConfig) -> JoinOutcome {
         match self {
             Method::Str => tsj_baselines::str_join(trees, tau),
             Method::Set => tsj_baselines::set_join(trees, tau),
-            Method::Prt if shard_cfg.shards > 1 => {
-                sharded_join(trees, tau, &PartSjConfig::default(), shard_cfg)
-            }
             Method::Prt => partsj_join(trees, tau),
         }
     }

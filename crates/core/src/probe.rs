@@ -55,14 +55,13 @@ impl ProbeScratch {
 
 /// Consumer-side bookkeeping for one probing tree.
 ///
-/// `admit` is the cheap pre-match gate (stamp/alive/order checks) applied
-/// to every surfaced handle *before* the component walk; `accept` records
+/// `admit` is the cheap pre-match gate (stamp/alive checks) applied to
+/// every surfaced handle *before* the component walk; `accept` records
 /// a successful subgraph match (stamp the pair, push the candidate).
 pub trait CandidateSink {
     /// Whether `tree` is still an interesting container for the current
     /// probe — `false` skips the match attempt entirely (already a
-    /// candidate, removed from a dynamic index, or filtered by the
-    /// caller's processing order).
+    /// candidate, or removed from a dynamic index).
     fn admit(&mut self, tree: TreeIdx) -> bool;
 
     /// Called once per newly matched container tree (a subgraph of `tree`

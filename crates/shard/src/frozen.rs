@@ -26,10 +26,10 @@
 //! at `τ_q` makes the result exact. `tsj-catalog` relies on this to
 //! serve per-query thresholds from one snapshot.
 
-use crate::index::{Gate, ShardConfig, ShardMap, ShardedIndex};
-use crate::join::build_subgraph_lists;
-use crate::pool::{execute, run_inline, JoinSide};
+use crate::index::{ShardConfig, ShardMap, ShardedIndex};
+use crate::pool::{execute, run_inline};
 use partsj::probe::{classes_within, scan_small_trees, window_of, Candidates, ProbeCounters};
+use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
     VerifyData, VerifyEngine, WindowPolicy,
@@ -98,9 +98,8 @@ impl StepScratch {
 /// trees `0..universe` (one match cache per shard — component ids are
 /// per-shard), then the side-listed trees of `classes`, then the
 /// postings of every shard covering the size window `[lo, hi]` — or of
-/// `shard` alone. `admit` is the caller's admission rule (processing
-/// rank for the self-join; liveness is the index's own). Candidates are
-/// left in `scratch`; returns how many came from the side list.
+/// `shard` alone (dead container trees never surface; liveness is the
+/// index's own). Candidates are left in `scratch`.
 #[allow(clippy::too_many_arguments)] // one hot step, all parts hoisted by callers
 pub(crate) fn probe_step(
     index: &ShardedIndex,
@@ -111,22 +110,17 @@ pub(crate) fn probe_step(
     classes: impl IntoIterator<Item = u32>,
     shard: Option<usize>,
     matching: MatchSemantics,
-    admit: impl Fn(TreeIdx) -> bool,
     scratch: &mut StepScratch,
-    counters: &mut ProbeCounters,
-) -> u64 {
+) {
     scratch.candidates.begin(universe);
     scratch
         .caches
         .resize_with(index.shard_count(), MatchCache::new);
-    let mut stamps = scratch.candidates.sink();
-    let mut sink = Gate {
-        admit,
-        inner: &mut stamps,
-    };
-    let small = scan_small_trees(small_by_size, classes, &mut sink);
+    let mut sink = scratch.candidates.sink();
+    scan_small_trees(small_by_size, classes, &mut sink);
     let size = binary.len() as u32;
     let (caches, layers) = (&mut scratch.caches, &mut scratch.layer_scratch);
+    let counters = &mut ProbeCounters::default();
     match shard {
         None => index.probe_tree(
             binary,
@@ -155,12 +149,52 @@ pub(crate) fn probe_step(
             &mut sink,
         ),
     }
-    small
+}
+
+/// Applies the δ rule ([`partition_tree_with`]) to every tree — its
+/// partition (an exact-size copy out of the worker's scratch), or `None`
+/// for side-listed small trees — fanning the per-tree work out over
+/// `threads` scoped workers, each preparing its trees' LC-RS forms
+/// through one reused [`ProbeScratch`].
+pub fn build_subgraph_lists(
+    trees: &[Tree],
+    tau: u32,
+    config: &PartSjConfig,
+    threads: usize,
+) -> Vec<Option<Partition>> {
+    let scheme = config.partitioning;
+    let build_one = |i: usize, (probe, partition): &mut (ProbeScratch, PartitionScratch)| {
+        let (binary, posts) = probe.prepare(&trees[i]);
+        partition_tree_with(binary, posts, tau, scheme, i as TreeIdx, partition).cloned()
+    };
+    if threads <= 1 || trees.len() < 2 * threads {
+        let scratch = &mut Default::default();
+        return (0..trees.len()).map(|i| build_one(i, scratch)).collect();
+    }
+    let mut lists: Vec<Option<Partition>> = vec![None; trees.len()];
+    let chunk = trees.len().div_ceil(threads);
+    crossbeam::scope(|scope| {
+        for (c, slot) in lists.chunks_mut(chunk).enumerate() {
+            let base = c * chunk;
+            scope.spawn(move |_| {
+                let scratch = &mut Default::default();
+                for (off, out) in slot.iter_mut().enumerate() {
+                    *out = build_one(base + off, scratch);
+                }
+            });
+        }
+    })
+    .expect("partition scope");
+    lists
 }
 
 impl Frozen {
     /// Builds the frozen side of `left` for threshold `tau` — the crate's
-    /// one static build, in input order. Both [`crate::sharded_rs_join`]
+    /// one static build: the δ rule over every tree (fanned out over the
+    /// configured probe workers), then, in input order, the partitioned
+    /// trees bulk-loaded into a fresh [`ShardedIndex`], the rest
+    /// side-listed, all of them tracked; and the verification inputs, as
+    /// [`Frozen::restore`] prepares them. Both [`crate::sharded_rs_join`]
     /// and `tsj-catalog`'s freeze build through here, which is what keeps
     /// a frozen catalog bit-identical to the direct join.
     pub fn build(
@@ -169,31 +203,13 @@ impl Frozen {
         config: &PartSjConfig,
         shard_cfg: &ShardConfig,
     ) -> Frozen {
-        Frozen::build_in(left, tau, config, shard_cfg, 0..left.len() as TreeIdx).0
-    }
-
-    /// The one static build: LC-RS forms (returned beside the side — the
-    /// self-join probes with them), the δ rule over
-    /// every tree (fanned out over the configured probe workers), then —
-    /// walking `order`, which fixes the insertion order within every
-    /// shard and side list — the partitioned trees bulk-loaded into a
-    /// fresh [`ShardedIndex`], the rest side-listed, all of them tracked;
-    /// and the verification inputs, as [`Frozen::restore`] prepares them.
-    pub(crate) fn build_in(
-        left: &[Tree],
-        tau: u32,
-        config: &PartSjConfig,
-        shard_cfg: &ShardConfig,
-        order: impl IntoIterator<Item = TreeIdx>,
-    ) -> (Frozen, Vec<BinaryTree>) {
         let threads = shard_cfg.resolved_probe_threads();
-        let binaries: Vec<BinaryTree> = left.iter().map(BinaryTree::from_tree).collect();
-        let mut lists = build_subgraph_lists(left, &binaries, tau, config, threads);
+        let lists = build_subgraph_lists(left, tau, config, threads);
         let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
         let mut items = Vec::new();
-        for i in order {
-            let size = left[i as usize].len() as u32;
-            match lists[i as usize].take() {
+        for ((i, tree), list) in (0..).zip(left).zip(lists) {
+            let size = tree.len() as u32;
+            match list {
                 Some(subgraphs) => items.push((i, size, subgraphs)),
                 None => small_by_size.entry(size).or_default().push(i),
             }
@@ -209,7 +225,7 @@ impl Frozen {
                 frozen.index.track(i, size);
             }
         }
-        (frozen, binaries)
+        frozen
     }
 
     /// Reassembles a frozen side from snapshot parts: the header's
@@ -246,14 +262,13 @@ impl Frozen {
 
     /// The probe step for a raw `tree` at `tau`: its size window, every
     /// shard covering it.
-    fn probe(
+    pub(crate) fn probe(
         &self,
         tree: &Tree,
         tau: u32,
         matching: MatchSemantics,
         scratch: &mut FrozenJoinScratch,
-        counters: &mut ProbeCounters,
-    ) -> u64 {
+    ) {
         let (lo, hi) = window_of(tree.len() as u32, tau);
         probe_step(
             &self.index,
@@ -264,10 +279,8 @@ impl Frozen {
             classes_within(self.small_by_size.keys().copied(), lo, hi),
             None,
             matching,
-            |_| true,
             &mut scratch.step,
-            counters,
-        )
+        );
     }
 
     /// R×S join of `right` against the frozen side: all `(i, j)` with
@@ -289,14 +302,8 @@ impl Frozen {
         probe_threads: usize,
         verify_threads: usize,
     ) -> JoinOutcome {
-        let side = RightSide {
-            left: self,
-            right,
-            tau,
-            config,
-        };
-        let (pairs, tally) = execute(&side, tau, config, probe_threads, verify_threads);
-        JoinOutcome::new_bipartite(pairs, tally.stats)
+        let (pairs, stats) = execute(self, right, tau, config, probe_threads, verify_threads);
+        JoinOutcome::new_bipartite(pairs, stats)
     }
 
     /// The inline (single-thread) half of [`Frozen::join`], exposed so
@@ -319,13 +326,7 @@ impl Frozen {
         verify.set_tau(tau);
         verify.reset_counters();
         pairs.clear();
-        let side = RightSide {
-            left: self,
-            right,
-            tau,
-            config,
-        };
-        let mut stats = run_inline(&side, verify, scratch, pairs).stats;
+        let mut stats = run_inline(self, right, tau, config, verify, scratch, pairs);
         // Same normalization as `JoinOutcome::new_bipartite`, so callers
         // holding the raw vector see identical results.
         pairs.sort_unstable();
@@ -349,8 +350,7 @@ impl Frozen {
         out: &mut Vec<(TreeIdx, u32)>,
     ) {
         out.clear();
-        let mut counters = ProbeCounters::default();
-        self.probe(probe, engine.tau(), matching, scratch, &mut counters);
+        self.probe(probe, engine.tau(), matching, scratch);
         let data_q = scratch.probe_verify.prepare(probe);
         out.extend(scratch.step.found().iter().filter_map(|&i| {
             engine
@@ -392,9 +392,7 @@ impl Frozen {
             classes.iter().copied(),
             Some(shard),
             matching,
-            |_| true,
             &mut scratch.step,
-            &mut ProbeCounters::default(),
         );
         let found = scratch.step.found();
         stats.candidates = found.len() as u64;
@@ -408,50 +406,6 @@ impl Frozen {
         stats.verify_time = verify_start.elapsed();
         engine.fold_into(&mut stats);
         (matches, stats)
-    }
-}
-
-/// An R×S join as the crate's executor sees it: probe number `pos` is
-/// `right[pos]`, probing the frozen side with no admission rule beyond
-/// dedup (the index spans exactly the left collection).
-struct RightSide<'a> {
-    left: &'a Frozen,
-    right: &'a [Tree],
-    tau: u32,
-    config: &'a PartSjConfig,
-}
-
-impl JoinSide for RightSide<'_> {
-    fn probes(&self) -> usize {
-        self.right.len()
-    }
-
-    fn probe(
-        &self,
-        pos: usize,
-        scratch: &mut FrozenJoinScratch,
-        counters: &mut ProbeCounters,
-    ) -> u64 {
-        let matching = self.config.matching;
-        self.left
-            .probe(&self.right[pos], self.tau, matching, scratch, counters)
-    }
-
-    fn verify(
-        &self,
-        pos: usize,
-        candidates: impl Iterator<Item = TreeIdx>,
-        engine: &mut VerifyEngine,
-        prep: &mut ProbeVerify,
-        pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-    ) {
-        let left_data = &self.left.left_data;
-        let data = prep.prepare(&self.right[pos]);
-        for i in candidates {
-            if engine.check(&left_data[i as usize], data).is_some() {
-                pairs.push((i, pos as TreeIdx));
-            }
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! size list `I_n` lives in exactly one shard, each shard owns an
 //! independent [`partsj::SubgraphIndex`], and a probe window `[lo, hi]`
 //! touches at most `min(hi − lo + 1, N)` shards. Shards therefore
-//! build, probe and compact independently — the parallelism unit of
-//! [`crate::join`] and the isolation unit of delete/evict. The default
+//! build, probe and compact independently — the parallelism unit of a
+//! batch build and the isolation unit of delete/evict. The default
 //! map is a fixed multiplicative hash; batch builds can derive a
 //! [`ShardMap::balanced`] assignment from the observed size histogram
 //! instead (see [`ShardConfig::balanced_shards`]).
@@ -68,15 +68,12 @@ pub struct ShardConfig {
     /// and smaller compaction units; probe cost is unchanged
     /// (each size class still lives in exactly one shard).
     pub shards: usize,
-    /// Probe-side worker threads for the batch joins; `0` sizes the pool
-    /// from `std::thread::available_parallelism`. The joins run inline
-    /// (no channel, no scope) only when this *and*
-    /// [`ShardConfig::verify_threads`] both resolve to `1`, or the input
-    /// is below `PartSjConfig::parallel_fallback`; `1` here with more
-    /// verifiers is one prober feeding a verifier pool — the shape a
-    /// TED-bound input wants.
+    /// Probe threads of a frozen side's R×S join
+    /// ([`crate::sharded_rs_join`], `tsj-catalog`'s `Catalog::join`), and
+    /// the workers that partition and ingest a [`crate::Frozen::build`];
+    /// `0` sizes them from `std::thread::available_parallelism`.
     pub probe_threads: usize,
-    /// Verifier threads for the batch joins; `0` = auto.
+    /// Verifier threads of a frozen side's R×S join; `0` = auto.
     pub verify_threads: usize,
     /// A shard compacts once `dead / (dead + live)` postings exceed this
     /// fraction.
@@ -85,8 +82,8 @@ pub struct ShardConfig {
     /// shards don't sweep on every removal).
     pub min_dead_postings: u64,
     /// Route size classes with a [`ShardMap::balanced`] map derived from
-    /// the size histogram a batch build observes (sharded/frozen joins
-    /// and the catalog freeze, via [`ShardedIndex::build_static`])
+    /// the size histogram a batch build observes (a frozen side's build
+    /// and so the catalog freeze, via [`ShardedIndex::build_static`])
     /// instead of the fixed hash. Results are bit-identical either way;
     /// the load-evening win needs more than one core to show and is
     /// unverified on the single-CPU benchmark host. The streaming index
@@ -755,11 +752,10 @@ impl ShardedIndex {
     }
 }
 
-/// Sink adapter: an admission rule in front of another sink — liveness
-/// here, processing rank in the self-join.
-pub(crate) struct Gate<'a, F, S> {
-    pub(crate) admit: F,
-    pub(crate) inner: &'a mut S,
+/// Sink adapter: an admission rule (liveness) in front of another sink.
+struct Gate<'a, F, S> {
+    admit: F,
+    inner: &'a mut S,
 }
 
 impl<F: Fn(TreeIdx) -> bool, S: CandidateSink> CandidateSink for Gate<'_, F, S> {

@@ -4,21 +4,20 @@
 //! and the joins built on top of it.
 //!
 //! The core crate's [`partsj::SubgraphIndex`] is a monolithic structure
-//! grown on the fly by Algorithm 1. Two of the roadmap's scale
-//! directions need more:
+//! grown on the fly by Algorithm 1, whose self-join
+//! ([`partsj::partsj_join`]) interleaves probing and indexing on one
+//! thread. Two regimes need more:
 //!
-//! * **Parallel candidate generation and verification.** Algorithm 1's
-//!   probe loop is pinned to one core because the index mutates while
-//!   the join runs. [`sharded_join`] breaks that dependency by building
-//!   the index *offline first* — sharded so the build itself fans out —
-//!   and reproducing Algorithm 1's "each unordered pair exactly once"
-//!   semantics with a processing-*rank* filter instead of insertion
-//!   order (à la the map/reduce-style partitioned joins of *Adaptive
-//!   MapReduce Similarity Joins*). Probing trees then fan out over
-//!   `crossbeam` scoped threads and feed a batched, bounded-channel
-//!   verifier pool — the workspace's one pooled executor; `partsj`
-//!   itself is thread-free. Results are bit-identical to
-//!   [`partsj::partsj_join`].
+//! * **An offline side, probed in parallel.** When one collection is
+//!   indexed once and probed by another, nothing mutates while the join
+//!   runs. [`Frozen`] is that side: the sharded index, the side list and
+//!   the verify inputs of a left collection as one owned value, built
+//!   ([`sharded_rs_join`], shards ingesting concurrently) or restored
+//!   from a snapshot (`tsj-catalog`, `tsj-cluster`). Right trees then
+//!   fan out over `crossbeam` scoped threads and feed a batched,
+//!   bounded-channel verifier pool — the workspace's one pooled
+//!   executor; `partsj` itself is thread-free. Results are bit-identical
+//!   to [`partsj::partsj_join_rs`].
 //! * **Deletion and eviction.** Streaming workloads insert *and expire*.
 //!   [`ShardedIndex`] supports [`ShardedIndex::remove_tree`]: removed
 //!   trees are tombstoned (probes filter them through a liveness bitmap)
@@ -29,12 +28,6 @@
 //!   Enumeration of Similarity Joins*.
 //!   [`ShardedStreamingJoin`] packages this as a sliding-window monitor
 //!   with an [`EvictionPolicy`] by count or by logical timestamp.
-//!
-//! The other regime — index one side **once**, stream probes through it
-//! — is [`Frozen`]: the sharded index, the side list and the verify
-//! inputs of a left collection as one owned value, built
-//! ([`sharded_rs_join`]) or restored from a snapshot (`tsj-catalog`,
-//! `tsj-cluster`).
 //!
 //! ## Shard key
 //!
@@ -47,29 +40,29 @@
 //!
 //! ```
 //! use partsj::PartSjConfig;
-//! use tsj_shard::{sharded_join, ShardConfig};
+//! use tsj_shard::{sharded_rs_join, ShardConfig};
 //! use tsj_tree::{parse_bracket, LabelInterner};
 //!
 //! let mut labels = LabelInterner::new();
-//! let trees: Vec<_> = ["{a{b}{c}}", "{a{b}{c}}", "{a{b}{z}}", "{x{y}}"]
-//!     .iter()
-//!     .map(|s| parse_bracket(s, &mut labels).unwrap())
-//!     .collect();
-//! let outcome = sharded_join(&trees, 1, &PartSjConfig::default(), &ShardConfig::default());
-//! assert_eq!(outcome.pairs, vec![(0, 1), (0, 2), (1, 2)]); // ≡ partsj_join
+//! let mut parse = |specs: &[&str]| -> Vec<_> {
+//!     specs.iter().map(|s| parse_bracket(s, &mut labels).unwrap()).collect()
+//! };
+//! let left = parse(&["{a{b}{c}}", "{a{b}{z}}", "{x{y}}"]);
+//! let right = parse(&["{a{b}{c}}", "{x{y}{z}}"]);
+//! let config = PartSjConfig::default();
+//! let outcome = sharded_rs_join(&left, &right, 1, &config, &ShardConfig::default());
+//! assert_eq!(outcome.pairs, vec![(0, 0), (1, 0), (2, 1)]); // ≡ partsj_join_rs
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod frozen;
 pub mod index;
-pub mod join;
 mod pool;
 pub mod rs_join;
 pub mod streaming;
 
-pub use frozen::{Frozen, FrozenJoinScratch};
+pub use frozen::{build_subgraph_lists, Frozen, FrozenJoinScratch};
 pub use index::{ShardConfig, ShardMap, ShardedIndex};
-pub use join::{build_subgraph_lists, sharded_join, sharded_join_detailed};
 pub use rs_join::sharded_rs_join;
 pub use streaming::{EvictionPolicy, ShardedStreamingJoin, StaleTimestamp};

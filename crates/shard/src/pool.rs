@@ -1,12 +1,11 @@
-//! The one probe → verify executor behind the batch joins.
+//! The one probe → verify executor: right trees joined against a
+//! [`Frozen`] side.
 //!
-//! A batch join is a sequence of probing trees; each runs Algorithm 1's
-//! probe step and hands its candidates to verification. What a join
-//! *is* — which index, which admission rule, which side of the pair the
-//! probe lands on — lives in its [`JoinSide`]; how the work is *run*
-//! lives here, once: inline on the caller's thread ([`run_inline`]), or
-//! pooled ([`execute`]) — probe workers claim probes off a shared cursor
-//! and stream `(probe, candidate)` batches of
+//! Probe number `pos` is `right[pos]`: Algorithm 1's probe step against
+//! the frozen shards, then its candidates verified against the left
+//! trees' inputs. The work runs inline on the caller's thread
+//! ([`run_inline`]), or pooled ([`execute`]) — probe workers claim probes
+//! off a shared cursor and stream `(probe, candidate)` batches of
 //! [`PartSjConfig::verify_batch`] over one bounded channel to verifier
 //! workers, each owning a private [`VerifyEngine`]. Batching amortizes
 //! channel synchronization; the bound applies backpressure so fast
@@ -14,105 +13,88 @@
 //! Results, candidate counts and stage counters are identical either
 //! way and for every thread count.
 
-use crate::frozen::FrozenJoinScratch;
+use crate::frozen::{Frozen, FrozenJoinScratch};
 use crossbeam::channel;
-use partsj::probe::ProbeCounters;
 use partsj::{PartSjConfig, ProbeVerify, VerifyEngine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use tsj_ted::{JoinStats, TreeIdx};
+use tsj_tree::Tree;
 
-/// Probes claimed per cursor bump — small enough to balance the skew of
-/// ascending-size order, large enough to amortize the atomic.
+/// Probes claimed per cursor bump — small enough to balance uneven
+/// per-tree probe cost across probers, large enough to amortize the
+/// atomic.
 const CLAIM_CHUNK: usize = 4;
 
-/// What distinguishes one batch join from another.
-pub(crate) trait JoinSide: Sync {
-    /// Number of probing trees.
-    fn probes(&self) -> usize;
-
-    /// Algorithm 1's probe step for probing tree number `pos`: leaves
-    /// its candidates in `scratch.step` and returns how many of
-    /// them came from the small-tree side list.
-    fn probe(
-        &self,
-        pos: usize,
-        scratch: &mut FrozenJoinScratch,
-        counters: &mut ProbeCounters,
-    ) -> u64;
-
-    /// Verifies `candidates` of probing tree `pos`, pushing the pairs
-    /// within τ. `prep` is the worker's buffer for probe-side
-    /// verification inputs built on demand.
-    fn verify(
-        &self,
-        pos: usize,
-        candidates: impl Iterator<Item = TreeIdx>,
-        engine: &mut VerifyEngine,
-        prep: &mut ProbeVerify,
-        pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-    );
-}
-
-/// What a run reports besides its pairs.
-#[derive(Debug, Default)]
-pub(crate) struct Tally {
-    /// Candidate counts, phase times and the folded engine counters
-    /// (`results` is left to the caller, who normalizes the pairs).
-    pub stats: JoinStats,
-    pub counters: ProbeCounters,
-    pub small_candidates: u64,
-}
-
-impl Tally {
-    fn probed(&mut self, small: u64, scratch: &FrozenJoinScratch) {
-        self.small_candidates += small;
-        self.stats.candidates += scratch.step.found().len() as u64;
+/// Verifies `candidates` of right tree number `pos`, `probe`, pushing
+/// the `(left, pos)` pairs within the engine's threshold. `prep` is the
+/// worker's buffer for the probe's verification inputs.
+fn verify(
+    left: &Frozen,
+    (pos, probe): (usize, &Tree),
+    candidates: impl Iterator<Item = TreeIdx>,
+    engine: &mut VerifyEngine,
+    prep: &mut ProbeVerify,
+    pairs: &mut Vec<(TreeIdx, TreeIdx)>,
+) {
+    let data = prep.prepare(probe);
+    for i in candidates {
+        if engine.check(&left.left_data[i as usize], data).is_some() {
+            pairs.push((i, pos as TreeIdx));
+        }
     }
 }
 
-/// Runs `side` on the calling thread with caller-owned state, appending
-/// to `pairs`. Allocates nothing once `scratch` has grown to its
-/// working size.
-pub(crate) fn run_inline<S: JoinSide>(
-    side: &S,
+/// Joins `right` against `left` on the calling thread with caller-owned
+/// state, appending to `pairs`; returns the candidate counts, phase
+/// times and the engine's folded counters (`results` is left to the
+/// caller, who normalizes the pairs). Allocates nothing once `scratch`
+/// has grown to its working size.
+pub(crate) fn run_inline(
+    left: &Frozen,
+    right: &[Tree],
+    tau: u32,
+    config: &PartSjConfig,
     engine: &mut VerifyEngine,
     scratch: &mut FrozenJoinScratch,
     pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-) -> Tally {
-    let mut tally = Tally::default();
-    for pos in 0..side.probes() {
+) -> JoinStats {
+    let mut stats = JoinStats::default();
+    for (pos, probe) in right.iter().enumerate() {
         let probe_start = Instant::now();
-        let small = side.probe(pos, scratch, &mut tally.counters);
-        tally.probed(small, scratch);
-        tally.stats.candidate_time += probe_start.elapsed();
+        left.probe(probe, tau, config.matching, scratch);
+        stats.candidates += scratch.step.found().len() as u64;
+        stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
         let found = scratch.step.found().iter().copied();
-        side.verify(pos, found, engine, &mut scratch.probe_verify, pairs);
-        tally.stats.verify_time += verify_start.elapsed();
+        let prep = &mut scratch.probe_verify;
+        verify(left, (pos, probe), found, engine, prep, pairs);
+        stats.verify_time += verify_start.elapsed();
     }
-    tally.stats.pairs_examined = tally.stats.candidates;
-    engine.fold_into(&mut tally.stats);
-    tally
+    stats.pairs_examined = stats.candidates;
+    engine.fold_into(&mut stats);
+    stats
 }
 
-/// Runs `side` with `probe_threads` probers and `verify_threads`
-/// verifiers (both resolved, ≥ 1). The pool is taken when either count
-/// exceeds one and there are at least [`PartSjConfig::parallel_fallback`]
-/// probes; anything else runs inline.
-pub(crate) fn execute<S: JoinSide>(
-    side: &S,
+/// Joins `right` against `left` with `probe_threads` probers and
+/// `verify_threads` verifiers (both resolved, ≥ 1). The pool is taken
+/// when either count exceeds one and there are at least
+/// [`PartSjConfig::parallel_fallback`] probes; anything else runs inline.
+pub(crate) fn execute(
+    left: &Frozen,
+    right: &[Tree],
     tau: u32,
     config: &PartSjConfig,
     probe_threads: usize,
     verify_threads: usize,
-) -> (Vec<(TreeIdx, TreeIdx)>, Tally) {
+) -> (Vec<(TreeIdx, TreeIdx)>, JoinStats) {
     let mut pairs = Vec::new();
-    if probe_threads.max(verify_threads) <= 1 || side.probes() < config.parallel_fallback {
+    if probe_threads.max(verify_threads) <= 1 || right.len() < config.parallel_fallback {
         let mut engine = VerifyEngine::new(tau, config);
-        let tally = run_inline(side, &mut engine, &mut FrozenJoinScratch::new(), &mut pairs);
-        return (pairs, tally);
+        let scratch = &mut FrozenJoinScratch::new();
+        let stats = run_inline(left, right, tau, config, &mut engine, scratch, &mut pairs);
+        return (pairs, stats);
     }
 
     let start = Instant::now();
@@ -121,7 +103,7 @@ pub(crate) fn execute<S: JoinSide>(
     // bounded so the probers cannot run away from slow verifiers.
     let (tx, rx) = channel::bounded::<Vec<(TreeIdx, TreeIdx)>>(verify_threads * 4);
     let cursor = AtomicUsize::new(0);
-    let mut tally = Tally::default();
+    let mut stats = JoinStats::default();
     crossbeam::scope(|scope| {
         let verifiers: Vec<_> = (0..verify_threads)
             .map(|_| {
@@ -132,14 +114,10 @@ pub(crate) fn execute<S: JoinSide>(
                     let mut found = Vec::new();
                     while let Ok(batch) = rx.recv() {
                         for run in batch.chunk_by(|a, b| a.0 == b.0) {
+                            let pos = run[0].0 as usize;
                             let candidates = run.iter().map(|&(_, c)| c);
-                            side.verify(
-                                run[0].0 as usize,
-                                candidates,
-                                &mut engine,
-                                &mut prep,
-                                &mut found,
-                            );
+                            let probe = (pos, &right[pos]);
+                            verify(left, probe, candidates, &mut engine, &mut prep, &mut found);
                         }
                     }
                     (found, engine)
@@ -154,16 +132,16 @@ pub(crate) fn execute<S: JoinSide>(
                 let cursor = &cursor;
                 scope.spawn(move |_| {
                     let mut scratch = FrozenJoinScratch::new();
-                    let mut tally = Tally::default();
+                    let mut candidates = 0u64;
                     let mut batch = Vec::with_capacity(batch_size);
                     loop {
                         let claimed = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                        if claimed >= side.probes() {
+                        if claimed >= right.len() {
                             break;
                         }
-                        for pos in claimed..(claimed + CLAIM_CHUNK).min(side.probes()) {
-                            let small = side.probe(pos, &mut scratch, &mut tally.counters);
-                            tally.probed(small, &scratch);
+                        for pos in claimed..(claimed + CLAIM_CHUNK).min(right.len()) {
+                            left.probe(&right[pos], tau, config.matching, &mut scratch);
+                            candidates += scratch.step.found().len() as u64;
                             for &candidate in scratch.step.found() {
                                 batch.push((pos as TreeIdx, candidate));
                                 if batch.len() >= batch_size {
@@ -179,32 +157,27 @@ pub(crate) fn execute<S: JoinSide>(
                     if !batch.is_empty() {
                         tx.send(batch).expect("verifier pool alive");
                     }
-                    tally
+                    candidates
                 })
             })
             .collect();
         drop(tx);
 
         for prober in probers {
-            let part = prober.join().expect("probe worker panicked");
-            tally.small_candidates += part.small_candidates;
-            tally.stats.candidates += part.stats.candidates;
-            tally.counters.probes += part.counters.probes;
-            tally.counters.match_attempts += part.counters.match_attempts;
-            tally.counters.matches += part.counters.matches;
+            stats.candidates += prober.join().expect("probe worker panicked");
         }
         // Probe and verify overlap: wall time until the probers drained
         // counts as candidate generation, the verifier-drain tail as
         // verification.
-        tally.stats.candidate_time = start.elapsed();
+        stats.candidate_time = start.elapsed();
         for verifier in verifiers {
             let (found, mut engine) = verifier.join().expect("verifier panicked");
             pairs.extend(found);
-            engine.fold_into(&mut tally.stats);
+            engine.fold_into(&mut stats);
         }
     })
     .expect("join pool scope");
-    tally.stats.verify_time = start.elapsed().saturating_sub(tally.stats.candidate_time);
-    tally.stats.pairs_examined = tally.stats.candidates;
-    (pairs, tally)
+    stats.verify_time = start.elapsed().saturating_sub(stats.candidate_time);
+    stats.pairs_examined = stats.candidates;
+    (pairs, stats)
 }

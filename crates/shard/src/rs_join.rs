@@ -4,9 +4,8 @@
 //! The left collection becomes a [`Frozen`] side — partitioned and
 //! bulk-loaded into a [`ShardedIndex`](crate::ShardedIndex), shards
 //! ingesting in parallel — and [`Frozen::join`] does the rest: right
-//! trees probe the frozen shards concurrently (no rank filter is needed
-//! because the index spans exactly the left collection) and candidate
-//! batches stream to the verifier pool. Results are bit-identical to
+//! trees probe the frozen shards concurrently and candidate batches
+//! stream to the verifier pool. Results are bit-identical to
 //! [`partsj::partsj_join_rs`].
 
 use crate::frozen::Frozen;

@@ -63,7 +63,7 @@
 
 use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::{classes_within, window_of, ProbeCounters};
+use partsj::probe::{classes_within, window_of};
 use partsj::subgraph::{partition_tree_with, PartitionScratch};
 use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
@@ -260,9 +260,7 @@ impl ShardedStreamingJoin {
             classes_within(self.small_by_size.keys().copied(), lo, hi),
             None,
             self.config.matching,
-            |_| true,
             &mut self.scratch.step,
-            &mut ProbeCounters::default(),
         );
 
         // Verify against the live window. The newcomer's data is owned —

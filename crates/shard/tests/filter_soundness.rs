@@ -1,12 +1,12 @@
 //! Filter-chain soundness over the sharded entry points: every
 //! verification-chain configuration must reproduce the filter-free
-//! exact-TED results for the sharded batch join, the sharded R×S join
-//! and the sliding-window streaming join — across shard counts, window
+//! exact-TED results for the sharded R×S join, inline and pooled, and
+//! the sliding-window streaming join — across shard counts, window
 //! policies and thread mixes.
 
 use partsj::{partsj_join_rs, partsj_join_with, PartSjConfig, VerifyConfig, WindowPolicy};
 use tsj_datagen::{swissprot_like, synthetic_sized};
-use tsj_shard::{sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
+use tsj_shard::{sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
 use tsj_ted::TreeIdx;
 
 fn all_verify_configs() -> Vec<VerifyConfig> {
@@ -21,54 +21,13 @@ fn all_verify_configs() -> Vec<VerifyConfig> {
 }
 
 #[test]
-fn sharded_join_is_sound_for_every_chain_config() {
-    let trees = swissprot_like(70, 5);
-    for (window, tau) in [
-        (WindowPolicy::Safe, 0u32),
-        (WindowPolicy::Safe, 1),
-        (WindowPolicy::Safe, 3),
-        (WindowPolicy::Tight, 1),
-        (WindowPolicy::PaperAbsolute, 1),
-    ] {
-        let reference = partsj_join_with(
-            &trees,
-            tau,
-            &PartSjConfig {
-                window,
-                verify: VerifyConfig::NONE,
-                ..Default::default()
-            },
-        );
-        for verify in all_verify_configs() {
-            let config = PartSjConfig {
-                window,
-                verify,
-                ..Default::default()
-            };
-            let outcome = sharded_join(
-                &trees,
-                tau,
-                &config,
-                &ShardConfig {
-                    shards: 4,
-                    probe_threads: 1,
-                    verify_threads: 1,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                outcome.pairs, reference.pairs,
-                "window = {window:?}, tau = {tau}, verify = {verify:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
+    // Near-duplicate clusters joined with themselves: every row has pairs
+    // beyond the identities to find and candidates for the chain to resolve.
     let trees = swissprot_like(80, 17);
     let tau = 1;
-    let reference = partsj_join_with(
+    let reference = partsj_join_rs(
+        &trees,
         &trees,
         tau,
         &PartSjConfig {
@@ -76,11 +35,13 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
             ..Default::default()
         },
     );
+    assert!(reference.pairs.iter().any(|(i, j)| i != j));
     for verify in all_verify_configs() {
         // The chain resolves each pair identically regardless of which
         // worker verified it: per-stage counters match the sequential
         // join's under the same configuration.
-        let sequential = partsj_join_with(
+        let sequential = partsj_join_rs(
+            &trees,
             &trees,
             tau,
             &PartSjConfig {
@@ -88,6 +49,9 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
                 ..Default::default()
             },
         );
+        if verify == VerifyConfig::ALL {
+            assert!(!sequential.stats.work().stages.is_empty());
+        }
         // Two probers × two verifiers in batches of 8, one prober
         // feeding three verifiers pair by pair, and the machine-sized
         // pool (0 = auto).
@@ -98,7 +62,8 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
                 verify_batch,
                 ..Default::default()
             };
-            let outcome = sharded_join(
+            let outcome = sharded_rs_join(
+                &trees,
                 &trees,
                 tau,
                 &config,
@@ -112,6 +77,57 @@ fn sharded_parallel_pipeline_is_sound_for_every_chain_config() {
             let row = format!("verify = {verify:?}, pool = {probe_threads}x{verify_threads}");
             assert_eq!(outcome.pairs, reference.pairs, "{row}");
             assert_eq!(outcome.stats.work(), sequential.stats.work(), "{row}");
+        }
+    }
+}
+
+#[test]
+fn sharded_join_is_sound_for_every_chain_config() {
+    // Near-duplicates joined with themselves over 4 shards, under every
+    // window policy: the full R×S result matches the filter-free R×S
+    // join, and its `i < j` half matches the filter-free self-join.
+    let trees = swissprot_like(70, 5);
+    for (window, tau) in [
+        (WindowPolicy::Safe, 0u32),
+        (WindowPolicy::Safe, 1),
+        (WindowPolicy::Safe, 3),
+        (WindowPolicy::Tight, 1),
+        (WindowPolicy::PaperAbsolute, 1),
+    ] {
+        let filter_free = PartSjConfig {
+            window,
+            verify: VerifyConfig::NONE,
+            ..Default::default()
+        };
+        let reference = partsj_join_rs(&trees, &trees, tau, &filter_free);
+        let self_reference = partsj_join_with(&trees, tau, &filter_free);
+        for verify in all_verify_configs() {
+            let config = PartSjConfig {
+                window,
+                verify,
+                ..Default::default()
+            };
+            let outcome = sharded_rs_join(
+                &trees,
+                &trees,
+                tau,
+                &config,
+                &ShardConfig {
+                    shards: 4,
+                    probe_threads: 1,
+                    verify_threads: 1,
+                    ..Default::default()
+                },
+            );
+            let row = format!("window = {window:?}, tau = {tau}, verify = {verify:?}");
+            assert_eq!(outcome.pairs, reference.pairs, "{row}");
+            let self_pairs: Vec<_> = outcome
+                .pairs
+                .iter()
+                .copied()
+                .filter(|(i, j)| i < j)
+                .collect();
+            assert_eq!(self_pairs, self_reference.pairs, "{row}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Equivalence guarantees of the sharded subsystem:
 //!
-//! * the sharded batch join is **bit-identical** to sequential
-//!   `partsj_join` for every shard count × τ × thread mix;
-//! * the sharded R×S join is bit-identical to `partsj_join_rs`;
+//! * the sharded R×S join is **bit-identical** — pairs and
+//!   `JoinStats::work()` — to sequential `partsj_join_rs` for every
+//!   shard count × τ × thread mix, and under either shard map;
 //! * the sharded streaming join without eviction reproduces the batch
 //!   join over any insertion order;
 //! * insert-then-remove is indistinguishable from never-inserted;
@@ -22,8 +22,8 @@ use partsj::{
 };
 use tsj_datagen::synthetic_sized;
 use tsj_shard::{
-    build_subgraph_lists, sharded_join, sharded_rs_join, EvictionPolicy, Frozen, ShardConfig,
-    ShardedIndex, ShardedStreamingJoin, StaleTimestamp,
+    build_subgraph_lists, sharded_rs_join, EvictionPolicy, Frozen, ShardConfig, ShardedIndex,
+    ShardedStreamingJoin, StaleTimestamp,
 };
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::{apply_edit, BinaryTree, EditOp, Label, Tree};
@@ -40,40 +40,10 @@ fn sweeping(max_dead_fraction: f64, min_dead_postings: u64) -> ShardConfig {
 }
 const SWEEP_ALWAYS: (f64, u64) = (0.0, 1);
 
-#[test]
-fn sharded_join_bit_identical_across_shard_counts() {
-    let trees = synthetic_sized(120, 30, 42);
-    for tau in [0u32, 1, 3] {
-        let reference = partsj_join(&trees, tau);
-        for shards in [1usize, 2, 4, 8] {
-            let outcome = sharded_join(
-                &trees,
-                tau,
-                &PartSjConfig::default(),
-                &ShardConfig {
-                    shards,
-                    probe_threads: 1,
-                    verify_threads: 1,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                outcome.pairs, reference.pairs,
-                "shards = {shards}, tau = {tau}"
-            );
-            // Same candidate semantics, not just same results.
-            assert_eq!(
-                outcome.stats.work(),
-                reference.stats.work(),
-                "shards = {shards}, tau = {tau}"
-            );
-        }
-    }
-}
-
 /// The balanced shard map changes *placement only*: for every shard
 /// count × τ × window policy, results and candidate semantics are
-/// bit-identical to hash routing.
+/// bit-identical to hash routing. The collection is joined with itself,
+/// so every row routes probes that find partners.
 #[test]
 fn balanced_shard_map_is_result_invariant() {
     let trees = synthetic_sized(100, 28, 31);
@@ -95,9 +65,12 @@ fn balanced_shard_map_is_result_invariant() {
                     balanced_shards: true,
                     ..hash_cfg
                 };
-                let hash = sharded_join(&trees, tau, &config, &hash_cfg);
-                let balanced = sharded_join(&trees, tau, &config, &balanced_cfg);
+                let hash = sharded_rs_join(&trees, &trees, tau, &config, &hash_cfg);
+                let balanced = sharded_rs_join(&trees, &trees, tau, &config, &balanced_cfg);
                 let ctx = format!("window {window:?}, tau {tau}, shards {shards}");
+                if tau == 3 {
+                    assert!(hash.pairs.iter().any(|(i, j)| i != j), "{ctx}");
+                }
                 assert_eq!(balanced.pairs, hash.pairs, "{ctx}");
                 assert_eq!(balanced.stats.work(), hash.stats.work(), "{ctx}");
             }
@@ -105,8 +78,12 @@ fn balanced_shard_map_is_result_invariant() {
     }
 }
 
+/// The pooled executor against the sequential R×S join, row by row of
+/// the thread mixes: every collection joined with itself, so each left
+/// tree is also a probe and the verify workers race on the same lazy
+/// left inputs.
 #[test]
-fn sharded_join_parallel_pipeline_matches_sequential() {
+fn sharded_rs_join_parallel_pipeline_matches_sequential() {
     let all = synthetic_sized(150, 25, 7);
     // The full input, a two-tree one the pool is forced onto, and a hub:
     // one tree and every single-node deletion of it, so every pair is a
@@ -120,7 +97,7 @@ fn sharded_join_parallel_pipeline_matches_sequential() {
     }
     let (all, twins, hub) = (&all[..], &twins[..], &hub[..]);
     for (trees, tau) in [(all, 0u32), (all, 1), (all, 3), (twins, 1), (hub, 2)] {
-        let reference = partsj_join(trees, tau);
+        let reference = partsj_join_rs(trees, trees, tau, &PartSjConfig::default());
         // (shards, probe threads, verify threads, verify batch): probe-
         // heavy, verify-heavy, one prober feeding a verifier pool,
         // per-pair sends, four verifiers on per-pair sends, and the
@@ -142,7 +119,8 @@ fn sharded_join_parallel_pipeline_matches_sequential() {
                 verify_batch,
                 ..Default::default()
             };
-            let outcome = sharded_join(
+            let outcome = sharded_rs_join(
+                trees,
                 trees,
                 tau,
                 &config,
@@ -170,7 +148,7 @@ fn sharded_rs_join_matches_sequential_rs() {
     let right = synthetic_sized(80, 22, 12);
     for tau in [0u32, 1, 3] {
         let reference = partsj_join_rs(&left, &right, tau, &PartSjConfig::default());
-        for shards in [1usize, 4] {
+        for shards in [1usize, 2, 4, 8] {
             let inline = sharded_rs_join(
                 &left,
                 &right,
@@ -184,6 +162,9 @@ fn sharded_rs_join_matches_sequential_rs() {
                 },
             );
             assert_eq!(inline.pairs, reference.pairs, "inline, shards = {shards}");
+            // Same candidate semantics, not just same results.
+            let work = reference.stats.work();
+            assert_eq!(inline.stats.work(), work, "inline, shards = {shards}");
             let pooled = sharded_rs_join(
                 &left,
                 &right,
@@ -200,6 +181,7 @@ fn sharded_rs_join_matches_sequential_rs() {
                 },
             );
             assert_eq!(pooled.pairs, reference.pairs, "pooled, shards = {shards}");
+            assert_eq!(pooled.stats.work(), work, "pooled, shards = {shards}");
         }
     }
 }
@@ -596,8 +578,7 @@ fn built_sides_reclaim_and_restored_sides_hide() {
     let trees = synthetic_sized(60, 18, 41);
     let (tau, config) = (2u32, PartSjConfig::default());
     let shard_cfg = sweeping(0.1, 1);
-    let binaries: Vec<BinaryTree> = trees.iter().map(BinaryTree::from_tree).collect();
-    let lists = build_subgraph_lists(&trees, &binaries, tau, &config, 1);
+    let lists = build_subgraph_lists(&trees, tau, &config, 1);
     let size_of = |i: usize| trees[i].len() as u32;
     let items: Vec<_> = (lists.into_iter().enumerate())
         .filter_map(|(i, list)| Some((i as TreeIdx, size_of(i), list?)))

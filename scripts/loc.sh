@@ -12,7 +12,9 @@
 # shape lives once, in the index's arena; a tree's components travel in
 # one flat `Partition`), and how many bring back a per-node child `Vec`
 # in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is four
-# flat `u32` columns, 16 bytes a node).
+# flat `u32` columns, 16 bytes a node), or a second self-join in
+# tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
+# R×S side only).
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -68,6 +70,7 @@ path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' cra
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
 path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
+path_row 'self-join forms in tsj-shard' 'sharded_join|SelfJoin|JoinSide|my_rank' crates/shard/src/*.rs
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"

@@ -110,15 +110,16 @@
 //!
 //! The [`shard`] crate (`tsj-shard`) partitions the subgraph index across
 //! shards keyed by container size class and owns every thread the join
-//! stack spawns: `sharded_join` fans candidate generation *and*
-//! verification out over worker pools (`ShardConfig::probe_threads` /
-//! `verify_threads`; bit-identical results to `partsj_join`),
-//! `sharded_rs_join` does the same for R×S, and `ShardedStreamingJoin`
-//! is the online join — insert trees one at a time, learn each
-//! newcomer's partners at once — with deletion and sliding-window
-//! eviction (`EvictionPolicy`) on a dynamic index with tombstone
-//! compaction; see `examples/streaming_monitor.rs`. Point queries
-//! against an indexed collection are `Catalog::query`, below.
+//! stack spawns. The self-join stays `partsj_join`, which builds its
+//! index while it probes; `sharded_rs_join` indexes the left side of an
+//! R×S join up front and fans the right side's candidate generation
+//! *and* verification out over worker pools (`ShardConfig::probe_threads`
+//! / `verify_threads`; bit-identical results to `partsj_join_rs`), and
+//! `ShardedStreamingJoin` is the online join — insert trees one at a
+//! time, learn each newcomer's partners at once — with deletion and
+//! sliding-window eviction (`EvictionPolicy`) on a dynamic index with
+//! tombstone compaction; see `examples/streaming_monitor.rs`. Point
+//! queries against an indexed collection are `Catalog::query`, below.
 //!
 //! ## Freezing a catalog
 //!
@@ -237,8 +238,7 @@ pub mod prelude {
         ObsConfig, Span, TraceBuffer, TraceEvent,
     };
     pub use tsj_shard::{
-        sharded_join, sharded_rs_join, EvictionPolicy, ShardConfig, ShardMap, ShardedIndex,
-        ShardedStreamingJoin,
+        sharded_rs_join, EvictionPolicy, ShardConfig, ShardMap, ShardedIndex, ShardedStreamingJoin,
     };
     pub use tsj_ted::{ted, JoinOutcome, JoinStats, StageCount, TedEngine};
     pub use tsj_tree::{

@@ -58,16 +58,21 @@ fn parallel_variants_agree_with_sequential() {
         verify_threads: 4,
         ..ShardConfig::default()
     };
+    let config = PartSjConfig::default();
     for tau in [1u32, 3] {
-        let seq = partsj_join(&trees, tau);
-        let par = sharded_join(&trees, tau, &PartSjConfig::default(), &pool);
+        let seq = partsj_join_rs(&trees, &trees, tau, &config);
+        let par = sharded_rs_join(&trees, &trees, tau, &config, &pool);
         assert_eq!(
             seq.pairs, par.pairs,
             "parallel PartSJ diverged at tau {tau}"
         );
         assert_eq!(seq.stats.work(), par.stats.work(), "tau {tau}");
+        // The collection joined with itself holds the self-join's pairs.
+        let self_join = partsj_join(&trees, tau);
+        let above: Vec<_> = par.pairs.iter().filter(|(i, j)| i < j).copied().collect();
+        assert_eq!(above, self_join.pairs, "tau {tau}");
         let oracle_par = tree_similarity_join::baselines::brute_force_join_parallel(&trees, tau, 4);
-        assert_eq!(seq.pairs, oracle_par.pairs);
+        assert_eq!(self_join.pairs, oracle_par.pairs);
     }
 }
 
@@ -92,7 +97,7 @@ fn permutation_chains(n: usize, depth: usize, seed: u64) -> Vec<Tree> {
 
 /// The stage order is fixed, so the multi-worker verify pool — whose
 /// per-worker engines fold into one `JoinStats` — credits every stage
-/// exactly as the sequential join does, not merely the same totals.
+/// exactly as the sequential R×S join does, not merely the same totals.
 #[test]
 fn pooled_stage_counters_equal_the_sequential_join() {
     let trees = permutation_chains(140, 12, 2015);
@@ -107,12 +112,12 @@ fn pooled_stage_counters_equal_the_sequential_join() {
         ..Default::default()
     };
     for tau in [1u32, 2] {
-        let (reference, _) = partsj_join_detailed(&trees, tau, &config);
+        let reference = partsj_join_rs(&trees, &trees, tau, &config);
         assert!(
             reference.stats.work().stages["traversal-sed"] > 0,
             "the decisive stage must see kills at tau {tau}"
         );
-        let pooled = sharded_join(&trees, tau, &config, &shard_cfg);
+        let pooled = sharded_rs_join(&trees, &trees, tau, &config, &shard_cfg);
         assert_eq!(pooled.pairs, reference.pairs, "tau {tau}");
         assert_eq!(pooled.stats.work(), reference.stats.work(), "tau {tau}");
         assert_eq!(

@@ -33,7 +33,8 @@ struct Fingerprint {
     cluster_degraded: Option<Degraded>,
 }
 
-/// Runs the full stack — batch join, sharded join, similarity search,
+/// Runs the full stack — batch join, sharded R×S join of `left` with
+/// itself, similarity search,
 /// sliding-window streaming, frozen catalog behind a faulty cluster —
 /// under whatever observability configuration is currently active.
 fn fingerprint(left: &[Tree], right: &[Tree], tau: u32, shards: usize, seed: u64) -> Fingerprint {
@@ -46,7 +47,7 @@ fn fingerprint(left: &[Tree], right: &[Tree], tau: u32, shards: usize, seed: u64
     };
 
     let join = partsj_join_with(left, tau, &config);
-    let sharded = sharded_join(left, tau, &config, &shard_cfg);
+    let sharded = sharded_rs_join(left, left, tau, &config, &shard_cfg);
 
     let catalog = Catalog::freeze(
         left.to_vec(),

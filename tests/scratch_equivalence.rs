@@ -19,7 +19,8 @@ fn assert_same(reference: &JoinOutcome, other: &JoinOutcome, what: &str) {
 }
 
 #[test]
-fn self_join_paths_agree_across_tau_and_window_policies() {
+fn rs_join_paths_agree_across_tau_and_window_policies() {
+    // The collection joined with itself, so every row has pairs to find.
     let trees = dataset(110, 48);
     for tau in [0u32, 1, 3] {
         for window in [
@@ -34,20 +35,24 @@ fn self_join_paths_agree_across_tau_and_window_policies() {
                 window,
                 ..PartSjConfig::default()
             };
-            let reference = partsj_join_with(&trees, tau, &config);
+            let reference = partsj_join_rs(&trees, &trees, tau, &config);
+            if tau == 3 {
+                assert!(reference.pairs.iter().any(|(i, j)| i != j));
+            }
             // One prober feeding four verifiers over the bounded channel.
             let pool = ShardConfig {
                 probe_threads: 1,
                 verify_threads: 4,
                 ..ShardConfig::default()
             };
-            let parallel = sharded_join(&trees, tau, &config, &pool);
+            let parallel = sharded_rs_join(&trees, &trees, tau, &config, &pool);
             assert_same(
                 &reference,
                 &parallel,
                 &format!("parallel tau={tau} window={window:?}"),
             );
-            let sharded = sharded_join(&trees, tau, &config, &ShardConfig::with_shards(3));
+            let shards = ShardConfig::with_shards(3);
+            let sharded = sharded_rs_join(&trees, &trees, tau, &config, &shards);
             assert_same(
                 &reference,
                 &sharded,
