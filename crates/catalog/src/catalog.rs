@@ -482,7 +482,7 @@ mod tests {
             loaded.frozen().small_by_size(),
             catalog.frozen().small_by_size()
         );
-        assert_eq!(loaded.frozen().small_by_size()[&1], vec![3]);
+        assert_eq!(loaded.frozen().small_by_size().class(1), [3]);
         for (a, b) in catalog.trees().iter().zip(loaded.trees()) {
             assert!(a.structurally_eq(b));
         }

@@ -18,16 +18,11 @@
 //! unordered pair is considered exactly once (when its larger tree probes).
 
 use crate::config::PartSjConfig;
-use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::probe::{
-    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
-    ProbeCounters, ProbeScratch,
-};
-use crate::subgraph::{partition_tree_with, PartitionScratch};
+use crate::probe::{window_of, Indexed, Prober};
 use crate::verify::{VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
-use tsj_tree::{FxHashMap, Tree};
+use tsj_tree::Tree;
 
 /// PartSJ-specific instrumentation beyond the common [`JoinStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,8 +61,6 @@ pub fn partsj_join_detailed(
     tau: u32,
     config: &PartSjConfig,
 ) -> (JoinOutcome, PartSjDetail) {
-    let mut stats = JoinStats::default();
-    let mut detail = PartSjDetail::default();
     // Observability handles, hoisted out of the probe loop (handle lookup
     // locks the registry; recording is a relaxed atomic). None of this
     // affects results: the ON/DISABLED equivalence is property-tested.
@@ -77,100 +70,31 @@ pub fn partsj_join_detailed(
     let fanout_hist = obs.histogram("tsj_core_probe_fanout_layers");
     let cand_hist = obs.histogram("tsj_core_probe_candidates");
 
-    // Preprocessing: per-tree verification data, batch-prepared through
-    // one shared set of build temporaries (charged to candidate
-    // generation, like the baselines' traversal strings and branch
-    // bags). LC-RS representations and postorder numbers are rebuilt in
-    // place per probing tree below — each is only needed during its own
-    // iteration, so one scratch replaces two O(collection) arrays.
+    // Per-tree verification data, batch-prepared through one shared set
+    // of build temporaries (charged to candidate generation, like the
+    // baselines' traversal strings and branch bags).
     let setup_start = Instant::now();
     let data: Vec<VerifyData> = VerifyData::batch_for_config(trees, &config.verify);
-    let mut order: Vec<TreeIdx> = (0..trees.len() as TreeIdx).collect();
-    order.sort_by_key(|&i| (trees[i as usize].len(), i));
-    stats.candidate_time += setup_start.elapsed();
+    let setup_time = setup_start.elapsed();
 
-    let mut index = SubgraphIndex::new(tau, config.window);
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
     let mut verify = VerifyEngine::new(tau, config);
     let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-    // Scratch reused across trees: the deduplicated candidate list, the
-    // resolved size-layer window, and the per-node match memo.
-    let mut candidates = Candidates::new();
-    let mut layer_window: Vec<LayerId> = Vec::new();
-    let mut match_cache = MatchCache::new();
-    let mut counters = ProbeCounters::default();
-    let mut probe_scratch = ProbeScratch::new();
-    let mut partition_scratch = PartitionScratch::new();
-
-    for &i in &order {
-        let tree = &trees[i as usize];
-        let (binary, posts) = probe_scratch.prepare(tree);
-        let size_i = binary.len() as u32;
-        // Ascending size order: nothing larger is indexed yet, so the
-        // window stops at `|T_i|`.
-        let (lo, _) = window_of(size_i, tau);
-
-        let cand_start = Instant::now();
-        candidates.begin(trees.len());
-        let mut sink = candidates.sink();
-        // Small trees cannot be δ-partitioned: every size-compatible one is
-        // a direct candidate.
-        let classes = classes_within(small_by_size.keys().copied(), lo, size_i);
-        detail.small_tree_candidates += scan_small_trees(&small_by_size, classes, &mut sink);
-
-        // Index probes: every node of T_i against every populated size
-        // layer of `[lo, size_i]` (resolved once per tree). Positions are
-        // general-tree postorder numbers (edit-stable); twig children come
-        // from the LC-RS structure.
-        resolve_layers(&index, lo, size_i, &mut layer_window);
-        probe_tree_nodes(
-            &index,
-            &layer_window,
-            binary,
-            posts,
-            size_i,
-            config.matching,
-            &mut match_cache,
-            &mut counters,
-            &mut sink,
-        );
-        let found = candidates.as_slice();
-        stats.candidates += found.len() as u64;
-        stats.pairs_examined += found.len() as u64;
-        stats.candidate_time += cand_start.elapsed();
+    let (mut stats, detail) = ascending_join(trees, tau, config, |i, found, fanout| {
         if obs_on {
-            fanout_hist.record(layer_window.len() as u64);
+            fanout_hist.record(fanout as u64);
             cand_hist.record(found.len() as u64);
         }
-
         // Verification through the configured filter chain (cheap bounds
         // first, exact TED only for undecided pairs — see
         // [`crate::verify`] for the chain and its cost model).
-        let verify_start = Instant::now();
         for &j in found {
             if verify.check(&data[i as usize], &data[j as usize]).is_some() {
                 pairs.push((j, i));
             }
         }
-        stats.verify_time += verify_start.elapsed();
-
-        // Partition T_i and publish its subgraphs (or side-list it).
-        let insert_start = Instant::now();
-        let scheme = config.partitioning;
-        match partition_tree_with(binary, posts, tau, scheme, i, &mut partition_scratch) {
-            Some(subgraphs) => {
-                detail.subgraphs_built += subgraphs.len() as u64;
-                index.insert_tree(size_i, subgraphs);
-            }
-            None => small_by_size.entry(size_i).or_default().push(i),
-        }
-        stats.candidate_time += insert_start.elapsed();
-    }
-
-    detail.probes = counters.probes;
-    detail.match_attempts = counters.match_attempts;
-    detail.matches = counters.matches;
-    detail.index_registrations = index.registrations();
+        tau
+    });
+    stats.candidate_time += setup_time;
     verify.fold_into(&mut stats);
     if obs_on {
         obs.counter("tsj_core_joins_total").inc();
@@ -186,6 +110,53 @@ pub fn partsj_join_detailed(
     }
     join_span.end();
     (JoinOutcome::new(pairs, stats), detail)
+}
+
+/// Algorithm 1's interleaved loop, shared by the self-join and top-k:
+/// trees in ascending size order, each prepared, probed against the
+/// trees before it in `[|T| − τ_live, |T|]` (nothing larger is indexed
+/// yet), its candidates handed to `sink`, then published at `tau`.
+/// `sink` gets the tree, its candidates and how many size layers it
+/// probed, and returns `τ_live` for the next tree (`tau` for the first;
+/// a smaller one stays complete, since the index is partitioned for
+/// `tau`). The sink's time is verification, the rest candidate
+/// generation.
+pub(crate) fn ascending_join(
+    trees: &[Tree],
+    tau: u32,
+    config: &PartSjConfig,
+    mut sink: impl FnMut(TreeIdx, &[TreeIdx], usize) -> u32,
+) -> (JoinStats, PartSjDetail) {
+    let mut stats = JoinStats::default();
+    let mut detail = PartSjDetail::default();
+    let mut mark = Instant::now();
+    let mut order: Vec<TreeIdx> = (0..trees.len() as TreeIdx).collect();
+    order.sort_by_key(|&i| (trees[i as usize].len(), i));
+    let mut indexed = Indexed::new(tau, config.window);
+    let mut prober = Prober::default();
+    let mut tau_live = tau;
+    for i in order {
+        let size = prober.prepare(&trees[i as usize]);
+        let window = (window_of(size, tau_live).0, size);
+        let (found, side_admitted, fanout) =
+            prober.probe(&indexed, window, trees.len(), config.matching);
+        detail.small_tree_candidates += side_admitted;
+        stats.candidates += found.len() as u64;
+        let probed = Instant::now();
+        stats.candidate_time += probed - mark;
+        tau_live = sink(i, found, fanout);
+        mark = Instant::now();
+        stats.verify_time += mark - probed;
+        detail.subgraphs_built += prober.publish(&mut indexed, i, tau, config.partitioning) as u64;
+    }
+    stats.candidate_time += mark.elapsed();
+    stats.pairs_examined = stats.candidates;
+    let counters = prober.counters();
+    detail.probes = counters.probes;
+    detail.match_attempts = counters.match_attempts;
+    detail.matches = counters.matches;
+    detail.index_registrations = indexed.index.registrations();
+    (stats, detail)
 }
 
 #[cfg(test)]

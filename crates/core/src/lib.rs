@@ -11,9 +11,12 @@
 //!   (§3.1/§3.4) — [`subgraph`];
 //! * the on-the-fly two-layer (postorder × label-twig) inverted index
 //!   (§3.4) — [`index`];
-//! * the join loop itself (§3.2, Algorithm 1) — [`join`], on top of the
-//!   one probe step every consumer shares — [`probe`] — with the
-//!   bipartite ([`rs_join`]) and top-k ([`topk`]) variants beside it.
+//! * Algorithm 1's probe step and δ rule, written once — [`probe`]: a
+//!   prober probes and publishes into an indexed side, a subgraph index
+//!   plus the [`SideList`] of trees too small to cut;
+//! * the join loop itself (§3.2, Algorithm 1) — [`join`] — and its
+//!   bipartite ([`rs_join`]) and top-k ([`topk`]) variants, all three
+//!   running that one prober.
 //!
 //! The crate is thread-free: the pooled, sharded, streaming and
 //! point-query forms of the same loop live one crate up, in `tsj-shard`
@@ -64,14 +67,13 @@ pub use index::{
 pub use join::{partsj_join, partsj_join_detailed, partsj_join_with, PartSjDetail};
 pub use partition::{cuts_for, max_min_size, partitionable, select_cuts, select_random_cuts};
 pub use probe::{
-    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, CandidateSink,
-    Candidates, ProbeCounters, ProbeScratch, StampSink,
+    classes_within, probe_tree_nodes, resolve_layers, window_of, CandidateSink, Candidates,
+    ProbeCounters, ProbeScratch, SideList, StampSink,
 };
 pub use rs_join::partsj_join_rs;
 pub use subgraph::{
-    build_subgraphs, nodes_match_at, partition_tree, partition_tree_with, side_list,
-    subgraph_matches, subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode,
-    Subgraph,
+    build_subgraphs, nodes_match_at, partition_tree, partition_tree_with, subgraph_matches,
+    subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode, Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
 pub use verify::{

@@ -1,26 +1,29 @@
-//! Algorithm 1's probe step, written once.
+//! Algorithm 1's probe step and δ rule, written once.
 //!
-//! Every index consumer — the batch join ([`crate::join`]), the bipartite
-//! join ([`crate::rs_join`]), the top-k join ([`crate::topk`]) and, one
-//! crate up, the sharded, streaming, frozen-catalog and cluster-node
-//! paths — generates candidates the same way: start a fresh dedup
-//! generation ([`Candidates::begin`]), admit the side-listed small trees
-//! of the size window ([`scan_small_trees`]), then walk the probing
-//! tree's LC-RS nodes, compute the up-to-four [`TwigKeys`] once per
-//! node, probe every size layer of the resolved window and match
-//! surfaced subgraphs at the node ([`probe_tree_nodes`]). What differs
-//! between consumers is only the admission rule (processing rank,
-//! liveness), which they express as [`CandidateSink`] adapters around
-//! the [`StampSink`] that [`Candidates::sink`] hands out.
+//! An indexed side (`Indexed`) is a [`SubgraphIndex`] over the trees
+//! δ-partitioned into it plus a [`SideList`] of the trees too small to
+//! be (Lemma 2 offers no filter for them, so each is a candidate of
+//! every probe whose size window holds its size). A `Prober` carries
+//! one tree at a time through both decisions: `Prober::prepare` builds
+//! its LC-RS form; `Prober::probe` starts a fresh dedup generation
+//! ([`Candidates`]), admits the side list's trees of the window
+//! ([`SideList::scan`]) and walks the tree's nodes against the window's
+//! populated size layers ([`resolve_layers`], [`probe_tree_nodes`]: twig
+//! keys once per node, match verdicts memoized per node across layers);
+//! `Prober::publish` cuts the tree into δ subgraphs for the index or
+//! side-lists it. The self-join ([`crate::join`]), R×S
+//! ([`crate::rs_join`]) and top-k ([`crate::topk`]) loops run on these
+//! two types and differ only in which trees probe and where the
+//! candidates go.
 //!
-//! Centralizing the step keeps the hoisting discipline of PR 2 (size
-//! layers resolved once per tree, twig keys once per node, match verdicts
-//! memoized per node across layers) and the dedup decision in exactly
-//! one place — and lets the sharded index (`tsj-shard`) drive the
-//! identical loop against each shard's private [`SubgraphIndex`].
+//! One crate up, `tsj-shard` runs the same steps against each shard's
+//! private [`SubgraphIndex`] beside the same [`SideList`]; its one extra
+//! admission rule, liveness, is a [`CandidateSink`] adapter around the
+//! [`StampSink`] that [`Candidates::sink`] hands out.
 
-use crate::config::MatchSemantics;
+use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
+use crate::subgraph::{is_side_listed, partition_tree_with, PartitionScratch};
 use tsj_ted::TreeIdx;
 use tsj_tree::{BinaryTree, FxHashMap, Label, Tree};
 
@@ -48,7 +51,12 @@ impl ProbeScratch {
             Some(binary) => binary.rebuild_from(tree),
             None => self.binary = Some(BinaryTree::from_tree(tree)),
         }
-        let binary = self.binary.as_ref().expect("prepared above");
+        self.prepared()
+    }
+
+    /// What the last [`ProbeScratch::prepare`] returned.
+    fn prepared(&self) -> (&BinaryTree, &[u32]) {
+        let binary = self.binary.as_ref().expect("a tree is prepared");
         (binary, binary.general_post())
     }
 }
@@ -177,9 +185,11 @@ pub fn probe_tree_nodes<S: CandidateSink>(
 
 /// The ubiquitous sink: a stamp array deduplicates container trees per
 /// probing tree (stamp value = probe marker) and accepted candidates are
-/// pushed to a list. [`Candidates::sink`] hands one out per probe;
-/// consumers with extra admission rules (order filters, liveness
-/// checks) wrap it in their own [`CandidateSink`].
+/// pushed to a list. [`Candidates::sink`] hands one out per probe, and
+/// [`SideList::scan`] and [`probe_tree_nodes`] feed the same one, so a
+/// tree reached both ways is a candidate once. The one extra admission
+/// rule, a sharded index's liveness check, wraps it in its own
+/// [`CandidateSink`].
 #[derive(Debug)]
 pub struct StampSink<'a> {
     /// `stamp[j] == marker` ⇔ tree `j` is already a candidate of the
@@ -261,57 +271,181 @@ impl Candidates {
     }
 }
 
-/// The side-list half of the probe step: trees too small to
-/// δ-partition carry no postings (Lemma 2 offers no filter for them),
-/// so every one whose size class is in `classes` (a window's, through
-/// [`classes_within`], or a shard request's explicit list) goes straight
-/// to `sink`. Returns how many the sink admitted.
-pub fn scan_small_trees<S: CandidateSink>(
-    small_by_size: &FxHashMap<u32, Vec<TreeIdx>>,
-    classes: impl IntoIterator<Item = u32>,
-    sink: &mut S,
-) -> u64 {
-    let mut admitted = 0;
-    for class in classes {
-        for &tree in small_by_size.get(&class).into_iter().flatten() {
+/// The trees of an indexed side too small to δ-partition, by size
+/// class. They carry no postings, so the probe step hands every one in
+/// a probe's size window straight to its sink.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SideList(FxHashMap<u32, Vec<TreeIdx>>);
+
+impl SideList {
+    /// The side list of a whole collection at `tau`, ids ascending per
+    /// class — for owners that restore an index instead of building it.
+    pub fn from_trees(trees: &[Tree], tau: u32) -> SideList {
+        let mut side = SideList::default();
+        for (i, tree) in (0..).zip(trees) {
+            if is_side_listed(tree.len(), tau) {
+                side.push(tree.len() as u32, i);
+            }
+        }
+        side
+    }
+
+    /// Side-lists `tree` of `size` nodes.
+    pub fn push(&mut self, size: u32, tree: TreeIdx) {
+        self.0.entry(size).or_default().push(tree);
+    }
+
+    /// Drops `tree` of `size` nodes (a no-op for a tree not listed).
+    pub fn remove(&mut self, size: u32, tree: TreeIdx) {
+        if let Some(class) = self.0.get_mut(&size) {
+            class.retain(|&t| t != tree);
+        }
+    }
+
+    /// The listed trees of `size` nodes, in the order they were pushed.
+    pub fn class(&self, size: u32) -> &[TreeIdx] {
+        self.0.get(&size).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every listed `(size, tree)`.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, TreeIdx)> + '_ {
+        let classes = self.0.iter();
+        classes.flat_map(|(&size, trees)| trees.iter().map(move |&tree| (size, tree)))
+    }
+
+    /// Offers `sink` every listed tree whose size is in `[lo, hi]`, class
+    /// by ascending class; returns how many it admitted.
+    pub fn scan<S: CandidateSink>(&self, lo: u32, hi: u32, sink: &mut S) -> u64 {
+        self.scan_classes(classes_within(self.0.keys().copied(), lo, hi), sink)
+    }
+
+    /// [`SideList::scan`] over an explicit list of size classes (the
+    /// ones of a window that one shard owns).
+    pub fn scan_classes<S: CandidateSink>(
+        &self,
+        classes: impl IntoIterator<Item = u32>,
+        sink: &mut S,
+    ) -> u64 {
+        let mut admitted = 0;
+        for &tree in classes.into_iter().flat_map(|size| self.class(size)) {
             if sink.admit(tree) {
                 sink.accept(tree);
                 admitted += 1;
             }
         }
+        admitted
     }
-    admitted
+}
+
+/// One indexed side of Algorithm 1: the index over the subgraphs of the
+/// trees published into it, and the side list of those too small to cut.
+#[derive(Debug)]
+pub(crate) struct Indexed {
+    /// The two-layer subgraph index.
+    pub(crate) index: SubgraphIndex,
+    /// The trees below `δ` nodes.
+    pub(crate) side: SideList,
+}
+
+impl Indexed {
+    /// An empty side whose postings are registered for threshold `tau`.
+    pub(crate) fn new(tau: u32, window: WindowPolicy) -> Indexed {
+        Indexed {
+            index: SubgraphIndex::new(tau, window),
+            side: SideList::default(),
+        }
+    }
+}
+
+/// What one prober reuses from tree to tree: the prepared tree, the
+/// deduplicated candidates, the resolved size layers, the per-node match
+/// memo, the work counters and the partition buffers. Every buffer is
+/// grow-only, so a warm loop allocates nothing per tree beyond what the
+/// index keeps.
+#[derive(Debug, Default)]
+pub(crate) struct Prober {
+    tree: ProbeScratch,
+    candidates: Candidates,
+    layers: Vec<LayerId>,
+    cache: MatchCache,
+    counters: ProbeCounters,
+    partition: PartitionScratch,
+}
+
+impl Prober {
+    /// Builds `tree`'s LC-RS form for the next [`Prober::probe`] and
+    /// [`Prober::publish`]; returns its size.
+    pub(crate) fn prepare(&mut self, tree: &Tree) -> u32 {
+        self.tree.prepare(tree).0.len() as u32
+    }
+
+    /// The probe step of the prepared tree against the size classes
+    /// `[lo, hi]` of `indexed`, whose tree ids lie in `0..universe`.
+    /// Returns the candidates in discovery order (side-listed ones
+    /// first), how many of them the side list gave, and how many size
+    /// layers the index probed.
+    pub(crate) fn probe(
+        &mut self,
+        indexed: &Indexed,
+        (lo, hi): (u32, u32),
+        universe: usize,
+        matching: MatchSemantics,
+    ) -> (&[TreeIdx], u64, usize) {
+        let (binary, posts) = self.tree.prepared();
+        let (index, size) = (&indexed.index, binary.len() as u32);
+        self.candidates.begin(universe);
+        let mut sink = self.candidates.sink();
+        let side_admitted = indexed.side.scan(lo, hi, &mut sink);
+        resolve_layers(index, lo, hi, &mut self.layers);
+        let (layers, cache, work) = (&self.layers, &mut self.cache, &mut self.counters);
+        probe_tree_nodes(
+            index, layers, binary, posts, size, matching, cache, work, &mut sink,
+        );
+        (self.candidates.as_slice(), side_admitted, layers.len())
+    }
+
+    /// Publishes the prepared tree into `indexed` as tree `id`, by the δ
+    /// rule: its δ subgraphs under `scheme` into the index, or, below
+    /// `δ = 2τ + 1` nodes, the tree into the side list. Returns how many
+    /// subgraphs went into the index.
+    pub(crate) fn publish(
+        &mut self,
+        indexed: &mut Indexed,
+        id: TreeIdx,
+        tau: u32,
+        scheme: PartitionScheme,
+    ) -> usize {
+        let (binary, posts) = self.tree.prepared();
+        let size = binary.len() as u32;
+        let Some(subgraphs) =
+            partition_tree_with(binary, posts, tau, scheme, id, &mut self.partition)
+        else {
+            indexed.side.push(size, id);
+            return 0;
+        };
+        indexed.index.insert_tree(size, subgraphs);
+        subgraphs.len()
+    }
+
+    /// The probe work of every [`Prober::probe`] so far.
+    pub(crate) fn counters(&self) -> ProbeCounters {
+        self.counters
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PartSjConfig, WindowPolicy};
-    use crate::subgraph::partition_tree;
-    use tsj_tree::{parse_bracket, LabelInterner, Tree};
+    use crate::config::PartSjConfig;
+    use tsj_tree::{parse_bracket, LabelInterner};
 
-    fn probe_candidates(index: &SubgraphIndex, tree: &Tree, tau: u32) -> Vec<TreeIdx> {
-        let binary = BinaryTree::from_tree(tree);
-        let posts = tree.postorder_numbers();
-        let (lo, hi) = window_of(tree.len() as u32, tau);
-        let mut layers = Vec::new();
-        resolve_layers(index, lo, hi, &mut layers);
-        let mut candidates = Candidates::new();
-        candidates.begin(16);
-        let mut counters = ProbeCounters::default();
-        probe_tree_nodes(
-            index,
-            &layers,
-            &binary,
-            &posts,
-            tree.len() as u32,
-            MatchSemantics::Exact,
-            &mut MatchCache::new(),
-            &mut counters,
-            &mut candidates.sink(),
-        );
+    fn probe_candidates(indexed: &Indexed, tree: &Tree, tau: u32) -> Vec<TreeIdx> {
+        let mut prober = Prober::default();
+        let window = window_of(prober.prepare(tree), tau);
+        let (found, _, _) = prober.probe(indexed, window, 16, MatchSemantics::Exact);
+        let mut found = found.to_vec();
+        let counters = prober.counters();
         assert!(counters.match_attempts >= counters.matches);
-        let mut found = candidates.as_slice().to_vec();
         found.sort_unstable();
         found
     }
@@ -320,35 +454,29 @@ mod tests {
     fn stamp_sink_dedups_and_collects() {
         let mut labels = LabelInterner::new();
         let tau = 1;
-        let config = PartSjConfig::default();
-        let mut index = SubgraphIndex::new(tau, WindowPolicy::Safe);
-        for (i, src) in ["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{z{y}{x}{w}}"]
-            .iter()
-            .enumerate()
-        {
-            let tree = parse_bracket(src, &mut labels).unwrap();
-            let binary = BinaryTree::from_tree(&tree);
-            let posts = tree.postorder_numbers();
-            let sgs = partition_tree(&binary, &posts, tau, config.partitioning, i as TreeIdx);
-            index.insert_tree(tree.len() as u32, sgs.expect("4 nodes ≥ δ = 3"));
+        let scheme = PartSjConfig::default().partitioning;
+        let mut indexed = Indexed::new(tau, WindowPolicy::Safe);
+        let mut prober = Prober::default();
+        for (i, src) in (0..).zip(["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{z{y}{x}{w}}", "{a{b}}"]) {
+            prober.prepare(&parse_bracket(src, &mut labels).unwrap());
+            // δ = 3: the four-node trees are cut in three, `{a{b}}` is side-listed.
+            let subgraphs = prober.publish(&mut indexed, i, tau, scheme);
+            assert_eq!(subgraphs, if i < 3 { 3 } else { 0 });
         }
-        let probe = parse_bracket("{a{b}{c}{d}}", &mut labels).unwrap();
-        let found = probe_candidates(&index, &probe, tau);
-        // Tree 0 is identical, tree 1 one rename away: both share subgraphs.
-        assert!(found.contains(&0));
-        assert!(found.contains(&1));
-        // Deduplicated: each candidate appears once.
-        let mut dedup = found.clone();
-        dedup.dedup();
-        assert_eq!(found, dedup);
+        assert_eq!(indexed.side.class(2), [3]);
+        let probe = parse_bracket("{a{b}{c}}", &mut labels).unwrap();
+        let found = probe_candidates(&indexed, &probe, tau);
+        // Trees 0 and 1 are one delete away and share subgraphs, tree 3 is
+        // in the side list's window; each is a candidate once.
+        assert_eq!(found, [0, 1, 3]);
     }
 
     #[test]
     fn empty_window_probes_nothing() {
         let mut labels = LabelInterner::new();
-        let index = SubgraphIndex::new(1, WindowPolicy::Safe);
+        let indexed = Indexed::new(1, WindowPolicy::Safe);
         let probe = parse_bracket("{a{b}}", &mut labels).unwrap();
-        assert!(probe_candidates(&index, &probe, 1).is_empty());
+        assert!(probe_candidates(&indexed, &probe, 1).is_empty());
     }
 
     #[test]
@@ -370,9 +498,11 @@ mod tests {
     /// Offers every tree of `trees` twice; dedup must admit each exactly
     /// once, whatever earlier generations left in the stamps.
     fn admits_each_once(candidates: &mut Candidates, trees: std::ops::Range<u32>) {
-        let mut smalls: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-        smalls.insert(1, trees.clone().chain(trees.clone()).collect());
-        let admitted = scan_small_trees(&smalls, [1, 2], &mut candidates.sink());
+        let mut smalls = SideList::default();
+        for tree in trees.clone().chain(trees.clone()) {
+            smalls.push(1, tree);
+        }
+        let admitted = smalls.scan(1, 2, &mut candidates.sink());
         assert_eq!(admitted, trees.len() as u64);
         assert_eq!(candidates.as_slice(), trees.collect::<Vec<_>>());
     }

@@ -10,16 +10,11 @@
 //! `r` appears in `s`, so probing `s`'s nodes finds the pair.
 
 use crate::config::PartSjConfig;
-use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::probe::{
-    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
-    ProbeCounters, ProbeScratch,
-};
-use crate::subgraph::{partition_tree_with, PartitionScratch};
+use crate::probe::{window_of, Indexed, Prober};
 use crate::verify::{ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
-use tsj_tree::{FxHashMap, Tree};
+use tsj_tree::Tree;
 
 /// R×S similarity join: all pairs `(i, j)` with `TED(left[i], right[j]) ≤
 /// tau`. Pair indices refer to the respective input collections.
@@ -31,74 +26,39 @@ pub fn partsj_join_rs(
 ) -> JoinOutcome {
     let mut stats = JoinStats::default();
 
-    // Build phase: partition and index every left tree.
+    // Build phase: publish every left tree.
     let build_start = Instant::now();
-    let mut index = SubgraphIndex::new(tau, config.window);
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    let left_data: Vec<VerifyData> = VerifyData::batch_for_config(left, &config.verify);
-    let mut probe_scratch = ProbeScratch::new();
-    let mut partition_scratch = PartitionScratch::new();
+    let mut indexed = Indexed::new(tau, config.window);
+    let mut prober = Prober::default();
     for (i, tree) in (0..).zip(left) {
-        let size = tree.len() as u32;
-        let (binary, posts) = probe_scratch.prepare(tree);
-        let scheme = config.partitioning;
-        match partition_tree_with(binary, posts, tau, scheme, i, &mut partition_scratch) {
-            Some(subgraphs) => index.insert_tree(size, subgraphs),
-            None => small_by_size.entry(size).or_default().push(i),
-        }
+        prober.prepare(tree);
+        prober.publish(&mut indexed, i, tau, config.partitioning);
     }
+    let left_data: Vec<VerifyData> = VerifyData::batch_for_config(left, &config.verify);
     stats.candidate_time += build_start.elapsed();
 
-    // Probe phase: each right tree searches the left index.
+    // Probe phase: each right tree searches the whole size window of the
+    // left side.
     let mut verify = VerifyEngine::new(tau, config);
     let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-    // Scratch reused across right trees.
-    let mut candidates = Candidates::new();
-    let mut layer_window: Vec<LayerId> = Vec::new();
-    let mut match_cache = MatchCache::new();
-    let mut counters = ProbeCounters::default();
     let mut probe_verify = ProbeVerify::new();
-
-    for (j, tree) in right.iter().enumerate() {
+    for (j, tree) in (0..).zip(right) {
         let probe_start = Instant::now();
-        let size_j = tree.len() as u32;
-        let (lo, hi) = window_of(size_j, tau);
-        candidates.begin(left.len());
-        let mut sink = candidates.sink();
-        let classes = classes_within(small_by_size.keys().copied(), lo, hi);
-        scan_small_trees(&small_by_size, classes, &mut sink);
-
-        // The offline index is frozen now: resolve the `2τ + 1` size
-        // layers once per right tree.
-        resolve_layers(&index, lo, hi, &mut layer_window);
-
-        let (binary, posts) = probe_scratch.prepare(tree);
-        probe_tree_nodes(
-            &index,
-            &layer_window,
-            binary,
-            posts,
-            size_j,
-            config.matching,
-            &mut match_cache,
-            &mut counters,
-            &mut sink,
-        );
-        let found = candidates.as_slice();
+        let window = window_of(prober.prepare(tree), tau);
+        let (found, _, _) = prober.probe(&indexed, window, left.len(), config.matching);
         stats.candidates += found.len() as u64;
-        stats.pairs_examined += found.len() as u64;
         stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
         let data_j = probe_verify.prepare(tree);
         for &i in found {
             if verify.check(&left_data[i as usize], data_j).is_some() {
-                pairs.push((i, j as TreeIdx));
+                pairs.push((i, j));
             }
         }
         stats.verify_time += verify_start.elapsed();
     }
-
+    stats.pairs_examined = stats.candidates;
     verify.fold_into(&mut stats);
     JoinOutcome::new_bipartite(pairs, stats)
 }

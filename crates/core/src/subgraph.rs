@@ -31,7 +31,7 @@
 
 use crate::config::{MatchSemantics, PartitionScheme};
 use crate::partition::cuts_for_in;
-use tsj_tree::{pack_twig, BinaryTree, FxHashMap, Label, NodeId, Side, Tree};
+use tsj_tree::{pack_twig, BinaryTree, Label, NodeId, Side};
 
 /// Index of a tree within the joined collection (re-exported convention
 /// from `tsj_ted::outcome`).
@@ -300,24 +300,8 @@ fn delta(tau: u32) -> usize {
 
 /// The δ rule as a predicate: a tree of `size` nodes is too small to be
 /// δ-partitioned at `tau` — [`partition_tree`] answers `None` for it.
-fn is_side_listed(size: usize, tau: u32) -> bool {
+pub(crate) fn is_side_listed(size: usize, tau: u32) -> bool {
     size < delta(tau)
-}
-
-/// The side list of a whole collection — the trees [`partition_tree`]
-/// answers `None` for at `tau`, grouped by size, ids ascending — for
-/// owners that restore an index instead of building it.
-pub fn side_list(trees: &[Tree], tau: u32) -> FxHashMap<u32, Vec<TreeIdx>> {
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
-    for (i, tree) in trees.iter().enumerate() {
-        if is_side_listed(tree.len(), tau) {
-            small_by_size
-                .entry(tree.len() as u32)
-                .or_default()
-                .push(i as TreeIdx);
-        }
-    }
-    small_by_size
 }
 
 fn component_child_label(binary: &BinaryTree, node: NodeId, side: Side, kind: ChildKind) -> Label {

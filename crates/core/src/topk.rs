@@ -37,17 +37,11 @@
 //! `topk_matches_exhaustive_join` pins this against brute force.
 
 use crate::config::PartSjConfig;
-use crate::index::{LayerId, MatchCache, SubgraphIndex};
-use crate::probe::{
-    classes_within, probe_tree_nodes, resolve_layers, scan_small_trees, window_of, Candidates,
-    ProbeCounters, ProbeScratch,
-};
-use crate::subgraph::{partition_tree_with, PartitionScratch};
+use crate::join::ascending_join;
 use crate::verify::{VerifyData, VerifyEngine};
 use std::collections::BinaryHeap;
-use std::time::Instant;
 use tsj_ted::{JoinStats, TreeIdx};
-use tsj_tree::{FxHashMap, Tree};
+use tsj_tree::Tree;
 
 /// One result of a top-k join: an index pair and its **exact** distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +94,7 @@ pub fn partsj_topk_with(trees: &[Tree], k: usize, config: &PartSjConfig) -> TopK
     }
 
     // Shared preprocessing — none of it depends on the pass ceiling.
-    // LC-RS forms and postorder numbers are rebuilt in place per probing
-    // tree through one scratch shared across escalation passes.
     let data: Vec<VerifyData> = VerifyData::batch_for_config(trees, &config.verify);
-    let mut probe_scratch = ProbeScratch::new();
-    let mut order: Vec<TreeIdx> = (0..n as TreeIdx).collect();
-    order.sort_by_key(|&i| (trees[i as usize].len(), i));
 
     // Every TED is at most |a| + |b| (delete one tree, insert the
     // other), so a ceiling of 2·max|T| finds every existing pair.
@@ -116,15 +105,7 @@ pub fn partsj_topk_with(trees: &[Tree], k: usize, config: &PartSjConfig) -> TopK
     let mut passes = 0u32;
     loop {
         passes += 1;
-        let (pairs, stats) = topk_pass(
-            trees,
-            &data,
-            &order,
-            want,
-            tau_c,
-            config,
-            &mut probe_scratch,
-        );
+        let (pairs, stats) = topk_pass(trees, &data, want, tau_c, config);
         if pairs.len() >= want || tau_c >= cap {
             return TopKOutcome {
                 pairs,
@@ -138,98 +119,41 @@ pub fn partsj_topk_with(trees: &[Tree], k: usize, config: &PartSjConfig) -> TopK
 }
 
 /// One Algorithm-1 pass at partition ceiling `tau_c`, keeping the best
-/// `want` pairs in a bounded max-heap whose worst key drives the
-/// effective probe/verify threshold.
-#[allow(clippy::too_many_arguments)] // one orchestration call site, all parts hoisted
+/// `want` pairs in a bounded max-heap whose worst key is the live
+/// probe/verify threshold.
 fn topk_pass(
     trees: &[Tree],
     data: &[VerifyData],
-    order: &[TreeIdx],
     want: usize,
     tau_c: u32,
     config: &PartSjConfig,
-    probe_scratch: &mut ProbeScratch,
 ) -> (Vec<TopKPair>, JoinStats) {
-    let mut stats = JoinStats::default();
-
-    let mut index = SubgraphIndex::new(tau_c, config.window);
-    let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
     let mut verify = VerifyEngine::new(tau_c, config);
     // Max-heap over full `(distance, i, j)` keys: `peek` is the pair to
     // beat, and comparing whole keys makes tie handling (same distance,
     // smaller indices win) automatic.
     let mut heap: BinaryHeap<(u32, TreeIdx, TreeIdx)> = BinaryHeap::with_capacity(want + 1);
-    let mut candidates = Candidates::new();
-    let mut layer_window: Vec<LayerId> = Vec::new();
-    let mut match_cache = MatchCache::new();
-    let mut counters = ProbeCounters::default();
-    let mut partition_scratch = PartitionScratch::new();
-
-    for &i in order {
-        let (binary, posts) = probe_scratch.prepare(&trees[i as usize]);
-        let size_i = binary.len() as u32;
-        // The live threshold: once the heap is full, only pairs beating
-        // its worst distance matter.
-        let tau_eff = match heap.peek() {
-            Some(&(worst, _, _)) if heap.len() == want => worst,
-            _ => tau_c,
-        };
-        let (lo, _) = window_of(size_i, tau_eff);
-
-        let cand_start = Instant::now();
-        candidates.begin(trees.len());
-        let mut sink = candidates.sink();
-        let classes = classes_within(small_by_size.keys().copied(), lo, size_i);
-        scan_small_trees(&small_by_size, classes, &mut sink);
-        // The index was partitioned at τ_c ≥ τ_eff, so probing the
-        // narrowed size window stays complete (the catalog's
-        // `τ_q ≤ τ_frozen` argument).
-        resolve_layers(&index, lo, size_i, &mut layer_window);
-        probe_tree_nodes(
-            &index,
-            &layer_window,
-            binary,
-            posts,
-            size_i,
-            config.matching,
-            &mut match_cache,
-            &mut counters,
-            &mut sink,
-        );
-        let found = candidates.as_slice();
-        stats.candidates += found.len() as u64;
-        stats.pairs_examined += found.len() as u64;
-        stats.candidate_time += cand_start.elapsed();
-
-        let verify_start = Instant::now();
+    // Once the heap is full, only pairs beating its worst distance matter.
+    let live = |heap: &BinaryHeap<(u32, TreeIdx, TreeIdx)>| match heap.peek() {
+        Some(&(worst, _, _)) if heap.len() == want => worst,
+        _ => tau_c,
+    };
+    let (mut stats, _) = ascending_join(trees, tau_c, config, |i, found, _| {
         for &j in found {
             // Re-read the worst key per candidate: the heap may have
             // tightened while this very list was being verified.
-            let tau_now = match heap.peek() {
-                Some(&(worst, _, _)) if heap.len() == want => worst,
-                _ => tau_c,
-            };
-            verify.set_tau(tau_now);
+            verify.set_tau(live(&heap));
             if let Some(d) = verify.check_exact(&data[i as usize], &data[j as usize]) {
-                let key = (d, i.min(j), i.max(j));
-                if heap.len() < want {
-                    heap.push(key);
-                } else if key < *heap.peek().expect("heap is full") {
+                // Keys are unique: a full heap drops the new key itself
+                // unless it beats the worst.
+                heap.push((d, i.min(j), i.max(j)));
+                if heap.len() > want {
                     heap.pop();
-                    heap.push(key);
                 }
             }
         }
-        stats.verify_time += verify_start.elapsed();
-
-        let insert_start = Instant::now();
-        let scheme = config.partitioning;
-        match partition_tree_with(binary, posts, tau_c, scheme, i, &mut partition_scratch) {
-            Some(subgraphs) => index.insert_tree(size_i, subgraphs),
-            None => small_by_size.entry(size_i).or_default().push(i),
-        }
-        stats.candidate_time += insert_start.elapsed();
-    }
+        live(&heap)
+    });
 
     verify.fold_into(&mut stats);
     let mut keys = heap.into_vec();

@@ -7,7 +7,7 @@
 //! answer, only where candidates die.
 
 use partsj::{partsj_join_rs, partsj_join_with, PartSjConfig, VerifyConfig, WindowPolicy};
-use tsj_datagen::{swissprot_like, synthetic_sized};
+use tsj_datagen::swissprot_like;
 
 /// Every subset of the four stages.
 fn all_verify_configs() -> Vec<VerifyConfig> {
@@ -92,12 +92,14 @@ fn full_chain_reduces_ted_calls_on_near_duplicates() {
 
 #[test]
 fn rs_join_is_sound_for_every_chain_config() {
-    let left = synthetic_sized(40, 18, 3);
-    let right = swissprot_like(40, 4);
+    // Two halves of one near-duplicate collection: the clusters straddle
+    // them, so every row has pairs to find.
+    let trees = swissprot_like(80, 4);
+    let (left, right) = trees.split_at(40);
     let tau = 2;
     let reference = partsj_join_rs(
-        &left,
-        &right,
+        left,
+        right,
         tau,
         &PartSjConfig {
             verify: VerifyConfig::NONE,
@@ -109,7 +111,11 @@ fn rs_join_is_sound_for_every_chain_config() {
             verify,
             ..Default::default()
         };
-        let outcome = partsj_join_rs(&left, &right, tau, &config);
+        let outcome = partsj_join_rs(left, right, tau, &config);
+        assert!(!outcome.pairs.is_empty(), "verify = {verify:?}");
         assert_eq!(outcome.pairs, reference.pairs, "verify = {verify:?}");
+        if verify == VerifyConfig::ALL {
+            assert!(!outcome.stats.work().stages.is_empty());
+        }
     }
 }

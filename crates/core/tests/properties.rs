@@ -9,8 +9,9 @@
 //!    exactly the brute-force result set on random collections.
 
 use partsj::{
-    build_subgraphs, max_min_size, partitionable, partsj_join_detailed, partsj_join_with,
-    partsj_topk, select_cuts, subgraph_matches, PartSjConfig, PartitionScheme, WindowPolicy,
+    build_subgraphs, max_min_size, partitionable, partsj_join_detailed, partsj_join_rs,
+    partsj_join_with, partsj_topk, select_cuts, subgraph_matches, PartSjConfig, PartitionScheme,
+    WindowPolicy,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,13 +85,18 @@ proptest! {
     }
 
     /// Join equivalence: every *complete* configuration (Safe window with
-    /// MaxMin or Random partitioning) must equal brute force. The paper's
-    /// Tight window is knowingly incomplete (≈0.2% of randomized runs, see
+    /// MaxMin or Random partitioning) must equal brute force, and so must
+    /// the collection's R×S join with itself: the diagonal plus each
+    /// brute-force pair both ways round. The paper's Tight window is
+    /// knowingly incomplete (≈0.2% of randomized runs, see
     /// `window_sweep.rs`), so it is only required to be a subset.
     #[test]
     fn partsj_equals_brute_force(seed in any::<u64>(), tau in 1u32..4) {
         let trees = random_collection(seed, 26, 5);
         let expected = brute_force_join(&trees, tau);
+        let mut mirrored: Vec<(u32, u32)> = (0..trees.len() as u32).map(|i| (i, i)).collect();
+        mirrored.extend(expected.pairs.iter().flat_map(|&(i, j)| [(i, j), (j, i)]));
+        mirrored.sort_unstable();
 
         for config in [
             PartSjConfig::default(),
@@ -107,6 +113,8 @@ proptest! {
                 config,
                 tau
             );
+            let rs = partsj_join_rs(&trees, &trees, tau, &config);
+            prop_assert_eq!(&rs.pairs, &mirrored, "R×S, config {:?}, tau {}", config, tau);
         }
 
         let tight = partsj_join_with(

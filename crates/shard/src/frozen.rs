@@ -28,7 +28,7 @@
 
 use crate::index::{ShardConfig, ShardMap, ShardedIndex};
 use crate::pool::{execute, run_inline};
-use partsj::probe::{classes_within, scan_small_trees, window_of, Candidates, ProbeCounters};
+use partsj::probe::{window_of, Candidates, ProbeCounters, SideList};
 use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
@@ -36,7 +36,7 @@ use partsj::{
 };
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
-use tsj_tree::{BinaryTree, FxHashMap, Tree};
+use tsj_tree::{BinaryTree, Tree};
 
 /// A frozen left side, ready to be probed by any number of right
 /// collections. See the [module docs](self).
@@ -45,8 +45,8 @@ pub struct Frozen {
     /// The (no longer mutated) sharded subgraph index over the left
     /// collection; every left tree is tracked in it.
     index: ShardedIndex,
-    /// Left trees below the partitioning threshold `δ`, grouped by size.
-    small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
+    /// Left trees below the partitioning threshold `δ`.
+    small_by_size: SideList,
     /// Per-left-tree verification inputs, indexed by left tree id.
     pub(crate) left_data: Vec<VerifyData>,
 }
@@ -96,19 +96,19 @@ impl StepScratch {
 /// Algorithm 1's probe step against a sharded index, sequenced once for
 /// every join of the crate: a fresh dedup generation over container
 /// trees `0..universe` (one match cache per shard — component ids are
-/// per-shard), then the side-listed trees of `classes`, then the
-/// postings of every shard covering the size window `[lo, hi]` — or of
-/// `shard` alone (dead container trees never surface; liveness is the
-/// index's own). Candidates are left in `scratch`.
+/// per-shard), then the side-listed trees and the postings of the size
+/// window `[lo, hi]` — from every shard covering it, or, for
+/// `Some((shard, classes))`, only the side-listed `classes` and the
+/// postings of `shard` (dead container trees never surface; liveness is
+/// the index's own). Candidates are left in `scratch`.
 #[allow(clippy::too_many_arguments)] // one hot step, all parts hoisted by callers
 pub(crate) fn probe_step(
     index: &ShardedIndex,
-    small_by_size: &FxHashMap<u32, Vec<TreeIdx>>,
+    side: &SideList,
     universe: usize,
     (binary, posts): (&BinaryTree, &[u32]),
     (lo, hi): (u32, u32),
-    classes: impl IntoIterator<Item = u32>,
-    shard: Option<usize>,
+    shard: Option<(usize, &[u32])>,
     matching: MatchSemantics,
     scratch: &mut StepScratch,
 ) {
@@ -117,37 +117,23 @@ pub(crate) fn probe_step(
         .caches
         .resize_with(index.shard_count(), MatchCache::new);
     let mut sink = scratch.candidates.sink();
-    scan_small_trees(small_by_size, classes, &mut sink);
     let size = binary.len() as u32;
     let (caches, layers) = (&mut scratch.caches, &mut scratch.layer_scratch);
-    let counters = &mut ProbeCounters::default();
+    let (shards, work) = (&mut scratch.shard_scratch, &mut ProbeCounters::default());
     match shard {
-        None => index.probe_tree(
-            binary,
-            posts,
-            size,
-            lo,
-            hi,
-            matching,
-            caches,
-            &mut scratch.shard_scratch,
-            layers,
-            counters,
-            &mut sink,
-        ),
-        Some(s) => index.probe_shard(
-            s,
-            binary,
-            posts,
-            size,
-            lo,
-            hi,
-            matching,
-            &mut caches[s],
-            layers,
-            counters,
-            &mut sink,
-        ),
+        None => {
+            side.scan(lo, hi, &mut sink);
+            index.probe_tree(
+                binary, posts, size, lo, hi, matching, caches, shards, layers, work, &mut sink,
+            )
+        }
+        Some((s, classes)) => {
+            side.scan_classes(classes.iter().copied(), &mut sink);
+            let cache = &mut caches[s];
+            index.probe_shard(
+                s, binary, posts, size, lo, hi, matching, cache, layers, work, &mut sink,
+            )
+        }
     }
 }
 
@@ -205,27 +191,25 @@ impl Frozen {
     ) -> Frozen {
         let threads = shard_cfg.resolved_probe_threads();
         let lists = build_subgraph_lists(left, tau, config, threads);
-        let mut small_by_size: FxHashMap<u32, Vec<TreeIdx>> = FxHashMap::default();
+        let mut small_by_size = SideList::default();
         let mut items = Vec::new();
         for ((i, tree), list) in (0..).zip(left).zip(lists) {
             let size = tree.len() as u32;
             match list {
                 Some(subgraphs) => items.push((i, size, subgraphs)),
-                None => small_by_size.entry(size).or_default().push(i),
+                None => small_by_size.push(size, i),
             }
         }
         let parallel = threads > 1;
-        let mut frozen = Frozen {
-            index: ShardedIndex::build_static(tau, config.window, shard_cfg, items, parallel),
+        let mut index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, parallel);
+        for (size, i) in small_by_size.iter() {
+            index.track(i, size);
+        }
+        Frozen {
+            index,
             small_by_size,
             left_data: VerifyData::batch(left),
-        };
-        for (&size, list) in &frozen.small_by_size {
-            for &i in list {
-                frozen.index.track(i, size);
-            }
         }
-        frozen
     }
 
     /// Reassembles a frozen side from snapshot parts: the header's
@@ -245,7 +229,7 @@ impl Frozen {
         let tracked = (0..).zip(trees.iter().map(|t| t.len() as u32));
         Ok(Frozen {
             index: ShardedIndex::from_frozen_parts(tau, window, map, shards, tracked)?,
-            small_by_size: partsj::side_list(trees, tau),
+            small_by_size: SideList::from_trees(trees, tau),
             left_data: VerifyData::batch(trees),
         })
     }
@@ -255,8 +239,8 @@ impl Frozen {
         &self.index
     }
 
-    /// Left trees below the partitioning threshold `δ`, grouped by size.
-    pub fn small_by_size(&self) -> &FxHashMap<u32, Vec<TreeIdx>> {
+    /// Left trees below the partitioning threshold `δ`.
+    pub fn small_by_size(&self) -> &SideList {
         &self.small_by_size
     }
 
@@ -269,14 +253,12 @@ impl Frozen {
         matching: MatchSemantics,
         scratch: &mut FrozenJoinScratch,
     ) {
-        let (lo, hi) = window_of(tree.len() as u32, tau);
         probe_step(
             &self.index,
             &self.small_by_size,
             self.left_data.len(),
             scratch.probe.prepare(tree),
-            (lo, hi),
-            classes_within(self.small_by_size.keys().copied(), lo, hi),
+            window_of(tree.len() as u32, tau),
             None,
             matching,
             &mut scratch.step,
@@ -389,8 +371,7 @@ impl Frozen {
             self.left_data.len(),
             (binary, posts),
             window_of(binary.len() as u32, engine.tau()),
-            classes.iter().copied(),
-            Some(shard),
+            Some((shard, classes)),
             matching,
             &mut scratch.step,
         );

@@ -63,12 +63,12 @@
 
 use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::{classes_within, window_of};
+use partsj::probe::{window_of, SideList};
 use partsj::subgraph::{partition_tree_with, PartitionScratch};
 use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
 use tsj_ted::TreeIdx;
-use tsj_tree::{FxHashMap, Tree};
+use tsj_tree::Tree;
 
 /// When the sliding window lets go of a tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,7 +116,7 @@ pub struct ShardedStreamingJoin {
     config: PartSjConfig,
     eviction: EvictionPolicy,
     index: ShardedIndex,
-    small_by_size: FxHashMap<u32, Vec<TreeIdx>>,
+    small_by_size: SideList,
     /// Verification inputs of arrivals `first..`, `None` once evicted.
     /// Leading `None`s are dropped as the window slides, so a sliding
     /// window holds about a window of these slots, not one per arrival
@@ -156,7 +156,7 @@ impl ShardedStreamingJoin {
             config,
             eviction,
             index: ShardedIndex::new(tau, config.window, &shard_cfg),
-            small_by_size: FxHashMap::default(),
+            small_by_size: SideList::default(),
             data: VecDeque::new(),
             first: 0,
             scratch: FrozenJoinScratch::new(),
@@ -245,7 +245,6 @@ impl ShardedStreamingJoin {
 
         let id = self.len() as TreeIdx;
         let size = tree.len() as u32;
-        let (lo, hi) = window_of(size, self.tau);
 
         // Candidates from the small-tree side lists (expiry prunes them,
         // so every entry is live), then from the sharded index (dead
@@ -256,8 +255,7 @@ impl ShardedStreamingJoin {
             &self.small_by_size,
             id as usize,
             (binary, posts),
-            (lo, hi),
-            classes_within(self.small_by_size.keys().copied(), lo, hi),
+            window_of(size, self.tau),
             None,
             self.config.matching,
             &mut self.scratch.step,
@@ -291,7 +289,7 @@ impl ShardedStreamingJoin {
             Some(subgraphs) => self.index.insert_tree(id, size, subgraphs),
             None => {
                 self.index.track(id, size);
-                self.small_by_size.entry(size).or_default().push(id);
+                self.small_by_size.push(size, id);
             }
         }
         self.data.push_back(Some(data));
@@ -351,10 +349,7 @@ impl ShardedStreamingJoin {
             self.data.pop_front();
             self.first += 1;
         }
-        // Only sizes below δ ever have a side list.
-        if let Some(list) = self.small_by_size.get_mut(&size) {
-            list.retain(|&j| j != id);
-        }
+        self.small_by_size.remove(size, id);
         self.evictions += 1;
         if let Some(counter) = &self.obs_evictions {
             counter.inc();

@@ -5,7 +5,7 @@
 //! policies and thread mixes.
 
 use partsj::{partsj_join_rs, partsj_join_with, PartSjConfig, VerifyConfig, WindowPolicy};
-use tsj_datagen::{swissprot_like, synthetic_sized};
+use tsj_datagen::swissprot_like;
 use tsj_shard::{sharded_rs_join, EvictionPolicy, ShardConfig, ShardedStreamingJoin};
 use tsj_ted::TreeIdx;
 
@@ -134,12 +134,14 @@ fn sharded_join_is_sound_for_every_chain_config() {
 
 #[test]
 fn sharded_rs_join_is_sound_for_every_chain_config() {
-    let left = synthetic_sized(40, 18, 23);
-    let right = swissprot_like(40, 24);
+    // Two halves of one near-duplicate collection: the clusters straddle
+    // them, so every row has pairs to find.
+    let trees = swissprot_like(80, 24);
+    let (left, right) = trees.split_at(40);
     let tau = 2;
     let reference = partsj_join_rs(
-        &left,
-        &right,
+        left,
+        right,
         tau,
         &PartSjConfig {
             verify: VerifyConfig::NONE,
@@ -152,8 +154,8 @@ fn sharded_rs_join_is_sound_for_every_chain_config() {
             ..Default::default()
         };
         let outcome = sharded_rs_join(
-            &left,
-            &right,
+            left,
+            right,
             tau,
             &config,
             &ShardConfig {
@@ -163,7 +165,11 @@ fn sharded_rs_join_is_sound_for_every_chain_config() {
                 ..Default::default()
             },
         );
+        assert!(!outcome.pairs.is_empty(), "verify = {verify:?}");
         assert_eq!(outcome.pairs, reference.pairs, "verify = {verify:?}");
+        if verify == VerifyConfig::ALL {
+            assert!(!outcome.stats.work().stages.is_empty());
+        }
     }
 }
 

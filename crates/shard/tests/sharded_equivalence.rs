@@ -144,14 +144,18 @@ fn sharded_rs_join_parallel_pipeline_matches_sequential() {
 
 #[test]
 fn sharded_rs_join_matches_sequential_rs() {
-    let left = synthetic_sized(60, 22, 11);
-    let right = synthetic_sized(80, 22, 12);
+    // Two halves of one near-duplicate collection: the clusters straddle
+    // them, so every τ has pairs and candidates for the chain to resolve.
+    let trees = synthetic_sized(140, 22, 11);
+    let (left, right) = trees.split_at(60);
     for tau in [0u32, 1, 3] {
-        let reference = partsj_join_rs(&left, &right, tau, &PartSjConfig::default());
+        let reference = partsj_join_rs(left, right, tau, &PartSjConfig::default());
+        assert!(!reference.pairs.is_empty(), "tau = {tau}");
+        assert!(!reference.stats.work().stages.is_empty(), "tau = {tau}");
         for shards in [1usize, 2, 4, 8] {
             let inline = sharded_rs_join(
-                &left,
-                &right,
+                left,
+                right,
                 tau,
                 &PartSjConfig::default(),
                 &ShardConfig {
@@ -166,8 +170,8 @@ fn sharded_rs_join_matches_sequential_rs() {
             let work = reference.stats.work();
             assert_eq!(inline.stats.work(), work, "inline, shards = {shards}");
             let pooled = sharded_rs_join(
-                &left,
-                &right,
+                left,
+                right,
                 tau,
                 &PartSjConfig {
                     parallel_fallback: 0,

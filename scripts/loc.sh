@@ -14,7 +14,8 @@
 # in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is four
 # flat `u32` columns, 16 bytes a node), or a second self-join in
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
-# R×S side only).
+# R×S side only), or a `partsj` join loop that sequences the probe step
+# itself (they run on `Prober`), or a side list that is not a `SideList`.
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -61,16 +62,20 @@ sites() {
 path_row() { printf '  %-36s %2d\n' "$1" "$(sites "${@:2}")"; }
 stack_src=(crates/{shard,catalog,cluster}/src/*.rs)
 echo 'paths (non-test src lines; shard+catalog+cluster unless named)'
-path_row 'scan_small_trees( call sites' 'scan_small_trees\(' "${stack_src[@]}"
+path_row 'side-list scans' '\.scan(_classes)?\(' "${stack_src[@]}"
 path_row '.probe_tree( call sites' '\.probe_tree\(' "${stack_src[@]}"
 path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/src/*.rs
 path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' "${stack_src[@]}"
-path_row 'side_list( call sites' 'side_list\(' "${stack_src[@]}"
+path_row 'SideList::from_trees( call sites' 'SideList::from_trees\(' "${stack_src[@]}"
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
 path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
 path_row 'self-join forms in tsj-shard' 'sharded_join|SelfJoin|JoinSide|my_rank' crates/shard/src/*.rs
+path_row 'hand-sequenced probe steps in partsj' \
+  'Candidates::new|scan_small_trees\(|resolve_layers\(|probe_tree_nodes\(|partition_tree_with\(' \
+  crates/core/src/{join,rs_join,topk}.rs
+path_row 'raw side-list maps' 'FxHashMap<u32, Vec<TreeIdx>>' crates/{core,shard}/src/*.rs
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"
