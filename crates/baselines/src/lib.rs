@@ -27,5 +27,5 @@ pub mod strjoin;
 pub use bruteforce::{brute_force_join, brute_force_join_parallel};
 pub use common::{filter_verify_join, SizeOrder};
 pub use kailing::{kailing_join, Histograms};
-pub use setjoin::{bib_distance, binary_branch_bag, set_join, tree_branch_bag};
+pub use setjoin::{bib_distance, set_join, tree_branch_bag};
 pub use strjoin::str_join;

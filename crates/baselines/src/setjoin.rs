@@ -16,29 +16,25 @@
 
 use crate::common::filter_verify_join;
 use tsj_ted::JoinOutcome;
-use tsj_tree::{pack_twig, BinaryTree, Label, Tree};
+use tsj_tree::{pack_twig, Label, NodeId, Tree};
 
-/// The sorted multiset of binary branches of a binary tree.
-pub fn binary_branch_bag(binary: &BinaryTree) -> Vec<u64> {
-    let mut bag: Vec<u64> = binary
-        .node_ids()
-        .map(|node| {
-            let left = binary
-                .left(node)
-                .map_or(Label::EPSILON, |c| binary.label(c));
-            let right = binary
-                .right(node)
-                .map_or(Label::EPSILON, |c| binary.label(c));
-            pack_twig(binary.label(node), left, right)
-        })
-        .collect();
+/// The sorted multiset of binary branches of `tree`'s LC-RS image, read
+/// off its child lists: every node with its first child's label and its
+/// next sibling's (`ε` when absent; the root has no sibling).
+pub fn tree_branch_bag(tree: &Tree) -> Vec<u64> {
+    let label_of = |node: Option<&NodeId>| node.map_or(Label::EPSILON, |&v| tree.label(v));
+    let branch = |node: NodeId, next: Option<&NodeId>| {
+        let first = label_of(tree.children(node).first());
+        pack_twig(tree.label(node), first, label_of(next))
+    };
+    let mut bag = Vec::with_capacity(tree.len());
+    bag.push(branch(tree.root(), None));
+    for parent in tree.node_ids() {
+        let kids = tree.children(parent);
+        bag.extend((0..kids.len()).map(|k| branch(kids[k], kids.get(k + 1))));
+    }
     bag.sort_unstable();
     bag
-}
-
-/// Binary branch bag of a general tree (via its LC-RS representation).
-pub fn tree_branch_bag(tree: &Tree) -> Vec<u64> {
-    binary_branch_bag(&BinaryTree::from_tree(tree))
 }
 
 /// Binary branch distance between two pre-sorted branch bags.
@@ -77,7 +73,7 @@ pub fn set_join(trees: &[Tree], tau: u32) -> JoinOutcome {
 mod tests {
     use super::*;
     use tsj_ted::ted;
-    use tsj_tree::{parse_bracket, LabelInterner, NodeId};
+    use tsj_tree::{parse_bracket, LabelInterner};
 
     fn collection(specs: &[&str]) -> Vec<Tree> {
         let mut labels = LabelInterner::new();
@@ -87,38 +83,26 @@ mod tests {
             .collect()
     }
 
-    /// The binary trees of the paper's Figure 3, built link-by-link (they
-    /// are standalone binary trees, not LC-RS images — T1's root has a
-    /// right child).
-    fn figure3_binary_trees() -> (BinaryTree, BinaryTree) {
-        let l = |i: u32| Label::from_raw(i);
-        let n = |i: usize| Some(NodeId::from_index(i));
-        // T1: root ℓ1 (idx 0) with left ℓ2 (1) and right ℓ1 (2);
-        // node 2 has left ℓ3 (3).
-        let t1 = BinaryTree::from_links(
-            vec![l(1), l(2), l(1), l(3)],
-            vec![n(1), None, n(3), None],
-            vec![n(2), None, None, None],
-            NodeId::from_index(0),
-        );
-        // T2: root ℓ1 (0) with left ℓ2 (1); node 1 has left ℓ1 (2) and
-        // right ℓ3 (3).
-        let t2 = BinaryTree::from_links(
-            vec![l(1), l(2), l(1), l(3)],
-            vec![n(1), n(2), None, None],
-            vec![None, n(3), None, None],
-            NodeId::from_index(0),
-        );
-        (t1, t2)
-    }
-
     #[test]
     fn figure3_bib_is_six() {
         // §2: "it can be verified that BIB(T1, T2) = 6 ≤ 5·TED(T1, T2) = 15".
-        let (t1, t2) = figure3_binary_trees();
-        let (x1, x2) = (binary_branch_bag(&t1), binary_branch_bag(&t2));
-        assert_eq!(x1.len(), 4, "a tree has |T| binary branches");
-        assert_eq!(x2.len(), 4);
+        // Figure 3's trees are standalone binary trees, not LC-RS images —
+        // T1's root has a right child — so their bags are written out as
+        // (label, left, right) triples.
+        let bag = |branches: [(u32, u32, u32); 4]| -> Vec<u64> {
+            let l = Label::from_raw;
+            let mut bag: Vec<u64> = branches
+                .iter()
+                .map(|&(v, a, b)| pack_twig(l(v), l(a), l(b)))
+                .collect();
+            bag.sort_unstable();
+            bag
+        };
+        let e = Label::EPSILON.raw();
+        // T1: ℓ1 with left ℓ2 and right ℓ1, which has left ℓ3.
+        let x1 = bag([(1, 2, 1), (2, e, e), (1, 3, e), (3, e, e)]);
+        // T2: ℓ1 with left ℓ2, which has left ℓ1 and right ℓ3.
+        let x2 = bag([(1, 2, e), (2, 1, 3), (1, e, e), (3, e, e)]);
         assert_eq!(bib_distance(&x1, &x2), 6);
     }
 

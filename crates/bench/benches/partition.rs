@@ -6,12 +6,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{
     build_subgraphs, max_min_size, partition_tree_with, partitionable, select_cuts,
-    select_random_cuts, Partition, PartitionScheme, PartitionScratch,
+    select_random_cuts, Partition, PartitionScheme, PartitionScratch, ProbeScratch, VerifyData,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tsj_datagen::{grow_tree, ShapeProfile};
+use tsj_datagen::{grow_tree, swissprot_like, ShapeProfile};
 use tsj_tree::{BinaryTree, Tree};
 
 fn sample_tree(seed: u64, size: usize) -> Tree {
@@ -75,6 +75,17 @@ fn bench_full_pipeline(c: &mut Criterion) {
         bench.iter(|| {
             let cuts = select_random_cuts(&binary, delta, 42);
             black_box(build_subgraphs(&binary, &posts, &cuts, 0))
+        })
+    });
+    // Both preparations of a `join_flat`-shaped collection: every tree's
+    // LC-RS view, as the join's probe step builds it, and every tree's
+    // verification inputs, as the join builds them up front.
+    let trees = swissprot_like(600, 2015);
+    let mut probe = ProbeScratch::new();
+    group.bench_function("prepare_swissprot600", |bench| {
+        bench.iter(|| {
+            let nodes: usize = trees.iter().map(|t| probe.prepare(t).0.len()).sum();
+            black_box((nodes, VerifyData::batch(&trees)))
         })
     });
     group.finish();

@@ -11,10 +11,25 @@
 //! first `δ − 1` cut nodes — the roots of the detached subgraphs; the
 //! remainder around the tree root forms the δ-th subgraph.
 //!
-//! Every greedy pass needs one residual size per node. The public
-//! functions allocate that array themselves; the join loops reach the
-//! same bodies through [`crate::subgraph::partition_tree_with`], whose
-//! caller-owned scratch lends one array to every pass of every tree.
+//! A greedy pass only needs every node after its binary children, and
+//! both children carry higher ids (preorder), so passes run over the ids
+//! in descending order. A node's binary children are its first child and
+//! its next sibling, and each hands its kept residual to the same place:
+//! one slot per general parent, which holds what the sibling chain seen
+//! so far kept. Visiting `v`, slot `v` holds its children's chain (its
+//! left subtree) and its parent's slot its later siblings' (its right
+//! subtree), and `v` then leaves its own residual in its parent's slot.
+//! Which nodes the greedy cuts does not depend on the order — a node's
+//! residual is fixed by its binary subtree alone — but which `δ − 1` of
+//! them [`select_cuts`] keeps does: the first in binary postorder, as
+//! Algorithm 2 visits them, sorted by [`BinaryTree::post_cmp`] after the
+//! pass.
+//!
+//! Every greedy pass needs one slot per node plus one for the root's
+//! parent. The public functions allocate that array themselves; the join
+//! loops reach the same bodies through
+//! [`crate::subgraph::partition_tree_with`], whose caller-owned scratch
+//! lends one array to every pass of every tree.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -23,31 +38,31 @@ use tsj_tree::{BinaryTree, NodeId};
 /// Algorithm 2: is `binary` partitionable into `delta` subgraphs of size at
 /// least `gamma` each?
 ///
-/// Runs in `O(|T|)` using the cached binary postorder: the residual size of
-/// a node is one plus the residual sizes of its children, zeroed whenever a
+/// Runs in `O(|T|)`, children before parents: the residual size of a
+/// node is one plus the residual sizes of its children, zeroed whenever a
 /// cut is taken.
 pub fn partitionable(binary: &BinaryTree, delta: usize, gamma: u32) -> bool {
     partitionable_in(binary, delta, gamma, &mut Vec::new())
 }
 
-/// Makes `residual` cover `binary`'s nodes plus one slot, kept at zero,
-/// that a missing child reads (so a greedy pass adds both children
-/// without branching). A pass writes a node's slot before its parent
-/// reads it (postorder), so whatever an earlier pass left there is never
-/// seen.
+/// Empties `residual` into one zero slot per node of `binary` plus one
+/// for the root's parent ([`BinaryTree::parent_slot`]).
 fn cover(residual: &mut Vec<u32>, binary: &BinaryTree) {
-    if residual.len() <= binary.len() {
-        residual.resize(binary.len() + 1, 0);
-    }
-    residual[binary.len()] = 0;
+    residual.clear();
+    residual.resize(binary.len() + 1, 0);
 }
 
-/// Residual size of the subtree under `node`: one plus what its children
-/// kept (`residual` as [`cover`] left it).
+/// The residual size of `node` in a greedy pass (see the
+/// [module docs](self)): one plus what its children's chain and its later
+/// siblings kept.
 #[inline]
-fn residual_size(binary: &BinaryTree, node: NodeId, residual: &[u32]) -> u32 {
-    let slot = |child: Option<NodeId>| child.map_or(binary.len(), NodeId::index);
-    1 + residual[slot(binary.left(node))] + residual[slot(binary.right(node))]
+fn residual_size(node: NodeId, parent: usize, residual: &[u32]) -> u32 {
+    1 + residual[node.index()] + residual[parent]
+}
+
+/// The node ids children-first: descending.
+fn children_first(binary: &BinaryTree) -> impl Iterator<Item = NodeId> {
+    (0..binary.len()).rev().map(NodeId::from_index)
 }
 
 fn partitionable_in(
@@ -64,8 +79,9 @@ fn partitionable_in(
     }
     cover(residual, binary);
     let mut found = 0usize;
-    for &node in binary.postorder() {
-        let size = residual_size(binary, node, residual);
+    for node in children_first(binary) {
+        let parent = binary.parent_slot(node);
+        let size = residual_size(node, parent, residual);
         // Greedily detach the γ-subtree rooted here (Lemma 3 shows greedy
         // detachment preserves partitionability).
         let cut = size >= gamma;
@@ -73,7 +89,7 @@ fn partitionable_in(
         if found >= delta {
             return true;
         }
-        residual[node.index()] = if cut { 0 } else { size };
+        residual[parent] = if cut { 0 } else { size };
     }
     false
 }
@@ -117,7 +133,8 @@ fn max_min_size_in(binary: &BinaryTree, delta: usize, residual: &mut Vec<u32>) -
 }
 
 /// Runs the greedy once more with the chosen `gamma` and returns the first
-/// `delta − 1` cut nodes in postorder (roots of the detached subgraphs).
+/// `delta − 1` cut nodes in binary postorder (roots of the detached
+/// subgraphs).
 ///
 /// The returned list never contains the tree root: the remainder around the
 /// root is the final subgraph. Each cut subgraph has at least `gamma`
@@ -138,18 +155,17 @@ fn select_cuts_in(
 ) {
     cover(residual, binary);
     cuts.clear();
-    for &node in binary.postorder() {
-        if cuts.len() + 1 >= delta {
-            break;
-        }
-        let size = residual_size(binary, node, residual);
-        if size >= gamma && node != binary.root() {
+    for node in children_first(binary) {
+        let parent = binary.parent_slot(node);
+        let size = residual_size(node, parent, residual);
+        let cut = size >= gamma && node != binary.root();
+        if cut {
             cuts.push(node);
-            residual[node.index()] = 0;
-        } else {
-            residual[node.index()] = size;
         }
+        residual[parent] = if cut { 0 } else { size };
     }
+    cuts.sort_unstable_by(|&a, &b| binary.post_cmp(a, b));
+    cuts.truncate(delta.saturating_sub(1));
 }
 
 /// Random-partitioning ablation (§4.3 closing note): choose `delta − 1`
@@ -166,7 +182,7 @@ pub fn select_random_cuts(binary: &BinaryTree, delta: usize, seed: u64) -> Vec<N
     non_root.shuffle(&mut rng);
     let mut cuts: Vec<NodeId> = non_root.into_iter().take(wanted).collect();
     // Keep cuts in ascending postorder so subgraph ordinals are well defined.
-    cuts.sort_by_key(|&n| binary.post_of(n));
+    cuts.sort_unstable_by(|&a, &b| binary.post_cmp(a, b));
     cuts
 }
 
@@ -320,7 +336,7 @@ mod tests {
         assert_eq!(cuts.len(), delta - 1);
         // Cut nodes are in ascending postorder and exclude the root.
         for pair in cuts.windows(2) {
-            assert!(bin.post_of(pair[0]) < bin.post_of(pair[1]));
+            assert!(bin.post_cmp(pair[0], pair[1]).is_lt());
         }
         assert!(cuts.iter().all(|&c| c != bin.root()));
     }
@@ -341,6 +357,58 @@ mod tests {
         let distinct: std::collections::HashSet<_> = c1.iter().collect();
         assert_eq!(distinct.len(), 3);
         assert!(c1.iter().all(|&c| c != bin.root()));
+    }
+
+    /// Algorithm 2 as written: a binary postorder walk over the left and
+    /// right links that stops at `δ − 1` cuts.
+    fn walked_cuts(bin: &BinaryTree, delta: usize, gamma: u32) -> Vec<NodeId> {
+        fn walk(
+            bin: &BinaryTree,
+            v: Option<NodeId>,
+            delta: usize,
+            gamma: u32,
+            cuts: &mut Vec<NodeId>,
+        ) -> u32 {
+            let Some(v) = v else { return 0 };
+            let size = 1
+                + walk(bin, bin.left(v), delta, gamma, cuts)
+                + walk(bin, bin.right(v), delta, gamma, cuts);
+            if cuts.len() + 1 >= delta || size < gamma || v == bin.root() {
+                return size;
+            }
+            cuts.push(v);
+            0
+        }
+        let mut cuts = Vec::new();
+        walk(bin, Some(bin.root()), delta, gamma, &mut cuts);
+        cuts
+    }
+
+    #[test]
+    fn cuts_are_the_first_in_binary_postorder() {
+        // Any children-first pass cuts the same nodes, but only the first
+        // δ − 1 in binary postorder are Algorithm 2's.
+        use rand::SeedableRng;
+        let profile = tsj_datagen::ShapeProfile {
+            max_fanout: 6,
+            max_depth: 6,
+            deepen_prob: 0.3,
+        };
+        for seed in 0..200 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let tree = tsj_datagen::grow_tree(&mut rng, 10 + seed as usize % 50, 5, &profile);
+            let bin = BinaryTree::from_tree(&tree);
+            for delta in (3..=9).step_by(2).filter(|&d| d <= bin.len()) {
+                for gamma in [1, 2, max_min_size(&bin, delta)] {
+                    let want = walked_cuts(&bin, delta, gamma);
+                    assert_eq!(
+                        select_cuts(&bin, delta, gamma),
+                        want,
+                        "seed {seed} δ {delta} γ {gamma}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,13 +25,14 @@ use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
 use crate::subgraph::{is_side_listed, partition_tree_with, PartitionScratch};
 use tsj_ted::TreeIdx;
-use tsj_tree::{BinaryTree, FxHashMap, Label, Tree};
+use tsj_tree::{BinaryTree, FxHashMap, Tree};
 
-/// Reusable probe-tree preparation: one LC-RS representation (which
-/// numbers the general postorder in the walk that fills its caches),
-/// rebuilt in place per probing tree. All buffers are grow-only, so a
-/// serving or join loop that prepares a stream of probes through one
-/// scratch allocates nothing once the buffers fit the largest tree seen.
+/// Reusable probe-tree preparation: one LC-RS view (the tree's label and
+/// parent columns plus its subtree sizes and general postorder numbers,
+/// two passes over the columns), rebuilt in place per probing tree. All
+/// buffers are grow-only, so a serving or join loop that prepares a
+/// stream of probes through one scratch allocates nothing once the
+/// buffers fit the largest tree seen.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     binary: Option<BinaryTree>,
@@ -157,12 +158,8 @@ pub fn probe_tree_nodes<S: CandidateSink>(
     }
     for node in binary.node_ids() {
         let label = binary.label(node);
-        let left = binary
-            .left(node)
-            .map_or(Label::EPSILON, |c| binary.label(c));
-        let right = binary
-            .right(node)
-            .map_or(Label::EPSILON, |c| binary.label(c));
+        let left = binary.slot_label(binary.left_slot(node));
+        let right = binary.slot_label(binary.right_slot(node));
         let keys = TwigKeys::new(label, left, right);
         cache.begin_node();
         let position = index.probe_position(posts[node.index()], probe_size);

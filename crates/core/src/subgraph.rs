@@ -215,13 +215,12 @@ fn fill_partition(
     is_cut: &mut Vec<bool>,
     out: &mut Partition,
 ) {
-    debug_assert!(cuts
-        .windows(2)
-        .all(|w| binary.post_of(w[0]) < binary.post_of(w[1])));
+    debug_assert!(cuts.windows(2).all(|w| binary.post_cmp(w[0], w[1]).is_lt()));
     debug_assert!(cuts.iter().all(|&c| c != binary.root()));
 
-    if is_cut.len() < binary.len() {
-        is_cut.resize(binary.len(), false);
+    // One slot past the nodes, never set, for a missing child.
+    if is_cut.len() <= binary.len() {
+        is_cut.resize(binary.len() + 1, false);
     }
     for &c in cuts {
         is_cut[c.index()] = true;
@@ -315,35 +314,33 @@ fn component_child_label(binary: &BinaryTree, node: NodeId, side: Side, kind: Ch
 }
 
 /// Appends the component rooted at `root` (stopping at cut nodes) to
-/// `out` in preorder, recording child kinds: the run of the tree's
-/// preorder that is `root`'s subtree, stepping over the subtree of every
-/// cut node met in it.
+/// `out` in preorder, recording child kinds: the run of ids that is
+/// `root`'s binary subtree, stepping over the subtree of every cut node
+/// met in it.
 fn collect_component(binary: &BinaryTree, root: NodeId, is_cut: &[bool], out: &mut Vec<SgNode>) {
     // Looked up, not branched on: which children exist and which are cut
-    // is the least predictable thing about a tree. A missing child reads
-    // node 0's bit, which the `Absent` rows ignore.
+    // is the least predictable thing about a tree. A missing child's slot
+    // is the one past the nodes, whose bit is never set.
     const KINDS: [ChildKind; 4] = [
         ChildKind::Component,
         ChildKind::Bridge,
         ChildKind::Absent,
         ChildKind::Absent,
     ];
-    let kind = |child: Option<NodeId>| {
-        let cut = is_cut[child.map_or(0, NodeId::index)];
-        KINDS[usize::from(cut) | usize::from(child.is_none()) << 1]
-    };
-    let start = binary.pre_of(root) as usize - 1;
-    let run = &binary.preorder()[start..start + binary.subtree_size(root) as usize];
-    let mut at = 0;
-    while let Some(&v) = run.get(at) {
-        if is_cut[v.index()] && at > 0 {
+    let missing = binary.len();
+    let kind = |slot: usize| KINDS[usize::from(is_cut[slot]) | usize::from(slot == missing) << 1];
+    let end = root.index() + binary.subtree_size(root) as usize;
+    let mut at = root.index();
+    while at < end {
+        let v = NodeId::from_index(at);
+        if is_cut[at] && v != root {
             at += binary.subtree_size(v) as usize;
             continue;
         }
         out.push(SgNode {
             label: binary.label(v),
-            left: kind(binary.left(v)),
-            right: kind(binary.right(v)),
+            left: kind(binary.left_slot(v)),
+            right: kind(binary.right_slot(v)),
         });
         at += 1;
     }
@@ -477,7 +474,7 @@ mod tests {
         let n3 = node_with_label(&tree, &labels, "l3");
         let n7 = node_with_label(&tree, &labels, "l7");
         let mut cuts = vec![n3, n7];
-        cuts.sort_by_key(|&c| binary.post_of(c));
+        cuts.sort_by(|&a, &b| binary.post_cmp(a, b));
         let sgs = build_subgraphs(&binary, binary.general_post(), &cuts, 0);
         (tree, binary, labels, sgs)
     }

@@ -52,11 +52,14 @@
 //! ([`TedEngine::distance`]) stays what `tsj-baselines` and every test
 //! oracle run — the independent verifier.
 //!
-//! ## One walk per tree, everything else derived
+//! ## Two column passes per tree, everything else derived
 //!
-//! Preparing a [`VerifyData`] walks the tree once, for the left postorder
-//! arrays Zhang–Shasha needs anyway (labels, leftmost-leaf descendants
-//! `lld`, keyroots, cost). A join verifies only the pairs its index
+//! Preparing a [`VerifyData`] reads the tree's preorder columns: one
+//! forward pass for depths, one backward pass for subtree sizes, and one
+//! scatter of the left postorder arrays Zhang–Shasha needs anyway (labels
+//! and leftmost-leaf descendants `lld` at `v − depth(v) + size(v)`,
+//! keyroots, both decomposition costs; see [`tsj_ted::TedTree`]). No walk
+//! and no stack. A join verifies only the pairs its index
 //! surfaces and most of those resolve at the first two stages, so every
 //! other input is derived from those arrays — never from the tree — the
 //! first time a stage asks, and memoized per tree in a `OnceLock` (verify
@@ -70,9 +73,9 @@
 //!   preorder degree sequence does, and the rename script's Hamming
 //!   distance is the same over postorder as over preorder labels (one
 //!   node bijection);
-//! * the **right decomposition's cost** is `Σ (i − lld(i) + 1)` over the
-//!   root and every `i` with a leaf at `i + 1`
-//!   ([`tsj_ted::TedTree::mirror_cost`]), so the dynamic strategy chooses
+//! * the **right decomposition's cost** is `Σ size` over the root and
+//!   every node that is not its parent's last child, priced in the same
+//!   pass ([`tsj_ted::TedTree::mirror_cost`]), so the dynamic strategy chooses
 //!   as it always did and the mirrored decomposition itself
 //!   ([`tsj_ted::TedTree::mirror_of`], from `labels` and `lld` alone) is
 //!   built only for trees a right-side pair or `traversal-sed` reaches.
@@ -111,7 +114,7 @@ use tsj_ted::{
 use tsj_tree::{FxHasher, Label, Tree};
 
 /// Per-tree verification inputs: the left postorder arrays and the shape
-/// hash built ahead of time (one walk over the tree), every other stage
+/// hash built ahead of time (two passes over the tree's columns), every other stage
 /// input derived from those arrays the first time a pair asks for it and
 /// kept (see the [module docs](self) for which stage reads what).
 ///
@@ -128,7 +131,8 @@ pub struct VerifyData {
     histogram: OnceLock<Vec<Label>>,
 }
 
-/// Reusable temporaries for [`VerifyData`] preparation — the one walk's.
+/// Reusable temporaries for [`VerifyData`] preparation — the column
+/// passes'.
 /// One instance batched across a whole collection ([`VerifyData::batch`])
 /// or carried in a probe scratch ([`VerifyData::rebuild`]) makes repeated
 /// preparation allocation-free in steady state.

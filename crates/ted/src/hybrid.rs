@@ -49,7 +49,7 @@ pub struct PreparedTree {
 }
 
 impl PreparedTree {
-    /// Preprocesses `tree`: one postorder walk.
+    /// Preprocesses `tree`: two passes over its columns and a scatter.
     pub fn new(tree: &Tree) -> PreparedTree {
         PreparedTree::new_with(tree, &mut TedBuildScratch::new())
     }

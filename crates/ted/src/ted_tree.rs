@@ -11,23 +11,34 @@
 //! pair — the second half of the RTED-inspired hybrid in
 //! [`crate::hybrid`].
 //!
-//! The left arrays determine the mirror's: `lld` encodes the whole shape
-//! (the children of `i`, right to left, are `c = i − 1, c ← lld(c) − 1`
-//! while `c ≥ lld(i)`), so [`TedTree::mirror_of`] derives the mirrored
-//! form without the tree and [`TedTree::mirror_cost`] prices it without
-//! building it. The hybrid builds only left forms ahead of time.
+//! A [`Tree`]'s ids are preorder, so every array is arithmetic on two
+//! numbers a node, its depth and its subtree size ([`TedTree::rebuild`]
+//! takes one forward and one backward pass over the tree's columns and
+//! scatters; no walk): node `v` has postorder number `v − depth(v) +
+//! size(v)` and leftmost leaf `v − depth(v) + 1`; in the mirror, preorder
+//! reversed, it is `n − v` with leftmost leaf `n + 1 − v − size(v)`. The
+//! keyroots of the left decomposition are the root and every node that
+//! is not its parent's first child; those of the right one, the root and
+//! every node that is not its parent's last child; each spans its
+//! subtree, which prices both decompositions in the same pass.
+//!
+//! The left arrays determine the mirror's as well: `lld` encodes the
+//! whole shape (the children of `i`, right to left, are `c = i − 1, c ←
+//! lld(c) − 1` while `c ≥ lld(i)`), so [`TedTree::mirror_of`] derives the
+//! mirrored form without the tree. The hybrid builds only left forms ahead
+//! of time, with the mirror's cost ([`TedTree::mirror_cost`]).
 
-use tsj_tree::{Label, NodeId, Tree};
+use tsj_tree::{Label, Tree};
 
-/// Reusable temporaries for [`TedTree::rebuild`]: the postorder walk
-/// stack and numbering and the keyroot `seen` marks. Grow-only, so
-/// rebuilding a stream of probe trees through one scratch is
-/// allocation-free once the buffers reach the largest tree seen.
+/// Reusable temporaries for [`TedTree::rebuild`]: the depth and subtree
+/// size columns and the keyroot marks. Grow-only, so rebuilding a stream
+/// of probe trees through one scratch is allocation-free once the buffers
+/// reach the largest tree seen.
 #[derive(Debug, Default, Clone)]
 pub struct TedBuildScratch {
-    post_of: Vec<usize>,
-    stack: Vec<(NodeId, usize)>,
-    seen: Vec<bool>,
+    depth: Vec<u32>,
+    size: Vec<u32>,
+    keyroot: Vec<bool>,
 }
 
 impl TedBuildScratch {
@@ -56,6 +67,8 @@ pub struct TedTree {
     /// forest-distance cells this decomposition touches scales with this,
     /// so it drives the hybrid's left-vs-right choice.
     decomposition_cost: u64,
+    /// The mirrored form's `decomposition_cost`.
+    mirror_cost: u64,
 }
 
 impl TedTree {
@@ -99,6 +112,7 @@ impl TedTree {
             lld: Vec::new(),
             keyroots: Vec::new(),
             decomposition_cost: 0,
+            mirror_cost: 0,
         }
     }
 
@@ -114,46 +128,52 @@ impl TedTree {
         self.labels.resize(n + 1, Label::EPSILON);
         self.lld.clear();
         self.lld.resize(n + 1, 0);
-        scratch.post_of.clear();
-        scratch.post_of.resize(n, 0);
-
-        // Iterative (possibly mirrored) postorder, numbering each node as
-        // it finishes.
-        let mut post = 0;
-        scratch.stack.clear();
-        scratch.stack.push((tree.root(), 0));
-        while let Some(&mut (node, ref mut next)) = scratch.stack.last_mut() {
-            let children = tree.children(node);
-            if *next < children.len() {
-                let child = if mirror {
-                    children[children.len() - 1 - *next]
-                } else {
-                    children[*next]
-                };
-                *next += 1;
-                scratch.stack.push((child, 0));
-            } else {
-                post += 1;
-                scratch.post_of[node.index()] = post;
-                self.labels[post] = tree.label(node);
-                let first = if mirror {
-                    children.last()
-                } else {
-                    children.first()
-                };
-                self.lld[post] = match first {
-                    // The leftmost leaf of an inner node is the leftmost
-                    // leaf of its first (in visit order) child, which was
-                    // already numbered because postorder visits children
-                    // first.
-                    Some(&c) => self.lld[scratch.post_of[c.index()]],
-                    None => post as u32,
-                };
-                scratch.stack.pop();
+        tree.fill_depths(&mut scratch.depth);
+        tree.fill_subtree_sizes(&mut scratch.size);
+        let TedBuildScratch {
+            depth,
+            size,
+            keyroot,
+        } = scratch;
+        keyroot.clear();
+        keyroot.resize(n + 1, false);
+        let (labels, parents) = (tree.labels(), tree.parents());
+        // The root is last in either postorder, its leftmost leaf is
+        // first, and it spans the tree.
+        self.labels[n] = labels[0];
+        self.lld[n] = 1;
+        keyroot[n] = true;
+        let (mut costs, mut counts) = ([n as u64; 2], [1; 2]);
+        for v in 1..n {
+            let (parent, span) = (parents[v] as usize, size[v] as usize);
+            // Keyroots of the left decomposition are not their parent's
+            // first child; of the right one, not its last.
+            let keys = [parent + 1 != v, v + span != parent + size[parent] as usize];
+            for (side, key) in keys.into_iter().enumerate() {
+                costs[side] += span as u64 * u64::from(key);
+                counts[side] += usize::from(key);
             }
+            let (post, lld, key) = if mirror {
+                (n - v, n + 1 - v - span, keys[1])
+            } else {
+                let left_of = v - depth[v] as usize;
+                (left_of + span, left_of + 1, keys[0])
+            };
+            self.labels[post] = labels[v];
+            self.lld[post] = lld as u32;
+            keyroot[post] = key;
         }
-
-        self.index_keyroots(&mut scratch.seen);
+        let side = usize::from(mirror);
+        (self.decomposition_cost, self.mirror_cost) = (costs[side], costs[1 - side]);
+        // Compacted without a branch: every number is written, and only a
+        // keyroot's advances the cursor. The root, last, fills the last slot.
+        self.keyroots.clear();
+        self.keyroots.resize(counts[side], 0);
+        let mut at = 0;
+        for (post, &key) in (1..).zip(&keyroot[1..]) {
+            self.keyroots[at] = post;
+            at += usize::from(key);
+        }
     }
 
     /// [`TedTree::mirror_of`] in place, reusing this tree's arrays.
@@ -173,7 +193,7 @@ impl TedTree {
 
         // Depths first: a parent's postorder number is above its
         // children's, so descending order sees each depth before its use.
-        let depth = &mut scratch.post_of;
+        let depth = &mut scratch.depth;
         depth.clear();
         depth.resize(n + 1, 0);
         for i in (1..=n).rev() {
@@ -185,14 +205,15 @@ impl TedTree {
         }
         let mut leaf = 0;
         for i in 1..=n {
-            let post = n + 1 - left.lld(i) - depth[i];
+            let post = n + 1 - left.lld(i) - depth[i] as usize;
             if left.lld(i) == i {
                 leaf = post as u32;
             }
             self.labels[post] = left.labels[i];
             self.lld[post] = leaf;
         }
-        self.index_keyroots(&mut scratch.seen);
+        self.index_keyroots(&mut scratch.keyroot);
+        self.mirror_cost = left.decomposition_cost;
     }
 
     /// Fills `keyroots` and `decomposition_cost` from `lld`.
@@ -269,14 +290,11 @@ impl TedTree {
 
     /// The mirrored form's [`TedTree::decomposition_cost`], without
     /// building it: the mirror's keyroots are the root and every node that
-    /// is not its parent's last child — `i` with a leaf at `i + 1`, since a
-    /// last child is followed in postorder by its parent — and a keyroot's
-    /// span is its subtree size either way round.
+    /// is not its parent's last child, and a keyroot's span is its subtree
+    /// size either way round.
+    #[inline]
     pub fn mirror_cost(&self) -> u64 {
-        (1..=self.n)
-            .filter(|&i| i == self.n || self.lld(i + 1) == i + 1)
-            .map(|i| (i - self.lld(i) + 1) as u64)
-            .sum()
+        self.mirror_cost
     }
 }
 

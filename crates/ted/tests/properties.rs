@@ -1,8 +1,9 @@
 //! Property-based tests for the distance kernels: metric axioms, the
 //! published lower bounds, cross-decomposition agreement, exactness of
 //! the τ-bounded kernel against the full DP, soundness of the banded
-//! mapping upper bound, and everything derived from the left postorder
-//! arrays against the constructors that walk the tree.
+//! mapping upper bound, everything derived from the left postorder
+//! arrays against the constructors that read the tree, and everything
+//! read off a tree's preorder columns against walks over its child lists.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,7 +14,9 @@ use tsj_ted::{
     traversal_bound, tree_distance, CostModel, MappingWorkspace, PreparedTree, Strategy,
     TedBuildScratch, TedEngine, TedTree, TedWorkspace, TraversalStrings,
 };
-use tsj_tree::{apply_edit, EditOp, Label, NodeId, Tree};
+use tsj_tree::{
+    apply_edit, parse_bracket, to_bracket, BinaryTree, EditOp, Label, LabelInterner, NodeId, Tree,
+};
 
 fn random_tree(seed: u64, max_size: usize) -> Tree {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -311,6 +314,150 @@ fn derivations_match_the_tree(tree: &Tree, scratch: &mut TedBuildScratch) -> Res
     check(prepared.right_built(), "mirror not kept")
 }
 
+/// The Zhang–Shasha arrays of `tree` by a postorder walk over its child
+/// lists (right to left for the mirror): labels, `lld`, keyroots (no
+/// later node shares their `lld`) and the Σ of their spans.
+fn walked_arrays(tree: &Tree, mirror: bool) -> (Vec<Label>, Vec<u32>, Vec<u32>, u64) {
+    fn walk(tree: &Tree, node: NodeId, mirror: bool, out: &mut (Vec<Label>, Vec<u32>)) -> u32 {
+        let mut kids = tree.children(node).to_vec();
+        if mirror {
+            kids.reverse();
+        }
+        let firsts: Vec<u32> = kids.iter().map(|&c| walk(tree, c, mirror, out)).collect();
+        let post = out.0.len() as u32 + 1;
+        let lld = firsts
+            .first()
+            .map_or(post, |&first| out.1[first as usize - 1]);
+        out.0.push(tree.label(node));
+        out.1.push(lld);
+        post
+    }
+    let mut out = (Vec::new(), Vec::new());
+    walk(tree, tree.root(), mirror, &mut out);
+    let (labels, lld) = out;
+    let n = lld.len();
+    let keyroots: Vec<u32> = (1..=n as u32)
+        .filter(|&i| {
+            lld[i as usize..]
+                .iter()
+                .all(|&later| later != lld[i as usize - 1])
+        })
+        .collect();
+    let cost = keyroots
+        .iter()
+        .map(|&k| u64::from(k + 1 - lld[k as usize - 1]))
+        .sum();
+    (labels, lld, keyroots, cost)
+}
+
+/// Every array the preorder columns give by arithmetic, against a walk
+/// over `tree`'s child lists: the ids are preorder; `BinaryTree`'s left
+/// and right children, binary subtree sizes, binary postorder and general
+/// postorder numbers; `TedTree`'s labels, `lld`, keyroots and both costs,
+/// left and mirrored.
+fn columns_match_the_walks(tree: &Tree) -> Result<(), String> {
+    let check = |ok: bool, what: &str| {
+        ok.then_some(())
+            .ok_or_else(|| format!("{what}: {:?}", tree.flatten()))
+    };
+    let n = tree.len();
+    let (mut preorder, mut stack) = (Vec::new(), vec![tree.root()]);
+    while let Some(node) = stack.pop() {
+        preorder.push(node);
+        stack.extend(tree.children(node).iter().rev());
+    }
+    check(
+        preorder == tree.node_ids().collect::<Vec<_>>(),
+        "ids are preorder",
+    )?;
+
+    // LC-RS links from the child lists, then their postorder walk.
+    let (mut left, mut right) = (vec![None; n], vec![None; n]);
+    for node in tree.node_ids() {
+        let kids = tree.children(node);
+        left[node.index()] = kids.first().copied();
+        for pair in kids.windows(2) {
+            right[pair[0].index()] = Some(pair[1]);
+        }
+    }
+    fn binary_walk(
+        links: &[Vec<Option<NodeId>>; 2],
+        node: Option<NodeId>,
+        out: &mut Vec<NodeId>,
+    ) -> u32 {
+        let Some(v) = node else { return 0 };
+        let below = binary_walk(links, links[0][v.index()], out)
+            + binary_walk(links, links[1][v.index()], out);
+        out.push(v);
+        below + 1
+    }
+    let links = [left, right];
+    let binary = BinaryTree::from_tree(tree);
+    let mut walked = Vec::new();
+    binary_walk(&links, Some(tree.root()), &mut walked);
+    let mut rank = vec![0; n];
+    for (k, v) in walked.iter().enumerate() {
+        rank[v.index()] = k;
+    }
+    for (a, b) in tree
+        .node_ids()
+        .flat_map(|a| tree.node_ids().map(move |b| (a, b)))
+    {
+        let want = rank[a.index()].cmp(&rank[b.index()]);
+        check(binary.post_cmp(a, b) == want, "binary postorder")?;
+    }
+    for node in tree.node_ids() {
+        let (l, r) = (links[0][node.index()], links[1][node.index()]);
+        check(
+            (binary.left(node), binary.right(node)) == (l, r),
+            "left/right",
+        )?;
+        let size = binary_walk(&links, Some(node), &mut Vec::new());
+        check(binary.subtree_size(node) == size, "binary subtree size")?;
+    }
+    fn general_walk(tree: &Tree, node: NodeId, out: &mut Vec<NodeId>) {
+        for &child in tree.children(node) {
+            general_walk(tree, child, out);
+        }
+        out.push(node);
+    }
+    let mut postorder = Vec::new();
+    general_walk(tree, tree.root(), &mut postorder);
+    let mut general_post = vec![0; n];
+    for (post, &node) in (1..).zip(&postorder) {
+        general_post[node.index()] = post;
+    }
+    let (labels, lld, _, _) = walked_arrays(tree, false);
+    check(tree.postorder() == postorder, "postorder")?;
+    check(tree.postorder_labels() == labels, "postorder labels")?;
+    check(binary.general_post() == general_post, "general postorder")?;
+    check(
+        tree.postorder_numbers() == general_post,
+        "postorder numbers",
+    )?;
+    check(lld.len() == n, "walk covers the tree")?;
+
+    let scratch = &mut TedBuildScratch::new();
+    for mirror in [false, true] {
+        let (labels, lld, keyroots, cost) = walked_arrays(tree, mirror);
+        let (.., other_cost) = walked_arrays(tree, !mirror);
+        let mut built = TedTree::new(&Tree::leaf(Label::from_raw(9)));
+        built.rebuild(tree, mirror, scratch);
+        let got = (
+            built.labels(),
+            built.llds(),
+            built.keyroots(),
+            built.decomposition_cost(),
+        );
+        check(
+            got == (&labels[..], &lld[..], &keyroots[..], cost),
+            "Zhang–Shasha arrays",
+        )?;
+        check(built.mirror_cost() == other_cost, "mirror cost")?;
+    }
+    Ok(())
+}
+
 /// Preorder child counts: the shape as the eager design spelled it.
 fn degree_sequence(tree: &Tree) -> Vec<usize> {
     let degree = |&n| tree.children(n).len();
@@ -353,6 +500,27 @@ proptest! {
         for (x, y) in [(&ta, &tb), (&ta, &edited), (&tb, &tb)] {
             let same_llds = TedTree::new(x).llds() == TedTree::new(y).llds();
             prop_assert_eq!(same_llds, degree_sequence(x) == degree_sequence(y));
+        }
+    }
+
+    /// The column arithmetic against the walks on trees from every source:
+    /// a grown tree (its builder calls are not in preorder, so `build`
+    /// renumbers), its bracket form parsed back, an edited copy, and its
+    /// flattened form decoded.
+    #[test]
+    fn column_arithmetic_matches_the_walks(seed in any::<u64>(), k in 1usize..4) {
+        let grown = random_tree(seed, 40);
+        let mut labels = LabelInterner::new();
+        for raw in 1..=5 {
+            labels.intern(&format!("l{raw}"));
+        }
+        let text = to_bracket(&grown, &labels);
+        let parsed = parse_bracket(&text, &mut labels).unwrap();
+        let edited = random_edit_script(&grown, k, &mut StdRng::seed_from_u64(!seed), 5).0;
+        let decoded = Tree::from_flattened(&grown.flatten()).unwrap();
+        prop_assert!(decoded.structurally_eq(&grown));
+        for tree in [&grown, &parsed, &edited, &decoded] {
+            prop_assert_eq!(columns_match_the_walks(tree), Ok(()));
         }
     }
 

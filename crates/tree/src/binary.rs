@@ -6,13 +6,30 @@
 //! `right` pointer to its next sibling. Node labels are unchanged, so
 //! [`NodeId`]s are shared between a [`Tree`] and its [`BinaryTree`].
 //!
-//! The binary tree caches its postorder and preorder numberings, its
-//! subtree sizes and the *general-tree* postorder numbering (which is the
-//! binary inorder) because the partitioning scheme (§3.3) and the
-//! postorder-pruning index layer (§3.4) consult them constantly.
+//! A tree's ids are preorder, and LC-RS preorder (node, left subtree, right
+//! subtree) is general preorder, so no pointer is stored. With `size(v)`
+//! the general subtree size and `p` the parent of `v`:
+//!
+//! * the left child of `v` is `v + 1` when `v` is its parent;
+//! * the right child of `v` is `v + size(v)` when the parents agree;
+//! * the binary subtree of `v` is the run of ids from `v` up to the end of
+//!   its parent's general subtree, `p + size(p)` (the whole tree for the
+//!   root), so its size is `p + size(p) − v`;
+//! * two nodes compare in binary postorder by whether one's run holds the
+//!   other ([`BinaryTree::post_cmp`]);
+//! * the general postorder number (the binary inorder) is
+//!   `v − depth(v) + size(v)`, 1-based.
+//!
+//! A [`BinaryTree`] is a view: a copy of the tree's label and parent
+//! columns, each with one padding slot a missing child reads, and two
+//! `u32` caches a node — `size` and `general_post` — filled by one forward
+//! pass (depth) and one backward pass (size) over the columns. The
+//! partitioning scheme (§3.3) and the postorder-pruning index layer (§3.4)
+//! read it.
 
 use crate::label::Label;
-use crate::tree::{NodeId, Tree, TreeBuilder};
+use crate::tree::{NodeId, Tree, NO_PARENT};
+use std::cmp::Ordering;
 
 /// Which pointer of the parent leads to a node.
 ///
@@ -38,33 +55,20 @@ impl Side {
     }
 }
 
-/// An LC-RS binary tree, stored struct-of-arrays and indexed by [`NodeId`].
+/// The LC-RS view of a [`Tree`], indexed by [`NodeId`] (see the
+/// [module docs](self) for what it stores and why).
 #[derive(Debug, Clone)]
 pub struct BinaryTree {
+    /// The tree's label column, then `ε` in slot n.
     labels: Vec<Label>,
-    left: Vec<Option<NodeId>>,
-    right: Vec<Option<NodeId>>,
-    parent: Vec<Option<(NodeId, Side)>>,
-    root: NodeId,
-    /// Nodes in binary postorder (left subtree, right subtree, node).
-    postorder: Vec<NodeId>,
-    /// 1-based postorder number per node id.
-    post_of: Vec<u32>,
-    /// Nodes in binary preorder (node, left subtree, right subtree): a
-    /// binary subtree is the contiguous run of `subtree_size` nodes that
-    /// starts at its root.
-    preorder: Vec<NodeId>,
-    /// 1-based preorder number per node id.
-    pre_of: Vec<u32>,
-    /// Binary-subtree size (node + left subtree + right subtree) per id.
-    subtree_size: Vec<u32>,
-    /// 1-based binary *inorder* number per node id — the postorder number
-    /// of the node in the general tree this is the LC-RS image of.
+    /// The tree's parent column with `n` for the root's parent, then
+    /// `u32::MAX` in slot n: nobody's parent, so slot n is nobody's child
+    /// or sibling.
+    parents: Vec<u32>,
+    /// General subtree size per id, then 0 in slot n.
+    size: Vec<u32>,
+    /// 1-based general postorder number per id.
     general_post: Vec<u32>,
-    /// Persistent traversal stack for cache rebuilds; empty between
-    /// calls but keeps its capacity, so [`BinaryTree::rebuild_from`] is
-    /// allocation-free in steady state.
-    walk: Vec<(NodeId, u8)>,
 }
 
 impl BinaryTree {
@@ -74,17 +78,9 @@ impl BinaryTree {
     pub fn from_tree(tree: &Tree) -> BinaryTree {
         let mut binary = BinaryTree {
             labels: Vec::new(),
-            left: Vec::new(),
-            right: Vec::new(),
-            parent: Vec::new(),
-            root: tree.root(),
-            postorder: Vec::new(),
-            post_of: Vec::new(),
-            preorder: Vec::new(),
-            pre_of: Vec::new(),
-            subtree_size: Vec::new(),
+            parents: Vec::new(),
+            size: Vec::new(),
             general_post: Vec::new(),
-            walk: Vec::new(),
         };
         binary.rebuild_from(tree);
         binary
@@ -97,148 +93,26 @@ impl BinaryTree {
     pub fn rebuild_from(&mut self, tree: &Tree) {
         let n = tree.len();
         self.labels.clear();
-        self.labels.reserve(n);
-        self.left.clear();
-        self.left.resize(n, None);
-        self.right.clear();
-        self.right.resize(n, None);
-        self.parent.clear();
-        self.parent.resize(n, None);
-        for node in tree.node_ids() {
-            self.labels.push(tree.label(node));
-            let children = tree.children(node);
-            if let Some(&first) = children.first() {
-                self.left[node.index()] = Some(first);
-                self.parent[first.index()] = Some((node, Side::Left));
-            }
-            for pair in children.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                self.right[a.index()] = Some(b);
-                self.parent[b.index()] = Some((a, Side::Right));
-            }
+        self.labels.extend_from_slice(tree.labels());
+        self.labels.push(Label::EPSILON);
+        self.parents.clear();
+        self.parents.extend_from_slice(tree.parents());
+        self.parents[0] = n as u32;
+        self.parents.push(NO_PARENT);
+        tree.fill_subtree_sizes(&mut self.size);
+        // Depths first, then turned into postorder numbers in place.
+        tree.fill_depths(&mut self.general_post);
+        let numbered = self.general_post.iter_mut().zip(&self.size);
+        for (v, (post, &size)) in (0..).zip(numbered) {
+            *post = v - *post + size;
         }
-        self.root = tree.root();
-        self.rebuild_caches();
-    }
-
-    /// Builds a binary tree directly from explicit child links.
-    ///
-    /// Intended for tests and for workloads that are natively binary (e.g.
-    /// the paper's Figure 3 trees, RNA secondary structures). Unlike
-    /// [`BinaryTree::from_tree`], the result need not be the LC-RS image of
-    /// any general tree — in particular the root may have a right child.
-    ///
-    /// # Panics
-    /// Panics if the links do not form a single tree rooted at `root`.
-    pub fn from_links(
-        labels: Vec<Label>,
-        left: Vec<Option<NodeId>>,
-        right: Vec<Option<NodeId>>,
-        root: NodeId,
-    ) -> BinaryTree {
-        let n = labels.len();
-        assert_eq!(left.len(), n, "left link table has wrong length");
-        assert_eq!(right.len(), n, "right link table has wrong length");
-        let mut parent: Vec<Option<(NodeId, Side)>> = vec![None; n];
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            if let Some(l) = left[i] {
-                assert!(parent[l.index()].is_none(), "{l} has two parents");
-                parent[l.index()] = Some((node, Side::Left));
-            }
-            if let Some(r) = right[i] {
-                assert!(parent[r.index()].is_none(), "{r} has two parents");
-                parent[r.index()] = Some((node, Side::Right));
-            }
-        }
-        assert!(parent[root.index()].is_none(), "root has a parent");
-        let mut binary = BinaryTree {
-            labels,
-            left,
-            right,
-            parent,
-            root,
-            postorder: Vec::new(),
-            post_of: Vec::new(),
-            preorder: Vec::new(),
-            pre_of: Vec::new(),
-            subtree_size: Vec::new(),
-            general_post: Vec::new(),
-            walk: Vec::new(),
-        };
-        binary.rebuild_caches();
-        assert_eq!(
-            binary.postorder.len(),
-            n,
-            "links do not form a single connected tree"
-        );
-        binary
-    }
-
-    fn rebuild_caches(&mut self) {
-        let n = self.labels.len();
-        self.postorder.clear();
-        self.postorder.reserve(n);
-        self.post_of.clear();
-        self.post_of.resize(n, 0);
-        self.preorder.clear();
-        self.preorder.reserve(n);
-        self.pre_of.clear();
-        self.pre_of.resize(n, 0);
-        self.subtree_size.clear();
-        self.subtree_size.resize(n, 1);
-        self.general_post.clear();
-        self.general_post.resize(n, 0);
-        let mut inorder = 0u32;
-        // Iterative postorder: 0 = descend left, 1 = descend right, 2 = emit.
-        // Taking the persistent stack sidesteps the borrow of `self`
-        // inside the loop; it is handed back (empty, capacity kept) after.
-        let mut stack = std::mem::take(&mut self.walk);
-        stack.clear();
-        stack.push((self.root, 0));
-        while let Some((node, stage)) = stack.pop() {
-            match stage {
-                0 => {
-                    self.preorder.push(node);
-                    self.pre_of[node.index()] = self.preorder.len() as u32;
-                    stack.push((node, 1));
-                    if let Some(l) = self.left[node.index()] {
-                        stack.push((l, 0));
-                    }
-                }
-                1 => {
-                    // Between the two descents is the inorder visit: a
-                    // node's general-tree descendants are its left
-                    // subtree, everything after it hangs off its right.
-                    inorder += 1;
-                    self.general_post[node.index()] = inorder;
-                    stack.push((node, 2));
-                    if let Some(r) = self.right[node.index()] {
-                        stack.push((r, 0));
-                    }
-                }
-                _ => {
-                    let mut size = 1;
-                    if let Some(l) = self.left[node.index()] {
-                        size += self.subtree_size[l.index()];
-                    }
-                    if let Some(r) = self.right[node.index()] {
-                        size += self.subtree_size[r.index()];
-                    }
-                    self.subtree_size[node.index()] = size;
-                    self.post_of[node.index()] = self.postorder.len() as u32 + 1;
-                    self.postorder.push(node);
-                }
-            }
-        }
-        self.walk = stack;
-        debug_assert_eq!(self.postorder.len(), n, "binary tree not connected");
+        self.size.push(0);
     }
 
     /// Number of nodes (equal to the size of the source general tree).
     #[inline]
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.general_post.len()
     }
 
     /// Binary trees are never empty.
@@ -250,7 +124,7 @@ impl BinaryTree {
     /// The root node (same id as the general tree's root).
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId::from_index(0)
     }
 
     /// The label of `node`.
@@ -259,16 +133,60 @@ impl BinaryTree {
         self.labels[node.index()]
     }
 
+    /// The left child's id, or [`BinaryTree::len`] when there is none —
+    /// the padding slot of a per-node array, which a caller keeps neutral
+    /// (the label read there is `ε`).
+    #[inline]
+    pub fn left_slot(&self, node: NodeId) -> usize {
+        let child = node.index() + 1;
+        if self.parents[child] == node.index() as u32 {
+            child
+        } else {
+            self.len()
+        }
+    }
+
+    /// The right child's id, or [`BinaryTree::len`] when there is none
+    /// (see [`BinaryTree::left_slot`]).
+    #[inline]
+    pub fn right_slot(&self, node: NodeId) -> usize {
+        let v = node.index();
+        let sibling = v + self.size[v] as usize;
+        if self.parents[sibling] == self.parents[v] {
+            sibling
+        } else {
+            self.len()
+        }
+    }
+
+    /// The general parent's id, or [`BinaryTree::len`] for the root (see
+    /// [`BinaryTree::left_slot`]).
+    #[inline]
+    pub fn parent_slot(&self, node: NodeId) -> usize {
+        self.parents[node.index()] as usize
+    }
+
+    /// The label at a slot [`BinaryTree::left_slot`] or
+    /// [`BinaryTree::right_slot`] returned: `ε` for a missing child.
+    #[inline]
+    pub fn slot_label(&self, slot: usize) -> Label {
+        self.labels[slot]
+    }
+
     /// The left child (leftmost child in the general tree).
     #[inline]
     pub fn left(&self, node: NodeId) -> Option<NodeId> {
-        self.left[node.index()]
+        self.node_at(self.left_slot(node))
     }
 
     /// The right child (next sibling in the general tree).
     #[inline]
     pub fn right(&self, node: NodeId) -> Option<NodeId> {
-        self.right[node.index()]
+        self.node_at(self.right_slot(node))
+    }
+
+    fn node_at(&self, slot: usize) -> Option<NodeId> {
+        (slot < self.len()).then(|| NodeId::from_index(slot))
     }
 
     /// The child of `node` on `side`.
@@ -280,112 +198,62 @@ impl BinaryTree {
         }
     }
 
-    /// Parent link: `(parent, side)` where `side` says which pointer of the
-    /// parent leads here. `None` for the root.
-    #[inline]
-    pub fn parent(&self, node: NodeId) -> Option<(NodeId, Side)> {
-        self.parent[node.index()]
-    }
-
-    /// Which side of its parent this node hangs from (`None` for the root).
+    /// Which side of its parent this node hangs from (`None` for the
+    /// root): a first child hangs left, and follows its parent in id order.
     #[inline]
     pub fn side(&self, node: NodeId) -> Option<Side> {
-        self.parent(node).map(|(_, side)| side)
+        match self.parent_slot(node) {
+            parent if parent == self.len() => None,
+            parent if parent + 1 == node.index() => Some(Side::Left),
+            _ => Some(Side::Right),
+        }
     }
 
-    /// Nodes in binary postorder (left, right, node).
+    /// One past the last id of `node`'s binary subtree: the end of its
+    /// parent's general subtree (the padding slot's size is 0, so the
+    /// root's run ends at `n`).
     #[inline]
-    pub fn postorder(&self) -> &[NodeId] {
-        &self.postorder
+    fn end(&self, node: NodeId) -> usize {
+        let parent = self.parent_slot(node);
+        parent + self.size[parent] as usize
     }
 
-    /// 1-based postorder number of `node` in the binary traversal.
+    /// Size of the binary subtree rooted at `node` (node + both subtrees):
+    /// the run of ids `node..` it covers.
     #[inline]
-    pub fn post_of(&self, node: NodeId) -> u32 {
-        self.post_of[node.index()]
+    pub fn subtree_size(&self, node: NodeId) -> u32 {
+        (self.end(node) - node.index()) as u32
     }
 
-    /// The node with 1-based binary postorder number `k`.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or exceeds the tree size.
+    /// Binary postorder (left subtree, right subtree, node) as a
+    /// comparison: `a` comes first when it lies in `b`'s binary subtree,
+    /// or wholly before it in preorder.
     #[inline]
-    pub fn node_at_postorder(&self, k: u32) -> NodeId {
-        self.postorder[k as usize - 1]
-    }
-
-    /// Nodes in binary preorder (node, left, right). The binary subtree
-    /// of `node` is `preorder()[pre_of(node) − 1..][..subtree_size(node)]`.
-    #[inline]
-    pub fn preorder(&self) -> &[NodeId] {
-        &self.preorder
-    }
-
-    /// 1-based preorder number of `node` in the binary traversal.
-    #[inline]
-    pub fn pre_of(&self, node: NodeId) -> u32 {
-        self.pre_of[node.index()]
+    pub fn post_cmp(&self, a: NodeId, b: NodeId) -> Ordering {
+        let before = match a.cmp(&b) {
+            Ordering::Equal => return Ordering::Equal,
+            Ordering::Greater => a.index() < self.end(b),
+            Ordering::Less => b.index() >= self.end(a),
+        };
+        if before {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        }
     }
 
     /// 1-based *general-tree* postorder numbers, indexed by node id:
     /// general postorder is LC-RS inorder (left subtree = descendants,
-    /// node, right subtree = later siblings), numbered by the same walk
-    /// that fills the other caches. Equal to
+    /// node, right subtree = later siblings). Equal to
     /// [`Tree::postorder_numbers`] of the source tree.
     #[inline]
     pub fn general_post(&self) -> &[u32] {
         &self.general_post
     }
 
-    /// Size of the binary subtree rooted at `node` (node + both subtrees).
-    #[inline]
-    pub fn subtree_size(&self, node: NodeId) -> u32 {
-        self.subtree_size[node.index()]
-    }
-
-    /// Iterates over all node ids in arena order.
+    /// Iterates over all node ids in arena order, which is preorder.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.labels.len() as u32).map(NodeId::from_index_u32)
-    }
-
-    /// Inverse of Knuth's transformation: reconstructs the general tree.
-    ///
-    /// Node ids are *not* preserved (the result uses fresh preorder ids),
-    /// but the reconstructed tree is structurally equal to the original:
-    /// `BinaryTree::from_tree(t).to_general().structurally_eq(t)`.
-    pub fn to_general(&self) -> Tree {
-        let mut builder = TreeBuilder::with_capacity(self.len());
-        let root = builder.root(self.label(self.root));
-        debug_assert!(
-            self.right(self.root).is_none(),
-            "LC-RS root cannot have a right child"
-        );
-        // Each stack entry is the *leftmost* general child of `parent`;
-        // following the right-chain from it enumerates all of `parent`'s
-        // children in order, so one pop emits a full child list at once and
-        // other stack entries can never interleave into it.
-        let mut stack: Vec<(NodeId, crate::tree::NodeId)> = Vec::new();
-        if let Some(first) = self.left(self.root) {
-            stack.push((first, root));
-        }
-        while let Some((first_child, parent)) = stack.pop() {
-            let mut cur = Some(first_child);
-            while let Some(node) = cur {
-                let id = builder.child(parent, self.label(node));
-                if let Some(child) = self.left(node) {
-                    stack.push((child, id));
-                }
-                cur = self.right(node);
-            }
-        }
-        builder.build()
-    }
-}
-
-impl NodeId {
-    #[inline]
-    fn from_index_u32(index: u32) -> NodeId {
-        NodeId(index)
+        (0..self.len()).map(NodeId::from_index)
     }
 }
 
@@ -413,6 +281,28 @@ mod tests {
         b.child(n8, l[8]);
         b.child(n8, l[9]);
         (b.build(), labels)
+    }
+
+    /// Inverse of Knuth's transformation, read off the left/right links
+    /// in preorder.
+    fn to_general(bin: &BinaryTree) -> Tree {
+        fn add(bin: &BinaryTree, b: &mut TreeBuilder, first: Option<NodeId>, parent: NodeId) {
+            let mut sibling = first;
+            while let Some(v) = sibling {
+                let id = b.child(parent, bin.label(v));
+                add(bin, b, bin.left(v), id);
+                sibling = bin.right(v);
+            }
+        }
+        assert_eq!(
+            bin.right(bin.root()),
+            None,
+            "an LC-RS root has no right child"
+        );
+        let mut builder = TreeBuilder::with_capacity(bin.len());
+        let root = builder.root(bin.label(bin.root()));
+        add(bin, &mut builder, bin.left(bin.root()), root);
+        builder.build()
     }
 
     #[test]
@@ -455,32 +345,36 @@ mod tests {
     fn postorder_numbers_cover_all_nodes() {
         let (tree, _) = figure4_tree();
         let bin = BinaryTree::from_tree(&tree);
-        let mut numbers: Vec<u32> = bin.node_ids().map(|n| bin.post_of(n)).collect();
-        numbers.sort_unstable();
-        assert_eq!(numbers, (1..=10).collect::<Vec<u32>>());
-        // Root is visited last in binary postorder.
-        assert_eq!(bin.post_of(bin.root()), 10);
-        for node in bin.node_ids() {
-            assert_eq!(bin.node_at_postorder(bin.post_of(node)), node);
+        let mut order: Vec<NodeId> = bin.node_ids().collect();
+        order.sort_by(|&a, &b| bin.post_cmp(a, b));
+        // The walk the comparison stands for: left, right, node.
+        fn walk(bin: &BinaryTree, node: Option<NodeId>, out: &mut Vec<NodeId>) {
+            if let Some(v) = node {
+                walk(bin, bin.left(v), out);
+                walk(bin, bin.right(v), out);
+                out.push(v);
+            }
         }
+        let mut want = Vec::new();
+        walk(&bin, Some(bin.root()), &mut want);
+        assert_eq!(order, want);
+        // Root is visited last in binary postorder.
+        assert_eq!(order.last(), Some(&bin.root()));
     }
 
     #[test]
     fn a_subtree_is_a_run_of_the_preorder() {
         let (tree, _) = figure4_tree();
         let bin = BinaryTree::from_tree(&tree);
-        assert_eq!(bin.preorder()[0], bin.root());
         for node in bin.node_ids() {
-            let start = bin.pre_of(node) as usize - 1;
-            assert_eq!(bin.preorder()[start], node);
             // The run opens with the node, then its left subtree, then
             // its right one — each again a run of its own size.
-            let mut at = start + 1;
+            let mut at = node.index() + 1;
             for child in [bin.left(node), bin.right(node)].into_iter().flatten() {
-                assert_eq!(bin.pre_of(child) as usize - 1, at);
+                assert_eq!(child.index(), at);
                 at += bin.subtree_size(child) as usize;
             }
-            assert_eq!(at - start, bin.subtree_size(node) as usize);
+            assert_eq!(at - node.index(), bin.subtree_size(node) as usize);
         }
     }
 
@@ -501,14 +395,12 @@ mod tests {
             let fresh = BinaryTree::from_tree(tree);
             assert_eq!(reused.len(), fresh.len());
             assert_eq!(reused.root(), fresh.root());
+            assert_eq!(reused.general_post(), tree.postorder_numbers());
             for node in fresh.node_ids() {
                 assert_eq!(reused.label(node), fresh.label(node));
                 assert_eq!(reused.left(node), fresh.left(node));
                 assert_eq!(reused.right(node), fresh.right(node));
-                assert_eq!(reused.parent(node), fresh.parent(node));
-                assert_eq!(reused.post_of(node), fresh.post_of(node));
-                assert_eq!(reused.pre_of(node), fresh.pre_of(node));
-                assert_eq!(reused.general_post(), tree.postorder_numbers());
+                assert_eq!(reused.side(node), fresh.side(node));
                 assert_eq!(reused.subtree_size(node), fresh.subtree_size(node));
             }
         }
@@ -531,7 +423,7 @@ mod tests {
     fn round_trip_to_general() {
         let (tree, _) = figure4_tree();
         let bin = BinaryTree::from_tree(&tree);
-        let back = bin.to_general();
+        let back = to_general(&bin);
         assert!(back.structurally_eq(&tree));
         back.validate().unwrap();
     }
@@ -543,7 +435,7 @@ mod tests {
         assert_eq!(bin.len(), 1);
         assert_eq!(bin.left(bin.root()), None);
         assert_eq!(bin.right(bin.root()), None);
-        assert!(bin.to_general().structurally_eq(&tree));
+        assert!(to_general(&bin).structurally_eq(&tree));
     }
 
     #[test]
@@ -560,7 +452,7 @@ mod tests {
         for node in bin.node_ids() {
             assert_eq!(bin.right(node), None, "path tree has no siblings");
         }
-        assert!(bin.to_general().structurally_eq(&tree));
+        assert!(to_general(&bin).structurally_eq(&tree));
     }
 
     #[test]
@@ -583,7 +475,7 @@ mod tests {
             cur = next;
         }
         assert_eq!(chain, 40);
-        assert!(bin.to_general().structurally_eq(&tree));
+        assert!(to_general(&bin).structurally_eq(&tree));
     }
 
     #[test]

@@ -11,12 +11,23 @@
 //! (`u32::MAX` for the root), `child_start` (n + 1 offsets) and `kids` (the
 //! n − 1 non-root ids grouped by parent) — so a node costs 16 bytes of heap
 //! and a tree four allocations, whatever its shape
-//! ([`Tree::heap_bytes`]). Ids are handed out by [`TreeBuilder`] in call
-//! order: the root is 0 and a child's id is above its parent's, but ids
-//! are not preorder. Because a child is always a fresh id appended as its
-//! parent's rightmost child, the children of a node in call order are its
-//! children in id order, so [`TreeBuilder::build`] lays out every child
-//! list at once with one stable counting sort of the ids by parent.
+//! ([`Tree::heap_bytes`]).
+//!
+//! **Ids are preorder**: the root is 0, a node's first child is the next id,
+//! and a node's subtree is the run of `size` ids that starts at it. Two
+//! numbers a node, its depth (one forward pass over `parents`) and its
+//! subtree size (one backward pass), then give every order this workspace
+//! reads as arithmetic: the 1-based postorder number of `v` is
+//! `v − depth(v) + size(v)`, the next sibling of `v` is `v + size(v)` when
+//! their parents agree. This is the (preorder number, scope) encoding of
+//! the tree-mining literature. A tree therefore has one layout per shape:
+//! two trees are structurally equal exactly when their label and parent
+//! columns are, and [`Tree::flatten`] is a copy of those columns.
+//! [`TreeBuilder::build`] renumbers a builder's call order to preorder when
+//! it is not already (parsers and edits build in preorder and pay one O(n)
+//! check), [`Tree::from_flattened`] rejects a sequence that is not, and
+//! both lay every child list out at once with one stable counting sort of
+//! the ids by parent.
 
 use crate::error::ParseError;
 use crate::label::Label;
@@ -47,14 +58,15 @@ impl fmt::Display for NodeId {
 }
 
 /// The `parents` entry of the root.
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// A rooted ordered labeled tree.
 ///
 /// Construct with [`TreeBuilder`] or one of the parsers in
 /// [`crate::parser`]. Trees always contain at least one node (the root,
-/// id 0); the empty tree is not representable. Storage is four flat `u32`
-/// columns, 16 bytes a node (see the [module docs](self)).
+/// id 0); the empty tree is not representable. Node ids are preorder and
+/// storage is four flat `u32` columns, 16 bytes a node (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Tree {
     /// `labels[i]`: the label of node `i`.
@@ -74,6 +86,43 @@ impl Tree {
         let mut builder = TreeBuilder::with_capacity(1);
         builder.root(label);
         builder.build()
+    }
+
+    /// Lays out a tree whose `parents` column is already in preorder: the
+    /// child lists, grouped by parent with a counting sort into
+    /// `child_start` (n + 1 slots) and `kids` (n − 1), whatever they held.
+    fn lay_out(
+        labels: Vec<Label>,
+        parents: Vec<u32>,
+        mut child_start: Vec<u32>,
+        mut kids: Vec<NodeId>,
+    ) -> Tree {
+        let n = labels.len();
+        // Child counts, turned into each group's end by inclusive prefix
+        // sums; slot n, which no node names as parent, ends at n − 1.
+        child_start.fill(0);
+        for &parent in &parents[1..] {
+            child_start[parent as usize] += 1;
+        }
+        let mut end = 0;
+        for slot in &mut child_start {
+            end += *slot;
+            *slot = end;
+        }
+        // Fill every group back to front with ids in descending order, so
+        // each ends up in id order — which is child order — and its slot
+        // ends up at the group's start.
+        for child in (1..n).rev() {
+            let slot = &mut child_start[parents[child] as usize];
+            *slot -= 1;
+            kids[*slot as usize] = NodeId(child as u32);
+        }
+        Tree {
+            labels,
+            parents,
+            child_start,
+            kids,
+        }
     }
 
     /// Number of nodes, written `|T|` in the paper.
@@ -117,6 +166,20 @@ impl Tree {
         (parent != NO_PARENT).then_some(NodeId(parent))
     }
 
+    /// The label column: every node's label, in id order — which is
+    /// preorder.
+    #[inline]
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
+    /// The parent column: every node's parent id, in id order, `u32::MAX`
+    /// for the root.
+    #[inline]
+    pub fn parents(&self) -> &[u32] {
+        &self.parents
+    }
+
     /// The ordered children of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
@@ -130,74 +193,47 @@ impl Tree {
         self.children(node).is_empty()
     }
 
-    /// Iterates over all node ids in arena order.
+    /// Iterates over all node ids in arena order, which is preorder.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.len() as u32).map(NodeId)
     }
 
-    /// Nodes in preorder (node before its children, children left to right).
+    /// Nodes in preorder (node before its children, children left to
+    /// right): the ids in ascending order.
     pub fn preorder(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack = vec![self.root()];
-        while let Some(node) = stack.pop() {
-            order.push(node);
-            // Push children reversed so the leftmost child is popped first.
-            for &child in self.children(node).iter().rev() {
-                stack.push(child);
-            }
-        }
-        order
+        self.node_ids().collect()
     }
 
     /// Nodes in postorder (children left to right, then the node).
     pub fn postorder(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.len());
-        // (node, next child index to visit)
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.root(), 0)];
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let children = self.children(node);
-            if *next < children.len() {
-                let child = children[*next];
-                *next += 1;
-                stack.push((child, 0));
-            } else {
-                order.push(node);
-                stack.pop();
-            }
+        let mut order = vec![NodeId(0); self.len()];
+        for (node, post) in self.node_ids().zip(self.postorder_numbers()) {
+            order[post as usize - 1] = node;
         }
         order
     }
 
-    /// 1-based postorder numbers indexed by node id.
+    /// 1-based postorder numbers indexed by node id: `v − depth(v) +
+    /// size(v)`, since the nodes before `v` in postorder are its
+    /// `size(v) − 1` descendants and the `v − depth(v)` nodes before it in
+    /// preorder that are not its ancestors.
     ///
-    /// `postorder_numbers()[n.index()]` is the position (starting at 1) of
-    /// node `n` in [`Tree::postorder`]. These are the "numbers in
-    /// parentheses" of the paper's Figure 7 — and the reference for the
-    /// numbers a [`crate::BinaryTree`] caches as it is built
-    /// ([`crate::BinaryTree::general_post`]), which is what the join
-    /// layers read.
+    /// These are the "numbers in parentheses" of the paper's Figure 7 —
+    /// and what [`crate::BinaryTree::general_post`] holds, which is what
+    /// the join layers read.
     pub fn postorder_numbers(&self) -> Vec<u32> {
-        let mut numbers = vec![0; self.len()];
-        let mut stack = vec![(self.root(), 0)];
-        let mut next_post = 0u32;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let children = self.children(node);
-            if *next < children.len() {
-                let child = children[*next];
-                *next += 1;
-                stack.push((child, 0));
-            } else {
-                next_post += 1;
-                numbers[node.index()] = next_post;
-                stack.pop();
-            }
-        }
-        numbers
+        let (mut depths, mut sizes) = (Vec::new(), Vec::new());
+        self.fill_depths(&mut depths);
+        self.fill_subtree_sizes(&mut sizes);
+        (0..self.len() as u32)
+            .zip(depths.iter().zip(&sizes))
+            .map(|(v, (&depth, &size))| v - depth + size)
+            .collect()
     }
 
     /// Labels in preorder, the traversal string of Guha et al. (§2).
     pub fn preorder_labels(&self) -> Vec<Label> {
-        self.preorder().into_iter().map(|n| self.label(n)).collect()
+        self.labels.clone()
     }
 
     /// Labels in postorder, the traversal string of Guha et al. (§2).
@@ -210,23 +246,38 @@ impl Tree {
 
     /// Number of nodes in the subtree rooted at each node, indexed by id.
     pub fn subtree_sizes(&self) -> Vec<u32> {
-        let mut sizes = vec![1u32; self.len()];
-        for node in self.postorder() {
-            let total: u32 = self.children(node).iter().map(|c| sizes[c.index()]).sum();
-            sizes[node.index()] += total;
-        }
+        let mut sizes = Vec::new();
+        self.fill_subtree_sizes(&mut sizes);
         sizes
+    }
+
+    /// [`Tree::subtree_sizes`] into `sizes`, reusing its buffer: one
+    /// backward pass over the parent column (a child's id is above its
+    /// parent's, so every size is final before it is added to the
+    /// parent's).
+    pub fn fill_subtree_sizes(&self, sizes: &mut Vec<u32>) {
+        sizes.clear();
+        sizes.resize(self.len(), 1);
+        for v in (1..self.len()).rev() {
+            sizes[self.parents[v] as usize] += sizes[v];
+        }
     }
 
     /// Depth of each node (root = 0), indexed by id.
     pub fn depths(&self) -> Vec<u32> {
-        let mut depths = vec![0u32; self.len()];
-        for node in self.preorder() {
-            if let Some(parent) = self.parent(node) {
-                depths[node.index()] = depths[parent.index()] + 1;
-            }
-        }
+        let mut depths = Vec::new();
+        self.fill_depths(&mut depths);
         depths
+    }
+
+    /// [`Tree::depths`] into `depths`, reusing its buffer: one forward
+    /// pass over the parent column.
+    pub fn fill_depths(&self, depths: &mut Vec<u32>) {
+        depths.clear();
+        depths.resize(self.len(), 0);
+        for v in 1..self.len() {
+            depths[v] = depths[self.parents[v] as usize] + 1;
+        }
     }
 
     /// Maximum node depth (a single-node tree has depth 0).
@@ -249,24 +300,10 @@ impl Tree {
         self.children(parent).iter().position(|&c| c == node)
     }
 
-    /// Structural + label equality (node ids are ignored).
+    /// Structural + label equality. Ids are preorder, so a shape has one
+    /// layout and this compares the label and parent columns.
     pub fn structurally_eq(&self, other: &Tree) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        let mut stack = vec![(self.root(), other.root())];
-        while let Some((a, b)) = stack.pop() {
-            if self.label(a) != other.label(b) {
-                return false;
-            }
-            let ca = self.children(a);
-            let cb = other.children(b);
-            if ca.len() != cb.len() {
-                return false;
-            }
-            stack.extend(ca.iter().copied().zip(cb.iter().copied()));
-        }
-        true
+        self.labels == other.labels && self.parents == other.parents
     }
 
     /// Flattens the tree into a parent-linked preorder sequence — the
@@ -274,60 +311,67 @@ impl Tree {
     ///
     /// Entry `k` is `(label, parent)` where `parent` is the *position of
     /// the parent within the returned sequence* (`None` only for the
-    /// root, at position 0). Preorder guarantees parents precede their
-    /// children and sibling order is preserved, so
-    /// [`Tree::from_flattened`] reconstructs a structurally identical
-    /// tree regardless of how the original ids were laid out (a builder's
-    /// ids follow its call order, not preorder).
+    /// root, at position 0). Ids are preorder, so this is the label and
+    /// parent columns side by side, and [`Tree::from_flattened`] lays the
+    /// same columns back out.
     pub fn flatten(&self) -> Vec<(Label, Option<u32>)> {
-        let order = self.preorder();
-        let mut pos = vec![0u32; self.len()];
-        for (k, node) in order.iter().enumerate() {
-            pos[node.index()] = k as u32;
-        }
-        order
-            .iter()
-            .map(|&node| (self.label(node), self.parent(node).map(|p| pos[p.index()])))
-            .collect()
+        let parents = self.parents.iter();
+        let parents = parents.map(|&p| (p != NO_PARENT).then_some(p));
+        self.labels.iter().copied().zip(parents).collect()
     }
 
     /// Rebuilds a tree from a [`Tree::flatten`] sequence.
     ///
     /// The result is [structurally equal](Tree::structurally_eq) to the
-    /// flattened tree; node ids are renumbered to preorder positions.
-    /// Returns an error (positioned at the offending entry index) for an
-    /// empty sequence, a non-root first entry, an extra root, or a
-    /// forward parent reference — malformed input never panics.
+    /// flattened tree, with the same ids. Only the preorder sequence of a
+    /// tree is accepted, so `flatten(from_flattened(x)) == x` whenever this
+    /// succeeds. Returns an error (positioned at the offending entry index)
+    /// for an empty sequence, a non-root first entry, an extra root, a
+    /// forward parent reference, or — at the first entry whose preorder
+    /// position is not its index — a sequence out of preorder. Malformed
+    /// input never panics.
     pub fn from_flattened(nodes: &[(Label, Option<u32>)]) -> Result<Tree, ParseError> {
-        let mut builder = TreeBuilder::with_capacity(nodes.len());
+        if nodes.is_empty() {
+            return Err(ParseError::new(0, "empty flattened tree"));
+        }
+        let mut labels = Vec::with_capacity(nodes.len());
+        let mut parents = Vec::with_capacity(nodes.len());
         for (k, &(label, parent)) in nodes.iter().enumerate() {
-            match (k, parent) {
-                (0, None) => {
-                    builder.root(label);
-                }
+            let parent = match (k, parent) {
+                (0, None) => NO_PARENT,
                 (0, Some(_)) => {
                     return Err(ParseError::new(0, "first flattened entry must be the root"))
                 }
                 (_, None) => return Err(ParseError::new(k, "second root in flattened tree")),
-                (_, Some(p)) => {
-                    if p as usize >= k {
-                        return Err(ParseError::new(
-                            k,
-                            format!("parent {p} does not precede node {k}"),
-                        ));
-                    }
-                    builder.child(NodeId(p), label);
+                (_, Some(p)) if p as usize >= k => {
+                    return Err(ParseError::new(
+                        k,
+                        format!("parent {p} does not precede node {k}"),
+                    ))
                 }
-            }
+                (_, Some(p)) => p,
+            };
+            labels.push(label);
+            parents.push(parent);
         }
-        if builder.is_empty() {
-            return Err(ParseError::new(0, "empty flattened tree"));
+        let n = nodes.len();
+        let (mut child_start, mut kids) = (vec![0; n + 1], vec![NodeId(0); n - 1]);
+        if !preorder_positions(&parents, &mut child_start, &mut kids) {
+            let (k, at) = (1..)
+                .zip(&kids)
+                .find(|&(k, at)| at.index() != k)
+                .expect("a node is out of place");
+            return Err(ParseError::new(
+                k,
+                format!("node {k} is out of preorder: it belongs at {}", at.0),
+            ));
         }
-        Ok(builder.build())
+        Ok(Tree::lay_out(labels, parents, child_start, kids))
     }
 
     /// Consistency check used by tests and debug builds: parent/child links
-    /// agree, every non-root node is reachable from the root exactly once.
+    /// agree, every non-root node is reachable from the root exactly once,
+    /// and ids are preorder.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = vec![false; self.len()];
         let mut stack = vec![self.root()];
@@ -355,14 +399,70 @@ impl Tree {
                 self.len()
             ));
         }
+        let n = self.len();
+        let (mut slots, mut positions) = (vec![0; n], vec![NodeId(0); n - 1]);
+        if !preorder_positions(&self.parents, &mut slots, &mut positions) {
+            return Err("ids are not preorder".into());
+        }
         Ok(())
     }
+}
+
+/// Every node's preorder position, from a parent column (each parent below
+/// its child), and whether each node is already at its own: with subtree
+/// sizes from one backward pass, each child in id order takes its parent's
+/// next free slot — `p + 1` plus the sizes of its earlier siblings — and
+/// its entry in `slots` (≥ n entries) turns from its size into its own
+/// next free slot. `positions[v − 1]` ends as node `v`'s position. No
+/// branch depends on the shape: a walk up from `v − 1` to check that each
+/// parent is on the path is as fast on a tree seen over and over, and
+/// twice as slow on a stream of different ones.
+fn preorder_positions(parents: &[u32], slots: &mut [u32], positions: &mut [NodeId]) -> bool {
+    let n = parents.len();
+    slots[..n].fill(1);
+    for v in (1..n).rev() {
+        slots[parents[v] as usize] += slots[v];
+    }
+    slots[0] = 1;
+    let mut in_place = true;
+    for v in 1..n {
+        let parent = parents[v] as usize;
+        let at = slots[parent];
+        slots[parent] += slots[v];
+        slots[v] = at + 1;
+        positions[v - 1] = NodeId(at);
+        in_place &= at as usize == v;
+    }
+    in_place
+}
+
+/// Moves builder columns to their [`preorder_positions`] in place: each
+/// column is scattered into `scratch` (≥ n slots) and copied back, parents
+/// translated on the way.
+fn renumber_to_preorder(
+    labels: &mut [Label],
+    parents: &mut [u32],
+    positions: &[NodeId],
+    scratch: &mut [u32],
+) {
+    let at = |v: usize| if v == 0 { 0 } else { positions[v - 1].index() };
+    for (v, label) in labels.iter().enumerate() {
+        scratch[at(v)] = label.raw();
+    }
+    for (label, &raw) in labels.iter_mut().zip(&*scratch) {
+        *label = Label::from_raw(raw);
+    }
+    for v in 1..parents.len() {
+        scratch[at(v)] = at(parents[v] as usize) as u32;
+    }
+    let n = parents.len();
+    parents[1..].copy_from_slice(&scratch[1..n]);
 }
 
 /// Incremental builder for [`Tree`]: records a label and a parent a node,
 /// and lays the child lists out once, in [`TreeBuilder::build`].
 ///
-/// Nodes must be added parent-before-child (e.g. in preorder):
+/// Nodes must be added parent-before-child:
 ///
 /// ```
 /// use tsj_tree::{LabelInterner, TreeBuilder};
@@ -375,6 +475,11 @@ impl Tree {
 /// let tree = builder.build();
 /// assert_eq!(tree.len(), 4);
 /// ```
+///
+/// The ids [`TreeBuilder::child`] hands out are call order. They name the
+/// same nodes of the built tree only when the calls were made in preorder,
+/// as above; otherwise [`TreeBuilder::build`] renumbers, and a caller that
+/// kept builder ids must find its nodes again in the tree.
 #[derive(Debug, Default)]
 pub struct TreeBuilder {
     labels: Vec<Label>,
@@ -431,8 +536,11 @@ impl TreeBuilder {
         self.labels.is_empty()
     }
 
-    /// Finalizes the tree: trims the two recorded columns to their length
-    /// and groups the non-root ids by parent with a counting sort.
+    /// Finalizes the tree: trims the two recorded columns to their length,
+    /// checks that the calls were made in preorder and, if not, moves the
+    /// columns to their preorder positions in place — through the buffers
+    /// the child lists then fill — and groups the non-root ids by parent
+    /// with a counting sort.
     ///
     /// # Panics
     /// Panics if no root was added.
@@ -445,32 +553,11 @@ impl TreeBuilder {
         labels.shrink_to_fit();
         parents.shrink_to_fit();
         let n = labels.len();
-        // Child counts, turned into each group's end by inclusive prefix
-        // sums; slot n, which no node names as parent, ends at n − 1.
-        let mut child_start = vec![0u32; n + 1];
-        for &parent in &parents[1..] {
-            child_start[parent as usize] += 1;
+        let (mut child_start, mut kids) = (vec![0; n + 1], vec![NodeId(0); n - 1]);
+        if !preorder_positions(&parents, &mut child_start, &mut kids) {
+            renumber_to_preorder(&mut labels, &mut parents, &kids, &mut child_start);
         }
-        let mut end = 0;
-        for slot in &mut child_start {
-            end += *slot;
-            *slot = end;
-        }
-        // Fill every group back to front with ids in descending order, so
-        // each ends up in id order — which is call order — and its slot
-        // ends up at the group's start.
-        let mut kids = vec![NodeId(0); n - 1];
-        for child in (1..n).rev() {
-            let slot = &mut child_start[parents[child] as usize];
-            *slot -= 1;
-            kids[*slot as usize] = NodeId(child as u32);
-        }
-        Tree {
-            labels,
-            parents,
-            child_start,
-            kids,
-        }
+        Tree::lay_out(labels, parents, child_start, kids)
     }
 }
 
@@ -614,6 +701,72 @@ mod tests {
         assert!(edited.structurally_eq(&rebuilt));
         assert_eq!(rebuilt.preorder_labels(), edited.preorder_labels());
         assert_eq!(rebuilt.postorder_labels(), edited.postorder_labels());
+    }
+
+    #[test]
+    fn from_flattened_accepts_only_preorder() {
+        // {a{b{d}}{c}}: preorder a b d c. Its BFS order a b c d lists every
+        // parent before its children too, but is not the tree's flatten.
+        let l = Label::from_raw;
+        let preorder = [
+            (l(1), None),
+            (l(2), Some(0)),
+            (l(4), Some(1)),
+            (l(3), Some(0)),
+        ];
+        let tree = Tree::from_flattened(&preorder).unwrap();
+        assert_eq!(tree.flatten(), preorder);
+        // The first entry not at its preorder position is reported: c
+        // comes before b's child d, so it sits at 2 but belongs at 3.
+        let bfs = [(1, None), (2, Some(0)), (3, Some(0)), (4, Some(1))].map(|(x, p)| (l(x), p));
+        let err = Tree::from_flattened(&bfs).unwrap_err();
+        assert_eq!(err.position, 2, "{err}");
+        // Two siblings' subtrees swapped past each other: c and its child
+        // e before b's child d.
+        let swapped = [
+            (1, None),
+            (2, Some(0)),
+            (3, Some(0)),
+            (5, Some(2)),
+            (4, Some(1)),
+        ];
+        let swapped = swapped.map(|(x, p)| (l(x), p));
+        assert_eq!(Tree::from_flattened(&swapped).unwrap_err().position, 2);
+        // A deeper preorder sequence is accepted as it stands.
+        let deep = [
+            (1, None),
+            (2, Some(0)),
+            (3, Some(1)),
+            (4, Some(2)),
+            (5, Some(1)),
+        ];
+        let deep = deep.map(|(x, p)| (l(x), p));
+        assert_eq!(Tree::from_flattened(&deep).unwrap().flatten(), deep);
+    }
+
+    #[test]
+    fn build_renumbers_call_order_to_preorder() {
+        // Children attached breadth-first: call ids r0 a1 b2 c3 (under a)
+        // d4 (under b) e5 (under a).
+        let l = Label::from_raw;
+        let mut b = TreeBuilder::new();
+        let r = b.root(l(1));
+        let a = b.child(r, l(2));
+        let bb = b.child(r, l(3));
+        b.child(a, l(4));
+        b.child(bb, l(5));
+        b.child(a, l(6));
+        let tree = b.build();
+        tree.validate().unwrap();
+        // Preorder r a c e b d.
+        assert_eq!(tree.labels(), [1, 2, 4, 6, 3, 5].map(l));
+        let kids = |v: usize| tree.children(NodeId::from_index(v)).to_vec();
+        assert_eq!(kids(0), [NodeId(1), NodeId(4)]);
+        assert_eq!(kids(1), [NodeId(2), NodeId(3)]);
+        assert_eq!(kids(4), [NodeId(5)]);
+        assert_eq!(tree.postorder_numbers(), [6, 3, 1, 2, 5, 4]);
+        assert_eq!(tree.subtree_sizes(), [6, 3, 1, 1, 2, 1]);
+        assert_eq!(tree.depths(), [0, 1, 2, 2, 1, 2]);
     }
 
     #[test]

@@ -29,8 +29,10 @@ fn random_tree(seed: u64, max_size: usize) -> (Tree, LabelInterner) {
 }
 
 /// The tree a builder makes when node `k` is added under `parents[k − 1]`
-/// (each below `k`), beside the child lists those calls describe.
-fn built_and_reference(parents: &[usize]) -> (Tree, Vec<Vec<NodeId>>) {
+/// (each below `k`), beside the child lists those calls describe, in
+/// builder ids, and where the built tree put each builder id: the calls'
+/// preorder, walked over those child lists.
+fn built_and_reference(parents: &[usize]) -> (Tree, Vec<Vec<NodeId>>, Vec<NodeId>) {
     let mut builder = TreeBuilder::new();
     builder.root(Label::from_raw(1));
     let mut reference = vec![Vec::new()];
@@ -39,7 +41,14 @@ fn built_and_reference(parents: &[usize]) -> (Tree, Vec<Vec<NodeId>>) {
         reference[parent].push(builder.child(NodeId::from_index(parent), label));
         reference.push(Vec::new());
     }
-    (builder.build(), reference)
+    let mut placed = vec![NodeId::from_index(0); reference.len()];
+    let (mut next, mut stack) = (0, vec![NodeId::from_index(0)]);
+    while let Some(node) = stack.pop() {
+        placed[node.index()] = NodeId::from_index(next);
+        next += 1;
+        stack.extend(reference[node.index()].iter().rev());
+    }
+    (builder.build(), reference, placed)
 }
 
 #[test]
@@ -49,19 +58,47 @@ fn interleaved_children_keep_call_order() {
     let r = builder.root(l(1));
     let a = builder.child(r, l(2));
     let b = builder.child(r, l(3));
-    let c = builder.child(a, l(4));
-    let d = builder.child(b, l(5));
-    let e = builder.child(a, l(6));
-    let f = builder.child(r, l(7));
+    builder.child(a, l(4));
+    builder.child(b, l(5));
+    builder.child(a, l(6));
+    builder.child(r, l(7));
     let tree = builder.build();
-    assert_eq!(tree.children(r), &[a, b, f]);
-    assert_eq!(tree.children(a), &[c, e]);
-    assert_eq!(tree.children(b), &[d]);
-    assert!([c, d, e, f].iter().all(|&leaf| tree.is_leaf(leaf)));
-    // Ids follow the calls, not the preorder.
-    assert_eq!(tree.preorder(), [r, a, c, e, b, d, f]);
-    assert_eq!(tree.parent(e), Some(a));
     tree.validate().unwrap();
+    // Ids are the preorder r a c e b d f, whatever the call order; each
+    // child list keeps its calls' order.
+    assert_eq!(tree.labels(), [1, 2, 4, 6, 3, 5, 7].map(l));
+    let labels_of = |node: usize| -> Vec<Label> {
+        let kids = tree.children(NodeId::from_index(node));
+        kids.iter().map(|&c| tree.label(c)).collect()
+    };
+    assert_eq!(labels_of(0), [2, 3, 7].map(l));
+    assert_eq!(labels_of(1), [4, 6].map(l));
+    assert_eq!(labels_of(4), [5].map(l));
+    assert!([2, 3, 5, 6]
+        .iter()
+        .all(|&leaf| tree.is_leaf(NodeId::from_index(leaf))));
+    assert_eq!(tree.preorder(), tree.node_ids().collect::<Vec<_>>());
+    assert_eq!(
+        tree.parent(NodeId::from_index(3)),
+        Some(NodeId::from_index(1))
+    );
+}
+
+/// Inverse of Knuth's transformation, read off the left/right links in
+/// preorder.
+fn to_general(bin: &BinaryTree) -> Tree {
+    fn add(bin: &BinaryTree, b: &mut TreeBuilder, first: Option<NodeId>, parent: NodeId) {
+        let mut sibling = first;
+        while let Some(v) = sibling {
+            let id = b.child(parent, bin.label(v));
+            add(bin, b, bin.left(v), id);
+            sibling = bin.right(v);
+        }
+    }
+    let mut builder = TreeBuilder::with_capacity(bin.len());
+    let root = builder.root(bin.label(bin.root()));
+    add(bin, &mut builder, bin.left(bin.root()), root);
+    builder.build()
 }
 
 proptest! {
@@ -77,16 +114,19 @@ proptest! {
         let parents: Vec<usize> = (1..size)
             .map(|k| if rng.gen_bool(deepen) { k - 1 } else { rng.gen_range(0..k) })
             .collect();
-        let (tree, reference) = built_and_reference(&parents);
+        let (tree, reference, placed) = built_and_reference(&parents);
         prop_assert!(tree.validate().is_ok());
         prop_assert_eq!(tree.len(), size);
-        for node in tree.node_ids() {
-            prop_assert_eq!(tree.children(node), &reference[node.index()][..]);
-            let parent = node.index().checked_sub(1).map(|k| NodeId::from_index(parents[k]));
+        for (call, kids) in reference.iter().enumerate() {
+            let node = placed[call];
+            let want: Vec<NodeId> = kids.iter().map(|k| placed[k.index()]).collect();
+            prop_assert_eq!(tree.children(node), &want[..]);
+            let parent = call.checked_sub(1).map(|k| placed[parents[k]]);
             prop_assert_eq!(tree.parent(node), parent);
         }
         let rebuilt = Tree::from_flattened(&tree.flatten()).unwrap();
         prop_assert!(rebuilt.structurally_eq(&tree));
+        prop_assert_eq!(rebuilt.flatten(), tree.flatten());
 
         let mut post = vec![0u32; size];
         let mut next = 0;
@@ -97,7 +137,7 @@ proptest! {
                 stack.push((child.index(), 0));
             } else {
                 next += 1;
-                post[node] = next;
+                post[placed[node].index()] = next;
                 stack.pop();
             }
         }
@@ -124,7 +164,7 @@ proptest! {
         let (tree, _) = random_tree(seed, 50);
         let binary = BinaryTree::from_tree(&tree);
         prop_assert_eq!(binary.len(), tree.len());
-        prop_assert!(binary.to_general().structurally_eq(&tree));
+        prop_assert!(to_general(&binary).structurally_eq(&tree));
     }
 
     /// LC-RS structural invariants: the root has no right child; every
@@ -160,14 +200,13 @@ proptest! {
             }
         }
         let binary = BinaryTree::from_tree(&tree);
-        prop_assert_eq!(binary.post_of(binary.root()) as usize, tree.len());
+        prop_assert!(tree.node_ids().all(|v| binary.post_cmp(v, binary.root()).is_le()));
     }
 
     /// General-tree postorder is LC-RS inorder: the numbers
     /// `BinaryTree` caches equal `Tree::postorder_numbers` — on builder
-    /// trees (children attached to random earlier parents, so ids are
-    /// not in preorder), on edited trees, and on `from_links` trees
-    /// handed the same links.
+    /// trees (children attached to random earlier parents, so the calls
+    /// are not in preorder) and on edited trees.
     #[test]
     fn general_post_is_the_trees_postorder(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -191,14 +230,6 @@ proptest! {
             prop_assert_eq!(binary.general_post(), &want[..]);
             reused.rebuild_from(tree);
             prop_assert_eq!(reused.general_post(), &want[..]);
-            let ids = || binary.node_ids();
-            let linked = BinaryTree::from_links(
-                ids().map(|n| binary.label(n)).collect(),
-                ids().map(|n| binary.left(n)).collect(),
-                ids().map(|n| binary.right(n)).collect(),
-                binary.root(),
-            );
-            prop_assert_eq!(linked.general_post(), &want[..]);
         }
     }
 

@@ -12,7 +12,9 @@
 # shape lives once, in the index's arena; a tree's components travel in
 # one flat `Partition`), and how many bring back a per-node child `Vec`
 # in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is four
-# flat `u32` columns, 16 bytes a node), or a second self-join in
+# flat `u32` columns, 16 bytes a node) or an `Option<NodeId>` pointer
+# column in it (ids are preorder, so the LC-RS view derives its links
+# from the tree's columns), or a second self-join in
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
 # R×S side only), or a `partsj` join loop that sequences the probe step
 # itself (they run on `Prober`), or a side list that is not a `SideList`.
@@ -71,6 +73,7 @@ path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' cra
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
 path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
+path_row 'Option<NodeId> columns in tsj-tree' 'Vec<Option<(NodeId|\(NodeId)' crates/tree/src/*.rs
 path_row 'self-join forms in tsj-shard' 'sharded_join|SelfJoin|JoinSide|my_rank' crates/shard/src/*.rs
 path_row 'hand-sequenced probe steps in partsj' \
   'Candidates::new|scan_small_trees\(|resolve_layers\(|probe_tree_nodes\(|partition_tree_with\(' \

@@ -36,7 +36,21 @@ fn binary_transform_is_exposed() {
     let tree = parse_bracket("{a{b{c}{d}}{e}}", &mut labels).unwrap();
     let binary = BinaryTree::from_tree(&tree);
     assert_eq!(binary.len(), tree.len());
-    assert!(binary.to_general().structurally_eq(&tree));
+    // a's first child b, b's next sibling e, b's first child c and c's
+    // next sibling d: the LC-RS links, over the tree's own ids.
+    let label = |v: Option<tree_similarity_join::tree::NodeId>| {
+        v.map(|v| labels.resolve(binary.label(v)).unwrap())
+    };
+    let (a, b) = (binary.root(), binary.left(binary.root()).unwrap());
+    assert_eq!(
+        (label(binary.left(a)), label(binary.right(a))),
+        (Some("b"), None)
+    );
+    assert_eq!(
+        (label(binary.left(b)), label(binary.right(b))),
+        (Some("c"), Some("e"))
+    );
+    assert_eq!(binary.general_post(), tree.postorder_numbers());
 }
 
 #[test]
