@@ -64,7 +64,7 @@ fn bench_cluster_serve(c: &mut Criterion) {
     }
     let mut degraded =
         Cluster::from_snapshot(bytes, &ClusterConfig::new(4, 2)).expect("well-formed snapshot");
-    degraded.kill_node(0);
+    degraded.router_mut().kill_node(0);
     group.bench_with_input(BenchmarkId::new("failover", n), &probes, |b, probes| {
         b.iter(|| {
             let served = degraded.join(probes, tau, &config).expect("failover join");

@@ -579,12 +579,14 @@ fn metrics_cmd(options: &Options) {
         node_down_permille: 30,
         ..FaultPlan::none()
     };
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cluster_cfg)
-        .unwrap_or_else(|e| {
+    let mut cluster =
+        Cluster::from_snapshot(catalog.to_bytes(), &cluster_cfg).unwrap_or_else(|e| {
             eprintln!("metrics smoke: snapshot assembly failed: {e}");
             std::process::exit(1);
-        })
-        .with_clock(Arc::new(VirtualClock::new()));
+        });
+    cluster
+        .router_mut()
+        .set_clock(Arc::new(VirtualClock::new()));
 
     // Every instrumented layer once per pass: batch join, sharded R×S
     // join, catalog search, streaming with eviction, cluster
@@ -616,7 +618,7 @@ fn metrics_cmd(options: &Options) {
     };
     let merged = |cluster: &Cluster| {
         let mut snapshot: MetricsSnapshot = tsj_obs::global().snapshot();
-        snapshot.merge(&cluster.metrics_snapshot());
+        snapshot.merge(&cluster.router().metrics_snapshot());
         snapshot
     };
 

@@ -77,7 +77,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // failure if the set is unreachable or disagrees with itself).
     let mut probe_client = ClusterClient::connect(&addrs, ClientConfig::default())
         .map_err(|e| format!("connecting to the node set: {e}"))?;
-    let frozen_tau = probe_client.tau();
+    let frozen_tau = probe_client.router().tau();
     let tau: u32 = parse(args, "--tau", frozen_tau)?;
     println!(
         "loadgen: {} nodes, {} catalog trees, tau {tau} (frozen {frozen_tau}), \

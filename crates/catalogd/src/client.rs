@@ -1,13 +1,15 @@
-//! The TCP cluster client: the PR 7 scatter/gather router over pooled
+//! The TCP cluster client: the scatter/gather router over pooled
 //! connections.
 //!
 //! [`ClusterClient`] is to a `catalogd` node set what
-//! [`tsj_cluster::Cluster`] is to in-process nodes — and deliberately
-//! *is* the same router: planning, replica choice, retry/backoff,
-//! per-probe deadlines, health marking, per-node metrics and the typed
-//! `Complete`/`Degraded` outcome all run through
-//! [`tsj_cluster::route_requests`]; only the transport differs. Where
-//! the in-process transport consults a deterministic fault injector,
+//! [`tsj_cluster::Cluster`] is to in-process nodes — and owns the same
+//! [`Router`]: planning, replica choice, retry/backoff, per-probe
+//! deadlines, health marking, per-node metrics and the typed
+//! `Complete`/`Degraded` outcome all run through [`Router::join`], and
+//! the shared accessors are the router's ([`ClusterClient::router`]).
+//! The client adds the addresses, the connection pool and what the
+//! handshake established; only the transport differs. Where the
+//! in-process transport consults a deterministic fault injector,
 //! [`TcpTransport`] meets *real* faults and maps them onto the same
 //! [`Fault`] vocabulary:
 //!
@@ -40,42 +42,27 @@ use crate::wire::{
 };
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 use tsj_cluster::{
-    plan_requests, route_requests, AttemptOutcome, Clock, ClusterError, ClusterJoin,
-    ClusterMetrics, Fault, NodeMetricsSnapshot, NodeTransport, RetryPolicy, RouterEnv,
+    AttemptOutcome, Clock, ClusterError, ClusterJoin, Fault, NodeTransport, RetryPolicy, Router,
     ShardRequest, ShardResponse, Topology,
 };
 use tsj_obs::SystemClock;
-use tsj_shard::ShardMap;
 use tsj_tree::{LabelInterner, Tree};
 
 /// Client tuning.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClientConfig {
     /// Retry/backoff/deadline policy — same shape and defaults as the
     /// in-process cluster's.
     pub retry: RetryPolicy,
     /// Connection pool tuning.
     pub pool: PoolConfig,
-    /// Seed of the deterministic backoff jitter.
-    pub backoff_seed: u64,
-    /// The clock deadlines and backoff run on. [`tsj_obs::SystemClock`]
-    /// by default (real waiting); tests inject a virtual clock for
-    /// deterministic accounting.
-    pub clock: std::sync::Arc<dyn Clock>,
 }
 
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            retry: RetryPolicy::default(),
-            pool: PoolConfig::default(),
-            backoff_seed: 0xCA7A_106D,
-            clock: std::sync::Arc::new(SystemClock::new()),
-        }
-    }
-}
+/// Seed of the client's deterministic backoff jitter.
+const BACKOFF_SEED: u64 = 0xCA7A_106D;
 
 /// What one node advertised in its [`Frame::HelloAck`].
 #[derive(Debug, Clone)]
@@ -95,15 +82,9 @@ struct NodeFacts {
 pub struct ClusterClient {
     addrs: Vec<SocketAddr>,
     pool: ConnPool,
-    topology: Topology,
-    health: Vec<bool>,
-    retry: RetryPolicy,
-    backoff_seed: u64,
-    clock: std::sync::Arc<dyn Clock>,
-    metrics: ClusterMetrics,
-    map: ShardMap,
-    shard_count: usize,
-    tau: u32,
+    /// The router state; nodes that did not answer the handshake start
+    /// dead.
+    router: Router,
     tree_count: usize,
     snapshot_hash: u64,
 }
@@ -185,27 +166,29 @@ impl ClusterClient {
             &reference.shard_map,
             reference.shard_count as usize,
         )?;
-        let health: Vec<bool> = facts.iter().map(Option::is_some).collect();
+        let mut router = Router::new(
+            topology,
+            map,
+            reference.tau,
+            cfg.retry,
+            BACKOFF_SEED,
+            Arc::new(SystemClock::new()),
+        );
+        for n in (0..addrs.len()).filter(|&n| facts[n].is_none()) {
+            router.kill_node(n);
+        }
         Ok(ClusterClient {
             addrs: addrs.to_vec(),
             pool,
-            topology,
-            health,
-            retry: cfg.retry,
-            backoff_seed: cfg.backoff_seed,
-            clock: cfg.clock,
-            metrics: ClusterMetrics::new(addrs.len()),
-            map,
-            shard_count: reference.shard_count as usize,
-            tau: reference.tau,
+            router,
             tree_count: reference.tree_count as usize,
             snapshot_hash: reference.snapshot_hash,
         })
     }
 
     /// Scatter/gather join of `probes` against the node set at
-    /// threshold `tau ≤ tau_frozen` — the TCP twin of
-    /// [`tsj_cluster::Cluster::join`], same typed outcome, same
+    /// threshold `tau ≤ tau_frozen` — [`Router::join`] over TCP, the twin
+    /// of [`tsj_cluster::Cluster::join`]: same typed outcome, same
     /// degradation contract. `labels` must resolve every probe label
     /// (the interner the probes were parsed with).
     pub fn join(
@@ -214,48 +197,32 @@ impl ClusterClient {
         labels: &LabelInterner,
         tau: u32,
     ) -> Result<ClusterJoin, CatalogdError> {
-        if tau > self.tau {
-            return Err(ClusterError::TauExceedsFrozen {
-                query: tau,
-                frozen: self.tau,
-            }
-            .into());
-        }
-        let join_span = tsj_obs::tracer().span(&self.clock, "catalogd.join", "catalogd");
-        let requests = plan_requests(probes, tau, &self.map, self.shard_count);
+        let clock = Arc::clone(self.router.clock());
+        let _join_span = tsj_obs::tracer().span(&clock, "catalogd.join", "catalogd");
         let batch_frame = Frame::ProbeBatch(encode_probes(probes, labels)?).encode();
         let mut transport = TcpTransport {
             pool: &self.pool,
             addrs: &self.addrs,
             batch_frame,
             probe_count: probes.len() as u32,
-            request_timeout_ms: self.retry.request_timeout_ms,
-            clock: &*self.clock,
+            request_timeout_ms: self.router.retry().request_timeout_ms,
+            clock: &*clock,
             conns: (0..self.addrs.len()).map(|_| None).collect(),
             burst: Vec::new(),
         };
-        let mut env = RouterEnv {
-            topology: &self.topology,
-            health: &mut self.health,
-            retry: &self.retry,
-            backoff_seed: self.backoff_seed,
-            clock: &*self.clock,
-            metrics: &self.metrics,
-        };
-        let result = route_requests(&mut transport, requests, probes.len(), tau, &mut env);
-        join_span.end();
-        result.map_err(CatalogdError::from)
+        Ok(self.router.join(&mut transport, probes, tau)?)
     }
 
-    /// Per-node lifetime metrics, same shape as
-    /// [`tsj_cluster::Cluster::metrics`].
-    pub fn metrics(&self) -> Vec<NodeMetricsSnapshot> {
-        self.metrics.per_node(&self.health)
+    /// The router: health, topology, per-node metrics, clock and the
+    /// frozen τ.
+    pub fn router(&self) -> &Router {
+        &self.router
     }
 
-    /// The threshold the node set's snapshot was frozen for.
-    pub fn tau(&self) -> u32 {
-        self.tau
+    /// The router, to kill nodes or swap the clock (a virtual one for
+    /// deterministic accounting).
+    pub fn router_mut(&mut self) -> &mut Router {
+        &mut self.router
     }
 
     /// Catalog trees in the served snapshot.
@@ -263,24 +230,9 @@ impl ClusterClient {
         self.tree_count
     }
 
-    /// Number of shards in the served snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
     /// The snapshot hash the node set agreed on.
     pub fn snapshot_hash(&self) -> u64 {
         self.snapshot_hash
-    }
-
-    /// Whether node `n` is currently believed alive.
-    pub fn is_alive(&self, n: usize) -> bool {
-        self.health.get(n).copied().unwrap_or(false)
-    }
-
-    /// The shard placement table the node set advertised.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Re-handshakes node `n` and, on success, marks it healthy again —
@@ -305,7 +257,7 @@ impl ClusterClient {
                 ),
             });
         }
-        self.health[n] = true;
+        self.router.revive_node(n);
         Ok(())
     }
 
@@ -336,7 +288,7 @@ impl ClusterClient {
         let mut stream = self.pool.checkout(addr)?;
         match round_trip(&mut stream, &Frame::Shutdown, 5_000)? {
             Frame::ShutdownAck => {
-                self.health[n] = false;
+                self.router.kill_node(n);
                 self.pool.evict_addr(addr);
                 Ok(())
             }

@@ -20,12 +20,13 @@
 //!   read-only. Serving metrics are node-labeled `tsj_catalogd_*` series
 //!   answered over the [`wire::Frame::Metrics`] frame as Prometheus
 //!   text.
-//! * [`ClusterClient`] — the router, again. Planning, replica failover,
-//!   bounded retries with deterministic backoff, per-probe deadlines and
-//!   the typed `Complete`/`Degraded` outcome are literally
-//!   [`tsj_cluster::route_requests`] — the same function the in-process
-//!   cluster runs — driven through a TCP [`tsj_cluster::NodeTransport`]
-//!   over pooled connections ([`ConnPool`]).
+//! * [`ClusterClient`] — the router, again. It owns a
+//!   [`tsj_cluster::Router`], the type the in-process cluster owns, so
+//!   planning, replica failover, bounded retries with deterministic
+//!   backoff, per-probe deadlines and the typed `Complete`/`Degraded`
+//!   outcome are one implementation, driven here through a TCP
+//!   [`tsj_cluster::NodeTransport`] over pooled connections
+//!   ([`ConnPool`]).
 //!
 //! Because the planner, router and per-shard serving logic are all
 //! shared, **bit-identity extends across the wire**: a TCP join's pairs,

@@ -3,8 +3,8 @@
 //! cluster and the single-node catalog produce — pairs, candidate
 //! counts, and every filter-stage counter — across node counts,
 //! replication factors and thresholds, including after killing a real
-//! server process at replication 2, and after losing a node part-way
-//! through a pipelined burst.
+//! server process at replication 2, after restarting a node in place,
+//! and after losing a node part-way through a pipelined burst.
 
 mod common;
 /// The crafted checksum-valid snapshots, shared with the cluster suite.
@@ -16,7 +16,10 @@ use partsj::PartSjConfig;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use tsj_catalog::Catalog;
-use tsj_catalogd::{Catalogd, ClientConfig, ClusterClient, RunningServer, ServerConfig};
+use tsj_catalogd::wire::ErrorCode;
+use tsj_catalogd::{
+    Catalogd, CatalogdError, ClientConfig, ClusterClient, RunningServer, ServerConfig,
+};
 use tsj_cluster::{plan_requests, Cluster, ClusterConfig};
 use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
@@ -194,7 +197,7 @@ fn killed_process_fails_over_bit_identically() {
         "R=2 covers every shard after one process dies"
     );
     assert_bit_identical(&failed_over.outcome, &reference, "node 0 killed");
-    assert!(!client.is_alive(0), "client observed the death");
+    assert!(!client.router().is_alive(0), "client observed the death");
     assert!(
         failed_over.telemetry.failovers > 0,
         "failover was exercised"
@@ -306,6 +309,67 @@ fn killed_process_at_r1_degrades_then_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The restart-in-place path (`docs/OPERATIONS.md` §6): node 0 stops,
+/// a new server is bound on its address, and `reconnect(0)` brings it
+/// back — the next join is complete and bit-identical. A node rebound
+/// with another snapshot is refused with a typed error and stays dead.
+#[test]
+fn reconnect_restores_a_node_restarted_in_place() {
+    let (snapshot, catalog_trees, _) = common::freeze_demo(120, 2, SHARDS, 2015);
+    let (probes, labels) = common::probe_batch(&catalog_trees, 12, 10, 41);
+    let reference = Catalog::from_bytes(snapshot.clone())
+        .expect("reference catalog")
+        .join(
+            &probes,
+            2,
+            &PartSjConfig::default(),
+            &ShardConfig::default(),
+        )
+        .expect("reference join");
+    let mut servers = spawn_node_set(&snapshot, 2, 1);
+    let addrs: Vec<SocketAddr> = servers.iter().map(RunningServer::addr).collect();
+    let mut client = ClusterClient::connect(&addrs, ClientConfig::default()).expect("connect");
+    let rebind = |bytes: &[u8]| {
+        Catalogd::bind(
+            bytes.to_vec(),
+            &ServerConfig::new(0, 2, 1),
+            &addrs[0].to_string(),
+        )
+        .expect("rebind node 0's address")
+        .spawn()
+        .expect("spawn")
+    };
+    // Stops node 0 and lets a join find it dead (R = 1: it degrades).
+    let lose_node_0 = |client: &mut ClusterClient, server: RunningServer| {
+        server.stop();
+        let degraded = client.join(&probes, &labels, 2).expect("degraded join");
+        assert!(!degraded.is_complete(), "R=1 cannot cover node 0");
+        assert!(!client.router().is_alive(0), "client observed the stop");
+    };
+
+    lose_node_0(&mut client, servers.remove(0));
+    let restarted = rebind(&snapshot);
+    client
+        .reconnect(0)
+        .expect("same snapshot: reconnect succeeds");
+    assert!(client.router().is_alive(0));
+    let healed = client.join(&probes, &labels, 2).expect("healed join");
+    assert!(healed.is_complete());
+    assert_bit_identical(&healed.outcome, &reference, "node 0 restarted in place");
+
+    lose_node_0(&mut client, restarted);
+    let (other, _, _) = common::freeze_demo(120, 2, SHARDS, 2016);
+    let _foreign = rebind(&other);
+    match client.reconnect(0) {
+        Err(CatalogdError::Server {
+            code: ErrorCode::SnapshotMismatch,
+            ..
+        }) => {}
+        refusal => panic!("expected the typed SnapshotMismatch, got {refusal:?}"),
+    }
+    assert!(!client.router().is_alive(0), "a refused node stays dead");
+}
+
 /// Replies node 0 still gets out before something happens to it
 /// mid-burst.
 const SERVED_PREFIX: usize = 7;
@@ -344,7 +408,7 @@ fn chopped(replication: usize) -> Chopped {
     let healthy = client.join(&probes, &labels, 2).expect("healthy join");
     assert!(healthy.is_complete());
     assert_bit_identical(&healthy.outcome, &reference, "through the relay");
-    let burst = client.metrics()[0].served as usize;
+    let burst = client.router().metrics()[0].served as usize;
     assert!(burst > 2 * SERVED_PREFIX);
     Chopped {
         catalog,
@@ -374,8 +438,11 @@ fn node_killed_mid_burst_fails_over_bit_identically() {
         "R=2 covers what node 0 left unanswered"
     );
     assert_bit_identical(&joined.outcome, &set.reference, "node 0 killed mid-burst");
-    assert!(!set.client.is_alive(0), "client observed the death");
-    let node0 = &set.client.metrics()[0];
+    assert!(
+        !set.client.router().is_alive(0),
+        "client observed the death"
+    );
+    let node0 = &set.client.router().metrics()[0];
     assert_eq!(
         node0.served as usize,
         set.burst + SERVED_PREFIX,
@@ -407,7 +474,7 @@ fn node_hung_mid_burst_times_out_one_request_and_fails_over_the_rest() {
     assert!(joined.is_complete());
     assert_bit_identical(&joined.outcome, &set.reference, "node 0 hung mid-burst");
     assert_eq!(
-        set.client.metrics()[0].served as usize,
+        set.client.router().metrics()[0].served as usize,
         set.burst + SERVED_PREFIX
     );
     assert_eq!(
@@ -431,12 +498,12 @@ fn internal_error_mid_burst_fails_only_its_own_request() {
         .expect("retried join");
     assert!(joined.is_complete());
     assert_bit_identical(&joined.outcome, &set.reference, "one Internal mid-burst");
-    assert!(set.client.is_alive(0));
+    assert!(set.client.router().is_alive(0));
     assert_eq!(
         (joined.telemetry.retries, joined.telemetry.failovers),
         (1, 0)
     );
-    let node0 = &set.client.metrics()[0];
+    let node0 = &set.client.router().metrics()[0];
     assert_eq!(
         (node0.served as usize, node0.failed_attempts),
         (2 * set.burst, 1),
@@ -454,7 +521,7 @@ fn node_killed_mid_burst_at_r1_reports_exactly_the_unanswered() {
     let requests = plan_requests(&set.probes, 2, set.catalog.index().shard_map(), SHARDS);
     let burst: Vec<_> = requests
         .iter()
-        .filter(|req| set.client.topology().replicas(req.shard) == [0])
+        .filter(|req| set.client.router().topology().replicas(req.shard) == [0])
         .collect();
     assert_eq!(burst.len(), set.burst);
     let mut unanswered: Vec<(u32, u32)> = burst[SERVED_PREFIX..]

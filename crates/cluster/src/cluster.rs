@@ -1,4 +1,5 @@
-//! The [`Cluster`]: N catalog nodes behind the scatter/gather router.
+//! The [`Cluster`]: N catalog nodes behind the scatter/gather
+//! [`Router`], reached in process.
 //!
 //! Construction restores every node's owned shard sections from a
 //! snapshot ([`Cluster::from_snapshot`] hands each node the same bytes;
@@ -7,7 +8,10 @@
 //! node whose restore fails — corrupted shard section, truncated file,
 //! sections that contradict one another — comes up **down** with the
 //! typed error attached, and the router treats it exactly like a dead
-//! node: requests fail over to replicas.
+//! node: requests fail over to replicas. Everything the router needs —
+//! topology, health, retry policy, clock, per-node metrics — lives in
+//! the one [`Router`] the cluster owns ([`Cluster::router`]); the
+//! cluster adds the node slots, the fault injector and the snapshot.
 //!
 //! After losses, [`Cluster::recover`] re-replicates the dead nodes'
 //! shard slots onto survivors from the retained snapshot, through the
@@ -16,15 +20,18 @@
 
 use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::metrics::{ClusterMetrics, NodeMetricsSnapshot};
 use crate::node::Node;
+use crate::outcome::ClusterJoin;
 use crate::retry::RetryPolicy;
+use crate::router::Router;
 use crate::topology::Topology;
+use crate::transport::LocalTransport;
+use partsj::PartSjConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tsj_catalog::SnapshotReader;
-use tsj_obs::{Clock, MetricsSnapshot, VirtualClock};
-use tsj_shard::ShardMap;
+use tsj_obs::VirtualClock;
+use tsj_tree::Tree;
 
 /// How to build a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -79,22 +86,11 @@ impl NodeSlot {
 /// An in-process cluster of catalog nodes serving scatter/gather joins.
 #[derive(Debug)]
 pub struct Cluster {
-    pub(crate) topology: Topology,
-    pub(crate) slots: Vec<NodeSlot>,
-    /// `health[n]` — node `n` is up *and* currently believed reachable.
-    /// Restore failures and static fault-plan deaths clear it at
-    /// construction; the router clears it when a request finds the node
-    /// dead mid-join.
-    pub(crate) health: Vec<bool>,
-    pub(crate) tau: u32,
-    pub(crate) map: ShardMap,
-    pub(crate) shard_count: usize,
-    pub(crate) injector: FaultInjector,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) clock: Arc<dyn Clock>,
-    /// Per-node lifetime counters and latency histograms; increments
-    /// mirror the router's telemetry so sums reconcile exactly.
-    pub(crate) metrics: ClusterMetrics,
+    /// The router state; restore failures and static fault-plan deaths
+    /// start a node dead.
+    router: Router,
+    slots: Vec<NodeSlot>,
+    injector: FaultInjector,
     /// The snapshot recovery restores reassigned shard sections from.
     snapshot: Arc<SnapshotReader>,
 }
@@ -193,82 +189,56 @@ impl Cluster {
         slots: Vec<NodeSlot>,
         cfg: &ClusterConfig,
     ) -> Result<Cluster, ClusterError> {
-        let map = reader.shard_map()?;
-        let health = slots
-            .iter()
-            .enumerate()
-            .map(|(n, slot)| matches!(slot, NodeSlot::Up(_)) && !cfg.faults.down_nodes.contains(&n))
-            .collect();
-        let metrics = ClusterMetrics::new(cfg.nodes);
-        Ok(Cluster {
-            tau: reader.tau(),
-            shard_count: reader.shard_count(),
-            map,
+        let mut router = Router::new(
             topology,
+            reader.shard_map()?,
+            reader.tau(),
+            cfg.retry.clone(),
+            cfg.faults.seed,
+            Arc::new(VirtualClock::new()),
+        );
+        for (n, slot) in slots.iter().enumerate() {
+            if !matches!(slot, NodeSlot::Up(_)) || cfg.faults.down_nodes.contains(&n) {
+                router.kill_node(n);
+            }
+        }
+        Ok(Cluster {
+            router,
             slots,
-            health,
             injector: FaultInjector::new(cfg.faults.clone()),
-            retry: cfg.retry.clone(),
-            clock: Arc::new(VirtualClock::new()),
-            metrics,
             snapshot: Arc::new(reader),
         })
     }
 
-    /// Swaps the clock (e.g. [`crate::SystemClock`] for real waiting, or
-    /// a shared [`VirtualClock`] a test inspects).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Cluster {
-        self.clock = clock;
-        self
+    /// Scatter/gather join of `probes` against the cluster at threshold
+    /// `tau ≤ tau_frozen` — [`Router::join`] over the in-process nodes.
+    pub fn join(
+        &mut self,
+        probes: &[Tree],
+        tau: u32,
+        config: &PartSjConfig,
+    ) -> Result<ClusterJoin, ClusterError> {
+        let clock = Arc::clone(self.router.clock());
+        let mut transport = LocalTransport {
+            slots: &self.slots,
+            injector: &self.injector,
+            clock: &*clock,
+            request_timeout_ms: self.router.retry().request_timeout_ms,
+            probes,
+            config,
+            ctxs: Vec::new(),
+        };
+        self.router.join(&mut transport, probes, tau)
     }
 
-    /// Per-node lifetime metrics: serve attempts, responses, failures,
-    /// retries, failovers, backoff/delay milliseconds and the
-    /// request-latency histogram, cumulative across every join this
-    /// cluster served. Per-node sums reconcile exactly with each join's
-    /// [`crate::Telemetry`]; on a `VirtualClock` the latency
-    /// distributions are deterministic. Zeros when the global
-    /// observability registry was disabled at construction.
-    pub fn metrics(&self) -> Vec<NodeMetricsSnapshot> {
-        self.metrics.per_node(&self.health)
+    /// The router: health, topology, metrics, clock and the frozen τ.
+    pub fn router(&self) -> &Router {
+        &self.router
     }
 
-    /// The raw per-node metric series (names labeled `{node="n"}`),
-    /// ready for [`tsj_obs::export::to_prometheus`] /
-    /// [`tsj_obs::export::to_json`] — what a `catalogd` server would
-    /// expose on its `/metrics` endpoint.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// The threshold the underlying snapshot was frozen for.
-    pub fn tau(&self) -> u32 {
-        self.tau
-    }
-
-    /// Number of shards in the snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Number of nodes (up or down).
-    pub fn node_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The shard placement table.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Whether node `n` is currently believed alive.
-    pub fn is_alive(&self, n: usize) -> bool {
-        self.health.get(n).copied().unwrap_or(false)
-    }
-
-    /// Nodes currently believed alive, ascending.
-    pub fn alive_nodes(&self) -> Vec<usize> {
-        (0..self.slots.len()).filter(|&n| self.health[n]).collect()
+    /// The router, to kill nodes or swap the clock.
+    pub fn router_mut(&mut self) -> &mut Router {
+        &mut self.router
     }
 
     /// The restore error that downed node `n`, if any.
@@ -279,22 +249,6 @@ impl Cluster {
         }
     }
 
-    /// Marks node `n` dead: subsequent joins route around it. (The
-    /// in-process analogue of pulling the plug mid-workload.)
-    pub fn kill_node(&mut self, n: usize) {
-        if let Some(h) = self.health.get_mut(n) {
-            *h = false;
-        }
-    }
-
-    /// Shards with no alive replica — joins touching their size classes
-    /// will degrade until [`Cluster::recover`] reassigns them.
-    pub fn lost_shards(&self) -> Vec<u32> {
-        (0..self.shard_count as u32)
-            .filter(|&s| self.topology.replicas(s).iter().all(|&n| !self.health[n]))
-            .collect()
-    }
-
     /// Re-replicates every shard slot held by a dead node onto the
     /// least-loaded alive node not already holding that shard. Every
     /// node that gains a shard is restored whole from the retained
@@ -303,17 +257,18 @@ impl Cluster {
     /// typed error and moves nothing. Returns the number of shard slots
     /// moved.
     pub fn recover(&mut self) -> Result<usize, ClusterError> {
-        let mut topology = self.topology.clone();
+        let health = &self.router.health;
+        let mut topology = self.router.topology.clone();
         let mut loads: Vec<usize> = (0..self.slots.len())
             .map(|n| topology.shards_of(n).len())
             .collect();
         let mut grown = BTreeSet::new();
         let mut moved = 0;
-        for shard in 0..self.shard_count as u32 {
-            let replicas = self.topology.replicas(shard);
-            for dead in replicas.iter().copied().filter(|&n| !self.health[n]) {
+        for shard in 0..topology.shards() as u32 {
+            let replicas = self.router.topology.replicas(shard);
+            for dead in replicas.iter().copied().filter(|&n| !health[n]) {
                 let target = (0..self.slots.len())
-                    .filter(|&n| self.health[n] && !topology.replicas(shard).contains(&n))
+                    .filter(|&n| health[n] && !topology.replicas(shard).contains(&n))
                     .min_by_key(|&n| (loads[n], n));
                 let Some(target) = target else { continue };
                 topology.reassign(shard, dead, target)?;
@@ -329,7 +284,7 @@ impl Cluster {
         for (n, node) in restored {
             self.slots[n] = NodeSlot::Up(Box::new(node));
         }
-        self.topology = topology;
+        self.router.topology = topology;
         Ok(moved)
     }
 }

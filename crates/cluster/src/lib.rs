@@ -3,7 +3,7 @@
 //! Fault-tolerant, in-process cluster serving for frozen tree-similarity
 //! catalogs: N catalog "nodes" — each holding a subset of the snapshot's
 //! shard sections, with configurable replication — behind a
-//! scatter/gather [`Cluster::join`] router.
+//! scatter/gather [`Router`], joined through [`Cluster::join`].
 //!
 //! The shard boundary does the heavy lifting: a probe of `|T|` nodes at
 //! threshold `τ` touches only the size classes `[|T| − τ, |T| + τ]`
@@ -27,6 +27,13 @@
 //! shard is lost — a typed [`Degraded`] report naming exactly which
 //! `(probe, size class)` combinations went unserved alongside the pairs
 //! it could still prove. Never a silent wrong answer, never a panic.
+//!
+//! One router, two transports: the [`Router`] holds the router state
+//! (topology, health, retry policy, clock, per-node metrics, shard map,
+//! frozen τ) and the one [`Router::join`]; [`Cluster`] owns one and hands
+//! it the in-process transport, `tsj-catalogd`'s `ClusterClient` owns
+//! one and hands it a TCP [`NodeTransport`]. The shared accessors are
+//! the router's: `cluster.router().metrics()`.
 //!
 //! ```
 //! use tsj_cluster::{Cluster, ClusterConfig};
@@ -59,7 +66,7 @@
 //! assert_eq!(served.outcome.pairs, vec![(1, 0)]);
 //!
 //! // Kill a node: the replica serves the identical result.
-//! cluster.kill_node(0);
+//! cluster.router_mut().kill_node(0);
 //! let failed_over = cluster.join(&[probe], 1, &PartSjConfig::default()).unwrap();
 //! assert!(failed_over.is_complete());
 //! assert_eq!(failed_over.outcome.pairs, vec![(1, 0)]);
@@ -89,10 +96,10 @@ pub use tsj_obs::{Clock, SystemClock, VirtualClock};
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::ClusterError;
 pub use fault::{corrupt_range, mix, mix_unit, Fault, FaultInjector, FaultPlan};
-pub use metrics::{ClusterMetrics, NodeMetricsSnapshot};
+pub use metrics::NodeMetricsSnapshot;
 pub use node::{Node, NodeScratch, ProbeCtx, ShardRequest, ShardResponse};
 pub use outcome::{ClusterJoin, Degraded, RequestStats, Telemetry};
 pub use retry::RetryPolicy;
-pub use router::{plan_requests, route_requests, RouterEnv};
+pub use router::{plan_requests, Router};
 pub use topology::Topology;
-pub use transport::{AttemptOutcome, LocalTransport, NodeTransport};
+pub use transport::{AttemptOutcome, NodeTransport};

@@ -1,6 +1,5 @@
-//! Per-node metrics: the cluster's own [`MetricsRegistry`] plus typed
-//! per-node snapshots — the direct substrate for a `catalogd` server's
-//! `/metrics` endpoint.
+//! Per-node metrics: the router's own [`MetricsRegistry`] plus typed
+//! per-node snapshots — the direct substrate for a `/metrics` endpoint.
 //!
 //! Every router decision the telemetry counts is *attributed to a node*
 //! here: serve attempts, responses, failed attempts, absorbed delays,
@@ -14,10 +13,9 @@
 //! suite pins under seeded fault plans.
 //!
 //! The registry honors the global observability switch
-//! ([`tsj_obs::global`]) *at cluster construction*: building a cluster
+//! ([`tsj_obs::global`]) *at router construction*: building a router
 //! while observability is disabled hands every counter a shared sink
-//! cell, and [`Cluster::metrics`](crate::Cluster::metrics) reports
-//! zeros.
+//! cell, and [`Router::metrics`](crate::Router::metrics) reports zeros.
 
 use tsj_obs::{labeled, Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 
@@ -35,11 +33,9 @@ pub(crate) struct NodeCells {
     pub(crate) latency: Histogram,
 }
 
-/// The cluster's registry plus per-node handle table. Public so the
-/// `tsj-catalogd` TCP client can attribute router decisions to nodes
-/// through the exact same handles the in-process cluster uses.
+/// The router's registry plus per-node handle table.
 #[derive(Debug)]
-pub struct ClusterMetrics {
+pub(crate) struct ClusterMetrics {
     registry: MetricsRegistry,
     nodes: Vec<NodeCells>,
 }
@@ -48,7 +44,7 @@ impl ClusterMetrics {
     /// Registers the full per-node series set for `nodes` nodes. The
     /// registry starts disabled (sink cells) when the global
     /// observability registry is disabled at this moment.
-    pub fn new(nodes: usize) -> ClusterMetrics {
+    pub(crate) fn new(nodes: usize) -> ClusterMetrics {
         let registry = if tsj_obs::global().is_enabled() {
             MetricsRegistry::new()
         } else {
@@ -78,12 +74,12 @@ impl ClusterMetrics {
     }
 
     /// A point-in-time snapshot of every registered series.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 
     /// Typed per-node views; `health[n]` supplies each node's liveness.
-    pub fn per_node(&self, health: &[bool]) -> Vec<NodeMetricsSnapshot> {
+    pub(crate) fn per_node(&self, health: &[bool]) -> Vec<NodeMetricsSnapshot> {
         if !self.registry.is_enabled() {
             // Handles are shared sinks; report zeros, not sink garbage.
             return health
@@ -117,7 +113,7 @@ impl ClusterMetrics {
 }
 
 /// A point-in-time view of one node's lifetime counters (cumulative
-/// across every join this cluster served).
+/// across every join its router served).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeMetricsSnapshot {
     /// The node id.

@@ -12,7 +12,7 @@
 //! row per planned shard request (attempts, retries, backoff), so retry
 //! pressure is visible without injecting a virtual clock. All of it is
 //! deterministic under a seeded fault plan, and per-node sums from
-//! [`crate::Cluster::metrics`] reconcile exactly with these totals.
+//! [`crate::Router::metrics`] reconcile exactly with these totals.
 
 use tsj_ted::{JoinOutcome, TreeIdx};
 
@@ -55,7 +55,7 @@ impl Degraded {
 }
 
 /// What one planned shard request cost the router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RequestStats {
     /// The probing tree's index in the join's probe batch.
     pub probe: TreeIdx,

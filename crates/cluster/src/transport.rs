@@ -1,28 +1,27 @@
-//! The transport seam between the scatter/gather router and whatever
+//! The transport seam between the [`crate::Router`] and whatever
 //! actually serves a shard request.
 //!
-//! PR 7's router talked to nodes by calling [`crate::Node::serve`]
-//! directly; `catalogd` needs the *same* plan/retry/failover/degradation
-//! logic to drive requests over TCP. [`NodeTransport`] is the cut line:
-//! the router plans requests, picks replicas, sleeps backoff, charges
-//! deadlines and folds responses — a transport only answers "attempt
-//! this request on that node" and reports what happened as an
-//! [`AttemptOutcome`]. Two implementations exist:
+//! The router plans requests, picks replicas, sleeps backoff, charges
+//! deadlines and folds responses; a [`NodeTransport`] only answers
+//! "attempt this request on that node" and reports what happened as an
+//! [`AttemptOutcome`]. A front end owns one router and builds a
+//! transport per join. Two transports exist:
 //!
-//! * [`LocalTransport`] (here) — the in-process path: consults the
-//!   deterministic [`crate::FaultInjector`] *before* any compute, then
-//!   calls `Node::serve` on the restored node. This is bit-for-bit the
-//!   PR 7 behavior; every cluster property suite runs through it.
-//! * `TcpTransport` (in the `tsj-catalogd` crate) — the same contract
-//!   over pooled TCP connections, where faults are real: a refused or
-//!   reset connection is [`Fault::NodeDown`], a socket read timeout is
-//!   [`Fault::Timeout`], a server `Error` frame is [`Fault::Transient`].
+//! * the in-process one (here, behind [`crate::Cluster::join`]) —
+//!   consults the deterministic [`crate::FaultInjector`] *before* any
+//!   compute, then calls `Node::serve` on the restored node; every
+//!   cluster property suite runs through it;
+//! * `TcpTransport` (in the `tsj-catalogd` crate, behind its
+//!   `ClusterClient`) — the same contract over pooled TCP connections,
+//!   where faults are real: a refused or reset connection is
+//!   [`Fault::NodeDown`], a socket read timeout is [`Fault::Timeout`], a
+//!   server `Error` frame is [`Fault::Transient`].
 //!
-//! Because both transports feed the one router implementation
-//! ([`crate::router::route_requests`]), the bit-identity contract —
-//! pairs, candidate counts, filter-stage counters identical to
-//! single-node `Catalog::join` — and the typed degradation contract are
-//! proven once and inherited by every transport.
+//! Because both transports feed the one [`crate::Router::join`], the
+//! bit-identity contract — pairs, candidate counts, filter-stage
+//! counters identical to single-node `Catalog::join` — and the typed
+//! degradation contract are proven once and inherited by every
+//! transport.
 
 use crate::cluster::NodeSlot;
 use crate::error::ClusterError;
@@ -65,8 +64,8 @@ pub enum AttemptOutcome {
 /// The router owns *policy* (replica choice, retry, backoff, deadlines,
 /// health, metrics attribution); a transport owns *mechanism* (how an
 /// attempt reaches a node and what its failure modes are). Transports
-/// are constructed per join — they capture the probe batch and config up
-/// front so retries can resend without re-preparing.
+/// are constructed per join — they hold the probe batch and config, so
+/// retries resend what the scatter prepared.
 pub trait NodeTransport {
     /// First attempts, fanned out: `per_node[n]` lists the indices into
     /// `requests` routed to node `n` (only alive nodes appear). Returns
@@ -97,52 +96,60 @@ pub trait NodeTransport {
     ) -> Result<AttemptOutcome, ClusterError>;
 }
 
-/// The in-process transport: the PR 7 scatter/gather mechanics against
-/// restored [`crate::Node`]s, faults decided by the deterministic
-/// injector *before* any compute runs (so failed attempts contribute no
-/// stats and retries can never double-count).
-pub struct LocalTransport<'a> {
-    slots: &'a [NodeSlot],
-    injector: &'a FaultInjector,
-    clock: &'a dyn Clock,
-    request_timeout_ms: u64,
-    config: &'a PartSjConfig,
-    /// Probe-side contexts, prepared once per join and shared by every
-    /// shard request of a probe (scatter workers and retries alike).
-    ctxs: Vec<ProbeCtx>,
-    /// Serve scratch for the sequential retry path; scatter workers keep
-    /// their own.
-    scratch: NodeScratch,
+/// The in-process transport: attempts against restored [`crate::Node`]s,
+/// faults decided by the deterministic injector *before* any compute
+/// runs (so failed attempts contribute no stats and retries can never
+/// double-count). Built per join by [`crate::Cluster::join`].
+pub(crate) struct LocalTransport<'a> {
+    pub(crate) slots: &'a [NodeSlot],
+    pub(crate) injector: &'a FaultInjector,
+    pub(crate) clock: &'a dyn Clock,
+    pub(crate) request_timeout_ms: u64,
+    pub(crate) probes: &'a [Tree],
+    pub(crate) config: &'a PartSjConfig,
+    /// Probe-side contexts, prepared by the scatter and shared by every
+    /// shard request of a probe.
+    pub(crate) ctxs: Vec<ProbeCtx>,
 }
 
-impl<'a> LocalTransport<'a> {
-    /// Prepares the transport for one join of `probes` under `config`.
-    /// Crate-internal: only [`crate::Cluster::join`] builds one (the
-    /// node slots it wraps are not public API).
-    pub(crate) fn new(
-        slots: &'a [NodeSlot],
-        injector: &'a FaultInjector,
-        clock: &'a dyn Clock,
-        request_timeout_ms: u64,
-        probes: &[Tree],
-        config: &'a PartSjConfig,
-    ) -> LocalTransport<'a> {
-        LocalTransport {
-            slots,
-            injector,
-            clock,
-            request_timeout_ms,
-            config,
-            ctxs: ProbeCtx::batch(probes, config),
-            scratch: NodeScratch::default(),
-        }
-    }
-
-    fn node(&self, n: usize) -> &'a crate::Node {
+impl LocalTransport<'_> {
+    /// Attempt `attempt` of `req` on node `n`: inject, then serve. An
+    /// injected delay within the request timeout is slept and absorbed —
+    /// unless it would land past `deadline_left_ms`, when the response is
+    /// discarded before any waiting; a longer delay is a timeout. A node
+    /// that is down answers as [`Fault::NodeDown`].
+    fn attempt(
+        &self,
+        n: usize,
+        req: &ShardRequest,
+        attempt: u32,
+        tau: u32,
+        deadline_left_ms: u64,
+        scratch: &mut NodeScratch,
+    ) -> Result<AttemptOutcome, ClusterError> {
         let NodeSlot::Up(node) = &self.slots[n] else {
-            unreachable!("the router only routes to healthy nodes, which are restored")
+            return Ok(AttemptOutcome::Failed(Fault::NodeDown));
         };
-        node
+        let delay = match self.injector.decide(n, req.probe, req.shard, attempt) {
+            None => 0,
+            Some(Fault::Delay(d)) if d <= self.request_timeout_ms => {
+                if d > deadline_left_ms {
+                    return Ok(AttemptOutcome::DeadlineExceeded);
+                }
+                self.clock.sleep_ms(d);
+                d
+            }
+            // A delay past the timeout *is* a timeout: the response is
+            // discarded before any work runs.
+            Some(Fault::Delay(_)) => return Ok(AttemptOutcome::Failed(Fault::Timeout)),
+            Some(fault) => return Ok(AttemptOutcome::Failed(fault)),
+        };
+        let ctx = &self.ctxs[req.probe as usize];
+        Ok(AttemptOutcome::Served {
+            resp: node.serve(req, ctx, tau, self.config, scratch)?,
+            injected_delay_ms: delay,
+            latency_ms: delay,
+        })
     }
 }
 
@@ -153,60 +160,24 @@ impl NodeTransport for LocalTransport<'_> {
         per_node: &[Vec<usize>],
         tau: u32,
     ) -> Result<Vec<Option<AttemptOutcome>>, ClusterError> {
-        let mut outcomes: Vec<Option<AttemptOutcome>> = requests.iter().map(|_| None).collect();
-        let slots = self.slots;
-        let injector = self.injector;
-        let clock = self.clock;
-        let timeout = self.request_timeout_ms;
-        let config = self.config;
-        let ctxs = &self.ctxs;
+        self.ctxs = ProbeCtx::batch(self.probes, self.config);
+        let this = &*self;
         let gathered = crossbeam::scope(|scope| {
             let handles: Vec<_> = per_node
                 .iter()
                 .enumerate()
                 .filter(|(_, list)| !list.is_empty())
                 .map(|(n, list)| {
-                    scope.spawn(
-                        move |_| -> Result<Vec<(usize, AttemptOutcome)>, ClusterError> {
-                            let NodeSlot::Up(node) = &slots[n] else {
-                                unreachable!("healthy nodes are restored")
-                            };
-                            let mut scratch = NodeScratch::default();
-                            let mut out = Vec::with_capacity(list.len());
-                            for &r in list {
-                                let req = &requests[r];
-                                let ctx = &ctxs[req.probe as usize];
-                                let outcome = match injector.decide(n, req.probe, req.shard, 0) {
-                                    None => AttemptOutcome::Served {
-                                        resp: node.serve(req, ctx, tau, config, &mut scratch)?,
-                                        injected_delay_ms: 0,
-                                        latency_ms: 0,
-                                    },
-                                    Some(Fault::Delay(d)) if d <= timeout => {
-                                        clock.sleep_ms(d);
-                                        AttemptOutcome::Served {
-                                            resp: node.serve(
-                                                req,
-                                                ctx,
-                                                tau,
-                                                config,
-                                                &mut scratch,
-                                            )?,
-                                            injected_delay_ms: d,
-                                            latency_ms: d,
-                                        }
-                                    }
-                                    // A delay past the timeout *is* a
-                                    // timeout: the response is discarded
-                                    // before any work runs.
-                                    Some(Fault::Delay(_)) => AttemptOutcome::Failed(Fault::Timeout),
-                                    Some(fault) => AttemptOutcome::Failed(fault),
-                                };
-                                out.push((r, outcome));
-                            }
-                            Ok(out)
-                        },
-                    )
+                    scope.spawn(move |_| {
+                        let mut scratch = NodeScratch::default();
+                        list.iter()
+                            .map(|&r| {
+                                let outcome =
+                                    this.attempt(n, &requests[r], 0, tau, u64::MAX, &mut scratch)?;
+                                Ok((r, outcome))
+                            })
+                            .collect::<Result<Vec<_>, ClusterError>>()
+                    })
                 })
                 .collect();
             handles
@@ -215,6 +186,7 @@ impl NodeTransport for LocalTransport<'_> {
                 .collect::<Vec<_>>()
         })
         .expect("scatter scope");
+        let mut outcomes: Vec<Option<AttemptOutcome>> = requests.iter().map(|_| None).collect();
         for worker in gathered {
             for (r, outcome) in worker? {
                 outcomes[r] = Some(outcome);
@@ -231,41 +203,7 @@ impl NodeTransport for LocalTransport<'_> {
         tau: u32,
         deadline_left_ms: u64,
     ) -> Result<AttemptOutcome, ClusterError> {
-        let ctx = &self.ctxs[req.probe as usize];
-        match self.injector.decide(node, req.probe, req.shard, attempt) {
-            None => Ok(AttemptOutcome::Served {
-                resp: self
-                    .node(node)
-                    .serve(req, ctx, tau, self.config, &mut self.scratch)?,
-                injected_delay_ms: 0,
-                latency_ms: 0,
-            }),
-            Some(Fault::Delay(d)) if d <= self.request_timeout_ms => {
-                if d > deadline_left_ms {
-                    // The late response would land past the deadline:
-                    // discard it before any work (or waiting) happens.
-                    return Ok(AttemptOutcome::DeadlineExceeded);
-                }
-                self.clock.sleep_ms(d);
-                Ok(AttemptOutcome::Served {
-                    resp: self
-                        .node(node)
-                        .serve(req, ctx, tau, self.config, &mut self.scratch)?,
-                    injected_delay_ms: d,
-                    latency_ms: d,
-                })
-            }
-            Some(Fault::Delay(_)) => Ok(AttemptOutcome::Failed(Fault::Timeout)),
-            Some(fault) => Ok(AttemptOutcome::Failed(fault)),
-        }
-    }
-}
-
-impl std::fmt::Debug for LocalTransport<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalTransport")
-            .field("nodes", &self.slots.len())
-            .field("probes", &self.ctxs.len())
-            .finish()
+        let mut scratch = NodeScratch::default();
+        self.attempt(node, req, attempt, tau, deadline_left_ms, &mut scratch)
     }
 }

@@ -45,7 +45,7 @@ fn corrupted_node_copy_fails_over_to_the_clean_replica() {
             }
             other => panic!("shard {shard}: expected a typed checksum error, got {other:?}"),
         }
-        assert_eq!(cluster.alive_nodes(), vec![1]);
+        assert_eq!(cluster.router().alive_nodes(), vec![1]);
 
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         assert!(served.is_complete(), "shard {shard}: replica must cover");
@@ -87,7 +87,7 @@ fn inconsistent_node_copy_is_down_typed_and_never_answers_short() {
             "{flaw:?}: got {:?}",
             cluster.node_error(0)
         );
-        assert_eq!(cluster.alive_nodes(), vec![1], "{flaw:?}");
+        assert_eq!(cluster.router().alive_nodes(), vec![1], "{flaw:?}");
         let served = cluster.join(&right, 1, &config).unwrap();
         assert!(served.is_complete(), "{flaw:?}: replica must cover");
         assert_eq!(served.outcome.pairs, expected.pairs, "{flaw:?}");
@@ -101,7 +101,7 @@ fn inconsistent_node_copy_is_down_typed_and_never_answers_short() {
             let cfg = ClusterConfig::new(2, replication);
             let mut cluster = Cluster::from_snapshot(dirty.clone(), &cfg).unwrap();
             if replication == 2 {
-                assert!(cluster.alive_nodes().is_empty(), "{flaw:?}");
+                assert!(cluster.router().alive_nodes().is_empty(), "{flaw:?}");
             }
             let served = cluster.join(&right, 1, &config).unwrap();
             let degraded = served.degraded.as_ref().expect("never a short Complete");
@@ -125,10 +125,10 @@ fn recovery_from_an_inconsistent_source_is_typed_and_moves_nothing() {
         // recovery source.
         let copies = vec![crafted(&catalog, flaw), clean.clone(), clean.clone()];
         let mut cluster = Cluster::from_node_snapshots(copies, &ClusterConfig::new(3, 2)).unwrap();
-        cluster.kill_node(0);
+        cluster.router_mut().kill_node(0);
         let placement = |c: &Cluster| {
             (0..3)
-                .map(|n| c.topology().shards_of(n))
+                .map(|n| c.router().topology().shards_of(n))
                 .collect::<Vec<_>>()
         };
         let before = placement(&cluster);
@@ -170,7 +170,7 @@ fn unreplicated_corruption_degrades_with_exact_coverage() {
     let mut cluster =
         Cluster::from_node_snapshots(vec![dirty, clean], &ClusterConfig::new(2, 1)).unwrap();
     assert!(cluster.node_error(0).is_some());
-    assert_eq!(cluster.lost_shards(), vec![0, 2]);
+    assert_eq!(cluster.router().lost_shards(), vec![0, 2]);
 
     let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     let degraded = served.degraded.as_ref().expect("loss must be reported");
@@ -251,7 +251,7 @@ proptest! {
             "damage must surface as the typed snapshot error: {:?}",
             cluster.node_error(0)
         );
-        prop_assert_eq!(cluster.alive_nodes(), vec![1]);
+        prop_assert_eq!(cluster.router().alive_nodes(), vec![1]);
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         prop_assert!(served.is_complete());
         prop_assert_eq!(&served.outcome.pairs, &expected.pairs);

@@ -138,8 +138,11 @@ fn single_node_loss_with_replication_two_is_bit_identical() {
         let mut cluster = Cluster::from_snapshot(bytes.clone(), &ClusterConfig::new(4, 2)).unwrap();
         let before = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         assert_identical(&before, &expected, &format!("healthy, pre-kill {dead}"));
-        cluster.kill_node(dead);
-        assert!(cluster.lost_shards().is_empty(), "R = 2 survives one loss");
+        cluster.router_mut().kill_node(dead);
+        assert!(
+            cluster.router().lost_shards().is_empty(),
+            "R = 2 survives one loss"
+        );
         let after = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         assert_identical(&after, &expected, &format!("node {dead} killed"));
 
@@ -173,9 +176,9 @@ fn unrecoverable_loss_degrades_to_exactly_the_surviving_shards() {
     for dead in 0..4usize {
         // R = 1 over 4 nodes and 4 shards: shard s lives only on node s.
         let mut cluster = Cluster::from_snapshot(bytes.clone(), &ClusterConfig::new(4, 1)).unwrap();
-        cluster.kill_node(dead);
+        cluster.router_mut().kill_node(dead);
         let lost = dead as u32;
-        assert_eq!(cluster.lost_shards(), vec![lost]);
+        assert_eq!(cluster.router().lost_shards(), vec![lost]);
 
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
         let degraded = served.degraded.as_ref().expect("loss must be reported");
@@ -224,15 +227,15 @@ fn recover_reassigns_lost_shards_and_restores_identical_service() {
         Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(4, 2)).unwrap();
 
     // Two adjacent losses defeat R = 2 for the shards they co-own.
-    cluster.kill_node(0);
-    cluster.kill_node(1);
-    assert!(!cluster.lost_shards().is_empty());
+    cluster.router_mut().kill_node(0);
+    cluster.router_mut().kill_node(1);
+    assert!(!cluster.router().lost_shards().is_empty());
     let degraded = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     assert!(!degraded.is_complete());
 
     let moved = cluster.recover().unwrap();
     assert!(moved > 0, "recovery must move shard slots");
-    assert!(cluster.lost_shards().is_empty());
+    assert!(cluster.router().lost_shards().is_empty());
     let healed = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     assert_identical(&healed, &expected, "after recover()");
 }

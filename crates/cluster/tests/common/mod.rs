@@ -15,6 +15,18 @@ use tsj_shard::ShardConfig;
 use tsj_ted::JoinOutcome;
 use tsj_tree::{LabelInterner, Tree};
 
+/// The injector seed pinned through `TSJ_FAULT_SEED` (decimal or
+/// `0x`-prefixed hex), if set — how CI replays the fault suites under a
+/// fixed set of seeds.
+pub fn env_fault_seed() -> Option<u64> {
+    let s = std::env::var("TSJ_FAULT_SEED").ok()?;
+    let s = s.trim();
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 /// Single-threaded shard settings: the reference every suite compares
 /// against runs inline.
 fn inline(shards: usize) -> ShardConfig {

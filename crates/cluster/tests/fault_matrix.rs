@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{freeze, reference};
+use common::{env_fault_seed, freeze, reference};
 use partsj::PartSjConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -139,16 +139,7 @@ fn check(seed: u64, replication: usize) -> Result<(), String> {
 /// levels.
 #[test]
 fn fault_matrix_holds_under_the_pinned_seed() {
-    let seed = std::env::var("TSJ_FAULT_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(0xC0FFEE);
+    let seed = env_fault_seed().unwrap_or(0xC0FFEE);
     for replication in [1, 2] {
         check(seed, replication).unwrap();
     }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::freeze;
+use common::{env_fault_seed, freeze};
 use partsj::PartSjConfig;
 use std::sync::Arc;
 use tsj_cluster::{
@@ -14,7 +14,7 @@ use tsj_cluster::{
 };
 use tsj_datagen::synthetic_sized;
 
-/// Every reconciliation invariant between `Cluster::metrics()`, the
+/// Every reconciliation invariant between `Router::metrics()`, the
 /// join telemetry, the per-request rows and the degradation report.
 /// Panics name the fault seed so a failure is replayable.
 fn check_reconciled(seed: u64, served: &ClusterJoin, nodes: &[NodeMetricsSnapshot]) {
@@ -119,7 +119,8 @@ fn check_reconciled(seed: u64, served: &ClusterJoin, nodes: &[NodeMetricsSnapsho
 }
 
 /// A mixed storm — delays, timeouts, transients and node deaths — across
-/// several seeds: per-node sums always equal the telemetry totals.
+/// several seeds (or the one `TSJ_FAULT_SEED` pins): per-node sums always
+/// equal the telemetry totals.
 #[test]
 fn per_node_metrics_reconcile_under_mixed_faults() {
     let left = synthetic_sized(24, 14, 21);
@@ -127,7 +128,11 @@ fn per_node_metrics_reconcile_under_mixed_faults() {
     let tau = 1;
     let catalog = freeze(&left, tau, 4);
     let snapshot = catalog.to_bytes();
-    for seed in [0x5EED, 0xBAD_CAFE, 7, 424242] {
+    let seeds = match env_fault_seed() {
+        Some(seed) => vec![seed],
+        None => vec![0x5EED, 0xBAD_CAFE, 7, 424242],
+    };
+    for seed in seeds {
         let mut cfg = ClusterConfig::new(3, 2);
         cfg.faults = FaultPlan {
             seed,
@@ -138,11 +143,12 @@ fn per_node_metrics_reconcile_under_mixed_faults() {
             node_down_permille: 60,
             ..FaultPlan::none()
         };
-        let mut cluster = Cluster::from_snapshot(snapshot.clone(), &cfg)
-            .unwrap()
-            .with_clock(Arc::new(VirtualClock::new()));
+        let mut cluster = Cluster::from_snapshot(snapshot.clone(), &cfg).unwrap();
+        cluster
+            .router_mut()
+            .set_clock(Arc::new(VirtualClock::new()));
         let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
-        let nodes = cluster.metrics();
+        let nodes = cluster.router().metrics();
         assert!(
             nodes.iter().any(|n| n.attempts > 0),
             "TSJ_FAULT_SEED={seed:#x}: the storm exercised the router"
@@ -159,20 +165,22 @@ fn metrics_accumulate_across_joins_and_attribute_failovers() {
     let right = synthetic_sized(6, 14, 23);
     let tau = 1;
     let catalog = freeze(&left, tau, 2);
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(2, 2))
-        .unwrap()
-        .with_clock(Arc::new(VirtualClock::new()));
+    let mut cluster =
+        Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(2, 2)).unwrap();
+    cluster
+        .router_mut()
+        .set_clock(Arc::new(VirtualClock::new()));
 
     let first = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     assert!(first.is_complete());
-    let after_one = cluster.metrics();
+    let after_one = cluster.router().metrics();
     let served_once: u64 = after_one.iter().map(|n| n.served).sum();
     assert_eq!(served_once, first.telemetry.served);
 
-    cluster.kill_node(0);
+    cluster.router_mut().kill_node(0);
     let second = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     assert!(second.is_complete(), "replica covers the dead node");
-    let after_two = cluster.metrics();
+    let after_two = cluster.router().metrics();
     assert_eq!(
         after_two.iter().map(|n| n.served).sum::<u64>(),
         first.telemetry.served + second.telemetry.served,
@@ -201,7 +209,7 @@ fn snapshot_uses_the_documented_series_names() {
         Cluster::from_snapshot(catalog.to_bytes(), &ClusterConfig::new(2, 1)).unwrap();
     let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
     assert!(served.is_complete());
-    let snapshot = cluster.metrics_snapshot();
+    let snapshot = cluster.router().metrics_snapshot();
     let total: u64 = (0..2)
         .map(|n| {
             snapshot

@@ -50,9 +50,8 @@ fn transient_storm_sleeps_the_exact_backoff_schedule() {
     cfg.faults = plan.clone();
     let policy = cfg.retry.clone();
     let clock = Arc::new(VirtualClock::new());
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg)
-        .unwrap()
-        .with_clock(clock.clone());
+    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
+    cluster.router_mut().set_clock(clock.clone());
     let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
 
     let requests = planned_requests(&catalog, &right, tau);
@@ -108,9 +107,8 @@ fn probe_deadline_cuts_retries_off_exactly() {
         probe_deadline_ms: 100,
     };
     let clock = Arc::new(VirtualClock::new());
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg)
-        .unwrap()
-        .with_clock(clock.clone());
+    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
+    cluster.router_mut().set_clock(clock.clone());
     let served = cluster.join(&probe, tau, &PartSjConfig::default()).unwrap();
 
     // Scatter: timeout (spent 50). Retry 1: backoff 40 (spent 90 ≤ 100),
@@ -141,9 +139,8 @@ fn delays_within_timeout_are_absorbed_not_retried() {
         ..FaultPlan::none()
     };
     let clock = Arc::new(VirtualClock::new());
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg)
-        .unwrap()
-        .with_clock(clock.clone());
+    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
+    cluster.router_mut().set_clock(clock.clone());
     let served = cluster.join(&right, tau, &PartSjConfig::default()).unwrap();
 
     assert!(served.is_complete());

@@ -54,9 +54,9 @@ fn main() {
         .expect("well-formed snapshot");
     println!(
         "cluster: {} nodes x replication 2 over {} shards (tau = {})",
-        cluster.node_count(),
-        cluster.shard_count(),
-        cluster.tau()
+        cluster.router().node_count(),
+        cluster.router().shard_count(),
+        cluster.router().tau()
     );
 
     // 2. Healthy serve: bit-identical to the single-node catalog join.
@@ -72,14 +72,14 @@ fn main() {
     );
 
     // 3. Kill one node mid-workload: replicas cover, same answer.
-    cluster.kill_node(1);
+    cluster.router_mut().kill_node(1);
     let failed_over = cluster.join(&feed, tau, &config).expect("failover join");
     assert!(failed_over.is_complete());
     assert_eq!(failed_over.outcome.pairs, expected.pairs);
     println!(
         "node 1 down: still {} pairs, still bit-identical (alive: {:?}, lost shards: none)",
         failed_over.outcome.pairs.len(),
-        cluster.alive_nodes()
+        cluster.router().alive_nodes()
     );
     // The telemetry quantifies what the failover cost: every request
     // carries its attempt/retry/backoff tally.
@@ -96,8 +96,8 @@ fn main() {
     }
 
     // 4. Kill its replica neighbor: the shards they co-owned are gone.
-    cluster.kill_node(2);
-    let lost = cluster.lost_shards();
+    cluster.router_mut().kill_node(2);
+    let lost = cluster.router().lost_shards();
     assert!(!lost.is_empty());
     let degraded = cluster.join(&feed, tau, &config).expect("degraded join");
     let report = degraded.degraded.as_ref().expect("coverage report");
@@ -126,20 +126,20 @@ fn main() {
     // 5. Recover: re-replicate the dead nodes' shard slots onto the
     //    survivors from the retained snapshot.
     let moved = cluster.recover().expect("recovery from the snapshot");
-    assert!(cluster.lost_shards().is_empty());
+    assert!(cluster.router().lost_shards().is_empty());
     let healed = cluster.join(&feed, tau, &config).expect("healed join");
     assert!(healed.is_complete());
     assert_eq!(healed.outcome.pairs, expected.pairs);
     assert_eq!(healed.outcome.stats.candidates, expected.stats.candidates);
     println!(
         "recover:   {moved} shard slots re-replicated onto {:?} — bit-identical service resumed",
-        cluster.alive_nodes()
+        cluster.router().alive_nodes()
     );
 
     // Lifetime per-node accounting across the whole arc, straight from
-    // `Cluster::metrics()` — the substrate a `catalogd` would export.
+    // `Router::metrics()` — the substrate a `catalogd` would export.
     println!("per-node lifetime metrics:");
-    for node in cluster.metrics() {
+    for node in cluster.router().metrics() {
         println!(
             "  node {} ({}): {} attempts = {} served + {} failed | {} retries, {} failovers, p99 latency {} ms",
             node.node,

@@ -17,7 +17,9 @@
 # from the tree's columns), or a second self-join in
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
 # R×S side only), or a `partsj` join loop that sequences the probe step
-# itself (they run on `Prober`), or a side list that is not a `SideList`.
+# itself (they run on `Prober`), or a side list that is not a `SideList`
+# — and, expected 1, how many structs in tsj-cluster and tsj-catalogd hold
+# router state (`Cluster` and `ClusterClient` share one `Router`).
 #
 #   scripts/loc.sh              # line counts + test groups (runs cargo test)
 #   scripts/loc.sh --no-tests   # line counts only
@@ -79,6 +81,8 @@ path_row 'hand-sequenced probe steps in partsj' \
   'Candidates::new|scan_small_trees\(|resolve_layers\(|probe_tree_nodes\(|partition_tree_with\(' \
   crates/core/src/{join,rs_join,topk}.rs
 path_row 'raw side-list maps' 'FxHashMap<u32, Vec<TreeIdx>>' crates/{core,shard}/src/*.rs
+path_row 'router state holders in cluster+catalogd' '^    (pub(\([a-z]+\))? )?health: ' \
+  crates/{cluster,catalogd}/src/*.rs
 
 if [ "${1:-}" != "--no-tests" ]; then
   printf '%-32s %6d\n' 'test groups' "$(cargo test -q 2>&1 | grep -c '^test result')"

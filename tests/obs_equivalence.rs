@@ -94,9 +94,11 @@ fn fingerprint(left: &[Tree], right: &[Tree], tau: u32, shards: usize, seed: u64
         node_down_permille: 40,
         ..FaultPlan::none()
     };
-    let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cluster_cfg)
-        .expect("snapshot assembles")
-        .with_clock(Arc::new(VirtualClock::new()));
+    let mut cluster =
+        Cluster::from_snapshot(catalog.to_bytes(), &cluster_cfg).expect("snapshot assembles");
+    cluster
+        .router_mut()
+        .set_clock(Arc::new(VirtualClock::new()));
     let served = cluster.join(right, tau, &config).expect("join runs");
 
     Fingerprint {
