@@ -323,7 +323,8 @@ impl Catalog {
     pub fn from_reader(reader: &SnapshotReader) -> Result<Catalog, CatalogError> {
         let load_span = tsj_obs::span("catalog.load", "catalog");
         let labels = reader.labels()?;
-        let (trees, frozen) = reader.restore(0..reader.shard_count() as u32)?;
+        let mut trees = Vec::new();
+        let frozen = reader.restore(0..reader.shard_count() as u32, |tree| trees.push(tree))?;
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_loads_total").inc();

@@ -159,14 +159,34 @@ pub fn encode_trees(trees: &[Tree]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a tree store.
-pub fn decode_trees(bytes: &[u8]) -> Result<Vec<Tree>, CatalogError> {
+/// Every tree's size, in id order, read off a tree store's node counts
+/// without decoding a tree.
+fn tree_sizes(bytes: &[u8]) -> Result<Vec<u32>, CatalogError> {
     let mut r = ByteReader::new(bytes);
     let count = r.get_count(4, "tree store")?;
-    let mut trees = Vec::with_capacity(count);
+    let mut sizes = Vec::with_capacity(count);
+    for _ in 0..count {
+        let nodes = r.get_count(8, "tree node list")?;
+        r.get_bytes(8 * nodes, "tree node list")?;
+        sizes.push(nodes as u32);
+    }
+    Ok(sizes)
+}
+
+/// Decodes a tree store one tree at a time, in id order, through one
+/// reused node buffer, handing each validated tree (label ids in range,
+/// a preorder parent sequence) to `each`, which may refuse it. Nothing
+/// but the tree being decoded is held.
+fn for_each_tree(
+    bytes: &[u8],
+    mut each: impl FnMut(Tree) -> Result<(), CatalogError>,
+) -> Result<(), CatalogError> {
+    let mut r = ByteReader::new(bytes);
+    let count = r.get_count(4, "tree store")?;
+    let mut flat = Vec::new();
     for t in 0..count {
         let nodes = r.get_count(8, "tree node list")?;
-        let mut flat = Vec::with_capacity(nodes);
+        flat.clear();
         for _ in 0..nodes {
             let label = decode_label(r.get_u32("tree node label")?, "tree node")?;
             let parent = match r.get_u32("tree node parent")? {
@@ -178,13 +198,23 @@ pub fn decode_trees(bytes: &[u8]) -> Result<Vec<Tree>, CatalogError> {
         let tree = Tree::from_flattened(&flat).map_err(|e| CatalogError::Corrupt {
             context: format!("tree {t}: {e}"),
         })?;
-        trees.push(tree);
+        each(tree)?;
     }
     if r.remaining() != 0 {
         return Err(CatalogError::Corrupt {
             context: format!("{} trailing bytes after the tree store", r.remaining()),
         });
     }
+    Ok(())
+}
+
+/// Decodes a whole tree store, one tree at a time, keeping every tree.
+pub fn decode_trees(bytes: &[u8]) -> Result<Vec<Tree>, CatalogError> {
+    let mut trees = Vec::new();
+    for_each_tree(bytes, |tree| {
+        trees.push(tree);
+        Ok(())
+    })?;
     Ok(trees)
 }
 
@@ -514,19 +544,26 @@ impl SnapshotReader {
         decode_labels(self.section(0, "labels")?)
     }
 
-    /// Decodes the tree store (checksum-verified).
+    /// Decodes the whole tree store (checksum-verified).
     pub fn trees(&self) -> Result<Vec<Tree>, CatalogError> {
-        let trees = decode_trees(self.section(1, "trees")?)?;
-        if trees.len() != self.tree_count as usize {
+        decode_trees(self.tree_store()?.0)
+    }
+
+    /// The tree store section (checksum-verified) and every tree's size,
+    /// their count checked against the header's.
+    fn tree_store(&self) -> Result<(&[u8], Vec<u32>), CatalogError> {
+        let store = self.section(1, "trees")?;
+        let sizes = tree_sizes(store)?;
+        if sizes.len() != self.tree_count as usize {
             return Err(CatalogError::Corrupt {
                 context: format!(
                     "header promises {} trees but the store holds {}",
                     self.tree_count,
-                    trees.len()
+                    sizes.len()
                 ),
             });
         }
-        Ok(trees)
+        Ok((store, sizes))
     }
 
     /// Decodes the shard-map section (checksum-verified) and validates
@@ -582,31 +619,41 @@ impl SnapshotReader {
 
     /// The one way a snapshot becomes a servable frozen side — whole
     /// (`Catalog`: every shard) or in part (a cluster node: the shards
-    /// it owns; the rest stay empty). Decodes the tree store, the shard
-    /// map and the `owned` shard sections, each checksum-verified, and
-    /// hands them to [`Frozen::restore`], whose cross-checks — every
-    /// shard frozen for the header's `(tau, window)` and holding only
-    /// size classes the map gives it, no tree tracked twice, every
-    /// posting's tree present in the store — turn a checksum-valid but
-    /// inconsistent snapshot into a typed [`CatalogError::Corrupt`]
-    /// here, not a panic or a short answer in a later probe. Returns
-    /// the trees beside the frozen side, for callers that keep them.
+    /// it owns; the rest stay empty). Decodes the shard map, the `owned`
+    /// shard sections and every tree's size, then streams the tree store
+    /// through [`Frozen::restore`] one tree at a time, each section
+    /// checksum-verified: every tree is validated and tracked, only those
+    /// of owned size classes get verification inputs, and each decoded
+    /// tree is handed to `keep` — which keeps it (`Catalog`) or drops it
+    /// (a node), so a node never holds the whole store. The restore's
+    /// cross-checks — every shard frozen for the header's `(tau,
+    /// window)` and holding only size classes the map gives it, no tree
+    /// tracked twice, every posting's tree present in the store — turn a
+    /// checksum-valid but inconsistent snapshot into a typed
+    /// [`CatalogError::Corrupt`] here, not a panic or a short answer in a
+    /// later probe.
     pub fn restore(
         &self,
         owned: impl IntoIterator<Item = u32>,
-    ) -> Result<(Vec<Tree>, Frozen), CatalogError> {
-        let trees = self.trees()?;
+        mut keep: impl FnMut(Tree),
+    ) -> Result<Frozen, CatalogError> {
+        let corrupt = |context| CatalogError::Corrupt { context };
         let map = self.shard_map()?;
-        let mut shards: Vec<SubgraphIndex> = (0..self.shard_count())
-            .map(|_| SubgraphIndex::new(self.tau, self.window))
-            .collect();
+        let mut shards: Vec<Option<SubgraphIndex>> =
+            (0..self.shard_count()).map(|_| None).collect();
         for s in owned {
             let index = self.shard(s as usize)?; // range-checked before the slot is indexed
-            shards[s as usize] = index;
+            shards[s as usize] = Some(index);
         }
-        let frozen = Frozen::restore(self.tau, self.window, map, shards, &trees)
-            .map_err(|context| CatalogError::Corrupt { context })?;
-        Ok((trees, frozen))
+        let (store, sizes) = self.tree_store()?;
+        let mut restore =
+            Frozen::restore(self.tau, self.window, map, shards, sizes).map_err(corrupt)?;
+        for_each_tree(store, |tree| {
+            restore.push(&tree).map_err(corrupt)?;
+            keep(tree);
+            Ok(())
+        })?;
+        restore.finish().map_err(corrupt)
     }
 }
 

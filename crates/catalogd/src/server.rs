@@ -147,7 +147,10 @@ impl Catalogd {
     /// and binds `addr` (use port 0 to let the OS pick). Placement is
     /// the same round-robin topology the in-process cluster uses, so a
     /// node set started with identical `nodes`/`replication` agrees on
-    /// who owns what without any coordination.
+    /// who owns what without any coordination. The bytes the restored
+    /// side keeps are exported by part, as the gauges
+    /// `tsj_catalogd_resident_bytes{node,part}` (`part` is `index`,
+    /// `side_list` or `verify`).
     pub fn bind(
         snapshot: Vec<u8>,
         cfg: &ServerConfig,
@@ -180,6 +183,10 @@ impl Catalogd {
             errors: registry.counter(&labeled("tsj_catalogd_errors_total", "node", n)),
             join_serve_us: registry.histogram(&labeled("tsj_catalogd_join_serve_us", "node", n)),
         };
+        for (part, bytes) in node.frozen().heap_bytes().parts() {
+            let family = format!("tsj_catalogd_resident_bytes{{node=\"{n}\",part=\"{part}\"}}");
+            registry.gauge(&family).set(bytes as i64);
+        }
         let state = Arc::new(NodeState {
             node_id: cfg.node as u32,
             nodes: cfg.nodes as u32,
@@ -461,6 +468,10 @@ fn respond(state: &NodeState, conn: &mut ConnState, frame: Frame) -> Frame {
                     code: ErrorCode::ShardNotOwned,
                     message: format!("node {node} does not own shard {shard}"),
                 },
+                Err(e @ tsj_cluster::ClusterError::ClassNotOwned { .. }) => Frame::Error {
+                    code: ErrorCode::BadRequest,
+                    message: e.to_string(),
+                },
                 Err(e) => Frame::Error {
                     code: ErrorCode::Internal,
                     message: e.to_string(),
@@ -551,6 +562,98 @@ mod tests {
             stats.pairs_examined,
             stages,
         )
+    }
+
+    /// The value of the series `name` (family and labels, as exported)
+    /// in Prometheus `text`.
+    fn series(text: &str, name: &str) -> Option<i64> {
+        let line = text.lines().find(|line| line.starts_with(name))?;
+        line.rsplit(' ').next()?.parse().ok()
+    }
+
+    /// A `JoinShard` naming a size class the shard map gives another
+    /// shard than the addressed one reaches trees the node does not hold:
+    /// it is refused with a typed `BadRequest`, counted once, and the
+    /// connection goes on serving the planned request.
+    #[test]
+    fn a_class_of_another_shard_is_refused_typed_and_counted() {
+        use std::io::Write as _;
+        const SHARDS: usize = 4;
+        let trees = tsj_datagen::swissprot_like(60, 9);
+        let labels = crate::interner_for(&trees);
+        let catalog = Catalog::freeze(
+            trees.clone(),
+            labels.clone(),
+            1,
+            &PartSjConfig::default(),
+            &ShardConfig::with_shards(SHARDS),
+        );
+        // Node 0 of 2 at R = 1 owns the even shards.
+        let server = Catalogd::bind(
+            catalog.to_bytes(),
+            &ServerConfig::new(0, 2, 1),
+            "127.0.0.1:0",
+        )
+        .and_then(Catalogd::spawn)
+        .expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("dial");
+        let mut call = |frame: Frame| {
+            stream.write_all(&frame.encode()).expect("send");
+            Frame::read_from(&mut stream).expect("a reply")
+        };
+        let hello = call(Frame::Hello {
+            version: PROTOCOL_VERSION,
+            snapshot_hash: 0,
+        });
+        assert!(matches!(hello, Frame::HelloAck { .. }), "{hello:?}");
+        let probes = trees[..8].to_vec();
+        let batch = encode_probes(&probes, &labels).expect("batch");
+        assert_eq!(call(Frame::ProbeBatch(batch)), Frame::ProbeAck { count: 8 });
+
+        let map = catalog.index().shard_map();
+        let requests = plan_requests(&probes, 1, map, SHARDS);
+        let req = requests
+            .iter()
+            .find(|r| r.shard % 2 == 0)
+            .expect("node 0 has work");
+        let foreign = (1..).find(|&c| map.shard_of(c, SHARDS) != req.shard as usize);
+        let foreign = foreign.expect("four shards split the classes");
+        let join = |classes: Vec<u32>| Frame::JoinShard {
+            probe: req.probe,
+            shard: req.shard,
+            tau: 1,
+            classes,
+        };
+        let mut classes = req.classes.clone();
+        classes.push(foreign);
+        match call(join(classes)) {
+            Frame::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => assert!(
+                message.contains(&format!("size class {foreign}")),
+                "{message}"
+            ),
+            other => panic!("a foreign class must be refused, got {other:?}"),
+        }
+        let served = call(join(req.classes.clone()));
+        assert!(matches!(served, Frame::JoinShardResp { .. }), "{served:?}");
+
+        let Frame::MetricsResp { text } = call(Frame::Metrics) else {
+            panic!("metrics");
+        };
+        assert_eq!(
+            series(&text, "tsj_catalogd_errors_total{node=\"0\"}"),
+            Some(1)
+        );
+        let resident = |part: &str| {
+            series(
+                &text,
+                &format!("tsj_catalogd_resident_bytes{{node=\"0\",part=\"{part}\"}}"),
+            )
+        };
+        assert!(resident("index") > Some(0) && resident("verify") > Some(0));
+        assert!(resident("side_list").is_some());
     }
 
     /// ROADMAP 4e: every batch on a pooled connection brings labels no

@@ -3,6 +3,8 @@
 //! frame — never a panic, never an uncontrolled allocation. This is the
 //! wire twin of the snapshot corruption suite.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,4 +203,64 @@ fn unknown_stage_names_are_malformed_and_poison_nothing() {
         assert!(!err.desyncs_stream(), "{i}: the frame was consumed whole");
     }
     assert_eq!(Frame::decode(&honest).expect("decodes").0, resp);
+}
+
+/// The server side of a well-formed `JoinShard`: random shards (one past
+/// the snapshot's too) and random size-class lists, foreign classes
+/// among them, sent to a live node. A request is served exactly when the
+/// node owns its shard and the shard map gives every class to it; any
+/// other is a typed error on a connection that keeps serving.
+#[test]
+fn join_shard_with_random_shards_and_classes_is_served_or_refused_typed() {
+    use std::io::Write;
+    use tsj_catalogd::{Catalogd, ServerConfig};
+
+    const SHARDS: u32 = 4;
+    let (snapshot, trees, labels) = common::freeze_demo(60, 1, SHARDS as usize, 33);
+    let map = tsj_catalog::SnapshotReader::from_bytes(snapshot.clone())
+        .and_then(|reader| reader.shard_map())
+        .expect("the demo snapshot parses");
+    // Node 1 of 2 at R = 1 owns the odd shards.
+    let server = Catalogd::bind(snapshot, &ServerConfig::new(1, 2, 1), "127.0.0.1:0")
+        .and_then(Catalogd::spawn)
+        .expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("dial");
+    let mut call = |frame: Frame| {
+        stream.write_all(&frame.encode()).expect("send");
+        Frame::read_from(&mut stream).expect("the connection keeps serving")
+    };
+    let batch = encode_probes(&trees[..4], &labels).expect("batch");
+    assert_eq!(call(Frame::ProbeBatch(batch)), Frame::ProbeAck { count: 4 });
+
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut outcomes = [0usize; 3];
+    for round in 0..400 {
+        let shard = rng.gen_range(0..=SHARDS);
+        let len = rng.gen_range(0..4);
+        let classes: Vec<u32> = (0..len).map(|_| rng.gen_range(1..40)).collect();
+        let owned = shard % 2 == 1 && shard < SHARDS;
+        let routed = classes
+            .iter()
+            .all(|&c| map.shard_of(c, SHARDS as usize) == shard as usize);
+        let reply = call(Frame::JoinShard {
+            probe: rng.gen_range(0..4),
+            shard,
+            tau: 1,
+            classes,
+        });
+        let slot = match reply {
+            Frame::JoinShardResp { .. } if owned && routed => 0,
+            Frame::Error {
+                code: ErrorCode::ShardNotOwned,
+                ..
+            } if !owned => 1,
+            Frame::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            } if owned && !routed => 2,
+            other => panic!("round {round}: shard {shard}: {other:?}"),
+        };
+        outcomes[slot] += 1;
+    }
+    assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
 }

@@ -40,6 +40,17 @@ pub enum ClusterError {
         /// The shard it does not hold.
         shard: u32,
     },
+    /// A request named a size class the shard map gives another shard
+    /// than the one it addressed — the node holds nothing of that class
+    /// to verify against, so it refuses instead of answering short.
+    ClassNotOwned {
+        /// The node that received the request.
+        node: usize,
+        /// The shard the request addressed.
+        shard: u32,
+        /// The first class the shard does not own.
+        class: u32,
+    },
     /// Recovery was asked to restore a shard but no intact copy of its
     /// section survives on any reachable snapshot.
     Unrecoverable {
@@ -60,6 +71,10 @@ impl std::fmt::Display for ClusterError {
             ClusterError::ShardNotOwned { node, shard } => {
                 write!(f, "node {node} does not own shard {shard}")
             }
+            ClusterError::ClassNotOwned { node, shard, class } => write!(
+                f,
+                "node {node}: size class {class} does not belong to shard {shard}"
+            ),
             ClusterError::Unrecoverable { shard } => {
                 write!(f, "no intact snapshot section left for shard {shard}")
             }

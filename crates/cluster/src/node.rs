@@ -4,12 +4,15 @@
 //! A node is the single-machine unit of the cluster: a
 //! [`tsj_shard::Frozen`] side restored through the one validating
 //! restore (`SnapshotReader::restore`) with only the owned shard
-//! sections decoded — the others stay empty — plus the shared tree
-//! store, which every node needs for verification. It serves
+//! sections decoded — the others stay empty. The tree store streams
+//! through that restore: every tree is validated and tracked, the
+//! node keeps verification inputs (and side-list entries) only for the
+//! trees of its owned size classes, and it keeps no tree. It serves
 //! `(probe, shard)` requests with [`Frozen::serve_shard`]: the frozen
 //! side's own probe step restricted to that shard — side-listed small
 //! trees of the request's size classes first, then the shard's postings
-//! — then one `VerifyEngine` pass over the deduplicated candidates.
+//! — then one `VerifyEngine` pass over the deduplicated candidates. A
+//! request naming a class its shard does not own is refused, typed.
 //! Because every catalog tree's postings live in exactly one shard (its
 //! own size class), per-shard candidate sets are disjoint and the
 //! router's union of node responses reproduces the single-node join
@@ -87,9 +90,10 @@ impl ProbeCtx {
 pub type NodeScratch = FrozenJoinScratch;
 
 /// One cluster node: a frozen side whose index holds the shard sections
-/// the node owns (every node keeps the full, tiny side list and every
-/// catalog tree's verification inputs — requests select the classes the
-/// addressed shard owns, so nothing is double-served).
+/// the node owns, and whose side list and verification inputs cover the
+/// trees of the size classes those shards own — the only trees a request
+/// it accepts can reach (requests select the classes the addressed shard
+/// owns, so nothing is double-served).
 #[derive(Debug)]
 pub struct Node {
     id: usize,
@@ -108,7 +112,7 @@ impl Node {
         reader: &SnapshotReader,
         owned: &[u32],
     ) -> Result<Node, ClusterError> {
-        let (_, frozen) = reader.restore(owned.iter().copied())?;
+        let frozen = reader.restore(owned.iter().copied(), drop)?;
         let owned = owned.to_vec();
         Ok(Node { id, owned, frozen })
     }
@@ -123,11 +127,17 @@ impl Node {
         self.owned.contains(&shard)
     }
 
+    /// The node's frozen side.
+    pub fn frozen(&self) -> &Frozen {
+        &self.frozen
+    }
+
     /// Serves one shard request: [`Frozen::serve_shard`] on the
     /// addressed shard with the probe's prepared parts, verified at
     /// `tau` through a fresh filter-chain engine — the frozen side's own
     /// probe step, so the union over shards is bit-identical to the
-    /// single-node join.
+    /// single-node join. A shard the node does not own, or a class the
+    /// shard map gives another shard, is a typed error.
     pub fn serve(
         &self,
         req: &ShardRequest,
@@ -144,6 +154,16 @@ impl Node {
             return Err(ClusterError::ShardNotOwned {
                 node: self.id,
                 shard: req.shard,
+            });
+        }
+        let index = self.frozen.index();
+        let mut classes = req.classes.iter();
+        let foreign = classes.find(|&&class| index.shard_of_size(class) != req.shard as usize);
+        if let Some(&class) = foreign {
+            return Err(ClusterError::ClassNotOwned {
+                node: self.id,
+                shard: req.shard,
+                class,
             });
         }
         let (matches, stats) = self.frozen.serve_shard(

@@ -11,8 +11,11 @@ use partsj::PartSjConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tsj_catalog::snapshot::{
+    assemble, encode_labels, encode_shard, encode_shard_map, encode_trees,
+};
 use tsj_catalog::{Catalog, CatalogError, SnapshotReader};
-use tsj_cluster::{Cluster, ClusterConfig, ClusterError};
+use tsj_cluster::{Cluster, ClusterConfig, ClusterError, Node};
 use tsj_datagen::synthetic_sized;
 use tsj_ted::JoinOutcome;
 use tsj_tree::Tree;
@@ -188,6 +191,51 @@ fn unreplicated_corruption_degrades_with_exact_coverage() {
         })
         .collect();
     assert_eq!(served.outcome.pairs, surviving);
+}
+
+/// A node keeps no tree and no verification inputs for classes it does
+/// not own, but it still validates the whole tree store: a
+/// checksum-valid snapshot with one corrupt tree of an *unowned* class —
+/// a label id out of range, or a parent that breaks the preorder — comes
+/// up down with the typed `Corrupt`, like the tree's owner.
+#[test]
+fn a_corrupt_tree_of_an_unowned_class_is_caught_at_restore() {
+    let catalog = freeze(&synthetic_sized(24, 16, 71), 1, 4);
+    let map = catalog.index().shard_map();
+    let trees = catalog.trees();
+    let t = trees
+        .iter()
+        .position(|tree| tree.len() > 2)
+        .expect("a tree with a grandchild");
+    let owner_shard = map.shard_of(trees[t].len() as u32, 4);
+    // Two nodes at R = 1: node `n` owns the shards `s` with `s % 2 == n`.
+    let stranger = 1 - owner_shard % 2;
+    // Tree `t`'s node 2 in the store: count, then per tree its node
+    // count and `(label, parent)` pairs.
+    let before: usize = trees[..t].iter().map(|tree| 4 + 8 * tree.len()).sum();
+    let node_2 = 4 + before + 4 + 2 * 8;
+    for (offset, value) in [(0, u32::MAX - 1), (4, 2)] {
+        let mut store = encode_trees(trees);
+        store[node_2 + offset..node_2 + offset + 4].copy_from_slice(&value.to_le_bytes());
+        let mut sections = vec![
+            encode_labels(catalog.labels()),
+            store,
+            encode_shard_map(map),
+        ];
+        let shard = |s| encode_shard(&catalog.index().shard_index(s).dump());
+        sections.extend((0..4).map(shard));
+        let dirty = assemble(1, catalog.index().window(), trees.len() as u32, &sections);
+        let reader = SnapshotReader::from_bytes(dirty).unwrap();
+        let owned = [stranger as u32, stranger as u32 + 2];
+        let restored = Node::restore(stranger, &reader, &owned);
+        assert!(
+            matches!(
+                restored,
+                Err(ClusterError::Snapshot(CatalogError::Corrupt { .. }))
+            ),
+            "offset {offset}: expected a typed Corrupt, got {restored:?}"
+        );
+    }
 }
 
 /// When *no* node's copy parses, construction fails with the typed error

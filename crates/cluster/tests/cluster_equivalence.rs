@@ -13,6 +13,7 @@ use partsj::{PartSjConfig, VerifyEngine};
 use tsj_catalog::SnapshotReader;
 use tsj_cluster::{
     plan_requests, Cluster, ClusterConfig, ClusterError, FaultPlan, Node, NodeScratch, ProbeCtx,
+    Topology,
 };
 use tsj_datagen::synthetic_sized;
 use tsj_shard::FrozenJoinScratch;
@@ -76,10 +77,13 @@ fn zero_fault_cluster_join_is_bit_identical_to_catalog_join() {
     }
 }
 
-/// A node *is* a frozen side: for a node owning every shard, the union
-/// of `Node::serve` over the planned requests equals the frozen side's
-/// own sequential join of the same probes — pairs and work counters —
-/// over shards {1, 3, 8} × τ {0, 1, 2}.
+/// A node *is* a frozen side: the union of `Node::serve` over the
+/// planned requests, each served by its shard's owner, equals the frozen
+/// side's own sequential join of the same probes — pairs and work
+/// counters — over nodes {1, 2, 3} at R = 1 × shards {1, 3, 8} × τ
+/// {0, 1, 2}. Each node holds verification inputs for exactly the trees
+/// of the size classes its shards own, and refuses, typed, a request
+/// naming a class of another shard.
 #[test]
 fn node_serve_union_equals_the_frozen_sides_sequential_join() {
     let left = synthetic_sized(48, 20, 311);
@@ -88,7 +92,6 @@ fn node_serve_union_equals_the_frozen_sides_sequential_join() {
     let config = PartSjConfig::default();
     for tau in [0u32, 1, 2] {
         for shards in [1usize, 3, 8] {
-            let label = format!("tau {tau}, shards {shards}");
             let catalog = freeze(&left, tau, shards);
             let mut pairs = Vec::new();
             let stats = catalog.frozen().join_seq(
@@ -99,24 +102,59 @@ fn node_serve_union_equals_the_frozen_sides_sequential_join() {
                 &mut FrozenJoinScratch::new(),
                 &mut pairs,
             );
-            assert!(!pairs.is_empty(), "{label}: sweep must exercise real joins");
+            assert!(
+                !pairs.is_empty(),
+                "tau {tau}: sweep must exercise real joins"
+            );
 
             let reader = SnapshotReader::from_bytes(catalog.to_bytes()).unwrap();
-            let every: Vec<u32> = (0..shards as u32).collect();
-            let node = Node::restore(0, &reader, &every).unwrap();
+            let map = catalog.index().shard_map();
+            let requests = plan_requests(&right, tau, map, shards);
             let ctxs = ProbeCtx::batch(&right, &config);
-            let mut scratch = NodeScratch::default();
-            let mut union = Vec::new();
-            let mut total = JoinStats::default();
-            for req in plan_requests(&right, tau, catalog.index().shard_map(), shards) {
-                let ctx = &ctxs[req.probe as usize];
-                let resp = node.serve(&req, ctx, tau, &config, &mut scratch).unwrap();
-                union.extend(resp.matches.iter().map(|&i| (i, resp.probe)));
-                total.merge_partial(&resp.stats);
+            for nodes in [1usize, 2, 3] {
+                let label = format!("tau {tau}, shards {shards}, nodes {nodes}");
+                let topology = Topology::new(shards, nodes, 1).unwrap();
+                let cluster: Vec<Node> = (0..nodes)
+                    .map(|n| Node::restore(n, &reader, &topology.shards_of(n)).unwrap())
+                    .collect();
+                for node in &cluster {
+                    let owned = topology.shards_of(node.id());
+                    for (i, tree) in (0..).zip(&left) {
+                        let shard = map.shard_of(tree.len() as u32, shards) as u32;
+                        let held = node.frozen().holds(i);
+                        assert_eq!(held, owned.contains(&shard), "{label}: tree {i}");
+                    }
+                }
+
+                let mut scratch = NodeScratch::default();
+                let mut union = Vec::new();
+                let mut total = JoinStats::default();
+                for req in &requests {
+                    let owner = &cluster[topology.replicas(req.shard)[0]];
+                    let ctx = &ctxs[req.probe as usize];
+                    let resp = owner.serve(req, ctx, tau, &config, &mut scratch).unwrap();
+                    union.extend(resp.matches.iter().map(|&i| (i, resp.probe)));
+                    total.merge_partial(&resp.stats);
+                }
+                let served = JoinOutcome::new_bipartite(union, total);
+                assert_eq!(served.pairs, pairs, "{label}: pairs");
+                assert_eq!(served.stats.work(), stats.work(), "{label}");
+
+                if shards == 1 {
+                    continue;
+                }
+                let mut foreign = requests[0].clone();
+                let shard = foreign.shard as usize;
+                let class = (1..).find(|&c| map.shard_of(c, shards) != shard).unwrap();
+                foreign.classes.push(class);
+                let owner = &cluster[topology.replicas(foreign.shard)[0]];
+                let ctx = &ctxs[foreign.probe as usize];
+                let refused = owner.serve(&foreign, ctx, tau, &config, &mut scratch);
+                assert!(
+                    matches!(refused, Err(ClusterError::ClassNotOwned { class: c, .. }) if c == class),
+                    "{label}: {refused:?}"
+                );
             }
-            let served = JoinOutcome::new_bipartite(union, total);
-            assert_eq!(served.pairs, pairs, "{label}: pairs");
-            assert_eq!(served.stats.work(), stats.work(), "{label}");
         }
     }
 }

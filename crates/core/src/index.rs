@@ -728,6 +728,29 @@ impl SubgraphIndex {
         self.registrations
     }
 
+    /// Heap bytes held: the size map, every layer's buckets and
+    /// postings, the subgraph pool and the interning table, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let postings = |layer: &PostorderLayer| -> usize {
+            let buckets = layer.buckets.iter();
+            buckets
+                .map(|b| b.postings.capacity() * size_of::<Posting>())
+                .sum()
+        };
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| layer.buckets.capacity() * size_of::<Bucket>() + postings(layer));
+        tsj_tree::table_bytes::<u32, LayerId>(self.by_size.capacity())
+            + self.layers.capacity() * size_of::<PostorderLayer>()
+            + layers.sum::<usize>()
+            + self.metas.capacity() * size_of::<SubgraphMeta>()
+            + self.components.capacity() * size_of::<Component>()
+            + self.arena.capacity() * size_of::<SgNode>()
+            + tsj_tree::table_bytes::<u64, ComponentId>(self.interned.capacity())
+    }
+
     /// The configured window policy.
     pub fn window(&self) -> WindowPolicy {
         self.window
@@ -867,10 +890,8 @@ impl SubgraphIndex {
             }
         }
         let mut total_postings = 0u64;
-        let mut restored_layers = Vec::with_capacity(layers.len());
-        for (layer_id, layer) in layers.into_iter().enumerate() {
-            let mut buckets = Vec::with_capacity(layer.buckets.len());
-            for (pos, bucket) in layer.buckets.into_iter().enumerate() {
+        for (layer_id, layer) in layers.iter().enumerate() {
+            for (pos, bucket) in layer.buckets.iter().enumerate() {
                 if bucket.sorted_len as usize > bucket.postings.len() {
                     return Err(format!(
                         "layer {layer_id} bucket {pos}: sorted prefix {} exceeds {} postings",
@@ -884,21 +905,30 @@ impl SubgraphIndex {
                         "layer {layer_id} bucket {pos}: sorted prefix out of twig order"
                     ));
                 }
-                let mut postings = Vec::with_capacity(bucket.postings.len());
-                for (twig, handle) in bucket.postings {
-                    if handle as usize >= metas.len() {
-                        return Err(format!(
-                            "layer {layer_id} bucket {pos}: posting handle {handle} of {}",
-                            metas.len()
-                        ));
-                    }
-                    postings.push(Posting { twig, handle });
+                let stray = bucket
+                    .postings
+                    .iter()
+                    .find(|&&(_, h)| h as usize >= metas.len());
+                if let Some(&(_, handle)) = stray {
+                    return Err(format!(
+                        "layer {layer_id} bucket {pos}: posting handle {handle} of {}",
+                        metas.len()
+                    ));
                 }
-                total_postings += postings.len() as u64;
-                buckets.push(Bucket::new(postings, bucket.sorted_len));
+                total_postings += bucket.postings.len() as u64;
             }
-            restored_layers.push(PostorderLayer { buckets });
         }
+        // Validated: every image converts where it lies (same-size
+        // element types, so each collect reuses its source allocation).
+        let bucket = |b: BucketDump| {
+            let postings = b.postings.into_iter();
+            let postings = postings.map(|(twig, handle)| Posting { twig, handle });
+            Bucket::new(postings.collect(), b.sorted_len)
+        };
+        let layer = |l: LayerDump| PostorderLayer {
+            buckets: l.buckets.into_iter().map(bucket).collect(),
+        };
+        let restored_layers: Vec<PostorderLayer> = layers.into_iter().map(layer).collect();
         if total_postings != registrations {
             return Err(format!(
                 "registration count {registrations} disagrees with {total_postings} stored postings"

@@ -24,6 +24,7 @@
 use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
 use crate::subgraph::{is_side_listed, partition_tree_with, PartitionScratch};
+use std::mem::size_of;
 use tsj_ted::TreeIdx;
 use tsj_tree::{BinaryTree, FxHashMap, Tree};
 
@@ -275,16 +276,13 @@ impl Candidates {
 pub struct SideList(FxHashMap<u32, Vec<TreeIdx>>);
 
 impl SideList {
-    /// The side list of a whole collection at `tau`, ids ascending per
-    /// class — for owners that restore an index instead of building it.
-    pub fn from_trees(trees: &[Tree], tau: u32) -> SideList {
-        let mut side = SideList::default();
-        for (i, tree) in (0..).zip(trees) {
-            if is_side_listed(tree.len(), tau) {
-                side.push(tree.len() as u32, i);
-            }
+    /// Side-lists `tree` of `size` nodes if the δ rule leaves it
+    /// unpartitioned at `tau` — for owners that restore an index instead
+    /// of building it, one tree at a time in id order.
+    pub fn push_if_small(&mut self, size: u32, tree: TreeIdx, tau: u32) {
+        if is_side_listed(size as usize, tau) {
+            self.push(size, tree);
         }
-        side
     }
 
     /// Side-lists `tree` of `size` nodes.
@@ -302,6 +300,15 @@ impl SideList {
     /// The listed trees of `size` nodes, in the order they were pushed.
     pub fn class(&self, size: u32) -> &[TreeIdx] {
         self.0.get(&size).map_or(&[], Vec::as_slice)
+    }
+
+    /// Heap bytes held: the class table and every class's id list.
+    pub fn heap_bytes(&self) -> usize {
+        let lists = self
+            .0
+            .values()
+            .map(|trees| trees.capacity() * size_of::<TreeIdx>());
+        tsj_tree::table_bytes::<u32, Vec<TreeIdx>>(self.0.capacity()) + lists.sum::<usize>()
     }
 
     /// Every listed `(size, tree)`.

@@ -222,6 +222,13 @@ impl VerifyData {
         false
     }
 
+    /// Heap bytes held: the prepared decompositions and, once derived,
+    /// the label histogram.
+    pub fn heap_bytes(&self) -> usize {
+        let histogram = self.histogram.get().map_or(0, Vec::capacity);
+        self.prepared.heap_bytes() + histogram * std::mem::size_of::<Label>()
+    }
+
     /// What the chain has made this tree derive so far.
     pub fn materialized(&self) -> Materialized {
         Materialized {

@@ -7,15 +7,23 @@
 //! left trees too small to partition, and the left trees' verification
 //! inputs. It comes into existence exactly two ways — [`Frozen::build`]
 //! from the trees, or [`Frozen::restore`] from snapshot parts, for all
-//! shards or an owned subset (`tsj-catalog`'s `SnapshotReader::restore`
-//! is its one caller) — and the remaining work of an R×S join is
-//! independent of which: right trees probe the shards (inline, or pooled
-//! — the crate's one executor decides), candidates are verified through
-//! one [`VerifyEngine`] filter chain per verifier, and the outcome is a
-//! bipartite [`JoinOutcome`]. [`crate::sharded_rs_join`] is a frozen side
-//! built and joined on the spot, `tsj-catalog`'s `Catalog` is one kept
-//! with its trees and labels, and a `tsj-cluster` node is one whose
-//! unowned shards are empty, answering [`Frozen::serve_shard`].
+//! shards or an owned subset, one tree at a time (`tsj-catalog`'s
+//! `SnapshotReader::restore` is its one caller) — and the remaining work
+//! of an R×S join is independent of which: right trees probe the shards
+//! (inline, or pooled — the crate's one executor decides), candidates
+//! are verified through one [`VerifyEngine`] filter chain per verifier,
+//! and the outcome is a bipartite [`JoinOutcome`].
+//! [`crate::sharded_rs_join`] is a frozen side built and joined on the
+//! spot, `tsj-catalog`'s `Catalog` is one kept with its trees and labels,
+//! and a `tsj-cluster` node is one whose unowned shards are empty,
+//! answering [`Frozen::serve_shard`].
+//!
+//! A side **holds** the trees whose size class maps to a shard it owns —
+//! every tree, for a built side or a whole catalog. Every tree's postings
+//! live in its size class's shard, so no probe of an owned shard reaches
+//! any other tree: the side list and the verification inputs cover the
+//! held trees alone, densely, behind one `u32` slot per tree id, while
+//! tree ids, liveness and the candidate universe stay global.
 //!
 //! The probe threshold `tau` is a **parameter**, not a property of the
 //! index: postings are registered once with the freeze-time half-width,
@@ -32,11 +40,15 @@ use partsj::probe::{window_of, Candidates, ProbeCounters, SideList};
 use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use partsj::{
     LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
-    VerifyData, VerifyEngine, WindowPolicy,
+    VerifyConfig, VerifyData, VerifyEngine, VerifyPrep, WindowPolicy,
 };
+use std::mem::size_of;
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
 use tsj_tree::{BinaryTree, Tree};
+
+/// The slot of a tree whose verification inputs a side does not hold.
+const NOT_HELD: u32 = u32::MAX;
 
 /// A frozen left side, ready to be probed by any number of right
 /// collections. See the [module docs](self).
@@ -45,10 +57,107 @@ pub struct Frozen {
     /// The (no longer mutated) sharded subgraph index over the left
     /// collection; every left tree is tracked in it.
     index: ShardedIndex,
-    /// Left trees below the partitioning threshold `δ`.
+    /// Held left trees below the partitioning threshold `δ`.
     small_by_size: SideList,
-    /// Per-left-tree verification inputs, indexed by left tree id.
+    /// Verification inputs of the held left trees, in id order.
     pub(crate) left_data: Vec<VerifyData>,
+    /// Per left tree id: its slot in `left_data`, or [`NOT_HELD`].
+    slots: Vec<u32>,
+}
+
+/// The heap bytes a [`Frozen`] side holds, by part
+/// ([`Frozen::heap_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FrozenBytes {
+    /// The sharded index: postings, subgraph pool, liveness and sizes.
+    pub index: usize,
+    /// The side list of held small trees.
+    pub side_list: usize,
+    /// The held trees' verification inputs and the per-tree slot table.
+    pub verify: usize,
+}
+
+impl FrozenBytes {
+    /// The three parts, named as the `part` label of a gauge.
+    pub fn parts(&self) -> [(&'static str, usize); 3] {
+        [
+            ("index", self.index),
+            ("side_list", self.side_list),
+            ("verify", self.verify),
+        ]
+    }
+
+    /// All three parts.
+    pub fn total(&self) -> usize {
+        self.index + self.side_list + self.verify
+    }
+}
+
+/// A frozen side being restored: the shard parts and every tree's size
+/// in place, the tree store arriving one tree at a time
+/// ([`Frozen::restore`]).
+#[derive(Debug)]
+pub struct FrozenRestore {
+    tau: u32,
+    window: WindowPolicy,
+    map: ShardMap,
+    /// One entry per shard: its restored index, `None` if not owned.
+    shards: Vec<Option<SubgraphIndex>>,
+    /// Every tree's size, in id order.
+    sizes: Vec<u32>,
+    /// The held trees' side list, verification inputs and slots, as
+    /// [`Frozen`] keeps them.
+    side: SideList,
+    data: Vec<VerifyData>,
+    slots: Vec<u32>,
+    /// Trees pushed so far: the id of the next one.
+    next: usize,
+    prep: VerifyPrep,
+}
+
+impl FrozenRestore {
+    /// Takes the next tree of the store, in id order, and prepares its
+    /// verification inputs if this side holds it; the tree itself is not
+    /// kept. A tree beyond the store, or of another size than the one
+    /// [`Frozen::restore`] was given for its id, is an error.
+    pub fn push(&mut self, tree: &Tree) -> Result<(), String> {
+        let (id, nodes) = (self.next, tree.len());
+        let size = self.sizes.get(id).copied();
+        if size != Some(nodes as u32) {
+            return Err(format!(
+                "tree {id} has {nodes} nodes, the store said {size:?}"
+            ));
+        }
+        if self.slots[id] != NOT_HELD {
+            let filters = &VerifyConfig::default(); // not read, see `VerifyData::for_config`
+            let data = VerifyData::for_config_with(tree, filters, &mut self.prep);
+            self.data.push(data);
+        }
+        self.next += 1;
+        Ok(())
+    }
+
+    /// The restored side, once every tree is pushed. Every check of
+    /// [`ShardedIndex::from_frozen_parts`] applies to the shards and the
+    /// sizes.
+    pub fn finish(self) -> Result<Frozen, String> {
+        let (pushed, count) = (self.next, self.sizes.len());
+        if pushed != count {
+            return Err(format!("{pushed} of {count} trees restored"));
+        }
+        let (tau, window) = (self.tau, self.window);
+        let empty = || SubgraphIndex::new(tau, window);
+        let shards = self.shards.into_iter().map(|s| s.unwrap_or_else(empty));
+        let tracked = (0..).zip(self.sizes);
+        let index =
+            ShardedIndex::from_frozen_parts(tau, window, self.map, shards.collect(), tracked);
+        Ok(Frozen {
+            index: index?,
+            small_by_size: self.side,
+            left_data: self.data,
+            slots: self.slots,
+        })
+    }
 }
 
 /// Reusable scratch for probing a [`ShardedIndex`]: the candidate
@@ -179,10 +288,11 @@ impl Frozen {
     /// one static build: the δ rule over every tree (fanned out over the
     /// configured probe workers), then, in input order, the partitioned
     /// trees bulk-loaded into a fresh [`ShardedIndex`], the rest
-    /// side-listed, all of them tracked; and the verification inputs, as
-    /// [`Frozen::restore`] prepares them. Both [`crate::sharded_rs_join`]
-    /// and `tsj-catalog`'s freeze build through here, which is what keeps
-    /// a frozen catalog bit-identical to the direct join.
+    /// side-listed, all of them tracked and held; and the verification
+    /// inputs, as [`Frozen::restore`] prepares them. Both
+    /// [`crate::sharded_rs_join`] and `tsj-catalog`'s freeze build through
+    /// here, which is what keeps a frozen catalog bit-identical to the
+    /// direct join.
     pub fn build(
         left: &[Tree],
         tau: u32,
@@ -209,28 +319,53 @@ impl Frozen {
             index,
             small_by_size,
             left_data: VerifyData::batch(left),
+            slots: (0..left.len() as u32).collect(),
         }
     }
 
-    /// Reassembles a frozen side from snapshot parts: the header's
-    /// `(tau, window)`, the shard map, one restored [`SubgraphIndex`]
-    /// per shard of the snapshot — an **empty** one for every shard the
-    /// caller does not own — and the tree store, which is tracked whole
-    /// and from which the side list and the verification inputs are
-    /// rebuilt. The one validating restore: every check of
-    /// [`ShardedIndex::from_frozen_parts`] applies.
+    /// Starts reassembling a frozen side from snapshot parts: the
+    /// header's `(tau, window)`, the shard map, one entry per shard of
+    /// the snapshot — its restored [`SubgraphIndex`], or `None` for a
+    /// shard the caller does not own (it stays empty) — and every tree's
+    /// size, in id order. Every tree is tracked; those whose size class
+    /// maps to an owned shard are held: side-listed (below `δ`) here, and
+    /// given verification inputs as the tree store follows one tree at a
+    /// time ([`FrozenRestore::push`]). [`FrozenRestore::finish`] ends the
+    /// one validating restore. The map must route into the given shards.
     pub fn restore(
         tau: u32,
         window: WindowPolicy,
         map: ShardMap,
-        shards: Vec<SubgraphIndex>,
-        trees: &[Tree],
-    ) -> Result<Frozen, String> {
-        let tracked = (0..).zip(trees.iter().map(|t| t.len() as u32));
-        Ok(Frozen {
-            index: ShardedIndex::from_frozen_parts(tau, window, map, shards, tracked)?,
-            small_by_size: SideList::from_trees(trees, tau),
-            left_data: VerifyData::batch(trees),
+        shards: Vec<Option<SubgraphIndex>>,
+        sizes: Vec<u32>,
+    ) -> Result<FrozenRestore, String> {
+        if shards.is_empty() {
+            return Err("a sharded index needs at least one shard".into());
+        }
+        map.validate(shards.len())?;
+        let mut slots = Vec::with_capacity(sizes.len());
+        let mut side = SideList::default();
+        let mut count = 0;
+        for (id, &size) in (0..).zip(&sizes) {
+            if shards[map.shard_of(size, shards.len())].is_none() {
+                slots.push(NOT_HELD);
+                continue;
+            }
+            slots.push(count);
+            count += 1;
+            side.push_if_small(size, id, tau);
+        }
+        Ok(FrozenRestore {
+            tau,
+            window,
+            map,
+            shards,
+            sizes,
+            side,
+            data: Vec::with_capacity(count as usize),
+            slots,
+            next: 0,
+            prep: VerifyPrep::new(),
         })
     }
 
@@ -239,9 +374,35 @@ impl Frozen {
         &self.index
     }
 
-    /// Left trees below the partitioning threshold `δ`.
+    /// Held left trees below the partitioning threshold `δ`.
     pub fn small_by_size(&self) -> &SideList {
         &self.small_by_size
+    }
+
+    /// Whether this side holds left tree `tree`'s verification inputs:
+    /// its size class maps to an owned shard.
+    pub fn holds(&self, tree: TreeIdx) -> bool {
+        self.slots
+            .get(tree as usize)
+            .is_some_and(|&slot| slot != NOT_HELD)
+    }
+
+    /// The verification inputs of held left tree `tree`.
+    #[inline]
+    pub(crate) fn data(&self, tree: TreeIdx) -> &VerifyData {
+        &self.left_data[self.slots[tree as usize] as usize]
+    }
+
+    /// The heap bytes this side holds, by part.
+    pub fn heap_bytes(&self) -> FrozenBytes {
+        let data = self.left_data.iter().map(VerifyData::heap_bytes);
+        FrozenBytes {
+            index: self.index.heap_bytes(),
+            side_list: self.small_by_size.heap_bytes(),
+            verify: self.left_data.capacity() * size_of::<VerifyData>()
+                + data.sum::<usize>()
+                + self.slots.capacity() * size_of::<u32>(),
+        }
     }
 
     /// The probe step for a raw `tree` at `tau`: its size window, every
@@ -256,7 +417,7 @@ impl Frozen {
         probe_step(
             &self.index,
             &self.small_by_size,
-            self.left_data.len(),
+            self.slots.len(),
             scratch.probe.prepare(tree),
             window_of(tree.len() as u32, tau),
             None,
@@ -334,25 +495,25 @@ impl Frozen {
         out.clear();
         self.probe(probe, engine.tau(), matching, scratch);
         let data_q = scratch.probe_verify.prepare(probe);
-        out.extend(scratch.step.found().iter().filter_map(|&i| {
-            engine
-                .check_exact(&self.left_data[i as usize], data_q)
-                .map(|d| (i, d))
-        }));
+        let found = scratch.step.found().iter();
+        out.extend(found.filter_map(|&i| engine.check_exact(self.data(i), data_q).map(|d| (i, d))));
         out.sort_unstable();
     }
 
     /// One shard's share of a probe — what a cluster node answers a
     /// `(probe, shard)` request with: the side-listed trees of `classes`
     /// (the probe-window size classes `shard` owns) and `shard`'s
-    /// postings (`shard` must be below the index's shard count), verified
-    /// through `engine` at its threshold. The probe arrives prepared: its
-    /// LC-RS form, postorder numbers and verification inputs. Returns the
-    /// verified left tree ids in discovery order and this call's stats
-    /// (`results` is left to the caller). Every left tree's postings live
-    /// in exactly one shard, so the union over the shards of a probe's
-    /// window is bit-identical — pairs, candidate counts, stage counters
-    /// — to that probe's row of [`Frozen::join_seq`].
+    /// postings, verified through `engine` at its threshold. `shard` must
+    /// be one this side owns and every class must map to it — a class of
+    /// another shard may list trees this side does not hold, so a node
+    /// refuses such requests before they get here. The probe arrives
+    /// prepared: its LC-RS form, postorder numbers and verification
+    /// inputs. Returns the verified left tree ids in discovery order and
+    /// this call's stats (`results` is left to the caller). Every left
+    /// tree's postings live in exactly one shard, so the union over the
+    /// shards of a probe's window is bit-identical — pairs, candidate
+    /// counts, stage counters — to that probe's row of
+    /// [`Frozen::join_seq`].
     pub fn serve_shard(
         &self,
         shard: usize,
@@ -368,7 +529,7 @@ impl Frozen {
         probe_step(
             &self.index,
             &self.small_by_size,
-            self.left_data.len(),
+            self.slots.len(),
             (binary, posts),
             window_of(binary.len() as u32, engine.tau()),
             Some((shard, classes)),
@@ -381,8 +542,7 @@ impl Frozen {
         stats.candidate_time = probe_start.elapsed();
 
         let verify_start = Instant::now();
-        let left_data = &self.left_data;
-        let verified = |&i: &TreeIdx| engine.check(&left_data[i as usize], data).is_some();
+        let verified = |&i: &TreeIdx| engine.check(self.data(i), data).is_some();
         let matches = found.iter().copied().filter(verified).collect();
         stats.verify_time = verify_start.elapsed();
         engine.fold_into(&mut stats);

@@ -476,6 +476,19 @@ impl ShardedIndex {
         self.map.shard_of(size, self.shards.len())
     }
 
+    /// Heap bytes held: every shard's [`SubgraphIndex`] and registration
+    /// table, and the per-tree liveness and size columns.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let shard = |s: &Shard| {
+            s.index.heap_bytes() + tsj_tree::table_bytes::<TreeIdx, u64>(s.regs_of.capacity())
+        };
+        self.shards.capacity() * size_of::<Shard>()
+            + self.shards.iter().map(shard).sum::<usize>()
+            + self.alive.capacity() * size_of::<bool>()
+            + self.sizes.capacity() * size_of::<u32>()
+    }
+
     /// Live postings per shard — the load-imbalance diagnostic the
     /// balanced map is judged by (`max/mean` over this vector).
     pub fn shard_posting_loads(&self) -> Vec<u64> {

@@ -62,7 +62,7 @@ mod pool;
 pub mod rs_join;
 pub mod streaming;
 
-pub use frozen::{build_subgraph_lists, Frozen, FrozenJoinScratch};
+pub use frozen::{build_subgraph_lists, Frozen, FrozenBytes, FrozenJoinScratch, FrozenRestore};
 pub use index::{ShardConfig, ShardMap, ShardedIndex};
 pub use rs_join::sharded_rs_join;
 pub use streaming::{EvictionPolicy, ShardedStreamingJoin, StaleTimestamp};

@@ -39,7 +39,7 @@ fn verify(
 ) {
     let data = prep.prepare(probe);
     for i in candidates {
-        if engine.check(&left.left_data[i as usize], data).is_some() {
+        if engine.check(left.data(i), data).is_some() {
             pairs.push((i, pos as TreeIdx));
         }
     }

@@ -99,6 +99,12 @@ impl PreparedTree {
         self.right.get().is_some()
     }
 
+    /// Heap bytes held: the left decomposition, and the mirrored one once
+    /// built.
+    pub fn heap_bytes(&self) -> usize {
+        self.left.heap_bytes() + self.right.get().map_or(0, TedTree::heap_bytes)
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {

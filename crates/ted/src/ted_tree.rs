@@ -281,6 +281,14 @@ impl TedTree {
         &self.keyroots
     }
 
+    /// Heap bytes this decomposition holds: its label, `lld` and keyroot
+    /// arrays, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.labels.capacity() * size_of::<Label>()
+            + (self.lld.capacity() + self.keyroots.capacity()) * size_of::<u32>()
+    }
+
     /// Work estimate of decomposing along this tree's paths (Σ keyroot
     /// spans). Used by the hybrid strategy.
     #[inline]

@@ -82,6 +82,20 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using the fast Fx hash. Use for trusted small keys only.
 pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
 
+/// Heap bytes of the table of a `HashMap<K, V>` that reports `capacity`:
+/// the power-of-two bucket count that capacity implies (7/8 of it is
+/// usable, all but one below 8 buckets), one `(K, V)` slot and one
+/// control byte a bucket, and a trailing group of 16 control bytes. What
+/// the keys and values own on the heap is not counted.
+pub fn table_bytes<K, V>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +110,18 @@ mod tests {
         }
         // Fx is not perfect, but small consecutive integers must not collide.
         assert_eq!(seen.len(), 10_000);
+    }
+
+    #[test]
+    fn table_bytes_follow_the_bucket_count() {
+        for n in [0usize, 1, 3, 5, 9, 100, 1_000, 5_000] {
+            let mut map: FxHashMap<u32, u64> = FxHashMap::default();
+            map.extend((0..n as u32).map(|k| (k, 0)));
+            let bytes = table_bytes::<u32, u64>(map.capacity());
+            let buckets = if n == 0 { 0 } else { (bytes - 16) / 17 };
+            assert!(buckets.is_power_of_two() || n == 0, "{n}: {buckets}");
+            assert!(buckets >= n, "{n} entries in {buckets} buckets");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod tree;
 pub use binary::{BinaryTree, Side};
 pub use edit::{apply_edit, apply_edits, EditOp};
 pub use error::{EditError, ParseError};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{table_bytes, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use label::{pack_twig, Label, LabelInterner};
 pub use parser::{parse_bracket, parse_xmlish, to_bracket, to_outline};
 pub use tree::{NodeId, Tree, TreeBuilder};

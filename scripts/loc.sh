@@ -70,7 +70,7 @@ path_row 'side-list scans' '\.scan(_classes)?\(' "${stack_src[@]}"
 path_row '.probe_tree( call sites' '\.probe_tree\(' "${stack_src[@]}"
 path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/src/*.rs
 path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' "${stack_src[@]}"
-path_row 'SideList::from_trees( call sites' 'SideList::from_trees\(' "${stack_src[@]}"
+path_row 'side-list rebuilds (push_if_small()' '\.push_if_small\(' "${stack_src[@]}"
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
