@@ -628,10 +628,10 @@ impl SnapshotReader {
     /// (a node), so a node never holds the whole store. The restore's
     /// cross-checks — every shard frozen for the header's `(tau,
     /// window)` and holding only size classes the map gives it, no tree
-    /// tracked twice, every posting's tree present in the store — turn a
-    /// checksum-valid but inconsistent snapshot into a typed
-    /// [`CatalogError::Corrupt`] here, not a panic or a short answer in a
-    /// later probe.
+    /// tracked twice, every posting's tree present in the store and of a
+    /// size class its shard owns — turn a checksum-valid but
+    /// inconsistent snapshot into a typed [`CatalogError::Corrupt`] here,
+    /// not a panic or a short answer in a later probe.
     pub fn restore(
         &self,
         owned: impl IntoIterator<Item = u32>,

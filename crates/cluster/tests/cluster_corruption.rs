@@ -238,6 +238,48 @@ fn a_corrupt_tree_of_an_unowned_class_is_caught_at_restore() {
     }
 }
 
+/// A node holds verification inputs only for trees of its own classes,
+/// so a posting of an owned shard that names a tree of another shard's
+/// class would index inputs the node never prepared: a checksum-valid
+/// snapshot with one such posting comes up down with the typed
+/// `Corrupt` at restore, not a panic in a later request.
+#[test]
+fn a_posting_naming_a_tree_of_an_unowned_class_is_caught_at_restore() {
+    let catalog = freeze(&synthetic_sized(24, 16, 71), 1, 4);
+    let index = catalog.index();
+    let (map, trees) = (index.shard_map(), catalog.trees());
+    let shard_of = |t: usize| map.shard_of(trees[t].len() as u32, 4);
+    // Two nodes at R = 1: node `n` owns the shards `s` with `s % 2 == n`.
+    let owner = (0..4)
+        .find(|&s| !index.shard_index(s).is_empty())
+        .expect("a posting");
+    let node = owner % 2;
+    let stranger = (0..trees.len())
+        .find(|&t| shard_of(t) % 2 != node)
+        .expect("a tree of the other node's classes");
+    let mut dump = index.shard_index(owner).dump();
+    dump.metas[0].tree = stranger as u32;
+    let mut sections = vec![
+        encode_labels(catalog.labels()),
+        encode_trees(trees),
+        encode_shard_map(map),
+    ];
+    let shard = |s| encode_shard(&index.shard_index(s).dump());
+    sections.extend((0..4).map(shard));
+    sections[3 + owner] = encode_shard(&dump);
+    let dirty = assemble(1, index.window(), trees.len() as u32, &sections);
+    let reader = SnapshotReader::from_bytes(dirty).unwrap();
+    let owned = [node as u32, node as u32 + 2];
+    let restored = Node::restore(node, &reader, &owned);
+    assert!(
+        matches!(
+            restored,
+            Err(ClusterError::Snapshot(CatalogError::Corrupt { .. }))
+        ),
+        "expected a typed Corrupt, got {restored:?}"
+    );
+}
+
 /// When *no* node's copy parses, construction fails with the typed error
 /// instead of producing an unservable cluster.
 #[test]

@@ -79,7 +79,8 @@ fn a_node_holds_what_it_owns_and_never_the_whole_tree_store() {
     // trees, here through a node that owns every shard.
     let catalog = Catalog::from_bytes(snapshot.clone()).unwrap();
     let (whole, whole_kept, _) = measured(|| Node::restore(0, &reader, &every).unwrap());
-    assert_eq!(whole.frozen().heap_bytes(), catalog.frozen().heap_bytes());
+    let whole_bytes = whole.frozen().heap_bytes();
+    assert_eq!(whole_bytes, catalog.frozen().heap_bytes());
     drop(catalog);
 
     let topology = Topology::new(SHARDS, 2, 1).unwrap();
@@ -98,6 +99,14 @@ fn a_node_holds_what_it_owns_and_never_the_whole_tree_store() {
             ((snapshot.len() + peak) as f64) < bound,
             "node {n}: restore peaked at {peak} B above its {} B snapshot, keeping {kept} B",
             snapshot.len()
+        );
+        // Half the classes, about half the verification inputs: a node
+        // holding every tree's would read about 1×.
+        let (verify, whole_verify) = (node.frozen().heap_bytes().verify, whole_bytes.verify);
+        let ratio = verify as f64 / whole_verify as f64;
+        assert!(
+            ratio <= 0.6,
+            "node {n} holds {verify} B of verify inputs, {ratio:.2}× the whole side's {whole_verify} B"
         );
         // `heap_bytes` accounts for what the allocator saw kept.
         let counted = node.frozen().heap_bytes().total() as f64;

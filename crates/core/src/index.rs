@@ -918,8 +918,10 @@ impl SubgraphIndex {
                 total_postings += bucket.postings.len() as u64;
             }
         }
-        // Validated: every image converts where it lies (same-size
-        // element types, so each collect reuses its source allocation).
+        // Validated: every image converts where it lies. The element
+        // types have the same size and alignment, so std's in-place
+        // `collect` reuses each source allocation — an optimization, not
+        // a guarantee; `restore_converts_the_dump_in_place` pins it.
         let bucket = |b: BucketDump| {
             let postings = b.postings.into_iter();
             let postings = postings.map(|(twig, handle)| Posting { twig, handle });
@@ -1237,6 +1239,41 @@ mod tests {
             |_| count += 1,
         );
         assert_eq!(count, 0);
+    }
+
+    /// `restore` turns the decoded postings, buckets and layers into the
+    /// index's own in their allocations: a toolchain whose `collect`
+    /// stopped reusing them would copy every bucket once more on each
+    /// restore — still correct, but the snapshot-sized churn a node's
+    /// resident peak is sensitive to would be back.
+    #[test]
+    fn restore_converts_the_dump_in_place() {
+        let tau = 1;
+        let (_, binary, sgs, _) = subgraphs_of("{a{b{c}{d}}{e{f}{g}}{h{i}{j}}}", tau);
+        let mut index = SubgraphIndex::new(tau, WindowPolicy::Safe);
+        index.insert_tree(binary.len() as u32, sgs);
+        let dump = index.dump();
+        let addr = |p: *const u8| p as usize;
+        let image = |layers: &[LayerDump]| {
+            let buckets = layers.iter().flat_map(|l| &l.buckets);
+            let postings = buckets.map(|b| addr(b.postings.as_ptr().cast()));
+            let buckets = layers.iter().map(|l| addr(l.buckets.as_ptr().cast()));
+            (buckets.collect::<Vec<_>>(), postings.collect::<Vec<_>>())
+        };
+        let before = (addr(dump.layers.as_ptr().cast()), image(&dump.layers));
+        assert!(dump
+            .layers
+            .iter()
+            .flat_map(|l| &l.buckets)
+            .any(|b| !b.postings.is_empty()));
+
+        let restored = SubgraphIndex::restore(dump).unwrap();
+        let layers = &restored.layers;
+        let buckets = layers.iter().map(|l| addr(l.buckets.as_ptr().cast()));
+        let postings = layers.iter().flat_map(|l| &l.buckets);
+        let postings = postings.map(|b| addr(b.postings.as_ptr().cast()));
+        let after = (buckets.collect::<Vec<_>>(), postings.collect::<Vec<_>>());
+        assert_eq!((addr(layers.as_ptr().cast()), after), before);
     }
 
     #[test]

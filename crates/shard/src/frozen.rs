@@ -139,7 +139,9 @@ impl FrozenRestore {
 
     /// The restored side, once every tree is pushed. Every check of
     /// [`ShardedIndex::from_frozen_parts`] applies to the shards and the
-    /// sizes.
+    /// sizes — among them that every posting names a tree of its shard's
+    /// size class, so a probe of an owned shard only ever surfaces held
+    /// trees.
     pub fn finish(self) -> Result<Frozen, String> {
         let (pushed, count) = (self.next, self.sizes.len());
         if pushed != count {

@@ -391,10 +391,12 @@ impl ShardedIndex {
     /// stops surfacing, its postings stay. Validates that every shard
     /// matches `(tau, window)`, that each shard only holds size classes
     /// it owns under `map`, and that every posting's container tree is
-    /// tracked — a shard-section mix-up, a snapshot whose shard-map
-    /// section disagrees with its shard sections, or a tree store short
-    /// of a referenced tree surfaces here as an error, not as silently
-    /// empty probe results or an out-of-bounds stamp in a later probe.
+    /// tracked with a size class of that shard — a shard-section mix-up,
+    /// a snapshot whose shard-map section disagrees with its shard
+    /// sections, a tree store short of a referenced tree, or a posting
+    /// naming a tree of another shard's class surfaces here as an error,
+    /// not as silently empty probe results or an out-of-bounds lookup in
+    /// a later probe.
     pub fn from_frozen_parts(
         tau: u32,
         window: WindowPolicy,
@@ -440,11 +442,18 @@ impl ShardedIndex {
             index.track(tree, size);
         }
         for (s, shard) in index.shards.iter().enumerate() {
-            let mut trees = (0..shard.index.len() as u32).map(|h| shard.index.tree_of(h));
-            if let Some(tree) = trees.find(|&tree| !index.is_alive(tree)) {
-                return Err(format!(
-                    "shard {s} references tree {tree}, which the tree store lacks"
-                ));
+            for tree in (0..shard.index.len() as u32).map(|h| shard.index.tree_of(h)) {
+                let Some(size) = index.size_of(tree) else {
+                    return Err(format!(
+                        "shard {s} references tree {tree}, which the tree store lacks"
+                    ));
+                };
+                let owner = index.shard_of_size(size);
+                if owner != s {
+                    return Err(format!(
+                        "shard {s} references tree {tree} of size class {size}, which shard {owner} owns"
+                    ));
+                }
             }
         }
         Ok(index)
@@ -987,19 +996,26 @@ mod tests {
         let mut labels = LabelInterner::new();
         let tree = parse_bracket("{a{b}{c}{d}}", &mut labels).unwrap();
         let (size, sgs) = subgraphs_for(&tree, tau, 0);
-        let mut donor = SubgraphIndex::new(tau, window);
-        donor.insert_tree(size, sgs);
-        let empty = SubgraphIndex::new(tau, window);
+        // Size 4 belongs to shard 1, size 9 to shard 0.
+        let map = ShardMap::Balanced(vec![(size, 1), (9, 0)]);
+        // Tree 0's postings in shard `at`, the tree tracked at `tracked`
+        // nodes.
+        let parts = |at: usize, tracked| {
+            let mut shards = vec![
+                SubgraphIndex::new(tau, window),
+                SubgraphIndex::new(tau, window),
+            ];
+            shards[at].insert_tree(size, sgs.clone());
+            ShardedIndex::from_frozen_parts(tau, window, map.clone(), shards, [(0, tracked)])
+        };
+        assert!(parts(1, size).is_ok());
         // The donor shard sits at position 0, but the map says size 4
         // belongs to shard 1: loading must fail loudly.
-        let err = ShardedIndex::from_frozen_parts(
-            tau,
-            window,
-            ShardMap::Balanced(vec![(size, 1)]),
-            vec![donor, empty],
-            [(0, size)],
-        );
-        assert!(err.is_err());
+        assert!(parts(0, size).is_err());
+        // Shard 1 holds size class 4 as the map says, but its posting
+        // names tree 0, whose size 9 shard 0 owns.
+        let err = parts(1, 9).unwrap_err();
+        assert!(err.contains("which shard 0 owns"), "{err}");
     }
 
     #[test]
