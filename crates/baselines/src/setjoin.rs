@@ -16,23 +16,21 @@
 
 use crate::common::filter_verify_join;
 use tsj_ted::JoinOutcome;
-use tsj_tree::{pack_twig, Label, NodeId, Tree};
+use tsj_tree::{pack_twig, BinaryTree, Tree};
 
 /// The sorted multiset of binary branches of `tree`'s LC-RS image, read
-/// off its child lists: every node with its first child's label and its
-/// next sibling's (`ε` when absent; the root has no sibling).
+/// off its [`BinaryTree`] view: every node with its first child's label
+/// and its next sibling's (`ε` when absent; the root has no sibling).
 pub fn tree_branch_bag(tree: &Tree) -> Vec<u64> {
-    let label_of = |node: Option<&NodeId>| node.map_or(Label::EPSILON, |&v| tree.label(v));
-    let branch = |node: NodeId, next: Option<&NodeId>| {
-        let first = label_of(tree.children(node).first());
-        pack_twig(tree.label(node), first, label_of(next))
-    };
-    let mut bag = Vec::with_capacity(tree.len());
-    bag.push(branch(tree.root(), None));
-    for parent in tree.node_ids() {
-        let kids = tree.children(parent);
-        bag.extend((0..kids.len()).map(|k| branch(kids[k], kids.get(k + 1))));
-    }
+    let binary = BinaryTree::from_tree(tree);
+    let label_at = |slot| binary.slot_label(slot);
+    let mut bag: Vec<u64> = binary
+        .node_ids()
+        .map(|v| {
+            let (left, right) = (binary.left_slot(v), binary.right_slot(v));
+            pack_twig(binary.label(v), label_at(left), label_at(right))
+        })
+        .collect();
     bag.sort_unstable();
     bag
 }
@@ -73,7 +71,7 @@ pub fn set_join(trees: &[Tree], tau: u32) -> JoinOutcome {
 mod tests {
     use super::*;
     use tsj_ted::ted;
-    use tsj_tree::{parse_bracket, LabelInterner};
+    use tsj_tree::{parse_bracket, Label, LabelInterner};
 
     fn collection(specs: &[&str]) -> Vec<Tree> {
         let mut labels = LabelInterner::new();

@@ -142,18 +142,17 @@ pub fn decode_labels(bytes: &[u8]) -> Result<LabelInterner, CatalogError> {
     Ok(labels)
 }
 
-/// Encodes the tree store: tree count, then each tree as its
-/// [`Tree::flatten`] sequence (`node count u32`, then per node
-/// `label u32 + parent u32` with `u32::MAX` marking the root).
+/// Encodes the tree store: tree count, then each tree's two columns
+/// side by side (`node count u32`, then per node `label u32 + parent
+/// u32` with `u32::MAX` marking the root, as [`Tree::parents`] does).
 pub fn encode_trees(trees: &[Tree]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(trees.len() as u32);
     for tree in trees {
-        let flat = tree.flatten();
-        w.put_u32(flat.len() as u32);
-        for (label, parent) in flat {
+        w.put_u32(tree.len() as u32);
+        for (label, &parent) in tree.labels().iter().zip(tree.parents()) {
             w.put_u32(label.raw());
-            w.put_u32(parent.unwrap_or(u32::MAX));
+            w.put_u32(parent);
         }
     }
     w.into_bytes()
@@ -173,29 +172,25 @@ fn tree_sizes(bytes: &[u8]) -> Result<Vec<u32>, CatalogError> {
     Ok(sizes)
 }
 
-/// Decodes a tree store one tree at a time, in id order, through one
-/// reused node buffer, handing each validated tree (label ids in range,
-/// a preorder parent sequence) to `each`, which may refuse it. Nothing
-/// but the tree being decoded is held.
+/// Decodes a tree store one tree at a time, in id order, reading each
+/// tree's columns straight into the tree's own two allocations, and hands
+/// each validated tree (label ids in range, a preorder parent column) to
+/// `each`, which may refuse it. Nothing but the tree being decoded is
+/// held.
 fn for_each_tree(
     bytes: &[u8],
     mut each: impl FnMut(Tree) -> Result<(), CatalogError>,
 ) -> Result<(), CatalogError> {
     let mut r = ByteReader::new(bytes);
     let count = r.get_count(4, "tree store")?;
-    let mut flat = Vec::new();
     for t in 0..count {
         let nodes = r.get_count(8, "tree node list")?;
-        flat.clear();
+        let (mut labels, mut parents) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
         for _ in 0..nodes {
-            let label = decode_label(r.get_u32("tree node label")?, "tree node")?;
-            let parent = match r.get_u32("tree node parent")? {
-                u32::MAX => None,
-                p => Some(p),
-            };
-            flat.push((label, parent));
+            labels.push(decode_label(r.get_u32("tree node label")?, "tree node")?);
+            parents.push(r.get_u32("tree node parent")?);
         }
-        let tree = Tree::from_flattened(&flat).map_err(|e| CatalogError::Corrupt {
+        let tree = Tree::from_columns(labels, parents).map_err(|e| CatalogError::Corrupt {
             context: format!("tree {t}: {e}"),
         })?;
         each(tree)?;

@@ -729,10 +729,9 @@ pub fn encode_probes(probes: &[Tree], labels: &LabelInterner) -> Result<ProbeBat
     let mut index: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
     let mut trees = Vec::with_capacity(probes.len());
     for probe in probes {
-        let nodes = probe
-            .flatten()
-            .into_iter()
-            .map(|(label, parent)| {
+        let columns = probe.labels().iter().zip(probe.parents());
+        let nodes = columns
+            .map(|(&label, &parent)| {
                 let slot = match index.get(&label.raw()) {
                     Some(&slot) => slot,
                     None => {
@@ -745,7 +744,8 @@ pub fn encode_probes(probes: &[Tree], labels: &LabelInterner) -> Result<ProbeBat
                         slot
                     }
                 };
-                Ok((slot, parent.map_or(0, |p| p + 1)))
+                // The root's `u32::MAX` wraps to the wire's 0.
+                Ok((slot, parent.wrapping_add(1)))
             })
             .collect::<Result<Vec<_>, WireError>>()?;
         trees.push(WireTree { nodes });
@@ -774,18 +774,13 @@ pub fn decode_probes(
         .trees
         .iter()
         .map(|tree| {
-            let nodes: Vec<(Label, Option<u32>)> = tree
-                .nodes
-                .iter()
-                .map(|&(label, parent)| {
-                    (
-                        mapped[label as usize],
-                        if parent == 0 { None } else { Some(parent - 1) },
-                    )
-                })
-                .collect();
-            Tree::from_flattened(&nodes).map_err(|_| WireError::Malformed {
-                context: "probe tree structure invalid",
+            let labels = tree.nodes.iter().map(|&(label, _)| mapped[label as usize]);
+            // The wire's 0 (the root) wraps back to `u32::MAX`.
+            let parents = tree.nodes.iter().map(|&(_, parent)| parent.wrapping_sub(1));
+            Tree::from_columns(labels.collect(), parents.collect()).map_err(|_| {
+                WireError::Malformed {
+                    context: "probe tree structure invalid",
+                }
             })
         })
         .collect()

@@ -893,7 +893,7 @@ mod tests {
 
     impl RefInputs {
         fn new(tree: &Tree) -> RefInputs {
-            let degree = |&node| tree.children(node).len() as u32;
+            let degree = |&node| tree.children(node).count() as u32;
             RefInputs {
                 shape: tree.preorder().iter().map(degree).collect(),
                 strings: TraversalStrings::new(tree),

@@ -44,6 +44,17 @@ impl MotherSampler {
         &self.mother
     }
 
+    /// The ordered children of a mother node: the next id, then each
+    /// sibling past the run of the one before, up to the end of the
+    /// node's own run.
+    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let sizes = &self.subtree_sizes;
+        let end = node.index() + sizes[node.index()] as usize;
+        let first = Some(node.index() + 1).filter(|&child| child < end);
+        let next = move |&child: &usize| Some(child + sizes[child] as usize).filter(|&c| c < end);
+        std::iter::successors(first, next).map(NodeId::from_index)
+    }
+
     /// Samples a random prefix-closed subtree with about `target` nodes.
     ///
     /// The sampled tree's root is a random mother node whose subtree can
@@ -69,35 +80,29 @@ impl MotherSampler {
         // Frontier expansion: include `root`, then adopt random frontier
         // children until the target is met.
         let mut included: Vec<NodeId> = vec![root];
-        let mut frontier: Vec<NodeId> = self.mother.children(root).to_vec();
+        let mut frontier: Vec<NodeId> = self.children(root).collect();
         while included.len() < target && !frontier.is_empty() {
             let pick = rng.gen_range(0..frontier.len());
             let node = frontier.swap_remove(pick);
             included.push(node);
-            frontier.extend_from_slice(self.mother.children(node));
+            frontier.extend(self.children(node));
         }
 
         // Rebuild the induced subtree in preorder, keeping the mother's
-        // child order.
+        // child order: the sample holds every included node's parent, and
+        // mother ids are preorder, so its preorder is its ids ascending.
         let mut in_sample = vec![false; self.mother.len()];
         for &node in &included {
             in_sample[node.index()] = true;
         }
+        let mut placed = vec![root; self.mother.len()];
         let mut builder = TreeBuilder::with_capacity(included.len());
-        let new_root = builder.root(self.mother.label(root));
-        let mut stack: Vec<(NodeId, tsj_tree::NodeId)> = Vec::new();
-        for &child in self.mother.children(root).iter().rev() {
-            if in_sample[child.index()] {
-                stack.push((child, new_root));
-            }
-        }
-        while let Some((old, parent)) = stack.pop() {
-            let id = builder.child(parent, self.mother.label(old));
-            for &child in self.mother.children(old).iter().rev() {
-                if in_sample[child.index()] {
-                    stack.push((child, id));
-                }
-            }
+        placed[root.index()] = builder.root(self.mother.label(root));
+        let end = root.index() + self.subtree_sizes[root.index()] as usize;
+        let parents = self.mother.parents();
+        for v in (root.index() + 1..end).filter(|&v| in_sample[v]) {
+            let label = self.mother.label(NodeId::from_index(v));
+            placed[v] = builder.child(placed[parents[v] as usize], label);
         }
         builder.build()
     }

@@ -42,7 +42,7 @@ pub fn random_edit<R: Rng>(tree: &Tree, rng: &mut R, num_labels: u32) -> EditOp 
         }
         _ => {
             let parent = random_node(rng);
-            let available = tree.children(parent).len();
+            let available = tree.children(parent).count();
             let start = rng.gen_range(0..=available);
             let count = rng.gen_range(0..=available - start);
             EditOp::Insert {

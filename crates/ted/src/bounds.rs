@@ -86,10 +86,7 @@ pub fn histogram_bound(a: &[Label], b: &[Label]) -> u32 {
 /// A tree's multiset of node degrees (child counts) in sorted order, for
 /// [`degree_bound`].
 pub fn degree_histogram(tree: &Tree) -> Vec<u32> {
-    let mut degrees: Vec<u32> = tree
-        .node_ids()
-        .map(|n| tree.children(n).len() as u32)
-        .collect();
+    let mut degrees = tree.child_counts();
     degrees.sort_unstable();
     degrees
 }

@@ -75,6 +75,8 @@ fn bounded_is_exact(
 struct Constrained<'t> {
     a: &'t Tree,
     b: &'t Tree,
+    kids_a: &'t [Vec<NodeId>],
+    kids_b: &'t [Vec<NodeId>],
     size_a: Vec<u32>,
     size_b: Vec<u32>,
     /// `(subtree cost, child-forest cost)` per node pair.
@@ -82,10 +84,17 @@ struct Constrained<'t> {
 }
 
 impl<'t> Constrained<'t> {
-    fn distance(a: &'t Tree, b: &'t Tree) -> u32 {
+    fn distance(a: &Tree, b: &Tree) -> u32 {
+        let child_lists = |tree: &Tree| -> Vec<Vec<NodeId>> {
+            let kids = |node| tree.children(node).collect();
+            tree.node_ids().map(kids).collect()
+        };
+        let (kids_a, kids_b) = (child_lists(a), child_lists(b));
         let mut pairs = Constrained {
             a,
             b,
+            kids_a: &kids_a,
+            kids_b: &kids_b,
             size_a: a.subtree_sizes(),
             size_b: b.subtree_sizes(),
             memo: vec![None; a.len() * b.len()],
@@ -99,14 +108,15 @@ impl<'t> Constrained<'t> {
             return done;
         }
         let (a, b) = (self.a, self.b);
-        let mut forest = self.child_edit(a.children(x), b.children(y));
+        let (xs, ys) = (&self.kids_a[x.index()], &self.kids_b[y.index()]);
+        let mut forest = self.child_edit(xs, ys);
         let mut tree = u32::MAX;
-        for &c in b.children(y) {
+        for &c in ys {
             let (t, f) = self.pair(x, c);
             let rest = self.size_b[y.index()] - self.size_b[c.index()];
             (tree, forest) = (tree.min(t + rest), forest.min(f + rest));
         }
-        for &c in a.children(x) {
+        for &c in xs {
             let (t, f) = self.pair(c, y);
             let rest = self.size_a[x.index()] - self.size_a[c.index()];
             (tree, forest) = (tree.min(t + rest), forest.min(f + rest));
@@ -125,7 +135,7 @@ impl<'t> Constrained<'t> {
     }
 
     fn child_edit(&mut self, xs: &[NodeId], ys: &[NodeId]) -> u32 {
-        let (a, b) = (self.a, self.b);
+        let (kids_a, kids_b) = (self.kids_a, self.kids_b);
         let w = ys.len() + 1;
         let mut e = vec![0u32; (xs.len() + 1) * w];
         for t in 1..w {
@@ -140,7 +150,7 @@ impl<'t> Constrained<'t> {
                 let mut d = (e[(s - 1) * w + t] + delete)
                     .min(e[s * w + t - 1] + self.size_b[y.index()])
                     .min(e[(s - 1) * w + t - 1] + self.pair(x, y).0);
-                let (inserted, deleted) = (b.children(y), a.children(x));
+                let (inserted, deleted) = (&kids_b[y.index()], &kids_a[x.index()]);
                 if (2..=s).contains(&inserted.len()) {
                     let m = inserted.len();
                     d = d.min(e[(s - m) * w + t - 1] + self.run(&xs[s - m..s], inserted));
@@ -192,7 +202,7 @@ fn every_single_edit(tree: &Tree, label: Label) -> Vec<EditOp> {
         if node != tree.root() {
             ops.push(EditOp::Delete { node });
         }
-        let available = tree.children(node).len();
+        let available = tree.children(node).count();
         for start in 0..=available {
             for count in 0..=available - start {
                 ops.push(EditOp::Insert {
@@ -319,7 +329,7 @@ fn derivations_match_the_tree(tree: &Tree, scratch: &mut TedBuildScratch) -> Res
 /// later node shares their `lld`) and the Σ of their spans.
 fn walked_arrays(tree: &Tree, mirror: bool) -> (Vec<Label>, Vec<u32>, Vec<u32>, u64) {
     fn walk(tree: &Tree, node: NodeId, mirror: bool, out: &mut (Vec<Label>, Vec<u32>)) -> u32 {
-        let mut kids = tree.children(node).to_vec();
+        let mut kids: Vec<NodeId> = tree.children(node).collect();
         if mirror {
             kids.reverse();
         }
@@ -364,7 +374,8 @@ fn columns_match_the_walks(tree: &Tree) -> Result<(), String> {
     let (mut preorder, mut stack) = (Vec::new(), vec![tree.root()]);
     while let Some(node) = stack.pop() {
         preorder.push(node);
-        stack.extend(tree.children(node).iter().rev());
+        let kids: Vec<NodeId> = tree.children(node).collect();
+        stack.extend(kids.into_iter().rev());
     }
     check(
         preorder == tree.node_ids().collect::<Vec<_>>(),
@@ -374,7 +385,7 @@ fn columns_match_the_walks(tree: &Tree) -> Result<(), String> {
     // LC-RS links from the child lists, then their postorder walk.
     let (mut left, mut right) = (vec![None; n], vec![None; n]);
     for node in tree.node_ids() {
-        let kids = tree.children(node);
+        let kids: Vec<NodeId> = tree.children(node).collect();
         left[node.index()] = kids.first().copied();
         for pair in kids.windows(2) {
             right[pair[0].index()] = Some(pair[1]);
@@ -416,7 +427,7 @@ fn columns_match_the_walks(tree: &Tree) -> Result<(), String> {
         check(binary.subtree_size(node) == size, "binary subtree size")?;
     }
     fn general_walk(tree: &Tree, node: NodeId, out: &mut Vec<NodeId>) {
-        for &child in tree.children(node) {
+        for child in tree.children(node) {
             general_walk(tree, child, out);
         }
         out.push(node);
@@ -460,7 +471,7 @@ fn columns_match_the_walks(tree: &Tree) -> Result<(), String> {
 
 /// Preorder child counts: the shape as the eager design spelled it.
 fn degree_sequence(tree: &Tree) -> Vec<usize> {
-    let degree = |&n| tree.children(n).len();
+    let degree = |&n| tree.children(n).count();
     tree.preorder().iter().map(degree).collect()
 }
 
@@ -768,7 +779,7 @@ fn corner_shapes_are_the_shapes_they_claim() {
         let mut degrees: Vec<usize> = tree
             .preorder()
             .iter()
-            .map(|&n| tree.children(n).len())
+            .map(|&n| tree.children(n).count())
             .collect();
         degrees.truncate(4);
         (tree.len(), tree.max_depth(), degrees)

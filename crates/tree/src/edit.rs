@@ -18,7 +18,7 @@
 
 use crate::error::EditError;
 use crate::label::Label;
-use crate::tree::{NodeId, Tree, TreeBuilder};
+use crate::tree::{NodeId, Tree};
 
 /// A single node edit operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,20 +51,18 @@ pub enum EditOp {
 }
 
 /// Applies one edit operation, returning the edited tree.
+///
+/// Ids are preorder before and after, so each operation is one O(n) pass
+/// over the two columns that allocates only the new tree: a rename stores
+/// one label; a delete drops slot `v`, hands `v`'s children to its parent
+/// and moves later ids down; an insert opens the slot where the new node's
+/// run starts, hangs the adopted run from it and moves later ids up.
 pub fn apply_edit(tree: &Tree, op: &EditOp) -> Result<Tree, EditError> {
-    // Work on an explicit mutable copy of the child structure; node ids
-    // index these vectors. Slot `labels.len()` is reserved for an insert.
+    let (labels, parents) = (tree.labels(), tree.parents());
     let n = tree.len();
-    let mut labels: Vec<Label> = tree.node_ids().map(|id| tree.label(id)).collect();
-    let mut children: Vec<Vec<NodeId>> = tree
-        .node_ids()
-        .map(|id| tree.children(id).to_vec())
-        .collect();
-    let root = tree.root();
-
-    let check = |node: NodeId| -> Result<(), EditError> {
+    let check = |node: NodeId| -> Result<usize, EditError> {
         if node.index() < n {
-            Ok(())
+            Ok(node.index())
         } else {
             Err(EditError::UnknownNode)
         }
@@ -72,18 +70,24 @@ pub fn apply_edit(tree: &Tree, op: &EditOp) -> Result<Tree, EditError> {
 
     match *op {
         EditOp::Rename { node, label } => {
-            check(node)?;
-            labels[node.index()] = label;
+            let v = check(node)?;
+            let mut labels = labels.to_vec();
+            labels[v] = label;
+            Ok(Tree::from_preorder_columns(labels, parents.to_vec()))
         }
         EditOp::Delete { node } => {
-            check(node)?;
-            let parent = tree.parent(node).ok_or(EditError::DeleteRoot)?;
-            let pos = children[parent.index()]
-                .iter()
-                .position(|&c| c == node)
-                .expect("child link consistent with parent link");
-            let grandchildren = std::mem::take(&mut children[node.index()]);
-            children[parent.index()].splice(pos..=pos, grandchildren);
+            let v = check(node)?;
+            let up = tree.parent(node).ok_or(EditError::DeleteRoot)?.0;
+            let new_labels = [&labels[..v], &labels[v + 1..]].concat();
+            // Ids before v keep their parents (all before v, or the
+            // root's mark); later ones lose v and move down.
+            let mut new_parents = Vec::with_capacity(n - 1);
+            new_parents.extend_from_slice(&parents[..v]);
+            new_parents.extend(parents[v + 1..].iter().map(|&p| {
+                let p = if p == node.0 { up } else { p };
+                p - u32::from(p > node.0)
+            }));
+            Ok(Tree::from_preorder_columns(new_labels, new_parents))
         }
         EditOp::Insert {
             parent,
@@ -91,39 +95,37 @@ pub fn apply_edit(tree: &Tree, op: &EditOp) -> Result<Tree, EditError> {
             count,
             label,
         } => {
-            check(parent)?;
-            let available = children[parent.index()].len();
-            if start > available || start + count > available {
+            let p = check(parent)?;
+            let kids = || tree.children(parent).map(NodeId::index);
+            let available = kids().count();
+            if start > available || count > available - start {
                 return Err(EditError::BadChildRange {
                     start,
                     count,
                     available,
                 });
             }
-            let new_id = NodeId::from_index(labels.len());
-            labels.push(label);
-            let adopted: Vec<NodeId> = children[parent.index()]
-                .splice(start..start + count, [new_id])
-                .collect();
-            children.push(adopted);
+            // The new node takes slot s, where child `start` or the end of
+            // the parent's run is; the adopted run is s..e.
+            let end = (p + 1..n).find(|&j| parents[j] < parent.0).unwrap_or(n);
+            let s = kids().nth(start).unwrap_or(end);
+            let e = kids().nth(start + count).unwrap_or(end);
+            let new_labels = [&labels[..s], &[label], &labels[s..]].concat();
+            // Ids before s keep their parents; later ones move up, and the
+            // parent's children in s..e now hang from slot s.
+            let mut new_parents = Vec::with_capacity(n + 1);
+            new_parents.extend_from_slice(&parents[..s]);
+            new_parents.push(parent.0);
+            new_parents.extend((s..n).zip(&parents[s..]).map(|(u, &q)| {
+                if q == parent.0 && u < e {
+                    s as u32
+                } else {
+                    q + u32::from(q as usize >= s)
+                }
+            }));
+            Ok(Tree::from_preorder_columns(new_labels, new_parents))
         }
     }
-
-    // Rebuild a compact tree in preorder over the edited structure.
-    let mut builder = TreeBuilder::with_capacity(labels.len());
-    let new_root = builder.root(labels[root.index()]);
-    let mut stack: Vec<(NodeId, crate::tree::NodeId)> = children[root.index()]
-        .iter()
-        .rev()
-        .map(|&c| (c, new_root))
-        .collect();
-    while let Some((old, parent)) = stack.pop() {
-        let id = builder.child(parent, labels[old.index()]);
-        for &c in children[old.index()].iter().rev() {
-            stack.push((c, id));
-        }
-    }
-    Ok(builder.build())
 }
 
 /// Applies a sequence of operations left to right.
@@ -153,7 +155,7 @@ mod tests {
     fn rename_changes_one_label() {
         let mut labels = LabelInterner::new();
         let tree = t("{a{b}{c}}", &mut labels);
-        let b_node = tree.children(tree.root())[0];
+        let b_node = tree.children(tree.root()).next().unwrap();
         let new = apply_edit(
             &tree,
             &EditOp::Rename {
@@ -170,8 +172,8 @@ mod tests {
         // Figure 2: T1 -> T2 deletes N4; N4's child N5 takes its place.
         let mut labels = LabelInterner::new();
         let tree = t("{1{2{3}{4{5}}{6}}{7}}", &mut labels);
-        let n2 = tree.children(tree.root())[0];
-        let n4 = tree.children(n2)[1];
+        let n2 = tree.children(tree.root()).next().unwrap();
+        let n4 = tree.children(n2).nth(1).unwrap();
         let new = apply_edit(&tree, &EditOp::Delete { node: n4 }).unwrap();
         assert_eq!(to_bracket(&new, &labels), "{1{2{3}{5}{6}}{7}}");
         new.validate().unwrap();
@@ -181,7 +183,7 @@ mod tests {
     fn delete_leaf() {
         let mut labels = LabelInterner::new();
         let tree = t("{a{b}{c}}", &mut labels);
-        let c_node = tree.children(tree.root())[1];
+        let c_node = tree.children(tree.root()).nth(1).unwrap();
         let new = apply_edit(&tree, &EditOp::Delete { node: c_node }).unwrap();
         assert_eq!(to_bracket(&new, &labels), "{a{b}}");
     }
@@ -199,7 +201,7 @@ mod tests {
         // Figure 2: T2 -> T3 inserts N8 between N1 and {N6, N7}.
         let mut labels = LabelInterner::new();
         let tree = t("{1{2{3}{5}{6}}{7}}", &mut labels);
-        let n2 = tree.children(tree.root())[0];
+        let n2 = tree.children(tree.root()).next().unwrap();
         // Insert "8" as child of node 2, adopting children [1..3) = {5, 6}.
         let new = apply_edit(
             &tree,
@@ -275,7 +277,7 @@ mod tests {
         .unwrap();
         assert_eq!(to_bracket(&inserted, &labels), "{r{m{a}{b}{c}}}");
         // Deleting the inserted node restores the original structure.
-        let m_node = inserted.children(inserted.root())[0];
+        let m_node = inserted.children(inserted.root()).next().unwrap();
         let restored = apply_edit(&inserted, &EditOp::Delete { node: m_node }).unwrap();
         assert!(restored.structurally_eq(&tree));
     }
@@ -285,10 +287,10 @@ mod tests {
         // T1 --delete N4--> T2 --insert N8--> T3 --rename N5--> T4.
         let mut labels = LabelInterner::new();
         let t1 = t("{1{2{3}{4{5}}{6}}{7}}", &mut labels);
-        let n2 = t1.children(t1.root())[0];
-        let n4 = t1.children(n2)[1];
+        let n2 = t1.children(t1.root()).next().unwrap();
+        let n4 = t1.children(n2).nth(1).unwrap();
         let t2 = apply_edit(&t1, &EditOp::Delete { node: n4 }).unwrap();
-        let n2 = t2.children(t2.root())[0];
+        let n2 = t2.children(t2.root()).next().unwrap();
         let t3 = apply_edit(
             &t2,
             &EditOp::Insert {
@@ -299,9 +301,9 @@ mod tests {
             },
         )
         .unwrap();
-        let n2 = t3.children(t3.root())[0];
-        let n8 = t3.children(n2)[1];
-        let n5 = t3.children(n8)[0];
+        let n2 = t3.children(t3.root()).next().unwrap();
+        let n8 = t3.children(n2).nth(1).unwrap();
+        let n5 = t3.children(n8).next().unwrap();
         let t4 = apply_edit(
             &t3,
             &EditOp::Rename {

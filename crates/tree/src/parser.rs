@@ -32,9 +32,19 @@ pub fn parse_bracket(input: &str, labels: &mut LabelInterner) -> Result<Tree, Pa
     pos += 1;
     let label_text = parse_label_text(input, bytes, &mut pos)?;
     let mut builder = TreeBuilder::new();
-    let root = builder.root(labels.intern(&label_text));
-    parse_children(input, bytes, &mut pos, labels, &mut builder, root)?;
-    expect_close(bytes, &mut pos)?;
+    // The innermost open node; its parent is the next one out.
+    let mut open = Some(builder.root(labels.intern(&label_text)));
+    while let Some(node) = open {
+        skip_ws(bytes, &mut pos);
+        if pos < bytes.len() && bytes[pos] == b'{' {
+            pos += 1;
+            let label_text = parse_label_text(input, bytes, &mut pos)?;
+            open = Some(builder.child(node, labels.intern(&label_text)));
+        } else {
+            expect_close(bytes, &mut pos)?;
+            open = builder.parent(node);
+        }
+    }
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError::new(pos, "trailing input after tree"));
@@ -45,28 +55,6 @@ pub fn parse_bracket(input: &str, labels: &mut LabelInterner) -> Result<Tree, Pa
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
         *pos += 1;
-    }
-}
-
-fn parse_children(
-    input: &str,
-    bytes: &[u8],
-    pos: &mut usize,
-    labels: &mut LabelInterner,
-    builder: &mut TreeBuilder,
-    parent: NodeId,
-) -> Result<(), ParseError> {
-    loop {
-        skip_ws(bytes, pos);
-        if *pos >= bytes.len() || bytes[*pos] != b'{' {
-            return Ok(());
-        }
-        *pos += 1;
-        let label_text = parse_label_text(input, bytes, pos)?;
-        let label = labels.intern(&label_text);
-        let id = builder.child(parent, label);
-        parse_children(input, bytes, pos, labels, builder, id)?;
-        expect_close(bytes, pos)?;
     }
 }
 
@@ -110,25 +98,34 @@ fn parse_label_text(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String
 }
 
 /// Serializes a tree to bracket notation, escaping `{`, `}` and `\`.
+///
+/// One pass in preorder: before each node, the open nodes from the one
+/// before it up to (not including) its parent are closed, and the last
+/// node's path to the root is closed at the end.
 pub fn to_bracket(tree: &Tree, labels: &LabelInterner) -> String {
     let mut out = String::with_capacity(tree.len() * 4);
-    write_bracket(tree, tree.root(), labels, &mut out);
-    out
-}
-
-fn write_bracket(tree: &Tree, node: NodeId, labels: &LabelInterner, out: &mut String) {
-    out.push('{');
-    let text = labels.resolve(tree.label(node)).unwrap_or("");
-    for c in text.chars() {
-        if matches!(c, '{' | '}' | '\\') {
-            out.push('\\');
+    let up_from = |node: NodeId| std::iter::successors(Some(node), |&v| tree.parent(v));
+    for node in tree.node_ids() {
+        if let Some(prev) = node.index().checked_sub(1).map(NodeId::from_index) {
+            let parent = tree.parent(node);
+            out.extend(
+                up_from(prev)
+                    .take_while(|&v| Some(v) != parent)
+                    .map(|_| '}'),
+            );
         }
-        out.push(c);
+        out.push('{');
+        let text = labels.resolve(tree.label(node)).unwrap_or("");
+        for c in text.chars() {
+            if matches!(c, '{' | '}' | '\\') {
+                out.push('\\');
+            }
+            out.push(c);
+        }
     }
-    for &child in tree.children(node) {
-        write_bracket(tree, child, labels, out);
-    }
-    out.push('}');
+    let last = NodeId::from_index(tree.len() - 1);
+    out.extend(up_from(last).map(|_| '}'));
+    out
 }
 
 /// Parses a small XML-like document into a [`Tree`].
@@ -303,10 +300,10 @@ mod tests {
         tree.validate().unwrap();
         let root = tree.root();
         assert_eq!(labels.resolve(tree.label(root)), Some("a"));
-        assert_eq!(tree.children(root).len(), 2);
-        let c = tree.children(root)[1];
+        assert_eq!(tree.children(root).count(), 2);
+        let c = tree.children(root).nth(1).unwrap();
         assert_eq!(labels.resolve(tree.label(c)), Some("c"));
-        assert_eq!(tree.children(c).len(), 1);
+        assert_eq!(tree.children(c).count(), 1);
     }
 
     #[test]
@@ -374,7 +371,7 @@ mod tests {
         let tree = parse_xmlish(r#"<a x="1"><b/><c key="v">text</c></a>"#, &mut labels).unwrap();
         assert_eq!(tree.len(), 4);
         let root = tree.root();
-        assert_eq!(tree.children(root).len(), 2);
+        assert_eq!(tree.children(root).count(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rooted ordered labeled trees stored as four flat columns.
+//! Rooted ordered labeled trees stored as two flat columns.
 //!
 //! This is the "general tree" of the paper (§2): a directed acyclic graph
 //! where every node has one parent (except the unique root), a label, and an
@@ -7,11 +7,9 @@
 //! (postorder numbers, subtree sizes, the LC-RS representation) be plain
 //! vectors indexed by node id.
 //!
-//! A [`Tree`] is four `u32` columns indexed by id — `labels`, `parents`
-//! (`u32::MAX` for the root), `child_start` (n + 1 offsets) and `kids` (the
-//! n − 1 non-root ids grouped by parent) — so a node costs 16 bytes of heap
-//! and a tree four allocations, whatever its shape
-//! ([`Tree::heap_bytes`]).
+//! A [`Tree`] is two exact-size `u32` columns indexed by id — `labels` and
+//! `parents` (`u32::MAX` for the root) — so a node costs 8 bytes of heap
+//! and a tree two allocations, whatever its shape ([`Tree::heap_bytes`]).
 //!
 //! **Ids are preorder**: the root is 0, a node's first child is the next id,
 //! and a node's subtree is the run of `size` ids that starts at it. Two
@@ -21,13 +19,16 @@
 //! `v − depth(v) + size(v)`, the next sibling of `v` is `v + size(v)` when
 //! their parents agree. This is the (preorder number, scope) encoding of
 //! the tree-mining literature. A tree therefore has one layout per shape:
-//! two trees are structurally equal exactly when their label and parent
-//! columns are, and [`Tree::flatten`] is a copy of those columns.
+//! two trees are structurally equal exactly when their columns are, and
+//! [`Tree::flatten`] is a copy of them. No child list is stored: the
+//! children of `v` are the ids of its run whose parent is `v`
+//! ([`Tree::children`], O(size(v))), and a whole-tree pass that needs every
+//! node's children reads child counts ([`Tree::child_counts`]) or next
+//! siblings ([`Tree::fill_subtree_sizes`]) off the columns in O(n).
 //! [`TreeBuilder::build`] renumbers a builder's call order to preorder when
-//! it is not already (parsers and edits build in preorder and pay one O(n)
-//! check), [`Tree::from_flattened`] rejects a sequence that is not, and
-//! both lay every child list out at once with one stable counting sort of
-//! the ids by parent.
+//! it is not already (parsers build in preorder and pay one O(n) check),
+//! [`Tree::from_columns`] rejects columns that are not, and
+//! [`crate::apply_edit`] edits the columns in place of a rebuild.
 
 use crate::error::ParseError;
 use crate::label::Label;
@@ -65,19 +66,14 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// Construct with [`TreeBuilder`] or one of the parsers in
 /// [`crate::parser`]. Trees always contain at least one node (the root,
 /// id 0); the empty tree is not representable. Node ids are preorder and
-/// storage is four flat `u32` columns, 16 bytes a node (see the
-/// [module docs](self)).
+/// storage is two exact-size `u32` columns, 8 bytes a node in two
+/// allocations (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Tree {
     /// `labels[i]`: the label of node `i`.
-    labels: Vec<Label>,
+    labels: Box<[Label]>,
     /// `parents[i]`: the parent of node `i`, [`NO_PARENT`] for the root.
-    parents: Vec<u32>,
-    /// `kids[child_start[i]..child_start[i + 1]]` are node `i`'s children.
-    child_start: Vec<u32>,
-    /// Every non-root id, grouped by parent in parent-id order, each group
-    /// in child order (which is id order).
-    kids: Vec<NodeId>,
+    parents: Box<[u32]>,
 }
 
 impl Tree {
@@ -88,40 +84,13 @@ impl Tree {
         builder.build()
     }
 
-    /// Lays out a tree whose `parents` column is already in preorder: the
-    /// child lists, grouped by parent with a counting sort into
-    /// `child_start` (n + 1 slots) and `kids` (n − 1), whatever they held.
-    fn lay_out(
-        labels: Vec<Label>,
-        parents: Vec<u32>,
-        mut child_start: Vec<u32>,
-        mut kids: Vec<NodeId>,
-    ) -> Tree {
-        let n = labels.len();
-        // Child counts, turned into each group's end by inclusive prefix
-        // sums; slot n, which no node names as parent, ends at n − 1.
-        child_start.fill(0);
-        for &parent in &parents[1..] {
-            child_start[parent as usize] += 1;
-        }
-        let mut end = 0;
-        for slot in &mut child_start {
-            end += *slot;
-            *slot = end;
-        }
-        // Fill every group back to front with ids in descending order, so
-        // each ends up in id order — which is child order — and its slot
-        // ends up at the group's start.
-        for child in (1..n).rev() {
-            let slot = &mut child_start[parents[child] as usize];
-            *slot -= 1;
-            kids[*slot as usize] = NodeId(child as u32);
-        }
+    /// Wraps columns already known to be a preorder tree (one root at 0,
+    /// every other parent before its child, preorder ids).
+    pub(crate) fn from_preorder_columns(labels: Vec<Label>, parents: Vec<u32>) -> Tree {
+        debug_assert!(labels.len() == parents.len() && is_preorder(&parents));
         Tree {
-            labels,
-            parents,
-            child_start,
-            kids,
+            labels: labels.into_boxed_slice(),
+            parents: parents.into_boxed_slice(),
         }
     }
 
@@ -131,13 +100,10 @@ impl Tree {
         self.labels.len()
     }
 
-    /// Heap bytes this tree holds: 16 a node once capacity is exact,
-    /// which every built, cloned or decoded tree is.
+    /// Heap bytes this tree holds: 8 a node, since both columns are
+    /// exact-size.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.labels.capacity() * size_of::<Label>()
-            + (self.parents.capacity() + self.child_start.capacity()) * size_of::<u32>()
-            + self.kids.capacity() * size_of::<NodeId>()
+        std::mem::size_of_val(&*self.labels) + std::mem::size_of_val(&*self.parents)
     }
 
     /// Trees are never empty, so this is always `false`; provided for
@@ -180,17 +146,24 @@ impl Tree {
         &self.parents
     }
 
-    /// The ordered children of `node`.
-    #[inline]
-    pub fn children(&self, node: NodeId) -> &[NodeId] {
-        let i = node.index();
-        &self.kids[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    /// The ordered children of `node`: the ids of its preorder run — every
+    /// later id whose parent is at least `node` — whose parent is `node`.
+    /// O(size(node)); a pass over every node's children reads
+    /// [`Tree::child_counts`] or next siblings instead.
+    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let v = node.0;
+        let run = self.parents[node.index() + 1..].iter();
+        (v + 1..)
+            .zip(run.take_while(move |&&parent| parent >= v))
+            .filter(move |&(_, &parent)| parent == v)
+            .map(|(child, _)| NodeId(child))
     }
 
-    /// Whether `node` has no children.
+    /// Whether `node` has no children: its first child would be the next
+    /// id.
     #[inline]
     pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.children(node).is_empty()
+        self.parents.get(node.index() + 1) != Some(&node.0)
     }
 
     /// Iterates over all node ids in arena order, which is preorder.
@@ -233,7 +206,7 @@ impl Tree {
 
     /// Labels in preorder, the traversal string of Guha et al. (§2).
     pub fn preorder_labels(&self) -> Vec<Label> {
-        self.labels.clone()
+        self.labels.to_vec()
     }
 
     /// Labels in postorder, the traversal string of Guha et al. (§2).
@@ -280,6 +253,16 @@ impl Tree {
         }
     }
 
+    /// Number of children of each node, indexed by id: one pass over the
+    /// parent column.
+    pub fn child_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0; self.len()];
+        for &parent in &self.parents[1..] {
+            counts[parent as usize] += 1;
+        }
+        counts
+    }
+
     /// Maximum node depth (a single-node tree has depth 0).
     pub fn max_depth(&self) -> u32 {
         self.depths().into_iter().max().unwrap_or(0)
@@ -287,17 +270,16 @@ impl Tree {
 
     /// Maximum number of children over all nodes.
     pub fn max_fanout(&self) -> usize {
-        self.node_ids()
-            .map(|n| self.children(n).len())
-            .max()
-            .unwrap_or(0)
+        self.child_counts().into_iter().max().unwrap_or(0) as usize
     }
 
     /// The position of `node` among its parent's children, or `None` for
-    /// the root.
+    /// the root: how many ids between the parent and `node` have the same
+    /// parent.
     pub fn child_position(&self, node: NodeId) -> Option<usize> {
         let parent = self.parent(node)?;
-        self.children(parent).iter().position(|&c| c == node)
+        let between = &self.parents[parent.index() + 1..node.index()];
+        Some(between.iter().filter(|&&p| p == parent.0).count())
     }
 
     /// Structural + label equality. Ids are preorder, so a shape has one
@@ -306,161 +288,167 @@ impl Tree {
         self.labels == other.labels && self.parents == other.parents
     }
 
-    /// Flattens the tree into a parent-linked preorder sequence — the
-    /// wire form used by snapshot serialization (`tsj-catalog`).
+    /// Flattens the tree into a parent-linked preorder sequence.
     ///
     /// Entry `k` is `(label, parent)` where `parent` is the *position of
     /// the parent within the returned sequence* (`None` only for the
     /// root, at position 0). Ids are preorder, so this is the label and
-    /// parent columns side by side, and [`Tree::from_flattened`] lays the
-    /// same columns back out.
+    /// parent columns side by side, and [`Tree::from_flattened`] takes the
+    /// same columns back.
     pub fn flatten(&self) -> Vec<(Label, Option<u32>)> {
         let parents = self.parents.iter();
         let parents = parents.map(|&p| (p != NO_PARENT).then_some(p));
         self.labels.iter().copied().zip(parents).collect()
     }
 
-    /// Rebuilds a tree from a [`Tree::flatten`] sequence.
+    /// Rebuilds a tree from a [`Tree::flatten`] sequence: the sequence
+    /// split into its two columns, then [`Tree::from_columns`].
     ///
     /// The result is [structurally equal](Tree::structurally_eq) to the
-    /// flattened tree, with the same ids. Only the preorder sequence of a
-    /// tree is accepted, so `flatten(from_flattened(x)) == x` whenever this
-    /// succeeds. Returns an error (positioned at the offending entry index)
-    /// for an empty sequence, a non-root first entry, an extra root, a
-    /// forward parent reference, or — at the first entry whose preorder
-    /// position is not its index — a sequence out of preorder. Malformed
-    /// input never panics.
+    /// flattened tree, with the same ids, so `flatten(from_flattened(x)) ==
+    /// x` whenever this succeeds. The errors are those of
+    /// [`Tree::from_columns`]; a parent of `Some(u32::MAX)` is a forward
+    /// reference, not the root's mark.
     pub fn from_flattened(nodes: &[(Label, Option<u32>)]) -> Result<Tree, ParseError> {
-        if nodes.is_empty() {
-            return Err(ParseError::new(0, "empty flattened tree"));
-        }
-        let mut labels = Vec::with_capacity(nodes.len());
         let mut parents = Vec::with_capacity(nodes.len());
-        for (k, &(label, parent)) in nodes.iter().enumerate() {
-            let parent = match (k, parent) {
-                (0, None) => NO_PARENT,
-                (0, Some(_)) => {
-                    return Err(ParseError::new(0, "first flattened entry must be the root"))
-                }
-                (_, None) => return Err(ParseError::new(k, "second root in flattened tree")),
-                (_, Some(p)) if p as usize >= k => {
-                    return Err(ParseError::new(
-                        k,
-                        format!("parent {p} does not precede node {k}"),
-                    ))
-                }
-                (_, Some(p)) => p,
-            };
-            labels.push(label);
-            parents.push(parent);
+        for (k, &(_, parent)) in nodes.iter().enumerate() {
+            parents.push(parent_entry(k, parent)?);
         }
-        let n = nodes.len();
-        let (mut child_start, mut kids) = (vec![0; n + 1], vec![NodeId(0); n - 1]);
-        if !preorder_positions(&parents, &mut child_start, &mut kids) {
-            let (k, at) = (1..)
-                .zip(&kids)
-                .find(|&(k, at)| at.index() != k)
-                .expect("a node is out of place");
-            return Err(ParseError::new(
-                k,
-                format!("node {k} is out of preorder: it belongs at {}", at.0),
-            ));
-        }
-        Ok(Tree::lay_out(labels, parents, child_start, kids))
+        let labels = nodes.iter().map(|&(label, _)| label).collect();
+        Tree::from_columns(labels, parents)
     }
 
-    /// Consistency check used by tests and debug builds: parent/child links
-    /// agree, every non-root node is reachable from the root exactly once,
-    /// and ids are preorder.
+    /// Takes a label and a parent column (`u32::MAX` for the root) as a
+    /// tree, keeping both allocations — the decoders' entry point.
+    ///
+    /// Only the preorder columns of a tree are accepted. Returns an error
+    /// (positioned at the offending entry index) for columns of different
+    /// lengths, empty columns, a non-root first entry, an extra root, a
+    /// forward parent reference, or — at the first entry whose preorder
+    /// position is not its index — columns out of preorder. Malformed
+    /// input never panics.
+    pub fn from_columns(labels: Vec<Label>, parents: Vec<u32>) -> Result<Tree, ParseError> {
+        if labels.len() != parents.len() {
+            let message = format!("{} labels but {} parents", labels.len(), parents.len());
+            return Err(ParseError::new(labels.len().min(parents.len()), message));
+        }
+        if parents.is_empty() {
+            return Err(ParseError::new(0, "empty flattened tree"));
+        }
+        for (k, &parent) in parents.iter().enumerate() {
+            parent_entry(k, (parent != NO_PARENT).then_some(parent))?;
+        }
+        if !is_preorder(&parents) {
+            let n = parents.len();
+            let mut scratch = vec![0; 2 * n];
+            let (slots, positions) = scratch.split_at_mut(n);
+            preorder_positions(&parents, slots, positions);
+            let k = (1..n)
+                .find(|&k| positions[k] as usize != k)
+                .expect("one is out of place");
+            let message = format!(
+                "node {k} is out of preorder: it belongs at {}",
+                positions[k]
+            );
+            return Err(ParseError::new(k, message));
+        }
+        Ok(Tree::from_preorder_columns(labels, parents))
+    }
+
+    /// Consistency check used by tests and debug builds: the root alone
+    /// has no parent, every other node's parent comes before it (so every
+    /// node is reachable from the root exactly once), and ids are
+    /// preorder. One pass over the parent column.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![self.root()];
-        if self.parent(self.root()).is_some() {
+        if self.parents[0] != NO_PARENT {
             return Err("root has a parent".into());
         }
-        let mut count = 0usize;
-        while let Some(node) = stack.pop() {
-            if seen[node.index()] {
-                return Err(format!("{node} reachable twice"));
-            }
-            seen[node.index()] = true;
-            count += 1;
-            for &child in self.children(node) {
-                if self.parent(child) != Some(node) {
-                    return Err(format!("{child} has wrong parent link"));
-                }
-                stack.push(child);
-            }
+        if let Some(v) = (1..self.len()).find(|&v| self.parents[v] as usize >= v) {
+            return Err(format!("{} does not follow its parent", NodeId(v as u32)));
         }
-        if count != self.len() {
-            return Err(format!(
-                "{} of {} nodes reachable from root",
-                count,
-                self.len()
-            ));
-        }
-        let n = self.len();
-        let (mut slots, mut positions) = (vec![0; n], vec![NodeId(0); n - 1]);
-        if !preorder_positions(&self.parents, &mut slots, &mut positions) {
+        if !is_preorder(&self.parents) {
             return Err("ids are not preorder".into());
         }
         Ok(())
     }
 }
 
+/// The parent column entry of flattened entry `k`: only entry 0 is the
+/// root, and every other entry's parent precedes it.
+fn parent_entry(k: usize, parent: Option<u32>) -> Result<u32, ParseError> {
+    match (k, parent) {
+        (0, None) => Ok(NO_PARENT),
+        (0, Some(_)) => Err(ParseError::new(0, "first flattened entry must be the root")),
+        (_, None) => Err(ParseError::new(k, "second root in flattened tree")),
+        (_, Some(p)) if p as usize >= k => Err(ParseError::new(
+            k,
+            format!("parent {p} does not precede node {k}"),
+        )),
+        (_, Some(p)) => Ok(p),
+    }
+}
+
+/// Whether a parent column (each parent below its child) lists its tree
+/// in preorder: each node's parent lies on the path from the node before
+/// it up to the root. The walk up from `v − 1` passes only nodes whose
+/// subtree `v` closes, and a closed node is on no later path, so the
+/// whole check is O(n) and allocates nothing.
+fn is_preorder(parents: &[u32]) -> bool {
+    (1..parents.len() as u32).all(|v| {
+        let (parent, mut up) = (parents[v as usize], v - 1);
+        while up > parent {
+            up = parents[up as usize];
+        }
+        up == parent
+    })
+}
+
 /// Every node's preorder position, from a parent column (each parent below
-/// its child), and whether each node is already at its own: with subtree
-/// sizes from one backward pass, each child in id order takes its parent's
-/// next free slot — `p + 1` plus the sizes of its earlier siblings — and
-/// its entry in `slots` (≥ n entries) turns from its size into its own
-/// next free slot. `positions[v − 1]` ends as node `v`'s position. No
-/// branch depends on the shape: a walk up from `v − 1` to check that each
-/// parent is on the path is as fast on a tree seen over and over, and
-/// twice as slow on a stream of different ones.
-fn preorder_positions(parents: &[u32], slots: &mut [u32], positions: &mut [NodeId]) -> bool {
+/// its child): with subtree sizes from one backward pass, each child in id
+/// order takes its parent's next free slot — `p + 1` plus the sizes of its
+/// earlier siblings — and its entry in `slots` (n entries) turns from its
+/// size into its own next free slot. `positions[v]` (n entries) ends as
+/// node `v`'s position.
+fn preorder_positions(parents: &[u32], slots: &mut [u32], positions: &mut [u32]) {
     let n = parents.len();
-    slots[..n].fill(1);
+    slots.fill(1);
     for v in (1..n).rev() {
         slots[parents[v] as usize] += slots[v];
     }
     slots[0] = 1;
-    let mut in_place = true;
+    positions[0] = 0;
     for v in 1..n {
         let parent = parents[v] as usize;
         let at = slots[parent];
         slots[parent] += slots[v];
         slots[v] = at + 1;
-        positions[v - 1] = NodeId(at);
-        in_place &= at as usize == v;
+        positions[v] = at;
     }
-    in_place
 }
 
-/// Moves builder columns to their [`preorder_positions`] in place: each
-/// column is scattered into `scratch` (≥ n slots) and copied back, parents
+/// Moves builder columns to their preorder positions in place, through
+/// one scratch column of 2n slots: [`preorder_positions`] fills it, then
+/// each column is scattered into its first half and copied back, parents
 /// translated on the way.
-fn renumber_to_preorder(
-    labels: &mut [Label],
-    parents: &mut [u32],
-    positions: &[NodeId],
-    scratch: &mut [u32],
-) {
-    let at = |v: usize| if v == 0 { 0 } else { positions[v - 1].index() };
+fn renumber_to_preorder(labels: &mut [Label], parents: &mut [u32]) {
+    let n = parents.len();
+    let mut scratch = vec![0; 2 * n];
+    let (moved, positions) = scratch.split_at_mut(n);
+    preorder_positions(parents, moved, positions);
     for (v, label) in labels.iter().enumerate() {
-        scratch[at(v)] = label.raw();
+        moved[positions[v] as usize] = label.raw();
     }
-    for (label, &raw) in labels.iter_mut().zip(&*scratch) {
+    for (label, &raw) in labels.iter_mut().zip(&*moved) {
         *label = Label::from_raw(raw);
     }
-    for v in 1..parents.len() {
-        scratch[at(v)] = at(parents[v] as usize) as u32;
+    for v in 1..n {
+        moved[positions[v] as usize] = positions[parents[v] as usize];
     }
-    let n = parents.len();
-    parents[1..].copy_from_slice(&scratch[1..n]);
+    parents[1..].copy_from_slice(&moved[1..]);
 }
 
 /// Incremental builder for [`Tree`]: records a label and a parent a node,
-/// and lays the child lists out once, in [`TreeBuilder::build`].
+/// and hands both columns to the tree in [`TreeBuilder::build`].
 ///
 /// Nodes must be added parent-before-child:
 ///
@@ -526,6 +514,13 @@ impl TreeBuilder {
         id
     }
 
+    /// The parent of a node added so far, in call order (`None` for the
+    /// root).
+    pub(crate) fn parent(&self, node: NodeId) -> Option<NodeId> {
+        let parent = self.parents[node.index()];
+        (parent != NO_PARENT).then_some(NodeId(parent))
+    }
+
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -536,11 +531,10 @@ impl TreeBuilder {
         self.labels.is_empty()
     }
 
-    /// Finalizes the tree: trims the two recorded columns to their length,
-    /// checks that the calls were made in preorder and, if not, moves the
-    /// columns to their preorder positions in place — through the buffers
-    /// the child lists then fill — and groups the non-root ids by parent
-    /// with a counting sort.
+    /// Finalizes the tree: checks that the calls were made in preorder
+    /// and, if not, moves the two recorded columns to their preorder
+    /// positions in place (through one scratch column), then trims them to
+    /// their length.
     ///
     /// # Panics
     /// Panics if no root was added.
@@ -550,14 +544,10 @@ impl TreeBuilder {
             mut parents,
         } = self;
         assert!(!labels.is_empty(), "tree must have a root");
-        labels.shrink_to_fit();
-        parents.shrink_to_fit();
-        let n = labels.len();
-        let (mut child_start, mut kids) = (vec![0; n + 1], vec![NodeId(0); n - 1]);
-        if !preorder_positions(&parents, &mut child_start, &mut kids) {
-            renumber_to_preorder(&mut labels, &mut parents, &kids, &mut child_start);
+        if !is_preorder(&parents) {
+            renumber_to_preorder(&mut labels, &mut parents);
         }
-        Tree::lay_out(labels, parents, child_start, kids)
+        Tree::from_preorder_columns(labels, parents)
     }
 }
 
@@ -587,7 +577,7 @@ mod tests {
         let (tree, _) = figure1_tree();
         assert_eq!(tree.len(), 9);
         tree.validate().unwrap();
-        assert_eq!(tree.children(tree.root()).len(), 2);
+        assert_eq!(tree.children(tree.root()).count(), 2);
     }
 
     #[test]
@@ -618,7 +608,7 @@ mod tests {
         assert_eq!(*post.last().unwrap(), tree.root());
         let numbers = tree.postorder_numbers();
         for node in tree.node_ids() {
-            for &child in tree.children(node) {
+            for child in tree.children(node) {
                 assert!(numbers[child.index()] < numbers[node.index()]);
             }
         }
@@ -639,11 +629,7 @@ mod tests {
         let sizes = tree.subtree_sizes();
         assert_eq!(sizes[tree.root().index()] as usize, tree.len());
         for node in tree.node_ids() {
-            let expected: u32 = 1 + tree
-                .children(node)
-                .iter()
-                .map(|c| sizes[c.index()])
-                .sum::<u32>();
+            let expected: u32 = 1 + tree.children(node).map(|c| sizes[c.index()]).sum::<u32>();
             assert_eq!(sizes[node.index()], expected);
         }
     }
@@ -695,7 +681,7 @@ mod tests {
         // sibling order.
         use crate::edit::{apply_edit, EditOp};
         let (tree, _) = figure1_tree();
-        let victim = tree.children(tree.root())[0];
+        let victim = tree.children(tree.root()).next().unwrap();
         let edited = apply_edit(&tree, &EditOp::Delete { node: victim }).unwrap();
         let rebuilt = Tree::from_flattened(&edited.flatten()).unwrap();
         assert!(edited.structurally_eq(&rebuilt));
@@ -760,7 +746,7 @@ mod tests {
         tree.validate().unwrap();
         // Preorder r a c e b d.
         assert_eq!(tree.labels(), [1, 2, 4, 6, 3, 5].map(l));
-        let kids = |v: usize| tree.children(NodeId::from_index(v)).to_vec();
+        let kids = |v: usize| tree.children(NodeId::from_index(v)).collect::<Vec<_>>();
         assert_eq!(kids(0), [NodeId(1), NodeId(4)]);
         assert_eq!(kids(1), [NodeId(2), NodeId(3)]);
         assert_eq!(kids(4), [NodeId(5)]);
@@ -789,13 +775,26 @@ mod tests {
             Tree::from_flattened(&[(l, None), (l, Some(1))]).is_err(),
             "self parent"
         );
+        // `u32::MAX` marks the root only in a parent column.
+        let max = Some(u32::MAX);
+        assert!(
+            Tree::from_flattened(&[(l, max)]).is_err(),
+            "root with parent"
+        );
+        let err = Tree::from_flattened(&[(l, None), (l, max)]).unwrap_err();
+        assert!(err.message.contains("does not precede"), "{err}");
+        assert!(Tree::from_columns(vec![l], vec![u32::MAX]).is_ok());
+        let err = Tree::from_columns(vec![l, l], vec![u32::MAX, u32::MAX]).unwrap_err();
+        assert_eq!(err.position, 1, "second root");
+        let err = Tree::from_columns(vec![l, l], vec![u32::MAX]).unwrap_err();
+        assert_eq!(err.position, 1, "columns of different lengths");
     }
 
     #[test]
     fn child_position() {
         let (tree, _) = figure1_tree();
         assert_eq!(tree.child_position(tree.root()), None);
-        let kids = tree.children(tree.root());
+        let kids: Vec<NodeId> = tree.children(tree.root()).collect();
         assert_eq!(tree.child_position(kids[0]), Some(0));
         assert_eq!(tree.child_position(kids[1]), Some(1));
     }

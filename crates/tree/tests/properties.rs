@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_tree::{
-    apply_edit, parse_bracket, to_bracket, BinaryTree, EditOp, Label, LabelInterner, NodeId, Tree,
-    TreeBuilder,
+    apply_edit, parse_bracket, to_bracket, BinaryTree, EditError, EditOp, Label, LabelInterner,
+    NodeId, Tree, TreeBuilder,
 };
 
 /// Builds a random tree directly with the builder (no datagen dependency
@@ -69,7 +69,7 @@ fn interleaved_children_keep_call_order() {
     assert_eq!(tree.labels(), [1, 2, 4, 6, 3, 5, 7].map(l));
     let labels_of = |node: usize| -> Vec<Label> {
         let kids = tree.children(NodeId::from_index(node));
-        kids.iter().map(|&c| tree.label(c)).collect()
+        kids.map(|c| tree.label(c)).collect()
     };
     assert_eq!(labels_of(0), [2, 3, 7].map(l));
     assert_eq!(labels_of(1), [4, 6].map(l));
@@ -117,16 +117,28 @@ proptest! {
         let (tree, reference, placed) = built_and_reference(&parents);
         prop_assert!(tree.validate().is_ok());
         prop_assert_eq!(tree.len(), size);
+        let mut counts = vec![0; size];
         for (call, kids) in reference.iter().enumerate() {
             let node = placed[call];
             let want: Vec<NodeId> = kids.iter().map(|k| placed[k.index()]).collect();
-            prop_assert_eq!(tree.children(node), &want[..]);
+            prop_assert_eq!(tree.children(node).collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(tree.is_leaf(node), want.is_empty());
+            for (k, &child) in want.iter().enumerate() {
+                prop_assert_eq!(tree.child_position(child), Some(k));
+            }
+            counts[node.index()] = want.len() as u32;
             let parent = call.checked_sub(1).map(|k| placed[parents[k]]);
             prop_assert_eq!(tree.parent(node), parent);
         }
+        prop_assert_eq!(tree.child_position(tree.root()), None);
+        prop_assert_eq!(tree.child_counts(), counts.clone());
+        let widest = reference.iter().map(Vec::len).max().unwrap_or(0);
+        prop_assert_eq!(tree.max_fanout(), widest);
         let rebuilt = Tree::from_flattened(&tree.flatten()).unwrap();
         prop_assert!(rebuilt.structurally_eq(&tree));
         prop_assert_eq!(rebuilt.flatten(), tree.flatten());
+        let columns = Tree::from_columns(tree.labels().to_vec(), tree.parents().to_vec());
+        prop_assert!(columns.unwrap().structurally_eq(&tree));
 
         let mut post = vec![0u32; size];
         let mut next = 0;
@@ -175,9 +187,9 @@ proptest! {
         let binary = BinaryTree::from_tree(&tree);
         prop_assert!(binary.right(binary.root()).is_none());
         for node in tree.node_ids() {
-            prop_assert_eq!(binary.left(node), tree.children(node).first().copied());
+            prop_assert_eq!(binary.left(node), tree.children(node).next());
             let next_sibling = tree.parent(node).and_then(|p| {
-                let siblings = tree.children(p);
+                let siblings: Vec<NodeId> = tree.children(p).collect();
                 let pos = siblings.iter().position(|&c| c == node).unwrap();
                 siblings.get(pos + 1).copied()
             });
@@ -195,7 +207,7 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (1..=tree.len() as u32).collect::<Vec<_>>());
         for node in tree.node_ids() {
-            for &child in tree.children(node) {
+            for child in tree.children(node) {
                 prop_assert!(numbers[child.index()] < numbers[node.index()]);
             }
         }
@@ -215,7 +227,7 @@ proptest! {
         let wrap = EditOp::Insert {
             parent: node,
             start: 0,
-            count: tree.children(node).len(),
+            count: tree.children(node).count(),
             label: Label::from_raw(2),
         };
         let mut trees = vec![apply_edit(&tree, &wrap).unwrap()];
@@ -263,7 +275,7 @@ proptest! {
             EditOp::Insert {
                 parent: node,
                 start: 0,
-                count: tree.children(node).len(),
+                count: tree.children(node).count(),
                 label: Label::from_raw(2),
             },
         ];
@@ -277,6 +289,168 @@ proptest! {
             let edited = apply_edit(&tree, &EditOp::Delete { node }).unwrap();
             edited.validate().unwrap();
             prop_assert_eq!(edited.len(), tree.len() - 1);
+        }
+    }
+}
+
+/// `apply_edit` as it was written over per-node child lists: copy every
+/// child list, edit the lists, rebuild in preorder through a builder. The
+/// column edit must give the same trees, ids and errors.
+fn apply_edit_by_child_lists(tree: &Tree, op: &EditOp) -> Result<Tree, EditError> {
+    let n = tree.len();
+    let mut labels = tree.labels().to_vec();
+    let mut children: Vec<Vec<NodeId>> = tree
+        .node_ids()
+        .map(|id| tree.children(id).collect())
+        .collect();
+    let check = |node: NodeId| {
+        if node.index() < n {
+            Ok(())
+        } else {
+            Err(EditError::UnknownNode)
+        }
+    };
+    match *op {
+        EditOp::Rename { node, label } => {
+            check(node)?;
+            labels[node.index()] = label;
+        }
+        EditOp::Delete { node } => {
+            check(node)?;
+            let parent = tree.parent(node).ok_or(EditError::DeleteRoot)?;
+            let siblings = &children[parent.index()];
+            let pos = siblings.iter().position(|&c| c == node).unwrap();
+            let grandchildren = std::mem::take(&mut children[node.index()]);
+            children[parent.index()].splice(pos..=pos, grandchildren);
+        }
+        EditOp::Insert {
+            parent,
+            start,
+            count,
+            label,
+        } => {
+            check(parent)?;
+            let available = children[parent.index()].len();
+            if start > available || start + count > available {
+                return Err(EditError::BadChildRange {
+                    start,
+                    count,
+                    available,
+                });
+            }
+            let new_id = NodeId::from_index(labels.len());
+            labels.push(label);
+            let adopted = children[parent.index()].splice(start..start + count, [new_id]);
+            let adopted: Vec<NodeId> = adopted.collect();
+            children.push(adopted);
+        }
+    }
+    let mut builder = TreeBuilder::with_capacity(labels.len());
+    let root = builder.root(labels[0]);
+    let mut stack: Vec<(NodeId, NodeId)> = children[0].iter().rev().map(|&c| (c, root)).collect();
+    while let Some((old, parent)) = stack.pop() {
+        let id = builder.child(parent, labels[old.index()]);
+        stack.extend(children[old.index()].iter().rev().map(|&c| (c, id)));
+    }
+    Ok(builder.build())
+}
+
+/// A random tree of 1..=`max_size` nodes: bushy or deep at random, or
+/// (one time in three each) a path or a star.
+fn random_shape(rng: &mut StdRng, max_size: usize) -> Tree {
+    let size = rng.gen_range(1..=max_size);
+    let shape = rng.gen_range(0..4);
+    let deepen = rng.gen_range(0.0..1.0);
+    let parents: Vec<usize> = (1..size)
+        .map(|k| match shape {
+            0 => k - 1,
+            1 => 0,
+            _ if rng.gen_bool(deepen) => k - 1,
+            _ => rng.gen_range(0..k),
+        })
+        .collect();
+    built_and_reference(&parents).0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The column edit equals the child-list algorithm on every op a
+    /// random tree admits — each rename, each delete (the root's error
+    /// included), each insert range — and on out-of-range inserts and
+    /// unknown nodes.
+    #[test]
+    fn column_edits_match_child_list_edits(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = random_shape(&mut rng, 24);
+        let n = tree.len();
+        let mut ops = Vec::new();
+        for node in tree.node_ids().chain([NodeId::from_index(n)]) {
+            let label = Label::from_raw(rng.gen_range(1..=8));
+            ops.push(EditOp::Rename { node, label });
+            ops.push(EditOp::Delete { node });
+            let available = if node.index() < n { tree.children(node).count() } else { 0 };
+            for start in 0..=available + 1 {
+                for count in 0..=available + 1 - start {
+                    ops.push(EditOp::Insert { parent: node, start, count, label });
+                }
+            }
+        }
+        for op in &ops {
+            let (got, want) = (apply_edit(&tree, op), apply_edit_by_child_lists(&tree, op));
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert!(got.structurally_eq(&want), "{:?} on {:?}", op, tree.flatten());
+                    prop_assert!(got.validate().is_ok());
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err(), "{:?}", op),
+            }
+        }
+    }
+}
+
+/// Every whole-tree pass is linear: a 100 000-node path and a 100 000-node
+/// star each go through parse, serialize, validate, every edit kind and a
+/// flatten round trip (a quadratic pass would take minutes here, a
+/// recursive one would overflow the stack on the path).
+#[test]
+fn hundred_thousand_node_path_and_star() {
+    let n = 100_000;
+    let path = format!("{}{}", "{a".repeat(n), "}".repeat(n));
+    let star = format!("{{r{}}}", "{a}".repeat(n - 1));
+    for text in [path, star] {
+        let mut labels = LabelInterner::new();
+        let tree = parse_bracket(&text, &mut labels).unwrap();
+        assert_eq!(tree.len(), n);
+        assert_eq!(to_bracket(&tree, &labels), text);
+        tree.validate().unwrap();
+        let last = NodeId::from_index(n - 1);
+        let middle = NodeId::from_index(n / 2);
+        let width = tree.children(tree.root()).count();
+        assert_eq!(tree.max_fanout(), width);
+        assert_eq!(tree.child_position(last), Some(width - 1));
+        let label = labels.intern("b");
+        let ops = [
+            EditOp::Rename { node: last, label },
+            EditOp::Delete { node: middle },
+            EditOp::Insert {
+                parent: tree.root(),
+                start: 0,
+                count: width,
+                label,
+            },
+            EditOp::Insert {
+                parent: last,
+                start: 0,
+                count: 0,
+                label,
+            },
+        ];
+        for op in &ops {
+            let edited = apply_edit(&tree, op).unwrap();
+            edited.validate().unwrap();
+            let decoded = Tree::from_flattened(&edited.flatten()).unwrap();
+            assert!(decoded.structurally_eq(&edited));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Pins what a tree store asks of the allocator and what it holds:
-//! building, cloning and decoding a tree each take a fixed number of
-//! allocations whatever its size or shape, and a tree holds 16 bytes a
-//! node.
+//! building, cloning, decoding and editing a tree each take two
+//! allocations — one a column — whatever its size or shape, and a tree
+//! holds 8 bytes a node.
 //!
 //! The whole file is one `#[test]`: the counting `#[global_allocator]`
 //! is process-wide, so this binary must not run unrelated tests whose
@@ -13,7 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tsj_tree::{Label, NodeId, Tree, TreeBuilder};
+use tsj_tree::{apply_edit, EditOp, Label, NodeId, Tree, TreeBuilder};
 
 /// System allocator counting every `alloc`, `alloc_zeroed` and `realloc`
 /// (frees are not counted — whatever is freed was counted when made).
@@ -52,38 +52,69 @@ fn calls_of<T>(work: impl FnOnce() -> T) -> (u64, T) {
     (CALLS.load(Ordering::SeqCst) - before, out)
 }
 
+/// A builder that adds node `k` under `parent(k)`, with room for `n`.
+fn build(n: usize, parent: impl Fn(usize) -> usize) -> Tree {
+    let mut builder = TreeBuilder::with_capacity(n);
+    builder.root(Label::from_raw(1));
+    for k in 1..n {
+        let label = Label::from_raw(1 + (k % 7) as u32);
+        builder.child(NodeId::from_index(parent(k)), label);
+    }
+    builder.build()
+}
+
 #[test]
-fn a_tree_is_four_allocations_and_sixteen_bytes_a_node() {
+fn a_tree_is_two_allocations_and_eight_bytes_a_node() {
     let mut calls = Vec::new();
     for n in [1usize, 62, 1_000] {
-        // A ternary heap shape: about a third of the nodes are internal,
-        // each of which owned a child list of its own in a per-node layout.
-        let (build, tree) = calls_of(|| {
-            let mut builder = TreeBuilder::with_capacity(n);
-            builder.root(Label::from_raw(1));
-            for k in 1..n {
-                let label = Label::from_raw(1 + (k % 7) as u32);
-                builder.child(NodeId::from_index((k - 1) / 3), label);
-            }
-            builder.build()
-        });
+        // A ternary heap shape, about a third of the nodes internal: added
+        // breadth-first, which `build` renumbers, and then in preorder, as
+        // parsers and edits add nodes.
+        let (renumbered, bfs) = calls_of(|| build(n, |k| (k - 1) / 3));
+        let (built, tree) = calls_of(|| build(n, |k| bfs.parents()[k] as usize));
+        assert_eq!(tree.parents(), bfs.parents());
+        let (labels, parents) = (tree.labels().to_vec(), tree.parents().to_vec());
         let flat = tree.flatten();
         let (clone, copy) = calls_of(|| tree.clone());
         let (decode, decoded) = calls_of(|| Tree::from_flattened(&flat).unwrap());
-        assert!(decoded.structurally_eq(&tree));
-        for held in [&tree, &copy, &decoded] {
-            assert_eq!(held.heap_bytes(), 16 * n, "n = {n}");
+        let (columns, taken) = calls_of(|| Tree::from_columns(labels, parents).unwrap());
+        let edits = [
+            EditOp::Rename {
+                node: NodeId::from_index(n - 1),
+                label: Label::from_raw(9),
+            },
+            EditOp::Insert {
+                parent: tree.root(),
+                start: 0,
+                count: tree.children(tree.root()).count(),
+                label: Label::from_raw(9),
+            },
+        ];
+        let mut edit = edits
+            .map(|op| calls_of(|| apply_edit(&tree, &op).unwrap()).0)
+            .to_vec();
+        if n > 1 {
+            let op = EditOp::Delete {
+                node: NodeId::from_index(1),
+            };
+            edit.push(calls_of(|| apply_edit(&tree, &op).unwrap()).0);
         }
-        calls.push((build, clone, decode));
+        assert!(decoded.structurally_eq(&tree) && taken.structurally_eq(&tree));
+        for held in [&tree, &bfs, &copy, &decoded, &taken] {
+            assert_eq!(held.heap_bytes(), 8 * n, "n = {n}");
+        }
+        assert!(edit.iter().all(|&c| c == 2), "n = {n}: edits {edit:?}");
+        // `from_columns` keeps the caller's two columns.
+        calls.push((built, clone, decode, columns, renumbered));
     }
-    // Labels, parents, child offsets and child ids; a single node has no
-    // child ids to allocate.
-    assert_eq!(calls, [(3, 3, 3), (4, 4, 4), (4, 4, 4)]);
+    // One allocation a column; building out of preorder adds one scratch
+    // column for the renumbering (a single node is always in preorder).
+    assert_eq!(calls, [(2, 2, 2, 0, 2), (2, 2, 2, 0, 3), (2, 2, 2, 0, 3)]);
 
     // Whatever capacity the builder was given, the tree keeps only its
     // length.
     let mut builder = TreeBuilder::with_capacity(100);
     let root = builder.root(Label::from_raw(1));
     builder.child(root, Label::from_raw(2));
-    assert_eq!(builder.build().heap_bytes(), 32);
+    assert_eq!(builder.build().heap_bytes(), 16);
 }

@@ -11,9 +11,10 @@
 # and how many places in partsj box a component's nodes on their own (a
 # shape lives once, in the index's arena; a tree's components travel in
 # one flat `Partition`), and how many bring back a per-node child `Vec`
-# in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is four
-# flat `u32` columns, 16 bytes a node) or an `Option<NodeId>` pointer
-# column in it (ids are preorder, so the LC-RS view derives its links
+# in tsj-tree or 8-byte Zhang–Shasha arrays in tsj-ted (a tree is two
+# flat `u32` columns, 8 bytes a node) or a stored child-list column in
+# it (children are read off the parent column) or an `Option<NodeId>`
+# pointer column (ids are preorder, so the LC-RS view derives its links
 # from the tree's columns), or a second self-join in
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
 # R×S side only), or a `partsj` join loop that sequences the probe step
@@ -74,6 +75,7 @@ path_row 'side-list rebuilds (push_if_small()' '\.push_if_small\(' "${stack_src[
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
+path_row 'child-list columns in tsj-tree' 'child_start|kids:' crates/tree/src/tree.rs
 path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
 path_row 'Option<NodeId> columns in tsj-tree' 'Vec<Option<(NodeId|\(NodeId)' crates/tree/src/*.rs
 path_row 'self-join forms in tsj-shard' 'sharded_join|SelfJoin|JoinSide|my_rank' crates/shard/src/*.rs
