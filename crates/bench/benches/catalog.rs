@@ -13,10 +13,15 @@
 //! * `catalog/rebuild_serve/*` — the same batch via `sharded_rs_join`,
 //!   i.e. rebuilding the index for every request — the baseline the
 //!   catalog exists to beat. `serve / rebuild_serve` is the per-request
-//!   speedup of freezing once.
+//!   speedup of freezing once;
+//! * `format/checksum/*`       — the snapshot and wire checksum over a
+//!   buffer of a `serve_tcp` snapshot's length (4 725 096 bytes) and of
+//!   its probe-batch frame's (9 904 bytes), with throughput in bytes.
+//!   Report-only.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use partsj::PartSjConfig;
+use tsj_catalog::format::checksum;
 use tsj_catalog::Catalog;
 use tsj_datagen::swissprot_like;
 use tsj_shard::{sharded_rs_join, ShardConfig};
@@ -65,5 +70,20 @@ fn bench_catalog(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_catalog);
+fn bench_checksum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("format");
+    for len in [4_725_096usize, 9_904] {
+        // Deterministic, incompressible-looking bytes.
+        let bytes: Vec<u8> = (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("checksum", len), &bytes, |b, bytes| {
+            b.iter(|| checksum(black_box(bytes)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_catalog, bench_checksum);
 criterion_main!(benches);

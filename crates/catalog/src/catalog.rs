@@ -1,10 +1,8 @@
 //! The [`Catalog`] handle: freeze once, serve many joins.
 
 use crate::error::CatalogError;
-use crate::snapshot::{
-    assemble, encode_labels, encode_shard, encode_shard_map, encode_trees, SnapshotReader,
-};
-use partsj::{PartSjConfig, VerifyEngine, WindowPolicy};
+use crate::snapshot::{write_snapshot, Section, SnapshotReader};
+use partsj::{IndexDump, PartSjConfig, VerifyEngine, WindowPolicy};
 use std::path::Path;
 use tsj_shard::{Frozen, FrozenJoinScratch, ShardConfig, ShardedIndex};
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -246,19 +244,19 @@ impl Catalog {
     }
 
     /// Serializes the catalog into the versioned snapshot byte format
-    /// (see [`crate::snapshot`] for the layout).
+    /// (see [`crate::snapshot`] for the layout), written once into a
+    /// buffer of exact size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let save_span = tsj_obs::span("catalog.save", "catalog");
         let index = self.index();
-        let mut sections = Vec::with_capacity(3 + index.shard_count());
-        sections.push(encode_labels(&self.labels));
-        sections.push(encode_trees(&self.trees));
-        sections.push(encode_shard_map(index.shard_map()));
-        for s in 0..index.shard_count() {
-            sections.push(encode_shard(&index.shard_index(s).dump()));
-        }
+        let dumps: Vec<IndexDump> = (0..index.shard_count())
+            .map(|s| index.shard_index(s).dump())
+            .collect();
+        let trees = self.trees.as_slice();
+        let mut sections: Vec<&dyn Section> = vec![&self.labels, &trees, index.shard_map()];
+        sections.extend(dumps.iter().map(|dump| dump as &dyn Section));
         let tree_count = self.trees.len() as u32;
-        let bytes = assemble(index.tau(), index.window(), tree_count, &sections);
+        let bytes = write_snapshot(index.tau(), index.window(), tree_count, &sections);
         let obs = tsj_obs::global();
         if obs.is_enabled() {
             obs.counter("tsj_catalog_saves_total").inc();
@@ -472,6 +470,11 @@ mod tests {
     fn snapshot_round_trip_preserves_everything() {
         let catalog = catalog_from(&["{a{b}{c}}", "{a{b}{d}}", "{x{y{z}}}", "{q}"], 1);
         let bytes = catalog.to_bytes();
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "written into an exact-size buffer"
+        );
         let loaded = Catalog::from_bytes(bytes.clone()).unwrap();
         assert_eq!(loaded.tau(), catalog.tau());
         assert_eq!(loaded.window(), catalog.window());

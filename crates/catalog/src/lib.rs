@@ -17,7 +17,7 @@
 //!   as [`tsj_shard::sharded_rs_join`]'s build phase does.
 //! * **Snapshots** — [`Catalog::save`] / [`Catalog::load`] persist the
 //!   catalog as a checked binary format (magic, version, per-section
-//!   FNV-1a checksums): label store, tree store, and one independently
+//!   [`format::checksum`]s): label store, tree store, and one independently
 //!   decodable section per shard — the unit of multi-node placement.
 //!   Corruption surfaces as a typed [`CatalogError`], never a panic.
 //!   [`SnapshotReader`] reads headers without decoding the rest, and

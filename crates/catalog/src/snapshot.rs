@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic "TSJCATLG" | version u32 | tau u32 | window u8 | shards u32 | trees u32
-//! directory: (offset u64, len u64, fnv1a64 checksum u64) × (3 + shards)
+//! directory: (offset u64, len u64, checksum u64) × (3 + shards)
 //! section 0: label store      — interned label strings, in id order
 //! section 1: tree store       — every left tree, flattened preorder
 //! section 2: shard map        — the size-class→shard routing
@@ -18,14 +18,25 @@
 //! again, so the routing must travel with the file (and is validated
 //! against every shard's size classes on load). Version-1 files are
 //! rejected with [`CatalogError::UnsupportedVersion`] — re-freeze to
-//! migrate.
+//! migrate. Format version 3 changed only the directory's checksums,
+//! from byte-serial FNV-1a to the four-lane [`checksum`]; the layout and
+//! every length are those of version 2, and version-2 files are refused
+//! the same way.
 //!
 //! Every section is independently checksummed and independently
 //! decodable — a shard section is exactly the unit a multi-node
 //! deployment ships to the node that owns the shard. [`SnapshotReader`]
 //! parses the header eagerly but decodes sections only on access, so a
 //! consumer can read the tree store without paying for shards it does
-//! not own.
+//! not own; it verifies a section's checksum the first time the section
+//! is read and never again. The directory holds every section's
+//! checksum, so [`SnapshotReader::digest`], the checksum of the header
+//! and directory alone, identifies the whole snapshot.
+//!
+//! A snapshot is written once, into one buffer of exact size: every
+//! [`Section`] knows its encoded length, so [`write_snapshot`] sizes the
+//! file up front, encodes each section in place behind a blank
+//! directory, and fills each directory entry in as its section ends.
 //!
 //! The header records the freeze threshold `tau` and the window policy;
 //! both are cross-validated against every shard dump on load. Postings
@@ -34,12 +45,13 @@
 //! to the index it was frozen from.
 
 use crate::error::CatalogError;
-use crate::format::{fnv1a64, ByteReader, ByteWriter};
+use crate::format::{checksum, ByteReader, ByteWriter};
 use partsj::{
     BucketDump, ComponentDump, IndexDump, LayerDump, SubgraphIndex, SubgraphMeta, WindowPolicy,
 };
 use partsj::{ChildKind, SgNode};
 use std::path::Path;
+use std::sync::OnceLock;
 use tsj_shard::{Frozen, ShardMap};
 use tsj_tree::{Label, LabelInterner, Tree};
 
@@ -47,8 +59,9 @@ use tsj_tree::{Label, LabelInterner, Tree};
 pub const MAGIC: [u8; 8] = *b"TSJCATLG";
 
 /// The one format version this build writes and reads. Version 2 added
-/// the explicit shard-map section (see the [module docs](self)).
-pub const FORMAT_VERSION: u32 = 2;
+/// the explicit shard-map section, version 3 the four-lane section
+/// checksum (see the [module docs](self)).
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_FIXED_LEN: usize = 8 + 4 + 4 + 1 + 4 + 4;
 const DIRECTORY_ENTRY_LEN: usize = 8 + 8 + 8;
@@ -91,6 +104,16 @@ fn decode_child_kind(tag: u8) -> Result<ChildKind, CatalogError> {
     }
 }
 
+/// The little-endian `u32` in the 4 bytes of `bytes`.
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a 4-byte field"))
+}
+
+/// The little-endian `u64` in the 8 bytes of `bytes`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte field"))
+}
+
 fn decode_label(raw: u32, context: &str) -> Result<Label, CatalogError> {
     if raw > Label::MAX_LABELS {
         return Err(CatalogError::Corrupt {
@@ -100,15 +123,52 @@ fn decode_label(raw: u32, context: &str) -> Result<Label, CatalogError> {
     Ok(Label::from_raw(raw))
 }
 
-/// Encodes the label store: count, then each name as `len u32 + utf8`.
-pub fn encode_labels(labels: &LabelInterner) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(labels.len() as u32);
-    for (_, name) in labels.iter() {
-        w.put_u32(name.len() as u32);
-        w.put_bytes(name.as_bytes());
+/// One section of a snapshot: something that knows its exact encoded
+/// length and appends exactly that many bytes, so a whole snapshot is
+/// written into one buffer of exact size ([`write_snapshot`]).
+pub trait Section {
+    /// The encoding's length in bytes.
+    fn encoded_len(&self) -> usize;
+    /// Appends the encoding, [`Section::encoded_len`] bytes, to `w`.
+    fn encode_into(&self, w: &mut ByteWriter);
+}
+
+/// Already-encoded section bytes, written verbatim.
+impl Section for Vec<u8> {
+    fn encoded_len(&self) -> usize {
+        self.len()
     }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_bytes(self);
+    }
+}
+
+/// Encodes one section into a buffer of its own, of exact size.
+fn encode_section(section: &impl Section) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(section.encoded_len());
+    section.encode_into(&mut w);
     w.into_bytes()
+}
+
+/// The label store: count, then each name as `len u32 + utf8`.
+impl Section for LabelInterner {
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(|(_, name)| 4 + name.len()).sum::<usize>()
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u32(self.len() as u32);
+        for (_, name) in self.iter() {
+            w.put_u32(name.len() as u32);
+            w.put_bytes(name.as_bytes());
+        }
+    }
+}
+
+/// Encodes the label store (see its [`Section`] impl).
+pub fn encode_labels(labels: &LabelInterner) -> Vec<u8> {
+    encode_section(labels)
 }
 
 /// Decodes a label store; interning order reproduces the original ids.
@@ -142,20 +202,29 @@ pub fn decode_labels(bytes: &[u8]) -> Result<LabelInterner, CatalogError> {
     Ok(labels)
 }
 
-/// Encodes the tree store: tree count, then each tree's two columns
-/// side by side (`node count u32`, then per node `label u32 + parent
-/// u32` with `u32::MAX` marking the root, as [`Tree::parents`] does).
-pub fn encode_trees(trees: &[Tree]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(trees.len() as u32);
-    for tree in trees {
-        w.put_u32(tree.len() as u32);
-        for (label, &parent) in tree.labels().iter().zip(tree.parents()) {
-            w.put_u32(label.raw());
-            w.put_u32(parent);
+/// The tree store: tree count, then each tree's two columns side by
+/// side (`node count u32`, then per node `label u32 + parent u32` with
+/// `u32::MAX` marking the root, as [`Tree::parents`] does).
+impl Section for &[Tree] {
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(|tree| 4 + 8 * tree.len()).sum::<usize>()
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u32(self.len() as u32);
+        for tree in *self {
+            w.put_u32(tree.len() as u32);
+            for (label, &parent) in tree.labels().iter().zip(tree.parents()) {
+                w.put_u32(label.raw());
+                w.put_u32(parent);
+            }
         }
     }
-    w.into_bytes()
+}
+
+/// Encodes the tree store (see its [`Section`] impl).
+pub fn encode_trees(trees: &[Tree]) -> Vec<u8> {
+    encode_section(&trees)
 }
 
 /// Every tree's size, in id order, read off a tree store's node counts
@@ -186,9 +255,10 @@ fn for_each_tree(
     for t in 0..count {
         let nodes = r.get_count(8, "tree node list")?;
         let (mut labels, mut parents) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
-        for _ in 0..nodes {
-            labels.push(decode_label(r.get_u32("tree node label")?, "tree node")?);
-            parents.push(r.get_u32("tree node parent")?);
+        for node in r.get_bytes(8 * nodes, "tree node list")?.chunks_exact(8) {
+            let (label, parent) = node.split_at(4);
+            labels.push(decode_label(le_u32(label), "tree node")?);
+            parents.push(le_u32(parent));
         }
         let tree = Tree::from_columns(labels, parents).map_err(|e| CatalogError::Corrupt {
             context: format!("tree {t}: {e}"),
@@ -213,23 +283,34 @@ pub fn decode_trees(bytes: &[u8]) -> Result<Vec<Tree>, CatalogError> {
     Ok(trees)
 }
 
-/// Encodes the shard-map section: a routing tag, then (for balanced
-/// maps) the explicit `(size class, shard)` assignments in ascending
-/// size order.
-pub fn encode_shard_map(map: &ShardMap) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match map {
-        ShardMap::Hash => w.put_u8(0),
-        ShardMap::Balanced(pairs) => {
-            w.put_u8(1);
-            w.put_u32(pairs.len() as u32);
-            for &(size, shard) in pairs {
-                w.put_u32(size);
-                w.put_u32(shard);
+/// The shard-map section: a routing tag, then (for balanced maps) the
+/// explicit `(size class, shard)` assignments in ascending size order.
+impl Section for ShardMap {
+    fn encoded_len(&self) -> usize {
+        match self {
+            ShardMap::Hash => 1,
+            ShardMap::Balanced(pairs) => 1 + 4 + 8 * pairs.len(),
+        }
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        match self {
+            ShardMap::Hash => w.put_u8(0),
+            ShardMap::Balanced(pairs) => {
+                w.put_u8(1);
+                w.put_u32(pairs.len() as u32);
+                for &(size, shard) in pairs {
+                    w.put_u32(size);
+                    w.put_u32(shard);
+                }
             }
         }
     }
-    w.into_bytes()
+}
+
+/// Encodes the shard-map section (see its [`Section`] impl).
+pub fn encode_shard_map(map: &ShardMap) -> Vec<u8> {
+    encode_section(map)
 }
 
 /// Decodes the shard-map section and validates it against the
@@ -266,48 +347,71 @@ pub fn decode_shard_map(bytes: &[u8], shard_count: usize) -> Result<ShardMap, Ca
     Ok(map)
 }
 
-/// Encodes one shard's [`IndexDump`].
-pub fn encode_shard(dump: &IndexDump) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(dump.tau);
-    w.put_u8(encode_window(dump.window));
-    w.put_u32(dump.size_layers.len() as u32);
-    for &(size, layer) in &dump.size_layers {
-        w.put_u32(size);
-        w.put_u32(layer);
+/// One shard's section: its [`IndexDump`], field by field.
+impl Section for IndexDump {
+    fn encoded_len(&self) -> usize {
+        let layers: usize = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let buckets = layer.buckets.iter();
+                4 + buckets.map(|b| 8 + 12 * b.postings.len()).sum::<usize>()
+            })
+            .sum();
+        (4 + 1)
+            + (4 + 8 * self.size_layers.len())
+            + (4 + layers)
+            + (4 + 10 * self.metas.len())
+            + (4 + 9 * self.components.len())
+            + (4 + 6 * self.arena.len())
+            + 8
     }
-    w.put_u32(dump.layers.len() as u32);
-    for layer in &dump.layers {
-        w.put_u32(layer.buckets.len() as u32);
-        for bucket in &layer.buckets {
-            w.put_u32(bucket.sorted_len);
-            w.put_u32(bucket.postings.len() as u32);
-            for &(twig, handle) in &bucket.postings {
-                w.put_u64(twig);
-                w.put_u32(handle);
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u32(self.tau);
+        w.put_u8(encode_window(self.window));
+        w.put_u32(self.size_layers.len() as u32);
+        for &(size, layer) in &self.size_layers {
+            w.put_u32(size);
+            w.put_u32(layer);
+        }
+        w.put_u32(self.layers.len() as u32);
+        for layer in &self.layers {
+            w.put_u32(layer.buckets.len() as u32);
+            for bucket in &layer.buckets {
+                w.put_u32(bucket.sorted_len);
+                w.put_u32(bucket.postings.len() as u32);
+                for &(twig, handle) in &bucket.postings {
+                    w.put_u64(twig);
+                    w.put_u32(handle);
+                }
             }
         }
+        w.put_u32(self.metas.len() as u32);
+        for meta in &self.metas {
+            w.put_u32(meta.tree);
+            w.put_u32(meta.component);
+            w.put_u16(meta.ordinal);
+        }
+        w.put_u32(self.components.len() as u32);
+        for c in &self.components {
+            w.put_u32(c.start);
+            w.put_u32(c.len);
+            w.put_u8(c.incoming);
+        }
+        w.put_u32(self.arena.len() as u32);
+        for node in &self.arena {
+            w.put_u32(node.label.raw());
+            w.put_u8(encode_child_kind(node.left));
+            w.put_u8(encode_child_kind(node.right));
+        }
+        w.put_u64(self.registrations);
     }
-    w.put_u32(dump.metas.len() as u32);
-    for meta in &dump.metas {
-        w.put_u32(meta.tree);
-        w.put_u32(meta.component);
-        w.put_u16(meta.ordinal);
-    }
-    w.put_u32(dump.components.len() as u32);
-    for c in &dump.components {
-        w.put_u32(c.start);
-        w.put_u32(c.len);
-        w.put_u8(c.incoming);
-    }
-    w.put_u32(dump.arena.len() as u32);
-    for node in &dump.arena {
-        w.put_u32(node.label.raw());
-        w.put_u8(encode_child_kind(node.left));
-        w.put_u8(encode_child_kind(node.right));
-    }
-    w.put_u64(dump.registrations);
-    w.into_bytes()
+}
+
+/// Encodes one shard's [`IndexDump`] (see its [`Section`] impl).
+pub fn encode_shard(dump: &IndexDump) -> Vec<u8> {
+    encode_section(dump)
 }
 
 /// Decodes one shard section back into a validated [`SubgraphIndex`].
@@ -330,12 +434,11 @@ pub fn decode_shard(bytes: &[u8]) -> Result<SubgraphIndex, CatalogError> {
         for _ in 0..bucket_count {
             let sorted_len = r.get_u32("bucket sorted prefix")?;
             let posting_count = r.get_count(12, "bucket postings")?;
-            let mut postings = Vec::with_capacity(posting_count);
-            for _ in 0..posting_count {
-                let twig = r.get_u64("posting twig")?;
-                let handle = r.get_u32("posting handle")?;
-                postings.push((twig, handle));
-            }
+            let raw = r.get_bytes(12 * posting_count, "bucket postings")?;
+            let postings = raw
+                .chunks_exact(12)
+                .map(|p| (le_u64(&p[..8]), le_u32(&p[8..])))
+                .collect();
             buckets.push(BucketDump {
                 postings,
                 sorted_len,
@@ -394,31 +497,49 @@ pub fn decode_shard(bytes: &[u8]) -> Result<SubgraphIndex, CatalogError> {
     .map_err(|context| CatalogError::Corrupt { context })
 }
 
-/// Assembles a whole snapshot file from its already-encoded sections.
+/// Writes a whole snapshot file into one buffer of exact size.
 ///
 /// `sections[0]` is the label store, `sections[1]` the tree store,
 /// `sections[2]` the shard map and `sections[3..]` one entry per shard
-/// (so `tau`/`window`/tree count in the header describe them all).
-pub fn assemble(tau: u32, window: WindowPolicy, tree_count: u32, sections: &[Vec<u8>]) -> Vec<u8> {
-    let shard_count = (sections.len() - 3) as u32;
-    let mut w = ByteWriter::new();
+/// (so `tau`/`window`/tree count in the header describe them all). The
+/// header goes first with a blank directory; each section is encoded in
+/// place, checksummed where it lies, and its directory entry filled in.
+pub fn write_snapshot(
+    tau: u32,
+    window: WindowPolicy,
+    tree_count: u32,
+    sections: &[&dyn Section],
+) -> Vec<u8> {
+    let directory_end = HEADER_FIXED_LEN + DIRECTORY_ENTRY_LEN * sections.len();
+    let total = directory_end + sections.iter().map(|s| s.encoded_len()).sum::<usize>();
+    let mut w = ByteWriter::with_capacity(total);
     w.put_bytes(&MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u32(tau);
     w.put_u8(encode_window(window));
-    w.put_u32(shard_count);
+    w.put_u32((sections.len() - 3) as u32);
     w.put_u32(tree_count);
-    let mut offset = (HEADER_FIXED_LEN + DIRECTORY_ENTRY_LEN * sections.len()) as u64;
-    for section in sections {
-        w.put_u64(offset);
-        w.put_u64(section.len() as u64);
-        w.put_u64(fnv1a64(section));
-        offset += section.len() as u64;
+    w.put_bytes(&[0; DIRECTORY_ENTRY_LEN].repeat(sections.len()));
+    for (i, section) in sections.iter().enumerate() {
+        let start = w.len();
+        section.encode_into(&mut w);
+        let body = &w.as_slice()[start..];
+        debug_assert_eq!(body.len(), section.encoded_len(), "section {i}");
+        let mut entry = [0u8; DIRECTORY_ENTRY_LEN];
+        entry[..8].copy_from_slice(&(start as u64).to_le_bytes());
+        entry[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes());
+        entry[16..].copy_from_slice(&checksum(body).to_le_bytes());
+        w.patch(HEADER_FIXED_LEN + DIRECTORY_ENTRY_LEN * i, &entry);
     }
-    for section in sections {
-        w.put_bytes(section);
-    }
+    debug_assert_eq!(w.len(), total);
     w.into_bytes()
+}
+
+/// Assembles a whole snapshot file from already-encoded sections, laid
+/// out as [`write_snapshot`] describes.
+pub fn assemble(tau: u32, window: WindowPolicy, tree_count: u32, sections: &[Vec<u8>]) -> Vec<u8> {
+    let sections: Vec<&dyn Section> = sections.iter().map(|s| s as _).collect();
+    write_snapshot(tau, window, tree_count, &sections)
 }
 
 /// One directory entry: where a section lives and what it must hash to.
@@ -430,7 +551,7 @@ struct SectionEntry {
 }
 
 /// Parsed snapshot header plus the owned file bytes; sections decode
-/// lazily (and checksum-verified) on access.
+/// lazily on access, each checksum-verified on its first read.
 ///
 /// This is the distribution-friendly view of a snapshot: a node that
 /// owns shards `{2, 5}` calls [`SnapshotReader::restore`]`([2, 5])` and
@@ -443,6 +564,9 @@ pub struct SnapshotReader {
     window: WindowPolicy,
     tree_count: u32,
     sections: Vec<SectionEntry>,
+    /// Per section, whether its bytes match the directory's checksum,
+    /// settled on the first read: a section decoded twice is hashed once.
+    verified: Vec<OnceLock<bool>>,
 }
 
 impl SnapshotReader {
@@ -494,6 +618,7 @@ impl SnapshotReader {
             tau,
             window,
             tree_count,
+            verified: sections.iter().map(|_| OnceLock::new()).collect(),
             sections,
         })
     }
@@ -523,10 +648,19 @@ impl SnapshotReader {
         self.tree_count as usize
     }
 
+    /// The snapshot's identity: the [`checksum`] of its header and
+    /// section directory. The directory carries every section's
+    /// checksum, so two snapshots whose sections all verify have equal
+    /// digests exactly when their bytes are equal (up to checksum
+    /// collisions) — and the digest reads ~100 bytes, not the file.
+    pub fn digest(&self) -> u64 {
+        checksum(&self.bytes[..HEADER_FIXED_LEN + DIRECTORY_ENTRY_LEN * self.sections.len()])
+    }
+
     fn section(&self, idx: usize, name: &str) -> Result<&[u8], CatalogError> {
         let entry = self.sections[idx];
         let body = &self.bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
-        if fnv1a64(body) != entry.checksum {
+        if !*self.verified[idx].get_or_init(|| checksum(body) == entry.checksum) {
             return Err(CatalogError::ChecksumMismatch {
                 section: name.to_string(),
             });
@@ -769,6 +903,26 @@ mod tests {
             SnapshotReader::from_bytes(snapshot[..10].to_vec()),
             Err(CatalogError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn digest_covers_every_section_through_the_directory() {
+        let mut labels = LabelInterner::new();
+        let one = vec![parse_bracket("{a{b}}", &mut labels).unwrap()];
+        let other = vec![parse_bracket("{a{c}}", &mut labels).unwrap()];
+        let snapshot = |trees: &[Tree]| {
+            let sections = [
+                encode_labels(&labels),
+                encode_trees(trees),
+                encode_shard_map(&ShardMap::Hash),
+            ];
+            SnapshotReader::from_bytes(assemble(1, WindowPolicy::Safe, 1, &sections)).unwrap()
+        };
+        let digest = snapshot(&one).digest();
+        assert_eq!(snapshot(&one).digest(), digest);
+        // A tree store of the same length but other bytes: only its
+        // directory checksum differs, and so does the digest.
+        assert_ne!(snapshot(&other).digest(), digest);
     }
 
     #[test]

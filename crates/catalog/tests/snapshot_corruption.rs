@@ -67,7 +67,7 @@ fn wrong_version_is_reported_with_both_versions() {
         Catalog::from_bytes(bytes),
         Err(CatalogError::UnsupportedVersion {
             found: 7,
-            supported: 2
+            supported: 3
         })
     ));
 }
@@ -83,7 +83,23 @@ fn version_one_snapshots_are_rejected_cleanly() {
         Catalog::from_bytes(bytes),
         Err(CatalogError::UnsupportedVersion {
             found: 1,
-            supported: 2
+            supported: 3
+        })
+    ));
+}
+
+#[test]
+fn version_two_snapshots_are_rejected_cleanly() {
+    // A version-2 file has this layout but FNV-1a section checksums:
+    // refused by its header, before any section is hashed and misread
+    // as bit rot.
+    let mut bytes = sample_catalog().to_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        Catalog::from_bytes(bytes),
+        Err(CatalogError::UnsupportedVersion {
+            found: 2,
+            supported: 3
         })
     ));
 }

@@ -10,7 +10,7 @@ fn main() {
         (
             "Hello",
             Frame::Hello {
-                version: 1,
+                version: PROTOCOL_VERSION,
                 snapshot_hash: 0x53925fe9fe30c941,
             },
         ),

@@ -17,7 +17,7 @@
 
 use partsj::PartSjConfig;
 use std::process::ExitCode;
-use tsj_catalog::Catalog;
+use tsj_catalog::{Catalog, SnapshotReader};
 use tsj_catalogd::{interner_for, Catalogd, ServerConfig};
 use tsj_shard::ShardConfig;
 
@@ -80,13 +80,15 @@ fn freeze(args: &[String]) -> Result<(), String> {
         &ShardConfig::with_shards(shards),
     );
     let bytes = catalog.to_bytes();
-    let hash = tsj_catalog::format::fnv1a64(&bytes);
     std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
+    let len = bytes.len();
+    let hash = SnapshotReader::from_bytes(bytes)
+        .map_err(|e| e.to_string())?
+        .digest();
     println!(
         "catalogd: froze {} trees (tau = {tau}, {shards} shards, seed {seed}) \
-         into {out} — {} bytes, snapshot {hash:#018x}",
+         into {out} — {len} bytes, snapshot {hash:#018x}",
         catalog.len(),
-        bytes.len(),
     );
     Ok(())
 }

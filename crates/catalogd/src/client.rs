@@ -311,7 +311,13 @@ fn hello(
         version: PROTOCOL_VERSION,
         snapshot_hash: expect_hash,
     };
-    match round_trip(&mut stream, &hello, 5_000)? {
+    let reply = round_trip(&mut stream, &hello, 5_000).map_err(|e| match e {
+        CatalogdError::Wire(WireError::VersionMismatch { peer }) => CatalogdError::Handshake {
+            context: format!("{addr} speaks version {peer}, client {PROTOCOL_VERSION}"),
+        },
+        other => other,
+    })?;
+    match reply {
         Frame::HelloAck {
             version,
             snapshot_hash,

@@ -26,7 +26,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tsj_catalog::format::fnv1a64;
 use tsj_catalog::snapshot::encode_shard_map;
 use tsj_catalog::SnapshotReader;
 use tsj_cluster::{Node, NodeScratch, ProbeCtx, Topology};
@@ -144,7 +143,10 @@ pub struct Catalogd {
 
 impl Catalogd {
     /// Restores node `cfg.node`'s owned shard sections from `snapshot`
-    /// and binds `addr` (use port 0 to let the OS pick). Placement is
+    /// and binds `addr` (use port 0 to let the OS pick). The snapshot's
+    /// identity is its [`SnapshotReader::digest`], and every section the
+    /// node reads is hashed once, so no byte is hashed twice and the
+    /// shards of other nodes are not hashed at all. Placement is
     /// the same round-robin topology the in-process cluster uses, so a
     /// node set started with identical `nodes`/`replication` agrees on
     /// who owns what without any coordination. The bytes the restored
@@ -156,7 +158,6 @@ impl Catalogd {
         cfg: &ServerConfig,
         addr: &str,
     ) -> Result<Catalogd, CatalogdError> {
-        let snapshot_hash = fnv1a64(&snapshot);
         let reader = SnapshotReader::from_bytes(snapshot)?;
         let topology = Topology::new(reader.shard_count(), cfg.nodes, cfg.replication)?;
         if cfg.node >= cfg.nodes {
@@ -194,7 +195,7 @@ impl Catalogd {
             tau: reader.tau(),
             shard_count: reader.shard_count() as u32,
             tree_count: reader.tree_count() as u32,
-            snapshot_hash,
+            snapshot_hash: reader.digest(),
             owned_shards,
             shard_map_bytes,
             labels,
@@ -333,12 +334,22 @@ fn handle_conn(state: Arc<NodeState>, stream: TcpStream, stop: Arc<AtomicBool>, 
     let mut held_since = None;
     loop {
         let request = Frame::read_from(&mut reader);
+        // After `Shutdown`, or a peer of another version, the reply is
+        // the last frame of the connection.
+        let last = matches!(
+            request,
+            Ok(Frame::Shutdown) | Err(WireError::VersionMismatch { .. })
+        );
         let shutdown = matches!(request, Ok(Frame::Shutdown));
         let reply = match request {
             Ok(frame) => {
                 state.cells.frames.inc();
                 respond(&state, &mut conn, frame)
             }
+            Err(WireError::VersionMismatch { peer }) => Frame::Error {
+                code: ErrorCode::VersionMismatch,
+                message: format!("server speaks version {PROTOCOL_VERSION}, client {peer}"),
+            },
             Err(e) if e.desyncs_stream() => break,
             Err(WireError::UnknownType { tag }) => Frame::Error {
                 code: ErrorCode::UnknownFrameType,
@@ -360,7 +371,7 @@ fn handle_conn(state: Arc<NodeState>, stream: TcpStream, stop: Arc<AtomicBool>, 
         // Flush as soon as the next read could block (no further complete
         // request is buffered): a lone request is answered at once, a
         // burst in one write, bounded in bytes and time held.
-        if shutdown
+        if last
             || !holds_frame(reader.buffer())
             || out.len() >= CONN_BUF
             || held_since.get_or_insert_with(Instant::now).elapsed() >= MAX_HOLD
@@ -376,6 +387,8 @@ fn handle_conn(state: Arc<NodeState>, stream: TcpStream, stop: Arc<AtomicBool>, 
             stop.store(true, Ordering::SeqCst);
             // Unblock the accept loop so the process can exit.
             let _ = TcpStream::connect(addr);
+        }
+        if last {
             return;
         }
     }

@@ -12,10 +12,14 @@
 //!
 //! `len` counts the type byte, the payload and the trailing checksum
 //! (so the smallest legal frame has `len == 9`); `checksum` is
-//! [`tsj_catalog::format::fnv1a64`] over the type byte followed by the
+//! [`tsj_catalog::format::checksum`] over the type byte followed by the
 //! payload — the same integrity check the snapshot sections use. A
 //! frame longer than [`MAX_FRAME_LEN`] is rejected *before* any
-//! allocation, exactly like the snapshot reader's alloc guard.
+//! allocation, exactly like the snapshot reader's alloc guard. A
+//! handshake frame of another protocol version fails that checksum
+//! (version 1 framed with FNV-1a), so a `Hello` or `HelloAck` whose
+//! checksum fails and whose version field names another version decodes
+//! to [`WireError::VersionMismatch`], not to a bare checksum mismatch.
 //!
 //! Decoding follows the PR 5 corruption-suite discipline: malformed,
 //! truncated or oversized bytes yield a typed [`WireError`], never a
@@ -25,7 +29,7 @@
 //! `docs/PROTOCOL.md`, which a round-trip test keeps in lockstep with
 //! this module.
 
-use tsj_catalog::format::{fnv1a64, ByteReader, ByteWriter};
+use tsj_catalog::format::{checksum, ByteReader, ByteWriter};
 use tsj_catalog::CatalogError;
 use tsj_cluster::ShardRequest;
 use tsj_ted::{JoinStats, StageCount};
@@ -35,8 +39,9 @@ use tsj_tree::{Label, LabelInterner, Tree};
 /// different version is answered with [`ErrorCode::VersionMismatch`] and
 /// the connection closes: payload layouts are fixed *per version*, and
 /// additions arrive as new frame types (see the forward-compat policy in
-/// `docs/PROTOCOL.md`).
-pub const PROTOCOL_VERSION: u16 = 1;
+/// `docs/PROTOCOL.md`). Version 2 changed only the envelope's checksum,
+/// from FNV-1a to [`tsj_catalog::format::checksum`].
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Hard cap on `len` (16 MiB): anything larger is
 /// [`WireError::FrameTooLarge`] before a single payload byte is read, so
@@ -160,7 +165,8 @@ pub enum Frame {
     HelloAck {
         /// The server's [`PROTOCOL_VERSION`].
         version: u16,
-        /// FNV-1a 64 of the full snapshot bytes this node restored from.
+        /// The [`tsj_catalog::SnapshotReader::digest`] of the snapshot
+        /// this node restored from.
         snapshot_hash: u64,
         /// This node's id within the node set.
         node: u32,
@@ -264,6 +270,13 @@ pub enum WireError {
         /// The advertised length.
         len: u32,
     },
+    /// A handshake frame ([`Frame::Hello`] or [`Frame::HelloAck`]) of
+    /// another protocol version: its checksum fails under this version's
+    /// envelope and its version field names the peer's version.
+    VersionMismatch {
+        /// The version the peer's frame carries.
+        peer: u16,
+    },
     /// The frame checksum disagrees with its bytes.
     ChecksumMismatch {
         /// Checksum stored in the frame.
@@ -305,6 +318,10 @@ impl std::fmt::Display for WireError {
             WireError::FrameTooShort { len } => {
                 write!(f, "frame length {len} cannot hold a type byte and checksum")
             }
+            WireError::VersionMismatch { peer } => write!(
+                f,
+                "peer speaks protocol version {peer}, this build {PROTOCOL_VERSION}"
+            ),
             WireError::ChecksumMismatch { stored, actual } => write!(
                 f,
                 "frame checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
@@ -330,6 +347,7 @@ impl WireError {
             self,
             WireError::FrameTooLarge { .. }
                 | WireError::FrameTooShort { .. }
+                | WireError::VersionMismatch { .. }
                 | WireError::ChecksumMismatch { .. }
                 | WireError::Io { .. }
         )
@@ -569,13 +587,24 @@ impl Frame {
     }
 
     /// Decodes the `len` bytes behind a length prefix: verifies the
-    /// trailing checksum, then decodes the body it covers.
+    /// trailing checksum, then decodes the body it covers. A body that
+    /// fails the checksum but opens as a handshake frame naming another
+    /// version is that version's frame, and says so.
     fn decode_checked(framed: &[u8]) -> Result<Frame, WireError> {
         let (body, stored) = framed.split_at(framed.len() - 8);
         let stored = u64::from_le_bytes(stored.try_into().expect("split 8 from the end"));
-        let actual = fnv1a64(body);
+        let actual = checksum(body);
         if stored != actual {
-            return Err(WireError::ChecksumMismatch { stored, actual });
+            return Err(match body {
+                [tag::HELLO | tag::HELLO_ACK, lo, hi, ..]
+                    if u16::from_le_bytes([*lo, *hi]) != PROTOCOL_VERSION =>
+                {
+                    WireError::VersionMismatch {
+                        peer: u16::from_le_bytes([*lo, *hi]),
+                    }
+                }
+                _ => WireError::ChecksumMismatch { stored, actual },
+            });
         }
         Frame::decode_body(body)
     }
@@ -700,8 +729,8 @@ fn append_frame(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut ByteWriter
     w.put_u8(tag);
     payload(&mut w);
     *out = w.into_bytes();
-    let checksum = fnv1a64(&out[start + 4..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let sum = checksum(&out[start + 4..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
@@ -966,7 +995,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(body.len() as u32 + 8).to_le_bytes());
         bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        bytes.extend_from_slice(&checksum(&body).to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes),
             Err(WireError::UnknownType { tag: 0x7F })

@@ -61,12 +61,12 @@ fn read_reply(stream: &mut TcpStream) -> Vec<u8> {
     .encode()
 }
 
-/// A checksummed frame whose type tag no version 1 server knows.
+/// A checksummed frame whose type tag no server of this version knows.
 fn unknown_frame() -> Vec<u8> {
     let body = [0x7F_u8, 1, 2, 3];
     let mut bytes = (body.len() as u32 + 8).to_le_bytes().to_vec();
     bytes.extend_from_slice(&body);
-    bytes.extend_from_slice(&tsj_catalog::format::fnv1a64(&body).to_le_bytes());
+    bytes.extend_from_slice(&tsj_catalog::format::checksum(&body).to_le_bytes());
     bytes
 }
 

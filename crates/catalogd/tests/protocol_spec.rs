@@ -26,7 +26,7 @@ fn documented_frames() -> Vec<(&'static str, Frame)> {
         (
             "Hello",
             Frame::Hello {
-                version: 1,
+                version: 2,
                 snapshot_hash: 0x53925FE9FE30C941,
             },
         ),
@@ -100,10 +100,10 @@ fn documented_examples_decode_back() {
 #[test]
 fn spec_constants_match_the_build() {
     assert!(
-        SPEC.contains("(version 1)"),
+        SPEC.contains("(version 2)"),
         "spec version header vs PROTOCOL_VERSION"
     );
-    assert_eq!(tsj_catalogd::wire::PROTOCOL_VERSION, 1);
+    assert_eq!(tsj_catalogd::wire::PROTOCOL_VERSION, 2);
     assert!(SPEC.contains("16 MiB"), "spec documents the frame cap");
     assert_eq!(tsj_catalogd::wire::MAX_FRAME_LEN, 16 * 1024 * 1024);
 }

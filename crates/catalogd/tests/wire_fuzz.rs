@@ -8,7 +8,7 @@ mod common;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsj_catalog::format::fnv1a64;
+use tsj_catalog::format::checksum;
 use tsj_catalogd::wire::{encode_probes, ErrorCode, Frame, WireError, PROTOCOL_VERSION};
 use tsj_ted::{JoinStats, StageCount};
 use tsj_tree::{parse_bracket, LabelInterner};
@@ -196,8 +196,8 @@ fn unknown_stage_names_are_malformed_and_poison_nothing() {
         let mut bytes = honest.clone();
         bytes[name_at..name_at + 10].copy_from_slice(format!("junk-{i:05}").as_bytes());
         let body_end = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[4..body_end]);
-        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&bytes[4..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
         let err = Frame::decode(&bytes).expect_err("junk stage name");
         assert!(matches!(err, WireError::Malformed { .. }), "{i}: {err:?}");
         assert!(!err.desyncs_stream(), "{i}: the frame was consumed whole");
