@@ -166,6 +166,18 @@ impl<'a> ByteReader<'a> {
         }
         Ok(count)
     }
+
+    /// Reads a `u32` record count and that many `N`-byte records as one
+    /// slice, bounds-checked once, so decoding a record is plain array
+    /// access — a count the buffer cannot hold is
+    /// [`CatalogError::Truncated`], as in [`ByteReader::get_count`].
+    pub fn get_records<const N: usize>(
+        &mut self,
+        context: &'static str,
+    ) -> Result<&'a [[u8; N]], CatalogError> {
+        let count = self.get_count(N, context)?;
+        Ok(self.take(N * count, context)?.as_chunks::<N>().0)
+    }
 }
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;

@@ -234,9 +234,7 @@ fn tree_sizes(bytes: &[u8]) -> Result<Vec<u32>, CatalogError> {
     let count = r.get_count(4, "tree store")?;
     let mut sizes = Vec::with_capacity(count);
     for _ in 0..count {
-        let nodes = r.get_count(8, "tree node list")?;
-        r.get_bytes(8 * nodes, "tree node list")?;
-        sizes.push(nodes as u32);
+        sizes.push(r.get_records::<8>("tree node list")?.len() as u32);
     }
     Ok(sizes)
 }
@@ -253,12 +251,14 @@ fn for_each_tree(
     let mut r = ByteReader::new(bytes);
     let count = r.get_count(4, "tree store")?;
     for t in 0..count {
-        let nodes = r.get_count(8, "tree node list")?;
-        let (mut labels, mut parents) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
-        for node in r.get_bytes(8 * nodes, "tree node list")?.chunks_exact(8) {
-            let (label, parent) = node.split_at(4);
-            labels.push(decode_label(le_u32(label), "tree node")?);
-            parents.push(le_u32(parent));
+        let nodes = r.get_records::<8>("tree node list")?;
+        let (mut labels, mut parents) = (
+            Vec::with_capacity(nodes.len()),
+            Vec::with_capacity(nodes.len()),
+        );
+        for node in nodes {
+            labels.push(decode_label(le_u32(&node[..4]), "tree node")?);
+            parents.push(le_u32(&node[4..]));
         }
         let tree = Tree::from_columns(labels, parents).map_err(|e| CatalogError::Corrupt {
             context: format!("tree {t}: {e}"),
@@ -321,16 +321,12 @@ pub fn decode_shard_map(bytes: &[u8], shard_count: usize) -> Result<ShardMap, Ca
     let mut r = ByteReader::new(bytes);
     let map = match r.get_u8("shard map tag")? {
         0 => ShardMap::Hash,
-        1 => {
-            let count = r.get_count(8, "shard map entries")?;
-            let mut pairs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let size = r.get_u32("shard map size class")?;
-                let shard = r.get_u32("shard map target shard")?;
-                pairs.push((size, shard));
-            }
-            ShardMap::Balanced(pairs)
-        }
+        1 => ShardMap::Balanced(
+            r.get_records::<8>("shard map entries")?
+                .iter()
+                .map(|entry| (le_u32(&entry[..4]), le_u32(&entry[4..])))
+                .collect(),
+        ),
         other => {
             return Err(CatalogError::Corrupt {
                 context: format!("unknown shard-map tag {other}"),
@@ -419,13 +415,11 @@ pub fn decode_shard(bytes: &[u8]) -> Result<SubgraphIndex, CatalogError> {
     let mut r = ByteReader::new(bytes);
     let tau = r.get_u32("shard tau")?;
     let window = decode_window(r.get_u8("shard window")?)?;
-    let size_count = r.get_count(8, "shard size classes")?;
-    let mut size_layers = Vec::with_capacity(size_count);
-    for _ in 0..size_count {
-        let size = r.get_u32("size class")?;
-        let layer = r.get_u32("layer id")?;
-        size_layers.push((size, layer));
-    }
+    let size_layers = r
+        .get_records::<8>("shard size classes")?
+        .iter()
+        .map(|class| (le_u32(&class[..4]), le_u32(&class[4..])))
+        .collect();
     let layer_count = r.get_count(4, "shard layers")?;
     let mut layers = Vec::with_capacity(layer_count);
     for _ in 0..layer_count {
@@ -433,11 +427,10 @@ pub fn decode_shard(bytes: &[u8]) -> Result<SubgraphIndex, CatalogError> {
         let mut buckets = Vec::with_capacity(bucket_count);
         for _ in 0..bucket_count {
             let sorted_len = r.get_u32("bucket sorted prefix")?;
-            let posting_count = r.get_count(12, "bucket postings")?;
-            let raw = r.get_bytes(12 * posting_count, "bucket postings")?;
-            let postings = raw
-                .chunks_exact(12)
-                .map(|p| (le_u64(&p[..8]), le_u32(&p[8..])))
+            let postings = r
+                .get_records::<12>("bucket postings")?
+                .iter()
+                .map(|posting| (le_u64(&posting[..8]), le_u32(&posting[8..])))
                 .collect();
             buckets.push(BucketDump {
                 postings,
@@ -446,37 +439,32 @@ pub fn decode_shard(bytes: &[u8]) -> Result<SubgraphIndex, CatalogError> {
         }
         layers.push(LayerDump { buckets });
     }
-    let meta_count = r.get_count(10, "shard metas")?;
-    let mut metas = Vec::with_capacity(meta_count);
-    for _ in 0..meta_count {
-        let tree = r.get_u32("meta tree")?;
-        let component = r.get_u32("meta component")?;
-        let ordinal = r.get_u16("meta ordinal")?;
-        metas.push(SubgraphMeta {
-            tree,
-            component,
-            ordinal,
+    let metas = r
+        .get_records::<10>("shard metas")?
+        .iter()
+        .map(|meta| SubgraphMeta {
+            tree: le_u32(&meta[..4]),
+            component: le_u32(&meta[4..8]),
+            ordinal: u16::from_le_bytes([meta[8], meta[9]]),
+        })
+        .collect();
+    let components = r
+        .get_records::<9>("shard components")?
+        .iter()
+        .map(|c| ComponentDump {
+            start: le_u32(&c[..4]),
+            len: le_u32(&c[4..8]),
+            incoming: c[8],
+        })
+        .collect();
+    let nodes = r.get_records::<6>("shard arena")?;
+    let mut arena = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        arena.push(SgNode {
+            label: decode_label(le_u32(&node[..4]), "arena node")?,
+            left: decode_child_kind(node[4])?,
+            right: decode_child_kind(node[5])?,
         });
-    }
-    let component_count = r.get_count(9, "shard components")?;
-    let mut components = Vec::with_capacity(component_count);
-    for _ in 0..component_count {
-        let start = r.get_u32("component start")?;
-        let len = r.get_u32("component length")?;
-        let incoming = r.get_u8("component incoming")?;
-        components.push(ComponentDump {
-            start,
-            len,
-            incoming,
-        });
-    }
-    let arena_count = r.get_count(6, "shard arena")?;
-    let mut arena = Vec::with_capacity(arena_count);
-    for _ in 0..arena_count {
-        let label = decode_label(r.get_u32("arena node label")?, "arena node")?;
-        let left = decode_child_kind(r.get_u8("arena node left")?)?;
-        let right = decode_child_kind(r.get_u8("arena node right")?)?;
-        arena.push(SgNode { label, left, right });
     }
     let registrations = r.get_u64("shard registrations")?;
     if r.remaining() != 0 {

@@ -385,8 +385,8 @@ fn put_u32s(w: &mut ByteWriter, vs: &[u32]) {
 }
 
 fn get_u32s(r: &mut ByteReader<'_>, context: &'static str) -> Result<Vec<u32>, WireError> {
-    let count = r.get_count(4, context)?;
-    (0..count).map(|_| Ok(r.get_u32(context)?)).collect()
+    let values = r.get_records::<4>(context)?;
+    Ok(values.iter().map(|&v| u32::from_le_bytes(v)).collect())
 }
 
 fn put_join_shard(w: &mut ByteWriter, probe: u32, shard: u32, tau: u32, classes: &[u32]) {
@@ -419,19 +419,22 @@ fn get_probe_batch(r: &mut ByteReader<'_>) -> Result<ProbeBatch, WireError> {
     let tree_count = r.get_count(4, "probe tree count")?;
     let trees = (0..tree_count)
         .map(|_| {
-            let nodes = r.get_count(8, "probe tree nodes")?;
-            let nodes = (0..nodes)
-                .map(|_| {
-                    let label = r.get_u32("probe node label")?;
-                    if label as usize >= labels.len() {
-                        return Err(WireError::Malformed {
-                            context: "probe node label out of table range",
-                        });
-                    }
-                    let parent = r.get_u32("probe node parent")?;
-                    Ok((label, parent))
+            let nodes: Vec<(u32, u32)> = r
+                .get_records::<8>("probe tree nodes")?
+                .iter()
+                .map(|&[l0, l1, l2, l3, p0, p1, p2, p3]| {
+                    let label = u32::from_le_bytes([l0, l1, l2, l3]);
+                    (label, u32::from_le_bytes([p0, p1, p2, p3]))
                 })
-                .collect::<Result<Vec<_>, WireError>>()?;
+                .collect();
+            if nodes
+                .iter()
+                .any(|&(label, _)| label as usize >= labels.len())
+            {
+                return Err(WireError::Malformed {
+                    context: "probe node label out of table range",
+                });
+            }
             Ok(WireTree { nodes })
         })
         .collect::<Result<Vec<_>, WireError>>()?;
