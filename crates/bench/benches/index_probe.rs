@@ -1,19 +1,21 @@
 //! Micro-benchmarks of the two-layer subgraph index (§3.4): insertion of
 //! a partitioned tree, per-node probes under the three window policies,
-//! probes that can surface nothing (a join's common case: the bucket
-//! header's signature answers them), and the in-place sweep of dead
-//! trees. Probe cost is the core of PartSJ's candidate-generation bars;
-//! the sweep is what a streaming shard pays when its dead fraction trips.
+//! probes that can surface nothing (a join's common case: the layer's
+//! root-signature column answers them), a probe window spread over the
+//! shards of a sharded index, and the in-place sweep of dead trees. Probe
+//! cost is the core of PartSJ's candidate-generation bars; the sweep is
+//! what a streaming shard pays when its dead fraction trips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{
-    build_subgraphs, max_min_size, select_cuts, MatchCache, MatchSemantics, SubgraphIndex,
-    TwigKeys, WindowPolicy,
+    build_subgraphs, max_min_size, partition_tree, select_cuts, window_of, Candidates, MatchCache,
+    MatchSemantics, PartSjConfig, ProbeCounters, SubgraphIndex, TwigKeys, WindowPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use tsj_datagen::{grow_tree, mutate, ShapeProfile};
+use tsj_shard::{ShardConfig, ShardedIndex};
 use tsj_tree::{BinaryTree, Label, Tree};
 
 fn sample_trees(count: usize, size: usize, labels: u32, seed: u64) -> Vec<Tree> {
@@ -98,7 +100,8 @@ fn probe_all_nodes(index: &SubgraphIndex, probe: &BinaryTree, tau: u32) -> u64 {
 /// subgraph of the bucket it lands in. A 600-tree index over labels
 /// 1..=10, probed by its own trees relabelled to 11..=20 — same shapes,
 /// sizes and positions, no root label (and no signature bit) shared, so
-/// every probe is answered by a bucket header. `index/probe_all_nodes`
+/// every probe is answered by the root-signature column.
+/// `index/probe_all_nodes`
 /// is the same loop with hits.
 fn bench_probe_miss(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/probe_miss");
@@ -146,6 +149,93 @@ fn bench_probe(c: &mut Criterion) {
     group.finish();
 }
 
+/// One probe window across the 4 shards of a streaming-shaped index
+/// (`stream_window`'s τ = 2 and shard count): 540 trees of sizes 56–64,
+/// probed by 8 of them whose size window `[n − 2, n + 2]` spreads over
+/// all 4 shards. `one_walk` is `ShardedIndex::probe_tree` (the tree's
+/// nodes walked once for every shard); `per_shard` is the same window as
+/// one `probe_shard` walk per shard, the same candidates and counts.
+fn bench_probe_tree_sharded(c: &mut Criterion) {
+    let mut group = c.benchmark_group("index/probe_tree_sharded");
+    let (tau, config) = (2u32, PartSjConfig::default());
+    let trees: Vec<Tree> = (56..=64u64)
+        .flat_map(|size| sample_trees(60, size as usize, 20, 17 + size))
+        .collect();
+    let mut index = ShardedIndex::new(tau, config.window, &ShardConfig::with_shards(4));
+    for (i, tree) in (0u32..).zip(&trees) {
+        let binary = BinaryTree::from_tree(tree);
+        let posts = binary.general_post();
+        let subgraphs = partition_tree(&binary, posts, tau, config.partitioning, i);
+        index.insert_tree(i, tree.len() as u32, subgraphs.expect("≥ δ nodes"));
+    }
+    let mut shard_set = Vec::new();
+    let spread = |tree: &&Tree| {
+        let (lo, hi) = window_of(tree.len() as u32, tau);
+        index.shard_set(lo, hi, &mut shard_set);
+        shard_set.len() == 4
+    };
+    let probes: Vec<BinaryTree> = trees
+        .iter()
+        .filter(spread)
+        .take(8)
+        .map(BinaryTree::from_tree)
+        .collect();
+    assert_eq!(probes.len(), 8, "8 probes whose window spans 4 shards");
+    let mut caches: Vec<MatchCache> = (0..4).map(|_| MatchCache::new()).collect();
+    let (mut candidates, mut layers) = (Candidates::new(), Vec::new());
+    let mut work = ProbeCounters::default();
+    let mut run = |one_walk: bool| -> usize {
+        let mut found = 0;
+        for probe in &probes {
+            let size = probe.len() as u32;
+            let (lo, hi) = window_of(size, tau);
+            let (posts, matching) = (probe.general_post(), MatchSemantics::Exact);
+            candidates.begin(trees.len());
+            let sink = &mut candidates.sink();
+            if one_walk {
+                index.probe_tree(
+                    probe,
+                    posts,
+                    size,
+                    lo,
+                    hi,
+                    matching,
+                    &mut caches,
+                    &mut shard_set,
+                    &mut layers,
+                    &mut work,
+                    sink,
+                );
+            } else {
+                index.shard_set(lo, hi, &mut shard_set);
+                for &s in &shard_set {
+                    index.probe_shard(
+                        s,
+                        probe,
+                        posts,
+                        size,
+                        lo,
+                        hi,
+                        matching,
+                        &mut caches[s],
+                        &mut layers,
+                        &mut work,
+                        sink,
+                    );
+                }
+            }
+            found += candidates.as_slice().len();
+        }
+        found
+    };
+    let found = run(true);
+    assert!(found > probes.len(), "probes find more than themselves");
+    assert_eq!(run(false), found);
+    group.bench_function("one_walk", |bench| bench.iter(|| black_box(run(true))));
+    group.bench_function("per_shard", |bench| bench.iter(|| black_box(run(false))));
+    group.finish();
+}
+
 /// `retain_trees` over a 1 000-tree index with every 4th / every 2nd tree
 /// dead. A sweep consumes its index, so each iteration restores a copy
 /// from one dump first; row `0` (nothing dead) is that cost plus a sweep
@@ -174,6 +264,7 @@ criterion_group!(
     bench_insert,
     bench_probe,
     bench_probe_miss,
+    bench_probe_tree_sharded,
     bench_sweep
 );
 criterion_main!(benches);

@@ -44,6 +44,20 @@ pub enum WindowPolicy {
     PaperAbsolute,
 }
 
+impl WindowPolicy {
+    /// The position key of a probe node with 1-based *general-tree*
+    /// postorder `p` in a probing tree of `probe_size` nodes: the suffix
+    /// `probe_size − p` under `Safe` and `Tight`, `p` itself under
+    /// `PaperAbsolute`.
+    #[inline]
+    pub fn probe_position(self, p: u32, probe_size: u32) -> u32 {
+        match self {
+            WindowPolicy::PaperAbsolute => p,
+            WindowPolicy::Tight | WindowPolicy::Safe => probe_size - p,
+        }
+    }
+}
+
 /// How a tree is decomposed into `δ = 2τ + 1` subgraphs (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionScheme {

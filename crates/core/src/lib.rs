@@ -67,8 +67,8 @@ pub use index::{
 pub use join::{partsj_join, partsj_join_detailed, partsj_join_with, PartSjDetail};
 pub use partition::{cuts_for, max_min_size, partitionable, select_cuts, select_random_cuts};
 pub use probe::{
-    classes_within, probe_tree_nodes, resolve_layers, window_of, CandidateSink, Candidates,
-    ProbeCounters, ProbeScratch, SideList, StampSink,
+    classes_within, for_each_probe_node, probe_tree_nodes, resolve_layers, window_of,
+    CandidateSink, Candidates, ProbeCounters, ProbeNode, ProbeScratch, SideList, StampSink,
 };
 pub use rs_join::partsj_join_rs;
 pub use subgraph::{

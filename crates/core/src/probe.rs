@@ -9,7 +9,8 @@
 //! ([`Candidates`]), admits the side list's trees of the window
 //! ([`SideList::scan`]) and walks the tree's nodes against the window's
 //! populated size layers ([`resolve_layers`], [`probe_tree_nodes`]: twig
-//! keys once per node, match verdicts memoized per node across layers);
+//! and position keys once per node in [`for_each_probe_node`], match
+//! verdicts memoized per node across layers in [`ProbeNode::probe`]);
 //! `Prober::publish` cuts the tree into δ subgraphs for the index or
 //! side-lists it. The self-join ([`crate::join`]), R×S
 //! ([`crate::rs_join`]) and top-k ([`crate::topk`]) loops run on these
@@ -17,16 +18,18 @@
 //! candidates go.
 //!
 //! One crate up, `tsj-shard` runs the same steps against each shard's
-//! private [`SubgraphIndex`] beside the same [`SideList`]; its one extra
-//! admission rule, liveness, is a [`CandidateSink`] adapter around the
-//! [`StampSink`] that [`Candidates::sink`] hands out.
+//! private [`SubgraphIndex`] beside the same [`SideList`] — one node walk
+//! for all the shards of a window, each node probing every shard's
+//! layers; its one extra admission rule, liveness, is a
+//! [`CandidateSink`] adapter around the [`StampSink`] that
+//! [`Candidates::sink`] hands out.
 
 use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
 use crate::subgraph::{is_side_listed, partition_tree_with, PartitionScratch};
 use std::mem::size_of;
 use tsj_ted::TreeIdx;
-use tsj_tree::{BinaryTree, FxHashMap, Tree};
+use tsj_tree::{BinaryTree, FxHashMap, NodeId, Tree};
 
 /// Reusable probe-tree preparation: one LC-RS view (the tree's label and
 /// parent columns plus its subtree sizes and general postorder numbers,
@@ -134,8 +137,83 @@ pub fn resolve_layers(index: &SubgraphIndex, lo: u32, hi: u32, out: &mut Vec<Lay
     out.extend(classes.filter_map(|n| index.layer_id(n)));
 }
 
+/// One node of a probing tree as every layer of its window sees it: its
+/// twig keys and its position key, computed once per node by
+/// [`for_each_probe_node`].
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeNode<'t> {
+    binary: &'t BinaryTree,
+    node: NodeId,
+    position: u32,
+    keys: TwigKeys,
+}
+
+impl ProbeNode<'_> {
+    /// Probes the node against `layers` of `index`: forgets the previous
+    /// node's verdicts in `cache` (one cache per index — component ids
+    /// are the index's own), then offers `sink` the container tree of
+    /// every surfaced handle and matches the subgraphs it admits.
+    #[inline]
+    pub fn probe<S: CandidateSink>(
+        &self,
+        index: &SubgraphIndex,
+        layers: &[LayerId],
+        matching: MatchSemantics,
+        cache: &mut MatchCache,
+        counters: &mut ProbeCounters,
+        sink: &mut S,
+    ) {
+        cache.begin_node();
+        counters.probes += layers.len() as u64;
+        for &layer in layers {
+            index
+                .layer(layer)
+                .probe(self.position, &self.keys, |handle| {
+                    let tree = index.tree_of(handle);
+                    if !sink.admit(tree) {
+                        return;
+                    }
+                    counters.match_attempts += 1;
+                    if index.matches_at(handle, self.binary, self.node, matching, cache) {
+                        counters.matches += 1;
+                        sink.accept(tree);
+                    }
+                });
+        }
+    }
+}
+
+/// Walks the nodes of `binary` once — Algorithm 1's inner loop — and
+/// hands each to `visit` with its twig keys and its position key under
+/// `window`. Whatever the window spans, one index or several, every
+/// layer of it is probed from this one walk ([`ProbeNode::probe`]).
+///
+/// `posts` maps node ids to 1-based *general-tree* postorder numbers
+/// ([`BinaryTree::general_post`]) and `probe_size` is the probing
+/// tree's node count (both feed [`WindowPolicy::probe_position`]).
+#[inline]
+pub fn for_each_probe_node(
+    binary: &BinaryTree,
+    posts: &[u32],
+    probe_size: u32,
+    window: WindowPolicy,
+    mut visit: impl FnMut(&ProbeNode<'_>),
+) {
+    for node in binary.node_ids() {
+        let left = binary.slot_label(binary.left_slot(node));
+        let right = binary.slot_label(binary.right_slot(node));
+        visit(&ProbeNode {
+            binary,
+            node,
+            position: window.probe_position(posts[node.index()], probe_size),
+            keys: TwigKeys::new(binary.label(node), left, right),
+        });
+    }
+}
+
 /// Probes every node of `binary` against the resolved `layer_window` of
-/// `index` — one full iteration of Algorithm 1's inner loop.
+/// `index` — one full iteration of Algorithm 1's inner loop over one
+/// index ([`for_each_probe_node`], [`ProbeNode::probe`]).
 ///
 /// `posts` maps node ids to 1-based *general-tree* postorder numbers
 /// ([`BinaryTree::general_post`]) and `probe_size` is the probing
@@ -157,28 +235,9 @@ pub fn probe_tree_nodes<S: CandidateSink>(
     if layer_window.is_empty() {
         return;
     }
-    for node in binary.node_ids() {
-        let label = binary.label(node);
-        let left = binary.slot_label(binary.left_slot(node));
-        let right = binary.slot_label(binary.right_slot(node));
-        let keys = TwigKeys::new(label, left, right);
-        cache.begin_node();
-        let position = index.probe_position(posts[node.index()], probe_size);
-        for &layer in layer_window {
-            counters.probes += 1;
-            index.layer(layer).probe(position, &keys, |handle| {
-                let tree = index.tree_of(handle);
-                if !sink.admit(tree) {
-                    return;
-                }
-                counters.match_attempts += 1;
-                if index.matches_at(handle, binary, node, matching, cache) {
-                    counters.matches += 1;
-                    sink.accept(tree);
-                }
-            });
-        }
-    }
+    for_each_probe_node(binary, posts, probe_size, index.window(), |node| {
+        node.probe(index, layer_window, matching, cache, counters, sink)
+    });
 }
 
 /// The ubiquitous sink: a stamp array deduplicates container trees per

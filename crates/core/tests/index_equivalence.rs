@@ -337,7 +337,7 @@ fn signature_hides_nothing(index: &SubgraphIndex, pool: &[Tree], tau: u32) -> u6
 }
 
 /// The signature across τ × window policy × alphabet size (3 labels: few
-/// bits set; 40: every bit, some shared; 200: every bit shared six ways),
+/// bits set; 40: a bit each; 200: bits shared up to two ways),
 /// on the built index, after a sweep of a quarter of the trees, through
 /// `restore(dump())`, and after a sweep of everything else.
 #[test]

@@ -13,7 +13,7 @@
 //!
 //! ## Dynamics
 //!
-//! * [`ShardedIndex::remove_tree`] flips the tree's **liveness bit** —
+//! * [`ShardedIndex::remove_tree`] clears the tree's **liveness flag** —
 //!   probe sinks filter dead container trees in O(1) per surfaced handle
 //!   — and tombstones the tree's postings in its shard: one
 //!   registration count per stored tree is all a shard keeps beside
@@ -26,8 +26,10 @@
 //!   index in place. Amortized, a surviving posting is walked at most
 //!   `1/max_dead_fraction` times per eviction epoch.
 
-use partsj::probe::{probe_tree_nodes, CandidateSink, ProbeCounters};
-use partsj::{resolve_layers, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy};
+use partsj::probe::{for_each_probe_node, probe_tree_nodes, CandidateSink, ProbeCounters};
+use partsj::{
+    classes_within, resolve_layers, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy,
+};
 use std::borrow::Borrow;
 use tsj_obs::{Counter, Gauge};
 use tsj_ted::TreeIdx;
@@ -326,7 +328,8 @@ pub struct ShardedIndex {
     /// installed before the first insertion).
     map: ShardMap,
     shards: Vec<Shard>,
-    /// Liveness bitmap over all tracked tree ids (small trees included).
+    /// Liveness flags (a byte a tree) over all tracked tree ids (small
+    /// trees included).
     alive: Vec<bool>,
     /// Size of each tracked tree (`u32::MAX` = never tracked).
     sizes: Vec<u32>,
@@ -594,7 +597,7 @@ impl ShardedIndex {
         build_span.end();
     }
 
-    /// Removes a tracked tree: clears its liveness bit (probes stop
+    /// Removes a tracked tree: clears its liveness flag (probes stop
     /// surfacing it immediately), tombstones its postings, and compacts
     /// the owning shard if its dead fraction crossed the threshold.
     /// Returns `false` if the tree was unknown or already removed.
@@ -631,7 +634,7 @@ impl ShardedIndex {
         self.alive.get(tree as usize).copied().unwrap_or(false)
     }
 
-    /// The liveness bitmap, indexed by tree id — probe sinks capture this
+    /// The liveness flags, indexed by tree id — probe sinks capture this
     /// slice instead of borrowing the whole index.
     #[inline]
     pub fn alive_bitmap(&self) -> &[bool] {
@@ -694,11 +697,19 @@ impl ShardedIndex {
     }
 
     /// Probes every node of `binary` against every shard covering size
-    /// window `[lo, hi]` ([`ShardedIndex::probe_shard`] per shard of
-    /// [`ShardedIndex::shard_set`], which is left in `shard_scratch`).
-    /// `caches` must hold one [`MatchCache`] per shard (component ids
-    /// are per-shard); `shard_scratch`/`layer_scratch` are reusable
-    /// buffers.
+    /// window `[lo, hi]`, in one walk of the tree: each node computes its
+    /// twig and position keys once ([`for_each_probe_node`]) and probes
+    /// the populated layers of every shard of the window in turn, shard
+    /// by shard in [`ShardedIndex::shard_set`] order. Each window class is
+    /// resolved once per probe, in the one shard that owns it. Candidates
+    /// and counters equal the union of [`ShardedIndex::probe_shard`] over
+    /// the shard set (a tree's postings live in one shard and one layer);
+    /// only the discovery order interleaves across shards.
+    ///
+    /// `caches` must hold one [`MatchCache`] per shard (component ids are
+    /// per-shard). `shard_scratch` is left holding the window's shard
+    /// set; `layer_scratch` holds, shard by shard in that order, a count
+    /// followed by that many of the shard's layer ids.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tree<S: CandidateSink>(
         &self,
@@ -714,22 +725,48 @@ impl ShardedIndex {
         counters: &mut ProbeCounters,
         sink: &mut S,
     ) {
-        self.shard_set(lo, hi, shard_scratch);
-        for &s in shard_scratch.iter() {
-            let cache = &mut caches[s];
-            self.probe_shard(
-                s,
-                binary,
-                posts,
-                probe_size,
-                lo,
-                hi,
-                matching,
-                cache,
-                layer_scratch,
-                counters,
-                sink,
-            );
+        self.resolve_window(lo, hi, shard_scratch, layer_scratch);
+        if layer_scratch.len() == shard_scratch.len() {
+            return; // every run is empty
+        }
+        let (shards, runs) = (shard_scratch.as_slice(), layer_scratch.as_slice());
+        let mut live_sink = self.live(sink);
+        for_each_probe_node(binary, posts, probe_size, self.window, |node| {
+            let mut rest = runs;
+            for &s in shards {
+                let (&len, tail) = rest.split_first().expect("one run per shard");
+                let (layers, tail) = tail.split_at(len as usize);
+                rest = tail;
+                if !layers.is_empty() {
+                    let index = &self.shards[s].index;
+                    node.probe(
+                        index,
+                        layers,
+                        matching,
+                        &mut caches[s],
+                        counters,
+                        &mut live_sink,
+                    );
+                }
+            }
+        });
+    }
+
+    /// Resolves size window `[lo, hi]` for [`ShardedIndex::probe_tree`]:
+    /// its shard set into `shards` and, shard by shard in that order, the
+    /// count and the ids of the shard's populated layers into `layers`.
+    /// A class is looked up only in the shard that owns it.
+    fn resolve_window(&self, lo: u32, hi: u32, shards: &mut Vec<usize>, layers: &mut Vec<LayerId>) {
+        self.shard_set(lo, hi, shards);
+        layers.clear();
+        for &s in shards.iter() {
+            let index = &self.shards[s].index;
+            let at = layers.len();
+            layers.push(0);
+            let classes = classes_within(index.size_classes(), lo, hi);
+            let owned = classes.filter(|&n| self.shard_of_size(n) == s);
+            layers.extend(owned.filter_map(|n| index.layer_id(n)));
+            layers[at] = (layers.len() - at - 1) as LayerId;
         }
     }
 
@@ -755,11 +792,6 @@ impl ShardedIndex {
     ) {
         let index = &self.shards[s].index;
         resolve_layers(index, lo, hi, layer_scratch);
-        let alive = self.alive_bitmap();
-        let mut live_sink = Gate {
-            admit: |tree: TreeIdx| alive.get(tree as usize).copied().unwrap_or(false),
-            inner: sink,
-        };
         probe_tree_nodes(
             index,
             layer_scratch,
@@ -769,21 +801,30 @@ impl ShardedIndex {
             matching,
             cache,
             counters,
-            &mut live_sink,
+            &mut self.live(sink),
         );
+    }
+
+    /// `sink` behind the liveness rule: dead container trees never reach
+    /// it.
+    fn live<'a, S>(&'a self, sink: &'a mut S) -> Live<'a, S> {
+        Live {
+            alive: &self.alive,
+            inner: sink,
+        }
     }
 }
 
-/// Sink adapter: an admission rule (liveness) in front of another sink.
-struct Gate<'a, F, S> {
-    admit: F,
+/// Sink adapter: the liveness rule in front of another sink.
+struct Live<'a, S> {
+    alive: &'a [bool],
     inner: &'a mut S,
 }
 
-impl<F: Fn(TreeIdx) -> bool, S: CandidateSink> CandidateSink for Gate<'_, F, S> {
+impl<S: CandidateSink> CandidateSink for Live<'_, S> {
     #[inline]
     fn admit(&mut self, tree: TreeIdx) -> bool {
-        (self.admit)(tree) && self.inner.admit(tree)
+        self.alive.get(tree as usize).copied().unwrap_or(false) && self.inner.admit(tree)
     }
 
     #[inline]

@@ -20,8 +20,8 @@
 //!   to [`partsj::partsj_join_rs`].
 //! * **Deletion and eviction.** Streaming workloads insert *and expire*.
 //!   [`ShardedIndex`] supports [`ShardedIndex::remove_tree`]: removed
-//!   trees are tombstoned (probes filter them through a liveness bitmap)
-//!   and each shard compacts itself — one in-place
+//!   trees are tombstoned (probes filter them through per-tree liveness
+//!   flags) and each shard compacts itself — one in-place
 //!   [`partsj::SubgraphIndex::retain_trees`] sweep, no second copy of
 //!   anything — once the dead fraction of its postings passes
 //!   [`ShardConfig::max_dead_fraction`], in the spirit of *Dynamic

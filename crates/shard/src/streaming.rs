@@ -29,7 +29,7 @@
 //! A tree's verification inputs are freed at eviction and their slot
 //! once every older arrival is gone too, so under a sliding policy they
 //! take a window's worth of memory. The rest of the per-tree bookkeeping
-//! (`4 B` stamp + liveness bit + size) still grows
+//! (`4 B` stamp + `1 B` liveness flag + `4 B` size) still grows
 //! with the total stream length — ids are never recycled, keeping
 //! reported partner indices stable. At one insert per millisecond that
 //! is ~midnight-of-49-days before `u32` ids wrap; recycle ids upstream
@@ -338,7 +338,7 @@ impl ShardedStreamingJoin {
         }
     }
 
-    /// Drops one live tree: liveness bit, tombstones (with the sweep),
+    /// Drops one live tree: liveness flag, tombstones (with the sweep),
     /// prepared handle (and the leading empty slots), and its small
     /// side-list slot if any.
     fn expire(&mut self, id: TreeIdx) {

@@ -20,7 +20,7 @@ use partsj::{
     partsj_join, partsj_join_rs, window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig,
     ProbeCounters, SubgraphIndex, VerifyEngine, WindowPolicy,
 };
-use tsj_datagen::synthetic_sized;
+use tsj_datagen::{synthetic, synthetic_sized, SyntheticParams};
 use tsj_shard::{
     build_subgraph_lists, sharded_rs_join, EvictionPolicy, Frozen, ShardConfig, ShardedIndex,
     ShardedStreamingJoin, StaleTimestamp,
@@ -634,6 +634,134 @@ fn built_sides_reclaim_and_restored_sides_hide() {
         want.retain(|j| survivors.contains(j));
         for index in [&built, &restored, &threaded] {
             assert_eq!(probe(index, tree, tau, trees.len()), want);
+        }
+    }
+}
+
+/// `tree`'s candidates (ascending) and probe work against `index`, from
+/// one `probe_tree` walk, and from `probe_shard` over every shard of the
+/// window's shard set into one sink; the walk must leave that shard set
+/// in its scratch.
+fn one_walk_and_union(
+    index: &ShardedIndex,
+    tree: &Tree,
+    tau: u32,
+    universe: usize,
+) -> [(Vec<TreeIdx>, ProbeCounters); 2] {
+    let size = tree.len() as u32;
+    let (lo, hi) = window_of(size, tau);
+    let (binary, posts) = (BinaryTree::from_tree(tree), tree.postorder_numbers());
+    let found = |candidates: &Candidates, counters| {
+        let mut found = candidates.as_slice().to_vec();
+        found.sort_unstable();
+        (found, counters)
+    };
+    let fresh_caches = || {
+        (0..index.shard_count())
+            .map(|_| MatchCache::new())
+            .collect()
+    };
+    let (mut caches, mut candidates): (Vec<_>, _) = (fresh_caches(), Candidates::new());
+    let (mut walked, mut layers) = (Vec::new(), Vec::new());
+    let mut counters = ProbeCounters::default();
+    candidates.begin(universe);
+    index.probe_tree(
+        &binary,
+        &posts,
+        size,
+        lo,
+        hi,
+        MatchSemantics::Exact,
+        &mut caches,
+        &mut walked,
+        &mut layers,
+        &mut counters,
+        &mut candidates.sink(),
+    );
+    let one_walk = found(&candidates, counters);
+
+    let mut shard_set = Vec::new();
+    index.shard_set(lo, hi, &mut shard_set);
+    assert_eq!(walked, shard_set, "the walk leaves the window's shard set");
+    let (mut caches, mut counters): (Vec<_>, _) = (fresh_caches(), ProbeCounters::default());
+    candidates.begin(universe);
+    let mut sink = candidates.sink();
+    for &s in &shard_set {
+        let cache = &mut caches[s];
+        index.probe_shard(
+            s,
+            &binary,
+            &posts,
+            size,
+            lo,
+            hi,
+            MatchSemantics::Exact,
+            cache,
+            &mut layers,
+            &mut counters,
+            &mut sink,
+        );
+    }
+    [one_walk, found(&candidates, counters)]
+}
+
+/// One walk over a window's shards is the union of one walk per shard:
+/// for every shard count × τ × window policy, with tombstoned trees
+/// whose postings are still stored, `probe_tree` surfaces the candidate
+/// set and does the probe work (`probes`, `match_attempts`, `matches`)
+/// that `probe_shard` over the window's shard set does. Three labels
+/// make consecutive nodes surface the same component shapes, so a
+/// verdict memoized for one node and not forgotten at the next shows.
+#[test]
+fn one_walk_probe_equals_the_union_of_shard_probes() {
+    for labels in [3, 20] {
+        let params = SyntheticParams {
+            labels,
+            avg_size: 24,
+            ..Default::default()
+        };
+        one_walk_probes_equal_shard_probes(&synthetic(90, &params, 43));
+    }
+}
+
+fn one_walk_probes_equal_shard_probes(trees: &[Tree]) {
+    for window in [
+        WindowPolicy::Safe,
+        WindowPolicy::Tight,
+        WindowPolicy::PaperAbsolute,
+    ] {
+        let config = PartSjConfig::with_window(window);
+        for tau in [0u32, 1, 3] {
+            let lists = build_subgraph_lists(trees, tau, &config, 1);
+            for shards in [1usize, 2, 4, 8] {
+                // The default trigger sweeps no shard of this index: every
+                // tombstoned posting stays for the liveness gate to hide.
+                let mut index = ShardedIndex::new(tau, window, &ShardConfig::with_shards(shards));
+                for (i, list) in lists.iter().enumerate() {
+                    let size = trees[i].len() as u32;
+                    match list {
+                        Some(list) => index.insert_tree(i as TreeIdx, size, list),
+                        None => index.track(i as TreeIdx, size),
+                    }
+                }
+                for victim in (0..trees.len() as TreeIdx).step_by(3) {
+                    assert!(index.remove_tree(victim));
+                }
+                let ctx = format!("{window:?}, tau {tau}, {shards} shards");
+                assert!(index.dead_postings() > 0, "{ctx}");
+                let (mut surfaced, mut dead) = (0, 0);
+                for (i, tree) in trees.iter().enumerate() {
+                    let [walk, union] = one_walk_and_union(&index, tree, tau, trees.len());
+                    assert_eq!(walk, union, "{ctx}, probe {i}");
+                    surfaced += walk.0.len();
+                    dead += walk.0.iter().filter(|&&j| !index.is_alive(j)).count();
+                }
+                assert!(
+                    surfaced > trees.len(),
+                    "{ctx}: probes find more than themselves"
+                );
+                assert_eq!(dead, 0, "{ctx}");
+            }
         }
     }
 }
