@@ -50,11 +50,8 @@ fn report_shard_loads(trees: &[Tree], shards: usize) {
     let tau = 2u32;
     let config = PartSjConfig::default();
     let lists = build_subgraph_lists(trees, tau, &config, 1);
-    let items: Vec<_> = lists
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, sg)| sg.map(|sg| (i as u32, trees[i].len() as u32, sg)))
-        .collect();
+    let sized = |(i, sg): (usize, _)| (i as u32, trees[i].len() as u32, sg);
+    let items: Vec<_> = lists.into_iter().enumerate().map(sized).collect();
     for balanced in [false, true] {
         let shard_cfg = ShardConfig {
             shards,

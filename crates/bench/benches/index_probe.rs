@@ -182,7 +182,7 @@ fn bench_probe_tree_sharded(c: &mut Criterion) {
         .collect();
     assert_eq!(probes.len(), 8, "8 probes whose window spans 4 shards");
     let mut caches: Vec<MatchCache> = (0..4).map(|_| MatchCache::new()).collect();
-    let (mut candidates, mut layers) = (Candidates::new(), Vec::new());
+    let (mut candidates, mut layers, mut one_shard) = (Candidates::new(), Vec::new(), Vec::new());
     let mut work = ProbeCounters::default();
     let mut run = |one_walk: bool| -> usize {
         let mut found = 0;
@@ -217,7 +217,8 @@ fn bench_probe_tree_sharded(c: &mut Criterion) {
                         lo,
                         hi,
                         matching,
-                        &mut caches[s],
+                        &mut caches,
+                        &mut one_shard,
                         &mut layers,
                         &mut work,
                         sink,

@@ -302,9 +302,10 @@ impl Catalog {
 
     /// Deserializes a catalog from snapshot bytes, validating magic,
     /// version, checksums and every structural cross-reference
-    /// ([`SnapshotReader::restore`]). The tree store drives the rebuild
-    /// of the small-tree side list and the per-tree verification inputs;
-    /// the shard sections restore the index postings verbatim.
+    /// ([`SnapshotReader::restore`]). The tree sizes re-list the small
+    /// trees in their shards' indexes and the tree store drives the
+    /// per-tree verification inputs; the shard sections restore the
+    /// index postings verbatim.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Catalog, CatalogError> {
         let reader = SnapshotReader::from_bytes(bytes)?;
         Catalog::from_reader(&reader)
@@ -481,12 +482,15 @@ mod tests {
         assert_eq!(loaded.len(), catalog.len());
         assert_eq!(loaded.shard_count(), catalog.shard_count());
         assert_eq!(loaded.labels().len(), catalog.labels().len());
-        // `{q}` is below δ = 3: the restored side list is the frozen one.
-        assert_eq!(
-            loaded.frozen().small_by_size(),
-            catalog.frozen().small_by_size()
-        );
-        assert_eq!(loaded.frozen().small_by_size().class(1), [3]);
+        // `{q}` is below δ = 3: its shard's restored side list lists it.
+        let side = |catalog: &Catalog, size| {
+            let shard = catalog
+                .index()
+                .shard_index(catalog.index().shard_of_size(size));
+            shard.side_list().class(size).to_vec()
+        };
+        assert_eq!(side(&loaded, 1), [3]);
+        assert_eq!(side(&catalog, 1), [3]);
         for (a, b) in catalog.trees().iter().zip(loaded.trees()) {
             assert!(a.structurally_eq(b));
         }

@@ -2,12 +2,13 @@
 //! bit-identical to the direct joins** — same pairs *and* same candidate
 //! counts — across shard counts × thresholds × window policies, and the
 //! per-query-τ contract holds (any `τ_q ≤ τ_frozen` reproduces the
-//! direct join at `τ_q` exactly).
+//! direct join at `τ_q` exactly). A side restored over some of its
+//! shards side-lists exactly the small trees of the shards it owns.
 
 use partsj::{partsj_join_rs, PartSjConfig, VerifyConfig, WindowPolicy};
-use tsj_catalog::{Catalog, CatalogError};
+use tsj_catalog::{Catalog, CatalogError, SnapshotReader};
 use tsj_datagen::{swissprot_like, synthetic_sized};
-use tsj_shard::{sharded_rs_join, ShardConfig};
+use tsj_shard::{sharded_rs_join, ShardConfig, ShardedIndex};
 use tsj_ted::{ted, TreeIdx};
 use tsj_tree::Tree;
 
@@ -238,4 +239,44 @@ fn save_and_load_through_the_filesystem() {
     assert_eq!(a.pairs, b.pairs);
     assert_eq!(a.stats.work(), b.stats.work());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A side restored over some shards side-lists exactly the small trees
+/// of its owned shards' classes — each owned shard's list is the built
+/// side's list of that shard — and nothing in the others.
+#[test]
+fn restored_side_lists_follow_shard_ownership() {
+    // τ = 3 puts every tree below δ = 7 nodes on a side list.
+    let (tau, shards) = (3u32, 4);
+    let trees = synthetic_sized(60, 5, 17);
+    let shard_cfg = ShardConfig::with_shards(shards);
+    let labels = tsj_tree::LabelInterner::new();
+    let built = Catalog::freeze(trees, labels, tau, &PartSjConfig::default(), &shard_cfg);
+    let listed = |index: &ShardedIndex, s: usize| {
+        let mut trees: Vec<(u32, TreeIdx)> = index.shard_index(s).side_list().iter().collect();
+        trees.sort_unstable();
+        trees
+    };
+    let small = |s: usize| {
+        let sizes = (0..).zip(built.trees()).map(|(i, t)| (t.len() as u32, i));
+        let owned =
+            |&(n, _): &(u32, TreeIdx)| n < 2 * tau + 1 && built.index().shard_of_size(n) == s;
+        let mut trees: Vec<(u32, TreeIdx)> = sizes.filter(owned).collect();
+        trees.sort_unstable();
+        trees
+    };
+    let reader = SnapshotReader::from_bytes(built.to_bytes()).unwrap();
+    for owned in [vec![0, 2], vec![1], vec![3], vec![0, 1, 2, 3]] {
+        let restored = reader.restore(owned.iter().copied(), drop).unwrap();
+        for s in 0..shards {
+            let got = listed(restored.index(), s);
+            if owned.contains(&(s as u32)) {
+                assert!(!got.is_empty(), "shard {s} lists small trees");
+                assert_eq!(got, listed(built.index(), s), "owned shard {s}");
+                assert_eq!(got, small(s), "owned shard {s}");
+            } else {
+                assert!(got.is_empty(), "shard {s} is not among {owned:?}");
+            }
+        }
+    }
 }

@@ -532,7 +532,7 @@ fn register_probes(
                 conn.interner = fresh;
             }
             conn.probes.append(&mut trees);
-            // Re-prepare the whole batch so `VerifyData::batch_for_config`
+            // Re-prepare the whole batch so `VerifyData::batch`
             // sees the same inputs the in-process router gives it.
             conn.ctxs = ProbeCtx::batch(&conn.probes, &state.join_config);
             state.cells.probe_batches.inc();

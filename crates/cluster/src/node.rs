@@ -6,13 +6,14 @@
 //! restore (`SnapshotReader::restore`) with only the owned shard
 //! sections decoded — the others stay empty. The tree store streams
 //! through that restore: every tree is validated and tracked, the
-//! node keeps verification inputs (and side-list entries) only for the
-//! trees of its owned size classes, and it keeps no tree. It serves
-//! `(probe, shard)` requests with [`Frozen::serve_shard`]: the frozen
-//! side's own probe step restricted to that shard — side-listed small
-//! trees of the request's size classes first, then the shard's postings
-//! — then one `VerifyEngine` pass over the deduplicated candidates. A
-//! request naming a class its shard does not own is refused, typed.
+//! node keeps verification inputs (and, in its owned shards' indexes,
+//! side-list entries) only for the trees of its owned size classes, and
+//! it keeps no tree. It serves `(probe, shard)` requests with
+//! [`Frozen::serve_shard`]: the frozen side's own probe step restricted
+//! to that shard — its side-listed small trees of the probe's size
+//! window first, then its postings — then one `VerifyEngine` pass over
+//! the deduplicated candidates. A request naming a class its shard does
+//! not own is refused, typed.
 //! Because every catalog tree's postings live in exactly one shard (its
 //! own size class), per-shard candidate sets are disjoint and the
 //! router's union of node responses reproduces the single-node join
@@ -63,19 +64,13 @@ pub struct ProbeCtx {
 }
 
 impl ProbeCtx {
-    /// Precomputes the probe-side inputs for `tree` under `config`.
-    pub fn new(tree: &Tree, config: &PartSjConfig) -> ProbeCtx {
-        ProbeCtx {
-            binary: BinaryTree::from_tree(tree),
-            data: VerifyData::for_config(tree, &config.verify),
-        }
-    }
-
     /// Precomputes the contexts for a whole probe batch through one
     /// shared set of build temporaries (the per-context storage itself
-    /// is owned — contexts outlive the scatter).
-    pub fn batch(trees: &[Tree], config: &PartSjConfig) -> Vec<ProbeCtx> {
-        let data = VerifyData::batch_for_config(trees, &config.verify);
+    /// is owned — contexts outlive the scatter). `config` is not read:
+    /// verification inputs are the same under every chain, derived
+    /// lazily; the parameter stays for existing callers.
+    pub fn batch(trees: &[Tree], _config: &PartSjConfig) -> Vec<ProbeCtx> {
+        let data = VerifyData::batch(trees);
         let ctx = |(tree, data)| ProbeCtx {
             binary: BinaryTree::from_tree(tree),
             data,
@@ -168,7 +163,6 @@ impl Node {
         }
         let (matches, stats) = self.frozen.serve_shard(
             req.shard as usize,
-            &req.classes,
             (&ctx.binary, ctx.binary.general_post(), &ctx.data),
             config.matching,
             &mut VerifyEngine::new(tau, config),

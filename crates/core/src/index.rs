@@ -59,8 +59,14 @@
 //! of the components with that hash (a table of chain heads plus one
 //! `next` id per component), and is copied into the arena only on a
 //! miss — a known shape costs no allocation and no copy.
+//!
+//! Beside the postings the index keeps its **side list** ([`SideList`]):
+//! the trees below `δ = 2τ + 1` nodes, which carry no subgraphs and
+//! which a probe admits before its node walk. No dump carries it: the
+//! owner re-lists a restored index's small trees from their sizes.
 
 use crate::config::{MatchSemantics, WindowPolicy};
+use crate::probe::SideList;
 use crate::subgraph::{nodes_match_at, Partition, SgNode, Subgraph, TreeIdx};
 use std::borrow::Borrow;
 use std::hash::Hasher;
@@ -455,6 +461,8 @@ pub struct SubgraphIndex {
     /// Total bucket registrations (a subgraph appears in `2∆′ + 1`
     /// buckets).
     registrations: u64,
+    /// The trees below `δ` nodes, by size class.
+    side: SideList,
 }
 
 impl SubgraphIndex {
@@ -470,6 +478,7 @@ impl SubgraphIndex {
             arena: Vec::new(),
             interned: FxHashMap::default(),
             registrations: 0,
+            side: SideList::default(),
         }
     }
 
@@ -563,6 +572,25 @@ impl SubgraphIndex {
         }
     }
 
+    /// Side-lists tree `tree` of `size` nodes, too small to be
+    /// δ-partitioned: every probe whose size window holds `size` admits
+    /// it without a match.
+    pub fn list_small(&mut self, size: u32, tree: TreeIdx) {
+        self.side.push(size, tree);
+    }
+
+    /// Unlists side-listed tree `tree` of `size` nodes (a no-op for a
+    /// tree not listed).
+    pub fn unlist_small(&mut self, size: u32, tree: TreeIdx) {
+        self.side.remove(size, tree);
+    }
+
+    /// The side-listed trees ([`SubgraphIndex::list_small`]).
+    #[inline]
+    pub fn side_list(&self) -> &SideList {
+        &self.side
+    }
+
     /// Forgets every tree `keep` rejects, in place, and returns the
     /// bucket registrations removed. Their postings are `retain`ed out of
     /// the buckets (survivors keep their order, so every twig-sorted
@@ -574,6 +602,8 @@ impl SubgraphIndex {
     /// index over the survivors would (visit order may differ: the
     /// prefix/tail split is history). [`LayerId`]s and handles resolved
     /// earlier are stale; a [`MatchCache`] is not — verdicts are per node.
+    /// The side list is not swept: its trees leave it one at a time
+    /// ([`SubgraphIndex::unlist_small`]).
     pub fn retain_trees(&mut self, keep: impl Fn(TreeIdx) -> bool) -> u64 {
         let handle_map = renumber(self.metas.iter().map(|m| keep(m.tree)));
         let mut referenced = vec![false; self.components.len()];
@@ -752,8 +782,8 @@ impl SubgraphIndex {
     }
 
     /// Heap bytes held: the size map, every layer's buckets, root
-    /// signatures and postings, the subgraph pool and the interning
-    /// table, by capacity.
+    /// signatures and postings, the subgraph pool, the interning table
+    /// and the side list, by capacity.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let postings = |layer: &PostorderLayer| -> usize {
@@ -774,6 +804,7 @@ impl SubgraphIndex {
             + self.components.capacity() * size_of::<Component>()
             + self.arena.capacity() * size_of::<SgNode>()
             + tsj_tree::table_bytes::<u64, ComponentId>(self.interned.capacity())
+            + self.side.heap_bytes()
     }
 
     /// The configured window policy.
@@ -808,7 +839,7 @@ impl SubgraphIndex {
     /// ascending size order so the dump (and therefore the snapshot
     /// bytes) is deterministic; layer ids are preserved verbatim, so
     /// [`SubgraphIndex::restore`] reproduces the exact probe behavior,
-    /// posting order included.
+    /// posting order included. The side list is not part of the image.
     pub fn dump(&self) -> IndexDump {
         let mut size_layers: Vec<(u32, LayerId)> =
             self.by_size.iter().map(|(&n, &l)| (n, l)).collect();
@@ -852,7 +883,7 @@ impl SubgraphIndex {
     /// data surfaces as an error instead of an out-of-bounds panic later.
     /// The interning chains are re-linked over the restored arena runs (no
     /// shape is copied), so the restored index accepts further
-    /// [`SubgraphIndex::insert_tree`] calls.
+    /// [`SubgraphIndex::insert_tree`] calls. Its side list is empty.
     pub fn restore(dump: IndexDump) -> Result<SubgraphIndex, String> {
         let IndexDump {
             tau,
@@ -981,6 +1012,7 @@ impl SubgraphIndex {
             arena,
             interned: FxHashMap::default(),
             registrations,
+            side: SideList::default(),
         };
         index.relink();
         Ok(index)

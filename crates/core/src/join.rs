@@ -18,7 +18,8 @@
 //! unordered pair is considered exactly once (when its larger tree probes).
 
 use crate::config::PartSjConfig;
-use crate::probe::{window_of, Indexed, Prober};
+use crate::index::SubgraphIndex;
+use crate::probe::{window_of, Prober};
 use crate::verify::{VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -74,7 +75,7 @@ pub fn partsj_join_detailed(
     // of build temporaries (charged to candidate generation, like the
     // baselines' traversal strings and branch bags).
     let setup_start = Instant::now();
-    let data: Vec<VerifyData> = VerifyData::batch_for_config(trees, &config.verify);
+    let data: Vec<VerifyData> = VerifyData::batch(trees);
     let setup_time = setup_start.elapsed();
 
     let mut verify = VerifyEngine::new(tau, config);
@@ -132,14 +133,14 @@ pub(crate) fn ascending_join(
     let mut mark = Instant::now();
     let mut order: Vec<TreeIdx> = (0..trees.len() as TreeIdx).collect();
     order.sort_by_key(|&i| (trees[i as usize].len(), i));
-    let mut indexed = Indexed::new(tau, config.window);
+    let mut index = SubgraphIndex::new(tau, config.window);
     let mut prober = Prober::default();
     let mut tau_live = tau;
     for i in order {
         let size = prober.prepare(&trees[i as usize]);
         let window = (window_of(size, tau_live).0, size);
         let (found, side_admitted, fanout) =
-            prober.probe(&indexed, window, trees.len(), config.matching);
+            prober.probe(&index, window, trees.len(), config.matching);
         detail.small_tree_candidates += side_admitted;
         stats.candidates += found.len() as u64;
         let probed = Instant::now();
@@ -147,7 +148,7 @@ pub(crate) fn ascending_join(
         tau_live = sink(i, found, fanout);
         mark = Instant::now();
         stats.verify_time += mark - probed;
-        detail.subgraphs_built += prober.publish(&mut indexed, i, tau, config.partitioning) as u64;
+        detail.subgraphs_built += prober.publish(&mut index, i, config.partitioning) as u64;
     }
     stats.candidate_time += mark.elapsed();
     stats.pairs_examined = stats.candidates;
@@ -155,7 +156,7 @@ pub(crate) fn ascending_join(
     detail.probes = counters.probes;
     detail.match_attempts = counters.match_attempts;
     detail.matches = counters.matches;
-    detail.index_registrations = indexed.index.registrations();
+    detail.index_registrations = index.registrations();
     (stats, detail)
 }
 

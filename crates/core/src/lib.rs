@@ -12,8 +12,8 @@
 //! * the on-the-fly two-layer (postorder × label-twig) inverted index
 //!   (§3.4) — [`index`];
 //! * Algorithm 1's probe step and δ rule, written once — [`probe`]: a
-//!   prober probes and publishes into an indexed side, a subgraph index
-//!   plus the [`SideList`] of trees too small to cut;
+//!   prober probes and publishes into a subgraph index, which keeps the
+//!   [`SideList`] of trees too small to cut beside its postings;
 //! * the join loop itself (§3.2, Algorithm 1) — [`join`] — and its
 //!   bipartite ([`rs_join`]) and top-k ([`topk`]) variants, all three
 //!   running that one prober.
@@ -72,8 +72,9 @@ pub use probe::{
 };
 pub use rs_join::partsj_join_rs;
 pub use subgraph::{
-    build_subgraphs, nodes_match_at, partition_tree, partition_tree_with, subgraph_matches,
-    subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode, Subgraph,
+    build_subgraphs, is_side_listed, nodes_match_at, partition_tree, partition_tree_with,
+    subgraph_matches, subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode,
+    Subgraph,
 };
 pub use topk::{partsj_topk, partsj_topk_with, TopKOutcome, TopKPair};
 pub use verify::{

@@ -1,7 +1,7 @@
 //! Algorithm 1's probe step and δ rule, written once.
 //!
-//! An indexed side (`Indexed`) is a [`SubgraphIndex`] over the trees
-//! δ-partitioned into it plus a [`SideList`] of the trees too small to
+//! An indexed side is a [`SubgraphIndex`]: the subgraphs of the trees
+//! δ-partitioned into it, and its [`SideList`] of the trees too small to
 //! be (Lemma 2 offers no filter for them, so each is a candidate of
 //! every probe whose size window holds its size). A `Prober` carries
 //! one tree at a time through both decisions: `Prober::prepare` builds
@@ -12,21 +12,21 @@
 //! and position keys once per node in [`for_each_probe_node`], match
 //! verdicts memoized per node across layers in [`ProbeNode::probe`]);
 //! `Prober::publish` cuts the tree into δ subgraphs for the index or
-//! side-lists it. The self-join ([`crate::join`]), R×S
+//! side-lists it there. The self-join ([`crate::join`]), R×S
 //! ([`crate::rs_join`]) and top-k ([`crate::topk`]) loops run on these
 //! two types and differ only in which trees probe and where the
 //! candidates go.
 //!
 //! One crate up, `tsj-shard` runs the same steps against each shard's
-//! private [`SubgraphIndex`] beside the same [`SideList`] — one node walk
-//! for all the shards of a window, each node probing every shard's
-//! layers; its one extra admission rule, liveness, is a
+//! private [`SubgraphIndex`] — for each shard of a window its side list
+//! first, then one node walk for all of them, each node probing every
+//! shard's layers; its one extra admission rule, liveness, is a
 //! [`CandidateSink`] adapter around the [`StampSink`] that
 //! [`Candidates::sink`] hands out.
 
 use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
-use crate::subgraph::{is_side_listed, partition_tree_with, PartitionScratch};
+use crate::subgraph::{partition_tree_with, PartitionScratch};
 use std::mem::size_of;
 use tsj_ted::TreeIdx;
 use tsj_tree::{BinaryTree, FxHashMap, NodeId, Tree};
@@ -328,29 +328,20 @@ impl Candidates {
     }
 }
 
-/// The trees of an indexed side too small to δ-partition, by size
-/// class. They carry no postings, so the probe step hands every one in
-/// a probe's size window straight to its sink.
+/// The trees of an index too small to δ-partition, by size class
+/// ([`SubgraphIndex::side_list`]). They carry no postings, so the probe
+/// step hands every one in a probe's size window straight to its sink.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SideList(FxHashMap<u32, Vec<TreeIdx>>);
 
 impl SideList {
-    /// Side-lists `tree` of `size` nodes if the δ rule leaves it
-    /// unpartitioned at `tau` — for owners that restore an index instead
-    /// of building it, one tree at a time in id order.
-    pub fn push_if_small(&mut self, size: u32, tree: TreeIdx, tau: u32) {
-        if is_side_listed(size as usize, tau) {
-            self.push(size, tree);
-        }
-    }
-
     /// Side-lists `tree` of `size` nodes.
-    pub fn push(&mut self, size: u32, tree: TreeIdx) {
+    pub(crate) fn push(&mut self, size: u32, tree: TreeIdx) {
         self.0.entry(size).or_default().push(tree);
     }
 
     /// Drops `tree` of `size` nodes (a no-op for a tree not listed).
-    pub fn remove(&mut self, size: u32, tree: TreeIdx) {
+    pub(crate) fn remove(&mut self, size: u32, tree: TreeIdx) {
         if let Some(class) = self.0.get_mut(&size) {
             class.retain(|&t| t != tree);
         }
@@ -377,46 +368,22 @@ impl SideList {
     }
 
     /// Offers `sink` every listed tree whose size is in `[lo, hi]`, class
-    /// by ascending class; returns how many it admitted.
+    /// by ascending class; returns how many it admitted. An empty list
+    /// returns at once.
+    #[inline]
     pub fn scan<S: CandidateSink>(&self, lo: u32, hi: u32, sink: &mut S) -> u64 {
-        self.scan_classes(classes_within(self.0.keys().copied(), lo, hi), sink)
-    }
-
-    /// [`SideList::scan`] over an explicit list of size classes (the
-    /// ones of a window that one shard owns).
-    pub fn scan_classes<S: CandidateSink>(
-        &self,
-        classes: impl IntoIterator<Item = u32>,
-        sink: &mut S,
-    ) -> u64 {
+        if self.0.is_empty() {
+            return 0;
+        }
+        let classes = classes_within(self.0.keys().copied(), lo, hi);
         let mut admitted = 0;
-        for &tree in classes.into_iter().flat_map(|size| self.class(size)) {
+        for &tree in classes.flat_map(|size| self.class(size)) {
             if sink.admit(tree) {
                 sink.accept(tree);
                 admitted += 1;
             }
         }
         admitted
-    }
-}
-
-/// One indexed side of Algorithm 1: the index over the subgraphs of the
-/// trees published into it, and the side list of those too small to cut.
-#[derive(Debug)]
-pub(crate) struct Indexed {
-    /// The two-layer subgraph index.
-    pub(crate) index: SubgraphIndex,
-    /// The trees below `δ` nodes.
-    pub(crate) side: SideList,
-}
-
-impl Indexed {
-    /// An empty side whose postings are registered for threshold `tau`.
-    pub(crate) fn new(tau: u32, window: WindowPolicy) -> Indexed {
-        Indexed {
-            index: SubgraphIndex::new(tau, window),
-            side: SideList::default(),
-        }
     }
 }
 
@@ -443,22 +410,22 @@ impl Prober {
     }
 
     /// The probe step of the prepared tree against the size classes
-    /// `[lo, hi]` of `indexed`, whose tree ids lie in `0..universe`.
+    /// `[lo, hi]` of `index`, whose tree ids lie in `0..universe`.
     /// Returns the candidates in discovery order (side-listed ones
     /// first), how many of them the side list gave, and how many size
     /// layers the index probed.
     pub(crate) fn probe(
         &mut self,
-        indexed: &Indexed,
+        index: &SubgraphIndex,
         (lo, hi): (u32, u32),
         universe: usize,
         matching: MatchSemantics,
     ) -> (&[TreeIdx], u64, usize) {
         let (binary, posts) = self.tree.prepared();
-        let (index, size) = (&indexed.index, binary.len() as u32);
+        let size = binary.len() as u32;
         self.candidates.begin(universe);
         let mut sink = self.candidates.sink();
-        let side_admitted = indexed.side.scan(lo, hi, &mut sink);
+        let side_admitted = index.side_list().scan(lo, hi, &mut sink);
         resolve_layers(index, lo, hi, &mut self.layers);
         let (layers, cache, work) = (&self.layers, &mut self.cache, &mut self.counters);
         probe_tree_nodes(
@@ -467,26 +434,26 @@ impl Prober {
         (self.candidates.as_slice(), side_admitted, layers.len())
     }
 
-    /// Publishes the prepared tree into `indexed` as tree `id`, by the δ
-    /// rule: its δ subgraphs under `scheme` into the index, or, below
-    /// `δ = 2τ + 1` nodes, the tree into the side list. Returns how many
-    /// subgraphs went into the index.
+    /// Publishes the prepared tree into `index` as tree `id`, by the δ
+    /// rule at the index's threshold: its δ subgraphs under `scheme`, or,
+    /// below `δ = 2τ + 1` nodes, the tree onto the index's side list.
+    /// Returns how many subgraphs went into the index.
     pub(crate) fn publish(
         &mut self,
-        indexed: &mut Indexed,
+        index: &mut SubgraphIndex,
         id: TreeIdx,
-        tau: u32,
         scheme: PartitionScheme,
     ) -> usize {
         let (binary, posts) = self.tree.prepared();
         let size = binary.len() as u32;
+        let tau = index.tau();
         let Some(subgraphs) =
             partition_tree_with(binary, posts, tau, scheme, id, &mut self.partition)
         else {
-            indexed.side.push(size, id);
+            index.list_small(size, id);
             return 0;
         };
-        indexed.index.insert_tree(size, subgraphs);
+        index.insert_tree(size, subgraphs);
         subgraphs.len()
     }
 
@@ -502,10 +469,10 @@ mod tests {
     use crate::config::PartSjConfig;
     use tsj_tree::{parse_bracket, LabelInterner};
 
-    fn probe_candidates(indexed: &Indexed, tree: &Tree, tau: u32) -> Vec<TreeIdx> {
+    fn probe_candidates(index: &SubgraphIndex, tree: &Tree, tau: u32) -> Vec<TreeIdx> {
         let mut prober = Prober::default();
         let window = window_of(prober.prepare(tree), tau);
-        let (found, _, _) = prober.probe(indexed, window, 16, MatchSemantics::Exact);
+        let (found, _, _) = prober.probe(index, window, 16, MatchSemantics::Exact);
         let mut found = found.to_vec();
         let counters = prober.counters();
         assert!(counters.match_attempts >= counters.matches);
@@ -518,17 +485,17 @@ mod tests {
         let mut labels = LabelInterner::new();
         let tau = 1;
         let scheme = PartSjConfig::default().partitioning;
-        let mut indexed = Indexed::new(tau, WindowPolicy::Safe);
+        let mut index = SubgraphIndex::new(tau, WindowPolicy::Safe);
         let mut prober = Prober::default();
         for (i, src) in (0..).zip(["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{z{y}{x}{w}}", "{a{b}}"]) {
             prober.prepare(&parse_bracket(src, &mut labels).unwrap());
             // δ = 3: the four-node trees are cut in three, `{a{b}}` is side-listed.
-            let subgraphs = prober.publish(&mut indexed, i, tau, scheme);
+            let subgraphs = prober.publish(&mut index, i, scheme);
             assert_eq!(subgraphs, if i < 3 { 3 } else { 0 });
         }
-        assert_eq!(indexed.side.class(2), [3]);
+        assert_eq!(index.side_list().class(2), [3]);
         let probe = parse_bracket("{a{b}{c}}", &mut labels).unwrap();
-        let found = probe_candidates(&indexed, &probe, tau);
+        let found = probe_candidates(&index, &probe, tau);
         // Trees 0 and 1 are one delete away and share subgraphs, tree 3 is
         // in the side list's window; each is a candidate once.
         assert_eq!(found, [0, 1, 3]);
@@ -537,9 +504,9 @@ mod tests {
     #[test]
     fn empty_window_probes_nothing() {
         let mut labels = LabelInterner::new();
-        let indexed = Indexed::new(1, WindowPolicy::Safe);
+        let index = SubgraphIndex::new(1, WindowPolicy::Safe);
         let probe = parse_bracket("{a{b}}", &mut labels).unwrap();
-        assert!(probe_candidates(&indexed, &probe, 1).is_empty());
+        assert!(probe_candidates(&index, &probe, 1).is_empty());
     }
 
     #[test]

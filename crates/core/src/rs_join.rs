@@ -10,7 +10,8 @@
 //! `r` appears in `s`, so probing `s`'s nodes finds the pair.
 
 use crate::config::PartSjConfig;
-use crate::probe::{window_of, Indexed, Prober};
+use crate::index::SubgraphIndex;
+use crate::probe::{window_of, Prober};
 use crate::verify::{ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -28,13 +29,13 @@ pub fn partsj_join_rs(
 
     // Build phase: publish every left tree.
     let build_start = Instant::now();
-    let mut indexed = Indexed::new(tau, config.window);
+    let mut index = SubgraphIndex::new(tau, config.window);
     let mut prober = Prober::default();
     for (i, tree) in (0..).zip(left) {
         prober.prepare(tree);
-        prober.publish(&mut indexed, i, tau, config.partitioning);
+        prober.publish(&mut index, i, config.partitioning);
     }
-    let left_data: Vec<VerifyData> = VerifyData::batch_for_config(left, &config.verify);
+    let left_data: Vec<VerifyData> = VerifyData::batch(left);
     stats.candidate_time += build_start.elapsed();
 
     // Probe phase: each right tree searches the whole size window of the
@@ -45,7 +46,7 @@ pub fn partsj_join_rs(
     for (j, tree) in (0..).zip(right) {
         let probe_start = Instant::now();
         let window = window_of(prober.prepare(tree), tau);
-        let (found, _, _) = prober.probe(&indexed, window, left.len(), config.matching);
+        let (found, _, _) = prober.probe(&index, window, left.len(), config.matching);
         stats.candidates += found.len() as u64;
         stats.candidate_time += probe_start.elapsed();
 

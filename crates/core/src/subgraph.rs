@@ -298,8 +298,10 @@ fn delta(tau: u32) -> usize {
 }
 
 /// The δ rule as a predicate: a tree of `size` nodes is too small to be
-/// δ-partitioned at `tau` — [`partition_tree`] answers `None` for it.
-pub(crate) fn is_side_listed(size: usize, tau: u32) -> bool {
+/// δ-partitioned at `tau` — [`partition_tree`] answers `None` for it. An
+/// owner that restores an index instead of building it re-lists these
+/// from their sizes ([`crate::SubgraphIndex::list_small`]).
+pub fn is_side_listed(size: usize, tau: u32) -> bool {
     size < delta(tau)
 }
 

@@ -94,7 +94,7 @@ pub fn partsj_topk_with(trees: &[Tree], k: usize, config: &PartSjConfig) -> TopK
     }
 
     // Shared preprocessing — none of it depends on the pass ceiling.
-    let data: Vec<VerifyData> = VerifyData::batch_for_config(trees, &config.verify);
+    let data: Vec<VerifyData> = VerifyData::batch(trees);
 
     // Every TED is at most |a| + |b| (delete one tree, insert the
     // other), so a ceiling of 2·max|T| finds every existing pair.

@@ -154,7 +154,9 @@ impl VerifyData {
         VerifyData::build(tree, &mut VerifyPrep::new())
     }
 
-    fn build(tree: &Tree, prep: &mut VerifyPrep) -> VerifyData {
+    /// [`VerifyData::new`] through caller-provided preparation
+    /// temporaries, for a loop that prepares one tree at a time.
+    pub fn build(tree: &Tree, prep: &mut VerifyPrep) -> VerifyData {
         let prepared = PreparedTree::new_with(tree, prep);
         VerifyData {
             shape_hash: shape_hash(&prepared),
@@ -163,15 +165,16 @@ impl VerifyData {
         }
     }
 
-    /// [`VerifyData::new`]. `filters` no longer selects what is built: a
-    /// stage's input is derived when the stage first runs on this tree, so
-    /// a disabled stage costs nothing without being named here.
+    /// [`VerifyData::new`]. `filters` is not read — a stage's input is
+    /// derived when the stage first runs on this tree, so a disabled
+    /// stage costs nothing without being named here; the form stays
+    /// because the benchmark harness calls it.
     pub fn for_config(tree: &Tree, _filters: &VerifyConfig) -> VerifyData {
         VerifyData::new(tree)
     }
 
-    /// [`VerifyData::new`] using caller-provided preparation temporaries
-    /// (`filters` is not read, see [`VerifyData::for_config`]).
+    /// [`VerifyData::build`] (`filters` is not read; kept for the
+    /// benchmark harness, see [`VerifyData::for_config`]).
     pub fn for_config_with(
         tree: &Tree,
         _filters: &VerifyConfig,
@@ -189,8 +192,8 @@ impl VerifyData {
             .collect()
     }
 
-    /// [`VerifyData::batch`] (`filters` is not read, see
-    /// [`VerifyData::for_config`]).
+    /// [`VerifyData::batch`] (`filters` is not read; kept for the
+    /// benchmark harness, see [`VerifyData::for_config`]).
     pub fn batch_for_config(trees: &[Tree], _filters: &VerifyConfig) -> Vec<VerifyData> {
         VerifyData::batch(trees)
     }

@@ -2,11 +2,11 @@
 //! probed by any number of right trees — and the sharded probe step
 //! every join in this crate runs.
 //!
-//! [`Frozen`] owns the three things an indexed-left join needs: the
-//! [`ShardedIndex`] over the left trees' subgraphs, the side list of
-//! left trees too small to partition, and the left trees' verification
-//! inputs. It comes into existence exactly two ways — [`Frozen::build`]
-//! from the trees, or [`Frozen::restore`] from snapshot parts, for all
+//! [`Frozen`] owns the two things an indexed-left join needs: the
+//! [`ShardedIndex`] over the left trees — their subgraphs, and in each
+//! shard the side list of its classes' trees too small to partition —
+//! and the left trees' verification inputs. It comes into existence
+//! exactly two ways — [`Frozen::build`] from the trees, or [`Frozen::restore`] from snapshot parts, for all
 //! shards or an owned subset, one tree at a time (`tsj-catalog`'s
 //! `SnapshotReader::restore` is its one caller) — and the remaining work
 //! of an R×S join is independent of which: right trees probe the shards
@@ -20,10 +20,10 @@
 //!
 //! A side **holds** the trees whose size class maps to a shard it owns —
 //! every tree, for a built side or a whole catalog. Every tree's postings
-//! live in its size class's shard, so no probe of an owned shard reaches
-//! any other tree: the side list and the verification inputs cover the
-//! held trees alone, densely, behind one `u32` slot per tree id, while
-//! tree ids, liveness and the candidate universe stay global.
+//! or side-list entry live in its size class's shard, so no probe of an
+//! owned shard reaches any other tree: the verification inputs cover
+//! the held trees alone, densely, behind one `u32` slot per tree id,
+//! while tree ids, liveness and the candidate universe stay global.
 //!
 //! The probe threshold `tau` is a **parameter**, not a property of the
 //! index: postings are registered once with the freeze-time half-width,
@@ -36,11 +36,11 @@
 
 use crate::index::{ShardConfig, ShardMap, ShardedIndex};
 use crate::pool::{execute, run_inline};
-use partsj::probe::{window_of, Candidates, ProbeCounters, SideList};
+use partsj::probe::{window_of, Candidates, ProbeCounters};
 use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use partsj::{
-    LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify, SubgraphIndex,
-    VerifyConfig, VerifyData, VerifyEngine, VerifyPrep, WindowPolicy,
+    is_side_listed, LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify,
+    SubgraphIndex, VerifyData, VerifyEngine, VerifyPrep, WindowPolicy,
 };
 use std::mem::size_of;
 use std::time::Instant;
@@ -55,10 +55,9 @@ const NOT_HELD: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct Frozen {
     /// The (no longer mutated) sharded subgraph index over the left
-    /// collection; every left tree is tracked in it.
+    /// collection; every left tree is tracked in it, and the held ones
+    /// below `δ` nodes are side-listed in their shards.
     index: ShardedIndex,
-    /// Held left trees below the partitioning threshold `δ`.
-    small_by_size: SideList,
     /// Verification inputs of the held left trees, in id order.
     pub(crate) left_data: Vec<VerifyData>,
     /// Per left tree id: its slot in `left_data`, or [`NOT_HELD`].
@@ -71,7 +70,7 @@ pub struct Frozen {
 pub struct FrozenBytes {
     /// The sharded index: postings, subgraph pool, liveness and sizes.
     pub index: usize,
-    /// The side list of held small trees.
+    /// The shards' side lists of held small trees.
     pub side_list: usize,
     /// The held trees' verification inputs and the per-tree slot table.
     pub verify: usize,
@@ -101,13 +100,13 @@ pub struct FrozenRestore {
     tau: u32,
     window: WindowPolicy,
     map: ShardMap,
-    /// One entry per shard: its restored index, `None` if not owned.
+    /// One entry per shard: its restored index, side list filled in,
+    /// `None` if not owned.
     shards: Vec<Option<SubgraphIndex>>,
     /// Every tree's size, in id order.
     sizes: Vec<u32>,
-    /// The held trees' side list, verification inputs and slots, as
-    /// [`Frozen`] keeps them.
-    side: SideList,
+    /// The held trees' verification inputs and slots, as [`Frozen`]
+    /// keeps them.
     data: Vec<VerifyData>,
     slots: Vec<u32>,
     /// Trees pushed so far: the id of the next one.
@@ -129,9 +128,7 @@ impl FrozenRestore {
             ));
         }
         if self.slots[id] != NOT_HELD {
-            let filters = &VerifyConfig::default(); // not read, see `VerifyData::for_config`
-            let data = VerifyData::for_config_with(tree, filters, &mut self.prep);
-            self.data.push(data);
+            self.data.push(VerifyData::build(tree, &mut self.prep));
         }
         self.next += 1;
         Ok(())
@@ -155,7 +152,6 @@ impl FrozenRestore {
             ShardedIndex::from_frozen_parts(tau, window, self.map, shards.collect(), tracked);
         Ok(Frozen {
             index: index?,
-            small_by_size: self.side,
             left_data: self.data,
             slots: self.slots,
         })
@@ -208,18 +204,15 @@ impl StepScratch {
 /// every join of the crate: a fresh dedup generation over container
 /// trees `0..universe` (one match cache per shard — component ids are
 /// per-shard), then the side-listed trees and the postings of the size
-/// window `[lo, hi]` — from every shard covering it, or, for
-/// `Some((shard, classes))`, only the side-listed `classes` and the
-/// postings of `shard` (dead container trees never surface; liveness is
+/// window `[lo, hi]` from every shard covering it, or, for `Some(shard)`,
+/// from `shard` alone (dead container trees never surface; liveness is
 /// the index's own). Candidates are left in `scratch`.
-#[allow(clippy::too_many_arguments)] // one hot step, all parts hoisted by callers
 pub(crate) fn probe_step(
     index: &ShardedIndex,
-    side: &SideList,
     universe: usize,
     (binary, posts): (&BinaryTree, &[u32]),
-    (lo, hi): (u32, u32),
-    shard: Option<(usize, &[u32])>,
+    window: (u32, u32),
+    shard: Option<usize>,
     matching: MatchSemantics,
     scratch: &mut StepScratch,
 ) {
@@ -227,25 +220,11 @@ pub(crate) fn probe_step(
     scratch
         .caches
         .resize_with(index.shard_count(), MatchCache::new);
-    let mut sink = scratch.candidates.sink();
-    let size = binary.len() as u32;
-    let (caches, layers) = (&mut scratch.caches, &mut scratch.layer_scratch);
-    let (shards, work) = (&mut scratch.shard_scratch, &mut ProbeCounters::default());
-    match shard {
-        None => {
-            side.scan(lo, hi, &mut sink);
-            index.probe_tree(
-                binary, posts, size, lo, hi, matching, caches, shards, layers, work, &mut sink,
-            )
-        }
-        Some((s, classes)) => {
-            side.scan_classes(classes.iter().copied(), &mut sink);
-            let cache = &mut caches[s];
-            index.probe_shard(
-                s, binary, posts, size, lo, hi, matching, cache, layers, work, &mut sink,
-            )
-        }
-    }
+    let tree = (binary, posts, binary.len() as u32);
+    let runs = (&mut scratch.shard_scratch, &mut scratch.layer_scratch);
+    let (caches, work) = (&mut scratch.caches, &mut ProbeCounters::default());
+    let sink = &mut scratch.candidates.sink();
+    index.probe_window(shard, tree, window, matching, caches, runs, work, sink);
 }
 
 /// Applies the δ rule ([`partition_tree_with`]) to every tree — its
@@ -288,10 +267,10 @@ pub fn build_subgraph_lists(
 impl Frozen {
     /// Builds the frozen side of `left` for threshold `tau` — the crate's
     /// one static build: the δ rule over every tree (fanned out over the
-    /// configured probe workers), then, in input order, the partitioned
-    /// trees bulk-loaded into a fresh [`ShardedIndex`], the rest
-    /// side-listed, all of them tracked and held; and the verification
-    /// inputs, as [`Frozen::restore`] prepares them. Both
+    /// configured probe workers), then every tree, in input order,
+    /// bulk-loaded into a fresh [`ShardedIndex`] by that rule's outcome —
+    /// its subgraphs or a side-list entry — tracked and held; and the
+    /// verification inputs, as [`Frozen::restore`] prepares them. Both
     /// [`crate::sharded_rs_join`] and `tsj-catalog`'s freeze build through
     /// here, which is what keeps a frozen catalog bit-identical to the
     /// direct join.
@@ -303,23 +282,11 @@ impl Frozen {
     ) -> Frozen {
         let threads = shard_cfg.resolved_probe_threads();
         let lists = build_subgraph_lists(left, tau, config, threads);
-        let mut small_by_size = SideList::default();
-        let mut items = Vec::new();
-        for ((i, tree), list) in (0..).zip(left).zip(lists) {
-            let size = tree.len() as u32;
-            match list {
-                Some(subgraphs) => items.push((i, size, subgraphs)),
-                None => small_by_size.push(size, i),
-            }
-        }
+        let sized = |((i, tree), list): ((TreeIdx, &Tree), _)| (i, tree.len() as u32, list);
+        let items = (0..).zip(left).zip(lists).map(sized).collect();
         let parallel = threads > 1;
-        let mut index = ShardedIndex::build_static(tau, config.window, shard_cfg, items, parallel);
-        for (size, i) in small_by_size.iter() {
-            index.track(i, size);
-        }
         Frozen {
-            index,
-            small_by_size,
+            index: ShardedIndex::build_static(tau, config.window, shard_cfg, items, parallel),
             left_data: VerifyData::batch(left),
             slots: (0..left.len() as u32).collect(),
         }
@@ -330,32 +297,35 @@ impl Frozen {
     /// the snapshot — its restored [`SubgraphIndex`], or `None` for a
     /// shard the caller does not own (it stays empty) — and every tree's
     /// size, in id order. Every tree is tracked; those whose size class
-    /// maps to an owned shard are held: side-listed (below `δ`) here, and
-    /// given verification inputs as the tree store follows one tree at a
-    /// time ([`FrozenRestore::push`]). [`FrozenRestore::finish`] ends the
-    /// one validating restore. The map must route into the given shards.
+    /// maps to an owned shard are held: side-listed in that shard's index
+    /// here if below `δ`, and given verification inputs as the tree store
+    /// follows one tree at a time ([`FrozenRestore::push`]).
+    /// [`FrozenRestore::finish`] ends the one validating restore. The map
+    /// must route into the given shards.
     pub fn restore(
         tau: u32,
         window: WindowPolicy,
         map: ShardMap,
-        shards: Vec<Option<SubgraphIndex>>,
+        mut shards: Vec<Option<SubgraphIndex>>,
         sizes: Vec<u32>,
     ) -> Result<FrozenRestore, String> {
         if shards.is_empty() {
             return Err("a sharded index needs at least one shard".into());
         }
         map.validate(shards.len())?;
+        let n = shards.len();
         let mut slots = Vec::with_capacity(sizes.len());
-        let mut side = SideList::default();
         let mut count = 0;
         for (id, &size) in (0..).zip(&sizes) {
-            if shards[map.shard_of(size, shards.len())].is_none() {
+            let Some(index) = &mut shards[map.shard_of(size, n)] else {
                 slots.push(NOT_HELD);
                 continue;
-            }
+            };
             slots.push(count);
             count += 1;
-            side.push_if_small(size, id, tau);
+            if is_side_listed(size as usize, tau) {
+                index.list_small(size, id);
+            }
         }
         Ok(FrozenRestore {
             tau,
@@ -363,7 +333,6 @@ impl Frozen {
             map,
             shards,
             sizes,
-            side,
             data: Vec::with_capacity(count as usize),
             slots,
             next: 0,
@@ -374,11 +343,6 @@ impl Frozen {
     /// The sharded index over the left collection (read-only).
     pub fn index(&self) -> &ShardedIndex {
         &self.index
-    }
-
-    /// Held left trees below the partitioning threshold `δ`.
-    pub fn small_by_size(&self) -> &SideList {
-        &self.small_by_size
     }
 
     /// Whether this side holds left tree `tree`'s verification inputs:
@@ -398,9 +362,11 @@ impl Frozen {
     /// The heap bytes this side holds, by part.
     pub fn heap_bytes(&self) -> FrozenBytes {
         let data = self.left_data.iter().map(VerifyData::heap_bytes);
+        let shards = (0..self.index.shard_count()).map(|s| self.index.shard_index(s));
+        let side_list = shards.map(|index| index.side_list().heap_bytes()).sum();
         FrozenBytes {
-            index: self.index.heap_bytes(),
-            side_list: self.small_by_size.heap_bytes(),
+            index: self.index.heap_bytes() - side_list,
+            side_list,
             verify: self.left_data.capacity() * size_of::<VerifyData>()
                 + data.sum::<usize>()
                 + self.slots.capacity() * size_of::<u32>(),
@@ -418,7 +384,6 @@ impl Frozen {
     ) {
         probe_step(
             &self.index,
-            &self.small_by_size,
             self.slots.len(),
             scratch.probe.prepare(tree),
             window_of(tree.len() as u32, tau),
@@ -503,12 +468,9 @@ impl Frozen {
     }
 
     /// One shard's share of a probe — what a cluster node answers a
-    /// `(probe, shard)` request with: the side-listed trees of `classes`
-    /// (the probe-window size classes `shard` owns) and `shard`'s
-    /// postings, verified through `engine` at its threshold. `shard` must
-    /// be one this side owns and every class must map to it — a class of
-    /// another shard may list trees this side does not hold, so a node
-    /// refuses such requests before they get here. The probe arrives
+    /// `(probe, shard)` request with: `shard`'s side-listed trees and
+    /// postings of the probe's size window, verified through `engine` at
+    /// its threshold. `shard` must be one this side owns. The probe arrives
     /// prepared: its LC-RS form, postorder numbers and verification
     /// inputs. Returns the verified left tree ids in discovery order and
     /// this call's stats (`results` is left to the caller). Every left
@@ -519,7 +481,6 @@ impl Frozen {
     pub fn serve_shard(
         &self,
         shard: usize,
-        classes: &[u32],
         (binary, posts, data): (&BinaryTree, &[u32], &VerifyData),
         matching: MatchSemantics,
         engine: &mut VerifyEngine,
@@ -530,11 +491,10 @@ impl Frozen {
         let probe_start = Instant::now();
         probe_step(
             &self.index,
-            &self.small_by_size,
             self.slots.len(),
             (binary, posts),
             window_of(binary.len() as u32, engine.tau()),
-            Some((shard, classes)),
+            Some(shard),
             matching,
             &mut scratch.step,
         );

@@ -13,11 +13,16 @@
 //!
 //! ## Dynamics
 //!
+//! * Each shard's index also holds the side-listed trees (below
+//!   `δ = 2τ + 1` nodes) of the size classes the shard owns, so one
+//!   insert ([`ShardedIndex::insert`], [`ShardedIndex::insert_all`])
+//!   takes the δ rule's outcome either way, and a probe admits a shard's
+//!   side-listed trees of its window before the node walk.
 //! * [`ShardedIndex::remove_tree`] clears the tree's **liveness flag** —
 //!   probe sinks filter dead container trees in O(1) per surfaced handle
-//!   — and tombstones the tree's postings in its shard: one
-//!   registration count per stored tree is all a shard keeps beside
-//!   its index.
+//!   — and unlists a side-listed tree at once, or tombstones the tree's
+//!   postings in its shard: one registration count per stored tree is
+//!   all a shard keeps beside its index.
 //! * Each shard tracks its live/dead posting counts. Once the dead
 //!   fraction exceeds [`ShardConfig::max_dead_fraction`] (and at least
 //!   [`ShardConfig::min_dead_postings`] postings are dead, so tiny shards
@@ -26,9 +31,9 @@
 //!   index in place. Amortized, a surviving posting is walked at most
 //!   `1/max_dead_fraction` times per eviction epoch.
 
-use partsj::probe::{for_each_probe_node, probe_tree_nodes, CandidateSink, ProbeCounters};
+use partsj::probe::{for_each_probe_node, CandidateSink, ProbeCounters};
 use partsj::{
-    classes_within, resolve_layers, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy,
+    classes_within, is_side_listed, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy,
 };
 use std::borrow::Borrow;
 use tsj_obs::{Counter, Gauge};
@@ -248,24 +253,28 @@ impl ShardMap {
     }
 }
 
-/// Derives a [`ShardMap::balanced`] assignment from partitioned build
-/// items — the `(tree, size, subgraphs)` triples headed for
+/// Derives a [`ShardMap::balanced`] assignment from build items — the
+/// `(tree, size, subgraphs)` triples headed for
 /// [`ShardedIndex::insert_all`] — using each size class's subgraph
 /// count as its posting-mass proxy (bucket registrations are not known
-/// until insertion and track subgraph counts closely). This is the
-/// histogram [`ShardedIndex::build_static`] observes when
+/// until insertion and track subgraph counts closely). Side-listed trees
+/// carry no postings and are not observed. This is the histogram
+/// [`ShardedIndex::build_static`] observes when
 /// [`ShardConfig::balanced_shards`] is on.
-fn balanced_map_for(items: &[(TreeIdx, u32, Partition)], shards: usize) -> ShardMap {
+fn balanced_map_for(items: &[(TreeIdx, u32, Option<Partition>)], shards: usize) -> ShardMap {
     let mut hist: FxHashMap<u32, u64> = FxHashMap::default();
     for (_, size, subgraphs) in items {
-        *hist.entry(*size).or_insert(0) += subgraphs.len() as u64;
+        if let Some(subgraphs) = subgraphs {
+            *hist.entry(*size).or_insert(0) += subgraphs.len() as u64;
+        }
     }
     let mut hist: Vec<(u32, u64)> = hist.into_iter().collect();
     hist.sort_unstable();
     ShardMap::balanced(&hist, shards)
 }
 
-/// One shard: a private [`SubgraphIndex`] plus its tombstone accounting.
+/// One shard: a private [`SubgraphIndex`] (side list included) plus its
+/// tombstone accounting.
 #[derive(Debug)]
 struct Shard {
     index: SubgraphIndex,
@@ -289,7 +298,12 @@ impl Shard {
         self.index.registrations() - self.dead_postings
     }
 
-    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: &Partition) {
+    /// Registers `tree`'s subgraphs, or side-lists it (`None`).
+    fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: Option<&Partition>) {
+        let Some(subgraphs) = subgraphs else {
+            self.index.list_small(size, tree);
+            return;
+        };
         let before = self.index.registrations();
         self.index.insert_tree(size, subgraphs);
         self.regs_of
@@ -361,7 +375,8 @@ impl ShardedIndex {
 
     /// The build-once index of the batch joins and the catalog freeze:
     /// a fresh index bulk-loaded with `items` (`(tree, size,
-    /// subgraphs)`, over scoped threads when `parallel`).
+    /// subgraphs)`, `None` for a side-listed tree; over scoped threads
+    /// when `parallel`).
     /// With [`ShardConfig::balanced_shards`] the routing is derived from
     /// the items' size histogram before any posting lands; it moves
     /// postings between shards, never changes which exist, so results
@@ -371,7 +386,7 @@ impl ShardedIndex {
         tau: u32,
         window: WindowPolicy,
         config: &ShardConfig,
-        items: Vec<(TreeIdx, u32, Partition)>,
+        items: Vec<(TreeIdx, u32, Option<Partition>)>,
         parallel: bool,
     ) -> ShardedIndex {
         let mut index = ShardedIndex::new(tau, window, config);
@@ -383,10 +398,10 @@ impl ShardedIndex {
     }
 
     /// Reassembles a sharded index from per-shard [`SubgraphIndex`]es
-    /// restored out of a snapshot (`tsj-catalog`), plus the `(tree id,
-    /// size)` pairs of every tracked tree — all of which are alive: a
-    /// freeze compacts liveness away, so a frozen snapshot has no dead
-    /// entries to restore.
+    /// restored out of a snapshot (`tsj-catalog`, which side-lists their
+    /// small trees), plus the `(tree id, size)` pairs of every tracked
+    /// tree — all of which are alive: a freeze compacts liveness away, so
+    /// a frozen snapshot has no dead entries to restore.
     ///
     /// The result probes bit-identically to the index the shards were
     /// dumped from. A snapshot carries no per-tree registration counts,
@@ -527,8 +542,8 @@ impl ShardedIndex {
     }
 
     /// Registers `tree` (of `size` nodes) as tracked and alive *without*
-    /// postings — the side channel for trees below `δ` that cannot be
-    /// partitioned but still need liveness/eviction accounting.
+    /// postings or a side-list entry — liveness only, for an owner that
+    /// keeps its small trees' side list itself.
     pub fn track(&mut self, tree: TreeIdx, size: u32) {
         let idx = tree as usize;
         if self.alive.len() <= idx {
@@ -545,26 +560,33 @@ impl ShardedIndex {
         }
     }
 
-    /// Inserts a partitioned tree: tracks it and registers its subgraphs
-    /// (an owned [`Partition`] or a borrowed one) in the shard owning
-    /// size class `size`.
-    pub fn insert_tree(&mut self, tree: TreeIdx, size: u32, subgraphs: impl Borrow<Partition>) {
+    /// Inserts a tree by the δ rule's outcome: tracks it and, in the
+    /// shard owning size class `size`, registers its subgraphs or, for
+    /// `None`, side-lists it.
+    pub fn insert(&mut self, tree: TreeIdx, size: u32, subgraphs: Option<&Partition>) {
         self.track(tree, size);
         let shard = self.shard_of_size(size);
-        self.shards[shard].insert(tree, size, subgraphs.borrow());
+        self.shards[shard].insert(tree, size, subgraphs);
         if self.obs.enabled {
             self.obs.live_postings.set(self.live_postings() as i64);
         }
     }
 
-    /// Bulk-inserts `(tree, size, subgraphs)` triples, preserving the
-    /// given order within every shard. With `parallel`, shards ingest
-    /// concurrently over scoped threads (they own disjoint size classes,
-    /// so no synchronization is needed); the resulting index is
-    /// *identical* to sequential insertion either way.
-    pub fn insert_all(&mut self, items: Vec<(TreeIdx, u32, Partition)>, parallel: bool) {
+    /// Inserts a partitioned tree (an owned [`Partition`] or a borrowed
+    /// one): [`ShardedIndex::insert`] with its subgraphs.
+    pub fn insert_tree(&mut self, tree: TreeIdx, size: u32, subgraphs: impl Borrow<Partition>) {
+        self.insert(tree, size, Some(subgraphs.borrow()));
+    }
+
+    /// Bulk-inserts `(tree, size, subgraphs)` triples
+    /// ([`ShardedIndex::insert`] each), preserving the given order within
+    /// every shard. With `parallel`, shards ingest concurrently over
+    /// scoped threads (they own disjoint size classes, so no
+    /// synchronization is needed); the resulting index is *identical* to
+    /// sequential insertion either way.
+    pub fn insert_all(&mut self, items: Vec<(TreeIdx, u32, Option<Partition>)>, parallel: bool) {
         let build_span = tsj_obs::span("shard.build", "shard");
-        let mut per_shard: Vec<Vec<(TreeIdx, u32, Partition)>> =
+        let mut per_shard: Vec<Vec<(TreeIdx, u32, Option<Partition>)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (tree, size, subgraphs) in items {
             self.track(tree, size);
@@ -578,7 +600,7 @@ impl ShardedIndex {
                     }
                     scope.spawn(move |_| {
                         for (tree, size, subgraphs) in items {
-                            shard.insert(tree, size, &subgraphs);
+                            shard.insert(tree, size, subgraphs.as_ref());
                         }
                     });
                 }
@@ -587,7 +609,7 @@ impl ShardedIndex {
         } else {
             for (shard, items) in self.shards.iter_mut().zip(per_shard) {
                 for (tree, size, subgraphs) in items {
-                    shard.insert(tree, size, &subgraphs);
+                    shard.insert(tree, size, subgraphs.as_ref());
                 }
             }
         }
@@ -598,9 +620,10 @@ impl ShardedIndex {
     }
 
     /// Removes a tracked tree: clears its liveness flag (probes stop
-    /// surfacing it immediately), tombstones its postings, and compacts
-    /// the owning shard if its dead fraction crossed the threshold.
-    /// Returns `false` if the tree was unknown or already removed.
+    /// surfacing it immediately), unlists it at once if it is below `δ`
+    /// nodes, or else tombstones its postings and compacts the owning
+    /// shard if its dead fraction crossed the threshold. Returns `false`
+    /// if the tree was unknown or already removed.
     pub fn remove_tree(&mut self, tree: TreeIdx) -> bool {
         let idx = tree as usize;
         if idx >= self.alive.len() || !self.alive[idx] {
@@ -609,9 +632,12 @@ impl ShardedIndex {
         self.alive[idx] = false;
         self.live_trees -= 1;
         self.removed_trees += 1;
-        let shard_id = self.shard_of_size(self.sizes[idx]);
+        let size = self.sizes[idx];
+        let shard_id = self.shard_of_size(size);
         let shard = &mut self.shards[shard_id];
-        if shard.tombstone(tree)
+        if is_side_listed(size as usize, self.tau) {
+            shard.index.unlist_small(size, tree);
+        } else if shard.tombstone(tree)
             && shard.should_compact(self.max_dead_fraction, self.min_dead_postings)
         {
             shard.compact(&self.alive);
@@ -654,8 +680,8 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// The private index of shard `s` (a snapshot dumps it; probe it
-    /// through [`ShardedIndex::probe_shard`]).
+    /// The private index of shard `s`, side list included (a snapshot
+    /// dumps it; probe it through [`ShardedIndex::probe_shard`]).
     #[inline]
     pub fn shard_index(&self, s: usize) -> &SubgraphIndex {
         &self.shards[s].index
@@ -696,15 +722,18 @@ impl ShardedIndex {
         self.window
     }
 
-    /// Probes every node of `binary` against every shard covering size
-    /// window `[lo, hi]`, in one walk of the tree: each node computes its
-    /// twig and position keys once ([`for_each_probe_node`]) and probes
-    /// the populated layers of every shard of the window in turn, shard
-    /// by shard in [`ShardedIndex::shard_set`] order. Each window class is
-    /// resolved once per probe, in the one shard that owns it. Candidates
-    /// and counters equal the union of [`ShardedIndex::probe_shard`] over
-    /// the shard set (a tree's postings live in one shard and one layer);
-    /// only the discovery order interleaves across shards.
+    /// Probes `binary` against every shard covering size window
+    /// `[lo, hi]`, shard by shard in [`ShardedIndex::shard_set`] order:
+    /// each shard's side-listed trees of the window first, then one walk
+    /// of the tree for all of them — each node computes its twig and
+    /// position keys once ([`for_each_probe_node`]) and probes the
+    /// populated layers of every shard in turn. Each window class is
+    /// resolved once per probe, in the one shard that owns it.
+    /// Candidates and counters equal the union of
+    /// [`ShardedIndex::probe_shard`] over the shard set (a tree lives in
+    /// one shard, and in one layer or on its side list); only the
+    /// discovery order interleaves across shards. Dead container trees
+    /// never reach `sink`.
     ///
     /// `caches` must hold one [`MatchCache`] per shard (component ids are
     /// per-shard). `shard_scratch` is left holding the window's shard
@@ -722,15 +751,74 @@ impl ShardedIndex {
         caches: &mut [MatchCache],
         shard_scratch: &mut Vec<usize>,
         layer_scratch: &mut Vec<LayerId>,
+        work: &mut ProbeCounters,
+        sink: &mut S,
+    ) {
+        let (tree, runs) = ((binary, posts, probe_size), (shard_scratch, layer_scratch));
+        self.probe_window(None, tree, (lo, hi), matching, caches, runs, work, sink);
+    }
+
+    /// [`ShardedIndex::probe_tree`] against shard `s` alone (`s` must be
+    /// below [`ShardedIndex::shard_count`]): the shard's side-listed trees
+    /// and populated layers of size window `[lo, hi]` — it only holds
+    /// size classes it owns.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_shard<S: CandidateSink>(
+        &self,
+        s: usize,
+        binary: &BinaryTree,
+        posts: &[u32],
+        probe_size: u32,
+        lo: u32,
+        hi: u32,
+        matching: partsj::MatchSemantics,
+        caches: &mut [MatchCache],
+        shard_scratch: &mut Vec<usize>,
+        layer_scratch: &mut Vec<LayerId>,
+        work: &mut ProbeCounters,
+        sink: &mut S,
+    ) {
+        let (tree, runs) = ((binary, posts, probe_size), (shard_scratch, layer_scratch));
+        self.probe_window(Some(s), tree, (lo, hi), matching, caches, runs, work, sink);
+    }
+
+    /// The one probe body: [`ShardedIndex::probe_tree`] over the window's
+    /// shard set, or over shard `only`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn probe_window<S: CandidateSink>(
+        &self,
+        only: Option<usize>,
+        (binary, posts, probe_size): (&BinaryTree, &[u32], u32),
+        (lo, hi): (u32, u32),
+        matching: partsj::MatchSemantics,
+        caches: &mut [MatchCache],
+        (shards, runs): (&mut Vec<usize>, &mut Vec<LayerId>),
         counters: &mut ProbeCounters,
         sink: &mut S,
     ) {
-        self.resolve_window(lo, hi, shard_scratch, layer_scratch);
-        if layer_scratch.len() == shard_scratch.len() {
+        match only {
+            Some(s) => {
+                shards.clear();
+                shards.push(s);
+            }
+            None => self.shard_set(lo, hi, shards),
+        }
+        let mut live_sink = self.live(sink);
+        runs.clear();
+        for &s in shards.iter() {
+            let index = &self.shards[s].index;
+            index.side_list().scan(lo, hi, &mut live_sink);
+            let at = runs.len();
+            runs.push(0);
+            let classes = classes_within(index.size_classes(), lo, hi);
+            let owned = classes.filter(|&n| self.shard_of_size(n) == s);
+            runs.extend(owned.filter_map(|n| index.layer_id(n)));
+            runs[at] = (runs.len() - at - 1) as LayerId;
+        }
+        if runs.len() == shards.len() {
             return; // every run is empty
         }
-        let (shards, runs) = (shard_scratch.as_slice(), layer_scratch.as_slice());
-        let mut live_sink = self.live(sink);
+        let (shards, runs) = (shards.as_slice(), runs.as_slice());
         for_each_probe_node(binary, posts, probe_size, self.window, |node| {
             let mut rest = runs;
             for &s in shards {
@@ -750,59 +838,6 @@ impl ShardedIndex {
                 }
             }
         });
-    }
-
-    /// Resolves size window `[lo, hi]` for [`ShardedIndex::probe_tree`]:
-    /// its shard set into `shards` and, shard by shard in that order, the
-    /// count and the ids of the shard's populated layers into `layers`.
-    /// A class is looked up only in the shard that owns it.
-    fn resolve_window(&self, lo: u32, hi: u32, shards: &mut Vec<usize>, layers: &mut Vec<LayerId>) {
-        self.shard_set(lo, hi, shards);
-        layers.clear();
-        for &s in shards.iter() {
-            let index = &self.shards[s].index;
-            let at = layers.len();
-            layers.push(0);
-            let classes = classes_within(index.size_classes(), lo, hi);
-            let owned = classes.filter(|&n| self.shard_of_size(n) == s);
-            layers.extend(owned.filter_map(|n| index.layer_id(n)));
-            layers[at] = (layers.len() - at - 1) as LayerId;
-        }
-    }
-
-    /// Probes every node of `binary` against shard `s` alone (`s` must
-    /// be below [`ShardedIndex::shard_count`]): the shard's populated
-    /// layers of size window `[lo, hi]` — it only holds layers for size
-    /// classes it owns — through the shared Algorithm 1 inner loop. Dead
-    /// container trees are filtered before the sink sees them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_shard<S: CandidateSink>(
-        &self,
-        s: usize,
-        binary: &BinaryTree,
-        posts: &[u32],
-        probe_size: u32,
-        lo: u32,
-        hi: u32,
-        matching: partsj::MatchSemantics,
-        cache: &mut MatchCache,
-        layer_scratch: &mut Vec<LayerId>,
-        counters: &mut ProbeCounters,
-        sink: &mut S,
-    ) {
-        let index = &self.shards[s].index;
-        resolve_layers(index, lo, hi, layer_scratch);
-        probe_tree_nodes(
-            index,
-            layer_scratch,
-            binary,
-            posts,
-            probe_size,
-            matching,
-            cache,
-            counters,
-            &mut self.live(sink),
-        );
     }
 
     /// `sink` behind the liveness rule: dead container trees never reach

@@ -10,8 +10,9 @@
 //!
 //! * **An offline side, probed in parallel.** When one collection is
 //!   indexed once and probed by another, nothing mutates while the join
-//!   runs. [`Frozen`] is that side: the sharded index, the side list and
-//!   the verify inputs of a left collection as one owned value, built
+//!   runs. [`Frozen`] is that side: the sharded index (each shard's side
+//!   list included) and the verify inputs of a left collection as one
+//!   owned value, built
 //!   ([`sharded_rs_join`], shards ingesting concurrently) or restored
 //!   from a snapshot (`tsj-catalog`, `tsj-cluster`). Right trees then
 //!   fan out over `crossbeam` scoped threads and feed a batched,

@@ -7,7 +7,9 @@
 //! only `[|T| − τ, |T|]`. A stream arrives in arbitrary order, so
 //! [`ShardedStreamingJoin::insert`] probes the symmetric window
 //! `[|T| − τ, |T| + τ]`, reports the partners found among the live
-//! trees, and then publishes the newcomer's subgraphs.
+//! trees, and then publishes the newcomer into the shard owning its
+//! size: its subgraphs or, below `δ = 2τ + 1` nodes, a side-list entry
+//! in that shard's index.
 //!
 //! An insert-only index grows forever, which no high-rate monitor can
 //! afford, so the join runs on the dynamic [`ShardedIndex`] and adds the
@@ -16,9 +18,10 @@
 //! **eviction** under an [`EvictionPolicy`] (by window count or by
 //! logical timestamp; [`EvictionPolicy::Retain`] at one shard is the
 //! plain insert-only join). Evicted trees stop appearing as partners
-//! immediately; their postings are tombstoned and swept out of their
-//! shard's index in place once enough of it is dead, so index memory
-//! tracks the live window rather than the stream's lifetime.
+//! immediately; a side-listed one leaves its list at once, and the
+//! others' postings are tombstoned and swept out of their shard's index
+//! in place once enough of it is dead, so index memory tracks the live
+//! window rather than the stream's lifetime.
 //!
 //! The streaming index always routes with the default hash
 //! [`crate::ShardMap`]: a balanced map is derived from the *observed*
@@ -63,7 +66,7 @@
 
 use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::{window_of, SideList};
+use partsj::probe::window_of;
 use partsj::subgraph::{partition_tree_with, PartitionScratch};
 use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
@@ -116,7 +119,6 @@ pub struct ShardedStreamingJoin {
     config: PartSjConfig,
     eviction: EvictionPolicy,
     index: ShardedIndex,
-    small_by_size: SideList,
     /// Verification inputs of arrivals `first..`, `None` once evicted.
     /// Leading `None`s are dropped as the window slides, so a sliding
     /// window holds about a window of these slots, not one per arrival
@@ -156,7 +158,6 @@ impl ShardedStreamingJoin {
             config,
             eviction,
             index: ShardedIndex::new(tau, config.window, &shard_cfg),
-            small_by_size: SideList::default(),
             data: VecDeque::new(),
             first: 0,
             scratch: FrozenJoinScratch::new(),
@@ -246,13 +247,11 @@ impl ShardedStreamingJoin {
         let id = self.len() as TreeIdx;
         let size = tree.len() as u32;
 
-        // Candidates from the small-tree side lists (expiry prunes them,
-        // so every entry is live), then from the sharded index (dead
-        // trees filtered inside).
+        // Candidates from the sharded index: each shard's side-listed
+        // trees, then its postings (dead trees filtered inside).
         let (binary, posts) = self.scratch.probe.prepare(tree);
         probe_step(
             &self.index,
-            &self.small_by_size,
             id as usize,
             (binary, posts),
             window_of(size, self.tau),
@@ -264,7 +263,7 @@ impl ShardedStreamingJoin {
         // Verify against the live window. The newcomer's data is owned —
         // it outlives the insert in `self.data` — so only the build
         // temporaries come from the reusable prep.
-        let data = VerifyData::for_config_with(tree, &self.config.verify, &mut self.verify_prep);
+        let data = VerifyData::build(tree, &mut self.verify_prep);
         let verify = &mut self.verify;
         let (known, first) = (&self.data, self.first);
         let mut partners: Vec<TreeIdx> = self
@@ -283,15 +282,10 @@ impl ShardedStreamingJoin {
         partners.sort_unstable();
         self.pairs_found += partners.len() as u64;
 
-        // Publish the newcomer.
+        // Publish the newcomer: its subgraphs, or a side-list entry.
         let (scheme, scratch) = (self.config.partitioning, &mut self.partition_scratch);
-        match partition_tree_with(binary, posts, self.tau, scheme, id, scratch) {
-            Some(subgraphs) => self.index.insert_tree(id, size, subgraphs),
-            None => {
-                self.index.track(id, size);
-                self.small_by_size.push(size, id);
-            }
-        }
+        let subgraphs = partition_tree_with(binary, posts, self.tau, scheme, id, scratch);
+        self.index.insert(id, size, subgraphs);
         self.data.push_back(Some(data));
         self.arrivals.push_back((id, ts));
         partners
@@ -338,18 +332,16 @@ impl ShardedStreamingJoin {
         }
     }
 
-    /// Drops one live tree: liveness flag, tombstones (with the sweep),
-    /// prepared handle (and the leading empty slots), and its small
-    /// side-list slot if any.
+    /// Drops one live tree: from the index (liveness flag, then its
+    /// side-list entry or its tombstones, with the sweep) and its
+    /// verification slot (and the leading empty slots).
     fn expire(&mut self, id: TreeIdx) {
-        let size = self.index.size_of(id).expect("live tree has a size");
         self.index.remove_tree(id);
         self.data[id as usize - self.first] = None;
         while let Some(None) = self.data.front() {
             self.data.pop_front();
             self.first += 1;
         }
-        self.small_by_size.remove(size, id);
         self.evictions += 1;
         if let Some(counter) = &self.obs_evictions {
             counter.inc();

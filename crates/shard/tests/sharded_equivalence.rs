@@ -10,6 +10,8 @@
 //!   brute-force partners of the live window, while the in-place sweep
 //!   reclaims tombstoned postings — under the default trigger and when
 //!   every removal sweeps — and leaks nothing over many window turns;
+//! * with most trees below `δ`, the shards' side lists hold exactly the
+//!   live side-listed trees after every insert;
 //! * a refused timestamp changes nothing;
 //! * a threshold near `u32::MAX` saturates the size window instead of
 //!   wrapping it: every join still equals brute force;
@@ -393,6 +395,57 @@ fn sliding_time_window_matches_brute_force() {
     assert!(stream.evictions() > 0);
 }
 
+/// Side lists under eviction. With most trees below `δ` (τ = 3, so
+/// δ = 7), sliding windows by count and by time over 1 and 4 shards
+/// report the brute-force partners after every insert, and the shards'
+/// side lists hold exactly the live trees below `δ`, each in the shard
+/// owning its size: an evicted small tree leaves its list at once.
+#[test]
+fn side_lists_follow_the_window() {
+    let trees = synthetic_sized(80, 6, 53);
+    let tau = 3u32;
+    let delta = 2 * tau as usize + 1;
+    let small = trees.iter().filter(|t| t.len() < delta).count();
+    assert!(
+        2 * small > trees.len(),
+        "{small} of {} side-listed",
+        trees.len()
+    );
+    for policy in [
+        EvictionPolicy::SlidingCount(12),
+        EvictionPolicy::SlidingTime(6),
+    ] {
+        for shards in [1usize, 4] {
+            let config = ShardConfig::with_shards(shards);
+            let mut stream =
+                ShardedStreamingJoin::new(tau, PartSjConfig::default(), config, policy);
+            let mut mirror = WindowMirror { live: Vec::new() };
+            for (i, tree) in trees.iter().enumerate() {
+                let ts = (i / 2) as u64;
+                mirror.evict_for(policy, ts);
+                let partners = stream.insert_at(tree, ts).expect("timestamps ascend");
+                let ctx = format!("{policy:?}, {shards} shards, insert #{i}");
+                assert_eq!(partners, mirror.expected_partners(tree, tau), "{ctx}");
+                mirror.live.push((i as TreeIdx, ts, tree.clone()));
+
+                let index = stream.index();
+                let mut listed = Vec::new();
+                for s in 0..index.shard_count() {
+                    for (size, id) in index.shard_index(s).side_list().iter() {
+                        assert_eq!(index.shard_of_size(size), s, "{ctx}: tree {id}");
+                        listed.push(id);
+                    }
+                }
+                listed.sort_unstable();
+                let live = mirror.live.iter().filter(|(_, _, t)| t.len() < delta);
+                let live_small: Vec<TreeIdx> = live.map(|&(id, _, _)| id).collect();
+                assert_eq!(listed, live_small, "{ctx}");
+            }
+            assert!(stream.evictions() > 0, "{policy:?}");
+        }
+    }
+}
+
 /// A timestamp behind the stream's newest is refused with a typed error
 /// — not a panic — and the refusal touches nothing: no eviction ran, no
 /// id was spent, the next valid arrival sees the window it would have.
@@ -585,7 +638,7 @@ fn built_sides_reclaim_and_restored_sides_hide() {
     let lists = build_subgraph_lists(&trees, tau, &config, 1);
     let size_of = |i: usize| trees[i].len() as u32;
     let items: Vec<_> = (lists.into_iter().enumerate())
-        .filter_map(|(i, list)| Some((i as TreeIdx, size_of(i), list?)))
+        .filter_map(|(i, list)| Some((i as TreeIdx, size_of(i), Some(list?))))
         .collect();
     let victims: Vec<TreeIdx> = items.iter().map(|item| item.0).step_by(2).collect();
     let survivors: Vec<TreeIdx> = items.iter().map(|item| item.0).skip(1).step_by(2).collect();
@@ -686,8 +739,8 @@ fn one_walk_and_union(
     let (mut caches, mut counters): (Vec<_>, _) = (fresh_caches(), ProbeCounters::default());
     candidates.begin(universe);
     let mut sink = candidates.sink();
+    let mut one = Vec::new();
     for &s in &shard_set {
-        let cache = &mut caches[s];
         index.probe_shard(
             s,
             &binary,
@@ -696,11 +749,13 @@ fn one_walk_and_union(
             lo,
             hi,
             MatchSemantics::Exact,
-            cache,
+            &mut caches,
+            &mut one,
             &mut layers,
             &mut counters,
             &mut sink,
         );
+        assert_eq!(one, [s], "a shard probe's shard set is its shard");
     }
     [one_walk, found(&candidates, counters)]
 }
@@ -738,11 +793,7 @@ fn one_walk_probes_equal_shard_probes(trees: &[Tree]) {
                 // tombstoned posting stays for the liveness gate to hide.
                 let mut index = ShardedIndex::new(tau, window, &ShardConfig::with_shards(shards));
                 for (i, list) in lists.iter().enumerate() {
-                    let size = trees[i].len() as u32;
-                    match list {
-                        Some(list) => index.insert_tree(i as TreeIdx, size, list),
-                        None => index.track(i as TreeIdx, size),
-                    }
+                    index.insert(i as TreeIdx, trees[i].len() as u32, list.as_ref());
                 }
                 for victim in (0..trees.len() as TreeIdx).step_by(3) {
                     assert!(index.remove_tree(victim));

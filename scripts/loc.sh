@@ -19,6 +19,7 @@
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
 # R×S side only), or a `partsj` join loop that sequences the probe step
 # itself (they run on `Prober`), or a side list that is not a `SideList`
+# or one held outside a `SubgraphIndex` (an index owns its small trees)
 # — and, expected 1, how many structs in tsj-cluster and tsj-catalogd hold
 # router state (`Cluster` and `ClusterClient` share one `Router`).
 #
@@ -66,12 +67,15 @@ sites() {
 }
 path_row() { printf '  %-36s %2d\n' "$1" "$(sites "${@:2}")"; }
 stack_src=(crates/{shard,catalog,cluster}/src/*.rs)
+# $2… without the file $1.
+without() { local skip=$1 file; shift; for file in "$@"; do [ "$file" = "$skip" ] || echo "$file"; done; }
+mapfile -t index_users < <(without crates/shard/src/index.rs "${stack_src[@]}")
 echo 'paths (non-test src lines; shard+catalog+cluster unless named)'
 path_row 'side-list scans' '\.scan(_classes)?\(' "${stack_src[@]}"
-path_row '.probe_tree( call sites' '\.probe_tree\(' "${stack_src[@]}"
+path_row 'sharded probe calls outside the index' '\.probe_(tree|shard|window)\(' "${index_users[@]}"
 path_row 'probe_tree_nodes( in tsj-cluster' 'probe_tree_nodes\(' crates/cluster/src/*.rs
 path_row 'left_data: field declarations' '^    (pub(\([a-z]+\))? )?left_data: ' "${stack_src[@]}"
-path_row 'side-list rebuilds (push_if_small()' '\.push_if_small\(' "${stack_src[@]}"
+path_row 'side-list rebuilds (.list_small()' '\.push_if_small\(|\.list_small\(' "${index_users[@]}"
 path_row 'stored-subgraph copies in tsj-shard' 'subgraphs\.clone\(\)|replay' crates/shard/src/*.rs
 path_row 'boxed component copies in partsj' 'Box<\[SgNode\]>' crates/core/src/*.rs
 path_row 'per-node child Vecs in tsj-tree' 'struct NodeData|children: Vec<NodeId>' crates/tree/src/tree.rs
@@ -83,6 +87,8 @@ path_row 'hand-sequenced probe steps in partsj' \
   'Candidates::new|scan_small_trees\(|resolve_layers\(|probe_tree_nodes\(|partition_tree_with\(' \
   crates/core/src/{join,rs_join,topk}.rs
 path_row 'raw side-list maps' 'FxHashMap<u32, Vec<TreeIdx>>' crates/{core,shard}/src/*.rs
+mapfile -t side_owners < <(without crates/core/src/index.rs crates/{core,shard,catalog,cluster}/src/*.rs)
+path_row 'side lists held outside an index' '^    (pub(\([a-z]+\))? )?[a-z_]+: SideList' "${side_owners[@]}"
 path_row 'router state holders in cluster+catalogd' '^    (pub(\([a-z]+\))? )?health: ' \
   crates/{cluster,catalogd}/src/*.rs
 
