@@ -153,8 +153,7 @@ fn bench_probe(c: &mut Criterion) {
 /// (`stream_window`'s τ = 2 and shard count): 540 trees of sizes 56–64,
 /// probed by 8 of them whose size window `[n − 2, n + 2]` spreads over
 /// all 4 shards. `one_walk` is `ShardedIndex::probe_tree` (the tree's
-/// nodes walked once for every shard); `per_shard` is the same window as
-/// one `probe_shard` walk per shard, the same candidates and counts.
+/// nodes walked once for every shard).
 fn bench_probe_tree_sharded(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/probe_tree_sharded");
     let (tau, config) = (2u32, PartSjConfig::default());
@@ -182,58 +181,34 @@ fn bench_probe_tree_sharded(c: &mut Criterion) {
         .collect();
     assert_eq!(probes.len(), 8, "8 probes whose window spans 4 shards");
     let mut caches: Vec<MatchCache> = (0..4).map(|_| MatchCache::new()).collect();
-    let (mut candidates, mut layers, mut one_shard) = (Candidates::new(), Vec::new(), Vec::new());
+    let (mut candidates, mut layers) = (Candidates::new(), Vec::new());
     let mut work = ProbeCounters::default();
-    let mut run = |one_walk: bool| -> usize {
+    let mut run = || -> usize {
         let mut found = 0;
         for probe in &probes {
             let size = probe.len() as u32;
             let (lo, hi) = window_of(size, tau);
             let (posts, matching) = (probe.general_post(), MatchSemantics::Exact);
             candidates.begin(trees.len());
-            let sink = &mut candidates.sink();
-            if one_walk {
-                index.probe_tree(
-                    probe,
-                    posts,
-                    size,
-                    lo,
-                    hi,
-                    matching,
-                    &mut caches,
-                    &mut shard_set,
-                    &mut layers,
-                    &mut work,
-                    sink,
-                );
-            } else {
-                index.shard_set(lo, hi, &mut shard_set);
-                for &s in &shard_set {
-                    index.probe_shard(
-                        s,
-                        probe,
-                        posts,
-                        size,
-                        lo,
-                        hi,
-                        matching,
-                        &mut caches,
-                        &mut one_shard,
-                        &mut layers,
-                        &mut work,
-                        sink,
-                    );
-                }
-            }
+            index.probe_tree(
+                probe,
+                posts,
+                size,
+                lo,
+                hi,
+                matching,
+                &mut caches,
+                &mut shard_set,
+                &mut layers,
+                &mut work,
+                &mut candidates.sink(),
+            );
             found += candidates.as_slice().len();
         }
         found
     };
-    let found = run(true);
-    assert!(found > probes.len(), "probes find more than themselves");
-    assert_eq!(run(false), found);
-    group.bench_function("one_walk", |bench| bench.iter(|| black_box(run(true))));
-    group.bench_function("per_shard", |bench| bench.iter(|| black_box(run(false))));
+    assert!(run() > probes.len(), "probes find more than themselves");
+    group.bench_function("one_walk", |bench| bench.iter(|| black_box(run())));
     group.finish();
 }
 

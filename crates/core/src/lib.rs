@@ -12,15 +12,15 @@
 //! * the on-the-fly two-layer (postorder × label-twig) inverted index
 //!   (§3.4) — [`index`];
 //! * Algorithm 1's probe step and δ rule, written once — [`probe`]: a
-//!   prober probes and publishes into a subgraph index, which keeps the
-//!   [`SideList`] of trees too small to cut beside its postings;
+//!   [`Prober`] probes any [`ProbeIndex`] and publishes into a subgraph
+//!   index, which keeps the [`SideList`] of trees too small to cut;
 //! * the join loop itself (§3.2, Algorithm 1) — [`join`] — and its
 //!   bipartite ([`rs_join`]) and top-k ([`topk`]) variants, all three
 //!   running that one prober.
 //!
 //! The crate is thread-free: the pooled, sharded, streaming and
 //! point-query forms of the same loop live one crate up, in `tsj-shard`
-//! and `tsj-catalog`.
+//! and `tsj-catalog`, on the same `Prober` and [`probe_right`].
 //!
 //! ```
 //! use partsj::partsj_join;
@@ -67,10 +67,11 @@ pub use index::{
 pub use join::{partsj_join, partsj_join_detailed, partsj_join_with, PartSjDetail};
 pub use partition::{cuts_for, max_min_size, partitionable, select_cuts, select_random_cuts};
 pub use probe::{
-    classes_within, for_each_probe_node, probe_tree_nodes, resolve_layers, window_of,
-    CandidateSink, Candidates, ProbeCounters, ProbeNode, ProbeScratch, SideList, StampSink,
+    classes_within, for_each_probe_node, probe_parts, probe_tree_nodes, resolve_layers, window_of,
+    CandidateSink, Candidates, ProbeCounters, ProbeIndex, ProbeNode, ProbeScratch, Prober,
+    SideList, StampSink,
 };
-pub use rs_join::partsj_join_rs;
+pub use rs_join::{partsj_join_rs, probe_right};
 pub use subgraph::{
     build_subgraphs, is_side_listed, nodes_match_at, partition_tree, partition_tree_with,
     subgraph_matches, subgraph_matches_with, ChildKind, Partition, PartitionScratch, SgNode,

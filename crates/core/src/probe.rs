@@ -3,30 +3,21 @@
 //! An indexed side is a [`SubgraphIndex`]: the subgraphs of the trees
 //! δ-partitioned into it, and its [`SideList`] of the trees too small to
 //! be (Lemma 2 offers no filter for them, so each is a candidate of
-//! every probe whose size window holds its size). A `Prober` carries
-//! one tree at a time through both decisions: `Prober::prepare` builds
-//! its LC-RS form; `Prober::probe` starts a fresh dedup generation
-//! ([`Candidates`]), admits the side list's trees of the window
-//! ([`SideList::scan`]) and walks the tree's nodes against the window's
-//! populated size layers ([`resolve_layers`], [`probe_tree_nodes`]: twig
-//! and position keys once per node in [`for_each_probe_node`], match
-//! verdicts memoized per node across layers in [`ProbeNode::probe`]);
-//! `Prober::publish` cuts the tree into δ subgraphs for the index or
-//! side-lists it there. The self-join ([`crate::join`]), R×S
-//! ([`crate::rs_join`]) and top-k ([`crate::topk`]) loops run on these
-//! two types and differ only in which trees probe and where the
-//! candidates go.
-//!
-//! One crate up, `tsj-shard` runs the same steps against each shard's
-//! private [`SubgraphIndex`] — for each shard of a window its side list
-//! first, then one node walk for all of them, each node probing every
-//! shard's layers; its one extra admission rule, liveness, is a
-//! [`CandidateSink`] adapter around the [`StampSink`] that
-//! [`Candidates::sink`] hands out.
+//! every probe whose size window holds its size). A [`Prober`] carries
+//! one tree at a time through both decisions against a [`ProbeIndex`] —
+//! one `SubgraphIndex`, or `tsj-shard`'s shards behind their liveness
+//! gate. [`Prober::probe`] starts a fresh dedup generation
+//! ([`Candidates`]) and runs [`probe_parts`], the one probe body: each
+//! part's side-listed trees of the window ([`SideList::scan`]), then
+//! one walk of the tree's nodes ([`for_each_probe_node`]) against every
+//! part's populated size layers ([`ProbeNode::probe`]).
+//! [`Prober::partition`] is the δ rule and [`Prober::publish`] puts its
+//! outcome into an index. Every join loop of this crate and of
+//! `tsj-shard` runs on these types.
 
 use crate::config::{MatchSemantics, PartitionScheme, WindowPolicy};
 use crate::index::{LayerId, MatchCache, SubgraphIndex, TwigKeys};
-use crate::subgraph::{partition_tree_with, PartitionScratch};
+use crate::subgraph::{partition_tree_with, Partition, PartitionScratch};
 use std::mem::size_of;
 use tsj_ted::TreeIdx;
 use tsj_tree::{BinaryTree, FxHashMap, NodeId, Tree};
@@ -50,7 +41,7 @@ impl ProbeScratch {
 
     /// Prepares `tree` for probing, returning its LC-RS form and its
     /// 1-based general-postorder numbers (the two hoisted inputs of
-    /// [`probe_tree_nodes`]). Results are valid until the next call.
+    /// [`probe_parts`]). Results are valid until the next call.
     pub fn prepare(&mut self, tree: &Tree) -> (&BinaryTree, &[u32]) {
         match &mut self.binary {
             Some(binary) => binary.rebuild_from(tree),
@@ -212,14 +203,10 @@ pub fn for_each_probe_node(
 }
 
 /// Probes every node of `binary` against the resolved `layer_window` of
-/// `index` — one full iteration of Algorithm 1's inner loop over one
-/// index ([`for_each_probe_node`], [`ProbeNode::probe`]).
-///
-/// `posts` maps node ids to 1-based *general-tree* postorder numbers
-/// ([`BinaryTree::general_post`]) and `probe_size` is the probing
-/// tree's node count (both feed [`SubgraphIndex::probe_position`]).
-/// `cache` memoizes per-node match verdicts; it is reset per node here,
-/// so a caller-owned cache can be reused across trees.
+/// `index` ([`for_each_probe_node`], [`ProbeNode::probe`]): the node
+/// loop of [`probe_parts`] over one part, without its side list, for
+/// callers that resolve the layers themselves ([`resolve_layers`]).
+/// `cache` is reset per node, so a caller-owned one can be reused.
 #[allow(clippy::too_many_arguments)] // one hot loop, all parts hoisted by callers
 pub fn probe_tree_nodes<S: CandidateSink>(
     index: &SubgraphIndex,
@@ -242,11 +229,10 @@ pub fn probe_tree_nodes<S: CandidateSink>(
 
 /// The ubiquitous sink: a stamp array deduplicates container trees per
 /// probing tree (stamp value = probe marker) and accepted candidates are
-/// pushed to a list. [`Candidates::sink`] hands one out per probe, and
-/// [`SideList::scan`] and [`probe_tree_nodes`] feed the same one, so a
-/// tree reached both ways is a candidate once. The one extra admission
-/// rule, a sharded index's liveness check, wraps it in its own
-/// [`CandidateSink`].
+/// pushed to a list. [`Candidates::sink`] hands one out per probe, and a
+/// probe's side-list scan and node walk feed the same one, so a tree
+/// reached both ways is a candidate once ([`probe_parts`] puts the
+/// index's liveness gate in front of it).
 #[derive(Debug)]
 pub struct StampSink<'a> {
     /// `stamp[j] == marker` ⇔ tree `j` is already a candidate of the
@@ -387,69 +373,223 @@ impl SideList {
     }
 }
 
+/// What a probe step walks: one [`SubgraphIndex`], or several parts —
+/// `SubgraphIndex`es under one window policy, each holding a disjoint set
+/// of size classes (a sharded index's shards) — behind a liveness gate.
+/// [`probe_parts`] is generic over it: each kind gets its own node loop.
+pub trait ProbeIndex {
+    /// How many parts there are, numbered `0..parts()`.
+    fn parts(&self) -> usize;
+    /// Part `p`, for `p < parts()`.
+    fn part(&self, p: usize) -> &SubgraphIndex;
+    /// Writes the parts covering size classes `[lo, hi]` to `out`, ascending.
+    fn parts_within(&self, lo: u32, hi: u32, out: &mut Vec<usize>);
+    /// Whether container tree `tree` may surface.
+    #[inline]
+    fn is_live(&self, _tree: TreeIdx) -> bool {
+        true
+    }
+}
+
+/// One index is its own only part.
+impl ProbeIndex for SubgraphIndex {
+    fn parts(&self) -> usize {
+        1
+    }
+    fn part(&self, _p: usize) -> &SubgraphIndex {
+        self
+    }
+    fn parts_within(&self, _lo: u32, _hi: u32, out: &mut Vec<usize>) {
+        out.clear();
+        out.push(0);
+    }
+}
+
+/// The one probe body: the probing tree `(binary, posts, probe_size)`
+/// against size window `[lo, hi]` of every part of `index` covering it,
+/// or of part `only`. Part by part, its side-listed trees of the window;
+/// then one walk of the tree, each node computing its keys once
+/// ([`for_each_probe_node`]) and probing the populated layers of every
+/// part in turn (a window class lives in one part only). Trees that are
+/// not live never reach `sink`. Returns how many trees the side lists
+/// admitted.
+///
+/// `caches` holds a [`MatchCache`] per part. `parts` is left holding the
+/// parts probed, and `runs`, part by part, a count and that many layers.
+#[allow(clippy::too_many_arguments)] // one hot loop, all parts hoisted by callers
+pub fn probe_parts<I: ProbeIndex, S: CandidateSink>(
+    index: &I,
+    only: Option<usize>,
+    (binary, posts, probe_size): (&BinaryTree, &[u32], u32),
+    (lo, hi): (u32, u32),
+    matching: MatchSemantics,
+    caches: &mut [MatchCache],
+    (parts, runs): (&mut Vec<usize>, &mut Vec<LayerId>),
+    counters: &mut ProbeCounters,
+    sink: &mut S,
+) -> u64 {
+    match only {
+        Some(p) => {
+            parts.clear();
+            parts.push(p);
+        }
+        None => index.parts_within(lo, hi, parts),
+    }
+    let mut live = Live { index, inner: sink };
+    let mut side_admitted = 0;
+    runs.clear();
+    for &p in parts.iter() {
+        let part = index.part(p);
+        side_admitted += part.side_list().scan(lo, hi, &mut live);
+        let at = runs.len();
+        runs.push(0);
+        let classes = classes_within(part.size_classes(), lo, hi);
+        runs.extend(classes.filter_map(|n| part.layer_id(n)));
+        runs[at] = (runs.len() - at - 1) as LayerId;
+    }
+    if runs.len() == parts.len() {
+        return side_admitted; // every run is empty
+    }
+    let (parts, runs) = (parts.as_slice(), runs.as_slice());
+    let window = index.part(parts[0]).window();
+    for_each_probe_node(binary, posts, probe_size, window, |node| {
+        let mut rest = runs;
+        for &p in parts {
+            let (&len, tail) = rest.split_first().expect("one run per part");
+            let (layers, tail) = tail.split_at(len as usize);
+            rest = tail;
+            if !layers.is_empty() {
+                let part = index.part(p);
+                node.probe(part, layers, matching, &mut caches[p], counters, &mut live);
+            }
+        }
+    });
+    side_admitted
+}
+
+/// Sink adapter: the index's liveness gate in front of another sink.
+struct Live<'a, I, S> {
+    index: &'a I,
+    inner: &'a mut S,
+}
+
+impl<I: ProbeIndex, S: CandidateSink> CandidateSink for Live<'_, I, S> {
+    #[inline]
+    fn admit(&mut self, tree: TreeIdx) -> bool {
+        self.index.is_live(tree) && self.inner.admit(tree)
+    }
+
+    #[inline]
+    fn accept(&mut self, tree: TreeIdx) {
+        self.inner.accept(tree);
+    }
+}
+
 /// What one prober reuses from tree to tree: the prepared tree, the
-/// deduplicated candidates, the resolved size layers, the per-node match
-/// memo, the work counters and the partition buffers. Every buffer is
-/// grow-only, so a warm loop allocates nothing per tree beyond what the
-/// index keeps.
+/// deduplicated candidates, the probed parts and their layers, a match
+/// memo per part, the work counters and the partition buffers — all
+/// grow-only, so a warm loop allocates nothing per tree.
 #[derive(Debug, Default)]
-pub(crate) struct Prober {
+pub struct Prober {
     tree: ProbeScratch,
     candidates: Candidates,
+    parts: Vec<usize>,
     layers: Vec<LayerId>,
-    cache: MatchCache,
+    caches: Vec<MatchCache>,
     counters: ProbeCounters,
     partition: PartitionScratch,
 }
 
 impl Prober {
-    /// Builds `tree`'s LC-RS form for the next [`Prober::probe`] and
-    /// [`Prober::publish`]; returns its size.
-    pub(crate) fn prepare(&mut self, tree: &Tree) -> u32 {
+    /// An empty prober; buffers are grown on first use.
+    pub fn new() -> Prober {
+        Prober::default()
+    }
+
+    /// Builds `tree`'s LC-RS form for the next [`Prober::probe`],
+    /// [`Prober::partition`] and [`Prober::publish`]; returns its size.
+    pub fn prepare(&mut self, tree: &Tree) -> u32 {
         self.tree.prepare(tree).0.len() as u32
     }
 
     /// The probe step of the prepared tree against the size classes
-    /// `[lo, hi]` of `index`, whose tree ids lie in `0..universe`.
-    /// Returns the candidates in discovery order (side-listed ones
-    /// first), how many of them the side list gave, and how many size
-    /// layers the index probed.
-    pub(crate) fn probe(
+    /// `[lo, hi]` of `index`, whose tree ids lie in `0..universe`: a
+    /// fresh dedup generation, then [`probe_parts`]. Returns the
+    /// candidates in discovery order, how many of them the side lists
+    /// gave, and how many size layers were probed.
+    pub fn probe<I: ProbeIndex>(
         &mut self,
-        index: &SubgraphIndex,
-        (lo, hi): (u32, u32),
+        index: &I,
+        window: (u32, u32),
         universe: usize,
         matching: MatchSemantics,
     ) -> (&[TreeIdx], u64, usize) {
-        let (binary, posts) = self.tree.prepared();
-        let size = binary.len() as u32;
-        self.candidates.begin(universe);
-        let mut sink = self.candidates.sink();
-        let side_admitted = index.side_list().scan(lo, hi, &mut sink);
-        resolve_layers(index, lo, hi, &mut self.layers);
-        let (layers, cache, work) = (&self.layers, &mut self.cache, &mut self.counters);
-        probe_tree_nodes(
-            index, layers, binary, posts, size, matching, cache, work, &mut sink,
-        );
-        (self.candidates.as_slice(), side_admitted, layers.len())
+        self.step(index, None, None, window, universe, matching)
     }
 
-    /// Publishes the prepared tree into `index` as tree `id`, by the δ
-    /// rule at the index's threshold: its δ subgraphs under `scheme`, or,
-    /// below `δ = 2τ + 1` nodes, the tree onto the index's side list.
-    /// Returns how many subgraphs went into the index.
-    pub(crate) fn publish(
+    /// [`Prober::probe`] of a tree prepared elsewhere (its LC-RS form and
+    /// general-postorder numbers) against part `part < index.parts()`
+    /// alone; returns the candidates.
+    pub fn probe_part<I: ProbeIndex>(
+        &mut self,
+        index: &I,
+        part: usize,
+        tree: (&BinaryTree, &[u32]),
+        window: (u32, u32),
+        universe: usize,
+        matching: MatchSemantics,
+    ) -> &[TreeIdx] {
+        let step = self.step(index, Some(part), Some(tree), window, universe, matching);
+        step.0
+    }
+
+    fn step<I: ProbeIndex>(
+        &mut self,
+        index: &I,
+        only: Option<usize>,
+        tree: Option<(&BinaryTree, &[u32])>,
+        window: (u32, u32),
+        universe: usize,
+        matching: MatchSemantics,
+    ) -> (&[TreeIdx], u64, usize) {
+        let (binary, posts) = tree.unwrap_or_else(|| self.tree.prepared());
+        let tree = (binary, posts, binary.len() as u32);
+        self.candidates.begin(universe);
+        self.caches.resize_with(index.parts(), MatchCache::new);
+        let sink = &mut self.candidates.sink();
+        let (caches, work) = (&mut self.caches, &mut self.counters);
+        let runs = (&mut self.parts, &mut self.layers);
+        let side = probe_parts(
+            index, only, tree, window, matching, caches, runs, work, sink,
+        );
+        let layers = self.layers.len() - self.parts.len();
+        (self.candidates.as_slice(), side, layers)
+    }
+
+    /// The δ rule for the prepared tree at threshold `tau`: its δ
+    /// subgraphs under `scheme`, cut as tree `id` into the prober's
+    /// buffers, or `None` below `δ = 2τ + 1` nodes (a side-listed tree).
+    pub fn partition(
+        &mut self,
+        tau: u32,
+        scheme: PartitionScheme,
+        id: TreeIdx,
+    ) -> Option<&Partition> {
+        let (binary, posts) = self.tree.prepared();
+        partition_tree_with(binary, posts, tau, scheme, id, &mut self.partition)
+    }
+
+    /// Publishes the prepared tree into `index` as tree `id` by the δ rule
+    /// at the index's threshold: its δ subgraphs, or the tree onto the
+    /// index's side list. Returns how many subgraphs went into the index.
+    pub fn publish(
         &mut self,
         index: &mut SubgraphIndex,
         id: TreeIdx,
         scheme: PartitionScheme,
     ) -> usize {
-        let (binary, posts) = self.tree.prepared();
-        let size = binary.len() as u32;
-        let tau = index.tau();
-        let Some(subgraphs) =
-            partition_tree_with(binary, posts, tau, scheme, id, &mut self.partition)
-        else {
+        let size = self.tree.prepared().0.len() as u32;
+        let Some(subgraphs) = self.partition(index.tau(), scheme, id) else {
             index.list_small(size, id);
             return 0;
         };
@@ -457,8 +597,8 @@ impl Prober {
         subgraphs.len()
     }
 
-    /// The probe work of every [`Prober::probe`] so far.
-    pub(crate) fn counters(&self) -> ProbeCounters {
+    /// The probe work of every probe so far.
+    pub fn counters(&self) -> ProbeCounters {
         self.counters
     }
 }

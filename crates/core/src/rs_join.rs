@@ -8,10 +8,15 @@
 //! directions, since left trees may be larger or smaller). Lemma 2 applies
 //! with `T1` the indexed left tree: if `TED(r, s) ≤ τ`, some subgraph of
 //! `r` appears in `s`, so probing `s`'s nodes finds the pair.
+//!
+//! That probe phase is [`probe_right`], generic over the index a
+//! [`Prober`] walks: [`partsj_join_rs`] runs it over one
+//! [`SubgraphIndex`], and `tsj-shard`'s frozen side runs it over its
+//! sharded index on the inline path of every R×S join it serves.
 
-use crate::config::PartSjConfig;
+use crate::config::{MatchSemantics, PartSjConfig};
 use crate::index::SubgraphIndex;
-use crate::probe::{window_of, Prober};
+use crate::probe::{window_of, ProbeIndex, Prober};
 use crate::verify::{ProbeVerify, VerifyData, VerifyEngine};
 use std::time::Instant;
 use tsj_ted::{JoinOutcome, JoinStats, TreeIdx};
@@ -25,43 +30,65 @@ pub fn partsj_join_rs(
     tau: u32,
     config: &PartSjConfig,
 ) -> JoinOutcome {
-    let mut stats = JoinStats::default();
-
     // Build phase: publish every left tree.
     let build_start = Instant::now();
     let mut index = SubgraphIndex::new(tau, config.window);
-    let mut prober = Prober::default();
+    let mut prober = Prober::new();
     for (i, tree) in (0..).zip(left) {
         prober.prepare(tree);
         prober.publish(&mut index, i, config.partitioning);
     }
     let left_data: Vec<VerifyData> = VerifyData::batch(left);
-    stats.candidate_time += build_start.elapsed();
+    let build_time = build_start.elapsed();
 
-    // Probe phase: each right tree searches the whole size window of the
-    // left side.
-    let mut verify = VerifyEngine::new(tau, config);
-    let mut pairs: Vec<(TreeIdx, TreeIdx)> = Vec::new();
-    let mut probe_verify = ProbeVerify::new();
+    let (verify, mut pairs) = (&mut VerifyEngine::new(tau, config), Vec::new());
+    let (data, matching) = (|i: TreeIdx| &left_data[i as usize], config.matching);
+    let scratch = (&mut prober, &mut ProbeVerify::new());
+    let (index, universe) = (&index, left.len());
+    let mut stats = probe_right(
+        index, universe, data, right, matching, verify, scratch, &mut pairs,
+    );
+    stats.candidate_time += build_time;
+    JoinOutcome::new_bipartite(pairs, stats)
+}
+
+/// The probe phase of an R×S join, written once: each right tree
+/// `right[j]` probes the window `[|s| − τ, |s| + τ]` of `index` at the
+/// engine's threshold (container ids in `0..universe`), and each
+/// candidate `i` is verified against `left(i)`; pairs `(i, j)` within `τ`
+/// are appended to `pairs`. Returns the candidate counts, phase times
+/// and the engine's counters (`results` is the caller's to set).
+#[allow(clippy::too_many_arguments)]
+pub fn probe_right<'d, I: ProbeIndex>(
+    index: &I,
+    universe: usize,
+    left: impl Fn(TreeIdx) -> &'d VerifyData,
+    right: &[Tree],
+    matching: MatchSemantics,
+    engine: &mut VerifyEngine,
+    (prober, prep): (&mut Prober, &mut ProbeVerify),
+    pairs: &mut Vec<(TreeIdx, TreeIdx)>,
+) -> JoinStats {
+    let mut stats = JoinStats::default();
     for (j, tree) in (0..).zip(right) {
         let probe_start = Instant::now();
-        let window = window_of(prober.prepare(tree), tau);
-        let (found, _, _) = prober.probe(&index, window, left.len(), config.matching);
+        let window = window_of(prober.prepare(tree), engine.tau());
+        let (found, _, _) = prober.probe(index, window, universe, matching);
         stats.candidates += found.len() as u64;
         stats.candidate_time += probe_start.elapsed();
 
         let verify_start = Instant::now();
-        let data_j = probe_verify.prepare(tree);
+        let data_j = prep.prepare(tree);
         for &i in found {
-            if verify.check(&left_data[i as usize], data_j).is_some() {
+            if engine.check(left(i), data_j).is_some() {
                 pairs.push((i, j));
             }
         }
         stats.verify_time += verify_start.elapsed();
     }
     stats.pairs_examined = stats.candidates;
-    verify.fold_into(&mut stats);
-    JoinOutcome::new_bipartite(pairs, stats)
+    engine.fold_into(&mut stats);
+    stats
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! The **frozen side**: one owned left collection, indexed once and
-//! probed by any number of right trees — and the sharded probe step
-//! every join in this crate runs.
+//! probed by any number of right trees.
 //!
 //! [`Frozen`] owns the two things an indexed-left join needs: the
 //! [`ShardedIndex`] over the left trees — their subgraphs, and in each
@@ -10,9 +9,11 @@
 //! shards or an owned subset, one tree at a time (`tsj-catalog`'s
 //! `SnapshotReader::restore` is its one caller) — and the remaining work
 //! of an R×S join is independent of which: right trees probe the shards
-//! (inline, or pooled — the crate's one executor decides), candidates
-//! are verified through one [`VerifyEngine`] filter chain per verifier,
-//! and the outcome is a bipartite [`JoinOutcome`].
+//! through a [`Prober`], `partsj`'s one probe step, whose sharded case
+//! this side's [`ShardedIndex`] is (inline — `partsj`'s R×S loop,
+//! [`probe_right`] — or pooled; the crate's one executor decides),
+//! candidates are verified through one [`VerifyEngine`] filter chain
+//! per verifier, and the outcome is a bipartite [`JoinOutcome`].
 //! [`crate::sharded_rs_join`] is a frozen side built and joined on the
 //! spot, `tsj-catalog`'s `Catalog` is one kept with its trees and labels,
 //! and a `tsj-cluster` node is one whose unowned shards are empty,
@@ -35,12 +36,10 @@
 //! serve per-query thresholds from one snapshot.
 
 use crate::index::{ShardConfig, ShardMap, ShardedIndex};
-use crate::pool::{execute, run_inline};
-use partsj::probe::{window_of, Candidates, ProbeCounters};
-use partsj::subgraph::{partition_tree_with, Partition, PartitionScratch};
+use crate::pool::execute;
 use partsj::{
-    is_side_listed, LayerId, MatchCache, MatchSemantics, PartSjConfig, ProbeScratch, ProbeVerify,
-    SubgraphIndex, VerifyData, VerifyEngine, VerifyPrep, WindowPolicy,
+    is_side_listed, probe_right, window_of, MatchSemantics, PartSjConfig, Partition, ProbeVerify,
+    Prober, SubgraphIndex, VerifyData, VerifyEngine, VerifyPrep, WindowPolicy,
 };
 use std::mem::size_of;
 use std::time::Instant;
@@ -158,22 +157,17 @@ impl FrozenRestore {
     }
 }
 
-/// Reusable scratch for probing a [`ShardedIndex`]: the candidate
-/// collection with its O(left) dedup stamps, the per-shard match caches,
-/// the probe-tree preparation buffers and the probe tree's verification
-/// inputs. A serving loop holding one of these (plus a [`VerifyEngine`])
-/// across repeated joins ([`Frozen::join_seq`]), point queries
+/// Reusable scratch for probing a [`Frozen`] side: a [`Prober`] plus the
+/// probe tree's verification inputs. A serving loop holding one (and a
+/// [`VerifyEngine`]) across joins ([`Frozen::join_seq`]), point queries
 /// ([`Frozen::query_into`]) or shard requests ([`Frozen::serve_shard`];
-/// `tsj-catalog` and `tsj-cluster` call the same type `QueryScratch` and
-/// `NodeScratch`) allocates nothing proportional to the frozen side or
-/// the probe trees in steady state — only the results the caller keeps.
-/// One scratch may move freely between frozen sides of different size
-/// and shard count.
+/// `tsj-catalog` and `tsj-cluster` call it `QueryScratch` and
+/// `NodeScratch`) allocates nothing in steady state but the results it
+/// keeps, and may move between frozen sides of any size and shard count.
 #[derive(Debug, Default)]
 pub struct FrozenJoinScratch {
-    pub(crate) step: StepScratch,
-    pub(crate) probe: ProbeScratch,
-    pub(crate) probe_verify: ProbeVerify,
+    prober: Prober,
+    probe_verify: ProbeVerify,
 }
 
 impl FrozenJoinScratch {
@@ -183,55 +177,30 @@ impl FrozenJoinScratch {
     }
 }
 
-/// The part of the scratch [`probe_step`] itself writes — apart from the
-/// probe-tree buffers, so a tree prepared in those can be probed.
-#[derive(Debug, Default)]
-pub(crate) struct StepScratch {
-    candidates: Candidates,
-    caches: Vec<MatchCache>,
-    shard_scratch: Vec<usize>,
-    layer_scratch: Vec<LayerId>,
+/// Sharded R×S similarity join, bit-identical to [`partsj::partsj_join_rs`]:
+/// a frozen side built from `left` ([`Frozen::build`]) and joined with
+/// `right` on the spot. The build counts as candidate generation.
+pub fn sharded_rs_join(
+    left: &[Tree],
+    right: &[Tree],
+    tau: u32,
+    config: &PartSjConfig,
+    shard_cfg: &ShardConfig,
+) -> JoinOutcome {
+    let build_start = Instant::now();
+    let frozen = Frozen::build(left, tau, config, shard_cfg);
+    let build_time = build_start.elapsed();
+    let probe_threads = shard_cfg.resolved_probe_threads();
+    let verify_threads = shard_cfg.resolved_verify_threads();
+    let mut outcome = frozen.join(right, tau, config, probe_threads, verify_threads);
+    outcome.stats.candidate_time += build_time;
+    outcome
 }
 
-impl StepScratch {
-    /// The last probe's candidates, in discovery order.
-    pub(crate) fn found(&self) -> &[TreeIdx] {
-        self.candidates.as_slice()
-    }
-}
-
-/// Algorithm 1's probe step against a sharded index, sequenced once for
-/// every join of the crate: a fresh dedup generation over container
-/// trees `0..universe` (one match cache per shard — component ids are
-/// per-shard), then the side-listed trees and the postings of the size
-/// window `[lo, hi]` from every shard covering it, or, for `Some(shard)`,
-/// from `shard` alone (dead container trees never surface; liveness is
-/// the index's own). Candidates are left in `scratch`.
-pub(crate) fn probe_step(
-    index: &ShardedIndex,
-    universe: usize,
-    (binary, posts): (&BinaryTree, &[u32]),
-    window: (u32, u32),
-    shard: Option<usize>,
-    matching: MatchSemantics,
-    scratch: &mut StepScratch,
-) {
-    scratch.candidates.begin(universe);
-    scratch
-        .caches
-        .resize_with(index.shard_count(), MatchCache::new);
-    let tree = (binary, posts, binary.len() as u32);
-    let runs = (&mut scratch.shard_scratch, &mut scratch.layer_scratch);
-    let (caches, work) = (&mut scratch.caches, &mut ProbeCounters::default());
-    let sink = &mut scratch.candidates.sink();
-    index.probe_window(shard, tree, window, matching, caches, runs, work, sink);
-}
-
-/// Applies the δ rule ([`partition_tree_with`]) to every tree — its
-/// partition (an exact-size copy out of the worker's scratch), or `None`
+/// Applies the δ rule ([`Prober::partition`]) to every tree — its
+/// partition (an exact-size copy out of the worker's prober), or `None`
 /// for side-listed small trees — fanning the per-tree work out over
-/// `threads` scoped workers, each preparing its trees' LC-RS forms
-/// through one reused [`ProbeScratch`].
+/// `threads` scoped workers, each through one reused [`Prober`].
 pub fn build_subgraph_lists(
     trees: &[Tree],
     tau: u32,
@@ -239,13 +208,13 @@ pub fn build_subgraph_lists(
     threads: usize,
 ) -> Vec<Option<Partition>> {
     let scheme = config.partitioning;
-    let build_one = |i: usize, (probe, partition): &mut (ProbeScratch, PartitionScratch)| {
-        let (binary, posts) = probe.prepare(&trees[i]);
-        partition_tree_with(binary, posts, tau, scheme, i as TreeIdx, partition).cloned()
+    let build_one = |i: usize, prober: &mut Prober| {
+        prober.prepare(&trees[i]);
+        prober.partition(tau, scheme, i as TreeIdx).cloned()
     };
     if threads <= 1 || trees.len() < 2 * threads {
-        let scratch = &mut Default::default();
-        return (0..trees.len()).map(|i| build_one(i, scratch)).collect();
+        let prober = &mut Prober::new();
+        return (0..trees.len()).map(|i| build_one(i, prober)).collect();
     }
     let mut lists: Vec<Option<Partition>> = vec![None; trees.len()];
     let chunk = trees.len().div_ceil(threads);
@@ -253,9 +222,9 @@ pub fn build_subgraph_lists(
         for (c, slot) in lists.chunks_mut(chunk).enumerate() {
             let base = c * chunk;
             scope.spawn(move |_| {
-                let scratch = &mut Default::default();
+                let prober = &mut Prober::new();
                 for (off, out) in slot.iter_mut().enumerate() {
-                    *out = build_one(base + off, scratch);
+                    *out = build_one(base + off, prober);
                 }
             });
         }
@@ -374,23 +343,16 @@ impl Frozen {
     }
 
     /// The probe step for a raw `tree` at `tau`: its size window, every
-    /// shard covering it.
-    pub(crate) fn probe(
+    /// shard covering it. Returns the candidates.
+    pub(crate) fn probe<'p>(
         &self,
         tree: &Tree,
         tau: u32,
         matching: MatchSemantics,
-        scratch: &mut FrozenJoinScratch,
-    ) {
-        probe_step(
-            &self.index,
-            self.slots.len(),
-            scratch.probe.prepare(tree),
-            window_of(tree.len() as u32, tau),
-            None,
-            matching,
-            &mut scratch.step,
-        );
+        prober: &'p mut Prober,
+    ) -> &'p [TreeIdx] {
+        let (window, universe) = (window_of(prober.prepare(tree), tau), self.slots.len());
+        prober.probe(&self.index, window, universe, matching).0
     }
 
     /// R×S join of `right` against the frozen side: all `(i, j)` with
@@ -436,7 +398,12 @@ impl Frozen {
         verify.set_tau(tau);
         verify.reset_counters();
         pairs.clear();
-        let mut stats = run_inline(self, right, tau, config, verify, scratch, pairs);
+        let scratch = (&mut scratch.prober, &mut scratch.probe_verify);
+        let (index, universe, data) = (&self.index, self.slots.len(), |i| self.data(i));
+        let matching = config.matching;
+        let mut stats = probe_right(
+            index, universe, data, right, matching, verify, scratch, pairs,
+        );
         // Same normalization as `JoinOutcome::new_bipartite`, so callers
         // holding the raw vector see identical results.
         pairs.sort_unstable();
@@ -460,10 +427,10 @@ impl Frozen {
         out: &mut Vec<(TreeIdx, u32)>,
     ) {
         out.clear();
-        self.probe(probe, engine.tau(), matching, scratch);
+        let found = self.probe(probe, engine.tau(), matching, &mut scratch.prober);
         let data_q = scratch.probe_verify.prepare(probe);
-        let found = scratch.step.found().iter();
-        out.extend(found.filter_map(|&i| engine.check_exact(self.data(i), data_q).map(|d| (i, d))));
+        let hit = |&i: &TreeIdx| engine.check_exact(self.data(i), data_q).map(|d| (i, d));
+        out.extend(found.iter().filter_map(hit));
         out.sort_unstable();
     }
 
@@ -489,16 +456,9 @@ impl Frozen {
         engine.reset_counters();
         let mut stats = JoinStats::default();
         let probe_start = Instant::now();
-        probe_step(
-            &self.index,
-            self.slots.len(),
-            (binary, posts),
-            window_of(binary.len() as u32, engine.tau()),
-            Some(shard),
-            matching,
-            &mut scratch.step,
-        );
-        let found = scratch.step.found();
+        let window = window_of(binary.len() as u32, engine.tau());
+        let (index, universe, prober) = (&self.index, self.slots.len(), &mut scratch.prober);
+        let found = prober.probe_part(index, shard, (binary, posts), window, universe, matching);
         stats.candidates = found.len() as u64;
         stats.pairs_examined = stats.candidates;
         stats.candidate_time = probe_start.elapsed();

@@ -11,6 +11,11 @@
 //! [`ShardMap::balanced`] assignment from the observed size histogram
 //! instead (see [`ShardConfig::balanced_shards`]).
 //!
+//! A probe of the index is `partsj`'s one probe step: `ShardedIndex` is
+//! the many-part [`ProbeIndex`] a [`partsj::Prober`] walks (one
+//! `SubgraphIndex` is the one-part case), its shards the parts, its
+//! liveness flags the gate.
+//!
 //! ## Dynamics
 //!
 //! * Each shard's index also holds the side-listed trees (below
@@ -19,8 +24,8 @@
 //!   takes the δ rule's outcome either way, and a probe admits a shard's
 //!   side-listed trees of its window before the node walk.
 //! * [`ShardedIndex::remove_tree`] clears the tree's **liveness flag** —
-//!   probe sinks filter dead container trees in O(1) per surfaced handle
-//!   — and unlists a side-listed tree at once, or tombstones the tree's
+//!   the probe's gate filters dead container trees in O(1) per surfaced
+//!   handle — and unlists a side-listed tree at once, or tombstones the tree's
 //!   postings in its shard: one registration count per stored tree is
 //!   all a shard keeps beside its index.
 //! * Each shard tracks its live/dead posting counts. Once the dead
@@ -31,9 +36,9 @@
 //!   index in place. Amortized, a surviving posting is walked at most
 //!   `1/max_dead_fraction` times per eviction epoch.
 
-use partsj::probe::{for_each_probe_node, CandidateSink, ProbeCounters};
 use partsj::{
-    classes_within, is_side_listed, LayerId, MatchCache, Partition, SubgraphIndex, WindowPolicy,
+    is_side_listed, probe_parts, CandidateSink, LayerId, MatchCache, Partition, ProbeCounters,
+    ProbeIndex, SubgraphIndex, WindowPolicy,
 };
 use std::borrow::Borrow;
 use tsj_obs::{Counter, Gauge};
@@ -660,13 +665,6 @@ impl ShardedIndex {
         self.alive.get(tree as usize).copied().unwrap_or(false)
     }
 
-    /// The liveness flags, indexed by tree id — probe sinks capture this
-    /// slice instead of borrowing the whole index.
-    #[inline]
-    pub fn alive_bitmap(&self) -> &[bool] {
-        &self.alive
-    }
-
     /// Size of a tracked tree (`None` if never tracked).
     pub fn size_of(&self, tree: TreeIdx) -> Option<u32> {
         match self.sizes.get(tree as usize) {
@@ -681,7 +679,8 @@ impl ShardedIndex {
     }
 
     /// The private index of shard `s`, side list included (a snapshot
-    /// dumps it; probe it through [`ShardedIndex::probe_shard`]).
+    /// dumps it; a [`partsj::Prober`] probes it alone through
+    /// [`partsj::Prober::probe_part`]).
     #[inline]
     pub fn shard_index(&self, s: usize) -> &SubgraphIndex {
         &self.shards[s].index
@@ -723,22 +722,9 @@ impl ShardedIndex {
     }
 
     /// Probes `binary` against every shard covering size window
-    /// `[lo, hi]`, shard by shard in [`ShardedIndex::shard_set`] order:
-    /// each shard's side-listed trees of the window first, then one walk
-    /// of the tree for all of them — each node computes its twig and
-    /// position keys once ([`for_each_probe_node`]) and probes the
-    /// populated layers of every shard in turn. Each window class is
-    /// resolved once per probe, in the one shard that owns it.
-    /// Candidates and counters equal the union of
-    /// [`ShardedIndex::probe_shard`] over the shard set (a tree lives in
-    /// one shard, and in one layer or on its side list); only the
-    /// discovery order interleaves across shards. Dead container trees
-    /// never reach `sink`.
-    ///
-    /// `caches` must hold one [`MatchCache`] per shard (component ids are
-    /// per-shard). `shard_scratch` is left holding the window's shard
-    /// set; `layer_scratch` holds, shard by shard in that order, a count
-    /// followed by that many of the shard's layer ids.
+    /// `[lo, hi]`: [`partsj::probe_parts`] over the shards, with the
+    /// caller's sink and scratch — one [`MatchCache`] per shard in
+    /// `caches`; `shard_scratch` is left holding the window's shard set.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tree<S: CandidateSink>(
         &self,
@@ -754,124 +740,35 @@ impl ShardedIndex {
         work: &mut ProbeCounters,
         sink: &mut S,
     ) {
-        let (tree, runs) = ((binary, posts, probe_size), (shard_scratch, layer_scratch));
-        self.probe_window(None, tree, (lo, hi), matching, caches, runs, work, sink);
-    }
-
-    /// [`ShardedIndex::probe_tree`] against shard `s` alone (`s` must be
-    /// below [`ShardedIndex::shard_count`]): the shard's side-listed trees
-    /// and populated layers of size window `[lo, hi]` — it only holds
-    /// size classes it owns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_shard<S: CandidateSink>(
-        &self,
-        s: usize,
-        binary: &BinaryTree,
-        posts: &[u32],
-        probe_size: u32,
-        lo: u32,
-        hi: u32,
-        matching: partsj::MatchSemantics,
-        caches: &mut [MatchCache],
-        shard_scratch: &mut Vec<usize>,
-        layer_scratch: &mut Vec<LayerId>,
-        work: &mut ProbeCounters,
-        sink: &mut S,
-    ) {
-        let (tree, runs) = ((binary, posts, probe_size), (shard_scratch, layer_scratch));
-        self.probe_window(Some(s), tree, (lo, hi), matching, caches, runs, work, sink);
-    }
-
-    /// The one probe body: [`ShardedIndex::probe_tree`] over the window's
-    /// shard set, or over shard `only`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_window<S: CandidateSink>(
-        &self,
-        only: Option<usize>,
-        (binary, posts, probe_size): (&BinaryTree, &[u32], u32),
-        (lo, hi): (u32, u32),
-        matching: partsj::MatchSemantics,
-        caches: &mut [MatchCache],
-        (shards, runs): (&mut Vec<usize>, &mut Vec<LayerId>),
-        counters: &mut ProbeCounters,
-        sink: &mut S,
-    ) {
-        match only {
-            Some(s) => {
-                shards.clear();
-                shards.push(s);
-            }
-            None => self.shard_set(lo, hi, shards),
-        }
-        let mut live_sink = self.live(sink);
-        runs.clear();
-        for &s in shards.iter() {
-            let index = &self.shards[s].index;
-            index.side_list().scan(lo, hi, &mut live_sink);
-            let at = runs.len();
-            runs.push(0);
-            let classes = classes_within(index.size_classes(), lo, hi);
-            let owned = classes.filter(|&n| self.shard_of_size(n) == s);
-            runs.extend(owned.filter_map(|n| index.layer_id(n)));
-            runs[at] = (runs.len() - at - 1) as LayerId;
-        }
-        if runs.len() == shards.len() {
-            return; // every run is empty
-        }
-        let (shards, runs) = (shards.as_slice(), runs.as_slice());
-        for_each_probe_node(binary, posts, probe_size, self.window, |node| {
-            let mut rest = runs;
-            for &s in shards {
-                let (&len, tail) = rest.split_first().expect("one run per shard");
-                let (layers, tail) = tail.split_at(len as usize);
-                rest = tail;
-                if !layers.is_empty() {
-                    let index = &self.shards[s].index;
-                    node.probe(
-                        index,
-                        layers,
-                        matching,
-                        &mut caches[s],
-                        counters,
-                        &mut live_sink,
-                    );
-                }
-            }
-        });
-    }
-
-    /// `sink` behind the liveness rule: dead container trees never reach
-    /// it.
-    fn live<'a, S>(&'a self, sink: &'a mut S) -> Live<'a, S> {
-        Live {
-            alive: &self.alive,
-            inner: sink,
-        }
+        let (tree, window) = ((binary, posts, probe_size), (lo, hi));
+        let runs = (shard_scratch, layer_scratch);
+        probe_parts(self, None, tree, window, matching, caches, runs, work, sink);
     }
 }
 
-/// Sink adapter: the liveness rule in front of another sink.
-struct Live<'a, S> {
-    alive: &'a [bool],
-    inner: &'a mut S,
-}
-
-impl<S: CandidateSink> CandidateSink for Live<'_, S> {
-    #[inline]
-    fn admit(&mut self, tree: TreeIdx) -> bool {
-        self.alive.get(tree as usize).copied().unwrap_or(false) && self.inner.admit(tree)
+/// A probe walks the shards of its window, each owning the size classes
+/// the map routes to it, behind the liveness flags.
+impl ProbeIndex for ShardedIndex {
+    fn parts(&self) -> usize {
+        self.shards.len()
     }
-
     #[inline]
-    fn accept(&mut self, tree: TreeIdx) {
-        self.inner.accept(tree);
+    fn part(&self, s: usize) -> &SubgraphIndex {
+        &self.shards[s].index
+    }
+    fn parts_within(&self, lo: u32, hi: u32, out: &mut Vec<usize>) {
+        self.shard_set(lo, hi, out);
+    }
+    #[inline]
+    fn is_live(&self, tree: TreeIdx) -> bool {
+        self.is_alive(tree)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partsj::{partition_tree, window_of, Candidates, PartSjConfig};
+    use partsj::{partition_tree, window_of, PartSjConfig, Prober};
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
     fn subgraphs_for(tree: &Tree, tau: u32, id: TreeIdx) -> (u32, Partition) {
@@ -882,31 +779,10 @@ mod tests {
     }
 
     fn probe_live(index: &ShardedIndex, tree: &Tree, tau: u32, tracked: usize) -> Vec<TreeIdx> {
-        let binary = BinaryTree::from_tree(tree);
-        let posts = tree.postorder_numbers();
-        let size = tree.len() as u32;
-        let mut caches: Vec<MatchCache> = (0..index.shard_count())
-            .map(|_| MatchCache::new())
-            .collect();
-        let mut candidates = Candidates::new();
-        candidates.begin(tracked);
-        let (lo, hi) = window_of(size, tau);
-        let (mut shards, mut layers) = (Vec::new(), Vec::new());
-        let mut counters = ProbeCounters::default();
-        index.probe_tree(
-            &binary,
-            &posts,
-            size,
-            lo,
-            hi,
-            partsj::MatchSemantics::Exact,
-            &mut caches,
-            &mut shards,
-            &mut layers,
-            &mut counters,
-            &mut candidates.sink(),
-        );
-        let mut found = candidates.as_slice().to_vec();
+        let mut prober = Prober::new();
+        let window = window_of(prober.prepare(tree), tau);
+        let exact = partsj::MatchSemantics::Exact;
+        let mut found = prober.probe(index, window, tracked, exact).0.to_vec();
         found.sort_unstable();
         found
     }

@@ -19,6 +19,9 @@
 //!   bounded-channel verifier pool — the workspace's one pooled
 //!   executor; `partsj` itself is thread-free. Results are bit-identical
 //!   to [`partsj::partsj_join_rs`].
+//!
+//! Every probe here is `partsj`'s one probe step: a [`partsj::Prober`]
+//! walks a [`ShardedIndex`], the many-part [`partsj::ProbeIndex`].
 //! * **Deletion and eviction.** Streaming workloads insert *and expire*.
 //!   [`ShardedIndex`] supports [`ShardedIndex::remove_tree`]: removed
 //!   trees are tombstoned (probes filter them through per-tree liveness
@@ -60,10 +63,10 @@
 pub mod frozen;
 pub mod index;
 mod pool;
-pub mod rs_join;
 pub mod streaming;
 
-pub use frozen::{build_subgraph_lists, Frozen, FrozenBytes, FrozenJoinScratch, FrozenRestore};
+pub use frozen::{
+    build_subgraph_lists, sharded_rs_join, Frozen, FrozenBytes, FrozenJoinScratch, FrozenRestore,
+};
 pub use index::{ShardConfig, ShardMap, ShardedIndex};
-pub use rs_join::sharded_rs_join;
 pub use streaming::{EvictionPolicy, ShardedStreamingJoin, StaleTimestamp};

@@ -1,21 +1,18 @@
 //! The one probe → verify executor: right trees joined against a
-//! [`Frozen`] side.
-//!
-//! Probe number `pos` is `right[pos]`: Algorithm 1's probe step against
-//! the frozen shards, then its candidates verified against the left
-//! trees' inputs. The work runs inline on the caller's thread
-//! ([`run_inline`]), or pooled ([`execute`]) — probe workers claim probes
+//! [`Frozen`] side, each probed through a [`Prober`] and its candidates
+//! verified against the left trees' inputs. Below the pool's thresholds
+//! this is [`Frozen::join_seq`] (`partsj`'s R×S loop). Otherwise
+//! ([`execute`]) probe workers, each holding a `Prober`, claim probes
 //! off a shared cursor and stream `(probe, candidate)` batches of
 //! [`PartSjConfig::verify_batch`] over one bounded channel to verifier
-//! workers, each owning a private [`VerifyEngine`]. Batching amortizes
-//! channel synchronization; the bound applies backpressure so fast
-//! probers cannot queue unbounded memory ahead of slow verifiers.
+//! workers, each owning a private [`VerifyEngine`]; the bound keeps fast
+//! probers from queueing unbounded memory ahead of slow verifiers.
 //! Results, candidate counts and stage counters are identical either
 //! way and for every thread count.
 
 use crate::frozen::{Frozen, FrozenJoinScratch};
 use crossbeam::channel;
-use partsj::{PartSjConfig, ProbeVerify, VerifyEngine};
+use partsj::{PartSjConfig, ProbeVerify, Prober, VerifyEngine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use tsj_ted::{JoinStats, TreeIdx};
@@ -25,57 +22,6 @@ use tsj_tree::Tree;
 /// per-tree probe cost across probers, large enough to amortize the
 /// atomic.
 const CLAIM_CHUNK: usize = 4;
-
-/// Verifies `candidates` of right tree number `pos`, `probe`, pushing
-/// the `(left, pos)` pairs within the engine's threshold. `prep` is the
-/// worker's buffer for the probe's verification inputs.
-fn verify(
-    left: &Frozen,
-    (pos, probe): (usize, &Tree),
-    candidates: impl Iterator<Item = TreeIdx>,
-    engine: &mut VerifyEngine,
-    prep: &mut ProbeVerify,
-    pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-) {
-    let data = prep.prepare(probe);
-    for i in candidates {
-        if engine.check(left.data(i), data).is_some() {
-            pairs.push((i, pos as TreeIdx));
-        }
-    }
-}
-
-/// Joins `right` against `left` on the calling thread with caller-owned
-/// state, appending to `pairs`; returns the candidate counts, phase
-/// times and the engine's folded counters (`results` is left to the
-/// caller, who normalizes the pairs). Allocates nothing once `scratch`
-/// has grown to its working size.
-pub(crate) fn run_inline(
-    left: &Frozen,
-    right: &[Tree],
-    tau: u32,
-    config: &PartSjConfig,
-    engine: &mut VerifyEngine,
-    scratch: &mut FrozenJoinScratch,
-    pairs: &mut Vec<(TreeIdx, TreeIdx)>,
-) -> JoinStats {
-    let mut stats = JoinStats::default();
-    for (pos, probe) in right.iter().enumerate() {
-        let probe_start = Instant::now();
-        left.probe(probe, tau, config.matching, scratch);
-        stats.candidates += scratch.step.found().len() as u64;
-        stats.candidate_time += probe_start.elapsed();
-
-        let verify_start = Instant::now();
-        let found = scratch.step.found().iter().copied();
-        let prep = &mut scratch.probe_verify;
-        verify(left, (pos, probe), found, engine, prep, pairs);
-        stats.verify_time += verify_start.elapsed();
-    }
-    stats.pairs_examined = stats.candidates;
-    engine.fold_into(&mut stats);
-    stats
-}
 
 /// Joins `right` against `left` with `probe_threads` probers and
 /// `verify_threads` verifiers (both resolved, ≥ 1). The pool is taken
@@ -93,7 +39,7 @@ pub(crate) fn execute(
     if probe_threads.max(verify_threads) <= 1 || right.len() < config.parallel_fallback {
         let mut engine = VerifyEngine::new(tau, config);
         let scratch = &mut FrozenJoinScratch::new();
-        let stats = run_inline(left, right, tau, config, &mut engine, scratch, &mut pairs);
+        let stats = left.join_seq(right, tau, config, &mut engine, scratch, &mut pairs);
         return (pairs, stats);
     }
 
@@ -114,10 +60,12 @@ pub(crate) fn execute(
                     let mut found = Vec::new();
                     while let Ok(batch) = rx.recv() {
                         for run in batch.chunk_by(|a, b| a.0 == b.0) {
-                            let pos = run[0].0 as usize;
-                            let candidates = run.iter().map(|&(_, c)| c);
-                            let probe = (pos, &right[pos]);
-                            verify(left, probe, candidates, &mut engine, &mut prep, &mut found);
+                            let data = prep.prepare(&right[run[0].0 as usize]);
+                            for &(pos, i) in run {
+                                if engine.check(left.data(i), data).is_some() {
+                                    found.push((i, pos));
+                                }
+                            }
                         }
                     }
                     (found, engine)
@@ -131,7 +79,7 @@ pub(crate) fn execute(
                 let tx = tx.clone();
                 let cursor = &cursor;
                 scope.spawn(move |_| {
-                    let mut scratch = FrozenJoinScratch::new();
+                    let mut prober = Prober::new();
                     let mut candidates = 0u64;
                     let mut batch = Vec::with_capacity(batch_size);
                     loop {
@@ -140,9 +88,9 @@ pub(crate) fn execute(
                             break;
                         }
                         for pos in claimed..(claimed + CLAIM_CHUNK).min(right.len()) {
-                            left.probe(&right[pos], tau, config.matching, &mut scratch);
-                            candidates += scratch.step.found().len() as u64;
-                            for &candidate in scratch.step.found() {
+                            let found = left.probe(&right[pos], tau, config.matching, &mut prober);
+                            candidates += found.len() as u64;
+                            for &candidate in found {
                                 batch.push((pos as TreeIdx, candidate));
                                 if batch.len() >= batch_size {
                                     let full = std::mem::replace(

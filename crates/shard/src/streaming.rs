@@ -9,7 +9,9 @@
 //! `[|T| − τ, |T| + τ]`, reports the partners found among the live
 //! trees, and then publishes the newcomer into the shard owning its
 //! size: its subgraphs or, below `δ = 2τ + 1` nodes, a side-list entry
-//! in that shard's index.
+//! in that shard's index. One [`partsj::Prober`] takes every arrival
+//! through both steps — the probe over the window's shards and the δ
+//! rule ([`partsj::Prober::partition`]).
 //!
 //! An insert-only index grows forever, which no high-rate monitor can
 //! afford, so the join runs on the dynamic [`ShardedIndex`] and adds the
@@ -64,11 +66,8 @@
 //! assert_eq!(join.evictions(), 2);
 //! ```
 
-use crate::frozen::{probe_step, FrozenJoinScratch};
 use crate::index::{ShardConfig, ShardedIndex};
-use partsj::probe::window_of;
-use partsj::subgraph::{partition_tree_with, PartitionScratch};
-use partsj::{PartSjConfig, VerifyData, VerifyEngine, VerifyPrep};
+use partsj::{window_of, PartSjConfig, Prober, VerifyData, VerifyEngine, VerifyPrep};
 use std::collections::VecDeque;
 use tsj_ted::TreeIdx;
 use tsj_tree::Tree;
@@ -126,10 +125,10 @@ pub struct ShardedStreamingJoin {
     data: VecDeque<Option<VerifyData>>,
     /// Arrival ordinal of `data[0]`.
     first: usize,
-    /// Per-insert probe scratch, held across inserts so the steady-state
-    /// probe path allocates nothing proportional to the stream.
-    scratch: FrozenJoinScratch,
-    partition_scratch: PartitionScratch,
+    /// The one prober of every insert — its probe step and its δ rule —
+    /// held across inserts so the steady-state path allocates nothing
+    /// proportional to the stream.
+    prober: Prober,
     verify_prep: VerifyPrep,
     arrivals: VecDeque<(TreeIdx, u64)>,
     /// Next auto-assigned timestamp for [`Self::insert`].
@@ -160,8 +159,7 @@ impl ShardedStreamingJoin {
             index: ShardedIndex::new(tau, config.window, &shard_cfg),
             data: VecDeque::new(),
             first: 0,
-            scratch: FrozenJoinScratch::new(),
-            partition_scratch: PartitionScratch::new(),
+            prober: Prober::new(),
             verify_prep: VerifyPrep::default(),
             arrivals: VecDeque::new(),
             clock: 0,
@@ -245,20 +243,13 @@ impl ShardedStreamingJoin {
         self.evict_for(ts);
 
         let id = self.len() as TreeIdx;
-        let size = tree.len() as u32;
 
         // Candidates from the sharded index: each shard's side-listed
-        // trees, then its postings (dead trees filtered inside).
-        let (binary, posts) = self.scratch.probe.prepare(tree);
-        probe_step(
-            &self.index,
-            id as usize,
-            (binary, posts),
-            window_of(size, self.tau),
-            None,
-            self.config.matching,
-            &mut self.scratch.step,
-        );
+        // trees, then its postings (dead trees gated out).
+        let prober = &mut self.prober;
+        let size = prober.prepare(tree);
+        let (window, matching) = (window_of(size, self.tau), self.config.matching);
+        let (found, ..) = prober.probe(&self.index, window, id as usize, matching);
 
         // Verify against the live window. The newcomer's data is owned —
         // it outlives the insert in `self.data` — so only the build
@@ -266,25 +257,19 @@ impl ShardedStreamingJoin {
         let data = VerifyData::build(tree, &mut self.verify_prep);
         let verify = &mut self.verify;
         let (known, first) = (&self.data, self.first);
-        let mut partners: Vec<TreeIdx> = self
-            .scratch
-            .step
-            .found()
-            .iter()
-            .filter(|&&j| {
-                let other = known[j as usize - first]
-                    .as_ref()
-                    .expect("live candidate has verification data");
-                verify.check(other, &data).is_some()
-            })
-            .copied()
-            .collect();
+        let verified = |&&j: &&TreeIdx| {
+            let other = known[j as usize - first]
+                .as_ref()
+                .expect("live candidate has verification data");
+            verify.check(other, &data).is_some()
+        };
+        let mut partners: Vec<TreeIdx> = found.iter().filter(verified).copied().collect();
         partners.sort_unstable();
         self.pairs_found += partners.len() as u64;
 
         // Publish the newcomer: its subgraphs, or a side-list entry.
-        let (scheme, scratch) = (self.config.partitioning, &mut self.partition_scratch);
-        let subgraphs = partition_tree_with(binary, posts, self.tau, scheme, id, scratch);
+        let (tau, scheme) = (self.tau, self.config.partitioning);
+        let subgraphs = self.prober.partition(tau, scheme, id);
         self.index.insert(id, size, subgraphs);
         self.data.push_back(Some(data));
         self.arrivals.push_back((id, ts));

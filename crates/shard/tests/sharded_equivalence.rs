@@ -20,7 +20,7 @@
 
 use partsj::{
     partsj_join, partsj_join_rs, window_of, Candidates, MatchCache, MatchSemantics, PartSjConfig,
-    ProbeCounters, SubgraphIndex, VerifyEngine, WindowPolicy,
+    ProbeCounters, ProbeIndex, Prober, SubgraphIndex, VerifyEngine, WindowPolicy,
 };
 use tsj_datagen::{synthetic, synthetic_sized, SyntheticParams};
 use tsj_shard::{
@@ -691,32 +691,63 @@ fn built_sides_reclaim_and_restored_sides_hide() {
     }
 }
 
+/// `tree`'s candidates, in discovery order, and the probe work it adds
+/// to `prober`, probing the whole size window of `index` (`None`) or
+/// shard `Some(s)` alone — the one-shard form `Frozen::serve_shard` runs.
+fn probe_with<I: ProbeIndex>(
+    prober: &mut Prober,
+    index: &I,
+    shard: Option<usize>,
+    tree: &Tree,
+    tau: u32,
+    universe: usize,
+) -> (Vec<TreeIdx>, ProbeCounters) {
+    let before = prober.counters();
+    let window = window_of(tree.len() as u32, tau);
+    let found = match shard {
+        None => {
+            prober.prepare(tree);
+            prober
+                .probe(index, window, universe, MatchSemantics::Exact)
+                .0
+        }
+        Some(s) => {
+            let (binary, posts) = (BinaryTree::from_tree(tree), tree.postorder_numbers());
+            let tree = (&binary, posts.as_slice());
+            prober.probe_part(index, s, tree, window, universe, MatchSemantics::Exact)
+        }
+    };
+    let found = found.to_vec();
+    let after = prober.counters();
+    let work = ProbeCounters {
+        probes: after.probes - before.probes,
+        match_attempts: after.match_attempts - before.match_attempts,
+        matches: after.matches - before.matches,
+    };
+    (found, work)
+}
+
 /// `tree`'s candidates (ascending) and probe work against `index`, from
-/// one `probe_tree` walk, and from `probe_shard` over every shard of the
-/// window's shard set into one sink; the walk must leave that shard set
-/// in its scratch.
+/// one walk over the window's shards, and from the prober's one-shard
+/// form over every shard of that shard set. `ShardedIndex::probe_tree`
+/// must find what the walk finds, in the same order and with the same
+/// work, and leave the shard set in its scratch.
 fn one_walk_and_union(
     index: &ShardedIndex,
     tree: &Tree,
     tau: u32,
     universe: usize,
 ) -> [(Vec<TreeIdx>, ProbeCounters); 2] {
+    let prober = &mut Prober::new();
+    let mut one_walk = probe_with(prober, index, None, tree, tau, universe);
+
     let size = tree.len() as u32;
     let (lo, hi) = window_of(size, tau);
     let (binary, posts) = (BinaryTree::from_tree(tree), tree.postorder_numbers());
-    let found = |candidates: &Candidates, counters| {
-        let mut found = candidates.as_slice().to_vec();
-        found.sort_unstable();
-        (found, counters)
-    };
-    let fresh_caches = || {
-        (0..index.shard_count())
-            .map(|_| MatchCache::new())
-            .collect()
-    };
-    let (mut caches, mut candidates): (Vec<_>, _) = (fresh_caches(), Candidates::new());
+    let mut caches = Vec::new();
+    caches.resize_with(index.shard_count(), MatchCache::new);
     let (mut walked, mut layers) = (Vec::new(), Vec::new());
-    let mut counters = ProbeCounters::default();
+    let (mut candidates, mut counters) = (Candidates::new(), ProbeCounters::default());
     candidates.begin(universe);
     index.probe_tree(
         &binary,
@@ -731,51 +762,53 @@ fn one_walk_and_union(
         &mut counters,
         &mut candidates.sink(),
     );
-    let one_walk = found(&candidates, counters);
-
+    let walk = (candidates.as_slice(), counters);
+    assert_eq!(
+        walk,
+        (one_walk.0.as_slice(), one_walk.1),
+        "probe_tree is the walk"
+    );
     let mut shard_set = Vec::new();
     index.shard_set(lo, hi, &mut shard_set);
     assert_eq!(walked, shard_set, "the walk leaves the window's shard set");
-    let (mut caches, mut counters): (Vec<_>, _) = (fresh_caches(), ProbeCounters::default());
-    candidates.begin(universe);
-    let mut sink = candidates.sink();
-    let mut one = Vec::new();
+
+    let mut union = (Vec::new(), ProbeCounters::default());
     for &s in &shard_set {
-        index.probe_shard(
-            s,
-            &binary,
-            &posts,
-            size,
-            lo,
-            hi,
-            MatchSemantics::Exact,
-            &mut caches,
-            &mut one,
-            &mut layers,
-            &mut counters,
-            &mut sink,
-        );
-        assert_eq!(one, [s], "a shard probe's shard set is its shard");
+        let (found, work) = probe_with(prober, index, Some(s), tree, tau, universe);
+        union.0.extend(found);
+        union.1.probes += work.probes;
+        union.1.match_attempts += work.match_attempts;
+        union.1.matches += work.matches;
     }
-    [one_walk, found(&candidates, counters)]
+    one_walk.0.sort_unstable();
+    union.0.sort_unstable();
+    [one_walk, union]
 }
 
 /// One walk over a window's shards is the union of one walk per shard:
 /// for every shard count × τ × window policy, with tombstoned trees
-/// whose postings are still stored, `probe_tree` surfaces the candidate
-/// set and does the probe work (`probes`, `match_attempts`, `matches`)
-/// that `probe_shard` over the window's shard set does. Three labels
-/// make consecutive nodes surface the same component shapes, so a
-/// verdict memoized for one node and not forgotten at the next shows.
+/// whose postings are still stored, a prober's whole-window probe
+/// surfaces the candidate set and does the probe work (`probes`,
+/// `match_attempts`, `matches`) that its one-shard form over the
+/// window's shard set does. Three labels make consecutive nodes surface
+/// the same component shapes, so a verdict memoized for one node and
+/// not forgotten at the next shows. Small trees (down to 2 nodes) are
+/// side-listed at every τ. And one `SubgraphIndex` is the one-shard
+/// case of the same body: the trees published into it through a
+/// `Prober` probe exactly as the 1-shard `ShardedIndex` does — the same
+/// candidates in the same order, the same probe work.
 #[test]
 fn one_walk_probe_equals_the_union_of_shard_probes() {
     for labels in [3, 20] {
-        let params = SyntheticParams {
+        let params = |avg_size| SyntheticParams {
             labels,
-            avg_size: 24,
+            avg_size,
             ..Default::default()
         };
-        one_walk_probes_equal_shard_probes(&synthetic(90, &params, 43));
+        let mut trees = synthetic(90, &params(24), 43);
+        trees.extend(synthetic(20, &params(4), 44));
+        assert!(trees.iter().any(|tree| tree.len() == 2));
+        one_walk_probes_equal_shard_probes(&trees);
     }
 }
 
@@ -788,12 +821,22 @@ fn one_walk_probes_equal_shard_probes(trees: &[Tree]) {
         let config = PartSjConfig::with_window(window);
         for tau in [0u32, 1, 3] {
             let lists = build_subgraph_lists(trees, tau, &config, 1);
+            let (mut plain, prober) = (SubgraphIndex::new(tau, window), &mut Prober::new());
+            for (i, tree) in (0..).zip(trees) {
+                prober.prepare(tree);
+                prober.publish(&mut plain, i, config.partitioning);
+            }
             for shards in [1usize, 2, 4, 8] {
                 // The default trigger sweeps no shard of this index: every
                 // tombstoned posting stays for the liveness gate to hide.
                 let mut index = ShardedIndex::new(tau, window, &ShardConfig::with_shards(shards));
                 for (i, list) in lists.iter().enumerate() {
                     index.insert(i as TreeIdx, trees[i].len() as u32, list.as_ref());
+                }
+                for tree in trees.iter().filter(|_| shards == 1) {
+                    let one = probe_with(prober, &plain, None, tree, tau, trees.len());
+                    let sharded = probe_with(prober, &index, None, tree, tau, trees.len());
+                    assert_eq!(one, sharded, "{window:?}, tau {tau}");
                 }
                 for victim in (0..trees.len() as TreeIdx).step_by(3) {
                     assert!(index.remove_tree(victim));
@@ -808,8 +851,8 @@ fn one_walk_probes_equal_shard_probes(trees: &[Tree]) {
                     dead += walk.0.iter().filter(|&&j| !index.is_alive(j)).count();
                 }
                 assert!(
-                    surfaced > trees.len(),
-                    "{ctx}: probes find more than themselves"
+                    surfaced > index.live_trees(),
+                    "{ctx}: probes find more than the live trees themselves"
                 );
                 assert_eq!(dead, 0, "{ctx}");
             }

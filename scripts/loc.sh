@@ -18,7 +18,8 @@
 # from the tree's columns), or a second self-join in
 # tsj-shard (the self-join is `partsj_join`; the pool serves the frozen
 # R×S side only), or a `partsj` join loop that sequences the probe step
-# itself (they run on `Prober`), or a side list that is not a `SideList`
+# itself (they run on `Prober`), or probe-step state held in tsj-shard
+# (a `Prober` holds it), or a side list that is not a `SideList`
 # or one held outside a `SubgraphIndex` (an index owns its small trees)
 # — and, expected 1, how many structs in tsj-cluster and tsj-catalogd hold
 # router state (`Cluster` and `ClusterClient` share one `Router`).
@@ -83,6 +84,8 @@ path_row 'child-list columns in tsj-tree' 'child_start|kids:' crates/tree/src/tr
 path_row 'usize Zhang–Shasha arrays in tsj-ted' '(lld|keyroots): Vec<usize>' crates/ted/src/ted_tree.rs
 path_row 'Option<NodeId> columns in tsj-tree' 'Vec<Option<(NodeId|\(NodeId)' crates/tree/src/*.rs
 path_row 'self-join forms in tsj-shard' 'sharded_join|SelfJoin|JoinSide|my_rank' crates/shard/src/*.rs
+path_row 'probe-step state in tsj-shard' \
+  'Candidates|MatchCache::new|ProbeScratch|PartitionScratch|partition_tree_with\(' crates/shard/src/*.rs
 path_row 'hand-sequenced probe steps in partsj' \
   'Candidates::new|scan_small_trees\(|resolve_layers\(|probe_tree_nodes\(|partition_tree_with\(' \
   crates/core/src/{join,rs_join,topk}.rs
