@@ -206,7 +206,12 @@ pub fn for_each_probe_node(
 /// `index` ([`for_each_probe_node`], [`ProbeNode::probe`]): the node
 /// loop of [`probe_parts`] over one part, without its side list, for
 /// callers that resolve the layers themselves ([`resolve_layers`]).
-/// `cache` is reset per node, so a caller-owned one can be reused.
+///
+/// `posts` maps node ids to 1-based *general-tree* postorder numbers
+/// ([`BinaryTree::general_post`]) and `probe_size` is the probing
+/// tree's node count (both feed [`SubgraphIndex::probe_position`]).
+/// `cache` memoizes per-node match verdicts; it is reset per node here,
+/// so a caller-owned cache can be reused across trees.
 #[allow(clippy::too_many_arguments)] // one hot loop, all parts hoisted by callers
 pub fn probe_tree_nodes<S: CandidateSink>(
     index: &SubgraphIndex,
@@ -501,11 +506,6 @@ pub struct Prober {
 }
 
 impl Prober {
-    /// An empty prober; buffers are grown on first use.
-    pub fn new() -> Prober {
-        Prober::default()
-    }
-
     /// Builds `tree`'s LC-RS form for the next [`Prober::probe`],
     /// [`Prober::partition`] and [`Prober::publish`]; returns its size.
     pub fn prepare(&mut self, tree: &Tree) -> u32 {
@@ -556,11 +556,16 @@ impl Prober {
         let tree = (binary, posts, binary.len() as u32);
         self.candidates.begin(universe);
         self.caches.resize_with(index.parts(), MatchCache::new);
-        let sink = &mut self.candidates.sink();
-        let (caches, work) = (&mut self.caches, &mut self.counters);
-        let runs = (&mut self.parts, &mut self.layers);
         let side = probe_parts(
-            index, only, tree, window, matching, caches, runs, work, sink,
+            index,
+            only,
+            tree,
+            window,
+            matching,
+            &mut self.caches,
+            (&mut self.parts, &mut self.layers),
+            &mut self.counters,
+            &mut self.candidates.sink(),
         );
         let layers = self.layers.len() - self.parts.len();
         (self.candidates.as_slice(), side, layers)

@@ -33,7 +33,7 @@ pub fn partsj_join_rs(
     // Build phase: publish every left tree.
     let build_start = Instant::now();
     let mut index = SubgraphIndex::new(tau, config.window);
-    let mut prober = Prober::new();
+    let mut prober = Prober::default();
     for (i, tree) in (0..).zip(left) {
         prober.prepare(tree);
         prober.publish(&mut index, i, config.partitioning);
@@ -41,12 +41,18 @@ pub fn partsj_join_rs(
     let left_data: Vec<VerifyData> = VerifyData::batch(left);
     let build_time = build_start.elapsed();
 
-    let (verify, mut pairs) = (&mut VerifyEngine::new(tau, config), Vec::new());
-    let (data, matching) = (|i: TreeIdx| &left_data[i as usize], config.matching);
-    let scratch = (&mut prober, &mut ProbeVerify::new());
-    let (index, universe) = (&index, left.len());
+    let mut engine = VerifyEngine::new(tau, config);
+    let mut pairs = Vec::new();
     let mut stats = probe_right(
-        index, universe, data, right, matching, verify, scratch, &mut pairs,
+        &index,
+        left.len(),
+        |i| &left_data[i as usize],
+        right,
+        config.matching,
+        &mut engine,
+        &mut prober,
+        &mut ProbeVerify::new(),
+        &mut pairs,
     );
     stats.candidate_time += build_time;
     JoinOutcome::new_bipartite(pairs, stats)
@@ -66,7 +72,8 @@ pub fn probe_right<'d, I: ProbeIndex>(
     right: &[Tree],
     matching: MatchSemantics,
     engine: &mut VerifyEngine,
-    (prober, prep): (&mut Prober, &mut ProbeVerify),
+    prober: &mut Prober,
+    prep: &mut ProbeVerify,
     pairs: &mut Vec<(TreeIdx, TreeIdx)>,
 ) -> JoinStats {
     let mut stats = JoinStats::default();

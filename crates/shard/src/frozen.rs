@@ -157,13 +157,17 @@ impl FrozenRestore {
     }
 }
 
-/// Reusable scratch for probing a [`Frozen`] side: a [`Prober`] plus the
-/// probe tree's verification inputs. A serving loop holding one (and a
-/// [`VerifyEngine`]) across joins ([`Frozen::join_seq`]), point queries
-/// ([`Frozen::query_into`]) or shard requests ([`Frozen::serve_shard`];
-/// `tsj-catalog` and `tsj-cluster` call it `QueryScratch` and
-/// `NodeScratch`) allocates nothing in steady state but the results it
-/// keeps, and may move between frozen sides of any size and shard count.
+/// Reusable scratch for probing a [`Frozen`] side: a [`Prober`] (the
+/// candidate collection with its O(left) dedup stamps, the per-shard
+/// match caches and the probe-tree preparation buffers) plus the probe
+/// tree's verification inputs. A serving loop holding one of these (plus
+/// a [`VerifyEngine`]) across repeated joins ([`Frozen::join_seq`]),
+/// point queries ([`Frozen::query_into`]) or shard requests
+/// ([`Frozen::serve_shard`]; `tsj-catalog` and `tsj-cluster` call the
+/// same type `QueryScratch` and `NodeScratch`) allocates nothing
+/// proportional to the frozen side or the probe trees in steady state —
+/// only the results the caller keeps. One scratch may move freely
+/// between frozen sides of different size and shard count.
 #[derive(Debug, Default)]
 pub struct FrozenJoinScratch {
     prober: Prober,
@@ -213,7 +217,7 @@ pub fn build_subgraph_lists(
         prober.partition(tau, scheme, i as TreeIdx).cloned()
     };
     if threads <= 1 || trees.len() < 2 * threads {
-        let prober = &mut Prober::new();
+        let prober = &mut Prober::default();
         return (0..trees.len()).map(|i| build_one(i, prober)).collect();
     }
     let mut lists: Vec<Option<Partition>> = vec![None; trees.len()];
@@ -222,7 +226,7 @@ pub fn build_subgraph_lists(
         for (c, slot) in lists.chunks_mut(chunk).enumerate() {
             let base = c * chunk;
             scope.spawn(move |_| {
-                let prober = &mut Prober::new();
+                let prober = &mut Prober::default();
                 for (off, out) in slot.iter_mut().enumerate() {
                     *out = build_one(base + off, prober);
                 }
@@ -351,7 +355,8 @@ impl Frozen {
         matching: MatchSemantics,
         prober: &'p mut Prober,
     ) -> &'p [TreeIdx] {
-        let (window, universe) = (window_of(prober.prepare(tree), tau), self.slots.len());
+        let window = window_of(prober.prepare(tree), tau);
+        let universe = self.slots.len();
         prober.probe(&self.index, window, universe, matching).0
     }
 
@@ -398,11 +403,16 @@ impl Frozen {
         verify.set_tau(tau);
         verify.reset_counters();
         pairs.clear();
-        let scratch = (&mut scratch.prober, &mut scratch.probe_verify);
-        let (index, universe, data) = (&self.index, self.slots.len(), |i| self.data(i));
-        let matching = config.matching;
         let mut stats = probe_right(
-            index, universe, data, right, matching, verify, scratch, pairs,
+            &self.index,
+            self.slots.len(),
+            |i| self.data(i),
+            right,
+            config.matching,
+            verify,
+            &mut scratch.prober,
+            &mut scratch.probe_verify,
+            pairs,
         );
         // Same normalization as `JoinOutcome::new_bipartite`, so callers
         // holding the raw vector see identical results.
@@ -457,8 +467,14 @@ impl Frozen {
         let mut stats = JoinStats::default();
         let probe_start = Instant::now();
         let window = window_of(binary.len() as u32, engine.tau());
-        let (index, universe, prober) = (&self.index, self.slots.len(), &mut scratch.prober);
-        let found = prober.probe_part(index, shard, (binary, posts), window, universe, matching);
+        let found = scratch.prober.probe_part(
+            &self.index,
+            shard,
+            (binary, posts),
+            window,
+            self.slots.len(),
+            matching,
+        );
         stats.candidates = found.len() as u64;
         stats.pairs_examined = stats.candidates;
         stats.candidate_time = probe_start.elapsed();

@@ -740,9 +740,17 @@ impl ShardedIndex {
         work: &mut ProbeCounters,
         sink: &mut S,
     ) {
-        let (tree, window) = ((binary, posts, probe_size), (lo, hi));
-        let runs = (shard_scratch, layer_scratch);
-        probe_parts(self, None, tree, window, matching, caches, runs, work, sink);
+        probe_parts(
+            self,
+            None,
+            (binary, posts, probe_size),
+            (lo, hi),
+            matching,
+            caches,
+            (shard_scratch, layer_scratch),
+            work,
+            sink,
+        );
     }
 }
 
@@ -779,7 +787,7 @@ mod tests {
     }
 
     fn probe_live(index: &ShardedIndex, tree: &Tree, tau: u32, tracked: usize) -> Vec<TreeIdx> {
-        let mut prober = Prober::new();
+        let mut prober = Prober::default();
         let window = window_of(prober.prepare(tree), tau);
         let exact = partsj::MatchSemantics::Exact;
         let mut found = prober.probe(index, window, tracked, exact).0.to_vec();

@@ -5,8 +5,9 @@
 //! ([`execute`]) probe workers, each holding a `Prober`, claim probes
 //! off a shared cursor and stream `(probe, candidate)` batches of
 //! [`PartSjConfig::verify_batch`] over one bounded channel to verifier
-//! workers, each owning a private [`VerifyEngine`]; the bound keeps fast
-//! probers from queueing unbounded memory ahead of slow verifiers.
+//! workers, each owning a private [`VerifyEngine`]. Batching amortizes
+//! channel synchronization; the bound applies backpressure so fast
+//! probers cannot queue unbounded memory ahead of slow verifiers.
 //! Results, candidate counts and stage counters are identical either
 //! way and for every thread count.
 
@@ -79,7 +80,7 @@ pub(crate) fn execute(
                 let tx = tx.clone();
                 let cursor = &cursor;
                 scope.spawn(move |_| {
-                    let mut prober = Prober::new();
+                    let mut prober = Prober::default();
                     let mut candidates = 0u64;
                     let mut batch = Vec::with_capacity(batch_size);
                     loop {

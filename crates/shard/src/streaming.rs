@@ -159,7 +159,7 @@ impl ShardedStreamingJoin {
             index: ShardedIndex::new(tau, config.window, &shard_cfg),
             data: VecDeque::new(),
             first: 0,
-            prober: Prober::new(),
+            prober: Prober::default(),
             verify_prep: VerifyPrep::default(),
             arrivals: VecDeque::new(),
             clock: 0,
@@ -248,8 +248,8 @@ impl ShardedStreamingJoin {
         // trees, then its postings (dead trees gated out).
         let prober = &mut self.prober;
         let size = prober.prepare(tree);
-        let (window, matching) = (window_of(size, self.tau), self.config.matching);
-        let (found, ..) = prober.probe(&self.index, window, id as usize, matching);
+        let window = window_of(size, self.tau);
+        let (found, ..) = prober.probe(&self.index, window, id as usize, self.config.matching);
 
         // Verify against the live window. The newcomer's data is owned —
         // it outlives the insert in `self.data` — so only the build
@@ -268,8 +268,9 @@ impl ShardedStreamingJoin {
         self.pairs_found += partners.len() as u64;
 
         // Publish the newcomer: its subgraphs, or a side-list entry.
-        let (tau, scheme) = (self.tau, self.config.partitioning);
-        let subgraphs = self.prober.partition(tau, scheme, id);
+        let subgraphs = self
+            .prober
+            .partition(self.tau, self.config.partitioning, id);
         self.index.insert(id, size, subgraphs);
         self.data.push_back(Some(data));
         self.arrivals.push_back((id, ts));
