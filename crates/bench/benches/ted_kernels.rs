@@ -12,8 +12,9 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
-    mapping_bound_within, sed, sed_with, sed_within, sed_within_with, tree_distance, CostModel,
-    MappingWorkspace, PreparedTree, SedScratch, Strategy, TedEngine, TedTree, TedWorkspace,
+    mapping_bound_within, sed, sed_with, sed_within, sed_within_with, tree_distance,
+    tree_distance_bounded, MappingWorkspace, PreparedTree, SedScratch, TedEngine, TedTree,
+    TedWorkspace,
 };
 use tsj_tree::{Label, Tree, TreeBuilder};
 
@@ -34,14 +35,7 @@ fn bench_ted_sizes(c: &mut Criterion) {
         let (ta, tb) = (TedTree::new(&a), TedTree::new(&b));
         let mut ws = TedWorkspace::new();
         group.bench_with_input(BenchmarkId::new("zhang_shasha", size), &size, |bench, _| {
-            bench.iter(|| {
-                black_box(tree_distance(
-                    black_box(&ta),
-                    black_box(&tb),
-                    &CostModel::UNIT,
-                    &mut ws,
-                ))
-            })
+            bench.iter(|| black_box(tree_distance(black_box(&ta), black_box(&tb), &mut ws)))
         });
     }
     group.finish();
@@ -50,19 +44,33 @@ fn bench_ted_sizes(c: &mut Criterion) {
 fn bench_ted_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ted/strategy");
     // Deep right-leaning combs penalize the left decomposition; the
-    // dynamic strategy should track the better side.
+    // engine's dynamic choice should track the better side. Every row
+    // prepares both trees per iteration, as `distance_trees` does.
     let a = tree_of_shape(3, 80, 0.8);
     let b = tree_of_shape(4, 80, 0.8);
-    for (name, strategy) in [
-        ("left", Strategy::Left),
-        ("right", Strategy::Right),
-        ("dynamic", Strategy::Dynamic),
-    ] {
-        group.bench_function(name, |bench| {
-            let mut engine = TedEngine::new(CostModel::UNIT, strategy);
-            bench.iter(|| black_box(engine.distance_trees(black_box(&a), black_box(&b))))
-        });
-    }
+    let prepared = || {
+        (
+            PreparedTree::new(black_box(&a)),
+            PreparedTree::new(black_box(&b)),
+        )
+    };
+    let mut ws = TedWorkspace::new();
+    group.bench_function("left", |bench| {
+        bench.iter(|| {
+            let (pa, pb) = prepared();
+            black_box(tree_distance(pa.left(), pb.left(), &mut ws))
+        })
+    });
+    group.bench_function("right", |bench| {
+        bench.iter(|| {
+            let (pa, pb) = prepared();
+            black_box(tree_distance(pa.right(), pb.right(), &mut ws))
+        })
+    });
+    group.bench_function("dynamic", |bench| {
+        let mut engine = TedEngine::unit();
+        bench.iter(|| black_box(engine.distance_trees(black_box(&a), black_box(&b))))
+    });
     group.finish();
 }
 
@@ -100,23 +108,35 @@ fn bench_ted_within(c: &mut Criterion) {
         ("flat62_tau2", grown(8, 62, 84, 24, 4, 0.0), 84, 2),
         ("right_comb80_tau3", right_comb(80, 12), 12, 3),
     ];
-    let strategies = [
-        ("left", Strategy::Left),
-        ("right", Strategy::Right),
-        ("dynamic", Strategy::Dynamic),
-    ];
     for (input, base, labels, tau) in inputs {
         let mut rng = StdRng::seed_from_u64(9);
         let (mutant, _) = random_edit_script(&base, tau as usize - 1, &mut rng, labels);
         let (pa, pb) = (PreparedTree::new(&base), PreparedTree::new(&mutant));
         let mut group = c.benchmark_group("ted/within");
-        for (name, strategy) in strategies {
-            let mut engine = TedEngine::new(CostModel::UNIT, strategy);
-            assert!(engine.within(&pa, &pb, tau).is_some(), "{input} is a hit");
+        for (name, la, lb) in [
+            ("left", pa.left(), pb.left()),
+            ("right", pa.right(), pb.right()),
+        ] {
+            let mut ws = TedWorkspace::new();
+            assert!(
+                tree_distance_bounded(la, lb, tau, &mut ws).is_some(),
+                "{input} is a hit"
+            );
             group.bench_function(format!("{input}/{name}"), |bench| {
-                bench.iter(|| black_box(engine.within(black_box(&pa), black_box(&pb), tau)))
+                bench.iter(|| {
+                    black_box(tree_distance_bounded(
+                        black_box(la),
+                        black_box(lb),
+                        tau,
+                        &mut ws,
+                    ))
+                })
             });
         }
+        let mut engine = TedEngine::unit();
+        group.bench_function(format!("{input}/dynamic"), |bench| {
+            bench.iter(|| black_box(engine.verify(black_box(&pa), black_box(&pb), tau)))
+        });
         group.finish();
         let mut engine = TedEngine::unit();
         c.benchmark_group("ted/full")

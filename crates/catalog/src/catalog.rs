@@ -114,16 +114,10 @@ impl Catalog {
         &self.trees
     }
 
-    /// The label space the catalog trees were interned in.
+    /// The label space the catalog trees were interned in. Probe trees
+    /// must carry its ids: labels compare by id.
     pub fn labels(&self) -> &LabelInterner {
         &self.labels
-    }
-
-    /// Mutable label access — probe trees must be parsed against *this*
-    /// interner (labels compare by id); new probe-only labels append
-    /// without disturbing frozen ids.
-    pub fn labels_mut(&mut self) -> &mut LabelInterner {
-        &mut self.labels
     }
 
     /// The frozen sharded index (read-only).

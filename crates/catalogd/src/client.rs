@@ -36,7 +36,7 @@
 //! `Cluster::join` and single-node `Catalog::join`.
 
 use crate::error::CatalogdError;
-use crate::pool::{round_trip, ConnPool, PoolConfig};
+use crate::pool::{round_trip, ConnPool};
 use crate::wire::{
     encode_join_shard, encode_probes, ErrorCode, Frame, WireError, PROTOCOL_VERSION,
 };
@@ -57,8 +57,6 @@ pub struct ClientConfig {
     /// Retry/backoff/deadline policy — same shape and defaults as the
     /// in-process cluster's.
     pub retry: RetryPolicy,
-    /// Connection pool tuning.
-    pub pool: PoolConfig,
 }
 
 /// Seed of the client's deterministic backoff jitter.
@@ -106,7 +104,7 @@ impl ClusterClient {
                 context: "no node addresses given".into(),
             });
         }
-        let pool = ConnPool::new(cfg.pool.clone());
+        let pool = ConnPool::new();
         let mut facts: Vec<Option<NodeFacts>> = vec![None; addrs.len()];
         for (n, &addr) in addrs.iter().enumerate() {
             match hello(&pool, addr, 0) {

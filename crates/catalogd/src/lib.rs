@@ -51,7 +51,7 @@ mod server;
 
 pub use client::{ClientConfig, ClusterClient, TcpTransport};
 pub use error::CatalogdError;
-pub use pool::{ConnPool, PoolConfig};
+pub use pool::{ConnPool, MAX_IDLE_PER_ADDR};
 pub use server::{Catalogd, RunningServer, ServerConfig};
 
 use tsj_tree::{Label, LabelInterner, Tree};

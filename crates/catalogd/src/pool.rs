@@ -7,10 +7,9 @@
 //! is the most likely to still be warm.
 //!
 //! Dead connections never linger: a checkin with `healthy = false`
-//! drops the socket, and an optional checkout-time [`Frame::Health`]
-//! ping (`Frame` as in [`crate::wire::Frame`]) evicts connections whose
-//! peer died while they sat idle — the pattern the pool test exercises
-//! by killing the server between joins.
+//! drops the socket, and the client evicts every idle connection to a
+//! node before it reconnects to it and after it shuts it down
+//! ([`ConnPool::evict_addr`]), so nothing pooled predates a restart.
 
 use crate::error::CatalogdError;
 use crate::wire::Frame;
@@ -19,49 +18,22 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Pool tuning.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Dial timeout for new connections, in milliseconds.
-    pub connect_timeout_ms: u64,
-    /// Idle connections retained per address; surplus checkins close.
-    pub max_idle_per_addr: usize,
-    /// Whether checkout validates an idle connection with a
-    /// [`Frame::Health`] round-trip before handing it out (evicting it
-    /// and dialing fresh on failure). Costs one RTT; catches peers that
-    /// died while the connection sat idle.
-    pub ping_on_checkout: bool,
-}
+/// Dial timeout for new connections, in milliseconds.
+const CONNECT_TIMEOUT_MS: u64 = 1_000;
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            connect_timeout_ms: 1_000,
-            max_idle_per_addr: 8,
-            ping_on_checkout: false,
-        }
-    }
-}
+/// Idle connections retained per address; surplus checkins close.
+pub const MAX_IDLE_PER_ADDR: usize = 8;
 
 /// A pooled TCP connection pool keyed by socket address.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ConnPool {
-    config: PoolConfig,
     idle: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
 }
 
 impl ConnPool {
     /// An empty pool.
-    pub fn new(config: PoolConfig) -> ConnPool {
-        ConnPool {
-            config,
-            idle: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
+    pub fn new() -> ConnPool {
+        ConnPool::default()
     }
 
     /// Idle connections currently held for `addr`.
@@ -74,24 +46,19 @@ impl ConnPool {
     }
 
     /// Checks out a connection to `addr`: the most recently returned
-    /// idle one (optionally health-validated), or a fresh dial. The
-    /// lock is never held across network I/O, so concurrent checkouts
-    /// to the same address proceed in parallel.
+    /// idle one, or a fresh dial. The lock is never held across network
+    /// I/O, so concurrent checkouts to the same address proceed in
+    /// parallel.
     pub fn checkout(&self, addr: SocketAddr) -> Result<TcpStream, CatalogdError> {
-        loop {
-            let candidate = self
-                .idle
-                .lock()
-                .expect("pool lock")
-                .get_mut(&addr)
-                .and_then(Vec::pop);
-            let Some(mut stream) = candidate else {
-                return self.dial(addr);
-            };
-            if !self.config.ping_on_checkout || ping(&mut stream).is_ok() {
-                return Ok(stream);
-            }
-            // Dead while idle: evict (drop) and try the next candidate.
+        let idle = self
+            .idle
+            .lock()
+            .expect("pool lock")
+            .get_mut(&addr)
+            .and_then(Vec::pop);
+        match idle {
+            Some(stream) => Ok(stream),
+            None => dial(addr),
         }
     }
 
@@ -103,7 +70,7 @@ impl ConnPool {
         }
         let mut idle = self.idle.lock().expect("pool lock");
         let list = idle.entry(addr).or_default();
-        if list.len() < self.config.max_idle_per_addr {
+        if list.len() < MAX_IDLE_PER_ADDR {
             list.push(stream);
         }
     }
@@ -113,19 +80,16 @@ impl ConnPool {
     pub fn evict_addr(&self, addr: SocketAddr) {
         self.idle.lock().expect("pool lock").remove(&addr);
     }
+}
 
-    fn dial(&self, addr: SocketAddr) -> Result<TcpStream, CatalogdError> {
-        let stream = TcpStream::connect_timeout(
-            &addr,
-            Duration::from_millis(self.config.connect_timeout_ms.max(1)),
-        )
+fn dial(addr: SocketAddr) -> Result<TcpStream, CatalogdError> {
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(CONNECT_TIMEOUT_MS))
         .map_err(|e| CatalogdError::Io {
             kind: e.kind(),
             context: format!("connecting to {addr}"),
         })?;
-        stream.set_nodelay(true).ok();
-        Ok(stream)
-    }
+    stream.set_nodelay(true).ok();
+    Ok(stream)
 }
 
 /// One blocking request/reply turn on `stream`, waiting at most
@@ -139,14 +103,4 @@ pub(crate) fn round_trip(
     stream.set_read_timeout(Some(timeout)).ok();
     request.write_to(stream)?;
     Ok(Frame::read_from(stream)?)
-}
-
-/// One `Health` round-trip on `stream`.
-fn ping(stream: &mut TcpStream) -> Result<(), CatalogdError> {
-    match round_trip(stream, &Frame::Health, 1_000)? {
-        Frame::HealthAck { .. } => Ok(()),
-        other => Err(CatalogdError::Protocol {
-            context: format!("expected HealthAck, got {other:?}"),
-        }),
-    }
 }

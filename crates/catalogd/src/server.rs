@@ -32,7 +32,9 @@ use tsj_cluster::{Node, NodeScratch, ProbeCtx, Topology};
 use tsj_obs::{labeled, Counter, Histogram, MetricsRegistry};
 use tsj_tree::{LabelInterner, Tree};
 
-/// How a server process maps itself into the node set.
+/// How a server process maps itself into the node set. Requests are
+/// served under `PartSjConfig::default()`, as `Cluster::join` with it
+/// serves them: clients plan only from `tau`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// This process's node id, `0 ≤ node < nodes`.
@@ -42,21 +44,15 @@ pub struct ServerConfig {
     /// Copies per shard (clamped to the node count, like the in-process
     /// cluster).
     pub replication: usize,
-    /// The join configuration requests are served under. Clients plan
-    /// only from `tau`, so this stays server-side; the default matches
-    /// `Cluster::join` with `PartSjConfig::default()`.
-    pub join_config: PartSjConfig,
 }
 
 impl ServerConfig {
-    /// Node `node` of `nodes` with `replication` copies per shard and
-    /// the default join configuration.
+    /// Node `node` of `nodes` with `replication` copies per shard.
     pub fn new(node: usize, nodes: usize, replication: usize) -> ServerConfig {
         ServerConfig {
             node,
             nodes,
             replication,
-            join_config: PartSjConfig::default(),
         }
     }
 }
@@ -127,7 +123,6 @@ struct NodeState {
     shard_map_bytes: Vec<u8>,
     labels: LabelInterner,
     node: Node,
-    join_config: PartSjConfig,
     registry: MetricsRegistry,
     cells: ServerCells,
     conns: ConnTable,
@@ -200,7 +195,6 @@ impl Catalogd {
             shard_map_bytes,
             labels,
             node,
-            join_config: cfg.join_config,
             registry,
             cells,
             conns: ConnTable::default(),
@@ -463,7 +457,7 @@ fn respond(state: &NodeState, conn: &mut ConnState, frame: Frame) -> Frame {
             let start = Instant::now();
             match state
                 .node
-                .serve(&req, ctx, tau, &state.join_config, &mut conn.scratch)
+                .serve(&req, ctx, tau, &PartSjConfig::default(), &mut conn.scratch)
             {
                 Ok(resp) => {
                     state.cells.joins.inc();
@@ -534,7 +528,7 @@ fn register_probes(
             conn.probes.append(&mut trees);
             // Re-prepare the whole batch so `VerifyData::batch`
             // sees the same inputs the in-process router gives it.
-            conn.ctxs = ProbeCtx::batch(&conn.probes, &state.join_config);
+            conn.ctxs = ProbeCtx::batch(&conn.probes, &PartSjConfig::default());
             state.cells.probe_batches.inc();
             Frame::ProbeAck {
                 count: conn.ctxs.len() as u32,

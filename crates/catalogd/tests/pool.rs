@@ -6,7 +6,7 @@ mod common;
 
 use std::io::Write;
 use tsj_catalogd::wire::Frame;
-use tsj_catalogd::{Catalogd, ConnPool, PoolConfig, ServerConfig};
+use tsj_catalogd::{Catalogd, ConnPool, ServerConfig, MAX_IDLE_PER_ADDR};
 
 fn spawn_server() -> tsj_catalogd::RunningServer {
     let (snapshot, _, _) = common::freeze_demo(40, 1, 4, 11);
@@ -20,7 +20,7 @@ fn spawn_server() -> tsj_catalogd::RunningServer {
 fn checkout_checkin_reuses_connections() {
     let server = spawn_server();
     let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig::default());
+    let pool = ConnPool::new();
 
     assert_eq!(pool.idle_count(addr), 0);
     let conn = pool.checkout(addr).expect("fresh dial");
@@ -43,7 +43,7 @@ fn checkout_checkin_reuses_connections() {
 fn unhealthy_checkin_drops_the_connection() {
     let server = spawn_server();
     let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig::default());
+    let pool = ConnPool::new();
     let conn = pool.checkout(addr).expect("dial");
     pool.checkin(addr, conn, false);
     assert_eq!(pool.idle_count(addr), 0, "unhealthy conns never re-enter");
@@ -53,82 +53,27 @@ fn unhealthy_checkin_drops_the_connection() {
 fn idle_cap_is_enforced() {
     let server = spawn_server();
     let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig {
-        max_idle_per_addr: 2,
-        ..PoolConfig::default()
-    });
-    let conns: Vec<_> = (0..4).map(|_| pool.checkout(addr).expect("dial")).collect();
+    let pool = ConnPool::new();
+    let conns: Vec<_> = (0..MAX_IDLE_PER_ADDR + 2)
+        .map(|_| pool.checkout(addr).expect("dial"))
+        .collect();
     for conn in conns {
         pool.checkin(addr, conn, true);
     }
-    assert_eq!(pool.idle_count(addr), 2, "surplus checkins close");
-}
-
-#[test]
-fn ping_on_checkout_evicts_dead_idle_connections() {
-    let server = spawn_server();
-    let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig {
-        ping_on_checkout: true,
-        ..PoolConfig::default()
-    });
-    // Pool two live connections, then kill the server: both idle conns
-    // are now dead, and a fresh dial cannot succeed either.
-    let a = pool.checkout(addr).expect("dial a");
-    let b = pool.checkout(addr).expect("dial b");
-    pool.checkin(addr, a, true);
-    pool.checkin(addr, b, true);
-    assert_eq!(pool.idle_count(addr), 2);
-    server.stop();
-
-    let result = pool.checkout(addr);
-    assert!(
-        result.is_err(),
-        "dead idle conns must be evicted, not handed out"
+    assert_eq!(
+        pool.idle_count(addr),
+        MAX_IDLE_PER_ADDR,
+        "surplus checkins close"
     );
-    assert_eq!(pool.idle_count(addr), 0, "both dead conns were dropped");
-}
-
-#[test]
-fn ping_on_checkout_survives_a_server_restart_with_fresh_dials() {
-    let server = spawn_server();
-    let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig {
-        ping_on_checkout: true,
-        ..PoolConfig::default()
-    });
-    let conn = pool.checkout(addr).expect("dial");
-    pool.checkin(addr, conn, true);
-    server.stop();
-
-    // Restart on the same port (loopback, SO_REUSEADDR not needed once
-    // the listener is fully closed).
-    let (snapshot, _, _) = common::freeze_demo(40, 1, 4, 11);
-    let restarted = Catalogd::bind(snapshot, &ServerConfig::new(0, 1, 1), &addr.to_string())
-        .expect("rebind same addr")
-        .spawn()
-        .expect("respawn");
-
-    // The stale idle conn fails its ping and a fresh dial replaces it.
-    let mut conn = pool.checkout(addr).expect("fresh dial after restart");
-    Frame::Health.write_to(&mut conn).expect("ping out");
-    assert!(matches!(
-        Frame::read_from(&mut conn).expect("ping back"),
-        Frame::HealthAck { .. }
-    ));
-    drop(restarted);
 }
 
 #[test]
 fn concurrent_checkouts_contend_safely() {
     let server = spawn_server();
     let addr = server.addr();
-    let pool = ConnPool::new(PoolConfig {
-        max_idle_per_addr: 4,
-        ..PoolConfig::default()
-    });
+    let pool = ConnPool::new();
     std::thread::scope(|scope| {
-        for _ in 0..8 {
+        for _ in 0..2 * MAX_IDLE_PER_ADDR {
             scope.spawn(|| {
                 for _ in 0..25 {
                     let mut conn = pool.checkout(addr).expect("checkout under contention");
@@ -141,7 +86,7 @@ fn concurrent_checkouts_contend_safely() {
         }
     });
     assert!(
-        pool.idle_count(addr) <= 4,
+        pool.idle_count(addr) <= MAX_IDLE_PER_ADDR,
         "idle cap holds under contention"
     );
     // Everything pooled is still usable.

@@ -26,7 +26,7 @@
 //! To add a fault type: add a variant to [`Fault`], a rate knob to
 //! [`FaultPlan`], a branch in [`FaultInjector::decide`], and teach the
 //! router's retry loop what the fault costs (time, health) — see the
-//! README's cluster section for the walkthrough.
+//! cluster section of `docs/ARCHITECTURE.md` for the walkthrough.
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,7 @@ pub fn mix(seed: u64, parts: &[u64]) -> u64 {
 }
 
 /// `mix` mapped to `[0, 1)` — the jitter source for
-/// [`crate::RetryPolicy::backoff_ms`].
+/// [`crate::backoff_ms`].
 pub fn mix_unit(seed: u64, parts: &[u64]) -> f64 {
     // 53 mantissa bits: every value is exactly representable.
     (mix(seed, parts) >> 11) as f64 / (1u64 << 53) as f64

@@ -73,8 +73,8 @@
 //! ```
 //!
 //! See `examples/cluster_failover.rs` for the full kill-one / kill-both /
-//! recover arc, and the README's "Cluster serving & fault tolerance"
-//! section for the degradation contract and how to add a fault type.
+//! recover arc, and the "Cluster serving & fault tolerance" section of
+//! `docs/ARCHITECTURE.md` for the degradation contract and how to add a fault type.
 
 #![warn(missing_docs)]
 
@@ -99,7 +99,7 @@ pub use fault::{corrupt_range, mix, mix_unit, Fault, FaultInjector, FaultPlan};
 pub use metrics::NodeMetricsSnapshot;
 pub use node::{Node, NodeScratch, ProbeCtx, ShardRequest, ShardResponse};
 pub use outcome::{ClusterJoin, Degraded, RequestStats, Telemetry};
-pub use retry::RetryPolicy;
+pub use retry::{backoff_bounds_ms, backoff_ms, RetryPolicy, MAX_ATTEMPTS};
 pub use router::{plan_requests, Router};
 pub use topology::Topology;
 pub use transport::{AttemptOutcome, NodeTransport};

@@ -11,19 +11,20 @@
 
 use crate::fault::mix_unit;
 
-/// Retry/backoff/deadline knobs for one router.
+/// Total attempts per request, the first one included.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in milliseconds (before jitter).
+const BASE_BACKOFF_MS: u64 = 10;
+/// Growth factor per further retry.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Jitter fraction `j`: each backoff is scaled by a factor drawn
+/// deterministically from `[1 − j, 1 + j)`.
+const JITTER: f64 = 0.25;
+
+/// The deadline knobs of one router: how long an attempt and a probe may
+/// take.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Total attempts per request, the first one included. `1` disables
-    /// retries entirely.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds (before jitter).
-    pub base_backoff_ms: u64,
-    /// Growth factor per further retry.
-    pub multiplier: f64,
-    /// Jitter fraction `j ∈ [0, 1]`: each backoff is scaled by a factor
-    /// drawn deterministically from `[1 − j, 1 + j)`.
-    pub jitter: f64,
     /// Per-attempt budget: a timed-out attempt costs this much of the
     /// probe's deadline.
     pub request_timeout_ms: u64,
@@ -36,41 +37,40 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 4,
-            base_backoff_ms: 10,
-            multiplier: 2.0,
-            jitter: 0.25,
             request_timeout_ms: 50,
             probe_deadline_ms: 1_000,
         }
     }
 }
 
-impl RetryPolicy {
-    /// The backoff slept before retry `retry` (1-based) of request
-    /// `(probe, shard)`, jittered deterministically under `seed`:
-    /// `base · multiplier^(retry−1) · f` with
-    /// `f ∈ [1 − jitter, 1 + jitter)`. Pure in its arguments.
-    pub fn backoff_ms(&self, seed: u64, probe: u32, shard: u32, retry: u32) -> u64 {
-        let raw = self.base_backoff_ms as f64 * self.multiplier.powi(retry as i32 - 1);
-        let unit = mix_unit(
-            seed,
-            &[0xB0FF, u64::from(probe), u64::from(shard), u64::from(retry)],
-        );
-        let factor = 1.0 - self.jitter + 2.0 * self.jitter * unit;
-        (raw * factor).round() as u64
-    }
+/// `BASE_BACKOFF_MS · BACKOFF_MULTIPLIER^(retry−1)`: the backoff before
+/// retry `retry` (1-based), before jitter.
+fn unjittered_ms(retry: u32) -> f64 {
+    BASE_BACKOFF_MS as f64 * BACKOFF_MULTIPLIER.powi(retry as i32 - 1)
+}
 
-    /// Inclusive bounds of [`RetryPolicy::backoff_ms`] for retry `retry`,
-    /// over every possible jitter draw — what the deterministic tests
-    /// check the schedule against.
-    pub fn backoff_bounds_ms(&self, retry: u32) -> (u64, u64) {
-        let raw = self.base_backoff_ms as f64 * self.multiplier.powi(retry as i32 - 1);
-        (
-            (raw * (1.0 - self.jitter)).floor() as u64,
-            (raw * (1.0 + self.jitter)).ceil() as u64,
-        )
-    }
+/// The backoff slept before retry `retry` (1-based) of request
+/// `(probe, shard)`, jittered deterministically under `seed`: the
+/// unjittered backoff times `f ∈ [1 − JITTER, 1 + JITTER)`. Pure in its
+/// arguments.
+pub fn backoff_ms(seed: u64, probe: u32, shard: u32, retry: u32) -> u64 {
+    let unit = mix_unit(
+        seed,
+        &[0xB0FF, u64::from(probe), u64::from(shard), u64::from(retry)],
+    );
+    let factor = 1.0 - JITTER + 2.0 * JITTER * unit;
+    (unjittered_ms(retry) * factor).round() as u64
+}
+
+/// Inclusive bounds of [`backoff_ms`] for retry `retry`, over every
+/// possible jitter draw — what the deterministic tests check the
+/// schedule against.
+pub fn backoff_bounds_ms(retry: u32) -> (u64, u64) {
+    let raw = unjittered_ms(retry);
+    (
+        (raw * (1.0 - JITTER)).floor() as u64,
+        (raw * (1.0 + JITTER)).ceil() as u64,
+    )
 }
 
 #[cfg(test)]
@@ -79,30 +79,16 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
         for retry in 1..=4 {
-            let (lo, hi) = policy.backoff_bounds_ms(retry);
+            let (lo, hi) = backoff_bounds_ms(retry);
             for probe in 0..32 {
-                let a = policy.backoff_ms(42, probe, 5, retry);
-                assert_eq!(a, policy.backoff_ms(42, probe, 5, retry));
+                let a = backoff_ms(42, probe, 5, retry);
+                assert_eq!(a, backoff_ms(42, probe, 5, retry));
                 assert!(
                     a >= lo && a <= hi,
                     "retry {retry}: {a} outside [{lo}, {hi}]"
                 );
             }
         }
-    }
-
-    #[test]
-    fn zero_jitter_gives_the_pure_exponential() {
-        let policy = RetryPolicy {
-            jitter: 0.0,
-            base_backoff_ms: 8,
-            multiplier: 2.0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_ms(1, 0, 0, 1), 8);
-        assert_eq!(policy.backoff_ms(1, 0, 0, 2), 16);
-        assert_eq!(policy.backoff_ms(1, 0, 0, 3), 32);
     }
 }

@@ -21,7 +21,7 @@
 //!    request order against replicas: a dead node means immediate
 //!    failover (and a health mark the rest of the join sees); anything
 //!    else backs off exponentially with deterministic jitter, bounded by
-//!    [`crate::RetryPolicy::max_attempts`] and the per-probe deadline.
+//!    [`crate::MAX_ATTEMPTS`] and the per-probe deadline.
 //!    Requests that exhaust replicas, attempts or deadline degrade: their
 //!    classes are reported unserved, never silently dropped.
 //!
@@ -45,7 +45,7 @@ use crate::fault::Fault;
 use crate::metrics::{ClusterMetrics, NodeMetricsSnapshot};
 use crate::node::ShardRequest;
 use crate::outcome::{ClusterJoin, Degraded, RequestStats, Telemetry};
-use crate::retry::RetryPolicy;
+use crate::retry::{backoff_ms, RetryPolicy, MAX_ATTEMPTS};
 use crate::topology::Topology;
 use crate::transport::{AttemptOutcome, NodeTransport};
 use partsj::window_of;
@@ -96,8 +96,7 @@ pub struct Router {
     /// request finds the node dead mid-join.
     pub(crate) health: Vec<bool>,
     retry: RetryPolicy,
-    /// Seed of the deterministic backoff jitter
-    /// ([`RetryPolicy::backoff_ms`]).
+    /// Seed of the deterministic backoff jitter ([`backoff_ms`]).
     backoff_seed: u64,
     clock: Arc<dyn Clock>,
     /// Per-node lifetime counters and latency histograms; increments
@@ -262,7 +261,7 @@ impl Router {
                     }
                 }
                 attempt += 1;
-                if attempt >= self.retry.max_attempts {
+                if attempt >= MAX_ATTEMPTS {
                     break false;
                 }
                 // Failover target: scan the replica ring from `attempt`
@@ -278,9 +277,7 @@ impl Router {
                 if last_fault != Fault::NodeDown {
                     // Dead nodes fail over immediately; everything else
                     // backs off first — within the probe's deadline.
-                    let backoff =
-                        self.retry
-                            .backoff_ms(self.backoff_seed, req.probe, req.shard, attempt);
+                    let backoff = backoff_ms(self.backoff_seed, req.probe, req.shard, attempt);
                     if probe_spent[p] + backoff > deadline {
                         break false;
                     }

@@ -1,6 +1,6 @@
 //! Deterministic retry/backoff behavior, asserted to the millisecond on
 //! an injectable [`VirtualClock`]: the router sleeps *exactly* the
-//! jittered exponential schedule [`RetryPolicy::backoff_ms`] promises, a
+//! jittered exponential schedule [`backoff_ms`] promises, a
 //! probe's deadline cuts retries off precisely where the accounting says,
 //! and injected delays are absorbed or converted to timeouts without ever
 //! double-counting work.
@@ -11,7 +11,10 @@ use common::{freeze, reference};
 use partsj::{window_of, PartSjConfig};
 use std::sync::Arc;
 use tsj_catalog::Catalog;
-use tsj_cluster::{Clock, Cluster, ClusterConfig, FaultPlan, RetryPolicy, VirtualClock};
+use tsj_cluster::{
+    backoff_bounds_ms, backoff_ms, Clock, Cluster, ClusterConfig, FaultPlan, RetryPolicy,
+    VirtualClock, MAX_ATTEMPTS,
+};
 use tsj_datagen::synthetic_sized;
 use tsj_tree::Tree;
 
@@ -32,7 +35,7 @@ fn planned_requests(catalog: &Catalog, probes: &[Tree], tau: u32) -> Vec<(u32, u
 }
 
 /// Under a 100% transient-error storm every request exhausts its retries,
-/// and the virtual clock must land on *exactly* the sum of the policy's
+/// and the virtual clock must land on *exactly* the sum of the
 /// jittered backoffs — the schedule is a pure function of the seed and the
 /// request coordinates.
 #[test]
@@ -48,7 +51,6 @@ fn transient_storm_sleeps_the_exact_backoff_schedule() {
     };
     let mut cfg = ClusterConfig::new(2, 2);
     cfg.faults = plan.clone();
-    let policy = cfg.retry.clone();
     let clock = Arc::new(VirtualClock::new());
     let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
     cluster.router_mut().set_clock(clock.clone());
@@ -57,9 +59,9 @@ fn transient_storm_sleeps_the_exact_backoff_schedule() {
     let requests = planned_requests(&catalog, &right, tau);
     let mut expected_ms = 0u64;
     for &(probe, shard) in &requests {
-        for retry in 1..policy.max_attempts {
-            let backoff = policy.backoff_ms(plan.seed, probe, shard, retry);
-            let (lo, hi) = policy.backoff_bounds_ms(retry);
+        for retry in 1..MAX_ATTEMPTS {
+            let backoff = backoff_ms(plan.seed, probe, shard, retry);
+            let (lo, hi) = backoff_bounds_ms(retry);
             assert!(
                 (lo..=hi).contains(&backoff),
                 "retry {retry}: {backoff} outside [{lo}, {hi}]"
@@ -73,18 +75,15 @@ fn transient_storm_sleeps_the_exact_backoff_schedule() {
     let n = requests.len() as u64;
     assert_eq!(served.telemetry.requests, n);
     assert_eq!(served.telemetry.served, 0);
-    assert_eq!(
-        served.telemetry.retries,
-        n * u64::from(policy.max_attempts - 1)
-    );
-    assert_eq!(served.telemetry.faults, n * u64::from(policy.max_attempts));
+    assert_eq!(served.telemetry.retries, n * u64::from(MAX_ATTEMPTS - 1));
+    assert_eq!(served.telemetry.faults, n * u64::from(MAX_ATTEMPTS));
     assert!(!served.is_complete());
     assert!(served.outcome.pairs.is_empty());
 }
 
 /// The per-probe deadline cuts the retry sequence exactly where the
-/// accounting says: a 50 ms timeout plus a 40 ms backoff fits a 100 ms
-/// deadline once, and the next timeout exhausts it.
+/// accounting says: a 50 ms timeout plus the first backoff fits a
+/// deadline of exactly their sum once, and the next timeout exhausts it.
 #[test]
 fn probe_deadline_cuts_retries_off_exactly() {
     let left = synthetic_sized(16, 14, 21);
@@ -92,33 +91,33 @@ fn probe_deadline_cuts_retries_off_exactly() {
     let tau = 1;
     // One shard: the single probe plans exactly one request.
     let catalog = freeze(&left, tau, 1);
+    let [(probe_idx, shard)] = planned_requests(&catalog, &probe, tau)[..] else {
+        panic!("one probe on one shard plans one request");
+    };
     let mut cfg = ClusterConfig::new(2, 2);
     cfg.faults = FaultPlan {
         seed: 7,
         timeout_permille: 1000,
         ..FaultPlan::none()
     };
+    let backoff = backoff_ms(cfg.faults.seed, probe_idx, shard, 1);
     cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_backoff_ms: 40,
-        multiplier: 2.0,
-        jitter: 0.0,
         request_timeout_ms: 50,
-        probe_deadline_ms: 100,
+        probe_deadline_ms: 50 + backoff,
     };
     let clock = Arc::new(VirtualClock::new());
     let mut cluster = Cluster::from_snapshot(catalog.to_bytes(), &cfg).unwrap();
     cluster.router_mut().set_clock(clock.clone());
     let served = cluster.join(&probe, tau, &PartSjConfig::default()).unwrap();
 
-    // Scatter: timeout (spent 50). Retry 1: backoff 40 (spent 90 ≤ 100),
-    // then another timeout (spent 140 ≥ 100) — done. Retry 2 never
-    // happens: its backoff alone would breach the deadline.
+    // Scatter: timeout (spent 50). Retry 1: the backoff (spent exactly
+    // the deadline), then another timeout (spent past it) — done. Retry 2
+    // never happens: its backoff alone would breach the deadline.
     assert_eq!(served.telemetry.requests, 1);
     assert_eq!(served.telemetry.retries, 1);
     assert_eq!(served.telemetry.faults, 2);
-    assert_eq!(served.telemetry.backoff_ms, 40);
-    assert_eq!(clock.now_ms(), 40, "only the one backoff was slept");
+    assert_eq!(served.telemetry.backoff_ms, backoff);
+    assert_eq!(clock.now_ms(), backoff, "only the one backoff was slept");
     assert!(!served.is_complete());
 }
 

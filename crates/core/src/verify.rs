@@ -632,7 +632,7 @@ impl VerifyEngine {
 mod tests {
     use super::*;
     use tsj_ted::bounds::{label_histogram, size_bound, traversal_within_with, TraversalStrings};
-    use tsj_ted::{tree_distance, CostModel, TedTree, TedWorkspace};
+    use tsj_ted::{tree_distance, TedTree, TedWorkspace};
     use tsj_tree::{parse_bracket, LabelInterner};
 
     const BOTH: Materialized = Materialized {
@@ -967,7 +967,7 @@ mod tests {
                 }
             }
             self.ted_calls += 1;
-            let d = tree_distance(&a.ted, &b.ted, &CostModel::UNIT, &mut self.ws);
+            let d = tree_distance(&a.ted, &b.ted, &mut self.ws);
             (d <= tau).then_some(d)
         }
 

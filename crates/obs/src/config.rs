@@ -18,14 +18,17 @@
 pub struct ObsConfig {
     /// Retain metric recordings in the global registry.
     pub metrics: bool,
-    /// Retain trace events in the global ring buffer.
+    /// Retain trace events in the global ring buffer, which then holds
+    /// the last 4 096 of them (one while tracing is off).
     pub trace: bool,
     /// Stamp per-stage wall-clock timings inside the verify chain
     /// (profiling only: the stamps cost more than the cheap stages).
     pub stage_timings: bool,
-    /// Capacity of the global trace ring buffer.
-    pub trace_capacity: usize,
 }
+
+/// Events the global trace ring buffer holds while tracing is on; it
+/// holds one while tracing is off.
+pub(crate) const TRACE_CAPACITY: usize = 4096;
 
 impl ObsConfig {
     /// Everything a production run wants: metrics and trace on,
@@ -34,7 +37,6 @@ impl ObsConfig {
         metrics: true,
         trace: true,
         stage_timings: false,
-        trace_capacity: 4096,
     };
 
     /// Everything off: recordings land in shared sinks, snapshots are
@@ -43,7 +45,6 @@ impl ObsConfig {
         metrics: false,
         trace: false,
         stage_timings: false,
-        trace_capacity: 1,
     };
 
     /// Everything on, including per-stage verify-chain timings.
@@ -51,7 +52,6 @@ impl ObsConfig {
         metrics: true,
         trace: true,
         stage_timings: true,
-        trace_capacity: 4096,
     };
 }
 

@@ -54,6 +54,7 @@ pub use metrics::{
 };
 pub use trace::{EventKind, Span, TraceBuffer, TraceEvent};
 
+use config::TRACE_CAPACITY;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -87,7 +88,7 @@ pub fn global() -> &'static MetricsRegistry {
 /// The process-global trace ring buffer.
 pub fn tracer() -> &'static Arc<TraceBuffer> {
     static TRACER: OnceLock<Arc<TraceBuffer>> = OnceLock::new();
-    TRACER.get_or_init(|| Arc::new(TraceBuffer::new(ObsConfig::ON.trace_capacity)))
+    TRACER.get_or_init(|| Arc::new(TraceBuffer::new(TRACE_CAPACITY)))
 }
 
 /// The clock global spans are stamped on — [`SystemClock`] unless
@@ -108,7 +109,7 @@ pub fn set_clock(clock: Arc<dyn Clock>) {
 pub fn configure(config: &ObsConfig) {
     global().set_enabled(config.metrics);
     tracer().set_enabled(config.trace);
-    tracer().set_capacity(config.trace_capacity);
+    tracer().set_capacity(if config.trace { TRACE_CAPACITY } else { 1 });
     stage_timings_flag().store(config.stage_timings, Ordering::Relaxed);
 }
 

@@ -353,7 +353,6 @@ pub struct ShardedIndex {
     /// Size of each tracked tree (`u32::MAX` = never tracked).
     sizes: Vec<u32>,
     live_trees: usize,
-    removed_trees: u64,
     compactions: u64,
     obs: ObsCells,
 }
@@ -372,7 +371,6 @@ impl ShardedIndex {
             alive: Vec::new(),
             sizes: Vec::new(),
             live_trees: 0,
-            removed_trees: 0,
             compactions: 0,
             obs: ObsCells::new(),
         }
@@ -636,7 +634,6 @@ impl ShardedIndex {
         }
         self.alive[idx] = false;
         self.live_trees -= 1;
-        self.removed_trees += 1;
         let size = self.sizes[idx];
         let shard_id = self.shard_of_size(size);
         let shard = &mut self.shards[shard_id];
@@ -689,11 +686,6 @@ impl ShardedIndex {
     /// Currently alive tracked trees (side-listed small trees included).
     pub fn live_trees(&self) -> usize {
         self.live_trees
-    }
-
-    /// Trees removed over the index's lifetime.
-    pub fn removed_trees(&self) -> u64 {
-        self.removed_trees
     }
 
     /// Shard compactions performed over the index's lifetime.

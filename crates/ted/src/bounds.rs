@@ -12,7 +12,7 @@
 //! * **traversal string bound** — `max(SED(pre1, pre2), SED(post1, post2))
 //!   ≤ TED` (Guha et al., the STR baseline's filter).
 
-use crate::sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
+use crate::sed::{sed, sed_within, sed_within_with, SedScratch};
 use tsj_tree::{Label, Tree};
 
 /// Size lower bound: `||a| − |b||`.
@@ -127,16 +127,6 @@ impl TraversalStrings {
 /// Traversal-string lower bound: `max(SED(pre), SED(post)) ≤ TED`.
 pub fn traversal_bound(a: &TraversalStrings, b: &TraversalStrings) -> u32 {
     sed(&a.preorder, &b.preorder).max(sed(&a.postorder, &b.postorder))
-}
-
-/// [`traversal_bound`] with caller-provided SED row buffers; allocation-
-/// free in steady state.
-pub fn traversal_bound_with(
-    a: &TraversalStrings,
-    b: &TraversalStrings,
-    scratch: &mut SedScratch,
-) -> u32 {
-    sed_with(&a.preorder, &b.preorder, scratch).max(sed_with(&a.postorder, &b.postorder, scratch))
 }
 
 /// Threshold form of [`traversal_bound`]: `true` iff both banded string

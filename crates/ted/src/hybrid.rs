@@ -18,25 +18,13 @@
 //! mirrored form the first time a pair runs right-side. Both sides are
 //! exact, so the choice affects only running time — never the reported
 //! distance.
-//! The threshold entries ([`TedEngine::within`], [`TedEngine::verify`])
-//! make the same choice and run the τ-bounded kernel on it.
+//! The threshold entry ([`TedEngine::verify`]) makes the same choice and
+//! runs the τ-bounded kernel on it.
 
-use crate::cost::CostModel;
 use crate::ted_tree::{TedBuildScratch, TedTree};
 use crate::zs::{tree_distance, tree_distance_bounded, TedWorkspace};
 use std::sync::OnceLock;
 use tsj_tree::Tree;
-
-/// Which decomposition a distance computation used (or must use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Always decompose along left paths (classic Zhang–Shasha).
-    Left,
-    /// Always decompose along right paths (mirrored Zhang–Shasha).
-    Right,
-    /// Pick the cheaper decomposition per tree pair (RTED-style).
-    Dynamic,
-}
 
 /// A tree preprocessed for repeated distance computations: the left form
 /// built ahead of time, the mirrored one derived from it on first use
@@ -128,7 +116,7 @@ impl PreparedTree {
     }
 }
 
-/// A reusable tree-edit-distance computer: one cost model, one scratch
+/// A reusable unit-cost tree-edit-distance computer: one scratch
 /// workspace, and counters for instrumentation.
 ///
 /// ```
@@ -143,31 +131,18 @@ impl PreparedTree {
 /// ```
 #[derive(Debug)]
 pub struct TedEngine {
-    costs: CostModel,
-    strategy: Strategy,
     ws: TedWorkspace,
     computations: u64,
 }
 
 impl TedEngine {
-    /// Engine with unit costs and dynamic decomposition (paper default).
+    /// Engine with unit costs that picks the cheaper decomposition per
+    /// tree pair (the paper's setting).
     pub fn unit() -> TedEngine {
-        TedEngine::new(CostModel::UNIT, Strategy::Dynamic)
-    }
-
-    /// Engine with explicit costs and strategy.
-    pub fn new(costs: CostModel, strategy: Strategy) -> TedEngine {
         TedEngine {
-            costs,
-            strategy,
             ws: TedWorkspace::new(),
             computations: 0,
         }
-    }
-
-    /// The engine's cost model.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
     }
 
     /// Number of exact distance computations performed so far.
@@ -187,32 +162,8 @@ impl TedEngine {
     /// reference the baselines and every test oracle run.
     pub fn distance(&mut self, a: &PreparedTree, b: &PreparedTree) -> u32 {
         self.computations += 1;
-        let (a, b) = self.decomposition(a, b);
-        tree_distance(a, b, &self.costs, &mut self.ws)
-    }
-
-    /// The pair of preprocessed forms this engine's strategy runs on.
-    fn decomposition<'t>(
-        &self,
-        a: &'t PreparedTree,
-        b: &'t PreparedTree,
-    ) -> (&'t TedTree, &'t TedTree) {
-        let use_right = match self.strategy {
-            Strategy::Left => false,
-            Strategy::Right => true,
-            Strategy::Dynamic => {
-                // Compare estimated relevant-subproblem counts; the DP work
-                // is (cost of a's side) × (cost of b's side).
-                let left = a.left_cost().saturating_mul(b.left_cost());
-                let right = a.right_cost().saturating_mul(b.right_cost());
-                right < left
-            }
-        };
-        if use_right {
-            (a.right(), b.right())
-        } else {
-            (&a.left, &b.left)
-        }
+        let (a, b) = decomposition(a, b);
+        tree_distance(a, b, &mut self.ws)
     }
 
     /// Exact distance between two raw trees (preprocesses internally).
@@ -220,34 +171,32 @@ impl TedEngine {
         self.distance(&PreparedTree::new(a), &PreparedTree::new(b))
     }
 
-    /// Threshold test: `Some(TED(a, b))` when it is at most `tau`.
-    ///
-    /// Applies the size lower bound first — each edit operation changes
-    /// the tree size by at most one (§3.2, footnote 1), so the sizes of a
-    /// pair within `tau` differ by at most [`CostModel::max_unmapped`] —
-    /// and a pair it rejects counts no computation; the rest go to
-    /// [`TedEngine::verify`].
-    pub fn within(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
-        if a.len().abs_diff(b.len()) > self.costs.max_unmapped(tau) {
-            return None;
-        }
-        self.verify(a, b, tau)
-    }
-
-    /// [`TedEngine::within`] for a caller that has done its own filtering:
-    /// every pair counts one computation, as [`TedEngine::distance`]
-    /// would, and runs the τ-bounded kernel
-    /// ([`tree_distance_bounded`]) — O(n·τ) cells per surviving keyroot
-    /// pair instead of the whole DP.
+    /// Threshold test: `Some(TED(a, b))` when it is at most `tau`, for a
+    /// caller that has done its own filtering. Every pair counts one
+    /// computation, as [`TedEngine::distance`] would, and runs the
+    /// τ-bounded kernel ([`tree_distance_bounded`]) — O(n·τ) cells per
+    /// surviving keyroot pair instead of the whole DP.
     pub fn verify(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
         self.computations += 1;
-        let (a, b) = self.decomposition(a, b);
-        tree_distance_bounded(a, b, &self.costs, tau, &mut self.ws)
+        let (a, b) = decomposition(a, b);
+        tree_distance_bounded(a, b, tau, &mut self.ws)
     }
 }
 
-/// Convenience: exact unit-cost TED between two trees with the dynamic
-/// strategy. Allocates a fresh engine; prefer [`TedEngine`] in loops.
+/// The pair of preprocessed forms with the fewer estimated relevant
+/// subproblems: the DP work is (cost of a's side) × (cost of b's side).
+fn decomposition<'t>(a: &'t PreparedTree, b: &'t PreparedTree) -> (&'t TedTree, &'t TedTree) {
+    let left = a.left_cost().saturating_mul(b.left_cost());
+    let right = a.right_cost().saturating_mul(b.right_cost());
+    if right < left {
+        (a.right(), b.right())
+    } else {
+        (&a.left, &b.left)
+    }
+}
+
+/// Convenience: exact unit-cost TED between two trees on the cheaper
+/// decomposition. Allocates a fresh engine; prefer [`TedEngine`] in loops.
 pub fn ted(a: &Tree, b: &Tree) -> u32 {
     TedEngine::unit().distance_trees(a, b)
 }
@@ -275,14 +224,16 @@ mod tests {
         ];
         for (sa, sb, expected) in cases {
             let (ta, tb) = pair(sa, sb);
-            for strategy in [Strategy::Left, Strategy::Right, Strategy::Dynamic] {
-                let mut engine = TedEngine::new(CostModel::UNIT, strategy);
-                assert_eq!(
-                    engine.distance_trees(&ta, &tb),
-                    expected,
-                    "strategy {strategy:?} on {sa} vs {sb}"
-                );
-            }
+            let (pa, pb) = (PreparedTree::new(&ta), PreparedTree::new(&tb));
+            let ws = &mut TedWorkspace::new();
+            let left = tree_distance(pa.left(), pb.left(), ws);
+            let right = tree_distance(pa.right(), pb.right(), ws);
+            let dynamic = TedEngine::unit().distance_trees(&ta, &tb);
+            assert_eq!(
+                (left, right, dynamic),
+                (expected, expected, expected),
+                "(left, right, dynamic) on {sa} vs {sb}"
+            );
         }
     }
 
@@ -306,23 +257,6 @@ mod tests {
             p.left_cost() != p.right_cost(),
             "skewed tree should have asymmetric costs"
         );
-    }
-
-    #[test]
-    fn within_applies_size_filter() {
-        let (ta, tb) = pair("{a{b}{c}{d}{e}}", "{a}");
-        let mut engine = TedEngine::unit();
-        assert_eq!(
-            engine.within(&PreparedTree::new(&ta), &PreparedTree::new(&tb), 2),
-            None
-        );
-        // Size filter rejected the pair before any DP ran.
-        assert_eq!(engine.computations(), 0);
-        assert_eq!(
-            engine.within(&PreparedTree::new(&ta), &PreparedTree::new(&tb), 4),
-            Some(4)
-        );
-        assert_eq!(engine.computations(), 1);
     }
 
     #[test]

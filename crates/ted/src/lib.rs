@@ -4,8 +4,8 @@
 //! reproduction of *Scaling Similarity Joins over Tree-Structured Data*
 //! (Tang, Cai & Mamoulis, VLDB 2015).
 //!
-//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program, and its
-//!   τ-bounded form that fills only the `|x − y| ≤ τ` band;
+//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program under unit
+//!   costs, and its τ-bounded form that fills only the `|x − y| ≤ τ` band;
 //! * [`hybrid`] — an RTED-inspired engine that dynamically picks between
 //!   left-path and mirrored (right-path) decompositions per tree pair (see
 //!   DESIGN.md for the substitution note);
@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
-pub mod cost;
 pub mod hybrid;
 pub mod mapping;
 pub mod outcome;
@@ -27,12 +26,11 @@ pub mod zs;
 
 pub use bounds::{
     degree_bound, degree_histogram, histogram_bound, label_histogram, size_bound, traversal_bound,
-    traversal_bound_with, traversal_within, traversal_within_with, TraversalStrings,
+    traversal_within, traversal_within_with, TraversalStrings,
 };
-pub use cost::CostModel;
-pub use hybrid::{ted, PreparedTree, Strategy, TedEngine};
+pub use hybrid::{ted, PreparedTree, TedEngine};
 pub use mapping::{mapping_bound_within, MappingWorkspace};
 pub use outcome::{JoinOutcome, JoinStats, JoinWork, StageCount, TreeIdx};
 pub use sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
 pub use ted_tree::{TedBuildScratch, TedTree};
-pub use zs::{tree_distance, tree_distance_bounded, zhang_shasha, TedWorkspace};
+pub use zs::{tree_distance, tree_distance_bounded, TedWorkspace};

@@ -327,7 +327,7 @@ impl Pair<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zs::zhang_shasha;
+    use crate::hybrid::ted;
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
     fn pair(a: &str, b: &str) -> (Tree, Tree) {
@@ -394,10 +394,10 @@ mod tests {
             ("{r{a{x}}{b}}", "{r{a}{b{x}}}"),
         ] {
             let (ta, tb) = pair(a, b);
-            let ted = zhang_shasha(&ta, &tb);
+            let d = ted(&ta, &tb);
             for k in 0..8 {
                 if let Some(ub) = bound(a, b, k) {
-                    assert!(ted <= ub && ub <= k, "{a} vs {b} at {k}: {ub} < {ted}");
+                    assert!(d <= ub && ub <= k, "{a} vs {b} at {k}: {ub} < {d}");
                 }
             }
         }

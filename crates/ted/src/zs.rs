@@ -13,12 +13,16 @@
 //! O(n·τ) cells per surviving keyroot pair (Touzet's k-strip idea); see
 //! its docs for the three prunings and why each is exact.
 //!
+//! Both run the paper's unit-cost model: inserting, deleting and
+//! relabeling a node each cost 1, and renaming a node to its own label
+//! costs 0.
+//!
 //! Matrices live in a reusable [`TedWorkspace`] so joins that verify
 //! millions of candidate pairs do not allocate per pair (workhorse-buffer
 //! pattern from the performance guide).
 
-use crate::cost::CostModel;
 use crate::ted_tree::TedTree;
+use tsj_tree::Label;
 
 /// Reusable scratch matrices for [`tree_distance`] and
 /// [`tree_distance_bounded`].
@@ -57,12 +61,18 @@ fn min3(a: u32, b: u32, c: u32) -> u32 {
     a.min(b).min(c)
 }
 
+/// Cost of renaming a node labeled `a` into one labeled `b`.
+#[inline]
+fn rename(a: Label, b: Label) -> u32 {
+    u32::from(a != b)
+}
+
 /// Computes the exact tree edit distance between two preprocessed trees.
 ///
 /// Both trees must be preprocessed the same way (both [`TedTree::new`] or
 /// both [`TedTree::mirrored`]); mixing decompositions silently computes the
 /// distance between one tree and the mirror of the other.
-pub fn tree_distance(a: &TedTree, b: &TedTree, costs: &CostModel, ws: &mut TedWorkspace) -> u32 {
+pub fn tree_distance(a: &TedTree, b: &TedTree, ws: &mut TedWorkspace) -> u32 {
     let n1 = a.len();
     let n2 = b.len();
     // The forest matrix of the root keyroot pair is as large as `td`.
@@ -71,7 +81,7 @@ pub fn tree_distance(a: &TedTree, b: &TedTree, costs: &CostModel, ws: &mut TedWo
 
     for k1 in a.keyroots().iter().map(|&k| k as usize) {
         for k2 in b.keyroots().iter().map(|&k| k as usize) {
-            forest_distance(a, b, k1, k2, costs, &mut ws.fd, &mut ws.td, td_stride);
+            forest_distance(a, b, k1, k2, &mut ws.fd, &mut ws.td, td_stride);
         }
     }
     ws.td[n1 * td_stride + n2]
@@ -85,7 +95,6 @@ fn forest_distance(
     b: &TedTree,
     i: usize,
     j: usize,
-    costs: &CostModel,
     fd: &mut [u32],
     td: &mut [u32],
     td_stride: usize,
@@ -98,10 +107,10 @@ fn forest_distance(
 
     fd[0] = 0;
     for x in 1..=m {
-        fd[x * fs] = fd[(x - 1) * fs] + costs.delete;
+        fd[x * fs] = fd[(x - 1) * fs] + 1;
     }
     for y in 1..=n {
-        fd[y] = fd[y - 1] + costs.insert;
+        fd[y] = fd[y - 1] + 1;
     }
 
     for x in 1..=m {
@@ -112,11 +121,10 @@ fn forest_distance(
             let node_j = l2 + y - 1;
             if a.lld(node_i) == l1 && b.lld(node_j) == l2 {
                 // Both prefixes are whole trees rooted at node_i / node_j.
-                let rename = costs.rename(a.label(node_i), b.label(node_j));
                 let d = min3(
-                    fd[prev_row + y] + costs.delete,
-                    fd[row + y - 1] + costs.insert,
-                    fd[prev_row + y - 1] + rename,
+                    fd[prev_row + y] + 1,
+                    fd[row + y - 1] + 1,
+                    fd[prev_row + y - 1] + rename(a.label(node_i), b.label(node_j)),
                 );
                 fd[row + y] = d;
                 td[node_i * td_stride + node_j] = d;
@@ -126,8 +134,8 @@ fn forest_distance(
                 let p = a.lld(node_i) - l1; // forest prefix before subtree(node_i)
                 let q = b.lld(node_j) - l2;
                 fd[row + y] = min3(
-                    fd[prev_row + y] + costs.delete,
-                    fd[row + y - 1] + costs.insert,
+                    fd[prev_row + y] + 1,
+                    fd[row + y - 1] + 1,
                     fd[p * fs + q] + td[node_i * td_stride + node_j],
                 );
             }
@@ -143,10 +151,9 @@ fn forest_distance(
 ///
 /// Every cell saturates at `cap = k + 1`; `min` and `+` are monotone, so a
 /// saturated table holds exactly `min(true value, cap)`. On top of that,
-/// one fact prunes three ways: every node a mapping leaves unmapped costs
-/// at least `min(insert, delete)`, so a mapping of cost ≤ `k` leaves at
-/// most `band = k / min(insert, delete)` nodes unmapped
-/// ([`CostModel::max_unmapped`]), and — mappings
+/// one fact prunes three ways: every node a mapping leaves unmapped is an
+/// insertion or a deletion and costs 1, so a mapping of cost ≤ `k` leaves
+/// at most `band = k` nodes unmapped, and — mappings
 /// preserve postorder and ancestry — pairs node `i` only with a node `j`
 /// where `|i − j| ≤ band` in postorder and `|size(i) − size(j)| ≤ band`.
 ///
@@ -175,27 +182,24 @@ fn forest_distance(
 /// pair's working set is `O(n·band)` cells, not `O(n²)`.
 ///
 /// Falls back to the full DP when the band would cover the whole table
-/// (`band ≥ max(|a|, |b|)`, which includes `k = u32::MAX` and a free
-/// insert or delete).
+/// (`band ≥ max(|a|, |b|)`, which includes `k = u32::MAX`).
 pub fn tree_distance_bounded(
     a: &TedTree,
     b: &TedTree,
-    costs: &CostModel,
     k: u32,
     ws: &mut TedWorkspace,
 ) -> Option<u32> {
     let n1 = a.len();
     let n2 = b.len();
-    let band = costs.max_unmapped(k);
+    let band = k as usize;
     if n1.abs_diff(n2) > band {
         return None;
     }
-    // A cell holds at most `cap` and is added to one cost or one other
-    // cell; a threshold too large for that is far beyond any band.
+    // A cell holds at most `cap` and is added to a cost of 1 or to one
+    // other cell; a threshold too large for that is far beyond any band.
     let cap = k.saturating_add(1);
-    let widest = cap.max(costs.insert).max(costs.delete).max(costs.relabel);
-    if band >= n1.max(n2) || cap.checked_add(widest).is_none() {
-        let d = tree_distance(a, b, costs, ws);
+    if band >= n1.max(n2) || cap.checked_add(cap).is_none() {
+        let d = tree_distance(a, b, ws);
         return (d <= k).then_some(d);
     }
 
@@ -205,7 +209,7 @@ pub fn tree_distance_bounded(
         let l1 = a.lld(k1);
         for k2 in b.keyroots().iter().map(|&k| k as usize) {
             if l1.abs_diff(b.lld(k2)) <= 2 * band {
-                bounded_forest_distance(a, b, k1, k2, costs, at, &mut ws.fd, &mut ws.td);
+                bounded_forest_distance(a, b, k1, k2, at, &mut ws.fd, &mut ws.td);
             }
         }
     }
@@ -254,7 +258,6 @@ fn bounded_forest_distance(
     b: &TedTree,
     i: usize,
     j: usize,
-    costs: &CostModel,
     at: Band,
     fd: &mut [u32],
     td: &mut [u32],
@@ -270,7 +273,7 @@ fn bounded_forest_distance(
     let row = at.fd_row(0);
     fd[row] = 0;
     for y in 1..=n.min(band) {
-        fd[row + y] = (fd[row + y - 1] + costs.insert).min(cap);
+        fd[row + y] = (fd[row + y - 1] + 1).min(cap);
     }
     if band < n {
         fd[row + band + 1] = cap;
@@ -286,7 +289,7 @@ fn bounded_forest_distance(
         let hi = n.min(x + band);
         // Left edge: column 0 while it is inside the band, then a sentinel.
         let (lo, mut row_min) = if x <= band {
-            let d = (fd[prev_row] + costs.delete).min(cap);
+            let d = (fd[prev_row] + 1).min(cap);
             fd[row] = d;
             (1, d)
         } else {
@@ -296,13 +299,13 @@ fn bounded_forest_distance(
         for y in lo..=hi {
             let node_j = l2 + y - 1;
             let lld_j = b.lld(node_j);
-            let delete = fd[prev_row + y] + costs.delete;
-            let insert = fd[row + y - 1] + costs.insert;
+            let delete = fd[prev_row + y] + 1;
+            let insert = fd[row + y - 1] + 1;
             // Only node pairs within the band are ever read back.
             let near = node_i.abs_diff(node_j) <= band;
             let d = if lld_i == l1 && lld_j == l2 {
-                let rename = costs.rename(a.label(node_i), b.label(node_j));
-                let d = min3(delete, insert, fd[prev_row + y - 1] + rename).min(cap);
+                let relabel = fd[prev_row + y - 1] + rename(a.label(node_i), b.label(node_j));
+                let d = min3(delete, insert, relabel).min(cap);
                 if near {
                     td[td_row + node_j] = d;
                 }
@@ -350,15 +353,6 @@ fn bounded_forest_distance(
     }
 }
 
-/// One-shot Zhang–Shasha distance between two [`tsj_tree::Tree`]s with
-/// unit costs. Prefer [`crate::TedEngine`] when computing many distances.
-pub fn zhang_shasha(a: &tsj_tree::Tree, b: &tsj_tree::Tree) -> u32 {
-    let ta = TedTree::new(a);
-    let tb = TedTree::new(b);
-    let mut ws = TedWorkspace::new();
-    tree_distance(&ta, &tb, &CostModel::UNIT, &mut ws)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +368,11 @@ mod tests {
 
     fn dist(a: &str, b: &str) -> u32 {
         let (ta, tb) = pair(a, b);
-        zhang_shasha(&ta, &tb)
+        tree_distance(
+            &TedTree::new(&ta),
+            &TedTree::new(&tb),
+            &mut TedWorkspace::new(),
+        )
     }
 
     #[test]
@@ -443,11 +441,11 @@ mod tests {
             let (ta, tb) = pair(sa, sb);
             let left = {
                 let (pa, pb) = (TedTree::new(&ta), TedTree::new(&tb));
-                tree_distance(&pa, &pb, &CostModel::UNIT, &mut TedWorkspace::new())
+                tree_distance(&pa, &pb, &mut TedWorkspace::new())
             };
             let right = {
                 let (pa, pb) = (TedTree::mirrored(&ta), TedTree::mirrored(&tb));
-                tree_distance(&pa, &pb, &CostModel::UNIT, &mut TedWorkspace::new())
+                tree_distance(&pa, &pb, &mut TedWorkspace::new())
             };
             assert_eq!(
                 left, right,
@@ -489,21 +487,20 @@ mod tests {
         // in every order must answer as a fresh workspace does.
         let trees = trees_and_mutants(7, 12, 70);
         let mut shared = TedWorkspace::new();
-        let costs = CostModel::UNIT;
         for round in 0..2 {
             for (ia, a) in trees.iter().enumerate() {
                 for (ib, b) in trees.iter().enumerate() {
-                    let d = tree_distance(a, b, &costs, &mut TedWorkspace::new());
+                    let d = tree_distance(a, b, &mut TedWorkspace::new());
                     let k = ((ia + 2 * ib) as u32 + round) % 9;
                     assert_eq!(
-                        tree_distance_bounded(a, b, &costs, k, &mut shared),
+                        tree_distance_bounded(a, b, k, &mut shared),
                         (d <= k).then_some(d),
                         "{ia} vs {ib} at k = {k}"
                     );
                     // First bounded calls only, then the two kernels in
                     // turn, each on the other's leftovers.
                     if round == 1 {
-                        assert_eq!(tree_distance(a, b, &costs, &mut shared), d);
+                        assert_eq!(tree_distance(a, b, &mut shared), d);
                     }
                 }
             }
@@ -516,19 +513,18 @@ mod tests {
         // large values a miss. Neither kernel may notice.
         let trees = trees_and_mutants(11, 10, 60);
         let mut ws = TedWorkspace::new();
-        let costs = CostModel::UNIT;
         for poison in [0, 1 << 20] {
             for (ia, a) in trees.iter().enumerate() {
                 for (ib, b) in trees.iter().enumerate() {
                     ws.td.fill(poison);
                     ws.fd.fill(poison);
-                    let d = tree_distance(a, b, &costs, &mut ws);
-                    assert_eq!(d, tree_distance(a, b, &costs, &mut TedWorkspace::new()));
+                    let d = tree_distance(a, b, &mut ws);
+                    assert_eq!(d, tree_distance(a, b, &mut TedWorkspace::new()));
                     for k in [0, 1, 2, 4, 7] {
                         ws.td.fill(poison);
                         ws.fd.fill(poison);
                         assert_eq!(
-                            tree_distance_bounded(a, b, &costs, k, &mut ws),
+                            tree_distance_bounded(a, b, k, &mut ws),
                             (d <= k).then_some(d),
                             "{ia} vs {ib} at k = {k}, poison {poison}"
                         );
@@ -543,33 +539,12 @@ mod tests {
         let (small, large) = pair("{a}", "{a{b}{c}{d}{e}}");
         let (small, large) = (TedTree::new(&small), TedTree::new(&large));
         let mut ws = TedWorkspace::new();
-        let costs = CostModel::UNIT;
         // Size difference 4 > k: answered before any table is touched.
-        assert_eq!(
-            tree_distance_bounded(&small, &large, &costs, 3, &mut ws),
-            None
-        );
+        assert_eq!(tree_distance_bounded(&small, &large, 3, &mut ws), None);
         assert!(ws.td.is_empty());
         // k ≥ max size (a doubling top-k threshold, "no threshold"): full DP.
         for k in [4, 5, 1 << 20, u32::MAX] {
-            assert_eq!(
-                tree_distance_bounded(&small, &large, &costs, k, &mut ws),
-                Some(4)
-            );
+            assert_eq!(tree_distance_bounded(&small, &large, k, &mut ws), Some(4));
         }
-    }
-
-    #[test]
-    fn weighted_costs_respected() {
-        let (ta, tb) = pair("{a{b}}", "{a{c}}");
-        let costs = CostModel {
-            insert: 1,
-            delete: 1,
-            relabel: 5,
-        };
-        let mut ws = TedWorkspace::new();
-        let d = tree_distance(&TedTree::new(&ta), &TedTree::new(&tb), &costs, &mut ws);
-        // Rename would cost 5; delete b + insert c costs 2.
-        assert_eq!(d, 2);
     }
 }

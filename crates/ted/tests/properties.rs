@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use tsj_datagen::{grow_tree, random_edit_script, ShapeProfile};
 use tsj_ted::{
     histogram_bound, label_histogram, mapping_bound_within, sed, sed_within, size_bound, ted,
-    traversal_bound, tree_distance, CostModel, MappingWorkspace, PreparedTree, Strategy,
+    traversal_bound, tree_distance, tree_distance_bounded, MappingWorkspace, PreparedTree,
     TedBuildScratch, TedEngine, TedTree, TedWorkspace, TraversalStrings,
 };
 use tsj_tree::{
@@ -29,41 +29,54 @@ fn random_tree(seed: u64, max_size: usize) -> Tree {
     grow_tree(&mut rng, size, 5, &profile)
 }
 
-/// One engine per [`Strategy`], to be carried across many pairs so every
-/// call runs in a workspace left dirty by other pairs and thresholds.
-fn engines(costs: CostModel) -> Vec<TedEngine> {
-    [Strategy::Left, Strategy::Right, Strategy::Dynamic]
-        .map(|strategy| TedEngine::new(costs, strategy))
-        .into()
+/// A workspace for each decomposition's kernels and an engine that picks
+/// between them, carried across many pairs so every call runs in tables
+/// left dirty by other pairs and thresholds.
+struct Kernels {
+    left: TedWorkspace,
+    right: TedWorkspace,
+    dynamic: TedEngine,
 }
 
-/// The τ-bounded kernel's contract: under every strategy, `within` and
-/// `verify` answer what the full DP followed by a comparison answers. The
+fn kernels() -> Kernels {
+    Kernels {
+        left: TedWorkspace::new(),
+        right: TedWorkspace::new(),
+        dynamic: TedEngine::unit(),
+    }
+}
+
+/// The τ-bounded kernel's contract: on the left decomposition, on the
+/// right one and through the engine's choice, it answers what the full DP
+/// followed by a comparison answers, and the three full DPs agree. The
 /// bounded calls run first, on whatever earlier pairs left in the tables.
-fn bounded_is_exact(
-    engines: &mut [TedEngine],
-    a: &Tree,
-    b: &Tree,
-    taus: &[u32],
-) -> Result<(), String> {
+fn bounded_is_exact(k: &mut Kernels, a: &Tree, b: &Tree, taus: &[u32]) -> Result<(), String> {
     let (pa, pb) = (PreparedTree::new(a), PreparedTree::new(b));
-    for (idx, engine) in engines.iter_mut().enumerate() {
-        let got: Vec<_> = taus
-            .iter()
-            .map(|&tau| (engine.within(&pa, &pb, tau), engine.verify(&pa, &pb, tau)))
-            .collect();
-        let d = engine.distance(&pa, &pb);
-        for (&tau, got) in taus.iter().zip(got) {
-            let want = (d <= tau).then_some(d);
-            if got != (want, want) {
-                return Err(format!(
-                    "(within, verify) = {got:?}, full DP {d} at tau {tau}, engine {idx}, \
-                     {:?}: {:?} vs {:?}",
-                    engine.costs(),
-                    a.flatten(),
-                    b.flatten()
-                ));
-            }
+    let got: Vec<_> = taus
+        .iter()
+        .map(|&tau| {
+            [
+                tree_distance_bounded(pa.left(), pb.left(), tau, &mut k.left),
+                tree_distance_bounded(pa.right(), pb.right(), tau, &mut k.right),
+                k.dynamic.verify(&pa, &pb, tau),
+            ]
+        })
+        .collect();
+    let full = [
+        tree_distance(pa.left(), pb.left(), &mut k.left),
+        tree_distance(pa.right(), pb.right(), &mut k.right),
+        k.dynamic.distance(&pa, &pb),
+    ];
+    let d = full[0];
+    for (&tau, got) in taus.iter().zip(got) {
+        let want = (d <= tau).then_some(d);
+        if full != [d; 3] || got != [want; 3] {
+            return Err(format!(
+                "(left, right, dynamic) bounded {got:?}, full {full:?} at tau {tau}: \
+                 {:?} vs {:?}",
+                a.flatten(),
+                b.flatten()
+            ));
         }
     }
     Ok(())
@@ -176,7 +189,7 @@ fn mapping_bound_holds(
     taus: &[u32],
 ) -> Result<(), String> {
     let (pa, pb) = (TedTree::new(a), TedTree::new(b));
-    let d = tree_distance(&pa, &pb, &CostModel::UNIT, &mut TedWorkspace::new());
+    let d = tree_distance(&pa, &pb, &mut TedWorkspace::new());
     let unbanded = Constrained::distance(a, b);
     for &tau in taus {
         let got = mapping_bound_within(&pa, &pb, tau, ws);
@@ -540,9 +553,9 @@ proptest! {
     #[test]
     fn bounded_ted_is_exact_on_random_pairs(a in any::<u64>(), b in any::<u64>()) {
         let (ta, tb) = (random_tree(a, 40), random_tree(b, 40));
-        let engines = &mut engines(CostModel::UNIT);
-        bounded_is_exact(engines, &ta, &tb, &thresholds(&ta, &tb))?;
-        bounded_is_exact(engines, &tb, &ta, &thresholds(&ta, &tb))?;
+        let k = &mut kernels();
+        bounded_is_exact(k, &ta, &tb, &thresholds(&ta, &tb))?;
+        bounded_is_exact(k, &tb, &ta, &thresholds(&ta, &tb))?;
     }
 
     /// Bounded TED on a tree and its mutant: hits at every distance up to
@@ -552,9 +565,9 @@ proptest! {
         let tree = random_tree(seed, 60);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 5);
-        let engines = &mut engines(CostModel::UNIT);
-        bounded_is_exact(engines, &tree, &mutant, &thresholds(&tree, &mutant))?;
-        bounded_is_exact(engines, &mutant, &tree, &thresholds(&tree, &mutant))?;
+        let k = &mut kernels();
+        bounded_is_exact(k, &tree, &mutant, &thresholds(&tree, &mutant))?;
+        bounded_is_exact(k, &mutant, &tree, &thresholds(&tree, &mutant))?;
     }
 
     /// Bounded TED on paths, stars and combs against each other and
@@ -567,40 +580,19 @@ proptest! {
         edits in 0usize..=4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let engines = &mut engines(CostModel::UNIT);
+        let k = &mut kernels();
         for shape_a in corner_shapes(n) {
             // Single-label trees, then two labels sprinkled at random.
             for mask in [0, rng.gen::<u32>()] {
                 let ta = tree_of(&shape_a, mask);
                 let (mutant, _) = random_edit_script(&ta, edits, &mut rng, 2);
-                bounded_is_exact(engines, &ta, &mutant, &thresholds(&ta, &mutant))?;
+                bounded_is_exact(k, &ta, &mutant, &thresholds(&ta, &mutant))?;
                 for shape_b in corner_shapes(m) {
                     let tb = tree_of(&shape_b, mask & rng.gen::<u32>());
-                    bounded_is_exact(engines, &ta, &tb, &thresholds(&ta, &tb))?;
+                    bounded_is_exact(k, &ta, &tb, &thresholds(&ta, &tb))?;
                 }
             }
         }
-    }
-
-    /// Weighted costs: the band is `τ / min(insert, delete)` nodes wide,
-    /// and a free insert or delete means no band at all.
-    #[test]
-    fn bounded_ted_is_exact_under_weighted_costs(
-        seed in any::<u64>(),
-        edits in 0usize..=6,
-        insert in 0u32..=3,
-        delete in 0u32..=3,
-        relabel in 0u32..=5,
-    ) {
-        let engines = &mut engines(CostModel { insert, delete, relabel });
-        let tree = random_tree(seed, 30);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xc057);
-        let (mutant, _) = random_edit_script(&tree, edits, &mut rng, 5);
-        let other = random_tree(seed ^ 0x07e2, 30);
-        let taus = [0, 1, 2, 3, 5, 8, 13, 21, 40, 200, u32::MAX - 1, u32::MAX];
-        bounded_is_exact(engines, &tree, &mutant, &taus)?;
-        bounded_is_exact(engines, &mutant, &tree, &taus)?;
-        bounded_is_exact(engines, &tree, &other, &taus)?;
     }
 
     /// The mapping bound on a tree and its mutant, both ways round, and on
@@ -659,8 +651,9 @@ proptest! {
     #[test]
     fn decompositions_agree(a in any::<u64>(), b in any::<u64>()) {
         let (ta, tb) = (random_tree(a, 24), random_tree(b, 24));
-        let left = TedEngine::new(CostModel::UNIT, Strategy::Left).distance_trees(&ta, &tb);
-        let right = TedEngine::new(CostModel::UNIT, Strategy::Right).distance_trees(&ta, &tb);
+        let (pa, pb) = (PreparedTree::new(&ta), PreparedTree::new(&tb));
+        let left = tree_distance(pa.left(), pb.left(), &mut TedWorkspace::new());
+        let right = tree_distance(pa.right(), pb.right(), &mut TedWorkspace::new());
         let dynamic = TedEngine::unit().distance_trees(&ta, &tb);
         prop_assert_eq!(left, right);
         prop_assert_eq!(left, dynamic);
@@ -731,12 +724,12 @@ proptest! {
 #[ignore = "exhaustive: about a minute in release, far longer in debug"]
 fn bounded_ted_exhaustive_small_trees() {
     let taus: Vec<u32> = (0..=8).chain([12, 13, u32::MAX]).collect();
-    let engines = &mut engines(CostModel::UNIT);
+    let k = &mut kernels();
     let ws = &mut MappingWorkspace::new();
     let mut soak = |trees: &[Tree]| {
         for a in trees {
             for b in trees {
-                bounded_is_exact(engines, a, b, &taus).unwrap();
+                bounded_is_exact(k, a, b, &taus).unwrap();
                 mapping_bound_holds(ws, a, b, &taus).unwrap();
             }
         }

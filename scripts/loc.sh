@@ -2,7 +2,7 @@
 # The three numbers a PR states (ROADMAP, standing constraints), counted
 # one way: source lines per crate, the join-stack subtotal, all Rust
 # outside benchmark/ vendor/ target/, and the test-group count — plus
-# `options`, the public fields of the ten config structs (ROADMAP 4(c):
+# `options`, the public fields of the nine config structs (ROADMAP 4(c):
 # they "come out with fewer fields than they went in"), and `paths`, how
 # many places in the join stack still sequence the sharded probe step or
 # hold a frozen side's parts (ROADMAP 3: each should be written once) —
@@ -20,7 +20,9 @@
 # R×S side only), or a `partsj` join loop that sequences the probe step
 # itself (they run on `Prober`), or probe-step state held in tsj-shard
 # (a `Prober` holds it), or a side list that is not a `SideList`
-# or one held outside a `SubgraphIndex` (an index owns its small trees)
+# or one held outside a `SubgraphIndex` (an index owns its small trees),
+# or a cost model or decomposition strategy in tsj-ted (TED is unit-cost,
+# and the engine picks the decomposition per pair)
 # — and, expected 1, how many structs in tsj-cluster and tsj-catalogd hold
 # router state (`Cluster` and `ClusterClient` share one `Router`).
 #
@@ -51,7 +53,7 @@ pub_fields() { sed -n "/^pub struct $1 {/,/^}/p" crates/*/src/*.rs | grep -c '^ 
 
 options=0
 for config in PartSjConfig VerifyConfig ShardConfig ObsConfig ClusterConfig RetryPolicy \
-  FaultPlan ClientConfig PoolConfig ServerConfig; do
+  FaultPlan ClientConfig ServerConfig; do
   fields=$(pub_fields "$config")
   printf '  %-14s %2d\n' "$config" "$fields"
   options=$((options + fields))
@@ -92,6 +94,7 @@ path_row 'hand-sequenced probe steps in partsj' \
 path_row 'raw side-list maps' 'FxHashMap<u32, Vec<TreeIdx>>' crates/{core,shard}/src/*.rs
 mapfile -t side_owners < <(without crates/core/src/index.rs crates/{core,shard,catalog,cluster}/src/*.rs)
 path_row 'side lists held outside an index' '^    (pub(\([a-z]+\))? )?[a-z_]+: SideList' "${side_owners[@]}"
+path_row 'TED cost/strategy knobs in tsj-ted' 'CostModel|Strategy::|costs:' crates/ted/src/*.rs
 path_row 'router state holders in cluster+catalogd' '^    (pub(\([a-z]+\))? )?health: ' \
   crates/{cluster,catalogd}/src/*.rs
 

@@ -158,8 +158,8 @@
 //! ```
 //!
 //! See `examples/catalog_server.rs` for the full freeze → save → load →
-//! serve loop, and the README's "Catalog service" section for the
-//! snapshot format and the freeze-vs-rebuild trade-off.
+//! serve loop, and the "Catalog service" section of
+//! `docs/ARCHITECTURE.md` for the snapshot format and the freeze-vs-rebuild trade-off.
 //!
 //! ## Cluster serving & fault tolerance
 //!
@@ -172,8 +172,8 @@
 //! sits behind a deterministic fault injector ([`prelude::FaultPlan`]);
 //! unrecoverable losses produce a typed [`prelude::Degraded`] coverage
 //! report, never a silent wrong answer. See
-//! `examples/cluster_failover.rs` and the README's "Cluster serving &
-//! fault tolerance" section.
+//! `examples/cluster_failover.rs` and the "Cluster serving & fault
+//! tolerance" section of `docs/ARCHITECTURE.md`.
 //!
 //! ## Observability
 //!
@@ -184,8 +184,8 @@
 //! [`obs::export::to_json`]). It is on by default and configured with
 //! [`prelude::ObsConfig`]; disabling it never changes any join result —
 //! a property test pins bit-identical pairs, candidates and stage
-//! counters across configurations. See the README's "Observability"
-//! section and `experiments -- metrics`.
+//! counters across configurations. See the "Observability" section of
+//! `docs/OPERATIONS.md` and `experiments -- metrics`.
 //!
 //! ```
 //! use tree_similarity_join::prelude::*;
