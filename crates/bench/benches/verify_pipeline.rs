@@ -18,12 +18,13 @@
 //! strictly below the filter-free count. A second set of info lines runs
 //! the check workload under [`ObsConfig::PROFILE`] and prints where the
 //! chain's nanoseconds go per stage, fresh-engine vs reused-engine (the
-//! scratch-arena payoff, stage by stage).
+//! scratch-arena payoff, stage by stage), on both join shapes:
+//! `swissprot_like` at τ = 3 and 150-node `synthetic` trees at τ = 6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{partsj_join_with, PartSjConfig, VerifyConfig, VerifyData, VerifyEngine};
 use std::hint::black_box;
-use tsj_datagen::{swissprot_like, synthetic, SyntheticParams};
+use tsj_datagen::{swissprot_like, synthetic, synthetic_sized, SyntheticParams};
 use tsj_obs::ObsConfig;
 use tsj_tree::Tree;
 
@@ -85,18 +86,30 @@ fn report_ratios() {
     }
 }
 
-/// Per-stage nanosecond profile of the full-chain check workload,
-/// before/after the scratch refactor's usage pattern: a fresh engine per
-/// pass (cold TED workspace and SED bands every time) vs one engine
-/// reused across passes (the serving-loop steady state). Uses
+/// Per-stage nanosecond profile of the full-chain check workload on both
+/// join shapes — `swissprot_like` at τ = 3 (wide shallow trees, like
+/// `join_flat`) and `synthetic` 150-node trees at τ = 6 (like
+/// `join_bigtree`), the numbers the chain's order rests on — a fresh
+/// engine per pass (cold TED workspace and SED bands every time) vs one
+/// engine reused across passes (the serving-loop steady state). Uses
 /// [`ObsConfig::PROFILE`]'s stage-timing stamps; restores the default
 /// observability configuration before any timed benchmark runs.
 fn report_stage_profile() {
     tsj_obs::configure(&ObsConfig::PROFILE);
-    let trees = swissprot_like(90, 2015);
-    let data: Vec<VerifyData> = VerifyData::batch(&trees);
-    let tau = 3u32;
-    let pairs = candidate_pairs(&trees, tau);
+    let shapes = [
+        ("swissprot_like", swissprot_like(90, 2015), 3u32),
+        ("synthetic150", synthetic_sized(48, 150, 2015), 6),
+    ];
+    for (dataset, trees, tau) in shapes {
+        profile_stages(dataset, &trees, tau);
+    }
+    tsj_obs::configure(&ObsConfig::ON);
+}
+
+/// Prints one `verify_pipeline: profile` row per mode and stage.
+fn profile_stages(dataset: &str, trees: &[Tree], tau: u32) {
+    let data: Vec<VerifyData> = VerifyData::batch(trees);
+    let pairs = candidate_pairs(trees, tau);
     let config = PartSjConfig::default();
     let passes = 10u32;
     let stage_ns = |stage: &str| {
@@ -136,11 +149,14 @@ fn report_stage_profile() {
         for (name, base) in stage_names.iter().zip(&mut baseline) {
             let total = stage_ns(name);
             let per_pass = (total - *base) / u64::from(passes);
-            println!("verify_pipeline: profile mode={mode} stage={name} ns_per_pass={per_pass}");
+            println!(
+                "verify_pipeline: profile data={dataset} tau={tau} pairs={} mode={mode} \
+                 stage={name} ns_per_pass={per_pass}",
+                pairs.len()
+            );
             *base = total;
         }
     }
-    tsj_obs::configure(&ObsConfig::ON);
 }
 
 fn bench_prep(c: &mut Criterion) {

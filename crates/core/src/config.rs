@@ -9,7 +9,7 @@
 ///
 /// Two details are under-specified in the text, and our reproduction (and
 /// its brute-force equivalence tests) shows both matter for completeness
-/// (see DESIGN.md for the full analysis):
+/// (see `docs/ARCHITECTURE.md` §Substitutions):
 ///
 /// 1. **Which postorder?** Positions must be *general-tree* postorder
 ///    numbers (as drawn in the paper's Figure 7), not binary-tree ones.
@@ -93,8 +93,8 @@ pub enum MatchSemantics {
 }
 
 /// Which stages of the verification filter chain run (see
-/// [`crate::verify`] for the chain itself, its fixed order and the cost
-/// model).
+/// [`crate::verify`] for the chain itself, the order it runs the stages
+/// in and why).
 ///
 /// Every stage is *sound* — lower-bound stages only reject pairs whose
 /// TED provably exceeds `τ`, upper-bound stages only admit pairs with a
@@ -110,10 +110,10 @@ pub struct VerifyConfig {
     /// trees have identical *shape* (equal leftmost-leaf arrays), renaming
     /// the mismatched labels in place is a valid edit script, so a label
     /// Hamming distance ≤ τ admits the pair; O(1) per pair via a shape
-    /// hash, O(n) on the rare hash hit. Mapping: after the lower-bound
-    /// stages, a τ-banded constrained mapping of cost ≤ τ admits the pair
-    /// (`tsj_ted::mapping_bound_within`, unit costs). Either way the pair
-    /// skips exact TED.
+    /// hash, O(n) on the rare hash hit. Mapping: after `label-hist` and
+    /// before `traversal-sed`, a τ-banded constrained mapping of cost ≤ τ
+    /// admits the pair (`tsj_ted::mapping_bound_within`, unit costs).
+    /// Either way the pair skips exact TED.
     pub shape_accept: bool,
     /// Label-histogram L1 lower bound `⌈L1/2⌉` (Kailing et al.), over
     /// sorted label multisets derived per tree on first use. O(n) merge

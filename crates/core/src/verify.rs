@@ -12,13 +12,13 @@
 //! The chain is the **closed** set [`VERIFY_STAGES`]; [`VerifyConfig`]
 //! only switches individual stages off:
 //!
-//! | # | stage | kind | per-pair cost | decides | input | built when |
-//! |---|----------------|-------|----------------------|---------|-------|------------|
-//! | 1 | `size` | lower | O(1) | reject | node count | preparation |
-//! | 2 | `shape-accept` | upper | Hamming: O(1), O(n) on hit; mapping: O(n·τ) band cells | accept | `lld` array, its hash, postorder labels | preparation |
-//! | 3 | `label-hist` | lower | O(n) merge | reject | sorted label multiset | first `label-hist` on the tree |
-//! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject | postorder labels; mirrored decomposition's labels | preparation; first pair whose postorder SED is ≤ τ |
-//! | — | exact TED | — | O(n·τ) cells per surviving keyroot pair | both | left decomposition; mirrored decomposition | preparation; first right-side pair |
+//! | stage | kind | per-pair cost | decides | input | built when |
+//! |----------------|-------|----------------------|---------|-------|------------|
+//! | `size` | lower | O(1) | reject | node count | preparation |
+//! | `shape-accept` | upper | Hamming: O(1), O(n) on hit; mapping: O(n·τ) band cells | accept | `lld` array, its hash, postorder labels | preparation |
+//! | `label-hist` | lower | O(n) merge | reject | sorted label multiset | first `label-hist` on the tree |
+//! | `traversal-sed`| lower | two O(τ·n) banded DPs | reject | postorder labels; mirrored decomposition's labels | preparation; first pair whose postorder SED is ≤ τ |
+//! | exact TED | — | O(n·τ) cells per surviving keyroot pair | both | left decomposition; mirrored decomposition | preparation; first right-side pair |
 //!
 //! A **lower-bound** stage computes `lb ≤ TED` and rejects when
 //! `lb > τ`; rejection can never drop a true result. An **upper-bound**
@@ -27,20 +27,30 @@
 //! the pair is *resolved* without the expensive DP, and the stage's
 //! counter records it ([`JoinStats::stage_counts`]).
 //!
-//! `shape-accept` has two halves, and the engine evaluates them apart:
+//! `shape-accept` has two halves, and the engine runs them apart. The
+//! order is the private table `CHAIN`, stated once:
 //!
 //! 1. `size`;
 //! 2. `shape-accept`'s **Hamming** half: equal shapes ⇒ the rename
 //!    script (O(1) on a shape-hash miss);
-//! 3. `label-hist`, then `traversal-sed`;
+//! 3. `label-hist`;
 //! 4. `shape-accept`'s **mapping** half: the cost of a τ-banded
 //!    constrained mapping with run moves ([`mapping_bound_within`], unit
-//!    costs);
-//! 5. exact TED.
+//!    costs), on the left decompositions preparation built;
+//! 5. `traversal-sed`: the postorder SED, then the preorder SED, which
+//!    reads the mirrored decomposition and builds it on first use;
+//! 6. exact TED.
 //!
-//! The mapping half runs after the lower stages, so it sees only pairs no
-//! lower bound rejected, and no lower stage's counter moves: an upper
-//! bound only accepts results, and a lower bound never rejects one.
+//! The order is by cost per decision. The mapping half accepts most
+//! near-duplicate pairs that `label-hist` lets through, and it reads only
+//! what preparation built, so it runs before `traversal-sed`: a pair it
+//! accepts pays for no SED and builds no mirrored decomposition.
+//! Moving an upper stage past a lower one moves no verdict and no
+//! counter: an upper bound accepts only pairs with TED ≤ τ, a lower bound
+//! rejects only pairs with TED > τ, and the two sets are disjoint. The
+//! lower stages keep their order among themselves, and so do the two
+//! halves of `shape-accept`, so every counter names the same stage in any
+//! such order; the tests run all ten and compare.
 //! [`VerifyEngine::check_exact`] takes a certificate from either half
 //! only when it is provably TED, `ub ≤ max(1, ||a| − |b||)`.
 //!
@@ -60,7 +70,7 @@
 //! and leftmost-leaf descendants `lld` at `v − depth(v) + size(v)`,
 //! keyroots, both decomposition costs; see [`tsj_ted::TedTree`]). No walk
 //! and no stack. A join verifies only the pairs its index
-//! surfaces and most of those resolve at the first two stages, so every
+//! surfaces, and most of those resolve before `traversal-sed`, so every
 //! other input is derived from those arrays — never from the tree — the
 //! first time a stage asks, and memoized per tree in a `OnceLock` (verify
 //! workers share the data). Four identities make that possible:
@@ -78,7 +88,8 @@
 //!   pass ([`tsj_ted::TedTree::mirror_cost`]), so the dynamic strategy chooses
 //!   as it always did and the mirrored decomposition itself
 //!   ([`tsj_ted::TedTree::mirror_of`], from `labels` and `lld` alone) is
-//!   built only for trees a right-side pair or `traversal-sed` reaches.
+//!   built only for trees a right-side pair or `traversal-sed`'s
+//!   preorder half reaches.
 //!
 //! A recycled probe slot ([`VerifyData::rebuild`]) keeps the memo sticky
 //! so the steady state stays allocation-free.
@@ -87,8 +98,8 @@
 //!
 //! A tempting upper bound is the exact traversal-string SED itself —
 //! "if `SED ≤ τ`, accept". It is **unsound**: SED of preorder/postorder
-//! strings *lower*-bounds TED (that is exactly why stage 4 may reject
-//! with it). The paper's own Figure 3 pair (`{1{2}{1{3}}}` vs
+//! strings *lower*-bounds TED (that is exactly why `traversal-sed` may
+//! reject with it). The paper's own Figure 3 pair (`{1{2}{1{3}}}` vs
 //! `{1{2{1}{3}}}`) has `max(SED) = 2` but `TED = 3`, so SED-accepting at
 //! `τ = 2` would report a false pair — the regression test
 //! `sed_accept_would_be_unsound` pins this counterexample. The sound
@@ -298,9 +309,11 @@ impl ProbeVerify {
     }
 }
 
-/// The verify chain's stage names — a closed set, in the one order the
-/// engine evaluates them. [`StageCount::stage`] only ever holds one of
-/// these.
+/// The verify chain's stage names — a closed set, in the order
+/// [`VerifyEngine::fold_into`] reports them. [`StageCount::stage`] only
+/// ever holds one of these. The engine runs `shape-accept`'s mapping half
+/// between `label-hist` and `traversal-sed` (see the
+/// [module docs](self)).
 pub const VERIFY_STAGES: [&str; 4] = ["size", "shape-accept", "label-hist", "traversal-sed"];
 
 // Positions in [`VERIFY_STAGES`] (and in the engine's counter arrays).
@@ -316,6 +329,43 @@ const TRAVERSAL_SED: usize = 3;
 pub fn verify_stage(name: &str) -> Option<&'static str> {
     VERIFY_STAGES.into_iter().find(|stage| *stage == name)
 }
+
+/// One step of the chain: a stage, or one of `shape-accept`'s two halves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `size`: the node-count difference.
+    Size,
+    /// `shape-accept`'s first half: the rename script of equal shapes.
+    Hamming,
+    /// `label-hist`: the label multisets' L1 distance.
+    LabelHist,
+    /// `shape-accept`'s second half: a τ-banded constrained mapping.
+    Mapping,
+    /// `traversal-sed`: the traversal strings' banded SEDs.
+    TraversalSed,
+}
+
+impl Step {
+    /// The stage this step counts under: its position in [`VERIFY_STAGES`].
+    const fn stage(self) -> usize {
+        match self {
+            Step::Size => SIZE,
+            Step::Hamming | Step::Mapping => SHAPE_ACCEPT,
+            Step::LabelHist => LABEL_HIST,
+            Step::TraversalSed => TRAVERSAL_SED,
+        }
+    }
+}
+
+/// The order the engine runs the chain in — the one place it is stated
+/// (see the [module docs](self) for why this order).
+const CHAIN: [Step; 5] = [
+    Step::Size,
+    Step::Hamming,
+    Step::LabelHist,
+    Step::Mapping,
+    Step::TraversalSed,
+];
 
 /// Size lower bound `||T1| − |T2|| ≤ TED` (§3.2 footnote 1).
 #[inline]
@@ -382,7 +432,7 @@ fn traversal_rejects(a: &VerifyData, b: &VerifyData, tau: u32, sed: &mut SedScra
 /// Entry points create one engine per verifying thread (the sequential
 /// joins own one; `tsj-shard`'s verify pool builds one per worker)
 /// and fold the counters into the run's [`JoinStats`] at the end with
-/// [`VerifyEngine::fold_into`]. The stage order is fixed, so every
+/// [`VerifyEngine::fold_into`]. The chain order is fixed, so every
 /// engine given the same pairs reports the same per-stage counters.
 #[derive(Debug)]
 pub struct VerifyEngine {
@@ -452,13 +502,14 @@ impl VerifyEngine {
     }
 
     /// The enabled stages' names: the subsequence of [`VERIFY_STAGES`]
-    /// this engine evaluates, and the rows [`VerifyEngine::fold_into`]
-    /// reports, in that order.
+    /// this engine evaluates, in that order — the rows
+    /// [`VerifyEngine::fold_into`] reports.
     pub fn stage_names(&self) -> Vec<&'static str> {
         self.stages().map(|(_, name)| name).collect()
     }
 
-    /// `(position, name)` of every enabled stage, in chain order.
+    /// `(position, name)` of every enabled stage, in [`VERIFY_STAGES`]
+    /// order.
     fn stages(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
         let enabled = self.enabled;
         VERIFY_STAGES
@@ -516,14 +567,25 @@ impl VerifyEngine {
         self.decide(a, b, true)
     }
 
-    /// The chain walk behind both check flavours: `size`, the Hamming
-    /// half of `shape-accept`, the two lower stages, the mapping half of
-    /// `shape-accept`, then exact TED.
+    /// The chain walk behind both check flavours: the steps of [`CHAIN`],
+    /// then exact TED.
+    #[inline]
     fn decide(&mut self, a: &VerifyData, b: &VerifyData, exact: bool) -> Option<u32> {
+        self.decide_in(&CHAIN, a, b, exact)
+    }
+
+    /// Walks `chain`'s enabled steps until one resolves the pair, then
+    /// runs exact TED. Only [`CHAIN`] reaches it outside tests; the tests
+    /// run the other orders that must give the same verdicts and counters.
+    #[inline]
+    fn decide_in(
+        &mut self,
+        chain: &[Step],
+        a: &VerifyData,
+        b: &VerifyData,
+        exact: bool,
+    ) -> Option<u32> {
         let tau = self.tau;
-        if self.enabled[SIZE] && self.timed(SIZE, |_| size_rejects(a, b, tau)) {
-            return self.reject(SIZE);
-        }
         // An exact caller takes only a tight certificate, so both halves
         // of `shape-accept` look for no more than that.
         let accept = if exact {
@@ -531,26 +593,26 @@ impl VerifyEngine {
         } else {
             tau
         };
-        if self.enabled[SHAPE_ACCEPT] {
-            if let Some(hamming) = self.timed(SHAPE_ACCEPT, |_| shape_certificate(a, b, accept)) {
-                return self.accept(hamming);
+        for &step in chain {
+            let stage = step.stage();
+            if !self.enabled[stage] {
+                continue;
             }
-        }
-        if self.enabled[LABEL_HIST] && self.timed(LABEL_HIST, |_| histogram_rejects(a, b, tau)) {
-            return self.reject(LABEL_HIST);
-        }
-        if self.enabled[TRAVERSAL_SED]
-            && self.timed(TRAVERSAL_SED, |e| traversal_rejects(a, b, tau, &mut e.sed))
-        {
-            return self.reject(TRAVERSAL_SED);
-        }
-        if self.enabled[SHAPE_ACCEPT] {
-            // `shape-accept`'s mapping half, on the left decompositions.
-            let (left_a, left_b) = (a.prepared.left(), b.prepared.left());
-            let bound =
-                |e: &mut VerifyEngine| mapping_bound_within(left_a, left_b, accept, &mut e.mapping);
-            if let Some(ub) = self.timed(SHAPE_ACCEPT, bound) {
-                return self.accept(ub);
+            // `Some(verdict)` when the step resolves the pair: `None` for
+            // a lower bound's rejection, `Some(ub)` for an upper bound's
+            // certificate.
+            let resolved = self.timed(stage, |e| match step {
+                Step::Size => size_rejects(a, b, tau).then_some(None),
+                Step::Hamming => shape_certificate(a, b, accept).map(Some),
+                Step::LabelHist => histogram_rejects(a, b, tau).then_some(None),
+                Step::Mapping => {
+                    let (left_a, left_b) = (a.prepared.left(), b.prepared.left());
+                    mapping_bound_within(left_a, left_b, accept, &mut e.mapping).map(Some)
+                }
+                Step::TraversalSed => traversal_rejects(a, b, tau, &mut e.sed).then_some(None),
+            });
+            if let Some(verdict) = resolved {
+                return self.resolve(stage, verdict);
             }
         }
         self.ted.verify(&a.prepared, &b.prepared, tau)
@@ -568,20 +630,16 @@ impl VerifyEngine {
         verdict
     }
 
-    /// Records a lower-bound rejection at `stage`.
+    /// Records that `stage` resolved a pair: a lower-bound rejection
+    /// (`None`) or an upper-bound admission of cost `ub` (`Some(ub)`).
     #[inline]
-    fn reject(&mut self, stage: usize) -> Option<u32> {
+    fn resolve(&mut self, stage: usize, verdict: Option<u32>) -> Option<u32> {
         self.counts[stage] += 1;
-        self.lower_skips += 1;
-        None
-    }
-
-    /// Records an upper-bound admission (`shape-accept`) of cost `ub`.
-    #[inline]
-    fn accept(&mut self, ub: u32) -> Option<u32> {
-        self.counts[SHAPE_ACCEPT] += 1;
-        self.early_accepts += 1;
-        Some(ub)
+        match verdict {
+            Some(_) => self.early_accepts += 1,
+            None => self.lower_skips += 1,
+        }
+        verdict
     }
 
     /// Folds this engine's counters into `stats`: TED calls, total
@@ -719,7 +777,7 @@ mod tests {
         assert!(!traversal_rejects(&d[0], &d[1], 2, &mut SedScratch::new()));
         let mut engine = VerifyEngine::with_filters(2, &VerifyConfig::default());
         assert_eq!(engine.check(&d[0], &d[1]), None);
-        // The mapping half ran before it and, an upper bound, refused.
+        // The mapping half, an upper bound, refused it before the SEDs ran.
         assert_eq!(engine.ted_calls(), 1, "only exact TED may decide");
         assert_eq!(engine.early_accepts(), 0);
     }
@@ -907,10 +965,10 @@ mod tests {
     }
 
     /// The chain as it was before the τ-bounded kernel and the derived
-    /// inputs: the same four bounds over [`RefInputs`], `shape-accept`'s
-    /// mapping half on the tree's own decomposition, then the full DP and
-    /// a comparison. `VerifyEngine` must agree with it on every verdict
-    /// and every counter.
+    /// inputs: the same four bounds over [`RefInputs`] in [`CHAIN`]'s
+    /// order, `shape-accept`'s mapping half on the tree's own
+    /// decomposition, then the full DP and a comparison. `VerifyEngine`
+    /// must agree with it on every verdict and every counter.
     struct Reference {
         tau: u32,
         filters: VerifyConfig,
@@ -936,44 +994,42 @@ mod tests {
 
         fn decide(&mut self, a: &RefInputs, b: &RefInputs, exact: bool) -> Option<u32> {
             let (tau, on) = (self.tau, self.filters);
+            let enabled = [on.size, on.shape_accept, on.histogram, on.traversal];
             let (n1, n2) = (a.shape.len(), b.shape.len());
-            if on.size && size_bound(n1, n2) > tau {
-                return self.reject(SIZE);
-            }
             // Only a certificate of at most max(1, size difference) is TED.
             let accept = match exact {
                 true => tau.min(size_bound(n1, n2).max(1)),
                 false => tau,
             };
-            if on.shape_accept && a.shape == b.shape {
-                let (pre_a, pre_b) = (&a.strings.preorder, &b.strings.preorder);
-                let hamming = pre_a.iter().zip(pre_b).filter(|(la, lb)| la != lb).count() as u32;
-                if hamming <= accept {
-                    self.counts[SHAPE_ACCEPT] += 1;
-                    return Some(hamming);
-                }
-            }
-            if on.histogram && histogram_bound(&a.histogram, &b.histogram) > tau {
-                return self.reject(LABEL_HIST);
-            }
-            if on.traversal && !traversal_within_with(&a.strings, &b.strings, tau, &mut self.sed) {
-                return self.reject(TRAVERSAL_SED);
-            }
-            if on.shape_accept {
-                let bound = mapping_bound_within(&a.ted, &b.ted, accept, &mut self.mapping);
-                if let Some(ub) = bound {
-                    self.counts[SHAPE_ACCEPT] += 1;
-                    return Some(ub);
+            for step in CHAIN.into_iter().filter(|step| enabled[step.stage()]) {
+                let resolved = match step {
+                    Step::Size => (size_bound(n1, n2) > tau).then_some(None),
+                    Step::Hamming => {
+                        let (pre_a, pre_b) = (&a.strings.preorder, &b.strings.preorder);
+                        let hamming =
+                            pre_a.iter().zip(pre_b).filter(|(la, lb)| la != lb).count() as u32;
+                        (a.shape == b.shape && hamming <= accept).then_some(Some(hamming))
+                    }
+                    Step::LabelHist => {
+                        (histogram_bound(&a.histogram, &b.histogram) > tau).then_some(None)
+                    }
+                    Step::Mapping => {
+                        mapping_bound_within(&a.ted, &b.ted, accept, &mut self.mapping).map(Some)
+                    }
+                    Step::TraversalSed => {
+                        let within =
+                            traversal_within_with(&a.strings, &b.strings, tau, &mut self.sed);
+                        (!within).then_some(None)
+                    }
+                };
+                if let Some(verdict) = resolved {
+                    self.counts[step.stage()] += 1;
+                    return verdict;
                 }
             }
             self.ted_calls += 1;
             let d = tree_distance(&a.ted, &b.ted, &mut self.ws);
             (d <= tau).then_some(d)
-        }
-
-        fn reject(&mut self, stage: usize) -> Option<u32> {
-            self.counts[stage] += 1;
-            None
         }
 
         /// The engine under test must have decided the same pairs at the
@@ -1070,6 +1126,129 @@ mod tests {
             }
             reference.assert_counters_match(&mut engine, &format!("after tau {tau}"));
         }
+    }
+
+    /// Every order of the chain's steps that keeps the lower stages in
+    /// [`CHAIN`]'s order among themselves, and `shape-accept`'s two halves
+    /// too: the two upper steps take any two of the five slots.
+    fn interleavings() -> Vec<[Step; 5]> {
+        let is_upper = |step: &Step| matches!(step, Step::Hamming | Step::Mapping);
+        let (upper, lower): (Vec<Step>, Vec<Step>) = CHAIN.into_iter().partition(is_upper);
+        let mut orders = Vec::new();
+        for first in 0..CHAIN.len() {
+            for second in first + 1..CHAIN.len() {
+                let (mut upper, mut lower) = (upper.iter(), lower.iter());
+                orders.push(std::array::from_fn(|slot| {
+                    let steps = if slot == first || slot == second {
+                        &mut upper
+                    } else {
+                        &mut lower
+                    };
+                    *steps.next().expect("five slots, five steps")
+                }));
+            }
+        }
+        orders
+    }
+
+    /// What an engine's run leaves behind: TED calls, the two totals and
+    /// the per-stage rows.
+    fn work(engine: &mut VerifyEngine) -> (u64, u64, u64, Vec<StageCount>) {
+        let mut stats = JoinStats::default();
+        engine.fold_into(&mut stats);
+        let totals = (stats.ted_calls, stats.prefilter_skips, stats.early_accepts);
+        (totals.0, totals.1, totals.2, stats.stage_counts)
+    }
+
+    /// Runs every pair of `data` through both check flavours under every
+    /// order of [`interleavings`] and asserts that each order gives
+    /// [`CHAIN`]'s verdicts, distances and counters.
+    fn assert_order_free(data: &[VerifyData], filters: &VerifyConfig, tau: u32) {
+        let orders = interleavings();
+        assert_eq!(orders.len(), 10);
+        assert!(orders.contains(&CHAIN));
+        let mut chain = VerifyEngine::with_filters(tau, filters);
+        let verdicts: Vec<_> = data
+            .iter()
+            .flat_map(|a| data.iter().map(move |b| (a, b)))
+            .map(|(a, b)| [chain.check(a, b), chain.check_exact(a, b)])
+            .collect();
+        let want = work(&mut chain);
+        for order in &orders {
+            let mut engine = VerifyEngine::with_filters(tau, filters);
+            let pairs = data.iter().flat_map(|a| data.iter().map(move |b| (a, b)));
+            for ((a, b), want) in pairs.zip(&verdicts) {
+                let got = [false, true].map(|exact| engine.decide_in(order, a, b, exact));
+                assert_eq!(&got, want, "{order:?} {filters:?} tau {tau}");
+            }
+            assert_eq!(work(&mut engine), want, "{order:?} {filters:?} tau {tau}");
+        }
+    }
+
+    #[test]
+    fn the_chain_order_moves_no_verdict_and_no_counter() {
+        // An upper bound accepts only pairs with TED ≤ τ and a lower bound
+        // rejects only pairs with TED > τ, so moving one past the other
+        // changes cost only.
+        let (data, _) = mixed_collection();
+        for mask in 0..16u32 {
+            for tau in [0, 1, 3, 6] {
+                assert_order_free(&data, &config_of(mask), tau);
+            }
+        }
+    }
+
+    /// [`the_chain_order_moves_no_verdict_and_no_counter`] on every ordered
+    /// tree of at most five nodes over two labels, at τ 0..=3. CI runs it
+    /// in release (`cargo test --release -p partsj -- --ignored`).
+    #[test]
+    #[ignore = "exhaustive: seconds in release, far longer in debug"]
+    fn the_chain_order_moves_nothing_on_every_small_tree() {
+        let mut trees = Vec::new();
+        for n in 1..=5 {
+            for shape in all_shapes(n) {
+                for mask in 0..1u32 << n {
+                    let nodes: Vec<_> = shape
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &parent)| {
+                            let label = Label::from_raw(1 + ((mask >> k) & 1));
+                            (label, (k > 0).then_some(parent))
+                        })
+                        .collect();
+                    trees.push(Tree::from_flattened(&nodes).expect("parents come first"));
+                }
+            }
+        }
+        assert_eq!(trees.len(), 2 + 4 + 2 * 8 + 5 * 16 + 14 * 32);
+        let data = VerifyData::batch(&trees);
+        for tau in 0..=3 {
+            assert_order_free(&data, &VerifyConfig::ALL, tau);
+        }
+    }
+
+    /// Every ordered tree of `n` nodes as preorder parent positions: each
+    /// tree of `n − 1` nodes grown by one last node under any node of its
+    /// rightmost path.
+    fn all_shapes(n: usize) -> Vec<Vec<u32>> {
+        let mut shapes = vec![vec![0u32]];
+        for k in 1..n as u32 {
+            let mut grown = Vec::new();
+            for shape in &shapes {
+                let mut parent = k - 1;
+                loop {
+                    let mut next = shape.clone();
+                    next.push(parent);
+                    grown.push(next);
+                    if parent == 0 {
+                        break;
+                    }
+                    parent = shape[parent as usize];
+                }
+            }
+            shapes = grown;
+        }
+        shapes
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Collection generators for the paper's four evaluation datasets (§4).
 //!
 //! The three real datasets (Swissprot, Treebank, Sentiment) are not
-//! redistributable offline, so — per the substitution policy in DESIGN.md —
+//! redistributable offline, so — per `docs/ARCHITECTURE.md` §Substitutions —
 //! each is simulated by a generator tuned to reproduce the statistics the
 //! paper reports (average tree size, label count, average and maximum
 //! depth). The synthetic dataset follows the Zaki generator parameters of

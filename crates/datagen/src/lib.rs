@@ -4,8 +4,8 @@
 //! Joins over Tree-Structured Data* (VLDB 2015): the Zaki-style random
 //! generator with Table 1's parameters, the decay-factor (`Dz`) mutation
 //! model of Yang et al., and statistical simulators standing in for the
-//! Swissprot / Treebank / Sentiment datasets (see the substitution notes in
-//! DESIGN.md).
+//! Swissprot / Treebank / Sentiment datasets (see `docs/ARCHITECTURE.md`
+//! §Substitutions).
 
 #![warn(missing_docs)]
 

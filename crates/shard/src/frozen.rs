@@ -495,7 +495,7 @@ mod tests {
     use tsj_tree::{parse_bracket, LabelInterner};
 
     /// A join derives the lazy verification inputs of the left trees its
-    /// candidate pairs carry past `shape-accept`, and of no others.
+    /// candidate pairs carry to the stage that reads them, and of no others.
     #[test]
     fn a_join_materialises_only_what_its_pairs_reach() {
         let mut labels = LabelInterner::new();
@@ -519,17 +519,21 @@ mod tests {
         assert_eq!(outcome.stats.early_accepts, 4);
         assert_eq!(held, [Materialized::default(); 2]);
 
-        // One probe against its twin (`shape-accept`), a same-shape tree
-        // sharing no label (rejected by `label-hist`) and a reshaped one
-        // with its labels (through `traversal-sed` to the mapping bound).
-        let left = ["{a{b}{c}}", "{x{y}{z}}", "{a{b{c}}}"];
+        // One probe against its twin (`shape-accept`'s Hamming half), a
+        // same-shape tree sharing no label (rejected by `label-hist`), a
+        // reshaped one with its labels (accepted by the mapping half, so
+        // `traversal-sed` never runs) and one that only the preorder SED
+        // rejects (the mapping half refused it first).
+        let left = ["{a{b}{c}}", "{x{y}{z}}", "{a{b{c}}}", "{c{x}{b}}"];
         let (outcome, held) = joined(&left, &["{a{b}{c}}"]);
         assert_eq!(outcome.pairs, [(0, 0), (2, 0)]);
         assert_eq!(outcome.stats.early_accepts, 2);
+        assert_eq!(outcome.stats.prefilter_skips, 2);
         assert_eq!(outcome.stats.ted_calls, 0);
         let held_is = |histogram, mirror| Materialized { histogram, mirror };
         let want = [
             held_is(false, false),
+            held_is(true, false),
             held_is(true, false),
             held_is(true, true),
         ];

@@ -4,8 +4,8 @@
 //! PVLDB 2011), a framework that picks, per subproblem, the decomposition
 //! path minimizing the number of relevant subproblems. Full RTED requires
 //! Demaine-style general single-path functions; as documented in
-//! `DESIGN.md`, we reproduce its *decision* at tree-pair granularity over
-//! the two classical single-path algorithms:
+//! `docs/ARCHITECTURE.md` (§Substitutions), we reproduce its *decision* at
+//! tree-pair granularity over the two classical single-path algorithms:
 //!
 //! * **left decomposition** — Zhang–Shasha on the trees as given;
 //! * **right decomposition** — Zhang–Shasha on both mirror images, which is

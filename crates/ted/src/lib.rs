@@ -8,7 +8,7 @@
 //!   costs, and its τ-bounded form that fills only the `|x − y| ≤ τ` band;
 //! * [`hybrid`] — an RTED-inspired engine that dynamically picks between
 //!   left-path and mirrored (right-path) decompositions per tree pair (see
-//!   DESIGN.md for the substitution note);
+//!   `docs/ARCHITECTURE.md` §Substitutions);
 //! * [`sed`](mod@sed) — full and banded (threshold-aware) string edit distance;
 //! * [`bounds`] — the TED lower bounds used by the filtering baselines;
 //! * [`mapping`] — a τ-banded constrained-mapping *upper* bound, the

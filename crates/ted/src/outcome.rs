@@ -59,7 +59,8 @@ pub struct JoinStats {
     /// cost.
     pub early_accepts: u64,
     /// Per-stage breakdown of where candidates were resolved before exact
-    /// TED, in chain order (cheapest first). Empty when the entry point
+    /// TED, one row per stage in the chain's stage-name order (one row for
+    /// both halves of `shape-accept`). Empty when the entry point
     /// ran without a verification chain.
     pub stage_counts: Vec<StageCount>,
 }
